@@ -22,15 +22,15 @@ from .errors import (BackendError, CheckpointError, ConfigError,
                      EmptyCompletionError, IncompleteTreeError, ModeError,
                      ResumableRunError, StatusError, StructuralError,
                      TemplateError, TreeGenError)
-from .scheduler import (CheckpointStore, ExpansionPlan, ExpansionResult,
-                        TreeRunner, build_plan, expand_parent, resume, run)
+from .scheduler import (CheckpointStore, ExpansionResult, TreeRunner,
+                        expand_parent)
 from .templates import (BUILTIN_TEMPLATES, LLAMA2_CHAT, PLAIN, ChatTemplate,
                         get_template, load_template, render_answer_prompt,
                         render_continuation_prompt, render_question_prompt,
                         strip_completion)
 from .tree import (LayerSpec, Mode, Role, Tree, TreeConfig, TreeNode,
                    TreeShape, ValidationReport, classify_shape, config_hash,
-                   config_from_dict, expected_leaf_count, leaf_paths,
-                   load_config, validate_config)
+                   config_from_dict, expected_leaf_count, load_config,
+                   validate_config)
 
 __version__ = "0.1.0"

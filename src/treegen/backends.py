@@ -264,10 +264,15 @@ class _HttpBase:
                                         attempts=attempt)
             else:
                 if 200 <= resp.status_code < 300:
-                    return resp.json()
-                last_exc = StatusError(resp.status_code, resp.text, attempts=attempt)
-                if resp.status_code < 500 and resp.status_code != 429:
-                    raise last_exc  # client errors are not retryable
+                    try:
+                        return resp.json()
+                    except ValueError as exc:  # requests.JSONDecodeError
+                        last_exc = BackendError(f"non-JSON response body from {url}: {exc}",
+                                                attempts=attempt)
+                else:
+                    last_exc = StatusError(resp.status_code, resp.text, attempts=attempt)
+                    if resp.status_code < 500 and resp.status_code != 429:
+                        raise last_exc  # client errors are not retryable
             if attempt < self.max_retries:
                 time.sleep(self.backoff_base * 2 ** (attempt - 1))
         raise last_exc  # type: ignore[misc]

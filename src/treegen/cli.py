@@ -94,8 +94,8 @@ def cmd_generate(args) -> int:
     _emit({
         "status": "complete",
         "out": str(args.out),
-        "nodes_committed": store.manifest["nodes_committed"],
-        "shortfalls": store.manifest["shortfalls"],
+        "nodes_committed": tree.non_root_count(),
+        "shortfalls": tree.shortfall_total,
         "dedup_drops": store.manifest["dedup_drops"],
         "leaf_count": len(tree.leaf_paths(permissive=True)),
         "config_hash": store.manifest["config_hash"],

@@ -11,6 +11,10 @@ Balance-shaped trees use layers as barriers: no layer-(i+1) request is issued
 before every layer-i node is committed. Wide/chain-shaped trees (branching 1
 below layer 1) expand each layer-1 subtree independently, with no cross-chain
 barriers; chain blocks are still committed in chain order.
+
+nodes.jsonl is the only record of what was committed: resume replays it alone,
+and shortfalls are derived from the replayed structure. The manifest is a
+summary written when a run starts and when it ends.
 """
 
 from __future__ import annotations
@@ -44,23 +48,49 @@ CONFIG_FILE = "config.json"
 NODES_FILE = "nodes.jsonl"
 MANIFEST_FILE = "manifest.json"
 
-# manifest counters are flushed this often; everything in them is recomputable
-# from nodes.jsonl except zero-child shortfall marks, which are also flushed
-# eagerly whenever they occur.
-_MANIFEST_FLUSH_EVERY = 64
+# Layout version, stored in config.json. Format 2 records a zero-child
+# expansion as a marker line in nodes.jsonl; older checkpoints have no format
+# number and kept that record in the manifest, so they are refused.
+CHECKPOINT_FORMAT = 2
 
 
 def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+def _dumps(record: dict) -> str:
+    return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+
+
+def _fresh_manifest(config: TreeConfig, backend_id: str | None = None,
+                    workers: int | None = None) -> dict:
+    return {
+        "status": "running",
+        "config_hash": config_hash(config),
+        "backend_id": backend_id,
+        "workers": workers,
+        "nodes_committed": 0,
+        "shortfalls": 0,
+        "dedup_drops": 0,
+        "retries": 0,
+        "started_at": _utcnow(),
+        "ended_at": None,
+    }
+
+
 class CheckpointStore:
     """Append-only persisted tree: config.json + nodes.jsonl + manifest.json.
 
-    Every node record's parent appears earlier in nodes.jsonl, so replaying
-    the file reconstructs the tree exactly. One parent's full child set is
-    appended as a single block; a torn trailing block is dropped on load and
-    regenerated deterministically.
+    nodes.jsonl alone holds the committed tree. Every node record's parent
+    appears earlier in the file, and one parent's full child set is appended
+    as a single block; an expansion that kept no children is a one-line block,
+    the marker ``{"parent_id": ..., "children": []}``. Replaying the file
+    therefore rebuilds every node, child list and shortfall. A torn trailing
+    block is dropped on load and regenerated deterministically.
+
+    manifest.json is a summary, written by ``initialize`` and ``finalize``
+    only: status, timestamps, node and shortfall counts (recomputed from the
+    tree on load), and dedup/retry telemetry, which a hard kill loses.
     """
 
     def __init__(self, directory: str | Path, include_embeddings: bool = False):
@@ -71,7 +101,6 @@ class CheckpointStore:
         self.include_embeddings = include_embeddings
         self.manifest: dict = {}
         self._handle = None
-        self._since_flush = 0
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -82,22 +111,11 @@ class CheckpointStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         if self.exists():
             raise CheckpointError(f"checkpoint already present in {self.directory}")
-        payload = {"config": config_to_dict(config), "hash": config_hash(config)}
+        payload = {"format": CHECKPOINT_FORMAT, "config": config_to_dict(config),
+                   "hash": config_hash(config)}
         self.config_path.write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n",
                                     encoding="utf-8")
-        self.manifest = {
-            "status": "running",
-            "config_hash": config_hash(config),
-            "backend_id": backend_id,
-            "workers": workers,
-            "nodes_committed": 0,
-            "shortfalls": 0,
-            "shortfall_parents": {},
-            "dedup_drops": 0,
-            "retries": 0,
-            "started_at": _utcnow(),
-            "ended_at": None,
-        }
+        self.manifest = _fresh_manifest(config, backend_id, workers)
         tree = Tree(config)
         self._open_handle()
         self._write_lines([self._encode(tree.root)])
@@ -116,8 +134,7 @@ class CheckpointStore:
     # -- encoding -----------------------------------------------------------
 
     def _encode(self, node: TreeNode) -> str:
-        record = node_to_record(node, include_embedding=self.include_embeddings)
-        return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+        return _dumps(node_to_record(node, include_embedding=self.include_embeddings))
 
     def _write_lines(self, lines: Sequence[str]) -> None:
         self._handle.write("".join(line + "\n" for line in lines))
@@ -125,31 +142,24 @@ class CheckpointStore:
 
     # -- commits ------------------------------------------------------------
 
-    def append_block(self, nodes: Sequence[TreeNode], shortfall_parent: str | None = None,
-                     shortfall: int = 0, dedup_drops: int = 0, retried: bool = False) -> None:
+    def append_block(self, nodes: Sequence[TreeNode], parent_id: str, shortfall: int = 0,
+                     dedup_drops: int = 0, retried: bool = False) -> None:
         """Commit one expansion result atomically (all-or-nothing lines)."""
         self._open_handle()
         if nodes:
             self._write_lines([self._encode(n) for n in nodes])
+        else:
+            self._write_lines([_dumps({"parent_id": parent_id, "children": []})])
         self.manifest["nodes_committed"] += len(nodes)
+        self.manifest["shortfalls"] += shortfall
         self.manifest["dedup_drops"] += dedup_drops
-        if retried:
-            self.manifest["retries"] += 1
-        if shortfall:
-            self.manifest["shortfalls"] += shortfall
-            self.manifest["shortfall_parents"][shortfall_parent] = shortfall
-            self._write_manifest()  # zero-child parents must survive a crash
-            return
-        self._since_flush += 1
-        if self._since_flush >= _MANIFEST_FLUSH_EVERY:
-            self._write_manifest()
+        self.manifest["retries"] += int(retried)
 
     def _write_manifest(self) -> None:
         tmp = self.manifest_path.with_suffix(".json.tmp")
         tmp.write_text(json.dumps(self.manifest, indent=2, ensure_ascii=False) + "\n",
                        encoding="utf-8")
         os.replace(tmp, self.manifest_path)
-        self._since_flush = 0
 
     def finalize(self, status: str, exit_status: int | None = None) -> None:
         self.manifest["status"] = status
@@ -166,37 +176,36 @@ class CheckpointStore:
         if not self.exists():
             raise CheckpointError(f"no checkpoint in {self.directory}")
         stored = json.loads(self.config_path.read_text(encoding="utf-8"))
+        found = stored.get("format")
+        if found != CHECKPOINT_FORMAT:
+            what = "no checkpoint format" if found is None else f"checkpoint format {found}"
+            raise CheckpointError(
+                f"{self.config_path} declares {what}; this version reads checkpoint "
+                f"format {CHECKPOINT_FORMAT} only, so regenerate the tree")
         if stored.get("hash") != config_hash(config):
             raise CheckpointError(
                 f"checkpoint config hash {stored.get('hash')} does not match the "
                 f"provided config hash {config_hash(config)}")
 
-        if self.manifest_path.exists():
-            self.manifest = json.loads(self.manifest_path.read_text(encoding="utf-8"))
-        else:
-            self.manifest = {
-                "status": "running", "config_hash": config_hash(config),
-                "backend_id": None, "workers": None, "nodes_committed": 0,
-                "shortfalls": 0, "shortfall_parents": {}, "dedup_drops": 0,
-                "retries": 0, "started_at": _utcnow(), "ended_at": None,
-            }
-
         records = self._read_recovered_records()
+        if records and records[0].get("id") != ROOT_ID:
+            raise CheckpointError("nodes.jsonl does not start with the root record")
         tree = Tree(config)
+        for record in records[1:]:
+            # a record without an id is a zero-child expansion marker
+            children = [node_from_record(record)] if "id" in record else []
+            tree.add_children(record["parent_id"], children)
+        self._open_handle()
         if not records:
             # the tear reached the root record; rewrite it and start over
             log.warning("recovered checkpoint had no intact records; reinitializing")
-            self._open_handle()
             self._write_lines([self._encode(tree.root)])
-            return tree
-        if records[0].get("id") != ROOT_ID:
-            raise CheckpointError("nodes.jsonl does not start with the root record")
-        for record in records[1:]:
-            tree.insert_replayed_node(node_from_record(record))
-        for parent_id, missing in self.manifest.get("shortfall_parents", {}).items():
-            tree.record_shortfall(parent_id, int(missing))
-        self.manifest["nodes_committed"] = tree.non_root_count()
-        self._open_handle()
+
+        self.manifest = _fresh_manifest(config)
+        if self.manifest_path.exists():
+            self.manifest.update(json.loads(self.manifest_path.read_text(encoding="utf-8")))
+        self.manifest.update(nodes_committed=tree.non_root_count(),
+                             shortfalls=tree.shortfall_total)
         return tree
 
     def _read_recovered_records(self) -> list[dict]:
@@ -213,10 +222,7 @@ class CheckpointStore:
             return []
         lines = raw.split(b"\n")
         torn = lines[-1] != b""  # file must end with a newline
-        if not torn:
-            lines = lines[:-1]
-        else:
-            lines = lines[:-1]  # drop the partial fragment
+        lines = lines[:-1]  # the empty tail, or the partial fragment
         records: list[dict] = []
         for line in lines:
             try:
@@ -231,37 +237,14 @@ class CheckpointStore:
             log.warning("nodes.jsonl had a torn trailing block; dropped it "
                         "(will be regenerated on resume)")
         if torn:
-            valid_bytes = sum(len(json.dumps(r, ensure_ascii=False, separators=(",", ":"))
-                                  .encode("utf-8")) + 1 for r in records)
             # rewrite rather than arithmetic-truncate: the surviving prefix is
             # re-encoded canonically, which matches what was originally written
             with open(self.nodes_path, "w", encoding="utf-8", newline="\n") as fh:
-                for r in records:
-                    fh.write(json.dumps(r, ensure_ascii=False, separators=(",", ":")) + "\n")
+                fh.write("".join(_dumps(r) + "\n" for r in records))
         return records
 
 
 # --- one expansion step ------------------------------------------------------
-
-
-@dataclass
-class ExpansionPlan:
-    """Canonically ordered frontier of (parent_id, layer_index) tasks."""
-
-    pending: list[tuple[str, int]]
-    completed: set[str]
-    workers: int
-    retry_budget: int = 1
-
-
-def build_plan(tree: Tree, workers: int) -> ExpansionPlan:
-    """Everything still to expand, in layer-then-structural order."""
-    pending: list[tuple[str, int]] = []
-    for layer_index in range(1, tree.depth + 1):
-        pending.extend((pid, layer_index) for pid in tree.pending_parents(layer_index))
-    completed = {nid for nid, node in tree.nodes.items()
-                 if node.layer < tree.depth and tree.is_expanded(nid)}
-    return ExpansionPlan(pending=pending, completed=completed, workers=workers)
 
 
 @dataclass
@@ -406,7 +389,6 @@ class TreeRunner:
         """Expand to full depth, resuming from the store when it has content."""
         if self.store.exists():
             tree = self.store.load(self.config)
-            self.store.manifest["status"] = "running"
         else:
             tree = self.store.initialize(self.config, self.generator.backend_id,
                                          self.workers)
@@ -513,25 +495,8 @@ class TreeRunner:
                 f"backend failure after {exc.attempts} attempt(s): {exc}") from exc
 
     def _commit_result(self, tree: Tree, result: ExpansionResult) -> None:
-        tree.add_children(result.parent_id, result.children, shortfall=result.shortfall)
-        self.store.append_block(result.children,
-                                shortfall_parent=result.parent_id if result.shortfall else None,
+        tree.add_children(result.parent_id, result.children)
+        self.store.append_block(result.children, parent_id=result.parent_id,
                                 shortfall=result.shortfall,
                                 dedup_drops=result.dedup_drops,
                                 retried=result.retried)
-
-
-def run(config: TreeConfig, generator: GenerationBackend, embedder: EmbeddingBackend,
-        store: CheckpointStore, template: ChatTemplate | None = None,
-        workers: int = 8) -> Tree:
-    """Expand a tree to completion (fresh run, or continue a compatible checkpoint)."""
-    return TreeRunner(config, generator, embedder, store,
-                      template=template, workers=workers).run()
-
-
-def resume(config: TreeConfig, generator: GenerationBackend, embedder: EmbeddingBackend,
-           store: CheckpointStore, template: ChatTemplate | None = None,
-           workers: int = 8) -> Tree:
-    """Resume a run from an existing checkpoint; idempotent when complete."""
-    return TreeRunner(config, generator, embedder, store,
-                      template=template, workers=workers).resume()

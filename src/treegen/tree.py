@@ -378,7 +378,6 @@ class Tree:
         )
         self.nodes: dict[str, TreeNode] = {ROOT_ID: root}
         self._expanded: set[str] = set()
-        self._shortfalls: dict[str, int] = {}
 
     @property
     def root(self) -> TreeNode:
@@ -391,9 +390,12 @@ class Tree:
     def node(self, node_id: str) -> TreeNode:
         return self.nodes[node_id]
 
-    def add_children(self, parent_id: str, children: Sequence[TreeNode],
-                     shortfall: int = 0) -> None:
-        """Attach one committed child set and mark the parent expanded."""
+    def add_children(self, parent_id: str, children: Sequence[TreeNode]) -> None:
+        """Attach one committed child set and mark the parent expanded.
+
+        Used for fresh commits and for checkpoint replay alike; an empty
+        ``children`` records a zero-child expansion.
+        """
         parent = self.nodes[parent_id]
         for node in children:
             if node.layer != parent.layer + 1:
@@ -403,34 +405,28 @@ class Tree:
             self.nodes[node.id] = node
             parent.children.append(node.id)
         self._expanded.add(parent_id)
-        if shortfall:
-            self._shortfalls[parent_id] = shortfall
-
-    def insert_replayed_node(self, node: TreeNode) -> None:
-        """Insert a node from a checkpoint replay, rebuilding the child links."""
-        if node.id == ROOT_ID:
-            self.nodes[ROOT_ID] = node
-            return
-        parent = self.nodes[node.parent_id]
-        self.nodes[node.id] = node
-        parent.children.append(node.id)
-        self._expanded.add(node.parent_id)
-
-    def record_shortfall(self, parent_id: str, missing: int) -> None:
-        self._expanded.add(parent_id)
-        if missing:
-            self._shortfalls[parent_id] = missing
 
     def is_expanded(self, node_id: str) -> bool:
         return node_id in self._expanded or self.nodes[node_id].layer >= self.depth
 
     @property
     def shortfalls(self) -> dict[str, int]:
-        return dict(self._shortfalls)
+        """Missing children per expanded parent: branching minus children kept.
+
+        Derived from the structure alone, so a replayed tree reports exactly
+        what the run that wrote it did.
+        """
+        missing = {}
+        for node_id, node in self.nodes.items():  # commit order
+            if node.layer < self.depth and node_id in self._expanded:
+                short = self.config.layer(node.layer + 1).branching - len(node.children)
+                if short:
+                    missing[node_id] = short
+        return missing
 
     @property
     def shortfall_total(self) -> int:
-        return sum(self._shortfalls.values())
+        return sum(self.shortfalls.values())
 
     def layer_ids(self, layer: int) -> list[str]:
         ids = [nid for nid, node in self.nodes.items() if node.layer == layer]
@@ -504,7 +500,3 @@ class Tree:
 
     def non_root_count(self) -> int:
         return len(self.nodes) - 1
-
-
-def leaf_paths(tree: Tree, permissive: bool = False) -> list[list[TreeNode]]:
-    return tree.leaf_paths(permissive=permissive)

@@ -9,6 +9,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+import requests
 
 from treegen import (BackendError, ConfigError, GenerationRequest,
                      HttpEmbedder, HttpTextBackend, MockEmbedder,
@@ -230,6 +231,30 @@ def test_http_transport_failure_is_retryable_error():
     with pytest.raises(BackendError) as exc_info:
         backend.generate(request(n=1))
     assert exc_info.value.attempts == 2
+
+
+class _NonJsonSession:
+    """Answers every POST with 200 and a body that is not JSON."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def post(self, url, **kwargs):
+        self.calls += 1
+        response = requests.Response()
+        response.status_code = 200
+        response._content = b"<html>upstream proxy error</html>"
+        return response
+
+
+def test_http_non_json_body_is_retried_backend_error():
+    session = _NonJsonSession()
+    backend = HttpTextBackend(base_url="http://127.0.0.1:9", api_key="k", model="m",
+                              backoff_base=0.0, max_retries=3, session=session)
+    with pytest.raises(BackendError, match="non-JSON") as exc_info:
+        backend.generate(request(n=1))
+    assert exc_info.value.attempts == 3
+    assert session.calls == 3
 
 
 def test_http_sequential_fallback_issues_single_sample_calls(fixture_server):

@@ -6,7 +6,9 @@ import json
 from pathlib import Path
 
 import pytest
+import requests
 
+from treegen import backends
 from treegen.cli import main
 from treegen.tree import config_to_dict
 
@@ -52,6 +54,28 @@ def test_generate_http_without_key_exits_1(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert "TG_API_KEY" in err
     assert out == ""
+
+
+def test_generate_http_non_json_body_exits_2(tmp_path, capsys, monkeypatch):
+    # a 2xx reply that is not JSON is a backend failure: a resumable abort
+    def non_json_post(session, url, **kwargs):
+        response = requests.Response()
+        response.status_code = 200
+        response._content = b"<html>upstream proxy error</html>"
+        return response
+
+    monkeypatch.setattr(requests.Session, "post", non_json_post)
+    monkeypatch.setattr(backends.time, "sleep", lambda seconds: None)
+    monkeypatch.setenv("TG_API_KEY", "k")
+    config_path = write_config(tmp_path, sft_config([2, 2]))
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(capsys, "generate", "--config", str(config_path),
+                             "--out", str(out_dir), "--backend", "http",
+                             "--base-url", "http://127.0.0.1:9/v1", "--model", "m")
+    assert code == 2
+    assert "non-JSON" in err
+    assert out == ""
+    assert json.loads((out_dir / "manifest.json").read_text())["status"] == "aborted"
 
 
 def test_generate_resume_on_fresh_directory_exits_1(tmp_path, capsys):

@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 
 import pytest
 
-from treegen import (CheckpointError, CheckpointStore, MockEmbedder,
-                     MockTextBackend, ResumableRunError, TreeRunner,
-                     expand_parent, expected_leaf_count, get_template, run)
-from treegen.fnv import combine
-from treegen.scheduler import NODES_FILE
-from treegen.tree import ROOT_ID, Tree
+from treegen import (CheckpointError, CheckpointStore, Completion,
+                     GenerationResult, MockEmbedder, MockTextBackend,
+                     ResumableRunError, TreeRunner, expand_parent,
+                     expected_leaf_count, get_template)
+from treegen.fnv import combine, hash_text
+from treegen.scheduler import CONFIG_FILE, MANIFEST_FILE, NODES_FILE
+from treegen.tree import ROOT_ID, Tree, node_to_record
 
 from conftest import CountingBackend, FlakyBackend, pt_config, sft_config
 
@@ -36,8 +38,8 @@ class AbortingStore(CheckpointStore):
 
 def run_to_completion(config, directory, workers=4, backend=None, embedder=None):
     store = CheckpointStore(directory)
-    tree = run(config, backend or MockTextBackend(), embedder or MockEmbedder(),
-               store, workers=workers)
+    tree = TreeRunner(config, backend or MockTextBackend(), embedder or MockEmbedder(),
+                      store, workers=workers).run()
     return tree, store
 
 
@@ -136,23 +138,6 @@ def test_child_counts_never_exceed_branching(tmp_path):
             assert len(node.children) <= config.layer(node.layer + 1).branching
 
 
-def test_build_plan_invariants(tmp_path):
-    from treegen import build_plan
-    config = sft_config([3, 2], dedup_threshold=1.01)
-    tree, _ = run_to_completion(config, tmp_path / "done")
-    plan = build_plan(tree, workers=4)
-    assert plan.pending == []  # complete run has an empty frontier
-    assert len(plan.completed) == 1 + 3  # root and the three questions
-
-    from treegen import Tree
-    fresh = Tree(config)
-    plan = build_plan(fresh, workers=4)
-    assert plan.pending == [("root", 1)]
-    parents = [pid for pid, _ in plan.pending]
-    assert len(parents) == len(set(parents))  # a parent appears at most once
-    assert plan.completed.isdisjoint(parents)
-
-
 def test_run_pt_mode(tmp_path):
     config = pt_config([3, 2], dedup_threshold=1.01)
     tree, _ = run_to_completion(config, tmp_path / "t")
@@ -205,7 +190,7 @@ def test_wide_tree_run_is_deterministic_across_workers(tmp_path):
 def test_checkpoint_round_trip_identity(tmp_path):
     config = sft_config([2, 2], template_id="llama2-chat")
     store = CheckpointStore(tmp_path / "t", include_embeddings=True)
-    tree = run(config, MockTextBackend(), MockEmbedder(), store, workers=2)
+    tree = TreeRunner(config, MockTextBackend(), MockEmbedder(), store, workers=2).run()
     reloaded = CheckpointStore(tmp_path / "t", include_embeddings=True).load(config)
     assert set(reloaded.nodes) == set(tree.nodes)
     for nid, node in tree.nodes.items():
@@ -323,13 +308,115 @@ def test_tear_through_root_record_recovers(tmp_path):
     nodes_path = crash_dir / NODES_FILE
     nodes_path.write_bytes(nodes_path.read_bytes()[:10])  # only a root fragment left
     manifest = json.loads((crash_dir / "manifest.json").read_text())
-    manifest.update(status="running", shortfall_parents={})
+    manifest["status"] = "running"
     (crash_dir / "manifest.json").write_text(json.dumps(manifest))
 
     resumed = TreeRunner(config, MockTextBackend(), MockEmbedder(),
                          CheckpointStore(crash_dir), workers=2).resume()
     assert resumed.complete()
     assert nodes_path.read_bytes() == baseline
+
+
+def shortfall_heavy_config(seed):
+    # long answers look alike to the 16-dim mock embedder, so many
+    # expansions keep fewer children than their branching
+    return sft_config([4, 3, 2, 2], a_tokens=200, a_step=100, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tear_after_partial_shortfall_block_resumes_identically(tmp_path, seed):
+    # the tear lands in the block after a partial-shortfall block; torn-tail
+    # recovery drops that intact block too, so its parent must count as
+    # unexpanded again and be regenerated on resume
+    config = shortfall_heavy_config(seed)
+    baseline_dir = tmp_path / "baseline"
+    run_to_completion(config, baseline_dir)
+    baseline = (baseline_dir / NODES_FILE).read_bytes()
+
+    lines = baseline.splitlines(keepends=True)
+    pairs = zip(lines, (json.loads(line) for line in lines))
+    blocks = [list(group) for _, group in
+              itertools.groupby(pairs, key=lambda pair: pair[1]["parent_id"])]
+    offset = 0
+    for block, following in zip(blocks, blocks[1:]):
+        offset += sum(len(line) for line, _ in block)
+        first = block[0][1]
+        if first.get("layer", 0) >= 1 and len(block) < config.layer(first["layer"]).branching:
+            cut = offset + len(following[0][0]) // 2
+            break
+    else:
+        pytest.fail("the run has no partial-shortfall block followed by another block")
+
+    crash_dir = tmp_path / "torn"
+    run_to_completion(config, crash_dir)
+    nodes_path = crash_dir / NODES_FILE
+    nodes_path.write_bytes(baseline[:cut])
+
+    resumed = TreeRunner(config, MockTextBackend(), MockEmbedder(),
+                         CheckpointStore(crash_dir), workers=2).resume()
+    assert resumed.complete()
+    assert nodes_path.read_bytes() == baseline
+
+
+class SilentOnSomePrompts(MockTextBackend):
+    """Returns only empty completions for about an eighth of the prompts.
+
+    Keyed by the prompt, so a parent's retry is empty too and the parent ends
+    with zero children, at any worker count.
+    """
+
+    def generate(self, request):
+        result = super().generate(request)
+        if hash_text(request.prompt) % 8:
+            return result
+        empty = tuple(Completion(text=" ", finish_reason="stop")
+                      for _ in result.completions)
+        return GenerationResult(completions=empty, latency_ms=result.latency_ms)
+
+
+def test_load_without_manifest_rebuilds_tree(tmp_path):
+    config = shortfall_heavy_config(0)
+    tree, _ = run_to_completion(config, tmp_path / "t", backend=SilentOnSomePrompts())
+    shortfalls = tree.shortfalls
+    child_counts = [len(tree.node(pid).children) for pid in shortfalls]
+    assert 0 in child_counts and any(child_counts)  # zero-child and partial
+    (tmp_path / "t" / MANIFEST_FILE).unlink()
+
+    store = CheckpointStore(tmp_path / "t")
+    reloaded = store.load(config)
+    store.close()
+    assert list(reloaded.nodes) == list(tree.nodes)
+    for nid, node in tree.nodes.items():
+        assert reloaded.nodes[nid].children == node.children
+        assert node_to_record(reloaded.nodes[nid]) == node_to_record(node)
+    assert reloaded.shortfalls == shortfalls
+    assert store.manifest["nodes_committed"] == tree.non_root_count()
+    assert store.manifest["shortfalls"] == sum(shortfalls.values())
+
+
+def test_manifest_written_at_start_and_finish_only(tmp_path, monkeypatch):
+    statuses = []
+    write = CheckpointStore._write_manifest
+
+    def recording_write(store):
+        statuses.append(store.manifest["status"])
+        write(store)
+
+    monkeypatch.setattr(CheckpointStore, "_write_manifest", recording_write)
+    tree, _ = run_to_completion(shortfall_heavy_config(1), tmp_path / "t")
+    assert tree.shortfalls  # a shortfall does not write the manifest
+    assert statuses == ["running", "complete"]
+
+
+def test_load_refuses_checkpoint_without_format(tmp_path):
+    config = sft_config([2, 2])
+    run_to_completion(config, tmp_path / "t")
+    config_path = tmp_path / "t" / CONFIG_FILE
+    stored = json.loads(config_path.read_text())
+    del stored["format"]
+    config_path.write_text(json.dumps(stored))
+    with pytest.raises(CheckpointError, match="no checkpoint format.*format 2"):
+        CheckpointStore(tmp_path / "t").load(config)
 
 
 class EmptyAfterN(MockTextBackend):
@@ -358,11 +445,13 @@ def test_dead_chain_resumes_idempotently(tmp_path):
     paths = tree.leaf_paths()
     assert len(paths) == 1 and paths[0][0].id == "0"
     assert store.manifest["shortfalls"] == 1
-    assert "1" in store.manifest["shortfall_parents"]
+    assert tree.shortfalls == {"1": 1}
+    assert '{"parent_id":"1","children":[]}\n' in (tmp_path / "t" / NODES_FILE).read_text()
     counting = CountingBackend()
     resumed = TreeRunner(config, counting, MockEmbedder(),
                          CheckpointStore(tmp_path / "t"), workers=1).resume()
     assert resumed.complete()
+    assert resumed.shortfalls == {"1": 1}  # replayed from the zero-child marker
     assert counting.calls == []
 
 

@@ -8,8 +8,7 @@ import pytest
 
 from treegen import (ConfigError, IncompleteTreeError, LayerSpec, Mode, Role,
                      Tree, TreeConfig, TreeShape, classify_shape, config_hash,
-                     config_from_dict, expected_leaf_count, leaf_paths,
-                     validate_config)
+                     config_from_dict, expected_leaf_count, validate_config)
 from treegen.tree import (child_id, config_to_dict, node_from_record,
                           node_to_record, structural_key, TreeNode)
 
@@ -120,7 +119,7 @@ def test_expected_leaf_count_rejects_invalid():
 
 def test_leaf_paths_complete_2x2():
     tree = build_full_tree(sft_config([2, 2]))
-    paths = leaf_paths(tree)
+    paths = tree.leaf_paths()
     assert len(paths) == 4
     for path in paths:
         assert [n.role for n in path] == [Role.QUESTION, Role.ANSWER]
@@ -129,7 +128,7 @@ def test_leaf_paths_complete_2x2():
 def test_leaf_paths_match_expected_leaf_count():
     config = sft_config([4, 2, 2, 2])
     tree = build_full_tree(config)
-    paths = leaf_paths(tree)
+    paths = tree.leaf_paths()
     assert len(paths) == expected_leaf_count(config) == 32
     assert all(len(p) == 4 for p in paths)
 
@@ -151,9 +150,10 @@ def test_leaf_paths_with_shortfall():
     tree.add_children("0", full)
     short = [TreeNode(id=child_id("1", 0), parent_id="1", layer=2, role=Role.ANSWER,
                       text="a", token_count=1)]
-    tree.add_children("1", short, shortfall=1)
+    tree.add_children("1", short)
     assert tree.complete()
     assert len(tree.leaf_paths()) == 3
+    assert tree.shortfalls == {"1": 1}  # derived from the child count
     assert tree.shortfall_total == 1
     # recomputation identity: leaves equal the child counts of depth-(d-1) nodes
     penultimate = tree.layer_ids(tree.depth - 1)
