@@ -250,7 +250,12 @@ class _HttpBase:
             self._local.session = requests.Session()
         return self._local.session
 
-    def _post(self, path: str, payload: dict) -> dict:
+    def _post(self, path: str, payload: dict, key: str, expected: int) -> list[dict]:
+        """POST ``payload`` and return the reply's ``key`` items in index order.
+
+        A transport failure, a 429 or 5xx status, a non-JSON body and a reply
+        without exactly ``expected`` items are all retried with backoff.
+        """
         url = f"{self.base_url}/{path.lstrip('/')}"
         headers = {"Authorization": f"Bearer {self.api_key}",
                    "Content-Type": "application/json"}
@@ -265,10 +270,18 @@ class _HttpBase:
             else:
                 if 200 <= resp.status_code < 300:
                     try:
-                        return resp.json()
+                        body = resp.json()
                     except ValueError as exc:  # requests.JSONDecodeError
                         last_exc = BackendError(f"non-JSON response body from {url}: {exc}",
                                                 attempts=attempt)
+                    else:
+                        items = body.get(key) if isinstance(body, dict) else None
+                        if isinstance(items, list) and len(items) == expected:
+                            return sorted(items, key=lambda item: item.get("index", 0))
+                        last_exc = BackendError(
+                            f"expected {expected} {key!r} items from {url}, got "
+                            f"{len(items) if isinstance(items, list) else 'none'}",
+                            attempts=attempt)
                 else:
                     last_exc = StatusError(resp.status_code, resp.text, attempts=attempt)
                     if resp.status_code < 500 and resp.status_code != 429:
@@ -280,64 +293,36 @@ class _HttpBase:
 
 class HttpTextBackend(_HttpBase, GenerationBackend):
     """OpenAI-compatible /completions client (prompt mode; prompts arrive
-    pre-rendered). ``request_seed`` is forwarded as the API seed field when
-    ``forward_seed`` is set; only the mock guarantees determinism.
-
-    Servers that reject the native ``n`` parameter can be driven with
-    ``use_native_n=False``, which issues n single-sample calls whose seeds are
-    derived from (request_seed, sample_index) — the observable contract is the
-    same either way.
+    pre-rendered). Each request is one call that sends the native ``n`` and
+    forwards ``request_seed`` as the API ``seed``; only the mock guarantees
+    determinism.
     """
 
     sample_cap = DEFAULT_SAMPLE_CAP
 
-    def __init__(self, *args, forward_seed: bool = True, use_native_n: bool = True,
-                 **kwargs):
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.forward_seed = forward_seed
-        self.use_native_n = use_native_n
         self.backend_id = f"http:{self.model}"
 
-    def _payload(self, request: GenerationRequest, n: int, seed: int) -> dict:
+    def generate(self, request: GenerationRequest) -> GenerationResult:
+        self.check_request(request)
+        start = time.monotonic()
         payload: dict = {
             "model": self.model,
             "prompt": request.prompt,
             "max_tokens": request.max_tokens,
             "temperature": request.temperature,
-            "n": n,
+            "n": request.n_samples,
+            "seed": request.request_seed,
         }
         if request.stop:
             payload["stop"] = list(request.stop)
-        if self.forward_seed:
-            payload["seed"] = seed
-        return payload
-
-    def _choices_to_completions(self, body: dict, expected: int) -> list[Completion]:
-        choices = body.get("choices", [])
-        if len(choices) != expected:
-            raise BackendError(
-                f"backend returned {len(choices)} completions, expected {expected}")
-        ordered = sorted(choices, key=lambda c: c.get("index", 0))
-        return [Completion(text=str(c.get("text", "")),
-                           finish_reason=str(c.get("finish_reason") or "stop"))
-                for c in ordered]
-
-    def generate(self, request: GenerationRequest) -> GenerationResult:
-        self.check_request(request)
-        start = time.monotonic()
-        completions: list[Completion] = []
-        if self.use_native_n:
-            body = self._post("completions",
-                              self._payload(request, request.n_samples,
-                                            request.request_seed))
-            completions = self._choices_to_completions(body, request.n_samples)
-        else:
-            for i in range(request.n_samples):
-                seed = fnv1a64(u64_bytes(i), fnv1a64(u64_bytes(request.request_seed)))
-                body = self._post("completions", self._payload(request, 1, seed))
-                completions.extend(self._choices_to_completions(body, 1))
+        choices = self._post("completions", payload, "choices", request.n_samples)
+        completions = tuple(Completion(text=str(c.get("text", "")),
+                                       finish_reason=str(c.get("finish_reason") or "stop"))
+                            for c in choices)
         elapsed = (time.monotonic() - start) * 1000.0
-        return GenerationResult(completions=tuple(completions), latency_ms=elapsed)
+        return GenerationResult(completions=completions, latency_ms=elapsed)
 
 
 class HttpEmbedder(_HttpBase, EmbeddingBackend):
@@ -346,11 +331,8 @@ class HttpEmbedder(_HttpBase, EmbeddingBackend):
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
         if not texts:
             raise ConfigError("embed() needs at least one text")
-        body = self._post("embeddings", {"model": self.model, "input": list(texts)})
-        data = sorted(body.get("data", []), key=lambda d: d.get("index", 0))
-        if len(data) != len(texts):
-            raise BackendError(
-                f"backend returned {len(data)} embeddings, expected {len(texts)}")
+        data = self._post("embeddings", {"model": self.model, "input": list(texts)},
+                          "data", len(texts))
         vectors = [EmbeddingVector(values=tuple(float(v) for v in d["embedding"]))
                    for d in data]
         dims = {v.dim for v in vectors}

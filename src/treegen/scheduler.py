@@ -1,4 +1,4 @@
-"""Layer-by-layer tree expansion with bounded parallelism and checkpoint/resume.
+"""Tree expansion with bounded parallelism and checkpoint/resume.
 
 Concurrency model: many backend calls may be in flight (bounded by the worker
 pool), but there is exactly one writer — the driving thread — which applies
@@ -7,10 +7,19 @@ regardless of completion order. That makes nodes.jsonl a byte-deterministic
 function of the config under the mock backend, independent of worker count,
 timing, and interruption pattern.
 
-Balance-shaped trees use layers as barriers: no layer-(i+1) request is issued
-before every layer-i node is committed. Wide/chain-shaped trees (branching 1
-below layer 1) expand each layer-1 subtree independently, with no cross-chain
-barriers; chain blocks are still committed in chain order.
+One loop runs every tree shape, in rounds. A round's frontier is every
+committed, unexpanded node above the last layer, in structural order; in a
+balance tree only the shallowest such layer, so each layer is a barrier. Each
+frontier node is one pool task. In a wide or chain tree a task keeps
+descending while an expansion kept exactly one child, so each layer-1 chain
+runs to full depth with no cross-chain barrier. The writer commits the tasks'
+results in frontier order.
+
+The first exception, in a worker or in the writer (a Ctrl-C included), stops
+the run: tasks that start after it expand nothing and queued ones are
+cancelled, so only the expansions already in flight finish. Tasks start in
+FIFO order and the writer raises at the failed task, so the committed log
+stays a prefix of the canonical order.
 
 nodes.jsonl is the only record of what was committed: resume replays it alone,
 and shortfalls are derived from the replayed structure. The manifest is a
@@ -23,6 +32,7 @@ import json
 import logging
 import math
 import os
+import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -393,10 +403,7 @@ class TreeRunner:
             tree = self.store.initialize(self.config, self.generator.backend_id,
                                          self.workers)
         try:
-            if self.shape is TreeShape.BALANCE:
-                self._run_balance(tree)
-            else:
-                self._run_chains(tree)
+            self._grow(tree)
         except (Exception, KeyboardInterrupt):
             # whatever happened, the store holds a valid committed prefix
             self.store.finalize("aborted", exit_status=2)
@@ -409,81 +416,65 @@ class TreeRunner:
             raise CheckpointError(f"no checkpoint to resume in {self.store.directory}")
         return self.run()
 
-    # -- balance: layers are barriers -----------------------------------------
+    # -- the scheduling loop ---------------------------------------------------
 
-    def _run_balance(self, tree: Tree) -> None:
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            for layer_index in range(1, self.config.depth + 1):
-                # the frontier is recomputed per layer: deeper parents only
-                # exist once the previous barrier has fully committed
-                parents = tree.pending_parents(layer_index)
-                if not parents:
-                    continue
-                futures = [
-                    pool.submit(self._expand_in_tree, tree, pid, layer_index)
-                    for pid in parents
-                ]
-                # commit strictly in structural order; later futures keep running
-                for future in futures:
-                    self._commit_result(tree, self._await(future))
+    def _grow(self, tree: Tree) -> None:
+        """Expand the frontier round by round until no node awaits expansion."""
+        failed = threading.Event()
+        pool = ThreadPoolExecutor(max_workers=self.workers)
+        try:
+            while frontier := self._frontier(tree):
+                futures = [pool.submit(self._expand_from, failed, node,
+                                       tree.path_texts(node.id))
+                           for node in frontier]
+                skipped = False
+                for future in futures:  # commit strictly in frontier order
+                    results = self._await(future)
+                    # None: this task started just after a later one failed;
+                    # commit nothing past it, as awaiting the failed one raises
+                    skipped = skipped or results is None
+                    for result in () if skipped else results:
+                        self._commit_result(tree, result)
+        except BaseException:
+            failed.set()
+            raise
+        finally:
+            pool.shutdown(cancel_futures=True)
 
-    def _expand_in_tree(self, tree: Tree, parent_id: str, layer_index: int) -> ExpansionResult:
-        parent = tree.node(parent_id)
-        path_texts = tree.path_texts(parent_id)
-        return expand_parent(parent, path_texts, layer_index, self.config,
-                             self.template, self.generator, self.embedder)
+    def _frontier(self, tree: Tree) -> list[TreeNode]:
+        """Nodes to expand this round; a balance tree takes one layer at a time."""
+        pending = tree.unexpanded()
+        if self.shape is TreeShape.BALANCE and pending:
+            shallowest = min(node.layer for node in pending)
+            pending = [node for node in pending if node.layer == shallowest]
+        return pending
 
-    # -- wide/chain: independent layer-1 subtrees ------------------------------
+    def _expand_from(self, failed: threading.Event, node: TreeNode,
+                     path_texts: list[str]) -> list[ExpansionResult] | None:
+        """Expand ``node``; outside a balance tree, keep descending while an
+        expansion kept exactly one child, so a wide tree's chain is one task.
 
-    def _run_chains(self, tree: Tree) -> None:
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            if not tree.is_expanded(ROOT_ID):
-                result = self._await(pool.submit(self._expand_in_tree, tree, ROOT_ID, 1))
-                self._commit_result(tree, result)
-            if self.config.depth == 1:
-                return
-            chains = tree.layer_ids(1)
-            futures: list[tuple[str, Future | None]] = []
-            for chain_id in chains:
-                prefix = self._chain_prefix(tree, chain_id)
-                deepest = prefix[-1]
-                if deepest.layer >= self.config.depth or tree.is_expanded(deepest.id):
-                    futures.append((chain_id, None))  # already finished or dead
-                    continue
-                futures.append((chain_id, pool.submit(self._expand_chain, tree, prefix)))
-            # chain blocks commit in chain (structural) order
-            for chain_id, future in futures:
-                if future is None:
-                    continue
-                for result in self._await(future):
-                    self._commit_result(tree, result)
-
-    def _chain_prefix(self, tree: Tree, chain_id: str) -> list[TreeNode]:
-        """Committed single-child descent starting at a layer-1 node."""
-        prefix = [tree.node(chain_id)]
-        while prefix[-1].children:
-            prefix.append(tree.node(prefix[-1].children[0]))
-        return prefix
-
-    def _expand_chain(self, tree: Tree, prefix: list[TreeNode]) -> list[ExpansionResult]:
-        """Extend one chain to full depth without touching shared state.
-
-        ``prefix`` is the committed descent from the layer-1 node; those nodes
-        are immutable, so reading them off-thread is safe. New nodes are built
-        locally and handed back for the single writer to commit.
+        Runs on a pool thread and reads nothing from the tree: ``node`` and
+        its path are committed and immutable, and new nodes go back to the
+        writer. Returns None without expanding once a failure has stopped
+        the run.
         """
+        if failed.is_set():
+            return None
         results: list[ExpansionResult] = []
-        path_texts = [n.text for n in prefix]
-        node = prefix[-1]
-        for layer_index in range(node.layer + 1, self.config.depth + 1):
-            result = expand_parent(node, path_texts, layer_index, self.config,
-                                   self.template, self.generator, self.embedder)
-            results.append(result)
-            if not result.children:
-                break
-            node = result.children[0]
-            path_texts.append(node.text)
-        return results
+        try:
+            while True:
+                result = expand_parent(node, path_texts, node.layer + 1, self.config,
+                                       self.template, self.generator, self.embedder)
+                results.append(result)
+                if (self.shape is TreeShape.BALANCE or len(result.children) != 1
+                        or result.layer_index == self.config.depth):
+                    return results
+                node = result.children[0]
+                path_texts = [*path_texts, node.text]
+        except BaseException:
+            failed.set()
+            raise
 
     # -- shared plumbing -------------------------------------------------------
 

@@ -433,10 +433,12 @@ class Tree:
         ids.sort(key=structural_key)
         return ids
 
-    def pending_parents(self, layer_index: int) -> list[str]:
-        """Layer-(i-1) nodes whose layer-i expansion has not been committed."""
-        return [nid for nid in self.layer_ids(layer_index - 1)
-                if nid not in self._expanded]
+    def unexpanded(self) -> list[TreeNode]:
+        """Committed nodes above the last layer still awaiting expansion, in
+        structural order."""
+        pending = [node for nid, node in self.nodes.items() if not self.is_expanded(nid)]
+        pending.sort(key=lambda node: structural_key(node.id))
+        return pending
 
     def complete(self) -> bool:
         return all(self.is_expanded(nid)

@@ -79,19 +79,19 @@ class CountingBackend(MockTextBackend):
 
 
 class FlakyBackend(MockTextBackend):
-    """Fails the first ``fail_calls`` generate() calls, then behaves normally."""
+    """Fails generate() call number ``fail_on_call`` and counts every call."""
 
-    def __init__(self, fail_calls: int, *args, **kwargs):
+    def __init__(self, fail_on_call: int, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._lock = threading.Lock()
-        self.fail_calls = fail_calls
+        self.fail_on_call = fail_on_call
         self.seen = 0
 
     def generate(self, request):
         from treegen import BackendError
         with self._lock:
             self.seen += 1
-            if self.seen <= self.fail_calls:
+            if self.seen == self.fail_on_call:
                 raise BackendError("injected backend failure", attempts=3)
         return super().generate(request)
 

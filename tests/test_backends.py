@@ -233,22 +233,23 @@ def test_http_transport_failure_is_retryable_error():
     assert exc_info.value.attempts == 2
 
 
-class _NonJsonSession:
-    """Answers every POST with 200 and a body that is not JSON."""
+class _ScriptedSession:
+    """Answers POSTs with 200 and the given bodies in turn; the last repeats."""
 
-    def __init__(self):
+    def __init__(self, *bodies: bytes):
+        self.bodies = bodies
         self.calls = 0
 
     def post(self, url, **kwargs):
-        self.calls += 1
         response = requests.Response()
         response.status_code = 200
-        response._content = b"<html>upstream proxy error</html>"
+        response._content = self.bodies[min(self.calls, len(self.bodies) - 1)]
+        self.calls += 1
         return response
 
 
 def test_http_non_json_body_is_retried_backend_error():
-    session = _NonJsonSession()
+    session = _ScriptedSession(b"<html>upstream proxy error</html>")
     backend = HttpTextBackend(base_url="http://127.0.0.1:9", api_key="k", model="m",
                               backoff_base=0.0, max_retries=3, session=session)
     with pytest.raises(BackendError, match="non-JSON") as exc_info:
@@ -257,17 +258,38 @@ def test_http_non_json_body_is_retried_backend_error():
     assert session.calls == 3
 
 
-def test_http_sequential_fallback_issues_single_sample_calls(fixture_server):
-    backend = HttpTextBackend(base_url=fixture_server, api_key="k", model="m",
-                              use_native_n=False)
-    before = len(_FixtureHandler.requests_seen)
-    result = backend.generate(request(n=3))
-    assert len(result.completions) == 3
-    sent = _FixtureHandler.requests_seen[before:]
-    assert len(sent) == 3
-    assert all(s["payload"]["n"] == 1 for s in sent)
-    seeds = [s["payload"]["seed"] for s in sent]
-    assert len(set(seeds)) == 3  # sample_index-derived seeds differ
+GOOD_CHOICES = b'{"choices": [{"index": 0, "text": "fine", "finish_reason": "stop"}]}'
+GOOD_DATA = b'{"data": [{"index": 0, "embedding": [1.0, 0.0]}]}'
+BAD_COUNT_CASES = pytest.mark.parametrize("backend_class, bad, good", [
+    (HttpTextBackend, b'{"choices": []}', GOOD_CHOICES),
+    (HttpEmbedder, b'{"data": []}', GOOD_DATA),
+], ids=["generate", "embed"])
+
+
+def _call(backend):
+    if isinstance(backend, HttpEmbedder):
+        return backend.embed(["a"])
+    return backend.generate(request(n=1)).completions
+
+
+@BAD_COUNT_CASES
+def test_http_wrong_item_count_is_retried(backend_class, bad, good):
+    session = _ScriptedSession(bad, good)
+    backend = backend_class(base_url="http://127.0.0.1:9", api_key="k", model="m",
+                            backoff_base=0.0, max_retries=3, session=session)
+    assert len(_call(backend)) == 1
+    assert session.calls == 2
+
+
+@BAD_COUNT_CASES
+def test_http_wrong_item_count_gives_up_after_bounded_retries(backend_class, bad, good):
+    session = _ScriptedSession(bad)
+    backend = backend_class(base_url="http://127.0.0.1:9", api_key="k", model="m",
+                            backoff_base=0.0, max_retries=3, session=session)
+    with pytest.raises(BackendError, match="expected 1") as exc_info:
+        _call(backend)
+    assert exc_info.value.attempts == 3
+    assert session.calls == 3
 
 
 def test_http_embedder_round_trip(fixture_server):

@@ -455,18 +455,70 @@ def test_dead_chain_resumes_idempotently(tmp_path):
     assert counting.calls == []
 
 
-def test_backend_failure_aborts_resumably(tmp_path):
-    config = sft_config([4, 2], dedup_threshold=1.01)
-    backend = FlakyBackend(fail_calls=3)
-    store = CheckpointStore(tmp_path / "t")
-    runner = TreeRunner(config, backend, MockEmbedder(), store, workers=2)
+def assert_aborted_prefix_resumes(config, directory, workers) -> None:
+    """The aborted run left a prefix of an uninterrupted run's nodes.jsonl,
+    and resume completes it byte for byte."""
+    run_to_completion(config, directory.parent / "baseline")
+    baseline = (directory.parent / "baseline" / NODES_FILE).read_bytes()
+    nodes_path = directory / NODES_FILE
+    assert baseline.startswith(nodes_path.read_bytes())
+    assert json.loads((directory / MANIFEST_FILE).read_text())["status"] == "aborted"
+    resumed = TreeRunner(config, MockTextBackend(), MockEmbedder(),
+                         CheckpointStore(directory), workers=workers).resume()
+    assert resumed.complete()
+    assert nodes_path.read_bytes() == baseline
+
+
+FAILFAST_SHAPES = pytest.mark.parametrize(
+    "branching", [[64, 2], [64, 1, 1, 1]], ids=["64x2", "64x1x1x1"])
+
+
+@FAILFAST_SHAPES
+def test_backend_failure_aborts_resumably(tmp_path, branching):
+    # the first failure stops queued expansions: past the failing 3rd call,
+    # only the task already in flight on each other worker may finish
+    config = sft_config(branching, dedup_threshold=1.01)
+    workers = 2
+    backend = FlakyBackend(fail_on_call=3)
+    runner = TreeRunner(config, backend, MockEmbedder(),
+                        CheckpointStore(tmp_path / "t"), workers=workers)
     with pytest.raises(ResumableRunError):
         runner.run()
-    assert store.manifest["status"] == "aborted"
-    # the same config resumes cleanly once the backend recovers
-    resumed = TreeRunner(config, MockTextBackend(), MockEmbedder(),
-                         CheckpointStore(tmp_path / "t"), workers=2).resume()
-    assert resumed.complete()
+    assert backend.seen <= 3 + (workers - 1) * config.depth
+    assert_aborted_prefix_resumes(config, tmp_path / "t", workers)
+
+
+class InterruptingStore(CheckpointStore):
+    """Raises KeyboardInterrupt at its ``at``-th commit, as a Ctrl-C would."""
+
+    def __init__(self, directory, backend: CountingBackend, at: int):
+        super().__init__(directory)
+        self.backend = backend
+        self.at = at
+        self.commits = 0
+        self.calls_at_interrupt = None
+
+    def append_block(self, nodes, **kwargs):
+        self.commits += 1
+        if self.commits == self.at:
+            self.calls_at_interrupt = len(self.backend.calls)
+            raise KeyboardInterrupt
+        super().append_block(nodes, **kwargs)
+
+
+@FAILFAST_SHAPES
+def test_interrupt_stops_queued_expansions(tmp_path, branching):
+    # the writer is interrupted after the workers may have run ahead of it,
+    # so the bound counts from the interrupt: each worker finishes at most
+    # the one task it holds, and that task expands at most depth layers
+    config = sft_config(branching, dedup_threshold=1.01)
+    workers = 2
+    backend = CountingBackend()
+    store = InterruptingStore(tmp_path / "t", backend, at=3)
+    with pytest.raises(KeyboardInterrupt):
+        TreeRunner(config, backend, MockEmbedder(), store, workers=workers).run()
+    assert len(backend.calls) <= store.calls_at_interrupt + workers * config.depth
+    assert_aborted_prefix_resumes(config, tmp_path / "t", workers)
 
 
 # --- scheduling semantics ----------------------------------------------------------
