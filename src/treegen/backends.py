@@ -227,6 +227,15 @@ def _require(value: str | None, env_name: str, what: str) -> str:
     raise ConfigError(f"{what} is not configured: set {env_name} or pass it explicitly")
 
 
+def _is_finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 class _HttpBase:
     def __init__(self, base_url: str | None = None, api_key: str | None = None,
                  model: str | None = None, timeout: float = DEFAULT_TIMEOUT,
@@ -250,11 +259,21 @@ class _HttpBase:
             self._local.session = requests.Session()
         return self._local.session
 
+    def _item_problem(self, item) -> str | None:
+        """Why one reply item is unusable, or None; subclasses check their fields."""
+        if not isinstance(item, dict):
+            return f"not an object: {item!r:.80}"
+        index = item.get("index", 0)
+        if not isinstance(index, int) or isinstance(index, bool):
+            return f"'index' is not an integer: {index!r:.80}"
+        return None
+
     def _post(self, path: str, payload: dict, key: str, expected: int) -> list[dict]:
         """POST ``payload`` and return the reply's ``key`` items in index order.
 
-        A transport failure, a 429 or 5xx status, a non-JSON body and a reply
-        without exactly ``expected`` items are all retried with backoff.
+        A transport failure, a 429 or 5xx status, a non-JSON body, a reply
+        without exactly ``expected`` items and an item that ``_item_problem``
+        rejects are all retried with backoff.
         """
         url = f"{self.base_url}/{path.lstrip('/')}"
         headers = {"Authorization": f"Bearer {self.api_key}",
@@ -276,12 +295,17 @@ class _HttpBase:
                                                 attempts=attempt)
                     else:
                         items = body.get(key) if isinstance(body, dict) else None
-                        if isinstance(items, list) and len(items) == expected:
-                            return sorted(items, key=lambda item: item.get("index", 0))
-                        last_exc = BackendError(
-                            f"expected {expected} {key!r} items from {url}, got "
-                            f"{len(items) if isinstance(items, list) else 'none'}",
-                            attempts=attempt)
+                        if not isinstance(items, list) or len(items) != expected:
+                            last_exc = BackendError(
+                                f"expected {expected} {key!r} items from {url}, got "
+                                f"{len(items) if isinstance(items, list) else 'none'}",
+                                attempts=attempt)
+                        else:
+                            problems = [p for p in map(self._item_problem, items) if p]
+                            if not problems:
+                                return sorted(items, key=lambda item: item.get("index", 0))
+                            last_exc = BackendError(f"malformed {key!r} item from {url}: "
+                                                    f"{problems[0]}", attempts=attempt)
                 else:
                     last_exc = StatusError(resp.status_code, resp.text, attempts=attempt)
                     if resp.status_code < 500 and resp.status_code != 429:
@@ -304,6 +328,12 @@ class HttpTextBackend(_HttpBase, GenerationBackend):
         super().__init__(*args, **kwargs)
         self.backend_id = f"http:{self.model}"
 
+    def _item_problem(self, item) -> str | None:
+        problem = super()._item_problem(item)
+        if problem is None and not isinstance(item.get("text"), str):
+            problem = f"'text' is not a string: {item.get('text')!r:.80}"
+        return problem
+
     def generate(self, request: GenerationRequest) -> GenerationResult:
         self.check_request(request)
         start = time.monotonic()
@@ -318,7 +348,7 @@ class HttpTextBackend(_HttpBase, GenerationBackend):
         if request.stop:
             payload["stop"] = list(request.stop)
         choices = self._post("completions", payload, "choices", request.n_samples)
-        completions = tuple(Completion(text=str(c.get("text", "")),
+        completions = tuple(Completion(text=c["text"],
                                        finish_reason=str(c.get("finish_reason") or "stop"))
                             for c in choices)
         elapsed = (time.monotonic() - start) * 1000.0
@@ -327,6 +357,16 @@ class HttpTextBackend(_HttpBase, GenerationBackend):
 
 class HttpEmbedder(_HttpBase, EmbeddingBackend):
     """OpenAI-compatible /embeddings client."""
+
+    def _item_problem(self, item) -> str | None:
+        problem = super()._item_problem(item)
+        if problem is None:
+            embedding = item.get("embedding")
+            if not isinstance(embedding, list) or not embedding:
+                problem = f"'embedding' is not a non-empty list: {embedding!r:.80}"
+            elif not all(map(_is_finite_number, embedding)):
+                problem = "'embedding' holds a value that is not a finite number"
+        return problem
 
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
         if not texts:
@@ -338,7 +378,4 @@ class HttpEmbedder(_HttpBase, EmbeddingBackend):
         dims = {v.dim for v in vectors}
         if len(dims) > 1:
             raise BackendError(f"embedding dimensions differ within a batch: {sorted(dims)}")
-        for vector in vectors:
-            if not all(math.isfinite(v) for v in vector.values):
-                raise BackendError("embedding contains non-finite values")
         return vectors

@@ -292,6 +292,44 @@ def test_http_wrong_item_count_gives_up_after_bounded_retries(backend_class, bad
     assert session.calls == 3
 
 
+BAD_ITEM_CASES = pytest.mark.parametrize("backend_class, bad, good", [
+    (HttpTextBackend, b'{"choices": [7]}', GOOD_CHOICES),
+    (HttpTextBackend, b'{"choices": [{"index": 0}]}', GOOD_CHOICES),
+    (HttpTextBackend, b'{"choices": [{"index": 0, "text": 5}]}', GOOD_CHOICES),
+    (HttpTextBackend, b'{"choices": [{"index": "0", "text": "a"}]}', GOOD_CHOICES),
+    (HttpEmbedder, b'{"data": [7]}', GOOD_DATA),
+    (HttpEmbedder, b'{"data": [{"index": 0}]}', GOOD_DATA),
+    (HttpEmbedder, b'{"data": [{"index": 0, "embedding": ["x", 1]}]}', GOOD_DATA),
+    (HttpEmbedder, b'{"data": [{"index": 0, "embedding": []}]}', GOOD_DATA),
+    (HttpEmbedder, b'{"data": [{"index": 0, "embedding": [true, 1]}]}', GOOD_DATA),
+    (HttpEmbedder, b'{"data": [{"index": 0, "embedding": [NaN, 1]}]}', GOOD_DATA),
+    (HttpEmbedder, b'{"data": [{"index": 0, "embedding": [1e999, 1]}]}', GOOD_DATA),
+], ids=["choice-not-object", "choice-no-text", "choice-text-not-string",
+        "choice-index-not-int", "data-not-object", "data-no-embedding",
+        "embedding-string-value", "embedding-empty", "embedding-bool-value",
+        "embedding-nan", "embedding-inf"])
+
+
+@BAD_ITEM_CASES
+def test_http_malformed_item_is_retried(backend_class, bad, good):
+    session = _ScriptedSession(bad, good)
+    backend = backend_class(base_url="http://127.0.0.1:9", api_key="k", model="m",
+                            backoff_base=0.0, max_retries=3, session=session)
+    assert len(_call(backend)) == 1
+    assert session.calls == 2
+
+
+@BAD_ITEM_CASES
+def test_http_malformed_item_gives_up_after_bounded_retries(backend_class, bad, good):
+    session = _ScriptedSession(bad)
+    backend = backend_class(base_url="http://127.0.0.1:9", api_key="k", model="m",
+                            backoff_base=0.0, max_retries=3, session=session)
+    with pytest.raises(BackendError, match="malformed") as exc_info:
+        _call(backend)
+    assert exc_info.value.attempts == 3
+    assert session.calls == 3
+
+
 def test_http_embedder_round_trip(fixture_server):
     embedder = HttpEmbedder(base_url=fixture_server, api_key="k", model="m")
     vectors = embedder.embed(["a", "b"])

@@ -78,6 +78,28 @@ def test_generate_http_non_json_body_exits_2(tmp_path, capsys, monkeypatch):
     assert json.loads((out_dir / "manifest.json").read_text())["status"] == "aborted"
 
 
+def test_generate_http_malformed_item_exits_2(tmp_path, capsys, monkeypatch):
+    # a 2xx reply whose item has the wrong shape is a resumable abort too
+    def malformed_post(session, url, **kwargs):
+        response = requests.Response()
+        response.status_code = 200
+        response._content = json.dumps({"choices": [7] * kwargs["json"]["n"]}).encode()
+        return response
+
+    monkeypatch.setattr(requests.Session, "post", malformed_post)
+    monkeypatch.setattr(backends.time, "sleep", lambda seconds: None)
+    monkeypatch.setenv("TG_API_KEY", "k")
+    config_path = write_config(tmp_path, sft_config([2, 2]))
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(capsys, "generate", "--config", str(config_path),
+                             "--out", str(out_dir), "--backend", "http",
+                             "--base-url", "http://127.0.0.1:9/v1", "--model", "m")
+    assert code == 2
+    assert "malformed 'choices' item" in err
+    assert out == ""
+    assert json.loads((out_dir / "manifest.json").read_text())["status"] == "aborted"
+
+
 def test_generate_resume_on_fresh_directory_exits_1(tmp_path, capsys):
     config_path = write_config(tmp_path, sft_config([2, 2]))
     code, _, err = run_cli(capsys, "generate", "--config", str(config_path),

@@ -1,14 +1,22 @@
-"""MMR selection against an independently implemented brute-force oracle."""
+"""MMR selection against an independent brute-force oracle and, bit for bit,
+against the exact per-pair reference algorithm."""
 
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from treegen import (ConfigError, EmbeddingVector, cosine, mmr_select,
-                     near_duplicate_filter)
+from treegen import (ConfigError, EmbeddingVector, MmrSelection, MockEmbedder,
+                     cosine, mmr_select, mock_generate_text, near_duplicate_filter)
+from treegen import dedup
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def vec(*values: float) -> EmbeddingVector:
@@ -207,3 +215,243 @@ def test_filter_backfill_respects_score_order():
     filtered = near_duplicate_filter(cands, sel, 0.95)
     assert filtered.selected[0] == 0
     assert filtered.selected[1] == 2  # higher pool score than index 3
+
+
+# --- exact reference: the per-pair algorithm, one cosine call per pair use ----------------
+
+def reference_cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
+    """Three sequential accumulators in one loop, roots with ``** 0.5``."""
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    dot = norm_a = norm_b = 0.0
+    for x, y in zip(a.values, b.values):
+        dot += x * y
+        norm_a += x * x
+        norm_b += y * y
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    return dot / (norm_a**0.5 * norm_b**0.5)
+
+
+def reference_mmr_select(candidates, query, k, lam):
+    """Returns (selected, scores, pool_scores), recomputing every cosine it uses."""
+    relevance = [reference_cosine(c, query) for c in candidates]
+    n = len(candidates)
+    selected: list[int] = []
+    scores: list[float] = []
+    max_sim = [float("-inf")] * n
+    for step in range(k):
+        best_idx, best_score = -1, 0.0
+        for i in range(n):
+            if i in selected:
+                continue
+            if step == 0:
+                score = relevance[i]
+            else:
+                score = lam * relevance[i] - (1.0 - lam) * max_sim[i]
+            if best_idx == -1 or score > best_score:
+                best_idx, best_score = i, score
+        selected.append(best_idx)
+        scores.append(best_score)
+        for i in range(n):
+            if i not in selected:
+                sim = reference_cosine(candidates[i], candidates[best_idx])
+                if sim > max_sim[i]:
+                    max_sim[i] = sim
+    pool_scores = [scores[selected.index(i)] if i in selected
+                   else lam * relevance[i] - (1.0 - lam) * max_sim[i] for i in range(n)]
+    return tuple(selected), tuple(scores), tuple(pool_scores)
+
+
+def reference_near_duplicate_filter(candidates, selected, scores, pool_scores, threshold):
+    """Returns (kept, kept_scores, dropped) of the pick-order scan plus backfill."""
+    kept: list[int] = []
+    kept_scores: list[float] = []
+    dropped: list[int] = []
+
+    def is_duplicate(idx):
+        return any(reference_cosine(candidates[idx], candidates[j]) >= threshold
+                   for j in kept)
+
+    for idx, score in zip(selected, scores):
+        if is_duplicate(idx):
+            dropped.append(idx)
+        else:
+            kept.append(idx)
+            kept_scores.append(score)
+    if len(kept) < len(selected):
+        backfill = sorted((i for i in range(len(candidates)) if i not in selected),
+                          key=lambda i: (-pool_scores[i], i))
+        for idx in backfill:
+            if len(kept) >= len(selected):
+                break
+            if is_duplicate(idx):
+                dropped.append(idx)
+            else:
+                kept.append(idx)
+                kept_scores.append(pool_scores[idx])
+    return tuple(kept), tuple(kept_scores), tuple(dropped)
+
+
+def bits(values):
+    """Floats as hex strings: equal only if bitwise equal (0.0 vs -0.0 too)."""
+    return [float(v).hex() for v in values]
+
+
+def _gaussian_pool(rng, n):
+    dim = rng.randint(1, 12)
+    return [[rng.gauss(0, 1) * 10 ** rng.uniform(-4, 4) for _ in range(dim)]
+            for _ in range(n + 1)]
+
+
+def _zero_pool(rng, n):
+    dim = rng.randint(1, 6)
+    return [[0.0] * dim if rng.random() < 0.3 else
+            [rng.uniform(-1, 1) for _ in range(dim)] for _ in range(n + 1)]
+
+
+def _duplicate_pool(rng, n):
+    dim = rng.randint(2, 6)
+    distinct = [[rng.uniform(-1, 1) for _ in range(dim)] for _ in range(rng.randint(1, 4))]
+    return [list(rng.choice(distinct)) for _ in range(n + 1)]
+
+
+_MOCK_EMBEDDER = MockEmbedder(dim=16)
+
+
+def _mock_pool(rng, n):
+    seed = rng.randrange(2**32)
+    tokens = rng.randint(1, 24)
+    return [list(_MOCK_EMBEDDER.embed_one(mock_generate_text(seed, "p", i, tokens)).values)
+            for i in range(n + 1)]
+
+
+def _sign_pool(rng, n):
+    return [[rng.choice((-1 / 32, 1 / 32)) for _ in range(1024)] for _ in range(n + 1)]
+
+
+POOL_KINDS = {"gaussian": (_gaussian_pool, 12), "zero": (_zero_pool, 10),
+              "duplicate": (_duplicate_pool, 10), "mock-d16": (_mock_pool, 12),
+              "sign-d1024": (_sign_pool, 8)}
+
+
+@pytest.mark.parametrize("kind", sorted(POOL_KINDS))
+def test_selection_equals_per_pair_reference_bitwise(kind):
+    make_pool, max_n = POOL_KINDS[kind]
+    rng = random.Random(f"selection-{kind}")
+    drops = backfills = ties = 0
+    for trial in range(110):
+        n = rng.randint(1, max_n)
+        raw = make_pool(rng, n)
+        pool = [EmbeddingVector(values=tuple(r)) for r in raw[:n]]
+        query = EmbeddingVector(values=tuple(raw[n]))
+        k = rng.randint(1, n)
+        lam = rng.choice((0.0, 0.25, 0.5, 0.7, 1.0))
+        cutoffs = [c for a in range(n) for b in range(a + 1, n)
+                   if 0.0 < (c := reference_cosine(pool[a], pool[b])) <= 1.0]
+        if trial % 3 == 0 and cutoffs:
+            threshold = rng.choice(cutoffs)  # a pair exactly at the cutoff
+            ties += 1
+        else:
+            threshold = rng.choice((0.3, 0.9, 0.95, 0.99, 1.0, 1.01))
+
+        got = mmr_select(pool, query, k, lam)
+        want = reference_mmr_select(pool, query, k, lam)
+        assert got.selected == want[0], f"trial {trial}"
+        assert bits(got.scores) == bits(want[1]), f"trial {trial}"
+        assert bits(got.pool_scores) == bits(want[2]), f"trial {trial}"
+
+        filtered = near_duplicate_filter(pool, got, threshold)
+        if threshold > 1.0:
+            assert filtered is got
+        else:
+            kept, kept_scores, dropped = reference_near_duplicate_filter(
+                pool, *want, threshold)
+            assert filtered.selected == kept, f"trial {trial}"
+            assert bits(filtered.scores) == bits(kept_scores), f"trial {trial}"
+            assert filtered.dropped_as_duplicates == dropped, f"trial {trial}"
+            assert bits(filtered.pool_scores) == bits(want[2]), f"trial {trial}"
+            drops += bool(dropped)
+            backfills += bool(set(kept) - set(want[0]))
+
+        vectors = pool + [query]
+        for a in range(n + 1):
+            for b in range(a, n + 1):
+                want_sim = reference_cosine(vectors[a], vectors[b])
+                assert got.similarity(a, b).hex() == want_sim.hex()
+                assert got.similarity(b, a).hex() == want_sim.hex()
+                assert cosine(vectors[a], vectors[b]).hex() == want_sim.hex()
+    if kind in ("duplicate", "mock-d16"):
+        assert drops >= 10 and backfills >= 3, (drops, backfills)
+    assert ties > 10
+
+
+def test_mixed_dimension_pool_or_query_raises():
+    with pytest.raises(ValueError):
+        mmr_select([vec(1, 0), vec(1, 0, 0)], vec(1, 0), 1, 0.5)
+    with pytest.raises(ValueError):
+        mmr_select([vec(1, 0), vec(0, 1)], vec(1, 0, 0), 1, 0.5)
+    mixed = [vec(1, 0), vec(1, 0, 0)]
+    hand_made = MmrSelection(selected=(0,), scores=(1.0,), dropped_as_duplicates=())
+    with pytest.raises(ValueError):
+        near_duplicate_filter(mixed, hand_made, 0.95)
+    other_pool = mmr_select([vec(1, 0), vec(0, 1)], vec(1, 0), 1, 0.5)
+    with pytest.raises(ValueError):
+        near_duplicate_filter(mixed, other_pool, 0.95)
+
+
+def test_filter_rebuilds_similarities_for_another_pool():
+    orthogonal = [vec(1, 0), vec(0, 1)]
+    selection = mmr_select(orthogonal, vec(1, 1), 2, 0.5)
+    duplicates = [vec(1, 1), vec(1, 1)]
+    filtered = near_duplicate_filter(duplicates, selection, 0.95)
+    assert len(filtered.selected) == 1
+    assert len(filtered.dropped_as_duplicates) == 1
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (6, 3), (9, 9), (16, 5)])
+def test_each_pair_computed_at_most_once(monkeypatch, n, k):
+    pairs: list[frozenset] = []
+    real_dot = dedup._dot
+
+    def counting_dot(a, b):
+        pairs.append(frozenset((id(a), id(b))))
+        return real_dot(a, b)
+
+    monkeypatch.setattr(dedup, "_dot", counting_dot)
+    rng = random.Random(n * 100 + k)
+    pool = [vec(*(rng.gauss(0, 1) for _ in range(5))) for _ in range(n)]
+    query = vec(*(rng.gauss(0, 1) for _ in range(5)))
+    selection = mmr_select(pool, query, k, 0.5)
+    filtered = near_duplicate_filter(pool, selection, 1.0)
+    assert filtered.selected == selection.selected  # no drops, so no backfill
+    assert len(pairs) == len(set(pairs))
+    assert len(pairs) <= n + n * k - k * (k - 1) // 2
+
+    # with drops and backfill, pairs stay unique across both calls
+    pairs.clear()
+    dup_pool = [vec(1, 1), vec(1, 1.0000001), vec(0, 1), vec(1, 0), vec(1, 1e-9)]
+    selection = mmr_select(dup_pool, vec(1, 1), 3, 0.9)
+    filtered = near_duplicate_filter(dup_pool, selection, 0.95)
+    assert set(filtered.selected) - set(selection.selected)  # backfilled
+    assert len(pairs) == len(set(pairs))
+
+
+def test_import_does_not_load_numpy():
+    """The package and its CLI stay on the standard library plus requests.
+
+    numpy was measured as the alternative for the selection path: importing
+    numpy 2.4 alone costs 13.7 MB of RSS and 0.15 s of start-up on Python 3.11,
+    and a BLAS Gram matrix differs from ``cosine()`` in the last bit, which
+    would change ``nodes.jsonl``.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                      env.get("PYTHONPATH")]))
+    probe = "import sys, treegen, treegen.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "False"
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((REPO / "pyproject.toml").read_text(encoding="utf-8"))
+    assert [d.split(">")[0] for d in project["project"]["dependencies"]] == ["requests"]
