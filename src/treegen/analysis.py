@@ -1,17 +1,12 @@
-"""Corpus statistics and embedding-based diversity diagnostics."""
+"""Corpus statistics: turn histogram and text-length percentiles."""
 
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .backends import EmbeddingBackend
 from .corpus import ConversationRecord
-from .dedup import cosine
-from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -28,23 +23,10 @@ class CorpusStats:
     record_count: int
     turn_histogram: dict[int, int]
     text_length_stats: LengthStats
-    shortfall_count: int
-    dedup_drop_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "record_count": self.record_count,
-            "turn_histogram": {str(k): v for k, v in sorted(self.turn_histogram.items())},
-            "text_length_stats": {
-                "min": self.text_length_stats.min,
-                "max": self.text_length_stats.max,
-                "mean": self.text_length_stats.mean,
-                "p50": self.text_length_stats.p50,
-                "p95": self.text_length_stats.p95,
-            },
-            "shortfall_count": self.shortfall_count,
-            "dedup_drop_count": self.dedup_drop_count,
-        }
+        return {**asdict(self),
+                "turn_histogram": {str(k): v for k, v in sorted(self.turn_histogram.items())}}
 
 
 def _percentile(sorted_values: Sequence[int], q: float) -> int:
@@ -53,13 +35,7 @@ def _percentile(sorted_values: Sequence[int], q: float) -> int:
     return sorted_values[rank - 1]
 
 
-def record_text(record: ConversationRecord) -> str:
-    """Embedding view of a record: all turn texts joined by newlines."""
-    return "\n".join(turn.value for turn in record.turns)
-
-
-def compute_stats(records: Sequence[ConversationRecord], shortfall_count: int = 0,
-                  dedup_drop_count: int = 0) -> CorpusStats:
+def compute_stats(records: Sequence[ConversationRecord]) -> CorpusStats:
     histogram: dict[int, int] = {}
     lengths: list[int] = []
     for record in records:
@@ -79,79 +55,4 @@ def compute_stats(records: Sequence[ConversationRecord], shortfall_count: int = 
         record_count=len(records),
         turn_histogram=histogram,
         text_length_stats=length_stats,
-        shortfall_count=shortfall_count,
-        dedup_drop_count=dedup_drop_count,
     )
-
-
-@dataclass(frozen=True)
-class DiversityStats:
-    mean_cosine: float
-    p10: float
-    p90: float
-
-    def to_dict(self) -> dict:
-        return {"mean_cosine": self.mean_cosine, "p10": self.p10, "p90": self.p90}
-
-
-def _unrank_pair(index: int, n: int) -> tuple[int, int]:
-    """Map a linear index to the index-th pair (i, j), i < j, in row order."""
-    # prefix(i) = pairs whose first element is < i
-    def prefix(i: int) -> int:
-        return i * (2 * n - i - 1) // 2
-
-    lo, hi = 0, n - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if prefix(mid) <= index:
-            lo = mid
-        else:
-            hi = mid - 1
-    first = lo
-    second = first + 1 + (index - prefix(first))
-    return first, second
-
-
-def diversity_sample(records: Sequence[ConversationRecord], embedder: EmbeddingBackend,
-                     n_pairs: int, seed: int) -> DiversityStats:
-    """Cosine statistics over a seeded sample of distinct record pairs."""
-    if len(records) < 2:
-        raise ConfigError("diversity_sample needs at least two records")
-    if n_pairs < 1:
-        raise ConfigError("n_pairs must be >= 1")
-    n = len(records)
-    total_pairs = n * (n - 1) // 2
-    rng = random.Random(seed)
-    take = min(n_pairs, total_pairs)
-    pair_indices = rng.sample(range(total_pairs), take)
-
-    needed = sorted({i for idx in pair_indices for i in _unrank_pair(idx, n)})
-    vectors = embedder.embed([record_text(records[i]) for i in needed])
-    by_record = dict(zip(needed, vectors))
-
-    cosines = sorted(cosine(by_record[i], by_record[j])
-                     for i, j in (_unrank_pair(idx, n) for idx in pair_indices))
-    k = len(cosines)
-    return DiversityStats(
-        mean_cosine=sum(cosines) / k,
-        p10=cosines[max(0, int(0.10 * (k - 1)))],
-        p90=cosines[max(0, int(0.90 * (k - 1)))],
-    )
-
-
-def export_embeddings(records: Sequence[ConversationRecord], embedder: EmbeddingBackend,
-                      path: str | Path) -> Path:
-    """TSV of record embeddings: header ``id\\te0..e{dim-1}``, one row per record."""
-    path = Path(path)
-    vectors = embedder.embed([record_text(r) for r in records])
-    if not vectors:
-        raise ConfigError("no records to embed")
-    dim = vectors[0].dim
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("id\t" + "\t".join(f"e{i}" for i in range(dim)) + "\n")
-            for record, vector in zip(records, vectors):
-                fh.write(record.id + "\t" + "\t".join(repr(v) for v in vector.values) + "\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
-    return path

@@ -114,18 +114,11 @@ def _words_from_key(key: int, max_tokens: int, vocab: Sequence[str]) -> str:
     return " ".join(vocab[next(stream) % n] for _ in range(max(1, max_tokens)))
 
 
-def mock_generate_text(seed: int, prompt: str, sample_index: int, max_tokens: int,
-                       vocab: Sequence[str] = MOCK_VOCAB) -> str:
-    """Deterministic pseudo-text keyed by FNV-1a-64 of (seed, prompt, index).
-
-    Length is proportional to ``max_tokens`` (one vocabulary word per token).
-    """
-    key = fnv1a64(u64_bytes(sample_index), _prompt_state(seed, prompt))
-    return _words_from_key(key, max_tokens, vocab)
-
-
 class MockTextBackend(GenerationBackend):
     """Hash-keyed generator: same (seed, prompt, index) -> identical bytes.
+
+    Sample ``i`` of a request is pseudo-text keyed by FNV-1a-64 of (request
+    seed, prompt, i), one vocabulary word per token of ``max_tokens``.
 
     ``latency_ms`` injects a per-call sleep for scheduling experiments;
     ``latency_jitter`` spreads it deterministically (keyed by the request)
@@ -268,12 +261,22 @@ class _HttpBase:
             return f"'index' is not an integer: {index!r:.80}"
         return None
 
+    def _batch_problem(self, items: list[dict]) -> str | None:
+        """Why a reply of well-formed items is unusable as a whole, or None.
+        Its ``index`` values must be all absent or 0..n-1 in some order."""
+        indices = [item["index"] for item in items if "index" in item]
+        if indices and sorted(indices) != list(range(len(items))):
+            return (f"'index' values are not a permutation of 0..{len(items) - 1}: "
+                    f"{indices!r:.80}")
+        return None
+
     def _post(self, path: str, payload: dict, key: str, expected: int) -> list[dict]:
         """POST ``payload`` and return the reply's ``key`` items in index order.
 
         A transport failure, a 429 or 5xx status, a non-JSON body, a reply
-        without exactly ``expected`` items and an item that ``_item_problem``
-        rejects are all retried with backoff.
+        without exactly ``expected`` items, an item that ``_item_problem``
+        rejects and a reply that ``_batch_problem`` rejects are all retried
+        with backoff.
         """
         url = f"{self.base_url}/{path.lstrip('/')}"
         headers = {"Authorization": f"Bearer {self.api_key}",
@@ -302,10 +305,14 @@ class _HttpBase:
                                 attempts=attempt)
                         else:
                             problems = [p for p in map(self._item_problem, items) if p]
-                            if not problems:
+                            if problems:
+                                last_exc = BackendError(f"malformed {key!r} item from {url}: "
+                                                        f"{problems[0]}", attempts=attempt)
+                            elif problem := self._batch_problem(items):
+                                last_exc = BackendError(f"malformed {key!r} reply from {url}: "
+                                                        f"{problem}", attempts=attempt)
+                            else:
                                 return sorted(items, key=lambda item: item.get("index", 0))
-                            last_exc = BackendError(f"malformed {key!r} item from {url}: "
-                                                    f"{problems[0]}", attempts=attempt)
                 else:
                     last_exc = StatusError(resp.status_code, resp.text, attempts=attempt)
                     if resp.status_code < 500 and resp.status_code != 429:
@@ -321,8 +328,6 @@ class HttpTextBackend(_HttpBase, GenerationBackend):
     forwards ``request_seed`` as the API ``seed``; only the mock guarantees
     determinism.
     """
-
-    sample_cap = DEFAULT_SAMPLE_CAP
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -368,14 +373,16 @@ class HttpEmbedder(_HttpBase, EmbeddingBackend):
                 problem = "'embedding' holds a value that is not a finite number"
         return problem
 
+    def _batch_problem(self, items: list[dict]) -> str | None:
+        dims = sorted({len(item["embedding"]) for item in items})
+        if len(dims) > 1:
+            return f"embedding dimensions differ within the batch: {dims}"
+        return super()._batch_problem(items)
+
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
         if not texts:
             raise ConfigError("embed() needs at least one text")
         data = self._post("embeddings", {"model": self.model, "input": list(texts)},
                           "data", len(texts))
-        vectors = [EmbeddingVector(values=tuple(float(v) for v in d["embedding"]))
-                   for d in data]
-        dims = {v.dim for v in vectors}
-        if len(dims) > 1:
-            raise BackendError(f"embedding dimensions differ within a batch: {sorted(dims)}")
-        return vectors
+        return [EmbeddingVector(values=tuple(float(v) for v in d["embedding"]))
+                for d in data]

@@ -12,7 +12,6 @@ import json
 import logging
 import os
 import sys
-from pathlib import Path
 
 from .analysis import compute_stats
 from .backends import (API_BASE_ENV, API_KEY_ENV, MODEL_ENV, HttpEmbedder,
@@ -23,7 +22,7 @@ from .corpus import (TurnPolicy, build_corpus, export_jsonl, export_pt,
 from .errors import ConfigError, ResumableRunError, TreeGenError
 from .scheduler import CheckpointStore, TreeRunner
 from .templates import resolve_template
-from .tree import Mode, config_from_dict, load_config, validate_config
+from .tree import Mode, load_config, validate_config
 
 log = logging.getLogger(__name__)
 
@@ -117,19 +116,10 @@ def _parse_policy(spec: str, seed: int) -> TurnPolicy:
                       "(expected full, fixed:K, or gturn)")
 
 
-def _load_tree(args):
-    store = CheckpointStore(args.tree)
-    if not store.exists():
-        raise ConfigError(f"no checkpoint in {args.tree}")
-    stored = json.loads((Path(args.tree) / "config.json").read_text(encoding="utf-8"))
-    config = config_from_dict(stored["config"])
-    tree = store.load(config)
-    store.close()
-    return tree
-
-
 def cmd_export(args) -> int:
-    tree = _load_tree(args)
+    store = CheckpointStore(args.tree)
+    tree = store.load(store.stored_config())
+    store.close()
     if args.format == "pt":
         if tree.config.mode is not Mode.PT:
             raise ConfigError("--format pt needs a PT-mode tree")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .errors import ConfigError, IncompleteTreeError, ModeError
+from .errors import ConfigError, ModeError
 from .templates import get_template
 from .tree import Mode, Role, Tree, structural_key
 
@@ -116,27 +116,12 @@ def _record_for_node(tree: Tree, node_id: str, turn_count: int) -> ConversationR
     )
 
 
-def _even_depth_ids(tree: Tree, turn_count: int, max_layer: int) -> list[str]:
-    layer = 2 * turn_count
-    if layer > max_layer:
-        return []
-    return tree.layer_ids(layer)
-
-
 def build_corpus(tree: Tree, policy: TurnPolicy | None = None,
                  permissive: bool = False) -> list[ConversationRecord]:
     """Materialize conversation records from a completed SFT tree."""
     if tree.config.mode is not Mode.SFT:
         raise ModeError("build_corpus needs an SFT tree; use export_pt for PT trees")
-    max_layer = tree.depth
-    if not tree.complete():
-        if not permissive:
-            raise IncompleteTreeError(
-                "tree expansion is not finished; pass permissive=True to build "
-                "from the deepest completed layer")
-        max_layer = tree.deepest_complete_layer()
-        max_layer -= max_layer % 2
-    max_turns = max_layer // 2
+    max_turns = tree.export_depth(permissive) // 2
     if max_turns == 0:
         return []
 
@@ -146,7 +131,7 @@ def build_corpus(tree: Tree, policy: TurnPolicy | None = None,
         if not 1 <= k <= max_turns:
             raise ConfigError(f"fixed turn count {k} outside [1, {max_turns}]")
         return [_record_for_node(tree, nid, k)
-                for nid in _even_depth_ids(tree, k, max_layer)]
+                for nid in tree.layer_ids(2 * k)]
 
     if policy.kind != "mixture":
         raise ConfigError(f"unknown turn policy kind {policy.kind!r}")
@@ -158,7 +143,7 @@ def build_corpus(tree: Tree, policy: TurnPolicy | None = None,
             f"mixture includes turn counts beyond the tree depth "
             f"({sorted(weights)} vs max {max_turns})")
 
-    strata = {t: _even_depth_ids(tree, t, max_layer) for t in weights}
+    strata = {t: tree.layer_ids(2 * t) for t in weights}
     quotas = _mixture_quotas(weights, {t: len(ids) for t, ids in strata.items()})
     rng = random.Random(policy.sample_seed)
     records: list[ConversationRecord] = []

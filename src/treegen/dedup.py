@@ -99,7 +99,7 @@ class MmrSelection:
     selected: tuple[int, ...]
     scores: tuple[float, ...]
     dropped_as_duplicates: tuple[int, ...]
-    pool_scores: tuple[float, ...] = ()
+    pool_scores: tuple[float, ...]
     similarity: PoolSimilarity | None = field(default=None, compare=False, repr=False)
 
 
@@ -191,8 +191,7 @@ def near_duplicate_filter(candidates: Sequence[EmbeddingVector],
     if len(kept) < target:
         in_selection = set(selection.selected)
         backfill = [i for i in range(len(candidates)) if i not in in_selection]
-        backfill.sort(key=lambda i: (-selection.pool_scores[i], i) if selection.pool_scores
-                      else (0, i))
+        backfill.sort(key=lambda i: (-selection.pool_scores[i], i))
         for idx in backfill:
             if len(kept) >= target:
                 break
@@ -200,8 +199,7 @@ def near_duplicate_filter(candidates: Sequence[EmbeddingVector],
                 dropped.append(idx)
             else:
                 kept.append(idx)
-                kept_scores.append(selection.pool_scores[idx]
-                                   if selection.pool_scores else 0.0)
+                kept_scores.append(selection.pool_scores[idx])
 
     return MmrSelection(selected=tuple(kept), scores=tuple(kept_scores),
                         dropped_as_duplicates=tuple(dropped),

@@ -31,13 +31,11 @@ def hash_text(text: str) -> int:
     return fnv1a64(text.encode("utf-8"))
 
 
-def combine(*parts: int | str | bytes) -> int:
+def combine(*parts: int | str) -> int:
     """FNV-1a of the concatenated canonical encodings of ``parts``."""
     h = FNV_OFFSET
     for part in parts:
-        if isinstance(part, bytes):
-            h = fnv1a64(part, h)
-        elif isinstance(part, str):
+        if isinstance(part, str):
             h = fnv1a64(part.encode("utf-8"), h)
         else:
             h = fnv1a64(u64_bytes(part), h)

@@ -49,8 +49,9 @@ from .templates import (ChatTemplate, get_template, render_answer_prompt,
                         render_continuation_prompt, render_question_prompt,
                         strip_completion)
 from .tree import (ROOT_ID, GenMeta, Role, Tree, TreeConfig, TreeNode,
-                   TreeShape, child_id, config_hash, config_to_dict,
-                   node_from_record, node_to_record, validate_config)
+                   TreeShape, child_id, config_from_dict, config_hash,
+                   config_to_dict, node_from_record, node_to_record,
+                   validate_config)
 
 log = logging.getLogger(__name__)
 
@@ -98,9 +99,12 @@ class CheckpointStore:
     therefore rebuilds every node, child list and shortfall. A torn trailing
     block is dropped on load and regenerated deterministically.
 
+    config.json is read here only, by ``stored_config`` and ``load``.
+
     manifest.json is a summary, written by ``initialize`` and ``finalize``
-    only: status, timestamps, node and shortfall counts (recomputed from the
-    tree on load), and dedup/retry telemetry, which a hard kill loses.
+    only: status, timestamps, node and shortfall counts (computed from the
+    tree by ``load`` and ``finalize``), and dedup/retry telemetry, which a hard
+    kill loses.
     """
 
     def __init__(self, directory: str | Path, include_embeddings: bool = False):
@@ -152,7 +156,7 @@ class CheckpointStore:
 
     # -- commits ------------------------------------------------------------
 
-    def append_block(self, nodes: Sequence[TreeNode], parent_id: str, shortfall: int = 0,
+    def append_block(self, nodes: Sequence[TreeNode], parent_id: str,
                      dedup_drops: int = 0, retried: bool = False) -> None:
         """Commit one expansion result atomically (all-or-nothing lines)."""
         self._open_handle()
@@ -160,8 +164,6 @@ class CheckpointStore:
             self._write_lines([self._encode(n) for n in nodes])
         else:
             self._write_lines([_dumps({"parent_id": parent_id, "children": []})])
-        self.manifest["nodes_committed"] += len(nodes)
-        self.manifest["shortfalls"] += shortfall
         self.manifest["dedup_drops"] += dedup_drops
         self.manifest["retries"] += int(retried)
 
@@ -171,7 +173,13 @@ class CheckpointStore:
                        encoding="utf-8")
         os.replace(tmp, self.manifest_path)
 
-    def finalize(self, status: str, exit_status: int | None = None) -> None:
+    def _count(self, tree: Tree) -> None:
+        """Set the manifest's node and shortfall counts from the tree."""
+        self.manifest.update(nodes_committed=tree.non_root_count(),
+                             shortfalls=tree.shortfall_total)
+
+    def finalize(self, tree: Tree, status: str, exit_status: int | None = None) -> None:
+        self._count(tree)
         self.manifest["status"] = status
         self.manifest["ended_at"] = _utcnow()
         if exit_status is not None:
@@ -181,20 +189,40 @@ class CheckpointStore:
 
     # -- load / replay ------------------------------------------------------
 
-    def load(self, config: TreeConfig) -> Tree:
-        """Verify compatibility, recover a torn tail, and replay the log."""
+    def stored_config(self) -> TreeConfig:
+        """The config the checkpoint was grown from, as config.json records it."""
+        return self._read_config_file()[0]
+
+    def _read_config_file(self) -> tuple[TreeConfig, object]:
+        """config.json's config and hash. Raises CheckpointError unless the file
+        is a JSON object that declares this checkpoint format and holds a
+        config that parses."""
         if not self.exists():
             raise CheckpointError(f"no checkpoint in {self.directory}")
-        stored = json.loads(self.config_path.read_text(encoding="utf-8"))
+        try:
+            stored = json.loads(self.config_path.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise CheckpointError(f"cannot read {self.config_path}: {exc}") from exc
+        if not isinstance(stored, dict):
+            raise CheckpointError(f"{self.config_path} does not hold a JSON object")
         found = stored.get("format")
         if found != CHECKPOINT_FORMAT:
             what = "no checkpoint format" if found is None else f"checkpoint format {found}"
             raise CheckpointError(
                 f"{self.config_path} declares {what}; this version reads checkpoint "
                 f"format {CHECKPOINT_FORMAT} only, so regenerate the tree")
-        if stored.get("hash") != config_hash(config):
+        try:
+            config = config_from_dict(stored.get("config"))
+        except (ConfigError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{self.config_path} holds no valid config: {exc}") from exc
+        return config, stored.get("hash")
+
+    def load(self, config: TreeConfig) -> Tree:
+        """Verify compatibility, recover a torn tail, and replay the log."""
+        stored_hash = self._read_config_file()[1]
+        if stored_hash != config_hash(config):
             raise CheckpointError(
-                f"checkpoint config hash {stored.get('hash')} does not match the "
+                f"checkpoint config hash {stored_hash} does not match the "
                 f"provided config hash {config_hash(config)}")
 
         records = self._read_recovered_records()
@@ -214,8 +242,7 @@ class CheckpointStore:
         self.manifest = _fresh_manifest(config)
         if self.manifest_path.exists():
             self.manifest.update(json.loads(self.manifest_path.read_text(encoding="utf-8")))
-        self.manifest.update(nodes_committed=tree.non_root_count(),
-                             shortfalls=tree.shortfall_total)
+        self._count(tree)
         return tree
 
     def _read_recovered_records(self) -> list[dict]:
@@ -271,7 +298,7 @@ def prompt_for_layer(role: Role, path_texts: Sequence[str], config: TreeConfig,
                      template: ChatTemplate) -> str:
     if role is Role.CONTINUATION:
         return render_continuation_prompt(path_texts, config.system_prompt,
-                                          template.turn_separator, mode=config.mode.value)
+                                          template.turn_separator)
     if role is Role.QUESTION:
         return render_question_prompt(path_texts, template, config.system_prompt)
     if role is Role.ANSWER:
@@ -393,7 +420,7 @@ class TreeRunner:
         self.workers = workers
         self.shape = report.shape
 
-    # -- public entry points -------------------------------------------------
+    # -- public entry point --------------------------------------------------
 
     def run(self) -> Tree:
         """Expand to full depth, resuming from the store when it has content."""
@@ -406,15 +433,10 @@ class TreeRunner:
             self._grow(tree)
         except (Exception, KeyboardInterrupt):
             # whatever happened, the store holds a valid committed prefix
-            self.store.finalize("aborted", exit_status=2)
+            self.store.finalize(tree, "aborted", exit_status=2)
             raise
-        self.store.finalize("complete", exit_status=0)
+        self.store.finalize(tree, "complete", exit_status=0)
         return tree
-
-    def resume(self) -> Tree:
-        if not self.store.exists():
-            raise CheckpointError(f"no checkpoint to resume in {self.store.directory}")
-        return self.run()
 
     # -- the scheduling loop ---------------------------------------------------
 
@@ -486,8 +508,8 @@ class TreeRunner:
                 f"backend failure after {exc.attempts} attempt(s): {exc}") from exc
 
     def _commit_result(self, tree: Tree, result: ExpansionResult) -> None:
-        tree.add_children(result.parent_id, result.children)
+        # disk first: if the append fails, the tree still matches nodes.jsonl
         self.store.append_block(result.children, parent_id=result.parent_id,
-                                shortfall=result.shortfall,
                                 dedup_drops=result.dedup_drops,
                                 retried=result.retried)
+        tree.add_children(result.parent_id, result.children)

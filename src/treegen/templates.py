@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .errors import EmptyCompletionError, ModeError, StructuralError, TemplateError
+from .errors import EmptyCompletionError, StructuralError, TemplateError
 
 
 @dataclass(frozen=True)
@@ -133,11 +133,10 @@ def render_answer_prompt(path: Sequence[str], template: ChatTemplate,
 
 
 def render_continuation_prompt(path: Sequence[str], system_prompt: str,
-                               separator: str = " ", mode: str = "pt") -> str:
+                               separator: str = " ") -> str:
     """Role-free continuation prompt: the system prompt and the ancestor texts
-    joined by ``separator``. Only meaningful in PT mode."""
-    if mode != "pt":
-        raise ModeError("continuation prompts are only defined in PT mode")
+    joined by ``separator``. Only PT-mode layers continue; ``validate_config``
+    rejects a continuation layer in SFT mode."""
     return separator.join([system_prompt, *path])
 
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -114,11 +115,7 @@ class ValidationReport:
         return not self.errors
 
     def to_dict(self) -> dict:
-        return {
-            "errors": list(self.errors),
-            "warnings": list(self.warnings),
-            "shape": self.shape.value if self.shape else None,
-        }
+        return {**asdict(self), "shape": self.shape.value if self.shape else None}
 
 
 def validate_config(config: TreeConfig) -> ValidationReport:
@@ -172,10 +169,7 @@ def expected_leaf_count(config: TreeConfig) -> int:
     report = validate_config(config)
     if not report.ok:
         raise ConfigError("invalid config: " + "; ".join(report.errors))
-    count = 1
-    for n in config.branching:
-        count *= n
-    return count
+    return math.prod(config.branching)
 
 
 # --- config JSON ----------------------------------------------------------
@@ -280,14 +274,11 @@ def config_to_dict(config: TreeConfig) -> dict:
     }
 
 
-def canonical_config_json(config: TreeConfig) -> str:
-    return json.dumps(config_to_dict(config), sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=True)
-
-
 def config_hash(config: TreeConfig) -> str:
     """64-bit FNV-1a of the canonical serialization, as 16 hex digits."""
-    return f"{hash_text(canonical_config_json(config)):016x}"
+    canonical = json.dumps(config_to_dict(config), sort_keys=True, separators=(",", ":"),
+                           ensure_ascii=True)
+    return f"{hash_text(canonical):016x}"
 
 
 # --- nodes and the tree container -----------------------------------------
@@ -387,9 +378,6 @@ class Tree:
     def depth(self) -> int:
         return self.config.depth
 
-    def node(self, node_id: str) -> TreeNode:
-        return self.nodes[node_id]
-
     def add_children(self, parent_id: str, children: Sequence[TreeNode]) -> None:
         """Attach one committed child set and mark the parent expanded.
 
@@ -444,14 +432,22 @@ class Tree:
         return all(self.is_expanded(nid)
                    for nid, node in self.nodes.items() if node.layer < self.depth)
 
-    def deepest_complete_layer(self) -> int:
-        """Largest L such that every node above layer L has been expanded."""
+    def export_depth(self, permissive: bool = False) -> int:
+        """The layer exported paths end at: the full depth of a complete tree,
+        else with ``permissive`` the largest L such that every node above layer
+        L has been expanded, rounded down to an even layer in SFT mode."""
+        if self.complete():
+            return self.depth
+        if not permissive:
+            raise IncompleteTreeError(
+                "tree expansion is not finished; pass permissive=True to export "
+                "down to the deepest completed layer")
         deepest = 0
-        for layer in range(1, self.depth + 1):
-            if all(nid in self._expanded for nid in self.layer_ids(layer - 1)):
-                deepest = layer
-            else:
-                break
+        while deepest < self.depth and all(nid in self._expanded
+                                           for nid in self.layer_ids(deepest)):
+            deepest += 1
+        if self.config.mode is Mode.SFT:
+            deepest -= deepest % 2
         return deepest
 
     def path_nodes(self, node_id: str) -> list[TreeNode]:
@@ -470,18 +466,9 @@ class Tree:
     def leaf_paths(self, permissive: bool = False) -> list[list[TreeNode]]:
         """Every root-to-leaf path, root excluded, in structural (DFS) order.
 
-        On an incomplete tree, ``permissive`` yields paths down to the deepest
-        fully committed layer (rounded down to an even layer in SFT mode).
+        The paths end at ``export_depth(permissive)``.
         """
-        target = self.depth
-        if not self.complete():
-            if not permissive:
-                raise IncompleteTreeError(
-                    "tree expansion is not finished; pass permissive=True for "
-                    "paths to the deepest completed layer")
-            target = self.deepest_complete_layer()
-            if self.config.mode is Mode.SFT:
-                target -= target % 2
+        target = self.export_depth(permissive)
         if target == 0:
             return []
         paths: list[list[TreeNode]] = []

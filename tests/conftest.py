@@ -8,9 +8,10 @@ from typing import Sequence
 
 import pytest
 
-from treegen import (LayerSpec, MockEmbedder, MockTextBackend, Mode, Role,
-                     TreeConfig)
-from treegen.tree import ANSWER_TEMPERATURE, QUESTION_TEMPERATURE, role_for_layer
+from treegen.backends import MockEmbedder, MockTextBackend
+from treegen.errors import BackendError
+from treegen.tree import (ANSWER_TEMPERATURE, QUESTION_TEMPERATURE, LayerSpec, Mode,
+                          Role, Tree, TreeConfig, TreeNode, child_id, role_for_layer)
 
 
 def sft_config(branching: Sequence[int], q_tokens: int = 8, a_tokens: int = 12,
@@ -88,7 +89,6 @@ class FlakyBackend(MockTextBackend):
         self.seen = 0
 
     def generate(self, request):
-        from treegen import BackendError
         with self._lock:
             self.seen += 1
             if self.seen == self.fail_on_call:
@@ -96,11 +96,8 @@ class FlakyBackend(MockTextBackend):
         return super().generate(request)
 
 
-def build_full_tree(config) -> "Tree":
+def build_full_tree(config) -> Tree:
     """Hand-expand a tree breadth-first with synthetic texts (no backend)."""
-    from treegen import Tree
-    from treegen.tree import TreeNode, child_id
-
     tree = Tree(config)
     frontier = ["root"]
     for layer_index, layer in enumerate(config.layers, start=1):

@@ -15,16 +15,14 @@ from pathlib import Path
 
 import pytest
 
-from treegen import (CheckpointStore, MockEmbedder, MockTextBackend,
-                     TreeRunner, build_corpus, cosine, expected_leaf_count,
-                     export_sharegpt, gaussian_turn_policy,
-                     gaussian_turn_weights, get_template, mmr_select,
-                     near_duplicate_filter, render_answer_prompt,
-                     render_continuation_prompt, render_question_prompt,
-                     validate_sharegpt_file)
-from treegen.backends import EmbeddingVector
-from treegen.scheduler import NODES_FILE
-from treegen.templates import LLAMA2_CHAT
+from treegen.backends import EmbeddingVector, MockEmbedder, MockTextBackend
+from treegen.corpus import (build_corpus, export_sharegpt, gaussian_turn_policy,
+                            gaussian_turn_weights, validate_sharegpt_file)
+from treegen.dedup import cosine, mmr_select, near_duplicate_filter
+from treegen.scheduler import NODES_FILE, CheckpointStore, TreeRunner
+from treegen.templates import (LLAMA2_CHAT, get_template, render_answer_prompt,
+                               render_continuation_prompt, render_question_prompt)
+from treegen.tree import expected_leaf_count
 
 from conftest import CountingBackend, sft_config
 from test_dedup import oracle_mmr
@@ -159,7 +157,7 @@ def test_criterion_5_crash_resume_equivalence(tmp_path):
                            workers=4).run()
             assert baseline_nodes.startswith((directory / NODES_FILE).read_bytes())
             resumed = TreeRunner(config, MockTextBackend(), MockEmbedder(),
-                                 CheckpointStore(directory), workers=4).resume()
+                                 CheckpointStore(directory), workers=4).run()
             assert (directory / NODES_FILE).read_bytes() == baseline_nodes
             out = directory / "corpus.json"
             export_sharegpt(build_corpus(resumed), out)

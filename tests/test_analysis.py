@@ -1,14 +1,9 @@
-"""Corpus statistics, diversity sampling, and embedding export."""
+"""Corpus statistics."""
 
 from __future__ import annotations
 
-import pytest
-
-from treegen import (MockEmbedder, build_corpus, compute_stats, cosine,
-                     diversity_sample, export_embeddings)
-from treegen.analysis import _unrank_pair, record_text
-from treegen.backends import EmbeddingVector
-from treegen.corpus import ConversationRecord, Turn
+from treegen.analysis import compute_stats
+from treegen.corpus import ConversationRecord, Turn, build_corpus
 
 from conftest import build_full_tree, sft_config
 
@@ -54,91 +49,3 @@ def test_length_stats_are_exact():
     assert stats.text_length_stats.mean == 3.0
     assert stats.text_length_stats.p50 == 2
     assert stats.text_length_stats.p95 == 4
-
-
-def test_counters_pass_through():
-    stats = compute_stats([], shortfall_count=3, dedup_drop_count=9)
-    assert stats.shortfall_count == 3 and stats.dedup_drop_count == 9
-
-
-# --- diversity_sample ------------------------------------------------------------
-
-def test_identical_records_mean_cosine_one():
-    records = [make_record(str(i), "same text", "same reply") for i in range(5)]
-    stats = diversity_sample(records, MockEmbedder(), n_pairs=6, seed=1)
-    assert stats.mean_cosine == pytest.approx(1.0)
-    assert stats.p10 == pytest.approx(1.0)
-
-
-def test_disjoint_vocabulary_records_mean_cosine_zero():
-    # chosen so the token buckets (fnv mod 16) of the two records are disjoint
-    embedder = MockEmbedder(dim=16)
-    [va] = embedder.embed(["alpha"])
-    [vb] = embedder.embed(["bravo"])
-    assert cosine(va, vb) == 0.0  # distinct buckets; adjust tokens if this trips
-    records = [make_record("a", "alpha", "alpha"), make_record("b", "bravo", "bravo")]
-    stats = diversity_sample(records, embedder, n_pairs=1, seed=0)
-    assert stats.mean_cosine == 0.0
-
-
-def test_diversity_deterministic_under_seed():
-    records = [make_record(str(i), f"text {i} unique words {i}", f"reply {i}")
-               for i in range(12)]
-    a = diversity_sample(records, MockEmbedder(), n_pairs=20, seed=3)
-    b = diversity_sample(records, MockEmbedder(), n_pairs=20, seed=3)
-    assert a == b
-
-
-def test_diversity_requires_two_records():
-    from treegen import ConfigError
-    with pytest.raises(ConfigError):
-        diversity_sample([make_record("a", "q", "r")], MockEmbedder(), 1, 0)
-
-
-def test_unrank_pair_is_a_bijection():
-    n = 9
-    seen = set()
-    for idx in range(n * (n - 1) // 2):
-        i, j = _unrank_pair(idx, n)
-        assert 0 <= i < j < n
-        seen.add((i, j))
-    assert len(seen) == n * (n - 1) // 2
-
-
-# --- export_embeddings --------------------------------------------------------------
-
-def test_embedding_export_shape(tmp_path):
-    records = [make_record(str(i), f"text number {i}", f"reply {i}")
-               for i in range(1000)]
-    out = tmp_path / "embeddings.tsv"
-    export_embeddings(records, MockEmbedder(dim=16), out)
-    lines = out.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 1001  # header + one per record
-    assert lines[0].split("\t") == ["id"] + [f"e{i}" for i in range(16)]
-    assert all(len(line.split("\t")) == 17 for line in lines)
-
-
-def test_embedding_export_deterministic(tmp_path):
-    records = [make_record(str(i), f"text {i}", "r") for i in range(4)]
-    a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
-    export_embeddings(records, MockEmbedder(), a)
-    export_embeddings(records, MockEmbedder(), b)
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_embedding_export_round_trips_within_tolerance(tmp_path):
-    records = [make_record(str(i), f"some longer text {i} with words", f"reply {i}")
-               for i in range(6)]
-    embedder = MockEmbedder()
-    out = tmp_path / "e.tsv"
-    export_embeddings(records, embedder, out)
-    lines = out.read_text(encoding="utf-8").splitlines()[1:]
-    parsed = {}
-    for line in lines:
-        parts = line.split("\t")
-        parsed[parts[0]] = EmbeddingVector(values=tuple(float(x) for x in parts[1:]))
-    for record in records:
-        [direct] = embedder.embed([record_text(record)])
-        assert cosine(direct, parsed[record.id]) == pytest.approx(1.0, abs=1e-6)
-        for x, y in zip(direct.values, parsed[record.id].values):
-            assert abs(x - y) < 1e-6

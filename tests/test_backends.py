@@ -11,9 +11,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 import requests
 
-from treegen import (BackendError, ConfigError, GenerationRequest,
-                     HttpEmbedder, HttpTextBackend, MockEmbedder,
-                     MockTextBackend, StatusError, cosine, mock_generate_text)
+from treegen.backends import (GenerationRequest, HttpEmbedder, HttpTextBackend,
+                              MockEmbedder, MockTextBackend)
+from treegen.dedup import cosine
+from treegen.errors import BackendError, ConfigError, StatusError
 
 FNV_OFFSET = 14695981039346656037
 FNV_PRIME = 1099511628211
@@ -35,35 +36,42 @@ def request(prompt="p", n=1, seed=42, max_tokens=16, temperature=1.0, stop=()):
 
 # --- mock text generation ------------------------------------------------------
 
+def mock_sample(seed, prompt, sample_index, max_tokens):
+    """Sample ``sample_index`` of one mock request."""
+    result = MockTextBackend().generate(request(prompt, n=sample_index + 1, seed=seed,
+                                                max_tokens=max_tokens))
+    return result.completions[sample_index].text
+
+
 def test_mock_text_is_deterministic():
-    a = mock_generate_text(7, "prompt", 0, 16)
-    b = mock_generate_text(7, "prompt", 0, 16)
+    a = mock_sample(7, "prompt", 0, 16)
+    b = mock_sample(7, "prompt", 0, 16)
     assert a == b
 
 
 def test_mock_text_varies_with_each_key_component():
-    base = mock_generate_text(7, "prompt", 0, 16)
-    assert mock_generate_text(8, "prompt", 0, 16) != base
-    assert mock_generate_text(7, "prompt!", 0, 16) != base
-    assert mock_generate_text(7, "prompt", 1, 16) != base
+    base = mock_sample(7, "prompt", 0, 16)
+    assert mock_sample(8, "prompt", 0, 16) != base
+    assert mock_sample(7, "prompt!", 0, 16) != base
+    assert mock_sample(7, "prompt", 1, 16) != base
 
 
 def test_mock_text_no_collisions_over_1000_random_keys():
     rng = random.Random(5)
     seen = set()
     for _ in range(1000):
-        text = mock_generate_text(rng.getrandbits(64), "p", rng.randrange(64), 12)
+        text = mock_sample(rng.getrandbits(64), "p", rng.randrange(64), 12)
         seen.add(text)
     assert len(seen) == 1000
 
 
 def test_mock_text_minimal_length():
-    text = mock_generate_text(1, "p", 0, 1)
+    text = mock_sample(1, "p", 0, 1)
     assert text and len(text.split()) == 1
 
 
 def test_mock_text_length_tracks_max_tokens():
-    assert len(mock_generate_text(1, "p", 0, 24).split()) == 24
+    assert len(mock_sample(1, "p", 0, 24).split()) == 24
 
 
 def test_mock_backend_returns_n_completions(mock_backend):
@@ -260,16 +268,24 @@ def test_http_non_json_body_is_retried_backend_error():
 
 GOOD_CHOICES = b'{"choices": [{"index": 0, "text": "fine", "finish_reason": "stop"}]}'
 GOOD_DATA = b'{"data": [{"index": 0, "embedding": [1.0, 0.0]}]}'
+GOOD_CHOICES_2 = b'{"choices": [{"index": 1, "text": "b"}, {"index": 0, "text": "a"}]}'
+GOOD_DATA_2 = (b'{"data": [{"index": 1, "embedding": [0.0, 1.0]}, '
+               b'{"index": 0, "embedding": [1.0, 0.0]}]}')
 BAD_COUNT_CASES = pytest.mark.parametrize("backend_class, bad, good", [
     (HttpTextBackend, b'{"choices": []}', GOOD_CHOICES),
     (HttpEmbedder, b'{"data": []}', GOOD_DATA),
 ], ids=["generate", "embed"])
 
 
-def _call(backend):
+def _call(backend, n=1):
     if isinstance(backend, HttpEmbedder):
-        return backend.embed(["a"])
-    return backend.generate(request(n=1)).completions
+        return backend.embed(["a"] * n)
+    return backend.generate(request(n=n)).completions
+
+
+def _item_count(body: bytes) -> int:
+    [items] = json.loads(body).values()
+    return len(items)
 
 
 @BAD_COUNT_CASES
@@ -304,10 +320,26 @@ BAD_ITEM_CASES = pytest.mark.parametrize("backend_class, bad, good", [
     (HttpEmbedder, b'{"data": [{"index": 0, "embedding": [true, 1]}]}', GOOD_DATA),
     (HttpEmbedder, b'{"data": [{"index": 0, "embedding": [NaN, 1]}]}', GOOD_DATA),
     (HttpEmbedder, b'{"data": [{"index": 0, "embedding": [1e999, 1]}]}', GOOD_DATA),
+    (HttpTextBackend, b'{"choices": [{"index": 0, "text": "a"}, {"index": 0, "text": "b"}]}',
+     GOOD_CHOICES_2),
+    (HttpTextBackend, b'{"choices": [{"index": 0, "text": "a"}, {"index": 2, "text": "b"}]}',
+     GOOD_CHOICES_2),
+    (HttpTextBackend, b'{"choices": [{"index": 1, "text": "a"}, {"text": "b"}]}',
+     GOOD_CHOICES_2),
+    (HttpEmbedder, b'{"data": [{"index": 0, "embedding": [1.0]}, '
+                   b'{"index": 0, "embedding": [2.0]}]}', GOOD_DATA_2),
+    (HttpEmbedder, b'{"data": [{"index": -1, "embedding": [1.0]}, '
+                   b'{"index": 0, "embedding": [2.0]}]}', GOOD_DATA_2),
+    (HttpEmbedder, b'{"data": [{"index": 1, "embedding": [1.0]}, {"embedding": [2.0]}]}',
+     GOOD_DATA_2),
+    (HttpEmbedder, b'{"data": [{"index": 0, "embedding": [1.0]}, '
+                   b'{"index": 1, "embedding": [1.0, 2.0]}]}', GOOD_DATA_2),
 ], ids=["choice-not-object", "choice-no-text", "choice-text-not-string",
         "choice-index-not-int", "data-not-object", "data-no-embedding",
         "embedding-string-value", "embedding-empty", "embedding-bool-value",
-        "embedding-nan", "embedding-inf"])
+        "embedding-nan", "embedding-inf", "choice-index-repeated",
+        "choice-index-out-of-range", "choice-index-partly-absent", "data-index-repeated",
+        "data-index-out-of-range", "data-index-partly-absent", "embedding-mixed-dimensions"])
 
 
 @BAD_ITEM_CASES
@@ -315,7 +347,7 @@ def test_http_malformed_item_is_retried(backend_class, bad, good):
     session = _ScriptedSession(bad, good)
     backend = backend_class(base_url="http://127.0.0.1:9", api_key="k", model="m",
                             backoff_base=0.0, max_retries=3, session=session)
-    assert len(_call(backend)) == 1
+    assert len(_call(backend, _item_count(good))) == _item_count(good)
     assert session.calls == 2
 
 
@@ -325,9 +357,18 @@ def test_http_malformed_item_gives_up_after_bounded_retries(backend_class, bad, 
     backend = backend_class(base_url="http://127.0.0.1:9", api_key="k", model="m",
                             backoff_base=0.0, max_retries=3, session=session)
     with pytest.raises(BackendError, match="malformed") as exc_info:
-        _call(backend)
+        _call(backend, _item_count(good))
     assert exc_info.value.attempts == 3
     assert session.calls == 3
+
+
+def test_http_items_are_returned_in_index_order():
+    backend = HttpTextBackend(base_url="http://127.0.0.1:9", api_key="k", model="m",
+                              session=_ScriptedSession(GOOD_CHOICES_2))
+    assert [c.text for c in _call(backend, 2)] == ["a", "b"]
+    embedder = HttpEmbedder(base_url="http://127.0.0.1:9", api_key="k", model="m",
+                            session=_ScriptedSession(GOOD_DATA_2))
+    assert [v.values for v in _call(embedder, 2)] == [(1.0, 0.0), (0.0, 1.0)]
 
 
 def test_http_embedder_round_trip(fixture_server):

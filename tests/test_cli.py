@@ -128,6 +128,39 @@ def test_generate_resume_completes(tmp_path, capsys):
     assert json.loads(out)["status"] == "complete"
 
 
+def _without(key):
+    return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != key})
+
+
+DAMAGED_CHECKPOINT_CONFIGS = {
+    "truncated": lambda text: text[:len(text) // 2],
+    "not-an-object": lambda text: "[1, 2]\n",
+    "no-format": _without("format"),
+    "no-config": _without("config"),
+    "invalid-config": lambda text: json.dumps({**json.loads(text), "config": {"mode": "sft"}}),
+}
+
+
+@pytest.mark.parametrize("damage", list(DAMAGED_CHECKPOINT_CONFIGS))
+@pytest.mark.parametrize("command", ["export", "resume"])
+def test_damaged_checkpoint_config_exits_1(tmp_path, capsys, command, damage):
+    config_path = write_config(tmp_path, sft_config([2, 2]))
+    out_dir = tmp_path / "o"
+    assert run_cli(capsys, "generate", "--config", str(config_path),
+                   "--out", str(out_dir))[0] == 0
+    stored = out_dir / "config.json"
+    stored.write_text(DAMAGED_CHECKPOINT_CONFIGS[damage](stored.read_text()))
+    if command == "export":
+        argv = ["export", "--tree", str(out_dir), "--format", "sharegpt",
+                "--out", str(tmp_path / "c.json")]
+    else:
+        argv = ["generate", "--config", str(config_path), "--out", str(out_dir), "--resume"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    last = err.splitlines()[-1]
+    assert last.startswith("error: ") and str(stored) in last
+
+
 def test_generate_rejects_invalid_config(tmp_path, capsys):
     config_path = write_config(tmp_path, sft_config([2, 2, 2]))  # odd depth
     code, _, err = run_cli(capsys, "generate", "--config", str(config_path),
@@ -255,7 +288,8 @@ def test_cli_runs_are_reproducible(tmp_path, capsys):
 
 
 def test_export_incomplete_tree_needs_permissive(tmp_path, capsys):
-    from treegen import MockEmbedder, MockTextBackend, TreeRunner
+    from treegen.backends import MockEmbedder, MockTextBackend
+    from treegen.scheduler import TreeRunner
     from test_scheduler import AbortingStore, InjectedCrash
     config = sft_config([4, 2, 2, 2], dedup_threshold=1.01)
     config_path = write_config(tmp_path, config)

@@ -7,12 +7,13 @@ import math
 
 import pytest
 
-from treegen import (ConfigError, IncompleteTreeError, ModeError, TurnPolicy,
-                     build_corpus, export_jsonl, export_pt, export_sharegpt,
-                     gaussian_turn_policy, gaussian_turn_weights, load_sharegpt,
-                     sample_to_size, validate_sharegpt_file)
-from treegen.corpus import ConversationRecord, Turn
+from treegen.corpus import (ConversationRecord, Turn, TurnPolicy, build_corpus,
+                            export_jsonl, export_pt, export_sharegpt,
+                            gaussian_turn_policy, gaussian_turn_weights, load_sharegpt,
+                            sample_to_size, validate_sharegpt_file)
+from treegen.errors import ConfigError, IncompleteTreeError, ModeError
 from treegen.templates import LLAMA2_CHAT
+from treegen.tree import Tree
 
 from conftest import build_full_tree, pt_config, sft_config
 
@@ -63,7 +64,6 @@ def test_pt_tree_rejected():
 
 
 def test_incomplete_tree_needs_permissive():
-    from treegen import Tree
     config = sft_config([2, 2])
     tree = Tree(config)
     with pytest.raises(IncompleteTreeError):

@@ -12,9 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from treegen import (ConfigError, EmbeddingVector, MmrSelection, MockEmbedder,
-                     cosine, mmr_select, mock_generate_text, near_duplicate_filter)
 from treegen import dedup
+from treegen.backends import (EmbeddingVector, GenerationRequest, MockEmbedder,
+                              MockTextBackend)
+from treegen.dedup import MmrSelection, cosine, mmr_select, near_duplicate_filter
+from treegen.errors import ConfigError
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -322,8 +324,10 @@ _MOCK_EMBEDDER = MockEmbedder(dim=16)
 def _mock_pool(rng, n):
     seed = rng.randrange(2**32)
     tokens = rng.randint(1, 24)
-    return [list(_MOCK_EMBEDDER.embed_one(mock_generate_text(seed, "p", i, tokens)).values)
-            for i in range(n + 1)]
+    request = GenerationRequest(prompt="p", max_tokens=tokens, temperature=1.0,
+                                n_samples=n + 1, stop=(), request_seed=seed)
+    completions = MockTextBackend(sample_cap=n + 1).generate(request).completions
+    return [list(_MOCK_EMBEDDER.embed_one(c.text).values) for c in completions]
 
 
 def _sign_pool(rng, n):
@@ -392,7 +396,8 @@ def test_mixed_dimension_pool_or_query_raises():
     with pytest.raises(ValueError):
         mmr_select([vec(1, 0), vec(0, 1)], vec(1, 0, 0), 1, 0.5)
     mixed = [vec(1, 0), vec(1, 0, 0)]
-    hand_made = MmrSelection(selected=(0,), scores=(1.0,), dropped_as_duplicates=())
+    hand_made = MmrSelection(selected=(0,), scores=(1.0,), dropped_as_duplicates=(),
+                             pool_scores=(1.0, 0.0))
     with pytest.raises(ValueError):
         near_duplicate_filter(mixed, hand_made, 0.95)
     other_pool = mmr_select([vec(1, 0), vec(0, 1)], vec(1, 0), 1, 0.5)

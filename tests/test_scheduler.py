@@ -8,13 +8,13 @@ import time
 
 import pytest
 
-from treegen import (CheckpointError, CheckpointStore, Completion,
-                     GenerationResult, MockEmbedder, MockTextBackend,
-                     ResumableRunError, TreeRunner, expand_parent,
-                     expected_leaf_count, get_template)
+from treegen.backends import Completion, GenerationResult, MockEmbedder, MockTextBackend
+from treegen.errors import CheckpointError, ResumableRunError
 from treegen.fnv import combine, hash_text
-from treegen.scheduler import CONFIG_FILE, MANIFEST_FILE, NODES_FILE
-from treegen.tree import ROOT_ID, Tree, node_to_record
+from treegen.scheduler import (CONFIG_FILE, MANIFEST_FILE, NODES_FILE, CheckpointStore,
+                               TreeRunner, expand_parent)
+from treegen.templates import get_template
+from treegen.tree import ROOT_ID, Tree, expected_leaf_count, node_to_record
 
 from conftest import CountingBackend, FlakyBackend, pt_config, sft_config
 
@@ -24,16 +24,19 @@ class InjectedCrash(RuntimeError):
 
 
 class AbortingStore(CheckpointStore):
-    """Raises just before the commit that would cross ``abort_after_nodes``."""
+    """Raises just before the commit that would cross ``abort_after_nodes``
+    nodes appended through this store."""
 
     def __init__(self, directory, abort_after_nodes: int, **kwargs):
         super().__init__(directory, **kwargs)
         self.abort_after_nodes = abort_after_nodes
+        self.appended = 0
 
     def append_block(self, nodes, **kwargs):
-        if self.manifest["nodes_committed"] + len(nodes) > self.abort_after_nodes:
-            raise InjectedCrash(f"injected crash at {self.manifest['nodes_committed']}")
+        if self.appended + len(nodes) > self.abort_after_nodes:
+            raise InjectedCrash(f"injected crash at {self.appended}")
         super().append_block(nodes, **kwargs)
+        self.appended += len(nodes)
 
 
 def run_to_completion(config, directory, workers=4, backend=None, embedder=None):
@@ -212,7 +215,7 @@ def test_resume_complete_run_issues_no_calls(tmp_path):
     run_to_completion(config, tmp_path / "t")
     backend = CountingBackend()
     runner = TreeRunner(config, backend, MockEmbedder(), CheckpointStore(tmp_path / "t"))
-    tree = runner.resume()
+    tree = runner.run()
     assert tree.complete()
     assert backend.calls == []
 
@@ -225,15 +228,13 @@ def test_resume_rejects_altered_seed(tmp_path):
     runner = TreeRunner(altered, MockTextBackend(), MockEmbedder(),
                         CheckpointStore(tmp_path / "t"))
     with pytest.raises(CheckpointError, match="hash"):
-        runner.resume()
+        runner.run()
 
 
 def test_resume_requires_checkpoint(tmp_path):
     config = sft_config([2, 2])
-    runner = TreeRunner(config, MockTextBackend(), MockEmbedder(),
-                        CheckpointStore(tmp_path / "fresh"))
     with pytest.raises(CheckpointError, match="no checkpoint"):
-        runner.resume()
+        CheckpointStore(tmp_path / "fresh").load(config)
 
 
 @pytest.mark.parametrize("fraction", [0.25, 0.5, 0.75])
@@ -254,7 +255,7 @@ def test_interrupt_and_resume_equals_uninterrupted(tmp_path, branching, fraction
     assert baseline.startswith(partial)  # checkpoint prefix property
 
     resumed = TreeRunner(config, MockTextBackend(), MockEmbedder(),
-                         CheckpointStore(crash_dir), workers=4).resume()
+                         CheckpointStore(crash_dir), workers=4).run()
     assert resumed.complete()
     assert (crash_dir / NODES_FILE).read_bytes() == baseline
 
@@ -275,7 +276,7 @@ def test_torn_trailing_line_is_recovered(tmp_path):
     (crash_dir / "manifest.json").write_text(json.dumps(manifest))
 
     resumed = TreeRunner(config, MockTextBackend(), MockEmbedder(),
-                         CheckpointStore(crash_dir), workers=2).resume()
+                         CheckpointStore(crash_dir), workers=2).run()
     assert resumed.complete()
     assert nodes_path.read_bytes() == baseline
 
@@ -292,7 +293,7 @@ def test_all_empty_completions_complete_with_shortfalls(tmp_path):
     assert store.manifest["shortfalls"] == 3  # the root's three missing children
     counting = CountingBackend()
     resumed = TreeRunner(config, counting, MockEmbedder(),
-                         CheckpointStore(tmp_path / "t"), workers=2).resume()
+                         CheckpointStore(tmp_path / "t"), workers=2).run()
     assert resumed.complete()
     assert counting.calls == []
 
@@ -312,7 +313,7 @@ def test_tear_through_root_record_recovers(tmp_path):
     (crash_dir / "manifest.json").write_text(json.dumps(manifest))
 
     resumed = TreeRunner(config, MockTextBackend(), MockEmbedder(),
-                         CheckpointStore(crash_dir), workers=2).resume()
+                         CheckpointStore(crash_dir), workers=2).run()
     assert resumed.complete()
     assert nodes_path.read_bytes() == baseline
 
@@ -353,7 +354,7 @@ def test_tear_after_partial_shortfall_block_resumes_identically(tmp_path, seed):
     nodes_path.write_bytes(baseline[:cut])
 
     resumed = TreeRunner(config, MockTextBackend(), MockEmbedder(),
-                         CheckpointStore(crash_dir), workers=2).resume()
+                         CheckpointStore(crash_dir), workers=2).run()
     assert resumed.complete()
     assert nodes_path.read_bytes() == baseline
 
@@ -378,7 +379,7 @@ def test_load_without_manifest_rebuilds_tree(tmp_path):
     config = shortfall_heavy_config(0)
     tree, _ = run_to_completion(config, tmp_path / "t", backend=SilentOnSomePrompts())
     shortfalls = tree.shortfalls
-    child_counts = [len(tree.node(pid).children) for pid in shortfalls]
+    child_counts = [len(tree.nodes[pid].children) for pid in shortfalls]
     assert 0 in child_counts and any(child_counts)  # zero-child and partial
     (tmp_path / "t" / MANIFEST_FILE).unlink()
 
@@ -392,6 +393,30 @@ def test_load_without_manifest_rebuilds_tree(tmp_path):
     assert reloaded.shortfalls == shortfalls
     assert store.manifest["nodes_committed"] == tree.non_root_count()
     assert store.manifest["shortfalls"] == sum(shortfalls.values())
+
+
+def test_manifest_counts_equal_the_tree_after_abort_and_resume(tmp_path):
+    config = shortfall_heavy_config(0)
+    directory = tmp_path / "t"
+
+    def assert_manifest_matches_tree(status):
+        manifest = json.loads((directory / MANIFEST_FILE).read_text())
+        store = CheckpointStore(directory)
+        tree = store.load(config)
+        store.close()
+        assert manifest["status"] == status
+        assert manifest["nodes_committed"] == tree.non_root_count()
+        assert manifest["shortfalls"] == tree.shortfall_total
+        return tree
+
+    with pytest.raises(InjectedCrash):
+        TreeRunner(config, MockTextBackend(), MockEmbedder(),
+                   AbortingStore(directory, abort_after_nodes=60), workers=2).run()
+    partial = assert_manifest_matches_tree("aborted")
+    assert 0 < partial.non_root_count() <= 60 and partial.shortfall_total > 0
+    TreeRunner(config, MockTextBackend(), MockEmbedder(),
+               CheckpointStore(directory), workers=2).run()
+    assert assert_manifest_matches_tree("complete").complete()
 
 
 def test_manifest_written_at_start_and_finish_only(tmp_path, monkeypatch):
@@ -449,7 +474,7 @@ def test_dead_chain_resumes_idempotently(tmp_path):
     assert '{"parent_id":"1","children":[]}\n' in (tmp_path / "t" / NODES_FILE).read_text()
     counting = CountingBackend()
     resumed = TreeRunner(config, counting, MockEmbedder(),
-                         CheckpointStore(tmp_path / "t"), workers=1).resume()
+                         CheckpointStore(tmp_path / "t"), workers=1).run()
     assert resumed.complete()
     assert resumed.shortfalls == {"1": 1}  # replayed from the zero-child marker
     assert counting.calls == []
@@ -464,7 +489,7 @@ def assert_aborted_prefix_resumes(config, directory, workers) -> None:
     assert baseline.startswith(nodes_path.read_bytes())
     assert json.loads((directory / MANIFEST_FILE).read_text())["status"] == "aborted"
     resumed = TreeRunner(config, MockTextBackend(), MockEmbedder(),
-                         CheckpointStore(directory), workers=workers).resume()
+                         CheckpointStore(directory), workers=workers).run()
     assert resumed.complete()
     assert nodes_path.read_bytes() == baseline
 

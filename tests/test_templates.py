@@ -6,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from treegen import (ChatTemplate, EmptyCompletionError, LLAMA2_CHAT, ModeError,
-                     PLAIN, StructuralError, get_template, load_template,
-                     render_answer_prompt, render_continuation_prompt,
-                     render_question_prompt, strip_completion, TemplateError)
+from treegen.errors import EmptyCompletionError, StructuralError, TemplateError
+from treegen.templates import (LLAMA2_CHAT, PLAIN, ChatTemplate, get_template,
+                               load_template, render_answer_prompt,
+                               render_continuation_prompt, render_question_prompt,
+                               strip_completion)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -116,11 +117,6 @@ def test_continuation_prompt_has_no_role_markers():
     out = render_continuation_prompt(["fact A", "fact B"], "P0", separator=" ")
     for marker in LLAMA2_CHAT.markers() + TAGGED.markers():
         assert marker not in out
-
-
-def test_continuation_prompt_rejects_sft_mode():
-    with pytest.raises(ModeError):
-        render_continuation_prompt([], "P0", mode="sft")
 
 
 # --- strip_completion -------------------------------------------------------------------

@@ -6,11 +6,11 @@ import json
 
 import pytest
 
-from treegen import (ConfigError, IncompleteTreeError, LayerSpec, Mode, Role,
-                     Tree, TreeConfig, TreeShape, classify_shape, config_hash,
-                     config_from_dict, expected_leaf_count, validate_config)
-from treegen.tree import (child_id, config_to_dict, node_from_record,
-                          node_to_record, structural_key, TreeNode)
+from treegen.errors import ConfigError, IncompleteTreeError
+from treegen.tree import (LayerSpec, Mode, Role, Tree, TreeConfig, TreeNode, TreeShape,
+                          child_id, classify_shape, config_from_dict, config_hash,
+                          config_to_dict, expected_leaf_count, node_from_record,
+                          node_to_record, structural_key, validate_config)
 
 from conftest import build_full_tree, pt_config, sft_config
 
@@ -61,6 +61,10 @@ def test_role_parity_mismatch_is_an_error():
     layers = (LayerSpec(2, 8, Role.ANSWER, 0.7), LayerSpec(2, 8, Role.QUESTION, 1.0))
     report = validate_config(TreeConfig(mode=Mode.SFT, system_prompt="s", layers=layers))
     assert len(report.errors) == 2
+    # a continuation layer only exists in PT mode
+    layers = (LayerSpec(2, 8, Role.QUESTION, 1.0), LayerSpec(2, 8, Role.CONTINUATION, 1.0))
+    report = validate_config(TreeConfig(mode=Mode.SFT, system_prompt="s", layers=layers))
+    assert report.errors == ["layer 2 role is 'continuation', expected 'answer' for sft mode"]
 
 
 def test_pt_layers_are_continuations():
@@ -157,7 +161,7 @@ def test_leaf_paths_with_shortfall():
     assert tree.shortfall_total == 1
     # recomputation identity: leaves equal the child counts of depth-(d-1) nodes
     penultimate = tree.layer_ids(tree.depth - 1)
-    assert len(tree.leaf_paths()) == sum(len(tree.node(n).children) for n in penultimate)
+    assert len(tree.leaf_paths()) == sum(len(tree.nodes[n].children) for n in penultimate)
 
 
 def test_incomplete_tree_raises_unless_permissive():
