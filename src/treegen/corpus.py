@@ -271,25 +271,43 @@ def export_pt(tree: Tree, path: str | Path, permissive: bool = False) -> Path:
 
 
 def load_sharegpt(path: str | Path) -> list[ConversationRecord]:
-    """Re-parse an exported file (array or JSONL) into records (system empty)."""
+    """Re-parse an exported file (array or JSONL) into records (system empty).
+
+    Raises ConfigError naming the file and the element (array index or JSONL
+    line) that is not JSON or not a ShareGPT record.
+    """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("["):
-        elements = json.loads(text)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except ValueError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+    if text.lstrip().startswith("["):
+        elements = [(f"{path} element {i}", element)
+                    for i, element in enumerate(_parse_json(text, str(path)))]
     else:
-        elements = [json.loads(line) for line in text.splitlines() if line.strip()]
-    records = []
-    for element in elements:
+        elements = [(f"{path} line {n}", _parse_json(line, f"{path} line {n}"))
+                    for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    return [_record_from_element(element, where) for where, element in elements]
+
+
+def _parse_json(text: str, where: str):
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise ConfigError(f"{where} is not valid JSON: {exc}") from exc
+
+
+def _record_from_element(element, where: str) -> ConversationRecord:
+    try:
         turns = tuple(Turn(role=c["from"], value=c["value"])
                       for c in element["conversations"])
-        record = ConversationRecord(
-            id=str(element["id"]), system="", turns=turns,
-            source_leaf=str(element["id"]).split(":")[0],
-            turn_count=len(turns) // 2,
-        )
-        records.append(record)
-    return records
+        record_id = str(element["id"])
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"{where} is not a ShareGPT record "
+                          f"({type(exc).__name__}: {exc})") from exc
+    return ConversationRecord(id=record_id, system="", turns=turns,
+                              source_leaf=record_id.split(":")[0],
+                              turn_count=len(turns) // 2)
 
 
 def validate_sharegpt_file(path: str | Path) -> list[ConversationRecord]:

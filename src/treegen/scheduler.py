@@ -33,6 +33,7 @@ import logging
 import math
 import os
 import threading
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -147,8 +148,9 @@ class CheckpointStore:
 
     # -- encoding -----------------------------------------------------------
 
-    def _encode(self, node: TreeNode) -> str:
-        return _dumps(node_to_record(node, include_embedding=self.include_embeddings))
+    def _encode(self, node: TreeNode, vector: EmbeddingVector | None = None) -> str:
+        embedding = vector.values if self.include_embeddings and vector is not None else None
+        return _dumps(node_to_record(node, embedding))
 
     def _write_lines(self, lines: Sequence[str]) -> None:
         self._handle.write("".join(line + "\n" for line in lines))
@@ -157,11 +159,16 @@ class CheckpointStore:
     # -- commits ------------------------------------------------------------
 
     def append_block(self, nodes: Sequence[TreeNode], parent_id: str,
+                     vectors: Sequence[EmbeddingVector],
                      dedup_drops: int = 0, retried: bool = False) -> None:
-        """Commit one expansion result atomically (all-or-nothing lines)."""
+        """Commit one expansion result atomically (all-or-nothing lines).
+
+        ``vectors``, the nodes' embeddings in order, are written into the
+        records when the store includes embeddings.
+        """
         self._open_handle()
         if nodes:
-            self._write_lines([self._encode(n) for n in nodes])
+            self._write_lines([self._encode(n, v) for n, v in zip(nodes, vectors)])
         else:
             self._write_lines([_dumps({"parent_id": parent_id, "children": []})])
         self.manifest["dedup_drops"] += dedup_drops
@@ -289,6 +296,7 @@ class ExpansionResult:
     parent_id: str
     layer_index: int
     children: list[TreeNode]
+    vectors: list[EmbeddingVector]  # the children's embeddings, in order
     shortfall: int
     dedup_drops: int
     retried: bool = False
@@ -308,12 +316,17 @@ def prompt_for_layer(role: Role, path_texts: Sequence[str], config: TreeConfig,
 
 def expand_parent(parent: TreeNode, path_texts: Sequence[str], layer_index: int,
                   config: TreeConfig, template: ChatTemplate,
-                  generator: GenerationBackend, embedder: EmbeddingBackend) -> ExpansionResult:
+                  generator: GenerationBackend, embedder: EmbeddingBackend,
+                  query: EmbeddingVector | None = None) -> ExpansionResult:
     """Generate, strip, embed, and MMR-filter one parent's child set.
 
     Requests ceil(oversample_factor * branching) candidates keyed by
     FNV-1a(config seed, parent id, layer index); on a dedup shortfall, one
     regeneration retry widens the pool before the shortfall is accepted.
+
+    ``query`` is the parent's embedding, the MMR query. Without it the
+    parent's text is embedded with the pool. A pool vector whose dimension
+    differs from the query's is a ``BackendError``.
     """
     layer = config.layer(layer_index)
     want = math.ceil(config.oversample_factor * layer.branching)
@@ -323,8 +336,6 @@ def expand_parent(parent: TreeNode, path_texts: Sequence[str], layer_index: int,
     pool_texts: list[str] = []
     pool_meta: list[tuple[int, str]] = []  # (global sample index, finish_reason)
     pool_vectors: list[EmbeddingVector] = []
-    query_vec: EmbeddingVector | None = (
-        EmbeddingVector(values=parent.embedding) if parent.embedding else None)
 
     selection = None
     retried = False
@@ -354,16 +365,21 @@ def expand_parent(parent: TreeNode, path_texts: Sequence[str], layer_index: int,
 
         new_texts = pool_texts[len(pool_vectors):]
         if new_texts:
-            if query_vec is None:
+            if query is None:
                 vectors = embedder.embed([parent.text] + new_texts)
-                query_vec = vectors[0]
-                pool_vectors.extend(vectors[1:])
+                query, vectors = vectors[0], vectors[1:]
             else:
-                pool_vectors.extend(embedder.embed(new_texts))
+                vectors = embedder.embed(new_texts)
+            dims = {v.dim for v in vectors} - {query.dim}
+            if dims:
+                raise BackendError(
+                    f"embedding dimension changed: the query of parent {parent.id} "
+                    f"has {query.dim}, its pool has {sorted(dims)}")
+            pool_vectors.extend(vectors)
 
         if pool_vectors:
             k = min(layer.branching, len(pool_vectors))
-            selection = mmr_select(pool_vectors, query_vec, k, config.mmr_lambda)
+            selection = mmr_select(pool_vectors, query, k, config.mmr_lambda)
             selection = near_duplicate_filter(pool_vectors, selection,
                                               config.dedup_threshold)
             if len(selection.selected) >= layer.branching:
@@ -384,7 +400,6 @@ def expand_parent(parent: TreeNode, path_texts: Sequence[str], layer_index: int,
             role=layer.role,
             text=text,
             token_count=len(text.split()),
-            embedding=pool_vectors[pool_index].values,
             gen_meta=GenMeta(backend_id=generator.backend_id,
                              finish_reason=finish_reason,
                              sample_index=sample_index),
@@ -394,7 +409,8 @@ def expand_parent(parent: TreeNode, path_texts: Sequence[str], layer_index: int,
         log.info("expansion shortfall at parent %s layer %d: kept %d of %d",
                  parent.id, layer_index, len(children), layer.branching)
     return ExpansionResult(parent_id=parent.id, layer_index=layer_index,
-                           children=children, shortfall=shortfall,
+                           children=children,
+                           vectors=[pool_vectors[i] for i in kept], shortfall=shortfall,
                            dedup_drops=drops, retried=retried)
 
 
@@ -441,22 +457,31 @@ class TreeRunner:
     # -- the scheduling loop ---------------------------------------------------
 
     def _grow(self, tree: Tree) -> None:
-        """Expand the frontier round by round until no node awaits expansion."""
+        """Expand the frontier round by round until no node awaits expansion.
+
+        ``queries`` holds the embedding of every committed node that awaits
+        expansion, its MMR query, and drops it once the node is expanded. It
+        starts empty, so on resume a frontier node's text is embedded again
+        with its pool.
+        """
         failed = threading.Event()
+        queries: dict[str, EmbeddingVector] = {}
         pool = ThreadPoolExecutor(max_workers=self.workers)
         try:
             while frontier := self._frontier(tree):
-                futures = [pool.submit(self._expand_from, failed, node,
-                                       tree.path_texts(node.id))
-                           for node in frontier]
+                futures = deque(pool.submit(self._expand_from, failed, node,
+                                            tree.path_texts(node.id), queries.get(node.id))
+                                for node in frontier)
                 skipped = False
-                for future in futures:  # commit strictly in frontier order
-                    results = self._await(future)
+                while futures:  # commit strictly in frontier order
+                    # popped before it is awaited: once committed, a task's
+                    # results and their vectors are freed
+                    results = self._await(futures.popleft())
                     # None: this task started just after a later one failed;
                     # commit nothing past it, as awaiting the failed one raises
                     skipped = skipped or results is None
                     for result in () if skipped else results:
-                        self._commit_result(tree, result)
+                        self._commit_result(tree, queries, result)
         except BaseException:
             failed.set()
             raise
@@ -471,8 +496,8 @@ class TreeRunner:
             pending = [node for node in pending if node.layer == shallowest]
         return pending
 
-    def _expand_from(self, failed: threading.Event, node: TreeNode,
-                     path_texts: list[str]) -> list[ExpansionResult] | None:
+    def _expand_from(self, failed: threading.Event, node: TreeNode, path_texts: list[str],
+                     query: EmbeddingVector | None) -> list[ExpansionResult] | None:
         """Expand ``node``; outside a balance tree, keep descending while an
         expansion kept exactly one child, so a wide tree's chain is one task.
 
@@ -487,12 +512,13 @@ class TreeRunner:
         try:
             while True:
                 result = expand_parent(node, path_texts, node.layer + 1, self.config,
-                                       self.template, self.generator, self.embedder)
+                                       self.template, self.generator, self.embedder,
+                                       query=query)
                 results.append(result)
                 if (self.shape is TreeShape.BALANCE or len(result.children) != 1
                         or result.layer_index == self.config.depth):
                     return results
-                node = result.children[0]
+                node, query = result.children[0], result.vectors[0]
                 path_texts = [*path_texts, node.text]
         except BaseException:
             failed.set()
@@ -507,9 +533,13 @@ class TreeRunner:
             raise ResumableRunError(
                 f"backend failure after {exc.attempts} attempt(s): {exc}") from exc
 
-    def _commit_result(self, tree: Tree, result: ExpansionResult) -> None:
+    def _commit_result(self, tree: Tree, queries: dict[str, EmbeddingVector],
+                       result: ExpansionResult) -> None:
         # disk first: if the append fails, the tree still matches nodes.jsonl
         self.store.append_block(result.children, parent_id=result.parent_id,
-                                dedup_drops=result.dedup_drops,
+                                vectors=result.vectors, dedup_drops=result.dedup_drops,
                                 retried=result.retried)
         tree.add_children(result.parent_id, result.children)
+        queries.pop(result.parent_id, None)
+        if result.layer_index < self.config.depth:  # last-layer nodes are never queries
+            queries.update(zip((child.id for child in result.children), result.vectors))

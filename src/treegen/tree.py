@@ -181,17 +181,31 @@ _CONFIG_KEYS = {
 _LAYER_KEYS = {"branching", "max_tokens", "role", "temperature", "stop_markers"}
 
 
-def _layer_from_dict(raw: dict, mode: Mode, layer_index: int) -> LayerSpec:
+def _number(raw: dict, key: str, kind: type, where: str, default=None):
+    """``kind(raw[key])``, or ``default`` when the key is absent. A missing
+    key without a default, or a value that does not convert, is a ConfigError
+    naming ``where`` and the key."""
+    if key not in raw:
+        if default is None:
+            raise ConfigError(f"{where}missing required key {key!r}")
+        return default
+    value = raw[key]
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where}{key!r} must be {noun} (got {value!r})") from exc
+
+
+def _layer_from_dict(raw, mode: Mode, layer_index: int) -> LayerSpec:
+    where = f"layer {layer_index}: "
+    if not isinstance(raw, dict):
+        raise ConfigError(f"layer {layer_index} must be a JSON object (got {raw!r})")
     unknown = set(raw) - _LAYER_KEYS
     if unknown:
         raise ConfigError(f"unknown keys in layer {layer_index}: {sorted(unknown)}")
-    try:
-        branching = int(raw["branching"])
-        max_tokens = int(raw["max_tokens"])
-    except KeyError as exc:
-        raise ConfigError(f"layer {layer_index} is missing required key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"layer {layer_index} has a non-integer branching/max_tokens") from exc
+    branching = _number(raw, "branching", int, where)
+    max_tokens = _number(raw, "max_tokens", int, where)
 
     if "role" in raw:
         try:
@@ -201,14 +215,16 @@ def _layer_from_dict(raw: dict, mode: Mode, layer_index: int) -> LayerSpec:
     else:
         role = role_for_layer(mode, layer_index)
 
-    if "temperature" in raw:
-        temperature = float(raw["temperature"])
-    else:
-        temperature = ANSWER_TEMPERATURE if role is Role.ANSWER else QUESTION_TEMPERATURE
+    default_temperature = ANSWER_TEMPERATURE if role is Role.ANSWER else QUESTION_TEMPERATURE
+    temperature = _number(raw, "temperature", float, where, default_temperature)
 
-    stop_markers = tuple(str(s) for s in raw.get("stop_markers", ()))
+    stop_markers = raw.get("stop_markers", [])
+    if not isinstance(stop_markers, list):
+        raise ConfigError(f"layer {layer_index}: 'stop_markers' must be a list "
+                          f"(got {stop_markers!r})")
     return LayerSpec(branching=branching, max_tokens=max_tokens, role=role,
-                     temperature=temperature, stop_markers=stop_markers)
+                     temperature=temperature,
+                     stop_markers=tuple(str(s) for s in stop_markers))
 
 
 def config_from_dict(raw: dict) -> TreeConfig:
@@ -235,10 +251,10 @@ def config_from_dict(raw: dict) -> TreeConfig:
         mode=mode,
         system_prompt=str(raw["system_prompt"]),
         layers=layers,
-        oversample_factor=float(raw.get("oversample_factor", 2.0)),
-        mmr_lambda=float(raw.get("mmr_lambda", 0.5)),
-        dedup_threshold=float(raw.get("dedup_threshold", 0.95)),
-        seed=int(raw.get("seed", 0)),
+        oversample_factor=_number(raw, "oversample_factor", float, "", 2.0),
+        mmr_lambda=_number(raw, "mmr_lambda", float, "", 0.5),
+        dedup_threshold=_number(raw, "dedup_threshold", float, "", 0.95),
+        seed=_number(raw, "seed", int, "", 0),
         template_id=str(raw.get("template_id", "plain")),
     )
 
@@ -295,7 +311,9 @@ class TreeNode:
     """One generated question/answer/continuation.
 
     Identity fields are immutable; ``children`` is the only list the owning
-    tree appends to (single writer).
+    tree appends to (single writer). ``embedding`` is set only on a node
+    loaded from a record stored with ``--store-embeddings``; the runner keeps
+    a node's vector apart, and only until the node is expanded.
     """
 
     id: str
@@ -319,7 +337,8 @@ def structural_key(node_id: str) -> tuple[int, ...]:
     return tuple(int(part) for part in node_id.split("."))
 
 
-def node_to_record(node: TreeNode, include_embedding: bool = False) -> dict:
+def node_to_record(node: TreeNode, embedding: Sequence[float] | None = None) -> dict:
+    """The node's nodes.jsonl record; ``embedding``, when given, is stored with it."""
     record = {
         "id": node.id,
         "parent_id": node.parent_id,
@@ -333,8 +352,8 @@ def node_to_record(node: TreeNode, include_embedding: bool = False) -> dict:
             "sample_index": node.gen_meta.sample_index,
         },
     }
-    if include_embedding and node.embedding is not None:
-        record["embedding"] = list(node.embedding)
+    if embedding is not None:
+        record["embedding"] = list(embedding)
     return record
 
 

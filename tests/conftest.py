@@ -11,7 +11,8 @@ import pytest
 from treegen.backends import MockEmbedder, MockTextBackend
 from treegen.errors import BackendError
 from treegen.tree import (ANSWER_TEMPERATURE, QUESTION_TEMPERATURE, LayerSpec, Mode,
-                          Role, Tree, TreeConfig, TreeNode, child_id, role_for_layer)
+                          Role, Tree, TreeConfig, TreeNode, child_id, config_to_dict,
+                          role_for_layer)
 
 
 def sft_config(branching: Sequence[int], q_tokens: int = 8, a_tokens: int = 12,
@@ -47,6 +48,29 @@ def pt_config(branching: Sequence[int], max_tokens: int = 10, seed: int = 3,
     )
     return TreeConfig(mode=Mode.PT, system_prompt=system_prompt, layers=layers,
                       dedup_threshold=dedup_threshold, seed=seed, template_id="plain")
+
+
+# config JSON values that config_from_dict must reject with a ConfigError:
+# case -> (layer index, or None for the top level; key; value; text the error names)
+BAD_CONFIG_VALUES = {
+    "layer-not-object": (None, "layers", [5, 6], "layer 1"),
+    "seed-not-number": (None, "seed", "x", "'seed'"),
+    "oversample-not-number": (None, "oversample_factor", "x", "'oversample_factor'"),
+    "mmr-lambda-null": (None, "mmr_lambda", None, "'mmr_lambda'"),
+    "dedup-threshold-list": (None, "dedup_threshold", [0.9], "'dedup_threshold'"),
+    "temperature-not-number": (1, "temperature", "hot", "layer 2: 'temperature'"),
+    "branching-infinite": (0, "branching", float("inf"), "layer 1: 'branching'"),
+    "stop-markers-not-list": (0, "stop_markers", 5, "layer 1: 'stop_markers'"),
+}
+
+
+def bad_config_dict(case: str) -> tuple[dict, str]:
+    """A [2, 2] SFT config dict holding ``case``'s bad value, and the text
+    its ConfigError must name."""
+    layer, key, value, names = BAD_CONFIG_VALUES[case]
+    raw = config_to_dict(sft_config([2, 2]))
+    (raw if layer is None else raw["layers"][layer])[key] = value
+    return raw, names
 
 
 class CountingBackend(MockTextBackend):

@@ -12,7 +12,7 @@ from treegen import backends
 from treegen.cli import main
 from treegen.tree import config_to_dict
 
-from conftest import sft_config, pt_config
+from conftest import BAD_CONFIG_VALUES, bad_config_dict, sft_config, pt_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -98,6 +98,40 @@ def test_generate_http_malformed_item_exits_2(tmp_path, capsys, monkeypatch):
     assert "malformed 'choices' item" in err
     assert out == ""
     assert json.loads((out_dir / "manifest.json").read_text())["status"] == "aborted"
+
+
+def test_generate_http_embedding_dimension_change_exits_2(tmp_path, capsys, monkeypatch):
+    # the root's children are embedded at 16 dimensions, every later pool at
+    # 17: selecting against a 16-dimensional query is a resumable abort
+    embed_calls = []
+
+    def post(session, url, **kwargs):
+        payload = kwargs["json"]
+        if url.endswith("/completions"):
+            body = {"choices": [{"index": i, "text": f"sample {payload['seed']} {i}"}
+                                for i in range(payload["n"])]}
+        else:
+            embed_calls.append(url)
+            dim = 16 if len(embed_calls) == 1 else 17
+            body = {"data": [{"index": i, "embedding": [float(j == i % 16) for j in range(dim)]}
+                             for i in range(len(payload["input"]))]}
+        response = requests.Response()
+        response.status_code = 200
+        response._content = json.dumps(body).encode()
+        return response
+
+    monkeypatch.setattr(requests.Session, "post", post)
+    monkeypatch.setenv("TG_API_KEY", "k")
+    config_path = write_config(tmp_path, sft_config([2, 2]))
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(capsys, "generate", "--config", str(config_path),
+                             "--out", str(out_dir), "--backend", "http",
+                             "--base-url", "http://127.0.0.1:9/v1", "--model", "m")
+    assert code == 2
+    assert "has 16, its pool has [17]" in err
+    assert out == ""
+    assert json.loads((out_dir / "manifest.json").read_text())["status"] == "aborted"
+    assert len((out_dir / "nodes.jsonl").read_text().splitlines()) == 3  # root + 2
 
 
 def test_generate_resume_on_fresh_directory_exits_1(tmp_path, capsys):
@@ -196,6 +230,19 @@ def test_export_sharegpt_and_stats(completed_run, tmp_path, capsys):
     assert stats["turn_histogram"] == {"2": 32}
 
 
+@pytest.mark.parametrize("content, names", [
+    ('{"not": "a corpus"}\n', "line 1 is not a ShareGPT record"),
+    ("[1", "is not valid JSON"),
+], ids=["object-line", "truncated-array"])
+def test_stats_on_a_file_that_is_not_a_corpus_exits_1(tmp_path, capsys, content, names):
+    path = tmp_path / "notes.json"
+    path.write_text(content)
+    code, out, err = run_cli(capsys, "stats", "--corpus", str(path))
+    assert code == 1 and out == ""
+    last = err.splitlines()[-1]
+    assert last.startswith("error: ") and str(path) in last and names in last
+
+
 def test_export_fixed_turn_policy(completed_run, tmp_path, capsys):
     corpus = tmp_path / "k1.jsonl"
     code, out, _ = run_cli(capsys, "export", "--tree", str(completed_run),
@@ -263,6 +310,21 @@ def test_validate_all_example_configs(capsys):
         code, out, _ = run_cli(capsys, "validate", "--config", str(path))
         assert code == 0, f"{path.name}: {out}"
         assert json.loads(out)["errors"] == []
+
+
+@pytest.mark.parametrize("case", list(BAD_CONFIG_VALUES))
+@pytest.mark.parametrize("command", ["validate", "generate"])
+def test_bad_config_value_exits_1(tmp_path, capsys, command, case):
+    raw, names = bad_config_dict(case)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(raw))
+    argv = ["--config", str(config_path)]
+    if command == "generate":
+        argv += ["--out", str(tmp_path / "o")]
+    code, out, err = run_cli(capsys, command, *argv)
+    assert code == 1 and out == ""
+    last = err.splitlines()[-1]
+    assert last.startswith("error: ") and names in last
 
 
 def test_validate_bad_config_exits_1(tmp_path, capsys):

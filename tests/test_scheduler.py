@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
+import math
+import threading
 import time
+import weakref
 
 import pytest
 
-from treegen.backends import Completion, GenerationResult, MockEmbedder, MockTextBackend
+from treegen import scheduler
+from treegen.backends import (Completion, EmbeddingVector, GenerationResult, MockEmbedder,
+                              MockTextBackend)
 from treegen.errors import CheckpointError, ResumableRunError
 from treegen.fnv import combine, hash_text
 from treegen.scheduler import (CONFIG_FILE, MANIFEST_FILE, NODES_FILE, CheckpointStore,
@@ -47,6 +53,21 @@ def run_to_completion(config, directory, workers=4, backend=None, embedder=None)
 
 
 # --- expand_parent -----------------------------------------------------------
+
+def test_expand_with_query_equals_expand_without(mock_embedder):
+    # the runner hands a parent its vector from the parent's own expansion;
+    # without it (the root, or a resumed frontier) the text is embedded anew
+    config = sft_config([3, 3])
+    template = get_template("plain")
+    root = expand_parent(Tree(config).root, [], 1, config, template,
+                         MockTextBackend(), mock_embedder)
+    assert [v.values for v in root.vectors] == [
+        mock_embedder.embed([c.text])[0].values for c in root.children]
+    for parent, query in zip(root.children, root.vectors):
+        args = (parent, [parent.text], 2, config, template, MockTextBackend(), mock_embedder)
+        given, embedded = expand_parent(*args, query=query), expand_parent(*args)
+        assert given == embedded
+
 
 def test_expand_requests_oversampled_pool(mock_embedder):
     config = sft_config([2, 2], dedup_threshold=1.01)
@@ -204,11 +225,37 @@ def test_checkpoint_round_trip_identity(tmp_path):
         assert clone.parent_id == node.parent_id
         assert clone.token_count == node.token_count
         assert clone.children == node.children
-        assert clone.embedding == node.embedding
+        # the runner keeps vectors apart from the tree; the records store them
+        assert node.embedding is None
+        expected = None if nid == ROOT_ID else MockEmbedder().embed([node.text])[0].values
+        assert clone.embedding == expected
         assert clone.gen_meta == node.gen_meta
 
 
 # --- resume ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("branching", [[8, 4, 2, 2], [8, 1, 1, 1]])
+def test_interrupt_and_resume_with_stored_embeddings(tmp_path, branching, workers):
+    # resume embeds the frontier parents' texts again; the records written
+    # after it, embeddings included, equal an uninterrupted run's
+    config = sft_config(branching)
+    baseline_dir = tmp_path / "baseline"
+    TreeRunner(config, MockTextBackend(), MockEmbedder(),
+               CheckpointStore(baseline_dir, include_embeddings=True), workers=workers).run()
+    baseline = (baseline_dir / NODES_FILE).read_bytes()
+    assert b'"embedding"' in baseline
+    for at in (5, 20):
+        crash_dir = tmp_path / f"crash-{at}"
+        aborting = AbortingStore(crash_dir, abort_after_nodes=at, include_embeddings=True)
+        with pytest.raises(InjectedCrash):
+            TreeRunner(config, MockTextBackend(), MockEmbedder(), aborting,
+                       workers=workers).run()
+        assert baseline.startswith((crash_dir / NODES_FILE).read_bytes())
+        TreeRunner(config, MockTextBackend(), MockEmbedder(),
+                   CheckpointStore(crash_dir, include_embeddings=True), workers=workers).run()
+        assert (crash_dir / NODES_FILE).read_bytes() == baseline
+
 
 def test_resume_complete_run_issues_no_calls(tmp_path):
     config = sft_config([2, 2])
@@ -513,6 +560,36 @@ def test_backend_failure_aborts_resumably(tmp_path, branching):
     assert_aborted_prefix_resumes(config, tmp_path / "t", workers)
 
 
+class DimensionChangingEmbedder(MockEmbedder):
+    """Returns 17-dimensional vectors from its ``from_call``-th call on."""
+
+    def __init__(self, from_call: int):
+        super().__init__()
+        self._lock = threading.Lock()
+        self.from_call = from_call
+        self.calls = 0
+
+    def embed(self, texts):
+        with self._lock:
+            self.calls += 1
+            grown = self.calls >= self.from_call
+        vectors = super().embed(texts)
+        if grown:
+            vectors = [EmbeddingVector(values=v.values + (0.0,)) for v in vectors]
+        return vectors
+
+
+@FAILFAST_SHAPES
+def test_embedding_dimension_change_aborts_resumably(tmp_path, branching):
+    # the root's vectors come from the first call; every later pool has 17
+    config = sft_config(branching)
+    runner = TreeRunner(config, MockTextBackend(), DimensionChangingEmbedder(from_call=2),
+                        CheckpointStore(tmp_path / "t"), workers=2)
+    with pytest.raises(ResumableRunError, match=r"has 16, its pool has \[17\]"):
+        runner.run()
+    assert_aborted_prefix_resumes(config, tmp_path / "t", workers=2)
+
+
 class InterruptingStore(CheckpointStore):
     """Raises KeyboardInterrupt at its ``at``-th commit, as a Ctrl-C would."""
 
@@ -619,3 +696,91 @@ def test_wide_tree_beats_balance_tree_with_latency(tmp_path):
     wide_elapsed = timed(wide, tmp_path / "wide")
     balance_elapsed = timed(balance, tmp_path / "balance")
     assert wide_elapsed < balance_elapsed
+
+
+# --- memory ------------------------------------------------------------------------
+
+class TrackedValues(list):
+    """A vector's floats. A list, because a tuple takes no weak reference."""
+
+
+class TrackingEmbedder(MockEmbedder):
+    """MockEmbedder that keeps a weak reference to the floats of every vector
+    it returns: whatever holds a vector, or only its values, keeps them live."""
+
+    def __init__(self):
+        super().__init__()
+        self._lock = threading.Lock()
+        self._refs: list[weakref.ref] = []
+
+    def embed(self, texts):
+        vectors = [EmbeddingVector(values=TrackedValues(v.values))
+                   for v in super().embed(texts)]
+        with self._lock:
+            self._refs.extend(weakref.ref(v.values) for v in vectors)
+        return vectors
+
+    def live(self) -> int:
+        with self._lock:
+            return sum(ref() is not None for ref in self._refs)
+
+
+class MemoryCheckingStore(CheckpointStore):
+    """At every commit, checks that the live vectors are at most those of the
+    committed unexpanded nodes above the last layer, of the children returned
+    by expansions but not yet committed (workers may finish tasks ahead of
+    the writer), and ``in_flight`` for the pools the workers are selecting
+    from."""
+
+    def __init__(self, directory, embedder: TrackingEmbedder, in_flight: int):
+        super().__init__(directory)
+        self.embedder = embedder
+        self.in_flight = in_flight
+        self.tree = None
+        self._lock = threading.Lock()
+        self.uncommitted = 0
+        self.commits = 0
+
+    def initialize(self, *args, **kwargs):
+        self.tree = super().initialize(*args, **kwargs)
+        return self.tree
+
+    def expanded(self, result):
+        with self._lock:
+            self.uncommitted += len(result.children)
+        return result
+
+    def append_block(self, nodes, **kwargs):
+        with self._lock:
+            uncommitted = self.uncommitted
+        bound = len(self.tree.unexpanded()) + uncommitted + self.in_flight
+        live = self.embedder.live()
+        assert live <= bound, f"commit {self.commits}: {live} vectors live, bound {bound}"
+        super().append_block(nodes, **kwargs)
+        with self._lock:
+            self.uncommitted -= len(nodes)
+        self.commits += 1
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("branching", [[4, 3, 2, 2], [16, 1, 1, 1]])
+def test_vectors_live_only_until_their_node_is_expanded(tmp_path, monkeypatch,
+                                                        branching, workers):
+    config = sft_config(branching)
+    embedder = TrackingEmbedder()
+    # a worker selects from at most two attempts' candidates plus the query;
+    # the root's pool is never in flight at a commit
+    pool = max(math.ceil(config.oversample_factor * n) for n in branching[1:])
+    store = MemoryCheckingStore(tmp_path / "t", embedder,
+                                in_flight=workers * (2 * pool + 1))
+    expand = scheduler.expand_parent
+    monkeypatch.setattr(scheduler, "expand_parent",
+                        lambda *args, **kwargs: store.expanded(expand(*args, **kwargs)))
+    tree = TreeRunner(config, MockTextBackend(), embedder, store, workers=workers).run()
+    assert store.commits > 1 + branching[0]
+    assert all(node.embedding is None for node in tree.nodes.values())
+    gc.collect()
+    assert embedder.live() == 0
+    run_to_completion(config, tmp_path / "plain", workers=workers)
+    assert (tmp_path / "t" / NODES_FILE).read_bytes() == \
+        (tmp_path / "plain" / NODES_FILE).read_bytes()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -12,7 +13,7 @@ from treegen.tree import (LayerSpec, Mode, Role, Tree, TreeConfig, TreeNode, Tre
                           config_to_dict, expected_leaf_count, node_from_record,
                           node_to_record, structural_key, validate_config)
 
-from conftest import build_full_tree, pt_config, sft_config
+from conftest import BAD_CONFIG_VALUES, bad_config_dict, build_full_tree, pt_config, sft_config
 
 
 # --- validate_config ---------------------------------------------------------
@@ -220,6 +221,14 @@ def test_unknown_layer_key_is_hard_error():
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize("case", list(BAD_CONFIG_VALUES))
+def test_bad_config_value_is_config_error(case):
+    raw, names = bad_config_dict(case)
+    raw = json.loads(json.dumps(raw))  # as load_config would see it
+    with pytest.raises(ConfigError, match=re.escape(names)):
+        config_from_dict(raw)
+
+
 def test_layer_roles_inferred_from_parity():
     raw = {
         "mode": "sft",
@@ -247,7 +256,7 @@ def test_node_record_round_trip():
                     text="hello world", token_count=2,
                     embedding=(0.5, 0.25, 0.8292156863),
                     gen_meta=GenMeta("mock", "stop", 3))
-    record = json.loads(json.dumps(node_to_record(node, include_embedding=True)))
+    record = json.loads(json.dumps(node_to_record(node, embedding=node.embedding)))
     clone = node_from_record(record)
     assert clone.id == node.id and clone.text == node.text
     assert clone.embedding == node.embedding
