@@ -17,8 +17,8 @@ from .analysis import compute_stats
 from .backends import (API_BASE_ENV, API_KEY_ENV, MODEL_ENV, HttpEmbedder,
                        HttpTextBackend, MockEmbedder, MockTextBackend)
 from .corpus import (TurnPolicy, build_corpus, export_jsonl, export_pt,
-                     export_sharegpt, gaussian_turn_policy, load_sharegpt,
-                     sample_to_size)
+                     export_sharegpt, gaussian_turn_policy, sample_to_size,
+                     validate_sharegpt_file)
 from .errors import ConfigError, ResumableRunError, TreeGenError
 from .scheduler import CheckpointStore, TreeRunner
 from .templates import resolve_template
@@ -124,7 +124,9 @@ def cmd_export(args) -> int:
         if tree.config.mode is not Mode.PT:
             raise ConfigError("--format pt needs a PT-mode tree")
         out = export_pt(tree, args.out, permissive=args.permissive)
-        _emit({"out": str(out), "lines": sum(1 for _ in open(out, encoding="utf-8"))})
+        with open(out, encoding="utf-8") as fh:
+            lines = sum(1 for _ in fh)
+        _emit({"out": str(out), "lines": lines})
         return EXIT_OK
 
     policy = _parse_policy(args.turn_policy, args.policy_seed)
@@ -140,7 +142,7 @@ def cmd_export(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    records = load_sharegpt(args.corpus)
+    records = validate_sharegpt_file(args.corpus)
     stats = compute_stats(records)
     _emit(stats.to_dict())
     return EXIT_OK

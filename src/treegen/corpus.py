@@ -270,11 +270,12 @@ def export_pt(tree: Tree, path: str | Path, permissive: bool = False) -> Path:
     return path
 
 
-def load_sharegpt(path: str | Path) -> list[ConversationRecord]:
-    """Re-parse an exported file (array or JSONL) into records (system empty).
+def validate_sharegpt_file(path: str | Path) -> list[ConversationRecord]:
+    """Re-parse an exported file (array or JSONL) into records (system empty)
+    and re-check each record's turn alternation.
 
     Raises ConfigError naming the file and the element (array index or JSONL
-    line) that is not JSON or not a ShareGPT record.
+    line) that is not JSON, not a ShareGPT record, or not a valid record.
     """
     path = Path(path)
     try:
@@ -305,17 +306,14 @@ def _record_from_element(element, where: str) -> ConversationRecord:
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"{where} is not a ShareGPT record "
                           f"({type(exc).__name__}: {exc})") from exc
-    return ConversationRecord(id=record_id, system="", turns=turns,
-                              source_leaf=record_id.split(":")[0],
-                              turn_count=len(turns) // 2)
-
-
-def validate_sharegpt_file(path: str | Path) -> list[ConversationRecord]:
-    """Re-parse and re-check alternation; raises on any malformed record."""
-    records = load_sharegpt(path)
-    for record in records:
+    record = ConversationRecord(id=record_id, system="", turns=turns,
+                                source_leaf=record_id.split(":")[0],
+                                turn_count=len(turns) // 2)
+    try:
         record.validate()
-    return records
+    except ConfigError as exc:
+        raise ConfigError(f"{where} is not a valid record: {exc}") from exc
+    return record
 
 
 def sample_to_size(records: Sequence[ConversationRecord], target_n: int,

@@ -1,21 +1,37 @@
 """Sibling-candidate selection: greedy MMR plus a near-duplicate cutoff.
 
-Candidate pools are small (a few hundred at most), so everything here is the
-plain O(n*k) greedy algorithm with exact arithmetic-order determinism: ties
-always resolve to the lowest candidate index.
+Selection is greedy maximal marginal relevance (Carbonell & Goldstein, SIGIR
+1998) over pools of a few hundred candidates at most, with exact
+arithmetic-order determinism: ties always resolve to the lowest candidate
+index.
 
 Every similarity is ``cosine()``'s arithmetic, bit for bit: squared norms and
 dot products are sequential per-dimension sums (``+=`` in index order, never
 ``sum()``, whose float summation is compensated from Python 3.12 on), roots are
-taken with ``** 0.5``, and a zero vector has similarity 0. ``PoolSimilarity``
-takes each norm once per pool and each pair's dot product at most once; as its
-results equal ``cosine()``'s, the saving changes no byte of ``nodes.jsonl``.
+taken with ``** 0.5``, and a zero vector has similarity 0. ``_dots`` takes one
+vector against four others per pass, each pair in its own sequential
+accumulator, so each of its results equals ``_dot``'s. ``PoolSimilarity``
+takes each norm once and each pair's dot product at most once; the scheduler
+keeps one per expansion, so a retry's grown pool reuses every pair of the
+first attempt. As the results equal ``cosine()``'s, none of this changes a
+byte of ``nodes.jsonl``.
+
+The greedy is lazy (Minoux's accelerated greedy, 1978). A candidate's maximum
+similarity to the picks only grows with each pick, and IEEE rounding is
+monotone, so the score a candidate had at its last refresh is an upper bound
+on its score now. The unpicked candidates wait in a heap keyed (-score,
+index); only the top one is refreshed, against the picks made since its last
+refresh, and it is picked once it is fresh and still on top. Picks, scores and
+the lowest-index tie rule are those of the eager loop that rescores every
+candidate at every step, but most pairs of a pool are never computed. The
+filter's backfill continues the same heap against the final pick set, and
+``MmrSelection.pool_scores`` is computed only when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+import heapq
+from typing import Iterator, Sequence
 
 from .backends import EmbeddingVector
 from .errors import ConfigError
@@ -35,6 +51,27 @@ def _dot(a: Sequence[float], b: Sequence[float]) -> float:
     return dot
 
 
+def _dots(a: Sequence[float], rows: Sequence[Sequence[float]]) -> list[float]:
+    """``[_dot(a, b) for b in rows]``, bit for bit, with one pass over ``a``
+    per four rows."""
+    dots: list[float] = []
+    full = len(rows) - len(rows) % 4
+    for start in range(0, full, 4):
+        s1 = s2 = s3 = s4 = 0.0
+        for x, y1, y2, y3, y4 in zip(a, *rows[start:start + 4]):
+            s1 += x * y1
+            s2 += x * y2
+            s3 += x * y3
+            s4 += x * y4
+        dots += (s1, s2, s3, s4)
+    for b in rows[full:]:
+        s = 0.0
+        for x, y in zip(a, b):
+            s += x * y
+        dots.append(s)
+    return dots
+
+
 def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
     """Cosine similarity in [-1, 1]; a zero vector has similarity 0 by definition."""
     if a.dim != b.dim:
@@ -50,66 +87,227 @@ class PoolSimilarity:
     """``cosine()`` between any two vectors of one pool, each pair computed once.
 
     Index ``i < len(candidates)`` is a candidate; the query, when given, is
-    index ``len(candidates)``. Raises ``ValueError`` unless every vector has
-    the same dimension.
+    index ``len(candidates)``. ``relevance`` holds each candidate's similarity
+    to the query. ``extend`` appends candidates and keeps every similarity
+    computed so far. Raises ``ValueError`` unless every vector has the same
+    dimension.
     """
 
     def __init__(self, candidates: Sequence[EmbeddingVector],
                  query: EmbeddingVector | None = None):
-        vectors = [c.values for c in candidates]
-        if query is not None:
-            vectors.append(query.values)
-        dims = sorted({len(v) for v in vectors})
-        if len(dims) > 1:
-            raise ValueError(f"dimension mismatch in pool: {dims}")
-        self._candidates = len(candidates)
-        self._size = size = len(vectors)
-        self._vectors = vectors
-        self._roots = [_sq_norm(v) ** 0.5 for v in vectors]
-        # pair (i, j) at i * size + j and at j * size + i once computed
-        self._sims: list[float | None] = [None] * (size * size)
+        self._query = None if query is None else query.values
+        self._query_root = None if query is None else _sq_norm(query.values) ** 0.5
+        self._vectors: list[Sequence[float]] = []
+        self._roots: list[float] = []
+        self._sims: list[list[float | None]] = []  # [i][j] and [j][i] once computed
+        self.relevance: list[float] = []
+        self.extend(candidates)
 
-    def covers(self, candidates: Sequence[EmbeddingVector]) -> bool:
-        """True if built from exactly these candidate vectors."""
-        return (len(candidates) == self._candidates
+    def _holds_prefix_of(self, candidates: Sequence[EmbeddingVector]) -> bool:
+        return (len(candidates) >= len(self._vectors)
                 and all(c.values is v for c, v in zip(candidates, self._vectors)))
 
+    def covers(self, candidates: Sequence[EmbeddingVector]) -> bool:
+        """True if holding exactly these candidate vectors."""
+        return len(candidates) == len(self._vectors) and self._holds_prefix_of(candidates)
+
+    def extend(self, candidates: Sequence[EmbeddingVector]) -> None:
+        """Add ``candidates`` past those already held, which must be its prefix."""
+        if not self._holds_prefix_of(candidates):
+            raise ValueError("a pool grows only by appending candidates")
+        new = [c.values for c in candidates[len(self._vectors):]]
+        known = self._vectors[:1] + ([] if self._query is None else [self._query])
+        dims = sorted({len(v) for v in known + new})
+        if len(dims) > 1:
+            raise ValueError(f"dimension mismatch in pool: {dims}")
+        roots = [_sq_norm(v) ** 0.5 for v in new]
+        if self._query is not None:
+            query_root = self._query_root
+            self.relevance += [0.0 if root == 0.0 or query_root == 0.0
+                               else dot / (root * query_root)
+                               for root, dot in zip(roots, _dots(self._query, new))]
+        for row in self._sims:
+            row += [None] * len(new)
+        size = len(self._vectors) + len(new)
+        self._sims += [[None] * size for _ in new]
+        self._vectors += new
+        self._roots += roots
+
     def __call__(self, i: int, j: int) -> float:
-        sim = self._sims[i * self._size + j]
+        size = len(self._vectors)
+        if i == size:
+            i, j = j, i
+        if j == size:  # the query
+            if i < size:
+                return self.relevance[i]
+            root = self._query_root
+            return 0.0 if root == 0.0 else _dot(self._query, self._query) / (root * root)
+        sim = self._sims[i][j]
         if sim is None:
             root_i, root_j = self._roots[i], self._roots[j]
             if root_i == 0.0 or root_j == 0.0:
                 sim = 0.0
             else:
                 sim = _dot(self._vectors[i], self._vectors[j]) / (root_i * root_j)
-            self._sims[i * self._size + j] = self._sims[j * self._size + i] = sim
+            self._sims[i][j] = self._sims[j][i] = sim
         return sim
 
+    def row(self, i: int, js: Sequence[int]) -> list[float]:
+        """``[self(i, j) for j in js]`` for candidates ``i`` and ``js``; the
+        pairs not yet computed are computed in one ``_dots`` call."""
+        sims = self._sims[i]
+        missing = [j for j in js if sims[j] is None]
+        if missing:
+            vectors, roots, root_i = self._vectors, self._roots, self._roots[i]
+            for j, dot in zip(missing, _dots(vectors[i], [vectors[j] for j in missing])):
+                root_j = roots[j]
+                sim = 0.0 if root_i == 0.0 or root_j == 0.0 else dot / (root_i * root_j)
+                sims[j] = self._sims[j][i] = sim
+        return [sims[j] for j in js]
 
-@dataclass(frozen=True)
+
+class _LazyMmr:
+    """Greedy MMR over one pool in the lazy order the module docstring gives.
+
+    ``picks`` and ``pick_scores`` are the first ``k`` picks and their scores.
+    ``backfill`` goes on in the same order past them, and ``pool_scores``
+    scores every candidate against all ``k`` picks.
+    """
+
+    def __init__(self, similarity: PoolSimilarity, k: int, lambda_: float):
+        self.similarity = similarity
+        self._lambda = lambda_
+        relevance = similarity.relevance
+        first = 0  # the first pick maximizes relevance; strict > keeps the lowest index
+        for i in range(1, len(relevance)):
+            if relevance[i] > relevance[first]:
+                first = i
+        self.picks = [first]
+        self.pick_scores = [relevance[first]]
+        # max similarity of each candidate to the first _seen[i] picks;
+        # similarities may be negative, so the empty-set sentinel is -inf
+        self._max_sim = [float("-inf")] * len(relevance)
+        self._seen = [0] * len(relevance)
+        self._heap: list[tuple[float, int]] | None = None  # built on first use
+        self._order: list[tuple[int, float]] = []  # backfill candidates found so far
+        self._pool_scores: tuple[float, ...] | None = None
+        while len(self.picks) < k:
+            i, score = self._pop()
+            self.picks.append(i)
+            self.pick_scores.append(score)
+
+    def _score(self, i: int) -> float:
+        return (self._lambda * self.similarity.relevance[i]
+                - (1.0 - self._lambda) * self._max_sim[i])
+
+    def _refresh(self, i: int) -> None:
+        """Fold the picks made since ``i``'s last refresh, in pick order."""
+        seen, picked = self._seen[i], len(self.picks)
+        if seen == picked - 1:
+            sim = self.similarity(i, self.picks[seen])
+            if sim > self._max_sim[i]:
+                self._max_sim[i] = sim
+        elif seen < picked:
+            best = self._max_sim[i]
+            for sim in self.similarity.row(i, self.picks[seen:]):
+                if sim > best:
+                    best = sim
+            self._max_sim[i] = best
+        self._seen[i] = picked
+
+    def _start(self) -> None:
+        """Score every other candidate against the first pick, one row, and heap them."""
+        first = self.picks[0]
+        others = [i for i in range(len(self._max_sim)) if i != first]
+        for i, sim in zip(others, self.similarity.row(first, others)):
+            if sim > self._max_sim[i]:
+                self._max_sim[i] = sim
+            self._seen[i] = 1
+        self._heap = [(-self._score(i), i) for i in others]
+        heapq.heapify(self._heap)
+
+    def _pop(self) -> tuple[int, float]:
+        """Take the unpicked candidate that scores best against every pick,
+        lowest index on ties, with its score."""
+        if self._heap is None:
+            self._start()
+        heap = self._heap
+        while True:
+            key, i = heap[0]
+            if self._seen[i] == len(self.picks):
+                heapq.heappop(heap)
+                return i, -key
+            self._refresh(i)
+            heapq.heapreplace(heap, (-self._score(i), i))
+
+    def backfill(self) -> Iterator[tuple[int, float]]:
+        """The unpicked candidates with their scores against all picks, best
+        first, lowest index on ties."""
+        yield from self._order
+        while len(self.picks) + len(self._order) < len(self._max_sim):
+            self._order.append(self._pop())
+            yield self._order[-1]
+
+    def pool_scores(self) -> tuple[float, ...]:
+        """Each candidate's score against all picks (its pick score if picked)."""
+        if self._pool_scores is None:
+            if self._heap is None:
+                self._start()
+            for _, i in self._heap:
+                self._refresh(i)
+            # refreshed entries are fresh now, so their keys must be too
+            self._heap = [(-self._score(i), i) for _, i in self._heap]
+            heapq.heapify(self._heap)
+            picked = dict(zip(self.picks, self.pick_scores))
+            self._pool_scores = tuple(picked[i] if i in picked else self._score(i)
+                                      for i in range(len(self._max_sim)))
+        return self._pool_scores
+
+
 class MmrSelection:
     """Result of one selection pass over a candidate pool.
 
     ``pool_scores`` holds, for every candidate, its MMR score against the
-    final selected set (the pick-step score for selected candidates); the
-    duplicate filter uses it as the backfill order. ``similarity`` carries the
-    pool's computed similarities from ``mmr_select`` to the filter.
+    final selected set (the pick-step score for selected candidates); a
+    selection made by ``mmr_select`` computes it when first read. The
+    duplicate filter backfills in that score order. ``similarity`` carries the
+    pool's computed similarities from ``mmr_select`` to the filter, and to the
+    next ``mmr_select`` on a grown pool.
     """
 
-    selected: tuple[int, ...]
-    scores: tuple[float, ...]
-    dropped_as_duplicates: tuple[int, ...]
-    pool_scores: tuple[float, ...]
-    similarity: PoolSimilarity | None = field(default=None, compare=False, repr=False)
+    def __init__(self, selected: tuple[int, ...], scores: tuple[float, ...],
+                 dropped_as_duplicates: tuple[int, ...],
+                 pool_scores: tuple[float, ...] | None = None,
+                 greedy: _LazyMmr | None = None):
+        self.selected = selected
+        self.scores = scores
+        self.dropped_as_duplicates = dropped_as_duplicates
+        self._pool_scores = pool_scores
+        self._greedy = greedy
+
+    @property
+    def pool_scores(self) -> tuple[float, ...]:
+        if self._pool_scores is None:
+            return self._greedy.pool_scores()
+        return self._pool_scores
+
+    @property
+    def similarity(self) -> PoolSimilarity | None:
+        return None if self._greedy is None else self._greedy.similarity
 
 
 def mmr_select(candidates: Sequence[EmbeddingVector], query: EmbeddingVector,
-               k: int, lambda_: float) -> MmrSelection:
+               k: int, lambda_: float,
+               similarity: PoolSimilarity | None = None) -> MmrSelection:
     """Greedy maximal-marginal-relevance selection of ``k`` candidates.
 
     The first pick maximizes relevance to the query; each later pick maximizes
     lambda*relevance - (1-lambda)*max-similarity-to-selected. Ties break to
     the lowest index.
+
+    ``similarity``, when given, is the ``similarity`` of an earlier selection
+    for the same query over a prefix of ``candidates``; it is extended to them,
+    and no pair it holds is computed again.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1 (got {k})")
@@ -118,41 +316,13 @@ def mmr_select(candidates: Sequence[EmbeddingVector], query: EmbeddingVector,
     if not 0.0 <= lambda_ <= 1.0:
         raise ConfigError(f"lambda must be in [0, 1] (got {lambda_})")
 
-    similarity = PoolSimilarity(candidates, query)
-    n = len(candidates)
-    relevance = [similarity(i, n) for i in range(n)]
-    picked: dict[int, float] = {}  # index -> its pick-step score, in pick order
-    # max similarity of each candidate to the selected set so far; similarities
-    # may be negative, so the empty-set sentinel must be -inf, not 0
-    max_sim = [float("-inf")] * n
-
-    for step in range(k):
-        best_idx = -1
-        best_score = 0.0
-        # scan in index order with strict >, so ties resolve to the lowest index
-        for i in range(n):
-            if i in picked:
-                continue
-            if step == 0:
-                score = relevance[i]
-            else:
-                score = lambda_ * relevance[i] - (1.0 - lambda_) * max_sim[i]
-            if best_idx == -1 or score > best_score:
-                best_idx = i
-                best_score = score
-        picked[best_idx] = best_score
-        for i in range(n):
-            if i not in picked:
-                sim = similarity(i, best_idx)
-                if sim > max_sim[i]:
-                    max_sim[i] = sim
-
-    pool_scores = tuple(picked[i] if i in picked
-                        else lambda_ * relevance[i] - (1.0 - lambda_) * max_sim[i]
-                        for i in range(n))
-    return MmrSelection(selected=tuple(picked), scores=tuple(picked.values()),
-                        dropped_as_duplicates=(), pool_scores=pool_scores,
-                        similarity=similarity)
+    if similarity is None:
+        similarity = PoolSimilarity(candidates, query)
+    else:
+        similarity.extend(candidates)
+    greedy = _LazyMmr(similarity, k, lambda_)
+    return MmrSelection(selected=tuple(greedy.picks), scores=tuple(greedy.pick_scores),
+                        dropped_as_duplicates=(), greedy=greedy)
 
 
 def near_duplicate_filter(candidates: Sequence[EmbeddingVector],
@@ -162,17 +332,19 @@ def near_duplicate_filter(candidates: Sequence[EmbeddingVector],
     Scans the selection in pick order, dropping any candidate whose cosine to
     an already kept candidate reaches ``threshold``, then backfills from the
     unselected pool in MMR-score order under the same rule. Thresholds above
-    1 disable the filter entirely. Reuses ``selection.similarity`` when it was
-    built from ``candidates``.
+    1 disable the filter entirely. Reuses the selection's similarities and
+    lazy order when it was made from ``candidates``.
     """
     if not 0.0 < threshold <= 1.01:
         raise ConfigError(f"threshold must be in (0, 1.01] (got {threshold})")
     if threshold > 1.0:
         return selection
 
-    similarity = selection.similarity
-    if similarity is None or not similarity.covers(candidates):
-        similarity = PoolSimilarity(candidates)
+    greedy = selection._greedy
+    if greedy is not None and greedy.similarity.covers(candidates):
+        similarity = greedy.similarity
+    else:
+        greedy, similarity = None, PoolSimilarity(candidates)
     target = len(selection.selected)
     kept: list[int] = []
     kept_scores: list[float] = []
@@ -189,18 +361,23 @@ def near_duplicate_filter(candidates: Sequence[EmbeddingVector],
             kept_scores.append(score)
 
     if len(kept) < target:
-        in_selection = set(selection.selected)
-        backfill = [i for i in range(len(candidates)) if i not in in_selection]
-        backfill.sort(key=lambda i: (-selection.pool_scores[i], i))
-        for idx in backfill:
-            if len(kept) >= target:
-                break
+        if greedy is not None and selection.selected == tuple(greedy.picks):
+            backfill = greedy.backfill()  # continue the selection's own heap
+        else:
+            in_selection = set(selection.selected)
+            pool_scores = selection.pool_scores
+            backfill = sorted(((i, pool_scores[i]) for i in range(len(candidates))
+                               if i not in in_selection),
+                              key=lambda item: (-item[1], item[0]))
+        for idx, score in backfill:
             if is_duplicate(idx):
                 dropped.append(idx)
             else:
                 kept.append(idx)
-                kept_scores.append(selection.pool_scores[idx])
+                kept_scores.append(score)
+                if len(kept) == target:
+                    break
 
     return MmrSelection(selected=tuple(kept), scores=tuple(kept_scores),
                         dropped_as_duplicates=tuple(dropped),
-                        pool_scores=selection.pool_scores, similarity=similarity)
+                        pool_scores=selection._pool_scores, greedy=selection._greedy)

@@ -338,6 +338,7 @@ def expand_parent(parent: TreeNode, path_texts: Sequence[str], layer_index: int,
     pool_vectors: list[EmbeddingVector] = []
 
     selection = None
+    similarity = None  # one per expansion: a retry's grown pool reuses attempt 0's pairs
     retried = False
     for attempt in range(2):
         offset = attempt * want
@@ -379,7 +380,9 @@ def expand_parent(parent: TreeNode, path_texts: Sequence[str], layer_index: int,
 
         if pool_vectors:
             k = min(layer.branching, len(pool_vectors))
-            selection = mmr_select(pool_vectors, query, k, config.mmr_lambda)
+            selection = mmr_select(pool_vectors, query, k, config.mmr_lambda,
+                                   similarity=similarity)
+            similarity = selection.similarity
             selection = near_duplicate_filter(pool_vectors, selection,
                                               config.dedup_threshold)
             if len(selection.selected) >= layer.branching:

@@ -10,7 +10,7 @@ concatenation of the texts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -27,12 +27,16 @@ class ChatTemplate:
     assistant_open: str = ""
     assistant_close: str = ""
     turn_separator: str = " "
+    _markers: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        candidates = (self.system_open, self.system_close, self.user_open,
+                      self.user_close, self.assistant_open, self.assistant_close)
+        object.__setattr__(self, "_markers", tuple(m for m in candidates if m))
 
     def markers(self) -> tuple[str, ...]:
         """All non-empty role markers (the separator is not a marker)."""
-        candidates = (self.system_open, self.system_close, self.user_open,
-                      self.user_close, self.assistant_open, self.assistant_close)
-        return tuple(m for m in candidates if m)
+        return self._markers
 
 
 PLAIN = ChatTemplate(id="plain")
@@ -149,12 +153,13 @@ def strip_completion(raw: str, stop_markers: Sequence[str],
     than escaped so they cannot corrupt deeper prompt renders.
     """
     cut = len(raw)
-    for marker in tuple(stop_markers) + template.markers():
-        if not marker:
-            continue
-        idx = raw.find(marker)
-        if idx != -1 and idx < cut:
-            cut = idx
+    for markers in (stop_markers, template.markers()):
+        for marker in markers:
+            if marker:
+                # only an occurrence that starts before the current cut can move it
+                idx = raw.find(marker, 0, cut + len(marker) - 1)
+                if idx != -1:
+                    cut = idx
     text = raw[:cut].strip()
     if not text:
         raise EmptyCompletionError("completion empty after stripping markers")

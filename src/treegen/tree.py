@@ -183,18 +183,22 @@ _LAYER_KEYS = {"branching", "max_tokens", "role", "temperature", "stop_markers"}
 
 def _number(raw: dict, key: str, kind: type, where: str, default=None):
     """``kind(raw[key])``, or ``default`` when the key is absent. A missing
-    key without a default, or a value that does not convert, is a ConfigError
-    naming ``where`` and the key."""
+    key without a default, a value that does not convert, or an integer field
+    whose value is not a JSON integer (a fraction, a boolean, a string) is a
+    ConfigError naming ``where`` and the key."""
     if key not in raw:
         if default is None:
             raise ConfigError(f"{where}missing required key {key!r}")
         return default
     value = raw[key]
+    if kind is int:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        raise ConfigError(f"{where}{key!r} must be an integer (got {value!r})")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{where}{key!r} must be {noun} (got {value!r})") from exc
+        raise ConfigError(f"{where}{key!r} must be a number (got {value!r})") from exc
 
 
 def _layer_from_dict(raw, mode: Mode, layer_index: int) -> LayerSpec:

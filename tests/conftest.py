@@ -61,6 +61,10 @@ BAD_CONFIG_VALUES = {
     "temperature-not-number": (1, "temperature", "hot", "layer 2: 'temperature'"),
     "branching-infinite": (0, "branching", float("inf"), "layer 1: 'branching'"),
     "stop-markers-not-list": (0, "stop_markers", 5, "layer 1: 'stop_markers'"),
+    "branching-fraction": (0, "branching", 2.7, "layer 1: 'branching'"),
+    "branching-boolean": (1, "branching", True, "layer 2: 'branching'"),
+    "max-tokens-string": (0, "max_tokens", "4", "layer 1: 'max_tokens'"),
+    "seed-fraction": (None, "seed", 1.9, "'seed'"),
 }
 
 

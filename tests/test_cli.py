@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -233,7 +235,9 @@ def test_export_sharegpt_and_stats(completed_run, tmp_path, capsys):
 @pytest.mark.parametrize("content, names", [
     ('{"not": "a corpus"}\n', "line 1 is not a ShareGPT record"),
     ("[1", "is not valid JSON"),
-], ids=["object-line", "truncated-array"])
+    ('[{"id": "a", "conversations": [{"from": "human", "value": "x"}]}]',
+     "element 0 is not a valid record"),
+], ids=["object-line", "truncated-array", "one-human-turn"])
 def test_stats_on_a_file_that_is_not_a_corpus_exits_1(tmp_path, capsys, content, names):
     path = tmp_path / "notes.json"
     path.write_text(content)
@@ -268,10 +272,14 @@ def test_export_pt_from_pt_tree(tmp_path, capsys):
     assert main(["generate", "--config", str(config_path), "--out", str(out_dir)]) == 0
     capsys.readouterr()
     corpus = tmp_path / "pt.jsonl"
-    code, out, _ = run_cli(capsys, "export", "--tree", str(out_dir),
-                           "--format", "pt", "--out", str(corpus))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        code, out, _ = run_cli(capsys, "export", "--tree", str(out_dir),
+                               "--format", "pt", "--out", str(corpus))
+        gc.collect()
     assert code == 0
     assert json.loads(out)["lines"] == 6
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_export_pt_rejects_sft_tree(completed_run, tmp_path, capsys):

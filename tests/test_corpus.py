@@ -9,8 +9,8 @@ import pytest
 
 from treegen.corpus import (ConversationRecord, Turn, TurnPolicy, build_corpus,
                             export_jsonl, export_pt, export_sharegpt,
-                            gaussian_turn_policy, gaussian_turn_weights, load_sharegpt,
-                            sample_to_size, validate_sharegpt_file)
+                            gaussian_turn_policy, gaussian_turn_weights, sample_to_size,
+                            validate_sharegpt_file)
 from treegen.errors import ConfigError, IncompleteTreeError, ModeError
 from treegen.templates import LLAMA2_CHAT
 from treegen.tree import Tree
@@ -186,7 +186,7 @@ def test_jsonl_export_line_count(tmp_path):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == len(records)
     assert all(set(json.loads(l)) == {"id", "conversations"} for l in lines)
-    assert load_sharegpt(out)[0].turns == sorted(records, key=lambda r: r.id)[0].turns
+    assert validate_sharegpt_file(out)[0].turns == sorted(records, key=lambda r: r.id)[0].turns
 
 
 # --- PT export ---------------------------------------------------------------------------

@@ -17,6 +17,11 @@ from treegen.backends import (EmbeddingVector, GenerationRequest, MockEmbedder,
                               MockTextBackend)
 from treegen.dedup import MmrSelection, cosine, mmr_select, near_duplicate_filter
 from treegen.errors import ConfigError
+from treegen.scheduler import expand_parent
+from treegen.templates import get_template
+from treegen.tree import Tree
+
+from conftest import sft_config
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -390,6 +395,26 @@ def test_selection_equals_per_pair_reference_bitwise(kind):
     assert ties > 10
 
 
+def test_filtering_a_filtered_selection_equals_reference():
+    # the second filter backfills from every candidate outside the filtered
+    # selection, MMR picks it dropped included, by their pool scores
+    rng = random.Random("filter-twice")
+    backfills = 0
+    for trial in range(200):
+        n = rng.randint(2, 10)
+        pool = [vec(*(rng.uniform(0, 1) for _ in range(3))) for _ in range(n)]
+        query = vec(*(rng.uniform(0, 1) for _ in range(3)))
+        k = rng.randint(1, n)
+        want = reference_mmr_select(pool, query, k, 0.5)
+        first = near_duplicate_filter(pool, mmr_select(pool, query, k, 0.5), 0.99)
+        kept, kept_scores, _ = reference_near_duplicate_filter(pool, *want, 0.99)
+        second = near_duplicate_filter(pool, first, 0.9)
+        again = reference_near_duplicate_filter(pool, kept, kept_scores, want[2], 0.9)
+        assert (second.selected, bits(second.scores)) == (again[0], bits(again[1])), trial
+        backfills += bool(set(again[0]) - set(kept))
+    assert backfills >= 10
+
+
 def test_mixed_dimension_pool_or_query_raises():
     with pytest.raises(ValueError):
         mmr_select([vec(1, 0), vec(1, 0, 0)], vec(1, 0), 1, 0.5)
@@ -414,16 +439,28 @@ def test_filter_rebuilds_similarities_for_another_pool():
     assert len(filtered.dropped_as_duplicates) == 1
 
 
-@pytest.mark.parametrize("n, k", [(1, 1), (6, 3), (9, 9), (16, 5)])
-def test_each_pair_computed_at_most_once(monkeypatch, n, k):
+def count_pairs(monkeypatch) -> list[frozenset]:
+    """Record the pair of value tuples behind every dot product, through both
+    ``_dot`` and ``_dots``."""
     pairs: list[frozenset] = []
-    real_dot = dedup._dot
+    real_dot, real_dots = dedup._dot, dedup._dots
 
     def counting_dot(a, b):
         pairs.append(frozenset((id(a), id(b))))
         return real_dot(a, b)
 
+    def counting_dots(a, rows):
+        pairs.extend(frozenset((id(a), id(b))) for b in rows)
+        return real_dots(a, rows)
+
     monkeypatch.setattr(dedup, "_dot", counting_dot)
+    monkeypatch.setattr(dedup, "_dots", counting_dots)
+    return pairs
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (6, 3), (9, 9), (16, 5)])
+def test_each_pair_computed_at_most_once(monkeypatch, n, k):
+    pairs = count_pairs(monkeypatch)
     rng = random.Random(n * 100 + k)
     pool = [vec(*(rng.gauss(0, 1) for _ in range(5))) for _ in range(n)]
     query = vec(*(rng.gauss(0, 1) for _ in range(5)))
@@ -440,6 +477,47 @@ def test_each_pair_computed_at_most_once(monkeypatch, n, k):
     filtered = near_duplicate_filter(dup_pool, selection, 0.95)
     assert set(filtered.selected) - set(selection.selected)  # backfilled
     assert len(pairs) == len(set(pairs))
+
+    # and across both attempts of one retried expansion: the retry's grown
+    # pool reuses every pair of the first attempt
+    pairs.clear()
+    config = sft_config([4, 2], dedup_threshold=0.95)
+    result = expand_parent(Tree(config).root, [], 1, config, get_template("plain"),
+                           MockTextBackend(fixed_text="always the same words"),
+                           MockEmbedder())
+    assert result.retried and result.dedup_drops > 0
+    assert len(pairs) == len(set(pairs)) > 0
+
+
+@pytest.mark.parametrize("dim", [0, 1, 5, 16])
+def test_dots_equals_dot_bitwise(dim):
+    rng = random.Random(f"dots-{dim}")
+    for count in range(10):  # every remainder of 4, twice
+        a = [rng.gauss(0, 1) * 10 ** rng.uniform(-3, 3) for _ in range(dim)]
+        rows = [[0.0] * dim if rng.random() < 0.25 else
+                [rng.gauss(0, 1) * 10 ** rng.uniform(-3, 3) for _ in range(dim)]
+                for _ in range(count)]
+        want = [dedup._dot(a, b) for b in rows]
+        assert bits(dedup._dots(a, rows)) == bits(want)
+        assert bits(dedup._dots([0.0] * dim, rows)) == bits([0.0] * count)
+
+
+def test_lazy_selection_computes_fewer_pairs_than_eager(monkeypatch):
+    # the eager greedy computes n relevance pairs and n pairs per pick
+    pairs = count_pairs(monkeypatch)
+    rng = random.Random("lazy-sign-d1024")
+    computed = eager = 0
+    for _ in range(6):
+        n = 32
+        raw = _sign_pool(rng, n)
+        pool = [EmbeddingVector(values=tuple(r)) for r in raw[:n]]
+        query = EmbeddingVector(values=tuple(raw[n]))
+        pairs.clear()
+        selection = mmr_select(pool, query, 16, 0.5)
+        near_duplicate_filter(pool, selection, 0.95)
+        computed += len(pairs)
+        eager += n + n * 16
+    assert computed < 0.6 * eager, (computed, eager)
 
 
 def test_import_does_not_load_numpy():
