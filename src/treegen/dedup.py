@@ -14,7 +14,8 @@ accumulator, so each of its results equals ``_dot``'s. ``PoolSimilarity``
 takes each norm once and each pair's dot product at most once; the scheduler
 keeps one per expansion, so a retry's grown pool reuses every pair of the
 first attempt. As the results equal ``cosine()``'s, none of this changes a
-byte of ``nodes.jsonl``.
+byte of ``nodes.jsonl``. A vector whose squared norm is not finite is
+rejected, so every similarity, and every score, is a number.
 
 The greedy is lazy (Minoux's accelerated greedy, 1978). A candidate's maximum
 similarity to the picks only grows with each pick, and IEEE rounding is
@@ -23,15 +24,16 @@ on its score now. The unpicked candidates wait in a heap keyed (-score,
 index); only the top one is refreshed, against the picks made since its last
 refresh, and it is picked once it is fresh and still on top. Picks, scores and
 the lowest-index tie rule are those of the eager loop that rescores every
-candidate at every step, but most pairs of a pool are never computed. The
-filter's backfill continues the same heap against the final pick set, and
-``MmrSelection.pool_scores`` is computed only when read.
+candidate at every step, but most pairs of a pool are never computed.
+``MmrSelection.pool_scores``, which the filter's backfill sorts by, scores the
+unpicked candidates against every pick only when first read.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterator, Sequence
+import math
+from typing import Sequence
 
 from .backends import EmbeddingVector
 from .errors import ConfigError
@@ -83,6 +85,14 @@ def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
     return _dot(a.values, b.values) / (sq_a**0.5 * sq_b**0.5)
 
 
+def _finite_roots(vectors: Sequence[Sequence[float]]) -> list[float]:
+    """The norm of each vector; ``ValueError`` if a squared norm overflows."""
+    roots = [_sq_norm(v) ** 0.5 for v in vectors]
+    if not all(map(math.isfinite, roots)):
+        raise ValueError("a vector's squared norm is not finite")
+    return roots
+
+
 class PoolSimilarity:
     """``cosine()`` between any two vectors of one pool, each pair computed once.
 
@@ -90,13 +100,13 @@ class PoolSimilarity:
     index ``len(candidates)``. ``relevance`` holds each candidate's similarity
     to the query. ``extend`` appends candidates and keeps every similarity
     computed so far. Raises ``ValueError`` unless every vector has the same
-    dimension.
+    dimension and a finite squared norm.
     """
 
     def __init__(self, candidates: Sequence[EmbeddingVector],
                  query: EmbeddingVector | None = None):
         self._query = None if query is None else query.values
-        self._query_root = None if query is None else _sq_norm(query.values) ** 0.5
+        self._query_root = None if query is None else _finite_roots([query.values])[0]
         self._vectors: list[Sequence[float]] = []
         self._roots: list[float] = []
         self._sims: list[list[float | None]] = []  # [i][j] and [j][i] once computed
@@ -120,7 +130,7 @@ class PoolSimilarity:
         dims = sorted({len(v) for v in known + new})
         if len(dims) > 1:
             raise ValueError(f"dimension mismatch in pool: {dims}")
-        roots = [_sq_norm(v) ** 0.5 for v in new]
+        roots = _finite_roots(new)
         if self._query is not None:
             query_root = self._query_root
             self.relevance += [0.0 if root == 0.0 or query_root == 0.0
@@ -169,9 +179,8 @@ class PoolSimilarity:
 class _LazyMmr:
     """Greedy MMR over one pool in the lazy order the module docstring gives.
 
-    ``picks`` and ``pick_scores`` are the first ``k`` picks and their scores.
-    ``backfill`` goes on in the same order past them, and ``pool_scores``
-    scores every candidate against all ``k`` picks.
+    ``picks`` and ``pick_scores`` are the ``k`` picks and their scores;
+    ``pool_scores`` scores every candidate against all of them.
     """
 
     def __init__(self, similarity: PoolSimilarity, k: int, lambda_: float):
@@ -188,9 +197,10 @@ class _LazyMmr:
         # similarities may be negative, so the empty-set sentinel is -inf
         self._max_sim = [float("-inf")] * len(relevance)
         self._seen = [0] * len(relevance)
-        self._heap: list[tuple[float, int]] | None = None  # built on first use
-        self._order: list[tuple[int, float]] = []  # backfill candidates found so far
+        self._heap: list[tuple[float, int]] = []
         self._pool_scores: tuple[float, ...] | None = None
+        if k > 1:
+            self._start()
         while len(self.picks) < k:
             i, score = self._pop()
             self.picks.append(i)
@@ -202,18 +212,12 @@ class _LazyMmr:
 
     def _refresh(self, i: int) -> None:
         """Fold the picks made since ``i``'s last refresh, in pick order."""
-        seen, picked = self._seen[i], len(self.picks)
-        if seen == picked - 1:
-            sim = self.similarity(i, self.picks[seen])
-            if sim > self._max_sim[i]:
-                self._max_sim[i] = sim
-        elif seen < picked:
-            best = self._max_sim[i]
-            for sim in self.similarity.row(i, self.picks[seen:]):
-                if sim > best:
-                    best = sim
-            self._max_sim[i] = best
-        self._seen[i] = picked
+        best = self._max_sim[i]
+        for sim in self.similarity.row(i, self.picks[self._seen[i]:]):
+            if sim > best:
+                best = sim
+        self._max_sim[i] = best
+        self._seen[i] = len(self.picks)
 
     def _start(self) -> None:
         """Score every other candidate against the first pick, one row, and heap them."""
@@ -229,8 +233,6 @@ class _LazyMmr:
     def _pop(self) -> tuple[int, float]:
         """Take the unpicked candidate that scores best against every pick,
         lowest index on ties, with its score."""
-        if self._heap is None:
-            self._start()
         heap = self._heap
         while True:
             key, i = heap[0]
@@ -240,27 +242,16 @@ class _LazyMmr:
             self._refresh(i)
             heapq.heapreplace(heap, (-self._score(i), i))
 
-    def backfill(self) -> Iterator[tuple[int, float]]:
-        """The unpicked candidates with their scores against all picks, best
-        first, lowest index on ties."""
-        yield from self._order
-        while len(self.picks) + len(self._order) < len(self._max_sim):
-            self._order.append(self._pop())
-            yield self._order[-1]
-
     def pool_scores(self) -> tuple[float, ...]:
         """Each candidate's score against all picks (its pick score if picked)."""
         if self._pool_scores is None:
-            if self._heap is None:
-                self._start()
-            for _, i in self._heap:
-                self._refresh(i)
-            # refreshed entries are fresh now, so their keys must be too
-            self._heap = [(-self._score(i), i) for _, i in self._heap]
-            heapq.heapify(self._heap)
             picked = dict(zip(self.picks, self.pick_scores))
-            self._pool_scores = tuple(picked[i] if i in picked else self._score(i)
-                                      for i in range(len(self._max_sim)))
+            scores = []
+            for i in range(len(self._max_sim)):
+                if i not in picked:
+                    self._refresh(i)
+                scores.append(picked[i] if i in picked else self._score(i))
+            self._pool_scores = tuple(scores)
         return self._pool_scores
 
 
@@ -271,8 +262,7 @@ class MmrSelection:
     final selected set (the pick-step score for selected candidates); a
     selection made by ``mmr_select`` computes it when first read. The
     duplicate filter backfills in that score order. ``similarity`` carries the
-    pool's computed similarities from ``mmr_select`` to the filter, and to the
-    next ``mmr_select`` on a grown pool.
+    pool's computed similarities from ``mmr_select`` to the filter.
     """
 
     def __init__(self, selected: tuple[int, ...], scores: tuple[float, ...],
@@ -305,9 +295,9 @@ def mmr_select(candidates: Sequence[EmbeddingVector], query: EmbeddingVector,
     lambda*relevance - (1-lambda)*max-similarity-to-selected. Ties break to
     the lowest index.
 
-    ``similarity``, when given, is the ``similarity`` of an earlier selection
-    for the same query over a prefix of ``candidates``; it is extended to them,
-    and no pair it holds is computed again.
+    ``similarity``, when given, is a ``PoolSimilarity`` for the same query
+    over a prefix of ``candidates``; it is extended to them, and no pair it
+    holds is computed again.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1 (got {k})")
@@ -332,19 +322,17 @@ def near_duplicate_filter(candidates: Sequence[EmbeddingVector],
     Scans the selection in pick order, dropping any candidate whose cosine to
     an already kept candidate reaches ``threshold``, then backfills from the
     unselected pool in MMR-score order under the same rule. Thresholds above
-    1 disable the filter entirely. Reuses the selection's similarities and
-    lazy order when it was made from ``candidates``.
+    1 disable the filter entirely. Reuses the selection's similarities when
+    it was made from ``candidates``.
     """
     if not 0.0 < threshold <= 1.01:
         raise ConfigError(f"threshold must be in (0, 1.01] (got {threshold})")
     if threshold > 1.0:
         return selection
 
-    greedy = selection._greedy
-    if greedy is not None and greedy.similarity.covers(candidates):
-        similarity = greedy.similarity
-    else:
-        greedy, similarity = None, PoolSimilarity(candidates)
+    similarity = selection.similarity
+    if similarity is None or not similarity.covers(candidates):
+        similarity = PoolSimilarity(candidates)
     target = len(selection.selected)
     kept: list[int] = []
     kept_scores: list[float] = []
@@ -361,14 +349,11 @@ def near_duplicate_filter(candidates: Sequence[EmbeddingVector],
             kept_scores.append(score)
 
     if len(kept) < target:
-        if greedy is not None and selection.selected == tuple(greedy.picks):
-            backfill = greedy.backfill()  # continue the selection's own heap
-        else:
-            in_selection = set(selection.selected)
-            pool_scores = selection.pool_scores
-            backfill = sorted(((i, pool_scores[i]) for i in range(len(candidates))
-                               if i not in in_selection),
-                              key=lambda item: (-item[1], item[0]))
+        in_selection = set(selection.selected)
+        pool_scores = selection.pool_scores
+        backfill = sorted(((i, pool_scores[i]) for i in range(len(candidates))
+                           if i not in in_selection),
+                          key=lambda item: (-item[1], item[0]))
         for idx, score in backfill:
             if is_duplicate(idx):
                 dropped.append(idx)

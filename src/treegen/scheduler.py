@@ -42,7 +42,7 @@ from typing import Sequence
 
 from .backends import (EmbeddingBackend, EmbeddingVector, GenerationBackend,
                        GenerationRequest)
-from .dedup import mmr_select, near_duplicate_filter
+from .dedup import PoolSimilarity, mmr_select, near_duplicate_filter
 from .errors import (BackendError, CheckpointError, ConfigError,
                      EmptyCompletionError, ResumableRunError)
 from .fnv import combine
@@ -326,7 +326,8 @@ def expand_parent(parent: TreeNode, path_texts: Sequence[str], layer_index: int,
 
     ``query`` is the parent's embedding, the MMR query. Without it the
     parent's text is embedded with the pool. A pool vector whose dimension
-    differs from the query's is a ``BackendError``.
+    differs from the query's, or any vector whose squared norm is not finite,
+    is a ``BackendError``.
     """
     layer = config.layer(layer_index)
     want = math.ceil(config.oversample_factor * layer.branching)
@@ -377,12 +378,18 @@ def expand_parent(parent: TreeNode, path_texts: Sequence[str], layer_index: int,
                     f"embedding dimension changed: the query of parent {parent.id} "
                     f"has {query.dim}, its pool has {sorted(dims)}")
             pool_vectors.extend(vectors)
+            try:
+                if similarity is None:
+                    similarity = PoolSimilarity(pool_vectors, query)
+                else:
+                    similarity.extend(pool_vectors)
+            except ValueError as exc:
+                raise BackendError(f"embedding for parent {parent.id}: {exc}") from exc
 
         if pool_vectors:
             k = min(layer.branching, len(pool_vectors))
             selection = mmr_select(pool_vectors, query, k, config.mmr_lambda,
                                    similarity=similarity)
-            similarity = selection.similarity
             selection = near_duplicate_filter(pool_vectors, selection,
                                               config.dedup_threshold)
             if len(selection.selected) >= layer.branching:

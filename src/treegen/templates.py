@@ -10,7 +10,8 @@ concatenation of the texts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -27,16 +28,13 @@ class ChatTemplate:
     assistant_open: str = ""
     assistant_close: str = ""
     turn_separator: str = " "
-    _markers: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        candidates = (self.system_open, self.system_close, self.user_open,
-                      self.user_close, self.assistant_open, self.assistant_close)
-        object.__setattr__(self, "_markers", tuple(m for m in candidates if m))
-
+    @cached_property
     def markers(self) -> tuple[str, ...]:
         """All non-empty role markers (the separator is not a marker)."""
-        return self._markers
+        candidates = (self.system_open, self.system_close, self.user_open,
+                      self.user_close, self.assistant_open, self.assistant_close)
+        return tuple(m for m in candidates if m)
 
 
 PLAIN = ChatTemplate(id="plain")
@@ -153,7 +151,7 @@ def strip_completion(raw: str, stop_markers: Sequence[str],
     than escaped so they cannot corrupt deeper prompt renders.
     """
     cut = len(raw)
-    for markers in (stop_markers, template.markers()):
+    for markers in (stop_markers, template.markers):
         for marker in markers:
             if marker:
                 # only an occurrence that starts before the current cut can move it

@@ -200,7 +200,7 @@ def test_pt_export_line_per_leaf(tmp_path):
     for line in lines:
         payload = json.loads(line)
         assert set(payload) == {"text"}
-        for marker in LLAMA2_CHAT.markers():
+        for marker in LLAMA2_CHAT.markers:
             assert marker not in payload["text"]
 
 

@@ -430,6 +430,14 @@ def test_mixed_dimension_pool_or_query_raises():
         near_duplicate_filter(mixed, other_pool, 0.95)
 
 
+def test_overflowing_squared_norm_raises():
+    # 1e200 is finite, its square is not; such a cosine would be nan
+    with pytest.raises(ValueError, match="not finite"):
+        mmr_select([vec(1e200, 0), vec(0, 1)], vec(1, 0), 1, 0.5)
+    with pytest.raises(ValueError, match="not finite"):
+        mmr_select([vec(1, 0), vec(0, 1)], vec(0, -1e200), 1, 0.5)
+
+
 def test_filter_rebuilds_similarities_for_another_pool():
     orthogonal = [vec(1, 0), vec(0, 1)]
     selection = mmr_select(orthogonal, vec(1, 1), 2, 0.5)

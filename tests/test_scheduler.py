@@ -15,7 +15,7 @@ import pytest
 from treegen import scheduler
 from treegen.backends import (Completion, EmbeddingVector, GenerationResult, MockEmbedder,
                               MockTextBackend)
-from treegen.errors import CheckpointError, ResumableRunError
+from treegen.errors import BackendError, CheckpointError, ResumableRunError
 from treegen.fnv import combine, hash_text
 from treegen.scheduler import (CONFIG_FILE, MANIFEST_FILE, NODES_FILE, CheckpointStore,
                                TreeRunner, expand_parent)
@@ -588,6 +588,25 @@ def test_embedding_dimension_change_aborts_resumably(tmp_path, branching):
     with pytest.raises(ResumableRunError, match=r"has 16, its pool has \[17\]"):
         runner.run()
     assert_aborted_prefix_resumes(config, tmp_path / "t", workers=2)
+
+
+class OverflowingEmbedder(MockEmbedder):
+    """Scales the first vector of every call by 1e200: each value stays
+    finite, but the squared norm does not, and a cosine of it is nan."""
+
+    def embed(self, texts):
+        first, *rest = super().embed(texts)
+        return [EmbeddingVector(values=tuple(x * 1e200 for x in first.values))] + rest
+
+
+@pytest.mark.parametrize("overflowing", ["query", "pool"])
+def test_overflowing_embedding_is_a_backend_error(overflowing):
+    # without a query the root's text is embedded first, ahead of its pool
+    config = sft_config([4, 2])
+    query = None if overflowing == "query" else MockEmbedder().embed_one("root")
+    with pytest.raises(BackendError, match="squared norm is not finite"):
+        expand_parent(Tree(config).root, [], 1, config, get_template("plain"),
+                      MockTextBackend(), OverflowingEmbedder(), query=query)
 
 
 class InterruptingStore(CheckpointStore):

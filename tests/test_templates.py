@@ -115,7 +115,7 @@ def test_continuation_prompt_joins_with_separator():
 
 def test_continuation_prompt_has_no_role_markers():
     out = render_continuation_prompt(["fact A", "fact B"], "P0", separator=" ")
-    for marker in LLAMA2_CHAT.markers() + TAGGED.markers():
+    for marker in LLAMA2_CHAT.markers + TAGGED.markers:
         assert marker not in out
 
 
