@@ -74,6 +74,9 @@ class GenerationBackend(ABC):
     def generate(self, request: GenerationRequest) -> GenerationResult:
         """Return exactly ``request.n_samples`` completions."""
 
+    def close(self) -> None:
+        """Release the connections the backend opened; the mock opens none."""
+
     def check_request(self, request: GenerationRequest) -> None:
         if request.n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
@@ -88,6 +91,9 @@ class EmbeddingBackend(ABC):
     @abstractmethod
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
         """One vector per input text, same order, uniform dimension."""
+
+    def close(self) -> None:
+        """Release the connections the backend opened; the mock opens none."""
 
 
 # --- deterministic mocks ----------------------------------------------------
@@ -241,16 +247,29 @@ class _HttpBase:
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         # sessions are not safe to share across threads; keep one per thread
-        # unless the caller supplies one explicitly (tests)
+        # unless the caller supplies one explicitly (tests), and list them all
+        # for close()
         self._shared_session = session
         self._local = threading.local()
+        self._opened: list[requests.Session] = []
+        self._opened_lock = threading.Lock()
 
     def _session(self) -> requests.Session:
         if self._shared_session is not None:
             return self._shared_session
         if not hasattr(self._local, "session"):
             self._local.session = requests.Session()
+            with self._opened_lock:
+                self._opened.append(self._local.session)
         return self._local.session
+
+    def close(self) -> None:
+        """Close every session this backend opened, on any thread; a session
+        the caller supplied is the caller's to close."""
+        with self._opened_lock:
+            opened, self._opened = self._opened, []
+        for session in opened:
+            session.close()
 
     def _item_problem(self, item) -> str | None:
         """Why one reply item is unusable, or None; subclasses check their fields."""

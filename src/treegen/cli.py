@@ -75,21 +75,23 @@ def cmd_generate(args) -> int:
 
     template = resolve_template(args.template) if args.template else None
     generator, embedder = _build_backends(args)
-    store = CheckpointStore(args.out, include_embeddings=args.store_embeddings)
-
-    if args.resume and not store.exists():
-        raise ConfigError(f"no checkpoint to resume in {args.out}")
-    if not args.resume and store.exists():
-        raise ConfigError(
-            f"{args.out} already holds a checkpoint; pass --resume to continue it")
-
-    runner = TreeRunner(config, generator, embedder, store,
-                        template=template, workers=args.workers)
     try:
-        tree = runner.run()
-    except KeyboardInterrupt:
-        log.error("interrupted; checkpoint in %s is resumable", args.out)
-        return EXIT_RESUMABLE
+        store = CheckpointStore(args.out, include_embeddings=args.store_embeddings)
+        if args.resume and not store.exists():
+            raise ConfigError(f"no checkpoint to resume in {args.out}")
+        if not args.resume and store.exists():
+            raise ConfigError(
+                f"{args.out} already holds a checkpoint; pass --resume to continue it")
+        runner = TreeRunner(config, generator, embedder, store,
+                            template=template, workers=args.workers)
+        try:
+            tree = runner.run()
+        except KeyboardInterrupt:
+            log.error("interrupted; checkpoint in %s is resumable", args.out)
+            return EXIT_RESUMABLE
+    finally:  # whether or not the run succeeded
+        generator.close()
+        embedder.close()
     _emit({
         "status": "complete",
         "out": str(args.out),

@@ -5,17 +5,18 @@ Selection is greedy maximal marginal relevance (Carbonell & Goldstein, SIGIR
 arithmetic-order determinism: ties always resolve to the lowest candidate
 index.
 
-Every similarity is ``cosine()``'s arithmetic, bit for bit: squared norms and
-dot products are sequential per-dimension sums (``+=`` in index order, never
-``sum()``, whose float summation is compensated from Python 3.12 on), roots are
-taken with ``** 0.5``, and a zero vector has similarity 0. ``_dots`` takes one
-vector against four others per pass, each pair in its own sequential
-accumulator, so each of its results equals ``_dot``'s. ``PoolSimilarity``
-takes each norm once and each pair's dot product at most once; the scheduler
-keeps one per expansion, so a retry's grown pool reuses every pair of the
-first attempt. As the results equal ``cosine()``'s, none of this changes a
-byte of ``nodes.jsonl``. A vector whose squared norm is not finite is
-rejected, so every similarity, and every score, is a number.
+Every similarity is a cosine with one fixed arithmetic, bit for bit: squared
+norms and dot products are sequential per-dimension sums (``+=`` in index
+order, never ``sum()``, whose float summation is compensated from Python 3.12
+on), roots are taken with ``** 0.5``, a cosine is ``dot / (root_a * root_b)``,
+and a zero vector has similarity 0. ``PoolSimilarity`` is the one place a
+similarity is computed. It takes each norm once and each pair's dot product at
+most once, through ``_dots``, which takes one vector against four others per
+pass, each pair in its own sequential accumulator. The scheduler keeps one per
+expansion, so a retry's grown pool reuses every pair of the first attempt. As
+the arithmetic never changes, none of this changes a byte of ``nodes.jsonl``.
+A vector whose squared norm is not finite is rejected, so every similarity,
+and every score, is a number.
 
 The greedy is lazy (Minoux's accelerated greedy, 1978). A candidate's maximum
 similarity to the picks only grows with each pick, and IEEE rounding is
@@ -46,16 +47,9 @@ def _sq_norm(values: Sequence[float]) -> float:
     return sq
 
 
-def _dot(a: Sequence[float], b: Sequence[float]) -> float:
-    dot = 0.0
-    for x, y in zip(a, b):
-        dot += x * y
-    return dot
-
-
 def _dots(a: Sequence[float], rows: Sequence[Sequence[float]]) -> list[float]:
-    """``[_dot(a, b) for b in rows]``, bit for bit, with one pass over ``a``
-    per four rows."""
+    """The dot product of ``a`` with each row, each a sequential sum, with one
+    pass over ``a`` per four rows."""
     dots: list[float] = []
     full = len(rows) - len(rows) % 4
     for start in range(0, full, 4):
@@ -74,17 +68,6 @@ def _dots(a: Sequence[float], rows: Sequence[Sequence[float]]) -> list[float]:
     return dots
 
 
-def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    """Cosine similarity in [-1, 1]; a zero vector has similarity 0 by definition."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    sq_a = _sq_norm(a.values)
-    sq_b = _sq_norm(b.values)
-    if sq_a == 0.0 or sq_b == 0.0:
-        return 0.0
-    return _dot(a.values, b.values) / (sq_a**0.5 * sq_b**0.5)
-
-
 def _finite_roots(vectors: Sequence[Sequence[float]]) -> list[float]:
     """The norm of each vector; ``ValueError`` if a squared norm overflows."""
     roots = [_sq_norm(v) ** 0.5 for v in vectors]
@@ -94,77 +77,49 @@ def _finite_roots(vectors: Sequence[Sequence[float]]) -> list[float]:
 
 
 class PoolSimilarity:
-    """``cosine()`` between any two vectors of one pool, each pair computed once.
+    """The cosines within one pool of candidates and against its query, each
+    computed at most once.
 
-    Index ``i < len(candidates)`` is a candidate; the query, when given, is
-    index ``len(candidates)``. ``relevance`` holds each candidate's similarity
-    to the query. ``extend`` appends candidates and keeps every similarity
-    computed so far. Raises ``ValueError`` unless every vector has the same
-    dimension and a finite squared norm.
+    ``relevance`` holds each candidate's similarity to the query, and ``row``
+    reads similarities between candidates. ``extend`` appends candidates and
+    keeps every similarity computed so far. Raises ``ValueError`` unless every
+    vector has the query's dimension and a finite squared norm.
     """
 
-    def __init__(self, candidates: Sequence[EmbeddingVector],
-                 query: EmbeddingVector | None = None):
-        self._query = None if query is None else query.values
-        self._query_root = None if query is None else _finite_roots([query.values])[0]
+    def __init__(self, query: EmbeddingVector):
+        self._query = query.values
+        self._query_root = _finite_roots([query.values])[0]
         self._vectors: list[Sequence[float]] = []
         self._roots: list[float] = []
         self._sims: list[list[float | None]] = []  # [i][j] and [j][i] once computed
         self.relevance: list[float] = []
-        self.extend(candidates)
-
-    def _holds_prefix_of(self, candidates: Sequence[EmbeddingVector]) -> bool:
-        return (len(candidates) >= len(self._vectors)
-                and all(c.values is v for c, v in zip(candidates, self._vectors)))
-
-    def covers(self, candidates: Sequence[EmbeddingVector]) -> bool:
-        """True if holding exactly these candidate vectors."""
-        return len(candidates) == len(self._vectors) and self._holds_prefix_of(candidates)
 
     def extend(self, candidates: Sequence[EmbeddingVector]) -> None:
         """Add ``candidates`` past those already held, which must be its prefix."""
-        if not self._holds_prefix_of(candidates):
+        held = len(self._vectors)
+        if (len(candidates) < held
+                or any(c.values is not v for c, v in zip(candidates, self._vectors))):
             raise ValueError("a pool grows only by appending candidates")
-        new = [c.values for c in candidates[len(self._vectors):]]
-        known = self._vectors[:1] + ([] if self._query is None else [self._query])
-        dims = sorted({len(v) for v in known + new})
-        if len(dims) > 1:
-            raise ValueError(f"dimension mismatch in pool: {dims}")
+        new = [c.values for c in candidates[held:]]
+        dim = len(self._query)
+        dims = sorted({len(v) for v in new} - {dim})
+        if dims:
+            raise ValueError(f"dimension mismatch: the query has {dim}, its pool has {dims}")
         roots = _finite_roots(new)
-        if self._query is not None:
-            query_root = self._query_root
-            self.relevance += [0.0 if root == 0.0 or query_root == 0.0
-                               else dot / (root * query_root)
-                               for root, dot in zip(roots, _dots(self._query, new))]
+        query_root = self._query_root
+        self.relevance += [0.0 if root == 0.0 or query_root == 0.0
+                           else dot / (root * query_root)
+                           for root, dot in zip(roots, _dots(self._query, new))]
         for row in self._sims:
             row += [None] * len(new)
-        size = len(self._vectors) + len(new)
+        size = held + len(new)
         self._sims += [[None] * size for _ in new]
         self._vectors += new
         self._roots += roots
 
-    def __call__(self, i: int, j: int) -> float:
-        size = len(self._vectors)
-        if i == size:
-            i, j = j, i
-        if j == size:  # the query
-            if i < size:
-                return self.relevance[i]
-            root = self._query_root
-            return 0.0 if root == 0.0 else _dot(self._query, self._query) / (root * root)
-        sim = self._sims[i][j]
-        if sim is None:
-            root_i, root_j = self._roots[i], self._roots[j]
-            if root_i == 0.0 or root_j == 0.0:
-                sim = 0.0
-            else:
-                sim = _dot(self._vectors[i], self._vectors[j]) / (root_i * root_j)
-            self._sims[i][j] = self._sims[j][i] = sim
-        return sim
-
     def row(self, i: int, js: Sequence[int]) -> list[float]:
-        """``[self(i, j) for j in js]`` for candidates ``i`` and ``js``; the
-        pairs not yet computed are computed in one ``_dots`` call."""
+        """The similarities of candidate ``i`` to candidates ``js``; the pairs
+        not yet computed are computed in one ``_dots`` call."""
         sims = self._sims[i]
         missing = [j for j in js if sims[j] is None]
         if missing:
@@ -259,31 +214,26 @@ class MmrSelection:
     """Result of one selection pass over a candidate pool.
 
     ``pool_scores`` holds, for every candidate, its MMR score against the
-    final selected set (the pick-step score for selected candidates); a
-    selection made by ``mmr_select`` computes it when first read. The
-    duplicate filter backfills in that score order. ``similarity`` carries the
-    pool's computed similarities from ``mmr_select`` to the filter.
+    final selected set (the pick-step score for selected candidates), computed
+    when first read. The duplicate filter backfills in that score order.
+    ``similarity`` carries the pool's computed similarities from
+    ``mmr_select`` to the filter.
     """
 
     def __init__(self, selected: tuple[int, ...], scores: tuple[float, ...],
-                 dropped_as_duplicates: tuple[int, ...],
-                 pool_scores: tuple[float, ...] | None = None,
-                 greedy: _LazyMmr | None = None):
+                 dropped_as_duplicates: tuple[int, ...], greedy: _LazyMmr):
         self.selected = selected
         self.scores = scores
         self.dropped_as_duplicates = dropped_as_duplicates
-        self._pool_scores = pool_scores
         self._greedy = greedy
 
     @property
     def pool_scores(self) -> tuple[float, ...]:
-        if self._pool_scores is None:
-            return self._greedy.pool_scores()
-        return self._pool_scores
+        return self._greedy.pool_scores()
 
     @property
-    def similarity(self) -> PoolSimilarity | None:
-        return None if self._greedy is None else self._greedy.similarity
+    def similarity(self) -> PoolSimilarity:
+        return self._greedy.similarity
 
 
 def mmr_select(candidates: Sequence[EmbeddingVector], query: EmbeddingVector,
@@ -296,8 +246,9 @@ def mmr_select(candidates: Sequence[EmbeddingVector], query: EmbeddingVector,
     the lowest index.
 
     ``similarity``, when given, is a ``PoolSimilarity`` for the same query
-    over a prefix of ``candidates``; it is extended to them, and no pair it
-    holds is computed again.
+    over a prefix of ``candidates``, such as an earlier selection's; it is
+    extended to them, and no pair it holds is computed again. Raises
+    ``ValueError`` as ``PoolSimilarity`` does.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1 (got {k})")
@@ -307,9 +258,8 @@ def mmr_select(candidates: Sequence[EmbeddingVector], query: EmbeddingVector,
         raise ConfigError(f"lambda must be in [0, 1] (got {lambda_})")
 
     if similarity is None:
-        similarity = PoolSimilarity(candidates, query)
-    else:
-        similarity.extend(candidates)
+        similarity = PoolSimilarity(query)
+    similarity.extend(candidates)
     greedy = _LazyMmr(similarity, k, lambda_)
     return MmrSelection(selected=tuple(greedy.picks), scores=tuple(greedy.pick_scores),
                         dropped_as_duplicates=(), greedy=greedy)
@@ -322,8 +272,9 @@ def near_duplicate_filter(candidates: Sequence[EmbeddingVector],
     Scans the selection in pick order, dropping any candidate whose cosine to
     an already kept candidate reaches ``threshold``, then backfills from the
     unselected pool in MMR-score order under the same rule. Thresholds above
-    1 disable the filter entirely. Reuses the selection's similarities when
-    it was made from ``candidates``.
+    1 disable the filter entirely. The similarities are the selection's own,
+    so ``selection`` must have been made over ``candidates``; a
+    ``ValueError`` otherwise.
     """
     if not 0.0 < threshold <= 1.01:
         raise ConfigError(f"threshold must be in (0, 1.01] (got {threshold})")
@@ -331,15 +282,16 @@ def near_duplicate_filter(candidates: Sequence[EmbeddingVector],
         return selection
 
     similarity = selection.similarity
-    if similarity is None or not similarity.covers(candidates):
-        similarity = PoolSimilarity(candidates)
+    if len(candidates) != len(similarity.relevance):
+        raise ValueError("the selection was made over another pool")
+    similarity.extend(candidates)  # adds none, but checks they are the pool's own
     target = len(selection.selected)
     kept: list[int] = []
     kept_scores: list[float] = []
     dropped = list(selection.dropped_as_duplicates)
 
     def is_duplicate(idx: int) -> bool:
-        return any(similarity(idx, j) >= threshold for j in kept)
+        return any(sim >= threshold for sim in similarity.row(idx, kept))
 
     for idx, score in zip(selection.selected, selection.scores):
         if is_duplicate(idx):
@@ -364,5 +316,4 @@ def near_duplicate_filter(candidates: Sequence[EmbeddingVector],
                     break
 
     return MmrSelection(selected=tuple(kept), scores=tuple(kept_scores),
-                        dropped_as_duplicates=tuple(dropped),
-                        pool_scores=selection._pool_scores, greedy=selection._greedy)
+                        dropped_as_duplicates=tuple(dropped), greedy=selection._greedy)

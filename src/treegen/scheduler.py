@@ -42,7 +42,7 @@ from typing import Sequence
 
 from .backends import (EmbeddingBackend, EmbeddingVector, GenerationBackend,
                        GenerationRequest)
-from .dedup import PoolSimilarity, mmr_select, near_duplicate_filter
+from .dedup import mmr_select, near_duplicate_filter
 from .errors import (BackendError, CheckpointError, ConfigError,
                      EmptyCompletionError, ResumableRunError)
 from .fnv import combine
@@ -339,7 +339,6 @@ def expand_parent(parent: TreeNode, path_texts: Sequence[str], layer_index: int,
     pool_vectors: list[EmbeddingVector] = []
 
     selection = None
-    similarity = None  # one per expansion: a retry's grown pool reuses attempt 0's pairs
     retried = False
     for attempt in range(2):
         offset = attempt * want
@@ -372,24 +371,18 @@ def expand_parent(parent: TreeNode, path_texts: Sequence[str], layer_index: int,
                 query, vectors = vectors[0], vectors[1:]
             else:
                 vectors = embedder.embed(new_texts)
-            dims = {v.dim for v in vectors} - {query.dim}
-            if dims:
-                raise BackendError(
-                    f"embedding dimension changed: the query of parent {parent.id} "
-                    f"has {query.dim}, its pool has {sorted(dims)}")
             pool_vectors.extend(vectors)
-            try:
-                if similarity is None:
-                    similarity = PoolSimilarity(pool_vectors, query)
-                else:
-                    similarity.extend(pool_vectors)
-            except ValueError as exc:
-                raise BackendError(f"embedding for parent {parent.id}: {exc}") from exc
 
         if pool_vectors:
             k = min(layer.branching, len(pool_vectors))
-            selection = mmr_select(pool_vectors, query, k, config.mmr_lambda,
-                                   similarity=similarity)
+            # one similarity cache per expansion: a retry's grown pool reuses
+            # every pair of attempt 0's
+            similarity = None if selection is None else selection.similarity
+            try:
+                selection = mmr_select(pool_vectors, query, k, config.mmr_lambda,
+                                       similarity=similarity)
+            except ValueError as exc:
+                raise BackendError(f"embedding for parent {parent.id}: {exc}") from exc
             selection = near_duplicate_filter(pool_vectors, selection,
                                               config.dedup_threshold)
             if len(selection.selected) >= layer.branching:

@@ -83,7 +83,11 @@ def load_template(path: str | Path) -> ChatTemplate:
     unknown = set(raw) - _TEMPLATE_KEYS
     if unknown:
         raise TemplateError(f"unknown template keys in {path}: {sorted(unknown)}")
-    return ChatTemplate(**{k: str(v) for k, v in raw.items()})
+    for key, value in raw.items():
+        if not isinstance(value, str):
+            raise TemplateError(f"template file {path}: {key!r} must be a string "
+                                f"(got {value!r:.80})")
+    return ChatTemplate(**raw)
 
 
 def resolve_template(spec: str) -> ChatTemplate:

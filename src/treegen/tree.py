@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -182,23 +183,23 @@ _LAYER_KEYS = {"branching", "max_tokens", "role", "temperature", "stop_markers"}
 
 
 def _number(raw: dict, key: str, kind: type, where: str, default=None):
-    """``kind(raw[key])``, or ``default`` when the key is absent. A missing
-    key without a default, a value that does not convert, or an integer field
-    whose value is not a JSON integer (a fraction, a boolean, a string) is a
-    ConfigError naming ``where`` and the key."""
+    """``raw[key]`` as a ``kind``, or ``default`` when the key is absent. A
+    missing key without a default, a value that is not a JSON number (a
+    boolean, a string, null), ``NaN`` or an infinity, and a fraction in an
+    integer field are each a ConfigError naming ``where`` and the key."""
     if key not in raw:
         if default is None:
             raise ConfigError(f"{where}missing required key {key!r}")
         return default
     value = raw[key]
-    if kind is int:
-        if isinstance(value, int) and not isinstance(value, bool):
+    if not isinstance(value, bool):  # an int to Python, not a number to JSON
+        if kind is int and isinstance(value, int):
             return value
-        raise ConfigError(f"{where}{key!r} must be an integer (got {value!r})")
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where}{key!r} must be a number (got {value!r})") from exc
+        if (kind is float and isinstance(value, (int, float))
+                and abs(value) <= sys.float_info.max):  # False for NaN too
+            return float(value)
+    what = "an integer" if kind is int else "a finite number"
+    raise ConfigError(f"{where}{key!r} must be {what} (got {value!r})")
 
 
 def _layer_from_dict(raw, mode: Mode, layer_index: int) -> LayerSpec:

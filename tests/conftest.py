@@ -8,7 +8,7 @@ from typing import Sequence
 
 import pytest
 
-from treegen.backends import MockEmbedder, MockTextBackend
+from treegen.backends import EmbeddingVector, MockEmbedder, MockTextBackend
 from treegen.errors import BackendError
 from treegen.tree import (ANSWER_TEMPERATURE, QUESTION_TEMPERATURE, LayerSpec, Mode,
                           Role, Tree, TreeConfig, TreeNode, child_id, config_to_dict,
@@ -65,6 +65,11 @@ BAD_CONFIG_VALUES = {
     "branching-boolean": (1, "branching", True, "layer 2: 'branching'"),
     "max-tokens-string": (0, "max_tokens", "4", "layer 1: 'max_tokens'"),
     "seed-fraction": (None, "seed", 1.9, "'seed'"),
+    "mmr-lambda-boolean": (None, "mmr_lambda", True, "'mmr_lambda'"),
+    "temperature-string": (0, "temperature", "0.7", "layer 1: 'temperature'"),
+    "oversample-nan": (None, "oversample_factor", float("nan"), "'oversample_factor'"),
+    "dedup-threshold-infinite": (None, "dedup_threshold", float("inf"), "'dedup_threshold'"),
+    "temperature-huge-integer": (1, "temperature", 10**400, "layer 2: 'temperature'"),
 }
 
 
@@ -75,6 +80,21 @@ def bad_config_dict(case: str) -> tuple[dict, str]:
     raw = config_to_dict(sft_config([2, 2]))
     (raw if layer is None else raw["layers"][layer])[key] = value
     return raw, names
+
+
+def reference_cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
+    """Selection's cosine, bit for bit, computed independently: three sequential
+    accumulators in one loop, roots with ``** 0.5``, 0 for a zero vector."""
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    dot = norm_a = norm_b = 0.0
+    for x, y in zip(a.values, b.values):
+        dot += x * y
+        norm_a += x * x
+        norm_b += y * y
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    return dot / (norm_a**0.5 * norm_b**0.5)
 
 
 class CountingBackend(MockTextBackend):

@@ -18,13 +18,13 @@ import pytest
 from treegen.backends import EmbeddingVector, MockEmbedder, MockTextBackend
 from treegen.corpus import (build_corpus, export_sharegpt, gaussian_turn_policy,
                             gaussian_turn_weights, validate_sharegpt_file)
-from treegen.dedup import cosine, mmr_select, near_duplicate_filter
+from treegen.dedup import mmr_select, near_duplicate_filter
 from treegen.scheduler import NODES_FILE, CheckpointStore, TreeRunner
 from treegen.templates import (LLAMA2_CHAT, get_template, render_answer_prompt,
                                render_continuation_prompt, render_question_prompt)
 from treegen.tree import expected_leaf_count
 
-from conftest import CountingBackend, sft_config
+from conftest import CountingBackend, reference_cosine, sft_config
 from test_dedup import oracle_mmr
 from test_scheduler import AbortingStore, InjectedCrash, expected_seed_layer_map
 
@@ -245,7 +245,7 @@ def test_criterion_8_dedup_efficacy(tmp_path):
     def mean_pairwise(tree):
         texts = ["\n".join(n.text for n in path) for path in tree.leaf_paths()]
         vectors = embedder.embed(texts)
-        sims = [cosine(a, b) for i, a in enumerate(vectors)
+        sims = [reference_cosine(a, b) for i, a in enumerate(vectors)
                 for b in vectors[i + 1:]]
         return sum(sims) / len(sims)
 
@@ -257,7 +257,7 @@ def test_criterion_8_dedup_efficacy(tmp_path):
         vectors = embedder.embed(siblings) if siblings else []
         for i in range(len(vectors)):
             for j in range(i + 1, len(vectors)):
-                assert cosine(vectors[i], vectors[j]) < 0.95
+                assert reference_cosine(vectors[i], vectors[j]) < 0.95
 
     # and the filter actually did something in this construction
     assert len(deduped.leaf_paths()) < len(undeduped.leaf_paths())

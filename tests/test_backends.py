@@ -13,8 +13,9 @@ import requests
 
 from treegen.backends import (GenerationRequest, HttpEmbedder, HttpTextBackend,
                               MockEmbedder, MockTextBackend)
-from treegen.dedup import cosine
 from treegen.errors import BackendError, ConfigError, StatusError
+
+from conftest import reference_cosine
 
 FNV_OFFSET = 14695981039346656037
 FNV_PRIME = 1099511628211
@@ -116,7 +117,7 @@ def test_embedder_identical_texts_cosine_one():
     embedder = MockEmbedder()
     a, b = embedder.embed(["hello world", "hello world"])
     assert a == b
-    assert cosine(a, b) == pytest.approx(1.0)
+    assert reference_cosine(a, b) == pytest.approx(1.0)
 
 
 def test_embedder_empty_text_is_basis_vector():
@@ -196,11 +197,13 @@ def fixture_server():
     _FixtureHandler.requests_seen = []
     yield f"http://127.0.0.1:{server.server_address[1]}/v1"
     server.shutdown()
+    server.server_close()
 
 
 def test_http_generate_parses_fixture(fixture_server):
     backend = HttpTextBackend(base_url=fixture_server, api_key="k", model="m")
     result = backend.generate(request(n=3))
+    backend.close()
     assert [c.text for c in result.completions] == [
         "fixture completion 0", "fixture completion 1", "fixture completion 2"]
     sent = _FixtureHandler.requests_seen[-1]["payload"]
@@ -210,6 +213,7 @@ def test_http_generate_parses_fixture(fixture_server):
 def test_http_generate_sends_stop_and_max_tokens(fixture_server):
     backend = HttpTextBackend(base_url=fixture_server, api_key="k", model="m")
     backend.generate(request(n=1, max_tokens=33, stop=("\n\n",)))
+    backend.close()
     sent = _FixtureHandler.requests_seen[-1]["payload"]
     assert sent["max_tokens"] == 33 and sent["stop"] == ["\n\n"]
 
@@ -219,6 +223,7 @@ def test_http_retries_then_succeeds(fixture_server):
     backend = HttpTextBackend(base_url=fixture_server, api_key="k", model="m",
                               backoff_base=0.01)
     result = backend.generate(request(n=1))
+    backend.close()
     assert result.completions[0].text == "fixture completion 0"
 
 
@@ -228,6 +233,7 @@ def test_http_gives_up_after_bounded_retries(fixture_server):
                               backoff_base=0.01, max_retries=3)
     with pytest.raises(StatusError) as exc_info:
         backend.generate(request(n=1))
+    backend.close()
     assert exc_info.value.status == 500
     assert exc_info.value.attempts == 3
     assert "boom" in exc_info.value.body
@@ -374,9 +380,39 @@ def test_http_items_are_returned_in_index_order():
 def test_http_embedder_round_trip(fixture_server):
     embedder = HttpEmbedder(base_url=fixture_server, api_key="k", model="m")
     vectors = embedder.embed(["a", "b"])
+    embedder.close()
     assert vectors[0].values == (1.0, 0.5, 0.25)
     assert vectors[1].values == (2.0, 0.5, 0.25)
     assert all(v.dim == 3 for v in vectors)
+
+
+def test_close_closes_the_session_of_every_thread(fixture_server, monkeypatch):
+    opened, closed = [], []
+    real_init, real_close = requests.Session.__init__, requests.Session.close
+
+    def init(session):
+        real_init(session)
+        opened.append(session)
+
+    def close(session):
+        closed.append(session)
+        real_close(session)
+
+    monkeypatch.setattr(requests.Session, "__init__", init)
+    monkeypatch.setattr(requests.Session, "close", close)
+    backend = HttpTextBackend(base_url=fixture_server, api_key="k", model="m")
+    threads = [threading.Thread(target=backend.generate, args=(request(n=1),))
+               for _ in range(3)]
+    for thread in threads:
+        thread.start()
+        thread.join()
+    assert len(opened) == 3  # one session per thread
+    backend.close()
+    assert {id(s) for s in closed} == {id(s) for s in opened}
+    supplied = requests.Session()
+    HttpEmbedder(base_url=fixture_server, api_key="k", model="m", session=supplied).close()
+    assert supplied not in closed  # the caller's to close
+    supplied.close()
 
 
 def test_missing_configuration_names_the_variable(monkeypatch):

@@ -102,9 +102,9 @@ def test_generate_http_malformed_item_exits_2(tmp_path, capsys, monkeypatch):
     assert json.loads((out_dir / "manifest.json").read_text())["status"] == "aborted"
 
 
-def test_generate_http_embedding_dimension_change_exits_2(tmp_path, capsys, monkeypatch):
-    # the root's children are embedded at 16 dimensions, every later pool at
-    # 17: selecting against a 16-dimensional query is a resumable abort
+def fake_server_post(later_dim: int):
+    """A ``Session.post`` that answers like an OpenAI-compatible server. The
+    first embedding call returns 16 dimensions, every later one ``later_dim``."""
     embed_calls = []
 
     def post(session, url, **kwargs):
@@ -114,7 +114,7 @@ def test_generate_http_embedding_dimension_change_exits_2(tmp_path, capsys, monk
                                 for i in range(payload["n"])]}
         else:
             embed_calls.append(url)
-            dim = 16 if len(embed_calls) == 1 else 17
+            dim = 16 if len(embed_calls) == 1 else later_dim
             body = {"data": [{"index": i, "embedding": [float(j == i % 16) for j in range(dim)]}
                              for i in range(len(payload["input"]))]}
         response = requests.Response()
@@ -122,18 +122,50 @@ def test_generate_http_embedding_dimension_change_exits_2(tmp_path, capsys, monk
         response._content = json.dumps(body).encode()
         return response
 
-    monkeypatch.setattr(requests.Session, "post", post)
+    return post
+
+
+def run_http_generate(tmp_path, capsys, monkeypatch, later_dim: int):
+    monkeypatch.setattr(requests.Session, "post", fake_server_post(later_dim))
     monkeypatch.setenv("TG_API_KEY", "k")
     config_path = write_config(tmp_path, sft_config([2, 2]))
+    return run_cli(capsys, "generate", "--config", str(config_path),
+                   "--out", str(tmp_path / "o"), "--backend", "http",
+                   "--base-url", "http://127.0.0.1:9/v1", "--model", "m")
+
+
+def test_generate_http_embedding_dimension_change_exits_2(tmp_path, capsys, monkeypatch):
+    # the root's children are embedded at 16 dimensions, every later pool at
+    # 17: selecting against a 16-dimensional query is a resumable abort
+    code, out, err = run_http_generate(tmp_path, capsys, monkeypatch, later_dim=17)
     out_dir = tmp_path / "o"
-    code, out, err = run_cli(capsys, "generate", "--config", str(config_path),
-                             "--out", str(out_dir), "--backend", "http",
-                             "--base-url", "http://127.0.0.1:9/v1", "--model", "m")
     assert code == 2
     assert "has 16, its pool has [17]" in err
     assert out == ""
     assert json.loads((out_dir / "manifest.json").read_text())["status"] == "aborted"
     assert len((out_dir / "nodes.jsonl").read_text().splitlines()) == 3  # root + 2
+
+
+@pytest.mark.parametrize("later_dim, exit_code", [(16, 0), (17, 2)],
+                         ids=["complete", "aborted"])
+def test_generate_http_closes_every_session(tmp_path, capsys, monkeypatch,
+                                            later_dim, exit_code):
+    opened, closed = [], []
+    real_init, real_close = requests.Session.__init__, requests.Session.close
+
+    def init(session):
+        real_init(session)
+        opened.append(session)
+
+    def close(session):
+        closed.append(session)
+        real_close(session)
+
+    monkeypatch.setattr(requests.Session, "__init__", init)
+    monkeypatch.setattr(requests.Session, "close", close)
+    code = run_http_generate(tmp_path, capsys, monkeypatch, later_dim)[0]
+    assert code == exit_code
+    assert opened and {id(s) for s in closed} == {id(s) for s in opened}
 
 
 def test_generate_resume_on_fresh_directory_exits_1(tmp_path, capsys):

@@ -15,13 +15,13 @@ import pytest
 from treegen import dedup
 from treegen.backends import (EmbeddingVector, GenerationRequest, MockEmbedder,
                               MockTextBackend)
-from treegen.dedup import MmrSelection, cosine, mmr_select, near_duplicate_filter
+from treegen.dedup import PoolSimilarity, mmr_select, near_duplicate_filter
 from treegen.errors import ConfigError
 from treegen.scheduler import expand_parent
 from treegen.templates import get_template
 from treegen.tree import Tree
 
-from conftest import sft_config
+from conftest import reference_cosine, sft_config
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -62,25 +62,37 @@ def oracle_mmr(cands: list[list[float]], query: list[float], k: int, lam: float)
 
 # --- cosine ---------------------------------------------------------------------
 
+def pair_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
+    """``a``'s cosine to ``b`` through both of ``PoolSimilarity``'s paths, the
+    relevance to a query and the row between candidates, which must agree
+    bit for bit."""
+    similarity = PoolSimilarity(b)
+    similarity.extend([a, b])
+    [sim] = similarity.row(0, [1])
+    assert sim.hex() == similarity.relevance[0].hex()
+    return sim
+
+
 def test_cosine_identity():
-    assert cosine(vec(1, 0), vec(1, 0)) == 1.0
+    assert pair_similarity(vec(1, 0), vec(1, 0)) == 1.0
 
 
 def test_cosine_orthogonal():
-    assert cosine(vec(1, 0), vec(0, 1)) == 0.0
+    assert pair_similarity(vec(1, 0), vec(0, 1)) == 0.0
 
 
 def test_cosine_unit_pair():
-    assert cosine(vec(1, 0), vec(0.8, 0.6)) == pytest.approx(0.8)
+    assert pair_similarity(vec(1, 0), vec(0.8, 0.6)) == pytest.approx(0.8)
 
 
 def test_cosine_zero_vector_defined_as_zero():
-    assert cosine(vec(0, 0), vec(1, 1)) == 0.0
+    assert pair_similarity(vec(0, 0), vec(1, 1)) == 0.0
+    assert pair_similarity(vec(1, 1), vec(0, 0)) == 0.0
 
 
 def test_cosine_dim_mismatch():
-    with pytest.raises(ValueError):
-        cosine(vec(1, 0), vec(1, 0, 0))
+    with pytest.raises(ValueError, match=r"the query has 2, its pool has \[3\]"):
+        PoolSimilarity(vec(1, 0)).extend([vec(1, 0, 0)])
 
 
 def test_cosine_symmetry_and_range():
@@ -88,8 +100,9 @@ def test_cosine_symmetry_and_range():
     for _ in range(200):
         a = vec(*(rng.uniform(-1, 1) for _ in range(4)))
         b = vec(*(rng.uniform(-1, 1) for _ in range(4)))
-        s = cosine(a, b)
-        assert s == cosine(b, a)
+        s = pair_similarity(a, b)
+        assert s == pair_similarity(b, a)
+        assert s.hex() == reference_cosine(a, b).hex()
         assert -1.0 - 1e-12 <= s <= 1.0 + 1e-12
 
 
@@ -134,7 +147,7 @@ def test_lambda_one_is_topk_by_relevance():
         cands = [vec(*(rng.uniform(-1, 1) for _ in range(dim))) for _ in range(n)]
         query = vec(*(rng.uniform(-1, 1) for _ in range(dim)))
         k = rng.randint(1, n)
-        rel = [cosine(c, query) for c in cands]
+        rel = [reference_cosine(c, query) for c in cands]
         expect = sorted(range(n), key=lambda i: (-rel[i], i))[:k]
         assert list(mmr_select(cands, query, k, 1.0).selected) == expect
 
@@ -210,7 +223,7 @@ def test_filtered_output_has_no_near_duplicate_pair():
         kept = list(filtered.selected)
         for i in range(len(kept)):
             for j in range(i + 1, len(kept)):
-                assert cosine(cands[kept[i]], cands[kept[j]]) < threshold
+                assert reference_cosine(cands[kept[i]], cands[kept[j]]) < threshold
 
 
 def test_filter_backfill_respects_score_order():
@@ -225,20 +238,6 @@ def test_filter_backfill_respects_score_order():
 
 
 # --- exact reference: the per-pair algorithm, one cosine call per pair use ----------------
-
-def reference_cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    """Three sequential accumulators in one loop, roots with ``** 0.5``."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    dot = norm_a = norm_b = 0.0
-    for x, y in zip(a.values, b.values):
-        dot += x * y
-        norm_a += x * x
-        norm_b += y * y
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    return dot / (norm_a**0.5 * norm_b**0.5)
-
 
 def reference_mmr_select(candidates, query, k, lam):
     """Returns (selected, scores, pool_scores), recomputing every cosine it uses."""
@@ -383,13 +382,12 @@ def test_selection_equals_per_pair_reference_bitwise(kind):
             drops += bool(dropped)
             backfills += bool(set(kept) - set(want[0]))
 
-        vectors = pool + [query]
-        for a in range(n + 1):
-            for b in range(a, n + 1):
-                want_sim = reference_cosine(vectors[a], vectors[b])
-                assert got.similarity(a, b).hex() == want_sim.hex()
-                assert got.similarity(b, a).hex() == want_sim.hex()
-                assert cosine(vectors[a], vectors[b]).hex() == want_sim.hex()
+        similarity = got.similarity
+        for a in range(n):
+            want_row = [reference_cosine(pool[a], pool[b]) for b in range(n)]
+            assert bits(similarity.row(a, range(n))) == bits(want_row), f"trial {trial}"
+            want_relevance = reference_cosine(pool[a], query)
+            assert similarity.relevance[a].hex() == want_relevance.hex(), f"trial {trial}"
     if kind in ("duplicate", "mock-d16"):
         assert drops >= 10 and backfills >= 3, (drops, backfills)
     assert ties > 10
@@ -421,10 +419,6 @@ def test_mixed_dimension_pool_or_query_raises():
     with pytest.raises(ValueError):
         mmr_select([vec(1, 0), vec(0, 1)], vec(1, 0, 0), 1, 0.5)
     mixed = [vec(1, 0), vec(1, 0, 0)]
-    hand_made = MmrSelection(selected=(0,), scores=(1.0,), dropped_as_duplicates=(),
-                             pool_scores=(1.0, 0.0))
-    with pytest.raises(ValueError):
-        near_duplicate_filter(mixed, hand_made, 0.95)
     other_pool = mmr_select([vec(1, 0), vec(0, 1)], vec(1, 0), 1, 0.5)
     with pytest.raises(ValueError):
         near_duplicate_filter(mixed, other_pool, 0.95)
@@ -438,30 +432,38 @@ def test_overflowing_squared_norm_raises():
         mmr_select([vec(1, 0), vec(0, 1)], vec(0, -1e200), 1, 0.5)
 
 
-def test_filter_rebuilds_similarities_for_another_pool():
+def test_filter_rejects_a_selection_over_another_pool():
+    # the filter reads the selection's own similarities and never computes
+    # them afresh for other vectors, even equal ones
     orthogonal = [vec(1, 0), vec(0, 1)]
     selection = mmr_select(orthogonal, vec(1, 1), 2, 0.5)
-    duplicates = [vec(1, 1), vec(1, 1)]
-    filtered = near_duplicate_filter(duplicates, selection, 0.95)
-    assert len(filtered.selected) == 1
-    assert len(filtered.dropped_as_duplicates) == 1
+    for other in ([vec(1, 1), vec(1, 1)], [vec(1, 0), vec(0, 1)], orthogonal[:1],
+                  orthogonal + [vec(1, 1)]):
+        with pytest.raises(ValueError):
+            near_duplicate_filter(other, selection, 0.95)
+    assert near_duplicate_filter(list(orthogonal), selection, 0.95).selected == (0, 1)
+
+
+def sequential_dot(a, b) -> float:
+    """A dot product as one sequential sum, independently of ``dedup``."""
+    dot = 0.0
+    for x, y in zip(a, b):
+        dot += x * y
+    return dot
 
 
 def count_pairs(monkeypatch) -> list[frozenset]:
-    """Record the pair of value tuples behind every dot product, through both
-    ``_dot`` and ``_dots``."""
+    """Record the pair of value tuples behind every dot product, each of
+    which is checked bit for bit against ``sequential_dot``."""
     pairs: list[frozenset] = []
-    real_dot, real_dots = dedup._dot, dedup._dots
-
-    def counting_dot(a, b):
-        pairs.append(frozenset((id(a), id(b))))
-        return real_dot(a, b)
+    real_dots = dedup._dots
 
     def counting_dots(a, rows):
         pairs.extend(frozenset((id(a), id(b))) for b in rows)
-        return real_dots(a, rows)
+        dots = real_dots(a, rows)
+        assert bits(dots) == bits(sequential_dot(a, b) for b in rows)
+        return dots
 
-    monkeypatch.setattr(dedup, "_dot", counting_dot)
     monkeypatch.setattr(dedup, "_dots", counting_dots)
     return pairs
 
@@ -505,7 +507,7 @@ def test_dots_equals_dot_bitwise(dim):
         rows = [[0.0] * dim if rng.random() < 0.25 else
                 [rng.gauss(0, 1) * 10 ** rng.uniform(-3, 3) for _ in range(dim)]
                 for _ in range(count)]
-        want = [dedup._dot(a, b) for b in rows]
+        want = [sequential_dot(a, b) for b in rows]
         assert bits(dedup._dots(a, rows)) == bits(want)
         assert bits(dedup._dots([0.0] * dim, rows)) == bits([0.0] * count)
 
@@ -533,7 +535,7 @@ def test_import_does_not_load_numpy():
 
     numpy was measured as the alternative for the selection path: importing
     numpy 2.4 alone costs 13.7 MB of RSS and 0.15 s of start-up on Python 3.11,
-    and a BLAS Gram matrix differs from ``cosine()`` in the last bit, which
+    and a BLAS Gram matrix differs from sequential sums in the last bit, which
     would change ``nodes.jsonl``.
     """
     env = dict(os.environ)

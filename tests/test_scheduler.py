@@ -215,7 +215,9 @@ def test_checkpoint_round_trip_identity(tmp_path):
     config = sft_config([2, 2], template_id="llama2-chat")
     store = CheckpointStore(tmp_path / "t", include_embeddings=True)
     tree = TreeRunner(config, MockTextBackend(), MockEmbedder(), store, workers=2).run()
-    reloaded = CheckpointStore(tmp_path / "t", include_embeddings=True).load(config)
+    reloader = CheckpointStore(tmp_path / "t", include_embeddings=True)
+    reloaded = reloader.load(config)
+    reloader.close()
     assert set(reloaded.nodes) == set(tree.nodes)
     for nid, node in tree.nodes.items():
         clone = reloaded.nodes[nid]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import re
 from pathlib import Path
 
 import pytest
@@ -167,4 +169,16 @@ def test_template_file_unknown_key_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"id": "x", "bogus": 1}', encoding="utf-8")
     with pytest.raises(TemplateError, match="unknown template keys"):
+        load_template(path)
+
+
+@pytest.mark.parametrize("key, value", [("user_open", None), ("assistant_open", 5),
+                                        ("turn_separator", ["\n"]), ("id", 7)])
+def test_template_file_non_string_value_rejected(tmp_path, key, value):
+    # null and 5 once loaded as the markers "None" and "5", so stripping cut
+    # "There is None left after 5 days" down to "There is"
+    path = tmp_path / "bad.json"
+    raw = {"id": "t", "user_open": "<u>", "assistant_open": "<a>", key: value}
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(TemplateError, match=rf"{re.escape(str(path))}: '{key}' must be a string"):
         load_template(path)
