@@ -10,13 +10,13 @@ scheduler's job.
 from __future__ import annotations
 
 import logging
-import math
 import os
+import sys
 import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import requests
 
@@ -33,6 +33,8 @@ DEFAULT_SAMPLE_CAP = 64
 DEFAULT_TIMEOUT = 120.0
 DEFAULT_RETRIES = 3
 DEFAULT_BACKOFF = 0.5
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -226,15 +228,6 @@ def _require(value: str | None, env_name: str, what: str) -> str:
     raise ConfigError(f"{what} is not configured: set {env_name} or pass it explicitly")
 
 
-def _is_finite_number(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
 class _HttpBase:
     def __init__(self, base_url: str | None = None, api_key: str | None = None,
                  model: str | None = None, timeout: float = DEFAULT_TIMEOUT,
@@ -243,6 +236,8 @@ class _HttpBase:
         self.base_url = _require(base_url, API_BASE_ENV, "API base URL").rstrip("/")
         self.api_key = _require(api_key, API_KEY_ENV, "API key")
         self.model = _require(model, MODEL_ENV, "model name")
+        if max_retries < 1:
+            raise ConfigError(f"max_retries must be >= 1, got {max_retries}")
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff_base = backoff_base
@@ -271,74 +266,61 @@ class _HttpBase:
         for session in opened:
             session.close()
 
-    def _item_problem(self, item) -> str | None:
-        """Why one reply item is unusable, or None; subclasses check their fields."""
-        if not isinstance(item, dict):
-            return f"not an object: {item!r:.80}"
-        index = item.get("index", 0)
-        if not isinstance(index, int) or isinstance(index, bool):
-            return f"'index' is not an integer: {index!r:.80}"
-        return None
+    def _post(self, path: str, payload: dict, parse: Callable[[object], T]) -> T:
+        """POST ``payload`` and return ``parse`` of the JSON reply.
 
-    def _batch_problem(self, items: list[dict]) -> str | None:
-        """Why a reply of well-formed items is unusable as a whole, or None.
-        Its ``index`` values must be all absent or 0..n-1 in some order."""
-        indices = [item["index"] for item in items if "index" in item]
-        if indices and sorted(indices) != list(range(len(items))):
-            return (f"'index' values are not a permutation of 0..{len(items) - 1}: "
-                    f"{indices!r:.80}")
-        return None
-
-    def _post(self, path: str, payload: dict, key: str, expected: int) -> list[dict]:
-        """POST ``payload`` and return the reply's ``key`` items in index order.
-
-        A transport failure, a 429 or 5xx status, a non-JSON body, a reply
-        without exactly ``expected`` items, an item that ``_item_problem``
-        rejects and a reply that ``_batch_problem`` rejects are all retried
-        with backoff.
+        A transport failure, a 429 or 5xx status, a non-JSON body and a reply
+        that ``parse`` rejects with ``ValueError`` are retried with backoff;
+        any other status fails at once.
         """
         url = f"{self.base_url}/{path.lstrip('/')}"
         headers = {"Authorization": f"Bearer {self.api_key}",
                    "Content-Type": "application/json"}
-        last_exc: Exception | None = None
         for attempt in range(1, self.max_retries + 1):
+            if attempt > 1:
+                time.sleep(self.backoff_base * 2 ** (attempt - 2))
             try:
                 resp = self._session().post(url, json=payload, headers=headers,
                                             timeout=self.timeout)
             except (requests.ConnectionError, requests.Timeout) as exc:
-                last_exc = BackendError(f"transport failure calling {url}: {exc}",
-                                        attempts=attempt)
-            else:
-                if 200 <= resp.status_code < 300:
-                    try:
-                        body = resp.json()
-                    except ValueError as exc:  # requests.JSONDecodeError
-                        last_exc = BackendError(f"non-JSON response body from {url}: {exc}",
-                                                attempts=attempt)
-                    else:
-                        items = body.get(key) if isinstance(body, dict) else None
-                        if not isinstance(items, list) or len(items) != expected:
-                            last_exc = BackendError(
-                                f"expected {expected} {key!r} items from {url}, got "
-                                f"{len(items) if isinstance(items, list) else 'none'}",
-                                attempts=attempt)
-                        else:
-                            problems = [p for p in map(self._item_problem, items) if p]
-                            if problems:
-                                last_exc = BackendError(f"malformed {key!r} item from {url}: "
-                                                        f"{problems[0]}", attempts=attempt)
-                            elif problem := self._batch_problem(items):
-                                last_exc = BackendError(f"malformed {key!r} reply from {url}: "
-                                                        f"{problem}", attempts=attempt)
-                            else:
-                                return sorted(items, key=lambda item: item.get("index", 0))
-                else:
-                    last_exc = StatusError(resp.status_code, resp.text, attempts=attempt)
-                    if resp.status_code < 500 and resp.status_code != 429:
-                        raise last_exc  # client errors are not retryable
-            if attempt < self.max_retries:
-                time.sleep(self.backoff_base * 2 ** (attempt - 1))
-        raise last_exc  # type: ignore[misc]
+                error = BackendError(f"transport failure calling {url}: {exc}",
+                                     attempts=attempt)
+                continue
+            if not 200 <= resp.status_code < 300:
+                error = StatusError(resp.status_code, resp.text, attempts=attempt)
+                if resp.status_code < 500 and resp.status_code != 429:
+                    raise error  # client errors are not retryable
+                continue
+            try:
+                return parse(resp.json())
+            except requests.JSONDecodeError as exc:
+                error = BackendError(f"non-JSON response body from {url}: {exc}",
+                                     attempts=attempt)
+            except ValueError as exc:
+                error = BackendError(f"unusable reply from {url}: {exc}", attempts=attempt)
+        raise error
+
+
+def _items(body, key: str, n: int) -> list[dict]:
+    """The reply's ``key`` items in index order.
+
+    Raises ValueError unless there are exactly ``n``, each is an object, and
+    their ``index`` values are integers that are all absent or 0..n-1 in some
+    order.
+    """
+    items = body.get(key) if isinstance(body, dict) else None
+    if not isinstance(items, list) or len(items) != n:
+        got = len(items) if isinstance(items, list) else "none"
+        raise ValueError(f"expected {n} {key!r} items, got {got}")
+    for item in items:
+        if not isinstance(item, dict):
+            raise ValueError(f"malformed {key!r} item: not an object: {item!r:.80}")
+    indices = [item["index"] for item in items if "index" in item]
+    # a non-integer index is left out, so the sorted list falls short
+    if indices and sorted(i for i in indices if type(i) is int) != list(range(n)):
+        raise ValueError(f"malformed {key!r} reply: 'index' values are not integers "
+                         f"0..{n - 1} in some order: {indices!r:.80}")
+    return sorted(items, key=lambda item: item.get("index", 0))
 
 
 class HttpTextBackend(_HttpBase, GenerationBackend):
@@ -351,12 +333,6 @@ class HttpTextBackend(_HttpBase, GenerationBackend):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.backend_id = f"http:{self.model}"
-
-    def _item_problem(self, item) -> str | None:
-        problem = super()._item_problem(item)
-        if problem is None and not isinstance(item.get("text"), str):
-            problem = f"'text' is not a string: {item.get('text')!r:.80}"
-        return problem
 
     def generate(self, request: GenerationRequest) -> GenerationResult:
         self.check_request(request)
@@ -371,10 +347,18 @@ class HttpTextBackend(_HttpBase, GenerationBackend):
         }
         if request.stop:
             payload["stop"] = list(request.stop)
-        choices = self._post("completions", payload, "choices", request.n_samples)
-        completions = tuple(Completion(text=c["text"],
-                                       finish_reason=str(c.get("finish_reason") or "stop"))
-                            for c in choices)
+
+        def parse(body) -> tuple[Completion, ...]:
+            choices = _items(body, "choices", request.n_samples)
+            for choice in choices:
+                if not isinstance(choice.get("text"), str):
+                    raise ValueError("malformed 'choices' item: 'text' is not a string: "
+                                     f"{choice.get('text')!r:.80}")
+            return tuple(Completion(text=c["text"],
+                                    finish_reason=str(c.get("finish_reason") or "stop"))
+                         for c in choices)
+
+        completions = self._post("completions", payload, parse)
         elapsed = (time.monotonic() - start) * 1000.0
         return GenerationResult(completions=completions, latency_ms=elapsed)
 
@@ -382,26 +366,25 @@ class HttpTextBackend(_HttpBase, GenerationBackend):
 class HttpEmbedder(_HttpBase, EmbeddingBackend):
     """OpenAI-compatible /embeddings client."""
 
-    def _item_problem(self, item) -> str | None:
-        problem = super()._item_problem(item)
-        if problem is None:
-            embedding = item.get("embedding")
-            if not isinstance(embedding, list) or not embedding:
-                problem = f"'embedding' is not a non-empty list: {embedding!r:.80}"
-            elif not all(map(_is_finite_number, embedding)):
-                problem = "'embedding' holds a value that is not a finite number"
-        return problem
-
-    def _batch_problem(self, items: list[dict]) -> str | None:
-        dims = sorted({len(item["embedding"]) for item in items})
-        if len(dims) > 1:
-            return f"embedding dimensions differ within the batch: {dims}"
-        return super()._batch_problem(items)
-
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
         if not texts:
             raise ConfigError("embed() needs at least one text")
-        data = self._post("embeddings", {"model": self.model, "input": list(texts)},
-                          "data", len(texts))
-        return [EmbeddingVector(values=tuple(float(v) for v in d["embedding"]))
-                for d in data]
+
+        def parse(body) -> list[EmbeddingVector]:
+            embeddings = [item.get("embedding") for item in _items(body, "data", len(texts))]
+            for embedding in embeddings:
+                # a bool is not a number; NaN, infinities and ints beyond the
+                # float range fail the comparison, which converts nothing
+                if not (isinstance(embedding, list) and embedding
+                        and all(type(v) in (int, float) and abs(v) <= sys.float_info.max
+                                for v in embedding)):
+                    raise ValueError("malformed 'data' item: 'embedding' is not a non-empty "
+                                     f"list of finite numbers: {embedding!r:.80}")
+            dims = sorted({len(embedding) for embedding in embeddings})
+            if len(dims) > 1:
+                raise ValueError(f"malformed 'data' reply: embedding dimensions differ "
+                                 f"within the batch: {dims}")
+            return [EmbeddingVector(values=tuple(map(float, embedding)))
+                    for embedding in embeddings]
+
+        return self._post("embeddings", {"model": self.model, "input": list(texts)}, parse)

@@ -10,12 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 
 from .analysis import compute_stats
-from .backends import (API_BASE_ENV, API_KEY_ENV, MODEL_ENV, HttpEmbedder,
-                       HttpTextBackend, MockEmbedder, MockTextBackend)
+from .backends import (API_BASE_ENV, HttpEmbedder, HttpTextBackend, MockEmbedder,
+                       MockTextBackend)
 from .corpus import (TurnPolicy, build_corpus, export_jsonl, export_pt,
                      export_sharegpt, gaussian_turn_policy, sample_to_size,
                      validate_sharegpt_file)
@@ -49,19 +48,9 @@ def _emit(payload: dict) -> None:
 def _build_backends(args):
     if args.backend == "mock":
         return MockTextBackend(), MockEmbedder()
-    if not args.base_url and not os.environ.get(API_BASE_ENV):
-        raise ConfigError(f"--backend http requires --base-url or the {API_BASE_ENV} "
-                          "environment variable")
-    if not os.environ.get(API_KEY_ENV):
-        raise ConfigError(f"--backend http requires the {API_KEY_ENV} "
-                          "environment variable")
-    model = args.model or os.environ.get(MODEL_ENV)
-    if not model:
-        raise ConfigError(f"--backend http requires --model or the {MODEL_ENV} "
-                          "environment variable")
-    generator = HttpTextBackend(base_url=args.base_url, model=model)
+    generator = HttpTextBackend(base_url=args.base_url, model=args.model)
     embedder = HttpEmbedder(base_url=args.base_url,
-                            model=args.embedding_model or model)
+                            model=args.embedding_model or generator.model)
     return generator, embedder
 
 
@@ -120,8 +109,7 @@ def _parse_policy(spec: str, seed: int) -> TurnPolicy:
 
 def cmd_export(args) -> int:
     store = CheckpointStore(args.tree)
-    tree = store.load(store.stored_config())
-    store.close()
+    tree = store.load(store.stored_config())  # load writes nothing and opens no file
     if args.format == "pt":
         if tree.config.mode is not Mode.PT:
             raise ConfigError("--format pt needs a PT-mode tree")

@@ -98,14 +98,16 @@ class CheckpointStore:
     as a single block; an expansion that kept no children is a one-line block,
     the marker ``{"parent_id": ..., "children": []}``. Replaying the file
     therefore rebuilds every node, child list and shortfall. A torn trailing
-    block is dropped on load and regenerated deterministically.
+    block is skipped by ``load``, which writes nothing; the first append after
+    it cuts the file where the intact records end, so the block is regenerated
+    deterministically.
 
     config.json is read here only, by ``stored_config`` and ``load``.
 
     manifest.json is a summary, written by ``initialize`` and ``finalize``
     only: status, timestamps, node and shortfall counts (computed from the
     tree by ``load`` and ``finalize``), and dedup/retry telemetry, which a hard
-    kill loses.
+    kill loses. ``load`` reads a missing or damaged manifest as a fresh one.
     """
 
     def __init__(self, directory: str | Path, include_embeddings: bool = False):
@@ -116,6 +118,10 @@ class CheckpointStore:
         self.include_embeddings = include_embeddings
         self.manifest: dict = {}
         self._handle = None
+        # what the first append writes over: the intact length of nodes.jsonl
+        # and, when that is 0, the root record to start it again
+        self._intact = 0
+        self._root_line = ""
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -132,14 +138,10 @@ class CheckpointStore:
                                     encoding="utf-8")
         self.manifest = _fresh_manifest(config, backend_id, workers)
         tree = Tree(config)
-        self._open_handle()
-        self._write_lines([self._encode(tree.root)])
+        self._intact, self._root_line = 0, self._encode(tree.root)
+        self._write_lines([])
         self._write_manifest()
         return tree
-
-    def _open_handle(self):
-        if self._handle is None:
-            self._handle = open(self.nodes_path, "a", encoding="utf-8", newline="\n")
 
     def close(self) -> None:
         if self._handle is not None:
@@ -153,6 +155,11 @@ class CheckpointStore:
         return _dumps(node_to_record(node, embedding))
 
     def _write_lines(self, lines: Sequence[str]) -> None:
+        if self._handle is None:
+            self._handle = open(self.nodes_path, "a", encoding="utf-8", newline="\n")
+            self._handle.truncate(self._intact)  # a torn block that load skipped
+            if not self._intact:
+                lines = [self._root_line, *lines]
         self._handle.write("".join(line + "\n" for line in lines))
         self._handle.flush()
 
@@ -166,7 +173,6 @@ class CheckpointStore:
         ``vectors``, the nodes' embeddings in order, are written into the
         records when the store includes embeddings.
         """
-        self._open_handle()
         if nodes:
             self._write_lines([self._encode(n, v) for n, v in zip(nodes, vectors)])
         else:
@@ -225,67 +231,81 @@ class CheckpointStore:
         return config, stored.get("hash")
 
     def load(self, config: TreeConfig) -> Tree:
-        """Verify compatibility, recover a torn tail, and replay the log."""
+        """Verify compatibility and replay the log up to a torn tail; writes nothing."""
         stored_hash = self._read_config_file()[1]
         if stored_hash != config_hash(config):
             raise CheckpointError(
                 f"checkpoint config hash {stored_hash} does not match the "
                 f"provided config hash {config_hash(config)}")
 
-        records = self._read_recovered_records()
+        records, self._intact = self._read_intact_records()
         if records and records[0].get("id") != ROOT_ID:
             raise CheckpointError("nodes.jsonl does not start with the root record")
         tree = Tree(config)
-        for record in records[1:]:
+        for number, record in enumerate(records[1:], start=2):
             # a record without an id is a zero-child expansion marker
-            children = [node_from_record(record)] if "id" in record else []
-            tree.add_children(record["parent_id"], children)
-        self._open_handle()
-        if not records:
-            # the tear reached the root record; rewrite it and start over
-            log.warning("recovered checkpoint had no intact records; reinitializing")
-            self._write_lines([self._encode(tree.root)])
+            try:
+                children = [node_from_record(record)] if "id" in record else []
+                tree.add_children(record["parent_id"], children)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CheckpointError(f"{self.nodes_path} line {number} is not a node "
+                                      f"record: {exc!r:.200}") from exc
+        self._root_line = self._encode(tree.root)
 
         self.manifest = _fresh_manifest(config)
-        if self.manifest_path.exists():
-            self.manifest.update(json.loads(self.manifest_path.read_text(encoding="utf-8")))
+        self.manifest.update(self._read_manifest())
         self._count(tree)
         return tree
 
-    def _read_recovered_records(self) -> list[dict]:
-        """Parse nodes.jsonl, truncating a torn trailing block in place.
+    def _read_manifest(self) -> dict:
+        """manifest.json's fields; none if it is missing or damaged, which
+        loses only its telemetry."""
+        if not self.manifest_path.exists():
+            return {}
+        try:
+            stored = json.loads(self.manifest_path.read_text(encoding="utf-8"))
+            if isinstance(stored, dict):
+                return stored
+            problem = "not a JSON object"
+        except ValueError as exc:
+            problem = str(exc)
+        log.warning("ignoring damaged %s (%.200s); its counts start afresh",
+                    self.manifest_path, problem)
+        return {}
+
+    def _read_intact_records(self) -> tuple[list[dict], int]:
+        """nodes.jsonl's records up to a torn trailing block, and the bytes they
+        take.
 
         The record boundary is a full line. If the tail is torn (partial or
         unparseable final line), the whole trailing same-parent group is
         dropped too: a block is written as one append, so only the final block
         can be incomplete, and over-dropping is safe because expansion is
-        deterministic and will be redone on resume.
+        deterministic and will be redone on resume. A whole line that parses
+        but is not a JSON object is no tear, so it is a CheckpointError.
         """
         raw = self.nodes_path.read_bytes() if self.nodes_path.exists() else b""
-        if not raw:
-            return []
         lines = raw.split(b"\n")
         torn = lines[-1] != b""  # file must end with a newline
         lines = lines[:-1]  # the empty tail, or the partial fragment
         records: list[dict] = []
-        for line in lines:
+        for number, line in enumerate(lines, start=1):
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError:
                 torn = True  # everything from the bad line on is suspect
                 break
+            if not isinstance(record, dict):
+                raise CheckpointError(f"{self.nodes_path} line {number} is not a JSON object")
+            records.append(record)
         if torn and records:
             last_parent = records[-1].get("parent_id")
             while records and records[-1].get("parent_id") == last_parent:
                 records.pop()
-            log.warning("nodes.jsonl had a torn trailing block; dropped it "
-                        "(will be regenerated on resume)")
         if torn:
-            # rewrite rather than arithmetic-truncate: the surviving prefix is
-            # re-encoded canonically, which matches what was originally written
-            with open(self.nodes_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("".join(_dumps(r) + "\n" for r in records))
-        return records
+            log.warning("nodes.jsonl has a torn trailing block; the next append cuts it "
+                        "and resume regenerates it")
+        return records, sum(len(line) + 1 for line in lines[:len(records)])
 
 
 # --- one expansion step ------------------------------------------------------

@@ -340,12 +340,15 @@ BAD_ITEM_CASES = pytest.mark.parametrize("backend_class, bad, good", [
      GOOD_DATA_2),
     (HttpEmbedder, b'{"data": [{"index": 0, "embedding": [1.0]}, '
                    b'{"index": 1, "embedding": [1.0, 2.0]}]}', GOOD_DATA_2),
+    (HttpEmbedder, b'{"data": [{"index": 0, "embedding": [1%s, 1]}]}' % (b"0" * 400),
+     GOOD_DATA),
 ], ids=["choice-not-object", "choice-no-text", "choice-text-not-string",
         "choice-index-not-int", "data-not-object", "data-no-embedding",
         "embedding-string-value", "embedding-empty", "embedding-bool-value",
         "embedding-nan", "embedding-inf", "choice-index-repeated",
         "choice-index-out-of-range", "choice-index-partly-absent", "data-index-repeated",
-        "data-index-out-of-range", "data-index-partly-absent", "embedding-mixed-dimensions"])
+        "data-index-out-of-range", "data-index-partly-absent", "embedding-mixed-dimensions",
+        "embedding-huge-integer"])
 
 
 @BAD_ITEM_CASES
@@ -413,6 +416,12 @@ def test_close_closes_the_session_of_every_thread(fixture_server, monkeypatch):
     HttpEmbedder(base_url=fixture_server, api_key="k", model="m", session=supplied).close()
     assert supplied not in closed  # the caller's to close
     supplied.close()
+
+
+@pytest.mark.parametrize("backend_class", [HttpTextBackend, HttpEmbedder])
+def test_fewer_than_one_attempt_is_a_config_error(backend_class):
+    with pytest.raises(ConfigError, match="max_retries must be >= 1, got 0"):
+        backend_class(base_url="http://127.0.0.1:9", api_key="k", model="m", max_retries=0)
 
 
 def test_missing_configuration_names_the_variable(monkeypatch):

@@ -229,6 +229,43 @@ def test_damaged_checkpoint_config_exits_1(tmp_path, capsys, command, damage):
     assert last.startswith("error: ") and str(stored) in last
 
 
+def _orphan(nodes_text):
+    record = json.loads(nodes_text.splitlines()[-1])
+    return json.dumps({**record, "id": "x.1", "parent_id": "x"})
+
+
+# a whole nodes.jsonl line that parses but is no record -> what the error says
+DAMAGED_NODE_LINES = {
+    "empty-object": (lambda text: "{}", "is not a node record"),
+    "array": (lambda text: "[1]", "is not a JSON object"),
+    "unknown-parent": (_orphan, "is not a node record"),
+}
+
+
+@pytest.mark.parametrize("damage", list(DAMAGED_NODE_LINES))
+@pytest.mark.parametrize("command", ["export", "resume"])
+def test_node_line_that_is_no_record_exits_1(tmp_path, capsys, command, damage):
+    config_path = write_config(tmp_path, sft_config([2, 2]))
+    out_dir = tmp_path / "o"
+    assert run_cli(capsys, "generate", "--config", str(config_path),
+                   "--out", str(out_dir))[0] == 0
+    nodes = out_dir / "nodes.jsonl"
+    text = nodes.read_text()
+    line, says = DAMAGED_NODE_LINES[damage]
+    nodes.write_text(text + line(text) + "\n")
+    damaged = nodes.read_bytes()
+    if command == "export":
+        argv = ["export", "--tree", str(out_dir), "--format", "sharegpt",
+                "--out", str(tmp_path / "c.json")]
+    else:
+        argv = ["generate", "--config", str(config_path), "--out", str(out_dir), "--resume"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    last = err.splitlines()[-1]
+    assert last.startswith(f"error: {nodes} line {len(text.splitlines()) + 1} {says}")
+    assert nodes.read_bytes() == damaged
+
+
 def test_generate_rejects_invalid_config(tmp_path, capsys):
     config_path = write_config(tmp_path, sft_config([2, 2, 2]))  # odd depth
     code, _, err = run_cli(capsys, "generate", "--config", str(config_path),
@@ -409,6 +446,37 @@ def test_export_incomplete_tree_needs_permissive(tmp_path, capsys):
                            "--permissive")
     assert code == 0
     assert json.loads(out)["records"] > 0
+
+
+def test_export_leaves_a_torn_checkpoint_unchanged(completed_run, tmp_path, capsys, caplog):
+    nodes = completed_run / "nodes.jsonl"
+    nodes.write_bytes(nodes.read_bytes()[:-17])  # cut into the final line
+    torn = nodes.read_bytes()
+    code, out, _ = run_cli(capsys, "export", "--tree", str(completed_run),
+                           "--format", "sharegpt", "--out", str(tmp_path / "c.json"),
+                           "--permissive")
+    assert code == 0 and json.loads(out)["records"] > 0
+    assert "torn trailing block" in caplog.text
+    assert nodes.read_bytes() == torn
+
+
+@pytest.mark.parametrize("damaged", ["{\"status\": \"runn", "[1, 2]\n"],
+                         ids=["not-json", "not-an-object"])
+def test_damaged_manifest_is_ignored(completed_run, tmp_path, capsys, caplog, damaged):
+    (completed_run / "manifest.json").write_text(damaged)
+    corpus = tmp_path / "c.json"
+    code, out, _ = run_cli(capsys, "export", "--tree", str(completed_run),
+                           "--format", "sharegpt", "--out", str(corpus))
+    assert code == 0 and json.loads(out)["records"] == 32
+    assert "ignoring damaged" in caplog.text
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(json.loads(
+        (completed_run / "config.json").read_text())["config"]))
+    code = run_cli(capsys, "generate", "--config", str(config_path),
+                   "--out", str(completed_run), "--resume")[0]
+    assert code == 0
+    manifest = json.loads((completed_run / "manifest.json").read_text())
+    assert manifest["status"] == "complete" and manifest["nodes_committed"] == 60
 
 
 def test_stdout_is_json_only(completed_run, tmp_path, capsys):
