@@ -351,9 +351,15 @@ class HttpTextBackend(_HttpBase, GenerationBackend):
         def parse(body) -> tuple[Completion, ...]:
             choices = _items(body, "choices", request.n_samples)
             for choice in choices:
-                if not isinstance(choice.get("text"), str):
+                text = choice.get("text")
+                if not isinstance(text, str):
                     raise ValueError("malformed 'choices' item: 'text' is not a string: "
-                                     f"{choice.get('text')!r:.80}")
+                                     f"{text!r:.80}")
+                try:  # JSON can carry a lone surrogate; nodes.jsonl is UTF-8
+                    text.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise ValueError("malformed 'choices' item: 'text' cannot be written as "
+                                     f"UTF-8 ({exc.reason}): {text!r:.80}") from None
             return tuple(Completion(text=c["text"],
                                     finish_reason=str(c.get("finish_reason") or "stop"))
                          for c in choices)

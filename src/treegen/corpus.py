@@ -13,8 +13,9 @@ import logging
 import math
 import random
 from dataclasses import dataclass
+from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigError, ModeError
 from .templates import get_template
@@ -207,30 +208,78 @@ def _mixture_quotas(weights: dict[int, float], available: dict[int, int]) -> dic
 
 
 # --- exports -------------------------------------------------------------------
+#
+# The exporters write, byte for byte, what json.dump(elements, indent=2) and
+# json.dumps(element) write with ensure_ascii=False, from fixed templates: any
+# indent puts json.dump on its pure-Python encoder, and a shared ancestor's
+# text would be escaped again for every record under it.
+
+# one element of the ShareGPT array; a turn's role follows from its position
+_ARRAY_TURN = ('      {\n        "from": "human",\n        "value": %s\n      }',
+               '      {\n        "from": "gpt",\n        "value": %s\n      }')
+_LINE_TURN = ('{"from": "human", "value": %s}', '{"from": "gpt", "value": %s}')
 
 
-def _sharegpt_element(record: ConversationRecord, inline_system: bool) -> dict:
-    conversations = []
-    for i, turn in enumerate(record.turns):
-        value = turn.value
-        if inline_system and i == 0 and record.system:
-            value = f"{record.system}\n\n{value}"
-        conversations.append({"from": turn.role, "value": value})
-    return {"id": record.id, "conversations": conversations}
+def _json_str(s: str) -> str:
+    """``s`` as ``json.dumps(s, ensure_ascii=False)`` writes it.
+
+    On ASCII text the ASCII escaper is faster and writes the same bytes,
+    except for U+007F, which only it escapes. The mapping is per code point,
+    so the escape of ``a + b`` is the escapes of ``a`` and ``b`` joined
+    inside one pair of quotes.
+    """
+    if s.isascii() and "\x7f" not in s:
+        return encode_basestring_ascii(s)
+    return encode_basestring(s)
+
+
+def _escape_rows(rows: Iterable[Sequence[str]]) -> Iterator[list[str]]:
+    """Each row of texts as JSON strings.
+
+    A text that is the same object as the previous row's text at that
+    position (a shared ancestor's: they are adjacent in id order) reuses its
+    escaped form, so one row's escapes are held at a time.
+    """
+    texts: Sequence[str] = ()
+    previous: list[str] = []
+    for row in rows:
+        shared = len(texts)
+        previous = [previous[i] if i < shared and text is texts[i] else _json_str(text)
+                    for i, text in enumerate(row)]
+        texts = row
+        yield previous
+
+
+def _escaped_records(records: Sequence[ConversationRecord],
+                     inline_system: bool) -> Iterator[tuple[str, list[str]]]:
+    """(escaped id, escaped turn values) of every record in id order. Every
+    record is validated before this returns."""
+    for record in records:
+        record.validate()
+    ordered = sorted(records, key=lambda r: r.id)
+    rows = _escape_rows([turn.value for turn in record.turns] for record in ordered)
+    return ((_json_str(record.id),
+             # f"{system}\n\n{value}", escaped from its parts
+             [_json_str(record.system)[:-1] + "\\n\\n" + values[0][1:], *values[1:]]
+             if inline_system and record.system else values)
+            for record, values in zip(ordered, rows))
 
 
 def export_sharegpt(records: Sequence[ConversationRecord], path: str | Path,
                     inline_system: bool = False) -> Path:
-    """Write one JSON array of {"id", "conversations"} elements, ordered by id."""
+    """Write one JSON array of {"id", "conversations"} elements, ordered by id,
+    indented by 2 as ``json.dump`` indents it."""
     path = Path(path)
-    for record in records:
-        record.validate()
-    elements = [_sharegpt_element(r, inline_system)
-                for r in sorted(records, key=lambda r: r.id)]
+    elements = _escaped_records(records, inline_system)
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(elements, fh, ensure_ascii=False, indent=2)
-            fh.write("\n")
+            opening = "[\n"
+            for record_id, values in elements:
+                turns = ",\n".join(_ARRAY_TURN[i & 1] % value for i, value in enumerate(values))
+                fh.write(f'{opening}  {{\n    "id": {record_id},\n    "conversations": [\n'
+                         f'{turns}\n    ]\n  }}')
+                opening = ",\n"
+            fh.write("[]\n" if opening == "[\n" else "\n]\n")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
     return path
@@ -240,14 +289,12 @@ def export_jsonl(records: Sequence[ConversationRecord], path: str | Path,
                  inline_system: bool = False) -> Path:
     """Same element shape as the ShareGPT array, one record per line."""
     path = Path(path)
-    for record in records:
-        record.validate()
-    elements = [_sharegpt_element(r, inline_system)
-                for r in sorted(records, key=lambda r: r.id)]
+    elements = _escaped_records(records, inline_system)
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for element in elements:
-                fh.write(json.dumps(element, ensure_ascii=False) + "\n")
+            for record_id, values in elements:
+                turns = ", ".join(_LINE_TURN[i & 1] % value for i, value in enumerate(values))
+                fh.write(f'{{"id": {record_id}, "conversations": [{turns}]}}\n')
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
     return path
@@ -258,13 +305,14 @@ def export_pt(tree: Tree, path: str | Path, permissive: bool = False) -> Path:
     separator}, system prompt excluded."""
     if tree.config.mode is not Mode.PT:
         raise ModeError("export_pt needs a PT tree; use the conversation exports for SFT")
-    separator = get_template(tree.config.template_id).turn_separator
+    separator = _json_str(get_template(tree.config.template_id).turn_separator)[1:-1]
     path = Path(path)
+    paths = tree.leaf_paths(permissive=permissive)
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for leaf_path in tree.leaf_paths(permissive=permissive):
-                text = separator.join(node.text for node in leaf_path)
-                fh.write(json.dumps({"text": text}, ensure_ascii=False) + "\n")
+            for texts in _escape_rows([node.text for node in p] for p in paths):
+                text = separator.join(value[1:-1] for value in texts)
+                fh.write(f'{{"text": "{text}"}}\n')
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
     return path

@@ -242,14 +242,28 @@ class CheckpointStore:
         if records and records[0].get("id") != ROOT_ID:
             raise CheckpointError("nodes.jsonl does not start with the root record")
         tree = Tree(config)
+        # ids are structural, and each parent's children are one block
+        expanded: set[str] = set()  # parents whose block has been replayed
+        block = None  # the parent whose block the previous line continued
         for number, record in enumerate(records[1:], start=2):
-            # a record without an id is a zero-child expansion marker
             try:
-                children = [node_from_record(record)] if "id" in record else []
-                tree.add_children(record["parent_id"], children)
+                parent_id = record["parent_id"]
+                # a record without an id is a zero-child expansion marker
+                node = node_from_record(record) if "id" in record else None
+                if (node is None or parent_id != block) and parent_id in expanded:
+                    problem = f"adds to parent {parent_id!r}, which is already expanded"
+                elif node is not None and node.id != (expected := child_id(
+                        parent_id, len(tree.nodes[parent_id].children))):
+                    problem = f"has id {node.id!r} where the next child is {expected!r}"
+                else:
+                    tree.add_children(parent_id, [] if node is None else [node])
+                    expanded.add(parent_id)
+                    block = None if node is None else parent_id
+                    continue
             except (KeyError, TypeError, ValueError) as exc:
                 raise CheckpointError(f"{self.nodes_path} line {number} is not a node "
                                       f"record: {exc!r:.200}") from exc
+            raise CheckpointError(f"{self.nodes_path} line {number} {problem}")
         self._root_line = self._encode(tree.root)
 
         self.manifest = _fresh_manifest(config)
@@ -259,12 +273,19 @@ class CheckpointStore:
 
     def _read_manifest(self) -> dict:
         """manifest.json's fields; none if it is missing or damaged, which
-        loses only its telemetry."""
+        loses only its telemetry. A telemetry count that is not a
+        non-negative integer starts afresh at 0."""
         if not self.manifest_path.exists():
             return {}
         try:
             stored = json.loads(self.manifest_path.read_text(encoding="utf-8"))
             if isinstance(stored, dict):
+                for key in ("dedup_drops", "retries"):
+                    value = stored.get(key, 0)
+                    if type(value) is not int or value < 0:  # a bool is no count
+                        log.warning("ignoring %s %.200r in %s; it starts afresh at 0",
+                                    key, value, self.manifest_path)
+                        stored[key] = 0
                 return stored
             problem = "not a JSON object"
         except ValueError as exc:

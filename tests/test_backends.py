@@ -319,6 +319,7 @@ BAD_ITEM_CASES = pytest.mark.parametrize("backend_class, bad, good", [
     (HttpTextBackend, b'{"choices": [{"index": 0}]}', GOOD_CHOICES),
     (HttpTextBackend, b'{"choices": [{"index": 0, "text": 5}]}', GOOD_CHOICES),
     (HttpTextBackend, b'{"choices": [{"index": "0", "text": "a"}]}', GOOD_CHOICES),
+    (HttpTextBackend, b'{"choices": [{"index": 0, "text": "caf\\ud83d"}]}', GOOD_CHOICES),
     (HttpEmbedder, b'{"data": [7]}', GOOD_DATA),
     (HttpEmbedder, b'{"data": [{"index": 0}]}', GOOD_DATA),
     (HttpEmbedder, b'{"data": [{"index": 0, "embedding": ["x", 1]}]}', GOOD_DATA),
@@ -343,8 +344,8 @@ BAD_ITEM_CASES = pytest.mark.parametrize("backend_class, bad, good", [
     (HttpEmbedder, b'{"data": [{"index": 0, "embedding": [1%s, 1]}]}' % (b"0" * 400),
      GOOD_DATA),
 ], ids=["choice-not-object", "choice-no-text", "choice-text-not-string",
-        "choice-index-not-int", "data-not-object", "data-no-embedding",
-        "embedding-string-value", "embedding-empty", "embedding-bool-value",
+        "choice-index-not-int", "choice-text-lone-surrogate", "data-not-object",
+        "data-no-embedding", "embedding-string-value", "embedding-empty", "embedding-bool-value",
         "embedding-nan", "embedding-inf", "choice-index-repeated",
         "choice-index-out-of-range", "choice-index-partly-absent", "data-index-repeated",
         "data-index-out-of-range", "data-index-partly-absent", "embedding-mixed-dimensions",

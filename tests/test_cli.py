@@ -125,6 +125,32 @@ def fake_server_post(later_dim: int):
     return post
 
 
+def test_generate_http_text_not_utf8_exits_2(tmp_path, capsys, monkeypatch):
+    # "caf\ud83d" is legal JSON, but a lone surrogate cannot be written to
+    # nodes.jsonl: the reply is malformed, retried, and a resumable abort
+    server_post = fake_server_post(later_dim=16)
+
+    def lone_surrogate_post(session, url, **kwargs):
+        response = server_post(session, url, **kwargs)
+        if url.endswith("/completions"):
+            response._content = response._content.replace(b"sample", b"caf\\ud83d")
+        return response
+
+    monkeypatch.setattr(requests.Session, "post", lone_surrogate_post)
+    monkeypatch.setattr(backends.time, "sleep", lambda seconds: None)
+    monkeypatch.setenv("TG_API_KEY", "k")
+    config_path = write_config(tmp_path, sft_config([2, 2]))
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(capsys, "generate", "--config", str(config_path),
+                             "--out", str(out_dir), "--backend", "http",
+                             "--base-url", "http://127.0.0.1:9/v1", "--model", "m")
+    assert code == 2
+    assert "cannot be written as UTF-8" in err
+    assert out == ""
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert (manifest["status"], manifest["exit_status"]) == ("aborted", 2)
+
+
 def run_http_generate(tmp_path, capsys, monkeypatch, later_dim: int):
     monkeypatch.setattr(requests.Session, "post", fake_server_post(later_dim))
     monkeypatch.setenv("TG_API_KEY", "k")
@@ -234,11 +260,29 @@ def _orphan(nodes_text):
     return json.dumps({**record, "id": "x.1", "parent_id": "x"})
 
 
-# a whole nodes.jsonl line that parses but is no record -> what the error says
+def _marker_for_last_parent(nodes_text):
+    record = json.loads(nodes_text.splitlines()[-1])
+    return json.dumps({"parent_id": record["parent_id"], "children": []})
+
+
+def _late_child_of_root(nodes_text):
+    # the id is the root's next child, but the root's block has ended
+    record = json.loads(nodes_text.splitlines()[1])
+    return json.dumps({**record, "id": "2"})
+
+
+# a whole nodes.jsonl line that parses but does not continue the tree -> what
+# the error says
 DAMAGED_NODE_LINES = {
     "empty-object": (lambda text: "{}", "is not a node record"),
     "array": (lambda text: "[1]", "is not a JSON object"),
     "unknown-parent": (_orphan, "is not a node record"),
+    "repeated-last-record": (lambda text: text.splitlines()[-1],
+                             "has id '1.1' where the next child is '1.2'"),
+    "marker-for-expanded-parent": (_marker_for_last_parent,
+                                   "adds to parent '1', which is already expanded"),
+    "second-block-for-parent": (_late_child_of_root,
+                                "adds to parent 'root', which is already expanded"),
 }
 
 
@@ -477,6 +521,26 @@ def test_damaged_manifest_is_ignored(completed_run, tmp_path, capsys, caplog, da
     assert code == 0
     manifest = json.loads((completed_run / "manifest.json").read_text())
     assert manifest["status"] == "complete" and manifest["nodes_committed"] == 60
+
+
+@pytest.mark.parametrize("value", ["x", True, -1, None], ids=["string", "bool", "negative", "null"])
+@pytest.mark.parametrize("key", ["dedup_drops", "retries"])
+def test_bad_manifest_count_starts_afresh(tmp_path, capsys, caplog, key, value):
+    config_path = write_config(tmp_path, sft_config([2, 2]))
+    out_dir = tmp_path / "o"
+    assert run_cli(capsys, "generate", "--config", str(config_path),
+                   "--out", str(out_dir))[0] == 0
+    manifest_path = out_dir / "manifest.json"
+    manifest_path.write_text(json.dumps({**json.loads(manifest_path.read_text()), key: value}))
+    nodes = out_dir / "nodes.jsonl"
+    nodes.write_text("".join(nodes.read_text().splitlines(keepends=True)[:-2]))  # parent 1's block
+    code = run_cli(capsys, "generate", "--config", str(config_path),
+                   "--out", str(out_dir), "--resume")[0]
+    assert code == 0
+    assert f"ignoring {key}" in caplog.text
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["status"] == "complete" and manifest["nodes_committed"] == 6
+    assert type(manifest[key]) is int and manifest[key] >= 0
 
 
 def test_stdout_is_json_only(completed_run, tmp_path, capsys):
