@@ -65,7 +65,7 @@ def cmd_generate(args) -> int:
     template = resolve_template(args.template) if args.template else None
     generator, embedder = _build_backends(args)
     try:
-        store = CheckpointStore(args.out, include_embeddings=args.store_embeddings)
+        store = CheckpointStore(args.out)
         if args.resume and not store.exists():
             raise ConfigError(f"no checkpoint to resume in {args.out}")
         if not args.resume and store.exists():
@@ -164,8 +164,6 @@ def build_parser() -> _Parser:
     gen.add_argument("--embedding-model", default=None)
     gen.add_argument("--base-url", default=None,
                      help=f"HTTP API base URL (default: ${API_BASE_ENV})")
-    gen.add_argument("--store-embeddings", action="store_true",
-                     help="include embeddings in nodes.jsonl records")
     gen.set_defaults(func=cmd_generate)
 
     exp = sub.add_parser("export", help="export corpora from a completed tree")

@@ -9,7 +9,6 @@ seeded mixture whose empirical turn-count distribution targets given weights.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import random
 from dataclasses import dataclass
@@ -20,8 +19,6 @@ from typing import Iterable, Iterator, Sequence
 from .errors import ConfigError, ModeError
 from .templates import get_template
 from .tree import Mode, Role, Tree, structural_key
-
-log = logging.getLogger(__name__)
 
 HUMAN = "human"
 GPT = "gpt"
@@ -84,6 +81,8 @@ class TurnPolicy:
             raise ConfigError(f"mixture weights must sum to 1 (got {total})")
         if any(t < 1 for t in weights):
             raise ConfigError("turn counts must be >= 1")
+        if any(not w >= 0 for w in weights.values()):  # NaN too
+            raise ConfigError(f"mixture weights must be >= 0 (got {weights})")
         ordered = tuple(sorted((int(t), float(w)) for t, w in weights.items()))
         return cls(kind="mixture", weights=ordered, sample_seed=sample_seed)
 
@@ -159,51 +158,26 @@ def build_corpus(tree: Tree, policy: TurnPolicy | None = None,
 
 
 def _mixture_quotas(weights: dict[int, float], available: dict[int, int]) -> dict[int, int]:
-    """Per-stratum draw counts.
+    """Per-stratum draw counts, each at most the stratum's availability.
 
     The total is the largest n for which every stratum can cover its share;
-    rounding leftovers go to the largest remainders. If a stratum still cannot
-    cover its quota (degenerate availability), the spill is redistributed
-    proportionally to strata with spare capacity, with a warning.
+    rounding leftovers go to the largest remainders, skipping a stratum that
+    is already full.
     """
     positive = {t: w for t, w in weights.items() if w > 0}
     if not positive:
         return {}
     n = min(int(available[t] / w) for t, w in positive.items())
-    n = max(n, 0)
 
     shares = {t: w * n for t, w in positive.items()}
-    quotas = {t: int(math.floor(s)) for t, s in shares.items()}
+    quotas = {t: int(math.floor(s)) for t, s in shares.items()}  # n <= available / w
     leftover = n - sum(quotas.values())
     for t in sorted(positive, key=lambda t: (-(shares[t] - quotas[t]), t)):
         if leftover <= 0:
             break
-        quotas[t] += 1
-        leftover -= 1
-
-    spill = 0
-    for t in quotas:
-        if quotas[t] > available[t]:
-            spill += quotas[t] - available[t]
-            quotas[t] = available[t]
-    while spill > 0:
-        carriers = {t: available[t] - quotas[t] for t in quotas if available[t] > quotas[t]}
-        if not carriers:
-            log.warning("mixture shortfall: %d records could not be placed", spill)
-            break
-        log.warning("mixture stratum shortfall; redistributing %d records", spill)
-        weight_sum = sum(positive[t] for t in carriers)
-        placed = 0
-        for t, capacity in sorted(carriers.items()):
-            add = min(capacity, max(1, int(round(spill * positive[t] / weight_sum))))
-            add = min(add, spill - placed)
-            quotas[t] += add
-            placed += add
-            if placed >= spill:
-                break
-        if placed == 0:
-            break
-        spill -= placed
+        if quotas[t] < available[t]:
+            quotas[t] += 1
+            leftover -= 1
     return quotas
 
 

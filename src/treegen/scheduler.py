@@ -97,10 +97,10 @@ class CheckpointStore:
     appears earlier in the file, and one parent's full child set is appended
     as a single block; an expansion that kept no children is a one-line block,
     the marker ``{"parent_id": ..., "children": []}``. Replaying the file
-    therefore rebuilds every node, child list and shortfall. A torn trailing
-    block is skipped by ``load``, which writes nothing; the first append after
-    it cuts the file where the intact records end, so the block is regenerated
-    deterministically.
+    therefore rebuilds every node, child list and shortfall. ``load`` streams
+    it, holding back only the open block, and skips a torn trailing block; it
+    writes nothing, and the first append after it cuts the file where the
+    intact records end, so the block is regenerated deterministically.
 
     config.json is read here only, by ``stored_config`` and ``load``.
 
@@ -110,12 +110,11 @@ class CheckpointStore:
     kill loses. ``load`` reads a missing or damaged manifest as a fresh one.
     """
 
-    def __init__(self, directory: str | Path, include_embeddings: bool = False):
+    def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.config_path = self.directory / CONFIG_FILE
         self.nodes_path = self.directory / NODES_FILE
         self.manifest_path = self.directory / MANIFEST_FILE
-        self.include_embeddings = include_embeddings
         self.manifest: dict = {}
         self._handle = None
         # what the first append writes over: the intact length of nodes.jsonl
@@ -138,7 +137,7 @@ class CheckpointStore:
                                     encoding="utf-8")
         self.manifest = _fresh_manifest(config, backend_id, workers)
         tree = Tree(config)
-        self._intact, self._root_line = 0, self._encode(tree.root)
+        self._intact, self._root_line = 0, _dumps(node_to_record(tree.root))
         self._write_lines([])
         self._write_manifest()
         return tree
@@ -148,11 +147,7 @@ class CheckpointStore:
             self._handle.close()
             self._handle = None
 
-    # -- encoding -----------------------------------------------------------
-
-    def _encode(self, node: TreeNode, vector: EmbeddingVector | None = None) -> str:
-        embedding = vector.values if self.include_embeddings and vector is not None else None
-        return _dumps(node_to_record(node, embedding))
+    # -- commits ------------------------------------------------------------
 
     def _write_lines(self, lines: Sequence[str]) -> None:
         if self._handle is None:
@@ -163,18 +158,11 @@ class CheckpointStore:
         self._handle.write("".join(line + "\n" for line in lines))
         self._handle.flush()
 
-    # -- commits ------------------------------------------------------------
-
     def append_block(self, nodes: Sequence[TreeNode], parent_id: str,
-                     vectors: Sequence[EmbeddingVector],
                      dedup_drops: int = 0, retried: bool = False) -> None:
-        """Commit one expansion result atomically (all-or-nothing lines).
-
-        ``vectors``, the nodes' embeddings in order, are written into the
-        records when the store includes embeddings.
-        """
+        """Commit one expansion result atomically (all-or-nothing lines)."""
         if nodes:
-            self._write_lines([self._encode(n, v) for n, v in zip(nodes, vectors)])
+            self._write_lines([_dumps(node_to_record(n)) for n in nodes])
         else:
             self._write_lines([_dumps({"parent_id": parent_id, "children": []})])
         self.manifest["dedup_drops"] += dedup_drops
@@ -231,40 +219,17 @@ class CheckpointStore:
         return config, stored.get("hash")
 
     def load(self, config: TreeConfig) -> Tree:
-        """Verify compatibility and replay the log up to a torn tail; writes nothing."""
+        """Verify compatibility and replay the log up to a torn tail, in one
+        streamed pass that checks every record it keeps; writes nothing."""
         stored_hash = self._read_config_file()[1]
         if stored_hash != config_hash(config):
             raise CheckpointError(
                 f"checkpoint config hash {stored_hash} does not match the "
                 f"provided config hash {config_hash(config)}")
 
-        records, self._intact = self._read_intact_records()
-        if records and records[0].get("id") != ROOT_ID:
-            raise CheckpointError("nodes.jsonl does not start with the root record")
         tree = Tree(config)
-        # ids are structural, and each parent's children are one block
-        expanded: set[str] = set()  # parents whose block has been replayed
-        block = None  # the parent whose block the previous line continued
-        for number, record in enumerate(records[1:], start=2):
-            try:
-                parent_id = record["parent_id"]
-                # a record without an id is a zero-child expansion marker
-                node = node_from_record(record) if "id" in record else None
-                if (node is None or parent_id != block) and parent_id in expanded:
-                    problem = f"adds to parent {parent_id!r}, which is already expanded"
-                elif node is not None and node.id != (expected := child_id(
-                        parent_id, len(tree.nodes[parent_id].children))):
-                    problem = f"has id {node.id!r} where the next child is {expected!r}"
-                else:
-                    tree.add_children(parent_id, [] if node is None else [node])
-                    expanded.add(parent_id)
-                    block = None if node is None else parent_id
-                    continue
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CheckpointError(f"{self.nodes_path} line {number} is not a node "
-                                      f"record: {exc!r:.200}") from exc
-            raise CheckpointError(f"{self.nodes_path} line {number} {problem}")
-        self._root_line = self._encode(tree.root)
+        self._intact = self._replay(tree)
+        self._root_line = _dumps(node_to_record(tree.root))
 
         self.manifest = _fresh_manifest(config)
         self.manifest.update(self._read_manifest())
@@ -294,39 +259,78 @@ class CheckpointStore:
                     self.manifest_path, problem)
         return {}
 
-    def _read_intact_records(self) -> tuple[list[dict], int]:
-        """nodes.jsonl's records up to a torn trailing block, and the bytes they
-        take.
+    def _replay(self, tree: Tree) -> int:
+        """Replay nodes.jsonl into ``tree`` in one forward pass; returns the
+        bytes of the replayed records.
 
-        The record boundary is a full line. If the tail is torn (partial or
-        unparseable final line), the whole trailing same-parent group is
-        dropped too: a block is written as one append, so only the final block
-        can be incomplete, and over-dropping is safe because expansion is
-        deterministic and will be redone on resume. A whole line that parses
-        but is not a JSON object is no tear, so it is a CheckpointError.
+        A block is written as one append, so only the last can be torn. The
+        open same-parent block is held back until the next parent's line or a
+        clean end of file commits it. A partial or unparseable line (invalid
+        UTF-8 included) drops it, intact or not, and ends the replay: expansion
+        is deterministic, so resume redoes it. A whole line that parses but is
+        not a JSON object is no tear, so it is a CheckpointError.
         """
-        raw = self.nodes_path.read_bytes() if self.nodes_path.exists() else b""
-        lines = raw.split(b"\n")
-        torn = lines[-1] != b""  # file must end with a newline
-        lines = lines[:-1]  # the empty tail, or the partial fragment
-        records: list[dict] = []
-        for number, line in enumerate(lines, start=1):
+        if not self.nodes_path.exists():
+            return 0
+        intact = size = 0  # bytes of the committed blocks; of every line read
+        block: list[dict] = []  # the open block's records, from line ``start`` on
+        start, block_parent = 1, None
+        with open(self.nodes_path, "rb") as lines:
+            for number, line in enumerate(lines, start=1):
+                try:
+                    if not line.endswith(b"\n"):
+                        raise ValueError("partial line")
+                    record = json.loads(line.decode())
+                except ValueError:  # UnicodeDecodeError and JSONDecodeError too
+                    log.warning("nodes.jsonl has a torn trailing block; the next append "
+                                "cuts it and resume regenerates it")
+                    return intact
+                if not isinstance(record, dict):
+                    raise CheckpointError(f"{self.nodes_path} line {number} is not a JSON object")
+                parent_id = record.get("parent_id")
+                if block and parent_id != block_parent:
+                    self._commit_block(tree, start, block)
+                    block, intact, start = [], size, number
+                block_parent = parent_id
+                block.append(record)
+                size += len(line)
+        self._commit_block(tree, start, block)
+        return size
+
+    def _commit_block(self, tree: Tree, start: int, block: list[dict]) -> None:
+        """Add one block, whose records share a parent and start at line
+        ``start``; ids are structural, so each record is checked, not only parsed."""
+        continuing = False  # the previous record added a child to this parent
+        for number, record in enumerate(block, start):
+            if number == 1:
+                if record.get("id") != ROOT_ID:
+                    raise CheckpointError("nodes.jsonl does not start with the root record")
+                continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                torn = True  # everything from the bad line on is suspect
-                break
-            if not isinstance(record, dict):
-                raise CheckpointError(f"{self.nodes_path} line {number} is not a JSON object")
-            records.append(record)
-        if torn and records:
-            last_parent = records[-1].get("parent_id")
-            while records and records[-1].get("parent_id") == last_parent:
-                records.pop()
-        if torn:
-            log.warning("nodes.jsonl has a torn trailing block; the next append cuts it "
-                        "and resume regenerates it")
-        return records, sum(len(line) + 1 for line in lines[:len(records)])
+                parent_id = record["parent_id"]
+                # a record without an id is a zero-child expansion marker
+                node = node_from_record(record) if "id" in record else None
+                parent, problem = tree.nodes[parent_id], None
+                if (node is None or not continuing) and tree.is_expanded(parent_id):
+                    problem = f"adds to parent {parent_id!r}, which is already expanded"
+                elif node is not None:
+                    layer, rank = tree.config.layer(parent.layer + 1), len(parent.children)
+                    if node.id != (expected := child_id(parent_id, rank)):
+                        problem = f"has id {node.id!r} where the next child is {expected!r}"
+                    elif rank >= layer.branching:
+                        problem = (f"adds child {rank + 1} to parent {parent_id!r}, beyond "
+                                   f"layer {parent.layer + 1}'s branching of {layer.branching}")
+                    elif node.role is not layer.role:
+                        problem = (f"has role {node.role.value!r} where layer "
+                                   f"{parent.layer + 1} holds {layer.role.value!r}")
+                if problem is None:
+                    tree.add_children(parent_id, [] if node is None else [node])
+                    continuing = node is not None
+                    continue
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CheckpointError(f"{self.nodes_path} line {number} is not a node "
+                                      f"record: {exc!r:.200}") from exc
+            raise CheckpointError(f"{self.nodes_path} line {number} {problem}")
 
 
 # --- one expansion step ------------------------------------------------------
@@ -581,8 +585,7 @@ class TreeRunner:
                        result: ExpansionResult) -> None:
         # disk first: if the append fails, the tree still matches nodes.jsonl
         self.store.append_block(result.children, parent_id=result.parent_id,
-                                vectors=result.vectors, dedup_drops=result.dedup_drops,
-                                retried=result.retried)
+                                dedup_drops=result.dedup_drops, retried=result.retried)
         tree.add_children(result.parent_id, result.children)
         queries.pop(result.parent_id, None)
         if result.layer_index < self.config.depth:  # last-layer nodes are never queries

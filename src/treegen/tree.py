@@ -316,9 +316,9 @@ class TreeNode:
     """One generated question/answer/continuation.
 
     Identity fields are immutable; ``children`` is the only list the owning
-    tree appends to (single writer). ``embedding`` is set only on a node
-    loaded from a record stored with ``--store-embeddings``; the runner keeps
-    a node's vector apart, and only until the node is expanded.
+    tree appends to (single writer). ``embedding`` is always None: the runner
+    keeps a node's vector apart, and only until the node is expanded. It stays
+    only because the benchmark still reads it (ROADMAP item 4 deletes it).
     """
 
     id: str
@@ -342,9 +342,9 @@ def structural_key(node_id: str) -> tuple[int, ...]:
     return tuple(int(part) for part in node_id.split("."))
 
 
-def node_to_record(node: TreeNode, embedding: Sequence[float] | None = None) -> dict:
-    """The node's nodes.jsonl record; ``embedding``, when given, is stored with it."""
-    record = {
+def node_to_record(node: TreeNode) -> dict:
+    """The node's nodes.jsonl record."""
+    return {
         "id": node.id,
         "parent_id": node.parent_id,
         "layer": node.layer,
@@ -357,28 +357,44 @@ def node_to_record(node: TreeNode, embedding: Sequence[float] | None = None) -> 
             "sample_index": node.gen_meta.sample_index,
         },
     }
-    if embedding is not None:
-        record["embedding"] = list(embedding)
-    return record
+
+
+def _wrong_kind(record: dict, *kinds: tuple[str, type]) -> ValueError:
+    """The error for the first of ``kinds`` that ``record`` holds with another
+    JSON type (a bool is no int). Replay tests all kinds at once, inline, and
+    calls this only when that test fails."""
+    key, kind = next((key, kind) for key, kind in kinds if type(record[key]) is not kind)
+    return ValueError(f"{key!r} must be a JSON {'integer' if kind is int else 'string'} "
+                      f"(got {record[key]!r:.80})")
 
 
 def node_from_record(record: dict) -> TreeNode:
+    """The node a nodes.jsonl record holds. A field of the wrong JSON type is a
+    ValueError; a key it does not read, such as the ``embedding`` that older
+    format-2 records may hold, is ignored."""
     meta = record.get("gen_meta")
-    embedding = record.get("embedding")
-    return TreeNode(
+    if meta is not None:
+        if type(meta) is not dict:
+            raise ValueError(f"'gen_meta' must be null or a JSON object (got {meta!r:.80})")
+        if (type(meta["backend_id"]) is not str or type(meta["finish_reason"]) is not str
+                or type(meta["sample_index"]) is not int):
+            raise _wrong_kind(meta, ("backend_id", str), ("finish_reason", str),
+                              ("sample_index", int))
+        meta = GenMeta(backend_id=meta["backend_id"], finish_reason=meta["finish_reason"],
+                       sample_index=meta["sample_index"])
+    node = TreeNode(
         id=record["id"],
         parent_id=record["parent_id"],
         layer=record["layer"],
         role=Role(record["role"]),
         text=record["text"],
         token_count=record["token_count"],
-        embedding=None if embedding is None else tuple(float(v) for v in embedding),
-        gen_meta=None if meta is None else GenMeta(
-            backend_id=meta["backend_id"],
-            finish_reason=meta["finish_reason"],
-            sample_index=meta["sample_index"],
-        ),
+        gen_meta=meta,
     )
+    if (type(node.layer) is not int or type(node.text) is not str
+            or type(node.token_count) is not int):
+        raise _wrong_kind(record, ("layer", int), ("text", str), ("token_count", int))
+    return node
 
 
 class Tree:

@@ -271,6 +271,16 @@ def _late_child_of_root(nodes_text):
     return json.dumps({**record, "id": "2"})
 
 
+def _next_child_of_last_parent(nodes_text):
+    record = json.loads(nodes_text.splitlines()[-1])
+    return json.dumps({**record, "id": "1.2"})
+
+
+def _child_of_last_record(nodes_text):
+    record = json.loads(nodes_text.splitlines()[-1])
+    return json.dumps({**record, "id": "1.1.0", "parent_id": "1.1", "layer": 3})
+
+
 # a whole nodes.jsonl line that parses but does not continue the tree -> what
 # the error says
 DAMAGED_NODE_LINES = {
@@ -283,6 +293,10 @@ DAMAGED_NODE_LINES = {
                                    "adds to parent '1', which is already expanded"),
     "second-block-for-parent": (_late_child_of_root,
                                 "adds to parent 'root', which is already expanded"),
+    "child-beyond-branching": (_next_child_of_last_parent,
+                               "adds child 3 to parent '1', beyond layer 2's branching of 2"),
+    "child-of-last-layer-node": (_child_of_last_record,
+                                 "adds to parent '1.1', which is already expanded"),
 }
 
 
@@ -307,6 +321,76 @@ def test_node_line_that_is_no_record_exits_1(tmp_path, capsys, command, damage):
     assert code == 1 and out == ""
     last = err.splitlines()[-1]
     assert last.startswith(f"error: {nodes} line {len(text.splitlines()) + 1} {says}")
+    assert nodes.read_bytes() == damaged
+
+
+def _field(key, value):
+    return lambda record: {**record, key: value}
+
+
+def _meta_field(key, value):
+    return lambda record: {**record, "gen_meta": {**record["gen_meta"], key: value}}
+
+
+def _meta_without(key):
+    return lambda record: {**record, "gen_meta": {
+        k: v for k, v in record["gen_meta"].items() if k != key}}
+
+
+# a field of the last record of a [2, 2] checkpoint (answer '1.1') rewritten
+# -> what the error says about that line
+DAMAGED_NODE_FIELDS = {
+    "role-of-other-layer": (_field("role", "question"),
+                            "has role 'question' where layer 2 holds 'answer'"),
+    "unknown-role": (_field("role", "oracle"), "is not a node record: ValueError"),
+    "token-count-string": (_field("token_count", "many"),
+                           "is not a node record: ValueError(\"'token_count'"),
+    "token-count-bool": (_field("token_count", True),
+                         "is not a node record: ValueError(\"'token_count'"),
+    "token-count-float": (_field("token_count", 12.0),
+                          "is not a node record: ValueError(\"'token_count'"),
+    "text-number": (_field("text", 5), "is not a node record: ValueError(\"'text'"),
+    "layer-string": (_field("layer", "2"), "is not a node record: ValueError(\"'layer'"),
+    "gen-meta-string": (_field("gen_meta", "mock"),
+                        "is not a node record: ValueError(\"'gen_meta'"),
+    "gen-meta-array": (_field("gen_meta", []), "is not a node record: ValueError(\"'gen_meta'"),
+    "gen-meta-no-backend-id": (_meta_without("backend_id"),
+                               "is not a node record: KeyError('backend_id')"),
+    "gen-meta-backend-id-number": (_meta_field("backend_id", 1),
+                                   "is not a node record: ValueError(\"'backend_id'"),
+    "gen-meta-finish-reason-null": (_meta_field("finish_reason", None),
+                                    "is not a node record: ValueError(\"'finish_reason'"),
+    "gen-meta-sample-index-string": (_meta_field("sample_index", "3"),
+                                     "is not a node record: ValueError(\"'sample_index'"),
+    "gen-meta-sample-index-bool": (_meta_field("sample_index", False),
+                                   "is not a node record: ValueError(\"'sample_index'"),
+}
+
+
+@pytest.mark.parametrize("damage", list(DAMAGED_NODE_FIELDS))
+@pytest.mark.parametrize("command", ["export", "resume"])
+def test_node_field_of_the_wrong_kind_exits_1(tmp_path, capsys, command, damage):
+    config_path = write_config(tmp_path, sft_config([2, 2]))
+    out_dir = tmp_path / "o"
+    assert run_cli(capsys, "generate", "--config", str(config_path),
+                   "--out", str(out_dir))[0] == 0
+    nodes = out_dir / "nodes.jsonl"
+    lines = nodes.read_text().splitlines()
+    rewrite, says = DAMAGED_NODE_FIELDS[damage]
+    record = json.loads(lines[-1])
+    assert record["id"] == "1.1" and record["role"] == "answer"
+    lines[-1] = json.dumps(rewrite(record))
+    nodes.write_text("\n".join(lines) + "\n")
+    damaged = nodes.read_bytes()
+    if command == "export":
+        argv = ["export", "--tree", str(out_dir), "--format", "sharegpt",
+                "--out", str(tmp_path / "c.json")]
+    else:
+        argv = ["generate", "--config", str(config_path), "--out", str(out_dir), "--resume"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    last = err.splitlines()[-1]
+    assert last.startswith(f"error: {nodes} line {len(lines)} {says}")
     assert nodes.read_bytes() == damaged
 
 
@@ -502,6 +586,56 @@ def test_export_leaves_a_torn_checkpoint_unchanged(completed_run, tmp_path, caps
     assert code == 0 and json.loads(out)["records"] > 0
     assert "torn trailing block" in caplog.text
     assert nodes.read_bytes() == torn
+
+
+def test_invalid_utf8_line_is_a_tear_that_resumes_identically(completed_run, tmp_path,
+                                                                capsys, caplog):
+    nodes = completed_run / "nodes.jsonl"
+    complete = nodes.read_bytes()
+    lines = complete.splitlines(keepends=True)
+    # byte 0xff inside the text of line 10, a whole line in the middle of the file
+    at = lines[9].index(b'"text":"') + len(b'"text":"')
+    lines[9] = lines[9][:at] + b"\xff" + lines[9][at + 1:]
+    nodes.write_bytes(b"".join(lines))
+    torn = nodes.read_bytes()
+    code, out, err = run_cli(capsys, "export", "--tree", str(completed_run),
+                             "--format", "sharegpt", "--out", str(tmp_path / "c.json"))
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1].startswith("error: ") and "permissive" in err
+    assert "torn trailing block" in caplog.text
+    assert nodes.read_bytes() == torn
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(json.loads(
+        (completed_run / "config.json").read_text())["config"]))
+    assert run_cli(capsys, "generate", "--config", str(config_path),
+                   "--out", str(completed_run), "--resume")[0] == 0
+    assert nodes.read_bytes() == complete
+
+
+def test_records_with_stored_embeddings_export_the_same_bytes(completed_run, tmp_path,
+                                                              capsys):
+    # format-2 records written with the former --store-embeddings carry an
+    # "embedding" key after gen_meta; it is ignored
+    from treegen.backends import MockEmbedder
+    stored = tmp_path / "stored"
+    stored.mkdir()
+    lines = (completed_run / "nodes.jsonl").read_text().splitlines()
+    records = [lines[0]] + [
+        json.dumps({**record, "embedding": list(MockEmbedder().embed([record["text"]])[0].values)},
+                   ensure_ascii=False, separators=(",", ":"))
+        for record in map(json.loads, lines[1:])]
+    (stored / "nodes.jsonl").write_text("\n".join(records) + "\n")
+    for name in ("config.json", "manifest.json"):
+        (stored / name).write_bytes((completed_run / name).read_bytes())
+    exports = []
+    for tree in (completed_run, stored):
+        for fmt in ("sharegpt", "jsonl"):
+            out_path = tmp_path / f"{tree.name}.{fmt}"
+            assert run_cli(capsys, "export", "--tree", str(tree), "--format", fmt,
+                           "--out", str(out_path))[0] == 0
+            exports.append(out_path.read_bytes())
+    assert exports[:2] == exports[2:]
+    assert b'"embedding"' in (stored / "nodes.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize("damaged", ["{\"status\": \"runn", "[1, 2]\n"],

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+import random
 
 import pytest
 
-from treegen.corpus import (ConversationRecord, Turn, TurnPolicy, build_corpus,
+from treegen.corpus import (ConversationRecord, Turn, TurnPolicy, _mixture_quotas, build_corpus,
                             export_jsonl, export_pt, export_sharegpt,
                             gaussian_turn_policy, gaussian_turn_weights, sample_to_size,
                             validate_sharegpt_file)
@@ -109,10 +110,41 @@ def test_mixture_weights_must_sum_to_one():
         TurnPolicy.mixture({1: 0.5, 2: 0.4})
 
 
+def test_mixture_weights_must_not_be_negative():
+    with pytest.raises(ConfigError, match=">= 0"):
+        TurnPolicy.mixture({1: 1.5, 2: -0.5})
+
+
 def test_mixture_rejects_turns_beyond_depth():
     tree = build_full_tree(sft_config([2, 2]))
     with pytest.raises(ConfigError):
         build_corpus(tree, TurnPolicy.mixture({1: 0.5, 2: 0.5}))
+
+
+@pytest.mark.parametrize("weights, available, quotas", [
+    # 0.1 * 30 is 3.0000000000000004: stratum 1 is full with a positive remainder
+    ({1: 0.1, 2: 0.45, 3: 0.45}, {1: 3, 2: 100, 3: 100}, {1: 3, 2: 14, 3: 13}),
+    ({1: 0.25, 2: 0.75}, {1: 0, 2: 9}, {1: 0, 2: 0}),
+    ({1: 0.0, 2: 1.0}, {1: 0, 2: 5}, {2: 5}),
+])
+def test_mixture_quotas_by_hand(weights, available, quotas):
+    assert _mixture_quotas(weights, available) == quotas
+
+
+def test_mixture_quotas_never_exceed_availability():
+    rng = random.Random(20240617)
+    for _ in range(3000):
+        strata = rng.randint(1, 6)
+        raw = [rng.choice([0.0, 0.1, rng.random()]) for _ in range(strata)]
+        if not sum(raw):
+            raw[0] = 1.0
+        weights = {t: w / sum(raw) for t, w in enumerate(raw, start=1)}
+        assert abs(sum(weights.values()) - 1.0) <= 1e-9
+        available = {t: rng.choice([0, 1, 3, rng.randint(0, 500)]) for t in weights}
+        quotas = _mixture_quotas(weights, available)
+        n = max(0, min(int(available[t] / w) for t, w in weights.items() if w > 0))
+        assert sum(quotas.values()) == n
+        assert all(0 <= quotas[t] <= available[t] for t in quotas)
 
 
 # --- sharegpt export --------------------------------------------------------------------

@@ -8,6 +8,7 @@ import json
 import math
 import threading
 import time
+import tracemalloc
 import weakref
 
 import pytest
@@ -213,9 +214,9 @@ def test_wide_tree_run_is_deterministic_across_workers(tmp_path):
 
 def test_checkpoint_round_trip_identity(tmp_path):
     config = sft_config([2, 2], template_id="llama2-chat")
-    store = CheckpointStore(tmp_path / "t", include_embeddings=True)
+    store = CheckpointStore(tmp_path / "t")
     tree = TreeRunner(config, MockTextBackend(), MockEmbedder(), store, workers=2).run()
-    reloader = CheckpointStore(tmp_path / "t", include_embeddings=True)
+    reloader = CheckpointStore(tmp_path / "t")
     reloaded = reloader.load(config)
     reloader.close()
     assert set(reloaded.nodes) == set(tree.nodes)
@@ -227,35 +228,50 @@ def test_checkpoint_round_trip_identity(tmp_path):
         assert clone.parent_id == node.parent_id
         assert clone.token_count == node.token_count
         assert clone.children == node.children
-        # the runner keeps vectors apart from the tree; the records store them
+        # the runner keeps vectors apart from the tree
         assert node.embedding is None
-        expected = None if nid == ROOT_ID else MockEmbedder().embed([node.text])[0].values
-        assert clone.embedding == expected
         assert clone.gen_meta == node.gen_meta
+
+
+def test_load_peak_stays_near_the_loaded_tree(tmp_path):
+    # replay streams the file and holds back only the open block, so the
+    # loaded tree is nearly all that load ever holds
+    config = sft_config([8, 4, 4, 2], dedup_threshold=1.01)
+    run_to_completion(config, tmp_path / "t")
+    store = CheckpointStore(tmp_path / "t")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tree = store.load(config)
+        tree_size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tree.non_root_count() == 8 + 32 + 128 + 256
+    assert peak < 1.5 * tree_size
 
 
 # --- resume ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("branching", [[8, 4, 2, 2], [8, 1, 1, 1]])
-def test_interrupt_and_resume_with_stored_embeddings(tmp_path, branching, workers):
-    # resume embeds the frontier parents' texts again; the records written
-    # after it, embeddings included, equal an uninterrupted run's
+def test_interrupt_and_resume_with_dedup_on(tmp_path, branching, workers):
+    # resume embeds the frontier parents' texts again as their MMR queries;
+    # with the near-duplicate filter on, the records written after it equal
+    # an uninterrupted run's
     config = sft_config(branching)
     baseline_dir = tmp_path / "baseline"
     TreeRunner(config, MockTextBackend(), MockEmbedder(),
-               CheckpointStore(baseline_dir, include_embeddings=True), workers=workers).run()
+               CheckpointStore(baseline_dir), workers=workers).run()
     baseline = (baseline_dir / NODES_FILE).read_bytes()
-    assert b'"embedding"' in baseline
     for at in (5, 20):
         crash_dir = tmp_path / f"crash-{at}"
-        aborting = AbortingStore(crash_dir, abort_after_nodes=at, include_embeddings=True)
+        aborting = AbortingStore(crash_dir, abort_after_nodes=at)
         with pytest.raises(InjectedCrash):
             TreeRunner(config, MockTextBackend(), MockEmbedder(), aborting,
                        workers=workers).run()
         assert baseline.startswith((crash_dir / NODES_FILE).read_bytes())
         TreeRunner(config, MockTextBackend(), MockEmbedder(),
-                   CheckpointStore(crash_dir, include_embeddings=True), workers=workers).run()
+                   CheckpointStore(crash_dir), workers=workers).run()
         assert (crash_dir / NODES_FILE).read_bytes() == baseline
 
 

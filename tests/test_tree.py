@@ -254,10 +254,8 @@ def test_node_record_round_trip():
     from treegen.tree import GenMeta
     node = TreeNode(id="0.1", parent_id="0", layer=2, role=Role.ANSWER,
                     text="hello world", token_count=2,
-                    embedding=(0.5, 0.25, 0.8292156863),
                     gen_meta=GenMeta("mock", "stop", 3))
-    record = json.loads(json.dumps(node_to_record(node, embedding=node.embedding)))
+    record = json.loads(json.dumps(node_to_record(node)))
     clone = node_from_record(record)
     assert clone.id == node.id and clone.text == node.text
-    assert clone.embedding == node.embedding
     assert clone.gen_meta == node.gen_meta
