@@ -20,8 +20,7 @@ from .corpus import (TurnPolicy, build_corpus, export_jsonl, export_pt,
                      validate_sharegpt_file)
 from .errors import ConfigError, ResumableRunError, TreeGenError
 from .scheduler import CheckpointStore, TreeRunner
-from .templates import resolve_template
-from .tree import Mode, load_config, validate_config
+from .tree import load_config, validate_config
 
 log = logging.getLogger(__name__)
 
@@ -62,7 +61,6 @@ def cmd_generate(args) -> int:
     for warning in report.warnings:
         log.warning("config warning: %s", warning)
 
-    template = resolve_template(args.template) if args.template else None
     generator, embedder = _build_backends(args)
     try:
         store = CheckpointStore(args.out)
@@ -71,8 +69,7 @@ def cmd_generate(args) -> int:
         if not args.resume and store.exists():
             raise ConfigError(
                 f"{args.out} already holds a checkpoint; pass --resume to continue it")
-        runner = TreeRunner(config, generator, embedder, store,
-                            template=template, workers=args.workers)
+        runner = TreeRunner(config, generator, embedder, store, workers=args.workers)
         try:
             tree = runner.run()
         except KeyboardInterrupt:
@@ -87,7 +84,7 @@ def cmd_generate(args) -> int:
         "nodes_committed": tree.non_root_count(),
         "shortfalls": tree.shortfall_total,
         "dedup_drops": store.manifest["dedup_drops"],
-        "leaf_count": len(tree.leaf_paths(permissive=True)),
+        "leaf_count": len(tree.layer_ids(tree.depth)),
         "config_hash": store.manifest["config_hash"],
     })
     return EXIT_OK
@@ -111,8 +108,6 @@ def cmd_export(args) -> int:
     store = CheckpointStore(args.tree)
     tree = store.load(store.stored_config())  # load writes nothing and opens no file
     if args.format == "pt":
-        if tree.config.mode is not Mode.PT:
-            raise ConfigError("--format pt needs a PT-mode tree")
         out = export_pt(tree, args.out, permissive=args.permissive)
         with open(out, encoding="utf-8") as fh:
             lines = sum(1 for _ in fh)
@@ -158,8 +153,6 @@ def build_parser() -> _Parser:
     gen.add_argument("--workers", type=int, default=8)
     gen.add_argument("--resume", action="store_true",
                      help="continue an interrupted run from its checkpoint")
-    gen.add_argument("--template", default=None,
-                     help="template id or JSON file; overrides the config's template_id")
     gen.add_argument("--model", default=None, help="model name for the HTTP backend")
     gen.add_argument("--embedding-model", default=None)
     gen.add_argument("--base-url", default=None,

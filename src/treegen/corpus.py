@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigError, ModeError
 from .templates import get_template
-from .tree import Mode, Role, Tree, structural_key
+from .tree import Mode, Role, Tree
 
 HUMAN = "human"
 GPT = "gpt"
@@ -151,9 +151,9 @@ def build_corpus(tree: Tree, policy: TurnPolicy | None = None,
         take = quotas.get(t, 0)
         if take == 0:
             continue
-        chosen = rng.sample(strata[t], take)
-        chosen.sort(key=structural_key)
-        records.extend(_record_for_node(tree, nid, t) for nid in chosen)
+        ids = strata[t]  # in structural order, so sorted indices keep it
+        chosen = sorted(rng.sample(range(len(ids)), take))
+        records.extend(_record_for_node(tree, ids[i], t) for i in chosen)
     return records
 
 
@@ -239,39 +239,44 @@ def _escaped_records(records: Sequence[ConversationRecord],
             for record, values in zip(ordered, rows))
 
 
+def _write(path: str | Path, lines: Iterable[str]) -> Path:
+    """Write ``lines`` to ``path`` as UTF-8, newlines untranslated. An
+    OSError, from the open or from any write, is a ConfigError naming the file."""
+    path = Path(path)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(lines)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    return path
+
+
 def export_sharegpt(records: Sequence[ConversationRecord], path: str | Path,
                     inline_system: bool = False) -> Path:
     """Write one JSON array of {"id", "conversations"} elements, ordered by id,
     indented by 2 as ``json.dump`` indents it."""
-    path = Path(path)
     elements = _escaped_records(records, inline_system)
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            opening = "[\n"
-            for record_id, values in elements:
-                turns = ",\n".join(_ARRAY_TURN[i & 1] % value for i, value in enumerate(values))
-                fh.write(f'{opening}  {{\n    "id": {record_id},\n    "conversations": [\n'
-                         f'{turns}\n    ]\n  }}')
-                opening = ",\n"
-            fh.write("[]\n" if opening == "[\n" else "\n]\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
-    return path
+
+    def lines() -> Iterator[str]:
+        opening = "[\n"
+        for record_id, values in elements:
+            turns = ",\n".join(_ARRAY_TURN[i & 1] % value for i, value in enumerate(values))
+            yield (f'{opening}  {{\n    "id": {record_id},\n    "conversations": [\n'
+                   f'{turns}\n    ]\n  }}')
+            opening = ",\n"
+        yield "[]\n" if opening == "[\n" else "\n]\n"
+
+    return _write(path, lines())
 
 
 def export_jsonl(records: Sequence[ConversationRecord], path: str | Path,
                  inline_system: bool = False) -> Path:
     """Same element shape as the ShareGPT array, one record per line."""
-    path = Path(path)
     elements = _escaped_records(records, inline_system)
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for record_id, values in elements:
-                turns = ", ".join(_LINE_TURN[i & 1] % value for i, value in enumerate(values))
-                fh.write(f'{{"id": {record_id}, "conversations": [{turns}]}}\n')
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
-    return path
+    return _write(path, (
+        '{"id": %s, "conversations": [%s]}\n'
+        % (record_id, ", ".join(_LINE_TURN[i & 1] % value for i, value in enumerate(values)))
+        for record_id, values in elements))
 
 
 def export_pt(tree: Tree, path: str | Path, permissive: bool = False) -> Path:
@@ -280,16 +285,9 @@ def export_pt(tree: Tree, path: str | Path, permissive: bool = False) -> Path:
     if tree.config.mode is not Mode.PT:
         raise ModeError("export_pt needs a PT tree; use the conversation exports for SFT")
     separator = _json_str(get_template(tree.config.template_id).turn_separator)[1:-1]
-    path = Path(path)
-    paths = tree.leaf_paths(permissive=permissive)
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for texts in _escape_rows([node.text for node in p] for p in paths):
-                text = separator.join(value[1:-1] for value in texts)
-                fh.write(f'{{"text": "{text}"}}\n')
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
-    return path
+    paths = tree.leaf_paths(permissive=permissive)  # before the file is opened
+    return _write(path, ('{"text": "%s"}\n' % separator.join(value[1:-1] for value in texts)
+                         for texts in _escape_rows([node.text for node in p] for p in paths)))
 
 
 def validate_sharegpt_file(path: str | Path) -> list[ConversationRecord]:

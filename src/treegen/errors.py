@@ -10,7 +10,7 @@ class ConfigError(TreeGenError):
 
 
 class TemplateError(TreeGenError):
-    """Unknown template id or malformed template file."""
+    """Unknown template id."""
 
 
 class StructuralError(TreeGenError):

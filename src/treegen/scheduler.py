@@ -469,8 +469,7 @@ class TreeRunner:
     """Drives a full tree run against a generation backend and an embedder."""
 
     def __init__(self, config: TreeConfig, generator: GenerationBackend,
-                 embedder: EmbeddingBackend, store: CheckpointStore,
-                 template: ChatTemplate | None = None, workers: int = 8):
+                 embedder: EmbeddingBackend, store: CheckpointStore, workers: int = 8):
         report = validate_config(config)
         if not report.ok:
             raise ConfigError("invalid config: " + "; ".join(report.errors))
@@ -480,7 +479,7 @@ class TreeRunner:
         self.generator = generator
         self.embedder = embedder
         self.store = store
-        self.template = template or get_template(config.template_id)
+        self.template = get_template(config.template_id)
         self.workers = workers
         self.shape = report.shape
 

@@ -9,10 +9,8 @@ concatenation of the texts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Sequence
 
 from .errors import EmptyCompletionError, StructuralError, TemplateError
@@ -55,12 +53,9 @@ LLAMA2_CHAT = ChatTemplate(
     turn_separator="\n",
 )
 
+# A tree renders with the builtin its config's template_id names, the value
+# config.json records and hashes; a new chat template is one more entry here.
 BUILTIN_TEMPLATES: dict[str, ChatTemplate] = {t.id: t for t in (PLAIN, LLAMA2_CHAT)}
-
-_TEMPLATE_KEYS = {
-    "id", "system_open", "system_close", "user_open", "user_close",
-    "assistant_open", "assistant_close", "turn_separator",
-}
 
 
 def get_template(template_id: str) -> ChatTemplate:
@@ -70,33 +65,6 @@ def get_template(template_id: str) -> ChatTemplate:
         raise TemplateError(
             f"unknown template {template_id!r}; built-ins: {sorted(BUILTIN_TEMPLATES)}"
         ) from None
-
-
-def load_template(path: str | Path) -> ChatTemplate:
-    """Load a template from a JSON file using the ChatTemplate field names."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise TemplateError(f"cannot read template {path}: {exc}") from exc
-    if not isinstance(raw, dict) or "id" not in raw:
-        raise TemplateError(f"template file {path} must be an object with an 'id'")
-    unknown = set(raw) - _TEMPLATE_KEYS
-    if unknown:
-        raise TemplateError(f"unknown template keys in {path}: {sorted(unknown)}")
-    for key, value in raw.items():
-        if not isinstance(value, str):
-            raise TemplateError(f"template file {path}: {key!r} must be a string "
-                                f"(got {value!r:.80})")
-    return ChatTemplate(**raw)
-
-
-def resolve_template(spec: str) -> ChatTemplate:
-    """Builtin id, or a path to a template JSON file."""
-    if spec in BUILTIN_TEMPLATES:
-        return BUILTIN_TEMPLATES[spec]
-    if Path(spec).exists():
-        return load_template(spec)
-    return get_template(spec)
 
 
 def _render_system(template: ChatTemplate, system_prompt: str) -> list[str]:

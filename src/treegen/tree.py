@@ -17,10 +17,11 @@ import sys
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import ConfigError, IncompleteTreeError
 from .fnv import hash_text
+from .templates import BUILTIN_TEMPLATES
 
 log = logging.getLogger(__name__)
 
@@ -151,6 +152,9 @@ def validate_config(config: TreeConfig) -> ValidationReport:
         err(f"dedup_threshold must be in (0, 1.01] (got {config.dedup_threshold})")
     if not 0 <= config.seed <= 0xFFFFFFFFFFFFFFFF:
         err(f"seed must fit in an unsigned 64-bit integer (got {config.seed})")
+    if config.template_id not in BUILTIN_TEMPLATES:
+        err(f"unknown template_id {config.template_id!r} "
+            f"(built-ins: {sorted(BUILTIN_TEMPLATES)})")
 
     if config.mode is Mode.SFT and report.ok:
         answer_budgets = [l.max_tokens for l in config.layers if l.role is Role.ANSWER]
@@ -337,6 +341,8 @@ def child_id(parent_id: str, rank: int) -> str:
 
 
 def structural_key(node_id: str) -> tuple[int, ...]:
+    """Sort key of the structural order, which a walk of a tree's child lists
+    gives without sorting."""
     if node_id == ROOT_ID:
         return ()
     return tuple(int(part) for part in node_id.split("."))
@@ -456,36 +462,40 @@ class Tree:
     def shortfall_total(self) -> int:
         return sum(self.shortfalls.values())
 
+    def _walk(self, last_layer: int) -> Iterator[TreeNode]:
+        """Every node down to ``last_layer``, root first, in structural order:
+        a pre-order walk of the child lists, which hold ranks in order."""
+        stack = [ROOT_ID]
+        while stack:
+            node = self.nodes[stack.pop()]
+            yield node
+            if node.layer < last_layer:
+                stack.extend(reversed(node.children))
+
     def layer_ids(self, layer: int) -> list[str]:
-        ids = [nid for nid, node in self.nodes.items() if node.layer == layer]
-        ids.sort(key=structural_key)
-        return ids
+        return [node.id for node in self._walk(layer) if node.layer == layer]
 
     def unexpanded(self) -> list[TreeNode]:
         """Committed nodes above the last layer still awaiting expansion, in
         structural order."""
-        pending = [node for nid, node in self.nodes.items() if not self.is_expanded(nid)]
-        pending.sort(key=lambda node: structural_key(node.id))
-        return pending
+        return [node for node in self._walk(self.depth - 1)
+                if node.id not in self._expanded]
 
     def complete(self) -> bool:
-        return all(self.is_expanded(nid)
-                   for nid, node in self.nodes.items() if node.layer < self.depth)
+        return not self.unexpanded()
 
     def export_depth(self, permissive: bool = False) -> int:
         """The layer exported paths end at: the full depth of a complete tree,
-        else with ``permissive`` the largest L such that every node above layer
-        L has been expanded, rounded down to an even layer in SFT mode."""
-        if self.complete():
+        else with ``permissive`` the shallowest layer that holds an unexpanded
+        node, rounded down to an even layer in SFT mode."""
+        pending = self.unexpanded()
+        if not pending:
             return self.depth
         if not permissive:
             raise IncompleteTreeError(
                 "tree expansion is not finished; pass permissive=True to export "
                 "down to the deepest completed layer")
-        deepest = 0
-        while deepest < self.depth and all(nid in self._expanded
-                                           for nid in self.layer_ids(deepest)):
-            deepest += 1
+        deepest = min(node.layer for node in pending)
         if self.config.mode is Mode.SFT:
             deepest -= deepest % 2
         return deepest
@@ -509,23 +519,7 @@ class Tree:
         The paths end at ``export_depth(permissive)``.
         """
         target = self.export_depth(permissive)
-        if target == 0:
-            return []
-        paths: list[list[TreeNode]] = []
-        stack: list[TreeNode] = []
-
-        def walk(node: TreeNode) -> None:
-            if node.layer == target:
-                paths.append(list(stack))
-                return
-            for cid in node.children:
-                child = self.nodes[cid]
-                stack.append(child)
-                walk(child)
-                stack.pop()
-
-        walk(self.root)
-        return paths
+        return [self.path_nodes(nid) for nid in self.layer_ids(target)] if target else []
 
     def non_root_count(self) -> int:
         return len(self.nodes) - 1

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import gc
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -11,7 +14,8 @@ import pytest
 import requests
 
 from treegen import backends
-from treegen.cli import main
+from treegen.cli import build_parser, main
+from treegen.scheduler import CheckpointStore
 from treegen.tree import config_to_dict
 
 from conftest import BAD_CONFIG_VALUES, bad_config_dict, sft_config, pt_config
@@ -479,6 +483,25 @@ def test_export_pt_from_pt_tree(tmp_path, capsys):
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
+def test_export_pt_joins_with_the_config_template_separator(tmp_path, capsys):
+    # the template comes from config.json alone: llama2-chat joins with "\n"
+    config = dataclasses.replace(pt_config([3, 2], dedup_threshold=1.01),
+                                 template_id="llama2-chat")
+    out_dir = tmp_path / "pt-tree"
+    assert main(["generate", "--config", str(write_config(tmp_path, config)),
+                 "--out", str(out_dir)]) == 0
+    corpus = tmp_path / "pt.jsonl"
+    assert main(["export", "--tree", str(out_dir), "--format", "pt",
+                 "--out", str(corpus)]) == 0
+    capsys.readouterr()
+    store = CheckpointStore(out_dir)
+    assert store.stored_config().template_id == "llama2-chat"
+    paths = store.load(store.stored_config()).leaf_paths()
+    lines = corpus.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["text"] for line in lines] == [
+        "\n".join(node.text for node in path) for path in paths]
+
+
 def test_export_pt_rejects_sft_tree(completed_run, tmp_path, capsys):
     code, _, err = run_cli(capsys, "export", "--tree", str(completed_run),
                            "--format", "pt", "--out", str(tmp_path / "x.jsonl"))
@@ -530,6 +553,46 @@ def test_bad_config_value_exits_1(tmp_path, capsys, command, case):
     assert code == 1 and out == ""
     last = err.splitlines()[-1]
     assert last.startswith("error: ") and names in last
+
+
+@pytest.mark.parametrize("command", ["validate", "generate"])
+def test_unknown_template_id_exits_1(tmp_path, capsys, command):
+    raw = config_to_dict(sft_config([2, 2]))
+    raw["template_id"] = "nope"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(raw))
+    out_dir = tmp_path / "o"
+    argv = ["--config", str(config_path)]
+    if command == "generate":
+        argv += ["--out", str(out_dir)]
+    code, out, err = run_cli(capsys, command, *argv)
+    assert code == 1
+    if command == "validate":
+        assert any("'nope'" in e for e in json.loads(out)["errors"])
+    else:
+        assert out == "" and "'nope'" in err.splitlines()[-1]
+    assert not out_dir.exists()
+
+
+def test_template_flag_is_a_usage_error(tmp_path, capsys):
+    # a tree's template is its config's template_id, which config.json records
+    config_path = write_config(tmp_path, sft_config([2, 2]))
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(capsys, "generate", "--config", str(config_path),
+                             "--out", str(out_dir), "--template", "llama2-chat")
+    assert code == 64 and out == ""
+    assert "usage error" in err
+    assert not out_dir.exists()
+
+
+def test_every_readme_flag_is_accepted():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+    (commands,) = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    accepted = {flag for sub in commands.choices.values()
+                for flag in sub._option_string_actions}
+    assert named and named <= accepted, sorted(named - accepted)
 
 
 def test_validate_bad_config_exits_1(tmp_path, capsys):

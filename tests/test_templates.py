@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import json
-import re
 from pathlib import Path
 
 import pytest
 
 from treegen.errors import EmptyCompletionError, StructuralError, TemplateError
 from treegen.templates import (LLAMA2_CHAT, PLAIN, ChatTemplate, get_template,
-                               load_template, render_answer_prompt,
+                               render_answer_prompt,
                                render_continuation_prompt, render_question_prompt,
                                strip_completion)
 
@@ -146,39 +144,10 @@ def test_strip_uses_earliest_marker():
     assert strip_completion(raw, ["STOP"], LLAMA2_CHAT) == "abc"
 
 
-# --- template loading ---------------------------------------------------------------------
+# --- template lookup ----------------------------------------------------------------------
 
 def test_builtin_lookup():
     assert get_template("plain") is PLAIN
     assert get_template("llama2-chat") is LLAMA2_CHAT
     with pytest.raises(TemplateError):
         get_template("nope")
-
-
-def test_template_file_round_trip(tmp_path):
-    path = tmp_path / "custom.json"
-    path.write_text(
-        '{"id": "custom", "user_open": "<|u|>", "assistant_open": "<|a|>", '
-        '"turn_separator": "\\n"}', encoding="utf-8")
-    template = load_template(path)
-    assert template.user_open == "<|u|>"
-    assert template.system_open == ""
-
-
-def test_template_file_unknown_key_rejected(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"id": "x", "bogus": 1}', encoding="utf-8")
-    with pytest.raises(TemplateError, match="unknown template keys"):
-        load_template(path)
-
-
-@pytest.mark.parametrize("key, value", [("user_open", None), ("assistant_open", 5),
-                                        ("turn_separator", ["\n"]), ("id", 7)])
-def test_template_file_non_string_value_rejected(tmp_path, key, value):
-    # null and 5 once loaded as the markers "None" and "5", so stripping cut
-    # "There is None left after 5 days" down to "There is"
-    path = tmp_path / "bad.json"
-    raw = {"id": "t", "user_open": "<u>", "assistant_open": "<a>", key: value}
-    path.write_text(json.dumps(raw), encoding="utf-8")
-    with pytest.raises(TemplateError, match=rf"{re.escape(str(path))}: '{key}' must be a string"):
-        load_template(path)

@@ -191,6 +191,31 @@ def test_permissive_rounds_down_to_even_layer_in_sft():
     assert tree.leaf_paths(permissive=True) == []
 
 
+def test_walk_orders_like_sorted_ids():
+    # branching 12 puts "0.10" after "0.2", where a string sort would not
+    config = sft_config([12, 3, 2, 2])
+    tree = Tree(config)
+    tree.add_children("root", [TreeNode(id=str(i), parent_id="root", layer=1,
+                                        role=Role.QUESTION, text="q", token_count=1)
+                               for i in range(12)])
+    for pid in ("0", "2", "10"):
+        tree.add_children(pid, [TreeNode(id=child_id(pid, r), parent_id=pid, layer=2,
+                                         role=Role.ANSWER, text="a", token_count=1)
+                                for r in range(3 if pid != "2" else 1)])
+    tree.add_children("0.1", [TreeNode(id="0.1.0", parent_id="0.1", layer=3,
+                                       role=Role.QUESTION, text="q", token_count=1)])
+    for layer in range(4):
+        ids = [nid for nid, node in tree.nodes.items() if node.layer == layer]
+        assert tree.layer_ids(layer) == sorted(ids, key=structural_key)
+    pending = [nid for nid in tree.nodes
+               if tree.nodes[nid].layer < tree.depth and not tree.is_expanded(nid)]
+    assert [n.id for n in tree.unexpanded()] == sorted(pending, key=structural_key)
+    assert tree.unexpanded()[:3] == [tree.nodes[nid] for nid in ("0.0", "0.1.0", "0.2")]
+    assert not tree.complete()
+    # layer 1 holds unexpanded nodes; SFT rounds 1 down to 0
+    assert tree.export_depth(permissive=True) == 0
+
+
 # --- structural ids ---------------------------------------------------------------
 
 def test_structural_key_ordering():
