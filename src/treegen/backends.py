@@ -9,19 +9,24 @@ scheduler's job.
 
 from __future__ import annotations
 
+import json
 import logging
 import os
+import select
 import sys
 import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
-
-import requests
+from urllib.parse import SplitResult, quote, unquote, urlsplit
 
 from .errors import BackendError, ConfigError, StatusError
 from .fnv import fnv1a64, splitmix64, u64_bytes
+
+# http.client, ssl and urllib.request are imported where the HTTP backends
+# use them: they add about 30 ms to the start of a process that never opens a
+# connection, such as every mock run.
 
 log = logging.getLogger(__name__)
 
@@ -228,12 +233,79 @@ def _require(value: str | None, env_name: str, what: str) -> str:
     raise ConfigError(f"{what} is not configured: set {env_name} or pass it explicitly")
 
 
+def _split_base_url(base_url: str) -> SplitResult:
+    """``base_url`` split, if it is http(s)://host[:port][/path]; else a
+    ConfigError naming it."""
+    try:
+        parts = urlsplit(base_url)
+        parts.port  # raises ValueError unless a number in 0..65535
+    except ValueError:
+        parts = None
+    if (parts is None or parts.scheme not in ("http", "https") or not parts.hostname
+            or parts.username is not None or parts.query or parts.fragment):
+        raise ConfigError(f"API base URL {base_url!r} is not http(s)://host[:port][/path]")
+    return parts
+
+
+def _proxy_for(url: SplitResult) -> tuple[tuple[str, int] | None, dict[str, str]]:
+    """The (host, port) of the proxy that HTTP_PROXY/HTTPS_PROXY name for
+    ``url`` and the headers it takes; (None, {}) when there is none or
+    NO_PROXY bypasses it."""
+    import base64
+    from urllib.request import getproxies, proxy_bypass
+
+    proxy = getproxies().get(url.scheme)
+    if not proxy or proxy_bypass(url.netloc):
+        return None, {}
+    parts = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    try:
+        port = parts.port or 80
+    except ValueError:
+        port = None
+    if parts.scheme != "http" or not parts.hostname or port is None:
+        raise ConfigError(f"proxy {proxy!r} for {url.scheme} URLs is not http://host[:port]")
+    headers = {}
+    if parts.username is not None:
+        credentials = f"{unquote(parts.username)}:{unquote(parts.password or '')}"
+        token = base64.b64encode(credentials.encode("utf-8")).decode("ascii")
+        headers["Proxy-Authorization"] = f"Basic {token}"
+    return (parts.hostname, port), headers
+
+
+def _readable(sock) -> bool:
+    """True if ``sock`` has something to read now. An idle kept-alive socket
+    only does once the server closed it (or sent bytes nobody asked for)."""
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
+def _retry_after(value: str | None, limit: float) -> float | None:
+    """The wait a ``Retry-After`` of delta-seconds asks for, at most ``limit``;
+    None for no header, an HTTP-date or anything else."""
+    value = (value or "").strip()
+    if not (value.isascii() and value.isdigit()):
+        return None
+    return min(float(value), limit)
+
+
 class _HttpBase:
+    """One keep-alive ``http.client`` connection per worker thread.
+
+    The connection goes through the proxy that HTTP_PROXY/HTTPS_PROXY name at
+    construction, unless NO_PROXY bypasses it: an http:// URL as an
+    absolute-form request to the proxy, an https:// one through a CONNECT
+    tunnel. HTTPS verifies against the system's CA certificates (or
+    SSL_CERT_FILE).
+    """
+
     def __init__(self, base_url: str | None = None, api_key: str | None = None,
                  model: str | None = None, timeout: float = DEFAULT_TIMEOUT,
-                 max_retries: int = DEFAULT_RETRIES, backoff_base: float = DEFAULT_BACKOFF,
-                 session: requests.Session | None = None):
+                 max_retries: int = DEFAULT_RETRIES, backoff_base: float = DEFAULT_BACKOFF):
         self.base_url = _require(base_url, API_BASE_ENV, "API base URL").rstrip("/")
+        url = _split_base_url(self.base_url)
         self.api_key = _require(api_key, API_KEY_ENV, "API key")
         self.model = _require(model, MODEL_ENV, "model name")
         if max_retries < 1:
@@ -241,61 +313,109 @@ class _HttpBase:
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff_base = backoff_base
-        # sessions are not safe to share across threads; keep one per thread
-        # unless the caller supplies one explicitly (tests), and list them all
-        # for close()
-        self._shared_session = session
+        self._headers = {"Authorization": f"Bearer {self.api_key}",
+                         "Content-Type": "application/json"}
+        # the request target of each endpoint is this prefix, "/" and its path
+        self._target = quote(url.path, safe="/%:@!$&'()*+,;=~")
+        self._origin = (url.hostname, url.port or (443 if url.scheme == "https" else 80))
+        self._tls = None
+        if url.scheme == "https":
+            import ssl
+            self._tls = ssl.create_default_context()
+        self._proxy, self._proxy_headers = _proxy_for(url)
+        if self._proxy is not None and self._tls is None:
+            # a plain HTTP proxy takes the absolute URL, and its credentials
+            # with every request
+            self._target = f"http://{url.netloc}{self._target}"
+            self._headers.update(self._proxy_headers)
+        # connections are not safe to share across threads: keep one per
+        # thread, and list them all for close()
         self._local = threading.local()
-        self._opened: list[requests.Session] = []
+        self._opened: list[http.client.HTTPConnection] = []
         self._opened_lock = threading.Lock()
 
-    def _session(self) -> requests.Session:
-        if self._shared_session is not None:
-            return self._shared_session
-        if not hasattr(self._local, "session"):
-            self._local.session = requests.Session()
+    def _open(self) -> http.client.HTTPConnection:
+        import http.client
+
+        host, port = self._proxy or self._origin
+        if self._tls is None:
+            return http.client.HTTPConnection(host, port, timeout=self.timeout)
+        connection = http.client.HTTPSConnection(host, port, timeout=self.timeout,
+                                                 context=self._tls)
+        if self._proxy is not None:
+            connection.set_tunnel(*self._origin, headers=self._proxy_headers)
+        return connection
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection. A socket the server closed while it was
+        idle is dropped first, so the request reconnects without spending an
+        attempt."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = self._open()
             with self._opened_lock:
-                self._opened.append(self._local.session)
-        return self._local.session
+                self._opened.append(connection)
+        elif connection.sock is not None and _readable(connection.sock):
+            connection.close()
+        return connection
 
     def close(self) -> None:
-        """Close every session this backend opened, on any thread; a session
-        the caller supplied is the caller's to close."""
+        """Close the connection of every thread; a later request reconnects."""
         with self._opened_lock:
-            opened, self._opened = self._opened, []
-        for session in opened:
-            session.close()
+            opened = list(self._opened)
+        for connection in opened:
+            connection.close()
+
+    def _exchange(self, target: str, body: bytes) -> tuple[int, str | None, bytes]:
+        """One POST on this thread's connection: (status, Retry-After, body)."""
+        connection = self._connection()
+        try:
+            connection.request("POST", target, body, self._headers)
+            reply = connection.getresponse()
+            return reply.status, reply.getheader("Retry-After"), reply.read()
+        except BaseException:
+            connection.close()  # its state is unknown; the next request reconnects
+            raise
 
     def _post(self, path: str, payload: dict, parse: Callable[[object], T]) -> T:
         """POST ``payload`` and return ``parse`` of the JSON reply.
 
         A transport failure, a 429 or 5xx status, a non-JSON body and a reply
-        that ``parse`` rejects with ``ValueError`` are retried with backoff;
-        any other status fails at once.
+        that ``parse`` rejects with ``ValueError`` are retried with backoff,
+        or after the delta-seconds of a 429's or 503's ``Retry-After`` (at
+        most ``timeout``); any other status fails at once.
         """
-        url = f"{self.base_url}/{path.lstrip('/')}"
-        headers = {"Authorization": f"Bearer {self.api_key}",
-                   "Content-Type": "application/json"}
+        import http.client
+
+        url = f"{self.base_url}/{path}"
+        target = f"{self._target}/{path}"
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        wait = None
         for attempt in range(1, self.max_retries + 1):
             if attempt > 1:
-                time.sleep(self.backoff_base * 2 ** (attempt - 2))
+                time.sleep(self.backoff_base * 2 ** (attempt - 2) if wait is None else wait)
+            wait = None
             try:
-                resp = self._session().post(url, json=payload, headers=headers,
-                                            timeout=self.timeout)
-            except (requests.ConnectionError, requests.Timeout) as exc:
+                status, retry_after, data = self._exchange(target, body)
+            except (OSError, http.client.HTTPException) as exc:
                 error = BackendError(f"transport failure calling {url}: {exc}",
                                      attempts=attempt)
                 continue
-            if not 200 <= resp.status_code < 300:
-                error = StatusError(resp.status_code, resp.text, attempts=attempt)
-                if resp.status_code < 500 and resp.status_code != 429:
+            if not 200 <= status < 300:
+                error = StatusError(status, data.decode("utf-8", "replace"), attempts=attempt)
+                if status < 500 and status != 429:
                     raise error  # client errors are not retryable
+                if status in (429, 503):
+                    wait = _retry_after(retry_after, self.timeout)
                 continue
             try:
-                return parse(resp.json())
-            except requests.JSONDecodeError as exc:
+                reply = json.loads(data)
+            except ValueError as exc:
                 error = BackendError(f"non-JSON response body from {url}: {exc}",
                                      attempts=attempt)
+                continue
+            try:
+                return parse(reply)
             except ValueError as exc:
                 error = BackendError(f"unusable reply from {url}: {exc}", attempts=attempt)
         raise error

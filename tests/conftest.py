@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import http.client
+import json
 import threading
 import time
-from typing import Sequence
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Callable, NamedTuple, Sequence, Union
 
 import pytest
 
@@ -161,6 +164,130 @@ def build_full_tree(config) -> Tree:
             next_frontier.extend(c.id for c in children)
         frontier = next_frontier
     return tree
+
+
+# --- a scripted OpenAI-compatible server ----------------------------------------
+
+class SeenRequest(NamedTuple):
+    method: str
+    target: str  # the request target as sent: origin- or absolute-form
+    headers: dict
+    body: bytes
+
+
+# (status, body) or (status, body, extra headers)
+Reply = Union[tuple[int, bytes], tuple[int, bytes, dict]]
+
+
+class _ScriptedHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # keep-alive
+    disable_nagle_algorithm = True  # no delayed-ACK stall between head and body
+
+    def log_message(self, format, *args):
+        pass
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        status, reply, *extra = self.server.answer(
+            SeenRequest("POST", self.path, dict(self.headers), body))
+        self.send_response(status)
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(reply)))
+        self.end_headers()
+        self.wfile.write(reply)
+        # closed after the reply without a "Connection: close" header
+        self.close_connection = self.server.close_after_reply
+
+    def do_CONNECT(self):  # a proxy that refuses every tunnel
+        self.server.answer(SeenRequest("CONNECT", self.path, dict(self.headers), b""))
+        self.send_response(502)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+
+class ScriptedServer(ThreadingHTTPServer):
+    """A local HTTP/1.1 server on 127.0.0.1 that answers each POST from a
+    script: ``replies`` is a list of replies served in turn, the last one
+    repeating, or a function of (path, JSON payload) that returns one.
+
+    ``seen`` lists every request; ``connections`` counts the connections
+    accepted. With ``close_after_reply`` each connection is closed after its
+    first reply, unannounced, and ``closed`` is released once it is.
+    """
+
+    daemon_threads = True  # a kept-alive connection never blocks stop()
+
+    def __init__(self, replies: list[Reply] | Callable[[str, object], Reply]):
+        super().__init__(("127.0.0.1", 0), _ScriptedHandler)
+        self.replies = replies
+        self.seen: list[SeenRequest] = []
+        self.connections = 0
+        self.close_after_reply = False
+        self.closed = threading.Semaphore(0)
+        self._lock = threading.Lock()
+        self.url = f"http://127.0.0.1:{self.server_address[1]}"
+        # a short poll interval keeps stop() quick
+        threading.Thread(target=self.serve_forever, args=(0.01,), daemon=True).start()
+
+    @property
+    def calls(self) -> int:
+        return sum(1 for seen in self.seen if seen.method == "POST")
+
+    def answer(self, seen: SeenRequest) -> Reply:
+        with self._lock:
+            self.seen.append(seen)
+            if seen.method != "POST":
+                return 0, b""
+            if callable(self.replies):
+                return self.replies(seen.target, json.loads(seen.body))
+            return self.replies[min(self.calls, len(self.replies)) - 1]
+
+    def process_request(self, request, client_address):
+        with self._lock:
+            self.connections += 1
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.release()
+
+    def stop(self) -> None:
+        self.shutdown()
+        self.server_close()
+
+
+def record_connections(monkeypatch) -> tuple[list, list]:
+    """Lists every ``http.client`` connection made, and every one closed."""
+    opened, closed = [], []
+    real_init, real_close = http.client.HTTPConnection.__init__, http.client.HTTPConnection.close
+
+    def init(connection, *args, **kwargs):
+        real_init(connection, *args, **kwargs)
+        opened.append(connection)
+
+    def close(connection):
+        closed.append(connection)
+        real_close(connection)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "__init__", init)
+    monkeypatch.setattr(http.client.HTTPConnection, "close", close)
+    return opened, closed
+
+
+@pytest.fixture
+def scripted_server():
+    """Starts ScriptedServer(replies) for the test and stops it after."""
+    servers: list[ScriptedServer] = []
+
+    def start(replies) -> ScriptedServer:
+        servers.append(ScriptedServer(replies))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.stop()
 
 
 @pytest.fixture

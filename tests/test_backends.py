@@ -2,20 +2,21 @@
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import random
+import re
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-import requests
 
+from treegen import backends
 from treegen.backends import (GenerationRequest, HttpEmbedder, HttpTextBackend,
                               MockEmbedder, MockTextBackend)
 from treegen.errors import BackendError, ConfigError, StatusError
 
-from conftest import reference_cosine
+from conftest import record_connections, reference_cosine
 
 FNV_OFFSET = 14695981039346656037
 FNV_PRIME = 1099511628211
@@ -145,91 +146,83 @@ def test_embedder_values_non_negative():
     assert all(x >= 0 for x in v.values)
 
 
-# --- HTTP backends against a canned fixture server ---------------------------------
+# --- HTTP backends against a scripted local server ---------------------------------
 
-class _FixtureHandler(BaseHTTPRequestHandler):
-    fail_next = 0
-    requests_seen: list[dict] = []
-
-    def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        payload = json.loads(self.rfile.read(length))
-        type(self).requests_seen.append({"path": self.path, "payload": payload})
-        if type(self).fail_next > 0:
-            type(self).fail_next -= 1
-            self.send_response(500)
-            self.end_headers()
-            self.wfile.write(b'{"error": "boom"}')
-            return
-        if self.path.endswith("/completions"):
-            n = payload.get("n", 1)
-            body = {"choices": [
-                {"index": i, "text": f"fixture completion {i}", "finish_reason": "stop"}
-                for i in range(n)
-            ]}
-        elif self.path.endswith("/embeddings"):
-            texts = payload["input"]
-            body = {"data": [
-                {"index": i, "embedding": [float(i + 1), 0.5, 0.25]}
-                for i in range(len(texts))
-            ]}
-        else:
-            self.send_response(404)
-            self.end_headers()
-            return
-        raw = json.dumps(body).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(raw)))
-        self.end_headers()
-        self.wfile.write(raw)
-
-    def log_message(self, *args):
-        pass
+def canned(path, payload):
+    """Answers like an OpenAI-compatible server: ``n`` fixture completions, or
+    one 3-dimensional embedding per input text."""
+    if path.endswith("/completions"):
+        body = {"choices": [
+            {"index": i, "text": f"fixture completion {i}", "finish_reason": "stop"}
+            for i in range(payload.get("n", 1))]}
+    else:
+        body = {"data": [{"index": i, "embedding": [float(i + 1), 0.5, 0.25]}
+                         for i in range(len(payload["input"]))]}
+    return 200, json.dumps(body).encode()
 
 
-@pytest.fixture
-def fixture_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _FixtureHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    _FixtureHandler.fail_next = 0
-    _FixtureHandler.requests_seen = []
-    yield f"http://127.0.0.1:{server.server_address[1]}/v1"
-    server.shutdown()
-    server.server_close()
+def failing(times):
+    """``canned`` after ``times`` replies of 500."""
+    calls = []
+
+    def reply(path, payload):
+        calls.append(path)
+        return (500, b'{"error": "boom"}') if len(calls) <= times else canned(path, payload)
+
+    return reply
 
 
-def test_http_generate_parses_fixture(fixture_server):
-    backend = HttpTextBackend(base_url=fixture_server, api_key="k", model="m")
+def test_http_generate_parses_fixture(scripted_server):
+    server = scripted_server(canned)
+    backend = HttpTextBackend(base_url=server.url + "/v1", api_key="k", model="m")
     result = backend.generate(request(n=3))
     backend.close()
     assert [c.text for c in result.completions] == [
         "fixture completion 0", "fixture completion 1", "fixture completion 2"]
-    sent = _FixtureHandler.requests_seen[-1]["payload"]
+    sent = json.loads(server.seen[-1].body)
     assert sent["model"] == "m" and sent["n"] == 3 and sent["seed"] == 42
 
 
-def test_http_generate_sends_stop_and_max_tokens(fixture_server):
-    backend = HttpTextBackend(base_url=fixture_server, api_key="k", model="m")
+def test_http_generate_sends_stop_and_max_tokens(scripted_server):
+    server = scripted_server(canned)
+    backend = HttpTextBackend(base_url=server.url + "/v1", api_key="k", model="m")
     backend.generate(request(n=1, max_tokens=33, stop=("\n\n",)))
     backend.close()
-    sent = _FixtureHandler.requests_seen[-1]["payload"]
+    sent = json.loads(server.seen[-1].body)
     assert sent["max_tokens"] == 33 and sent["stop"] == ["\n\n"]
 
 
-def test_http_retries_then_succeeds(fixture_server):
-    _FixtureHandler.fail_next = 2
-    backend = HttpTextBackend(base_url=fixture_server, api_key="k", model="m",
+def test_http_request_bytes_are_the_json_payload(scripted_server):
+    server = scripted_server(canned)
+    backend = HttpTextBackend(base_url=server.url + "/v1", api_key="k", model="m")
+    backend.generate(request(prompt="caf\u00e9 \U0001f600 \"q\"", n=2, stop=("\n",)))
+    backend.close()
+    embedder = HttpEmbedder(base_url=server.url + "/v1", api_key="k", model="e")
+    embedder.embed(["a", "\u00fc"])
+    embedder.close()
+    payloads = [{"model": "m", "prompt": "caf\u00e9 \U0001f600 \"q\"", "max_tokens": 16,
+                 "temperature": 1.0, "n": 2, "seed": 42, "stop": ["\n"]},
+                {"model": "e", "input": ["a", "\u00fc"]}]
+    assert [seen.body for seen in server.seen] == [
+        json.dumps(payload, allow_nan=False).encode() for payload in payloads]
+    assert [seen.target for seen in server.seen] == ["/v1/completions", "/v1/embeddings"]
+    for seen in server.seen:
+        assert seen.headers["Authorization"] == "Bearer k"
+        assert seen.headers["Content-Type"] == "application/json"
+
+
+def test_http_retries_then_succeeds(scripted_server):
+    server = scripted_server(failing(2))
+    backend = HttpTextBackend(base_url=server.url + "/v1", api_key="k", model="m",
                               backoff_base=0.01)
     result = backend.generate(request(n=1))
     backend.close()
     assert result.completions[0].text == "fixture completion 0"
 
 
-def test_http_gives_up_after_bounded_retries(fixture_server):
-    _FixtureHandler.fail_next = 10
-    backend = HttpTextBackend(base_url=fixture_server, api_key="k", model="m",
+def test_http_gives_up_after_bounded_retries(scripted_server):
+    server = scripted_server(failing(10))
+    backend = HttpTextBackend(base_url=server.url + "/v1", api_key="k", model="m",
                               backoff_base=0.01, max_retries=3)
     with pytest.raises(StatusError) as exc_info:
         backend.generate(request(n=1))
@@ -247,29 +240,18 @@ def test_http_transport_failure_is_retryable_error():
     assert exc_info.value.attempts == 2
 
 
-class _ScriptedSession:
-    """Answers POSTs with 200 and the given bodies in turn; the last repeats."""
-
-    def __init__(self, *bodies: bytes):
-        self.bodies = bodies
-        self.calls = 0
-
-    def post(self, url, **kwargs):
-        response = requests.Response()
-        response.status_code = 200
-        response._content = self.bodies[min(self.calls, len(self.bodies) - 1)]
-        self.calls += 1
-        return response
+def _ok(*bodies: bytes) -> list:
+    return [(200, body) for body in bodies]
 
 
-def test_http_non_json_body_is_retried_backend_error():
-    session = _ScriptedSession(b"<html>upstream proxy error</html>")
-    backend = HttpTextBackend(base_url="http://127.0.0.1:9", api_key="k", model="m",
-                              backoff_base=0.0, max_retries=3, session=session)
+def test_http_non_json_body_is_retried_backend_error(scripted_server):
+    server = scripted_server(_ok(b"<html>upstream proxy error</html>"))
+    backend = HttpTextBackend(base_url=server.url, api_key="k", model="m",
+                              backoff_base=0.0, max_retries=3)
     with pytest.raises(BackendError, match="non-JSON") as exc_info:
         backend.generate(request(n=1))
     assert exc_info.value.attempts == 3
-    assert session.calls == 3
+    assert server.calls == 3
 
 
 GOOD_CHOICES = b'{"choices": [{"index": 0, "text": "fine", "finish_reason": "stop"}]}'
@@ -295,23 +277,24 @@ def _item_count(body: bytes) -> int:
 
 
 @BAD_COUNT_CASES
-def test_http_wrong_item_count_is_retried(backend_class, bad, good):
-    session = _ScriptedSession(bad, good)
-    backend = backend_class(base_url="http://127.0.0.1:9", api_key="k", model="m",
-                            backoff_base=0.0, max_retries=3, session=session)
+def test_http_wrong_item_count_is_retried(scripted_server, backend_class, bad, good):
+    server = scripted_server(_ok(bad, good))
+    backend = backend_class(base_url=server.url, api_key="k", model="m",
+                            backoff_base=0.0, max_retries=3)
     assert len(_call(backend)) == 1
-    assert session.calls == 2
+    assert server.calls == 2
 
 
 @BAD_COUNT_CASES
-def test_http_wrong_item_count_gives_up_after_bounded_retries(backend_class, bad, good):
-    session = _ScriptedSession(bad)
-    backend = backend_class(base_url="http://127.0.0.1:9", api_key="k", model="m",
-                            backoff_base=0.0, max_retries=3, session=session)
+def test_http_wrong_item_count_gives_up_after_bounded_retries(scripted_server, backend_class,
+                                                              bad, good):
+    server = scripted_server(_ok(bad))
+    backend = backend_class(base_url=server.url, api_key="k", model="m",
+                            backoff_base=0.0, max_retries=3)
     with pytest.raises(BackendError, match="expected 1") as exc_info:
         _call(backend)
     assert exc_info.value.attempts == 3
-    assert session.calls == 3
+    assert server.calls == 3
 
 
 BAD_ITEM_CASES = pytest.mark.parametrize("backend_class, bad, good", [
@@ -353,36 +336,38 @@ BAD_ITEM_CASES = pytest.mark.parametrize("backend_class, bad, good", [
 
 
 @BAD_ITEM_CASES
-def test_http_malformed_item_is_retried(backend_class, bad, good):
-    session = _ScriptedSession(bad, good)
-    backend = backend_class(base_url="http://127.0.0.1:9", api_key="k", model="m",
-                            backoff_base=0.0, max_retries=3, session=session)
+def test_http_malformed_item_is_retried(scripted_server, backend_class, bad, good):
+    server = scripted_server(_ok(bad, good))
+    backend = backend_class(base_url=server.url, api_key="k", model="m",
+                            backoff_base=0.0, max_retries=3)
     assert len(_call(backend, _item_count(good))) == _item_count(good)
-    assert session.calls == 2
+    assert server.calls == 2
 
 
 @BAD_ITEM_CASES
-def test_http_malformed_item_gives_up_after_bounded_retries(backend_class, bad, good):
-    session = _ScriptedSession(bad)
-    backend = backend_class(base_url="http://127.0.0.1:9", api_key="k", model="m",
-                            backoff_base=0.0, max_retries=3, session=session)
+def test_http_malformed_item_gives_up_after_bounded_retries(scripted_server, backend_class,
+                                                            bad, good):
+    server = scripted_server(_ok(bad))
+    backend = backend_class(base_url=server.url, api_key="k", model="m",
+                            backoff_base=0.0, max_retries=3)
     with pytest.raises(BackendError, match="malformed") as exc_info:
         _call(backend, _item_count(good))
     assert exc_info.value.attempts == 3
-    assert session.calls == 3
+    assert server.calls == 3
 
 
-def test_http_items_are_returned_in_index_order():
-    backend = HttpTextBackend(base_url="http://127.0.0.1:9", api_key="k", model="m",
-                              session=_ScriptedSession(GOOD_CHOICES_2))
+def test_http_items_are_returned_in_index_order(scripted_server):
+    backend = HttpTextBackend(base_url=scripted_server(_ok(GOOD_CHOICES_2)).url,
+                              api_key="k", model="m")
     assert [c.text for c in _call(backend, 2)] == ["a", "b"]
-    embedder = HttpEmbedder(base_url="http://127.0.0.1:9", api_key="k", model="m",
-                            session=_ScriptedSession(GOOD_DATA_2))
+    embedder = HttpEmbedder(base_url=scripted_server(_ok(GOOD_DATA_2)).url,
+                            api_key="k", model="m")
     assert [v.values for v in _call(embedder, 2)] == [(1.0, 0.0), (0.0, 1.0)]
 
 
-def test_http_embedder_round_trip(fixture_server):
-    embedder = HttpEmbedder(base_url=fixture_server, api_key="k", model="m")
+def test_http_embedder_round_trip(scripted_server):
+    embedder = HttpEmbedder(base_url=scripted_server(canned).url + "/v1", api_key="k",
+                            model="m")
     vectors = embedder.embed(["a", "b"])
     embedder.close()
     assert vectors[0].values == (1.0, 0.5, 0.25)
@@ -390,33 +375,18 @@ def test_http_embedder_round_trip(fixture_server):
     assert all(v.dim == 3 for v in vectors)
 
 
-def test_close_closes_the_session_of_every_thread(fixture_server, monkeypatch):
-    opened, closed = [], []
-    real_init, real_close = requests.Session.__init__, requests.Session.close
-
-    def init(session):
-        real_init(session)
-        opened.append(session)
-
-    def close(session):
-        closed.append(session)
-        real_close(session)
-
-    monkeypatch.setattr(requests.Session, "__init__", init)
-    monkeypatch.setattr(requests.Session, "close", close)
-    backend = HttpTextBackend(base_url=fixture_server, api_key="k", model="m")
+def test_close_closes_the_session_of_every_thread(scripted_server, monkeypatch):
+    opened, closed = record_connections(monkeypatch)
+    backend = HttpTextBackend(base_url=scripted_server(canned).url + "/v1", api_key="k",
+                              model="m")
     threads = [threading.Thread(target=backend.generate, args=(request(n=1),))
                for _ in range(3)]
     for thread in threads:
         thread.start()
         thread.join()
-    assert len(opened) == 3  # one session per thread
+    assert len(opened) == 3  # one connection per thread
     backend.close()
-    assert {id(s) for s in closed} == {id(s) for s in opened}
-    supplied = requests.Session()
-    HttpEmbedder(base_url=fixture_server, api_key="k", model="m", session=supplied).close()
-    assert supplied not in closed  # the caller's to close
-    supplied.close()
+    assert {id(c) for c in closed} == {id(c) for c in opened}
 
 
 @pytest.mark.parametrize("backend_class", [HttpTextBackend, HttpEmbedder])
@@ -432,3 +402,102 @@ def test_missing_configuration_names_the_variable(monkeypatch):
         HttpTextBackend(model="m")
     with pytest.raises(ConfigError, match="TG_API_KEY"):
         HttpTextBackend(base_url="http://x", model="m")
+
+
+@pytest.mark.parametrize("status, retry_after, wait", [
+    (429, "2", 2.0),
+    (503, "  7 ", 5.0),  # no longer than the timeout
+    (429, "Wed, 21 Oct 2015 07:28:00 GMT", 0.25),  # an HTTP-date: the backoff
+    (503, "1.5", 0.25),
+    (429, "\u0662", 0.25),  # a digit, but not an ASCII one
+    (500, "2", 0.25),  # only 429 and 503 are followed
+    (429, None, 0.25),
+], ids=["429-seconds", "503-capped-at-timeout", "http-date", "fraction", "non-ascii-digit",
+        "500-ignored", "absent"])
+def test_http_retry_after_replaces_the_backoff(scripted_server, monkeypatch,
+                                               status, retry_after, wait):
+    headers = {} if retry_after is None else {"Retry-After": retry_after}
+    server = scripted_server([(status, b'{"error": "busy"}', headers), (200, GOOD_CHOICES)])
+    sleeps = []
+    monkeypatch.setattr(backends.time, "sleep", sleeps.append)
+    backend = HttpTextBackend(base_url=server.url, api_key="k", model="m", timeout=5.0,
+                              backoff_base=0.25)
+    assert [c.text for c in _call(backend)] == ["fine"]
+    backend.close()
+    assert sleeps == [wait]
+    assert server.calls == 2
+
+
+def test_http_connection_the_server_closed_idle_is_reopened_for_free(scripted_server,
+                                                                     monkeypatch):
+    server = scripted_server([(200, GOOD_CHOICES)])
+    server.close_after_reply = True
+    sleeps = []
+    monkeypatch.setattr(backends.time, "sleep", sleeps.append)
+    backend = HttpTextBackend(base_url=server.url, api_key="k", model="m")
+    for _ in range(5):
+        assert [c.text for c in _call(backend)] == ["fine"]
+        assert server.closed.acquire(timeout=10)  # closed while the client is idle
+    backend.close()
+    assert sleeps == []  # no attempt was spent on a dead connection
+    assert (server.calls, server.connections) == (5, 5)
+
+
+def _clear_proxy_environment(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "no_proxy", "HTTP_PROXY", "HTTPS_PROXY",
+                 "NO_PROXY", "REQUEST_METHOD"):
+        monkeypatch.delenv(name, raising=False)
+
+
+def test_http_proxy_gets_an_absolute_form_target_unless_no_proxy(scripted_server,
+                                                                 monkeypatch):
+    server = scripted_server([(200, GOOD_CHOICES)])
+    _clear_proxy_environment(monkeypatch)
+    monkeypatch.setenv("HTTP_PROXY", server.url.replace("//", "//u%3A:p%40ss@"))
+    # nothing listens on 127.0.0.2:9: only the proxy can answer
+    proxied = HttpTextBackend(base_url="http://127.0.0.2:9/v1", api_key="k", model="m",
+                              max_retries=1)
+    assert [c.text for c in _call(proxied)] == ["fine"]
+    proxied.close()
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    direct = HttpTextBackend(base_url=server.url + "/v1", api_key="k", model="m",
+                             max_retries=1)
+    assert [c.text for c in _call(direct)] == ["fine"]
+    direct.close()
+    via_proxy, bypassed = server.seen
+    assert via_proxy.target == "http://127.0.0.2:9/v1/completions"
+    assert via_proxy.headers["Host"] == "127.0.0.2:9"
+    assert via_proxy.headers["Proxy-Authorization"] == "Basic " + base64.b64encode(
+        b"u::p@ss").decode()
+    assert bypassed.target == "/v1/completions"
+    assert "Proxy-Authorization" not in bypassed.headers
+
+
+def test_https_proxy_is_asked_for_a_tunnel(scripted_server, monkeypatch):
+    server = scripted_server([])  # answers CONNECT with 502
+    _clear_proxy_environment(monkeypatch)
+    monkeypatch.setenv("HTTPS_PROXY", server.url.replace("//", "//u:p@"))
+    backend = HttpTextBackend(base_url="https://127.0.0.2:8443/v1", api_key="k", model="m",
+                              max_retries=1)
+    with pytest.raises(BackendError, match="transport failure.*502"):
+        _call(backend)
+    backend.close()
+    [seen] = server.seen
+    assert (seen.method, seen.target) == ("CONNECT", "127.0.0.2:8443")
+    assert seen.headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"u:p").decode()
+
+
+@pytest.mark.parametrize("proxy", ["socks5://127.0.0.1:1080", "http://127.0.0.1:x"])
+def test_unusable_proxy_is_a_config_error(monkeypatch, proxy):
+    _clear_proxy_environment(monkeypatch)
+    monkeypatch.setenv("HTTP_PROXY", proxy)
+    with pytest.raises(ConfigError, match="proxy"):
+        HttpTextBackend(base_url="http://127.0.0.2:9/v1", api_key="k", model="m")
+
+
+@pytest.mark.parametrize("base_url", [
+    "localhost:8000/v1", "ftp://h/v1", "http:///v1", "http://h:99999/v1", "http://h:x/v1",
+    "http://u:p@h/v1", "http://h/v1?x=1", "http://h/v1#top", "http://[::1/v1"])
+def test_base_url_that_is_not_http_host_port_path_is_a_config_error(base_url):
+    with pytest.raises(ConfigError, match=re.escape(repr(base_url))):
+        HttpTextBackend(base_url=base_url, api_key="k", model="m")

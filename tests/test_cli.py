@@ -11,14 +11,14 @@ import warnings
 from pathlib import Path
 
 import pytest
-import requests
 
 from treegen import backends
 from treegen.cli import build_parser, main
 from treegen.scheduler import CheckpointStore
 from treegen.tree import config_to_dict
 
-from conftest import BAD_CONFIG_VALUES, bad_config_dict, sft_config, pt_config
+from conftest import (BAD_CONFIG_VALUES, bad_config_dict, pt_config, record_connections,
+                      sft_config)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -62,92 +62,91 @@ def test_generate_http_without_key_exits_1(tmp_path, capsys, monkeypatch):
     assert out == ""
 
 
-def test_generate_http_non_json_body_exits_2(tmp_path, capsys, monkeypatch):
-    # a 2xx reply that is not JSON is a backend failure: a resumable abort
-    def non_json_post(session, url, **kwargs):
-        response = requests.Response()
-        response.status_code = 200
-        response._content = b"<html>upstream proxy error</html>"
-        return response
-
-    monkeypatch.setattr(requests.Session, "post", non_json_post)
-    monkeypatch.setattr(backends.time, "sleep", lambda seconds: None)
+def test_generate_http_base_url_without_scheme_exits_1_writing_nothing(tmp_path, capsys,
+                                                                        monkeypatch):
     monkeypatch.setenv("TG_API_KEY", "k")
     config_path = write_config(tmp_path, sft_config([2, 2]))
     out_dir = tmp_path / "o"
     code, out, err = run_cli(capsys, "generate", "--config", str(config_path),
                              "--out", str(out_dir), "--backend", "http",
-                             "--base-url", "http://127.0.0.1:9/v1", "--model", "m")
+                             "--base-url", "localhost:8000/v1", "--model", "m")
+    assert code == 1
+    assert "'localhost:8000/v1' is not http(s)://host[:port][/path]" in err
+    assert out == ""
+    assert not out_dir.exists()
+
+
+def http_generate(capsys, monkeypatch, server, config_path, out_dir):
+    monkeypatch.setenv("TG_API_KEY", "k")
+    return run_cli(capsys, "generate", "--config", str(config_path),
+                   "--out", str(out_dir), "--backend", "http",
+                   "--base-url", server.url + "/v1", "--model", "m")
+
+
+def test_generate_http_non_json_body_exits_2(tmp_path, capsys, monkeypatch, scripted_server):
+    # a 2xx reply that is not JSON is a backend failure: a resumable abort
+    server = scripted_server([(200, b"<html>upstream proxy error</html>")])
+    monkeypatch.setattr(backends.time, "sleep", lambda seconds: None)
+    config_path = write_config(tmp_path, sft_config([2, 2]))
+    out_dir = tmp_path / "o"
+    code, out, err = http_generate(capsys, monkeypatch, server, config_path, out_dir)
     assert code == 2
     assert "non-JSON" in err
     assert out == ""
     assert json.loads((out_dir / "manifest.json").read_text())["status"] == "aborted"
 
 
-def test_generate_http_malformed_item_exits_2(tmp_path, capsys, monkeypatch):
+def test_generate_http_malformed_item_exits_2(tmp_path, capsys, monkeypatch, scripted_server):
     # a 2xx reply whose item has the wrong shape is a resumable abort too
-    def malformed_post(session, url, **kwargs):
-        response = requests.Response()
-        response.status_code = 200
-        response._content = json.dumps({"choices": [7] * kwargs["json"]["n"]}).encode()
-        return response
+    def malformed(path, payload):
+        return 200, json.dumps({"choices": [7] * payload["n"]}).encode()
 
-    monkeypatch.setattr(requests.Session, "post", malformed_post)
+    server = scripted_server(malformed)
     monkeypatch.setattr(backends.time, "sleep", lambda seconds: None)
-    monkeypatch.setenv("TG_API_KEY", "k")
     config_path = write_config(tmp_path, sft_config([2, 2]))
     out_dir = tmp_path / "o"
-    code, out, err = run_cli(capsys, "generate", "--config", str(config_path),
-                             "--out", str(out_dir), "--backend", "http",
-                             "--base-url", "http://127.0.0.1:9/v1", "--model", "m")
+    code, out, err = http_generate(capsys, monkeypatch, server, config_path, out_dir)
     assert code == 2
     assert "malformed 'choices' item" in err
     assert out == ""
     assert json.loads((out_dir / "manifest.json").read_text())["status"] == "aborted"
 
 
-def fake_server_post(later_dim: int):
-    """A ``Session.post`` that answers like an OpenAI-compatible server. The
-    first embedding call returns 16 dimensions, every later one ``later_dim``."""
+def openai_replies(later_dim: int):
+    """Replies like an OpenAI-compatible server. The first embedding call
+    returns 16 dimensions, every later one ``later_dim``."""
     embed_calls = []
 
-    def post(session, url, **kwargs):
-        payload = kwargs["json"]
-        if url.endswith("/completions"):
+    def reply(path, payload):
+        if path.endswith("/completions"):
             body = {"choices": [{"index": i, "text": f"sample {payload['seed']} {i}"}
                                 for i in range(payload["n"])]}
         else:
-            embed_calls.append(url)
+            embed_calls.append(path)
             dim = 16 if len(embed_calls) == 1 else later_dim
             body = {"data": [{"index": i, "embedding": [float(j == i % 16) for j in range(dim)]}
                              for i in range(len(payload["input"]))]}
-        response = requests.Response()
-        response.status_code = 200
-        response._content = json.dumps(body).encode()
-        return response
+        return 200, json.dumps(body).encode()
 
-    return post
+    return reply
 
 
-def test_generate_http_text_not_utf8_exits_2(tmp_path, capsys, monkeypatch):
+def test_generate_http_text_not_utf8_exits_2(tmp_path, capsys, monkeypatch, scripted_server):
     # "caf\ud83d" is legal JSON, but a lone surrogate cannot be written to
     # nodes.jsonl: the reply is malformed, retried, and a resumable abort
-    server_post = fake_server_post(later_dim=16)
+    server_reply = openai_replies(later_dim=16)
 
-    def lone_surrogate_post(session, url, **kwargs):
-        response = server_post(session, url, **kwargs)
-        if url.endswith("/completions"):
-            response._content = response._content.replace(b"sample", b"caf\\ud83d")
-        return response
+    def lone_surrogate(path, payload):
+        status, body = server_reply(path, payload)
+        if path.endswith("/completions"):
+            body = body.replace(b"sample", b"caf\\ud83d")
+        return status, body
 
-    monkeypatch.setattr(requests.Session, "post", lone_surrogate_post)
+    server = scripted_server(lone_surrogate)
     monkeypatch.setattr(backends.time, "sleep", lambda seconds: None)
-    monkeypatch.setenv("TG_API_KEY", "k")
     config_path = write_config(tmp_path, sft_config([2, 2]))
     out_dir = tmp_path / "o"
-    code, out, err = run_cli(capsys, "generate", "--config", str(config_path),
-                             "--out", str(out_dir), "--backend", "http",
-                             "--base-url", "http://127.0.0.1:9/v1", "--model", "m")
+    code, out, err = http_generate(capsys, monkeypatch, server, config_path, out_dir)
     assert code == 2
     assert "cannot be written as UTF-8" in err
     assert out == ""
@@ -155,19 +154,18 @@ def test_generate_http_text_not_utf8_exits_2(tmp_path, capsys, monkeypatch):
     assert (manifest["status"], manifest["exit_status"]) == ("aborted", 2)
 
 
-def run_http_generate(tmp_path, capsys, monkeypatch, later_dim: int):
-    monkeypatch.setattr(requests.Session, "post", fake_server_post(later_dim))
-    monkeypatch.setenv("TG_API_KEY", "k")
+def run_http_generate(tmp_path, capsys, monkeypatch, server_factory, later_dim: int):
+    server = server_factory(openai_replies(later_dim))
     config_path = write_config(tmp_path, sft_config([2, 2]))
-    return run_cli(capsys, "generate", "--config", str(config_path),
-                   "--out", str(tmp_path / "o"), "--backend", "http",
-                   "--base-url", "http://127.0.0.1:9/v1", "--model", "m")
+    return http_generate(capsys, monkeypatch, server, config_path, tmp_path / "o")
 
 
-def test_generate_http_embedding_dimension_change_exits_2(tmp_path, capsys, monkeypatch):
+def test_generate_http_embedding_dimension_change_exits_2(tmp_path, capsys, monkeypatch,
+                                                          scripted_server):
     # the root's children are embedded at 16 dimensions, every later pool at
     # 17: selecting against a 16-dimensional query is a resumable abort
-    code, out, err = run_http_generate(tmp_path, capsys, monkeypatch, later_dim=17)
+    code, out, err = run_http_generate(tmp_path, capsys, monkeypatch, scripted_server,
+                                       later_dim=17)
     out_dir = tmp_path / "o"
     assert code == 2
     assert "has 16, its pool has [17]" in err
@@ -178,24 +176,12 @@ def test_generate_http_embedding_dimension_change_exits_2(tmp_path, capsys, monk
 
 @pytest.mark.parametrize("later_dim, exit_code", [(16, 0), (17, 2)],
                          ids=["complete", "aborted"])
-def test_generate_http_closes_every_session(tmp_path, capsys, monkeypatch,
+def test_generate_http_closes_every_session(tmp_path, capsys, monkeypatch, scripted_server,
                                             later_dim, exit_code):
-    opened, closed = [], []
-    real_init, real_close = requests.Session.__init__, requests.Session.close
-
-    def init(session):
-        real_init(session)
-        opened.append(session)
-
-    def close(session):
-        closed.append(session)
-        real_close(session)
-
-    monkeypatch.setattr(requests.Session, "__init__", init)
-    monkeypatch.setattr(requests.Session, "close", close)
-    code = run_http_generate(tmp_path, capsys, monkeypatch, later_dim)[0]
+    opened, closed = record_connections(monkeypatch)
+    code = run_http_generate(tmp_path, capsys, monkeypatch, scripted_server, later_dim)[0]
     assert code == exit_code
-    assert opened and {id(s) for s in closed} == {id(s) for s in opened}
+    assert opened and {id(c) for c in closed} == {id(c) for c in opened}
 
 
 def test_generate_resume_on_fresh_directory_exits_1(tmp_path, capsys):
