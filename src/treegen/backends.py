@@ -380,10 +380,11 @@ class _HttpBase:
     def _post(self, path: str, payload: dict, parse: Callable[[object], T]) -> T:
         """POST ``payload`` and return ``parse`` of the JSON reply.
 
-        A transport failure, a 429 or 5xx status, a non-JSON body and a reply
-        that ``parse`` rejects with ``ValueError`` are retried with backoff,
-        or after the delta-seconds of a 429's or 503's ``Retry-After`` (at
-        most ``timeout``); any other status fails at once.
+        A transport failure, a 429 or 5xx status, a non-JSON body (one nested
+        too deeply for ``json.loads`` included) and a reply that ``parse``
+        rejects with ``ValueError`` are retried with backoff, or after the
+        delta-seconds of a 429's or 503's ``Retry-After`` (at most
+        ``timeout``); any other status fails at once.
         """
         import http.client
 
@@ -410,7 +411,7 @@ class _HttpBase:
                 continue
             try:
                 reply = json.loads(data)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 error = BackendError(f"non-JSON response body from {url}: {exc}",
                                      attempts=attempt)
                 continue

@@ -20,7 +20,7 @@ from .corpus import (TurnPolicy, build_corpus, export_jsonl, export_pt,
                      validate_sharegpt_file)
 from .errors import ConfigError, ResumableRunError, TreeGenError
 from .scheduler import CheckpointStore, TreeRunner
-from .tree import load_config, validate_config
+from .tree import Tree, load_config, validate_config
 
 log = logging.getLogger(__name__)
 
@@ -71,30 +71,25 @@ def cmd_generate(args) -> int:
                 f"{args.out} already holds a checkpoint; pass --resume to continue it")
         runner = TreeRunner(config, generator, embedder, store, workers=args.workers)
         try:
-            tree = runner.run()
+            runner.run()
         except KeyboardInterrupt:
             log.error("interrupted; checkpoint in %s is resumable", args.out)
             return EXIT_RESUMABLE
     finally:  # whether or not the run succeeded
         generator.close()
         embedder.close()
-    _emit({
-        "status": "complete",
-        "out": str(args.out),
-        "nodes_committed": tree.non_root_count(),
-        "shortfalls": tree.shortfall_total,
-        "dedup_drops": store.manifest["dedup_drops"],
-        "leaf_count": len(tree.layer_ids(tree.depth)),
-        "config_hash": store.manifest["config_hash"],
-    })
+    _emit({**store.manifest, "out": str(args.out)})
     return EXIT_OK
 
 
-def _parse_policy(spec: str, seed: int) -> TurnPolicy:
+def _parse_policy(spec: str, seed: int, tree: Tree) -> TurnPolicy:
     if spec == "full":
         return TurnPolicy.fixed()
     if spec == "gturn":
-        return gaussian_turn_policy(sample_seed=seed)
+        # the paper's 1-4 turns, cut to those the tree exports and renormalized
+        # (build_corpus refuses an incomplete tree exported without --permissive)
+        turns = max(1, min(4, tree.export_depth(permissive=True) // 2))
+        return gaussian_turn_policy(sample_seed=seed, turn_counts=range(1, turns + 1))
     if spec.startswith("fixed:"):
         try:
             return TurnPolicy.fixed(int(spec.split(":", 1)[1]))
@@ -114,7 +109,7 @@ def cmd_export(args) -> int:
         _emit({"out": str(out), "lines": lines})
         return EXIT_OK
 
-    policy = _parse_policy(args.turn_policy, args.policy_seed)
+    policy = _parse_policy(args.turn_policy, args.policy_seed, tree)
     records = build_corpus(tree, policy, permissive=args.permissive)
     if args.target_size is not None:
         records = sample_to_size(records, args.target_size, args.sample_seed)

@@ -23,7 +23,8 @@ stays a prefix of the canonical order.
 
 nodes.jsonl is the only record of what was committed: resume replays it alone,
 and shortfalls are derived from the replayed structure. The manifest is a
-summary written when a run starts and when it ends.
+summary of one session, written when it starts and when it ends, and never
+read back.
 """
 
 from __future__ import annotations
@@ -74,22 +75,6 @@ def _dumps(record: dict) -> str:
     return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
 
 
-def _fresh_manifest(config: TreeConfig, backend_id: str | None = None,
-                    workers: int | None = None) -> dict:
-    return {
-        "status": "running",
-        "config_hash": config_hash(config),
-        "backend_id": backend_id,
-        "workers": workers,
-        "nodes_committed": 0,
-        "shortfalls": 0,
-        "dedup_drops": 0,
-        "retries": 0,
-        "started_at": _utcnow(),
-        "ended_at": None,
-    }
-
-
 class CheckpointStore:
     """Append-only persisted tree: config.json + nodes.jsonl + manifest.json.
 
@@ -104,10 +89,10 @@ class CheckpointStore:
 
     config.json is read here only, by ``stored_config`` and ``load``.
 
-    manifest.json is a summary, written by ``initialize`` and ``finalize``
-    only: status, timestamps, node and shortfall counts (computed from the
-    tree by ``load`` and ``finalize``), and dedup/retry telemetry, which a hard
-    kill loses. ``load`` reads a missing or damaged manifest as a fresh one.
+    manifest.json summarizes one session and is never read back. ``begin``
+    writes it when the session starts and ``finalize`` when it ends: the
+    status, the tree's node, shortfall and leaf counts when written, and this
+    session's backend, workers, times and dedup/retry telemetry.
     """
 
     def __init__(self, directory: str | Path):
@@ -115,7 +100,8 @@ class CheckpointStore:
         self.config_path = self.directory / CONFIG_FILE
         self.nodes_path = self.directory / NODES_FILE
         self.manifest_path = self.directory / MANIFEST_FILE
-        self.manifest: dict = {}
+        self.manifest: dict = {}  # the summary last written
+        self._session: dict = {}
         self._handle = None
         # what the first append writes over: the intact length of nodes.jsonl
         # and, when that is 0, the root record to start it again
@@ -127,7 +113,7 @@ class CheckpointStore:
     def exists(self) -> bool:
         return self.config_path.exists()
 
-    def initialize(self, config: TreeConfig, backend_id: str, workers: int) -> Tree:
+    def initialize(self, config: TreeConfig) -> Tree:
         self.directory.mkdir(parents=True, exist_ok=True)
         if self.exists():
             raise CheckpointError(f"checkpoint already present in {self.directory}")
@@ -135,12 +121,16 @@ class CheckpointStore:
                    "hash": config_hash(config)}
         self.config_path.write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n",
                                     encoding="utf-8")
-        self.manifest = _fresh_manifest(config, backend_id, workers)
         tree = Tree(config)
         self._intact, self._root_line = 0, _dumps(node_to_record(tree.root))
         self._write_lines([])
-        self._write_manifest()
         return tree
+
+    def begin(self, tree: Tree, backend_id: str, workers: int) -> None:
+        """Start a session on a fresh or loaded tree: write the manifest as running."""
+        self._session = {"backend_id": backend_id, "workers": workers,
+                         "dedup_drops": 0, "retries": 0, "started_at": _utcnow()}
+        self._write_manifest(tree, "running")
 
     def close(self) -> None:
         if self._handle is not None:
@@ -165,27 +155,28 @@ class CheckpointStore:
             self._write_lines([_dumps(node_to_record(n)) for n in nodes])
         else:
             self._write_lines([_dumps({"parent_id": parent_id, "children": []})])
-        self.manifest["dedup_drops"] += dedup_drops
-        self.manifest["retries"] += int(retried)
+        self._session["dedup_drops"] += dedup_drops
+        self._session["retries"] += int(retried)
 
-    def _write_manifest(self) -> None:
+    def _write_manifest(self, tree: Tree, status: str) -> None:
+        """Build the run summary from the tree and this session, and write it."""
+        self.manifest = {
+            "status": status,
+            "config_hash": config_hash(tree.config),
+            "nodes_committed": tree.non_root_count(),
+            "shortfalls": tree.shortfall_total,
+            "leaf_count": len(tree.layer_ids(tree.depth)),
+            **self._session,
+            "ended_at": None if status == "running" else _utcnow(),
+        }
         tmp = self.manifest_path.with_suffix(".json.tmp")
         tmp.write_text(json.dumps(self.manifest, indent=2, ensure_ascii=False) + "\n",
                        encoding="utf-8")
         os.replace(tmp, self.manifest_path)
 
-    def _count(self, tree: Tree) -> None:
-        """Set the manifest's node and shortfall counts from the tree."""
-        self.manifest.update(nodes_committed=tree.non_root_count(),
-                             shortfalls=tree.shortfall_total)
-
-    def finalize(self, tree: Tree, status: str, exit_status: int | None = None) -> None:
-        self._count(tree)
-        self.manifest["status"] = status
-        self.manifest["ended_at"] = _utcnow()
-        if exit_status is not None:
-            self.manifest["exit_status"] = exit_status
-        self._write_manifest()
+    def finalize(self, tree: Tree, status: str) -> None:
+        """End the session: write the manifest as ``complete`` or ``aborted``."""
+        self._write_manifest(tree, status)
         self.close()
 
     # -- load / replay ------------------------------------------------------
@@ -230,34 +221,7 @@ class CheckpointStore:
         tree = Tree(config)
         self._intact = self._replay(tree)
         self._root_line = _dumps(node_to_record(tree.root))
-
-        self.manifest = _fresh_manifest(config)
-        self.manifest.update(self._read_manifest())
-        self._count(tree)
         return tree
-
-    def _read_manifest(self) -> dict:
-        """manifest.json's fields; none if it is missing or damaged, which
-        loses only its telemetry. A telemetry count that is not a
-        non-negative integer starts afresh at 0."""
-        if not self.manifest_path.exists():
-            return {}
-        try:
-            stored = json.loads(self.manifest_path.read_text(encoding="utf-8"))
-            if isinstance(stored, dict):
-                for key in ("dedup_drops", "retries"):
-                    value = stored.get(key, 0)
-                    if type(value) is not int or value < 0:  # a bool is no count
-                        log.warning("ignoring %s %.200r in %s; it starts afresh at 0",
-                                    key, value, self.manifest_path)
-                        stored[key] = 0
-                return stored
-            problem = "not a JSON object"
-        except ValueError as exc:
-            problem = str(exc)
-        log.warning("ignoring damaged %s (%.200s); its counts start afresh",
-                    self.manifest_path, problem)
-        return {}
 
     def _replay(self, tree: Tree) -> int:
         """Replay nodes.jsonl into ``tree`` in one forward pass; returns the
@@ -490,15 +454,15 @@ class TreeRunner:
         if self.store.exists():
             tree = self.store.load(self.config)
         else:
-            tree = self.store.initialize(self.config, self.generator.backend_id,
-                                         self.workers)
+            tree = self.store.initialize(self.config)
+        self.store.begin(tree, self.generator.backend_id, self.workers)
         try:
             self._grow(tree)
         except (Exception, KeyboardInterrupt):
             # whatever happened, the store holds a valid committed prefix
-            self.store.finalize(tree, "aborted", exit_status=2)
+            self.store.finalize(tree, "aborted")
             raise
-        self.store.finalize(tree, "complete", exit_status=0)
+        self.store.finalize(tree, "complete")
         return tree
 
     # -- the scheduling loop ---------------------------------------------------

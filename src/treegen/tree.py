@@ -481,9 +481,6 @@ class Tree:
         return [node for node in self._walk(self.depth - 1)
                 if node.id not in self._expanded]
 
-    def complete(self) -> bool:
-        return not self.unexpanded()
-
     def export_depth(self, permissive: bool = False) -> int:
         """The layer exported paths end at: the full depth of a complete tree,
         else with ``permissive`` the shallowest layer that holds an unexpanded

@@ -254,6 +254,18 @@ def test_http_non_json_body_is_retried_backend_error(scripted_server):
     assert server.calls == 3
 
 
+def test_http_body_nested_too_deeply_is_retried_backend_error(scripted_server):
+    # json.loads raises RecursionError here, not ValueError
+    server = scripted_server(_ok(b"[" * 100_000))
+    backend = HttpTextBackend(base_url=server.url, api_key="k", model="m",
+                              backoff_base=0.0, max_retries=3)
+    with pytest.raises(BackendError, match="non-JSON") as exc_info:
+        backend.generate(request(n=1))
+    backend.close()
+    assert exc_info.value.attempts == 3
+    assert server.calls == 3
+
+
 GOOD_CHOICES = b'{"choices": [{"index": 0, "text": "fine", "finish_reason": "stop"}]}'
 GOOD_DATA = b'{"data": [{"index": 0, "embedding": [1.0, 0.0]}]}'
 GOOD_CHOICES_2 = b'{"choices": [{"index": 1, "text": "b"}, {"index": 0, "text": "a"}]}'

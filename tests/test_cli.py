@@ -47,8 +47,8 @@ def test_generate_mock_run_counts(tmp_path, capsys):
     assert payload["nodes_committed"] == 60  # 4 + 8 + 16 + 32
     assert payload["leaf_count"] == 32
     manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert manifest["status"] == "complete"
-    assert manifest["nodes_committed"] == 60
+    assert payload == {**manifest, "out": str(out_dir)}  # stdout is the manifest
+    assert (manifest["status"], manifest["workers"]) == ("complete", 4)
 
 
 def test_generate_http_without_key_exits_1(tmp_path, capsys, monkeypatch):
@@ -150,8 +150,23 @@ def test_generate_http_text_not_utf8_exits_2(tmp_path, capsys, monkeypatch, scri
     assert code == 2
     assert "cannot be written as UTF-8" in err
     assert out == ""
-    manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert (manifest["status"], manifest["exit_status"]) == ("aborted", 2)
+    assert json.loads((out_dir / "manifest.json").read_text())["status"] == "aborted"
+
+
+def test_generate_http_body_nested_too_deeply_exits_2(tmp_path, capsys, monkeypatch,
+                                                     scripted_server):
+    # json.loads raises RecursionError, not ValueError, on 100,000 nested
+    # arrays: the body is still a non-JSON reply, retried, then an abort
+    server = scripted_server([(200, b"[" * 100_000)])
+    monkeypatch.setattr(backends.time, "sleep", lambda seconds: None)
+    config_path = write_config(tmp_path, sft_config([2, 2]))
+    out_dir = tmp_path / "o"
+    code, out, err = http_generate(capsys, monkeypatch, server, config_path, out_dir)
+    assert code == 2
+    assert err.splitlines()[-1].startswith("error: ") and "non-JSON" in err
+    assert "Traceback" not in err and out == ""
+    assert server.calls == backends.DEFAULT_RETRIES
+    assert json.loads((out_dir / "manifest.json").read_text())["status"] == "aborted"
 
 
 def run_http_generate(tmp_path, capsys, monkeypatch, server_factory, later_dim: int):
@@ -444,6 +459,35 @@ def test_export_fixed_turn_policy(completed_run, tmp_path, capsys):
     assert len(corpus.read_text().splitlines()) == 8
 
 
+def test_export_gturn_from_a_shipped_depth_4_tree(tmp_path, capsys):
+    # the 1-4 turn Gaussian cut to the tree's 2 turns: weights 0.269/0.731
+    out_dir = tmp_path / "tree"
+    assert run_cli(capsys, "generate", "--config", str(CONFIGS / "balance_8x4x2x2.json"),
+                   "--out", str(out_dir), "--workers", "2")[0] == 0
+    corpus = tmp_path / "gturn.json"
+    code, out, _ = run_cli(capsys, "export", "--tree", str(out_dir), "--format", "sharegpt",
+                           "--out", str(corpus), "--turn-policy", "gturn")
+    assert code == 0 and json.loads(out)["records"] == 118
+    turns = [len(element["conversations"]) // 2 for element in json.loads(corpus.read_text())]
+    assert {t: turns.count(t) for t in set(turns)} == {1: 32, 2: 86}
+
+
+def test_export_gturn_from_a_depth_8_tree_mixes_1_to_4_turns(tmp_path, capsys):
+    from treegen.corpus import build_corpus, export_sharegpt, gaussian_turn_policy
+    config = sft_config([4, 2, 2, 1, 1, 1, 1, 1], dedup_threshold=1.01)
+    out_dir = tmp_path / "tree"
+    assert run_cli(capsys, "generate", "--config", str(write_config(tmp_path, config)),
+                   "--out", str(out_dir), "--workers", "2")[0] == 0
+    corpus = tmp_path / "gturn.json"
+    assert run_cli(capsys, "export", "--tree", str(out_dir), "--format", "sharegpt",
+                   "--out", str(corpus), "--turn-policy", "gturn",
+                   "--policy-seed", "5")[0] == 0
+    store = CheckpointStore(out_dir)
+    records = build_corpus(store.load(config), gaussian_turn_policy(sample_seed=5))
+    assert {r.turn_count for r in records} == {1, 2, 3, 4}
+    assert corpus.read_bytes() == export_sharegpt(records, tmp_path / "library.json").read_bytes()
+
+
 def test_export_with_target_size(completed_run, tmp_path, capsys):
     corpus = tmp_path / "sampled.json"
     code, out, _ = run_cli(capsys, "export", "--tree", str(completed_run),
@@ -687,43 +731,66 @@ def test_records_with_stored_embeddings_export_the_same_bytes(completed_run, tmp
     assert b'"embedding"' in (stored / "nodes.jsonl").read_bytes()
 
 
-@pytest.mark.parametrize("damaged", ["{\"status\": \"runn", "[1, 2]\n"],
-                         ids=["not-json", "not-an-object"])
-def test_damaged_manifest_is_ignored(completed_run, tmp_path, capsys, caplog, damaged):
-    (completed_run / "manifest.json").write_text(damaged)
-    corpus = tmp_path / "c.json"
-    code, out, _ = run_cli(capsys, "export", "--tree", str(completed_run),
-                           "--format", "sharegpt", "--out", str(corpus))
-    assert code == 0 and json.loads(out)["records"] == 32
-    assert "ignoring damaged" in caplog.text
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(json.loads(
-        (completed_run / "config.json").read_text())["config"]))
-    code = run_cli(capsys, "generate", "--config", str(config_path),
-                   "--out", str(completed_run), "--resume")[0]
-    assert code == 0
-    manifest = json.loads((completed_run / "manifest.json").read_text())
-    assert manifest["status"] == "complete" and manifest["nodes_committed"] == 60
+@pytest.mark.parametrize("manifest", ["[1, 2]\n", None], ids=["not-an-object", "missing"])
+def test_export_never_reads_the_manifest(completed_run, tmp_path, capsys, caplog, manifest):
+    exports = []
+    for step in ("as-written", "replaced"):
+        if step == "replaced":
+            manifest_path = completed_run / "manifest.json"
+            if manifest is None:
+                manifest_path.unlink()
+            else:
+                manifest_path.write_text(manifest)
+        for fmt in ("sharegpt", "jsonl"):
+            out_path = tmp_path / f"{step}.{fmt}"
+            assert run_cli(capsys, "export", "--tree", str(completed_run), "--format", fmt,
+                           "--out", str(out_path))[0] == 0
+            exports.append(out_path.read_bytes())
+    assert exports[:2] == exports[2:]
+    assert "WARNING" not in caplog.text
 
 
-@pytest.mark.parametrize("value", ["x", True, -1, None], ids=["string", "bool", "negative", "null"])
-@pytest.mark.parametrize("key", ["dedup_drops", "retries"])
-def test_bad_manifest_count_starts_afresh(tmp_path, capsys, caplog, key, value):
-    config_path = write_config(tmp_path, sft_config([2, 2]))
+def test_resume_writes_its_own_session(tmp_path, capsys, monkeypatch):
+    # a resumed session reports its own workers, backend and times, and the
+    # telemetry it counted, not the first session's
+    from treegen import scheduler
+    stamps = iter(f"2026-01-01T00:00:0{i}+00:00" for i in range(10))
+    monkeypatch.setattr(scheduler, "_utcnow", lambda: next(stamps))
+    # long answers look alike to the mock embedder: expansions drop and retry
+    config_path = write_config(tmp_path, sft_config([4, 3, 2, 2], a_tokens=200, a_step=100))
     out_dir = tmp_path / "o"
-    assert run_cli(capsys, "generate", "--config", str(config_path),
-                   "--out", str(out_dir))[0] == 0
-    manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps({**json.loads(manifest_path.read_text()), key: value}))
+    assert run_cli(capsys, "generate", "--config", str(config_path), "--out", str(out_dir),
+                   "--workers", "8")[0] == 0
+    first = json.loads((out_dir / "manifest.json").read_text())
     nodes = out_dir / "nodes.jsonl"
-    nodes.write_text("".join(nodes.read_text().splitlines(keepends=True)[:-2]))  # parent 1's block
-    code = run_cli(capsys, "generate", "--config", str(config_path),
-                   "--out", str(out_dir), "--resume")[0]
+    lines = nodes.read_text().splitlines(keepends=True)
+    parents = [json.loads(line).get("parent_id") for line in lines]
+    cut = next(i for i in range(len(lines) // 2, 0, -1) if parents[i] != parents[i - 1])
+    nodes.write_text("".join(lines[:cut]))  # whole blocks: the resume redoes the rest
+    code, out, _ = run_cli(capsys, "generate", "--config", str(config_path),
+                           "--out", str(out_dir), "--workers", "2", "--resume")
     assert code == 0
-    assert f"ignoring {key}" in caplog.text
-    manifest = json.loads(manifest_path.read_text())
-    assert manifest["status"] == "complete" and manifest["nodes_committed"] == 6
-    assert type(manifest[key]) is int and manifest[key] >= 0
+    resumed = json.loads((out_dir / "manifest.json").read_text())
+    assert json.loads(out) == {**resumed, "out": str(out_dir)}
+    assert (first["workers"], resumed["workers"]) == (8, 2)
+    assert (first["started_at"], first["ended_at"]) == ("2026-01-01T00:00:00+00:00",
+                                                         "2026-01-01T00:00:01+00:00")
+    assert (resumed["started_at"], resumed["ended_at"]) == ("2026-01-01T00:00:02+00:00",
+                                                            "2026-01-01T00:00:03+00:00")
+    assert resumed["backend_id"] == first["backend_id"]
+    for key in ("nodes_committed", "shortfalls", "leaf_count", "config_hash"):
+        assert resumed[key] == first[key]
+    assert 0 < resumed["dedup_drops"] < first["dedup_drops"]
+    assert 0 < resumed["retries"] < first["retries"]
+
+
+def test_readme_lists_the_manifest_fields(completed_run):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    paragraph = readme[readme.index("- `manifest.json`"):]
+    paragraph = paragraph[:paragraph.index("\n\n")]
+    listed = re.findall(r"`(\w+)`", paragraph[paragraph.index("Fields:"):])
+    manifest = json.loads((completed_run / "manifest.json").read_text())
+    assert listed == list(manifest)
 
 
 def test_stdout_is_json_only(completed_run, tmp_path, capsys):

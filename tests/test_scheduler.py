@@ -149,7 +149,7 @@ def test_expand_chunks_when_pool_exceeds_cap(mock_embedder):
 def test_run_completes_and_counts_match(tmp_path):
     config = sft_config([2, 2])
     tree, store = run_to_completion(config, tmp_path / "t")
-    assert tree.complete()
+    assert not tree.unexpanded()
     assert len(tree.leaf_paths()) == expected_leaf_count(config) == 4
     assert store.manifest["status"] == "complete"
     assert store.manifest["nodes_committed"] == 6
@@ -281,7 +281,7 @@ def test_resume_complete_run_issues_no_calls(tmp_path):
     backend = CountingBackend()
     runner = TreeRunner(config, backend, MockEmbedder(), CheckpointStore(tmp_path / "t"))
     tree = runner.run()
-    assert tree.complete()
+    assert not tree.unexpanded()
     assert backend.calls == []
 
 
@@ -321,7 +321,7 @@ def test_interrupt_and_resume_equals_uninterrupted(tmp_path, branching, fraction
 
     resumed = TreeRunner(config, MockTextBackend(), MockEmbedder(),
                          CheckpointStore(crash_dir), workers=4).run()
-    assert resumed.complete()
+    assert not resumed.unexpanded()
     assert (crash_dir / NODES_FILE).read_bytes() == baseline
 
 
@@ -342,7 +342,7 @@ def test_torn_trailing_line_is_recovered(tmp_path):
 
     resumed = TreeRunner(config, MockTextBackend(), MockEmbedder(),
                          CheckpointStore(crash_dir), workers=2).run()
-    assert resumed.complete()
+    assert not resumed.unexpanded()
     assert nodes_path.read_bytes() == baseline
 
 
@@ -353,13 +353,13 @@ def test_all_empty_completions_complete_with_shortfalls(tmp_path):
     backend = MockTextBackend(fixed_text="   ")
     store = CheckpointStore(tmp_path / "t")
     tree = TreeRunner(config, backend, MockEmbedder(), store, workers=2).run()
-    assert tree.complete()
+    assert not tree.unexpanded()
     assert tree.leaf_paths() == []
     assert store.manifest["shortfalls"] == 3  # the root's three missing children
     counting = CountingBackend()
     resumed = TreeRunner(config, counting, MockEmbedder(),
                          CheckpointStore(tmp_path / "t"), workers=2).run()
-    assert resumed.complete()
+    assert not resumed.unexpanded()
     assert counting.calls == []
 
 
@@ -379,7 +379,7 @@ def test_tear_through_root_record_recovers(tmp_path):
 
     resumed = TreeRunner(config, MockTextBackend(), MockEmbedder(),
                          CheckpointStore(crash_dir), workers=2).run()
-    assert resumed.complete()
+    assert not resumed.unexpanded()
     assert nodes_path.read_bytes() == baseline
 
 
@@ -420,7 +420,7 @@ def test_tear_after_partial_shortfall_block_resumes_identically(tmp_path, seed):
 
     resumed = TreeRunner(config, MockTextBackend(), MockEmbedder(),
                          CheckpointStore(crash_dir), workers=2).run()
-    assert resumed.complete()
+    assert not resumed.unexpanded()
     assert nodes_path.read_bytes() == baseline
 
 
@@ -456,8 +456,6 @@ def test_load_without_manifest_rebuilds_tree(tmp_path):
         assert reloaded.nodes[nid].children == node.children
         assert node_to_record(reloaded.nodes[nid]) == node_to_record(node)
     assert reloaded.shortfalls == shortfalls
-    assert store.manifest["nodes_committed"] == tree.non_root_count()
-    assert store.manifest["shortfalls"] == sum(shortfalls.values())
 
 
 def test_manifest_counts_equal_the_tree_after_abort_and_resume(tmp_path):
@@ -481,20 +479,29 @@ def test_manifest_counts_equal_the_tree_after_abort_and_resume(tmp_path):
     assert 0 < partial.non_root_count() <= 60 and partial.shortfall_total > 0
     TreeRunner(config, MockTextBackend(), MockEmbedder(),
                CheckpointStore(directory), workers=2).run()
-    assert assert_manifest_matches_tree("complete").complete()
+    assert not assert_manifest_matches_tree("complete").unexpanded()
 
 
 def test_manifest_written_at_start_and_finish_only(tmp_path, monkeypatch):
     statuses = []
     write = CheckpointStore._write_manifest
 
-    def recording_write(store):
-        statuses.append(store.manifest["status"])
-        write(store)
+    def recording_write(store, *args):
+        write(store, *args)
+        statuses.append(json.loads(store.manifest_path.read_text())["status"])
 
     monkeypatch.setattr(CheckpointStore, "_write_manifest", recording_write)
-    tree, _ = run_to_completion(shortfall_heavy_config(1), tmp_path / "t")
+    config = shortfall_heavy_config(1)
+    tree, _ = run_to_completion(config, tmp_path / "t")
     assert tree.shortfalls  # a shortfall does not write the manifest
+    assert statuses == ["running", "complete"]
+    # a resumed session writes its own start and end; loading writes nothing
+    nodes = tmp_path / "t" / NODES_FILE
+    nodes.write_bytes(b"".join(nodes.read_bytes().splitlines(keepends=True)[:5]))
+    statuses.clear()
+    CheckpointStore(tmp_path / "t").load(config)
+    assert statuses == []
+    run_to_completion(config, tmp_path / "t")
     assert statuses == ["running", "complete"]
 
 
@@ -531,7 +538,7 @@ def test_dead_chain_resumes_idempotently(tmp_path):
     config = sft_config([2, 1, 1, 1], dedup_threshold=1.01)
     store = CheckpointStore(tmp_path / "t")
     tree = TreeRunner(config, EmptyAfterN(4), MockEmbedder(), store, workers=1).run()
-    assert tree.complete()
+    assert not tree.unexpanded()
     paths = tree.leaf_paths()
     assert len(paths) == 1 and paths[0][0].id == "0"
     assert store.manifest["shortfalls"] == 1
@@ -540,7 +547,7 @@ def test_dead_chain_resumes_idempotently(tmp_path):
     counting = CountingBackend()
     resumed = TreeRunner(config, counting, MockEmbedder(),
                          CheckpointStore(tmp_path / "t"), workers=1).run()
-    assert resumed.complete()
+    assert not resumed.unexpanded()
     assert resumed.shortfalls == {"1": 1}  # replayed from the zero-child marker
     assert counting.calls == []
 
@@ -555,7 +562,7 @@ def assert_aborted_prefix_resumes(config, directory, workers) -> None:
     assert json.loads((directory / MANIFEST_FILE).read_text())["status"] == "aborted"
     resumed = TreeRunner(config, MockTextBackend(), MockEmbedder(),
                          CheckpointStore(directory), workers=workers).run()
-    assert resumed.complete()
+    assert not resumed.unexpanded()
     assert nodes_path.read_bytes() == baseline
 
 

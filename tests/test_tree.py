@@ -156,7 +156,7 @@ def test_leaf_paths_with_shortfall():
     short = [TreeNode(id=child_id("1", 0), parent_id="1", layer=2, role=Role.ANSWER,
                       text="a", token_count=1)]
     tree.add_children("1", short)
-    assert tree.complete()
+    assert not tree.unexpanded()
     assert len(tree.leaf_paths()) == 3
     assert tree.shortfalls == {"1": 1}  # derived from the child count
     assert tree.shortfall_total == 1
@@ -211,7 +211,7 @@ def test_walk_orders_like_sorted_ids():
                if tree.nodes[nid].layer < tree.depth and not tree.is_expanded(nid)]
     assert [n.id for n in tree.unexpanded()] == sorted(pending, key=structural_key)
     assert tree.unexpanded()[:3] == [tree.nodes[nid] for nid in ("0.0", "0.1.0", "0.2")]
-    assert not tree.complete()
+    assert tree.unexpanded()
     # layer 1 holds unexpanded nodes; SFT rounds 1 down to 0
     assert tree.export_depth(permissive=True) == 0
 
