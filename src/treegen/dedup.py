@@ -26,8 +26,18 @@ index); only the top one is refreshed, against the picks made since its last
 refresh, and it is picked once it is fresh and still on top. Picks, scores and
 the lowest-index tie rule are those of the eager loop that rescores every
 candidate at every step, but most pairs of a pool are never computed.
-``MmrSelection.pool_scores``, which the filter's backfill sorts by, scores the
-unpicked candidates against every pick only when first read.
+``MmrSelection.pool_scores`` scores the unpicked candidates against every pick
+only when first read.
+
+The filter's backfill walks the candidates outside the selection in that
+score order, but scores only those it could keep. Kept candidates only
+accumulate, so one that near-duplicates a candidate the pick-order scan kept
+is dropped wherever the walk meets it; it is set aside unscored, and the
+others are walked alone, which keeps what the walk over all keeps. A set-aside
+candidate is listed as a drop if the walk over all would have met it: all of
+them if the walk falls short, else those ranked before the candidate that
+completed the selection, the one case in which they are scored. That is why
+the backfill lists its drops in index order, not in walk order.
 """
 
 from __future__ import annotations
@@ -130,6 +140,20 @@ class PoolSimilarity:
                 sims[j] = self._sims[j][i] = sim
         return [sims[j] for j in js]
 
+    def reaches(self, i: int, js: Sequence[int], threshold: float) -> bool:
+        """Whether any similarity of candidate ``i`` to candidates ``js``
+        reaches ``threshold``. The pairs already computed are read first; the
+        rest are computed, in one ``row`` call, only if none of those does."""
+        sims = self._sims[i]
+        missing = False
+        for j in js:
+            sim = sims[j]
+            if sim is None:
+                missing = True
+            elif sim >= threshold:
+                return True
+        return missing and any(sim >= threshold for sim in self.row(i, js))
+
 
 class _LazyMmr:
     """Greedy MMR over one pool in the lazy order the module docstring gives.
@@ -160,6 +184,7 @@ class _LazyMmr:
             i, score = self._pop()
             self.picks.append(i)
             self.pick_scores.append(score)
+        self._picked = dict(zip(self.picks, self.pick_scores))
 
     def _score(self, i: int) -> float:
         return (self._lambda * self.similarity.relevance[i]
@@ -197,16 +222,17 @@ class _LazyMmr:
             self._refresh(i)
             heapq.heapreplace(heap, (-self._score(i), i))
 
+    def pool_score(self, i: int) -> float:
+        """Candidate ``i``'s score against all picks (its pick score if picked)."""
+        if i in self._picked:
+            return self._picked[i]
+        self._refresh(i)
+        return self._score(i)
+
     def pool_scores(self) -> tuple[float, ...]:
-        """Each candidate's score against all picks (its pick score if picked)."""
+        """Every candidate's ``pool_score``."""
         if self._pool_scores is None:
-            picked = dict(zip(self.picks, self.pick_scores))
-            scores = []
-            for i in range(len(self._max_sim)):
-                if i not in picked:
-                    self._refresh(i)
-                scores.append(picked[i] if i in picked else self._score(i))
-            self._pool_scores = tuple(scores)
+            self._pool_scores = tuple(map(self.pool_score, range(len(self._max_sim))))
         return self._pool_scores
 
 
@@ -216,8 +242,10 @@ class MmrSelection:
     ``pool_scores`` holds, for every candidate, its MMR score against the
     final selected set (the pick-step score for selected candidates), computed
     when first read. The duplicate filter backfills in that score order.
-    ``similarity`` carries the pool's computed similarities from
-    ``mmr_select`` to the filter.
+    ``dropped_as_duplicates`` lists each candidate a filter dropped once: for
+    each filter in turn, its scan's drops in pick order, then its backfill's
+    in index order. ``similarity`` carries the pool's computed similarities
+    from ``mmr_select`` to the filter.
     """
 
     def __init__(self, selected: tuple[int, ...], scores: tuple[float, ...],
@@ -271,10 +299,13 @@ def near_duplicate_filter(candidates: Sequence[EmbeddingVector],
 
     Scans the selection in pick order, dropping any candidate whose cosine to
     an already kept candidate reaches ``threshold``, then backfills from the
-    unselected pool in MMR-score order under the same rule. Thresholds above
-    1 disable the filter entirely. The similarities are the selection's own,
-    so ``selection`` must have been made over ``candidates``; a
-    ``ValueError`` otherwise.
+    unselected pool in MMR-score order under the same rule, scoring only the
+    candidates it could keep (see the module docstring). The drops are
+    appended to the selection's, the scan's in pick order and the backfill's
+    in index order, leaving out any it already lists. Thresholds above 1
+    disable the filter entirely. The similarities are the selection's own, so
+    ``selection`` must have been made over ``candidates``; a ``ValueError``
+    otherwise.
     """
     if not 0.0 < threshold <= 1.01:
         raise ConfigError(f"threshold must be in (0, 1.01] (got {threshold})")
@@ -288,32 +319,49 @@ def near_duplicate_filter(candidates: Sequence[EmbeddingVector],
     target = len(selection.selected)
     kept: list[int] = []
     kept_scores: list[float] = []
-    dropped = list(selection.dropped_as_duplicates)
-
-    def is_duplicate(idx: int) -> bool:
-        return any(sim >= threshold for sim in similarity.row(idx, kept))
+    drops: list[int] = []
 
     for idx, score in zip(selection.selected, selection.scores):
-        if is_duplicate(idx):
-            dropped.append(idx)
+        if similarity.reaches(idx, kept, threshold):
+            drops.append(idx)
         else:
             kept.append(idx)
             kept_scores.append(score)
 
     if len(kept) < target:
+        # as the module docstring says: a candidate that near-duplicates one
+        # the scan kept is blocked, never kept, and walks unscored
+        greedy = selection._greedy
         in_selection = set(selection.selected)
-        pool_scores = selection.pool_scores
-        backfill = sorted(((i, pool_scores[i]) for i in range(len(candidates))
-                           if i not in in_selection),
-                          key=lambda item: (-item[1], item[0]))
-        for idx, score in backfill:
-            if is_duplicate(idx):
-                dropped.append(idx)
+        scan_kept = tuple(kept)
+        blocked: list[int] = []
+        walk: list[tuple[float, int]] = []
+        for i in range(len(candidates)):
+            if i in in_selection:
+                continue
+            if similarity.reaches(i, scan_kept, threshold):
+                blocked.append(i)
+            else:
+                walk.append((-greedy.pool_score(i), i))
+        walk.sort()
+        backfill_drops: list[int] = []
+        stop = None
+        for key in walk:
+            idx = key[1]
+            if similarity.reaches(idx, kept, threshold):
+                backfill_drops.append(idx)
             else:
                 kept.append(idx)
-                kept_scores.append(score)
+                kept_scores.append(greedy.pool_score(idx))
                 if len(kept) == target:
+                    stop = key
                     break
+        # a blocked candidate is a drop if the walk over all would reach it
+        if stop is not None:
+            blocked = [i for i in blocked if (-greedy.pool_score(i), i) < stop]
+        drops += sorted(backfill_drops + blocked)
 
+    listed = set(selection.dropped_as_duplicates)
+    dropped = selection.dropped_as_duplicates + tuple(i for i in drops if i not in listed)
     return MmrSelection(selected=tuple(kept), scores=tuple(kept_scores),
-                        dropped_as_duplicates=tuple(dropped), greedy=selection._greedy)
+                        dropped_as_duplicates=dropped, greedy=selection._greedy)

@@ -34,6 +34,18 @@ class ChatTemplate:
                       self.user_close, self.assistant_open, self.assistant_close)
         return tuple(m for m in candidates if m)
 
+    @cached_property
+    def marker_chars(self) -> frozenset[str]:
+        """One character of each marker, which any text holding the marker holds."""
+        return frozenset(map(_marker_char, self.markers))
+
+
+def _marker_char(marker: str) -> str:
+    """The first character of a non-empty ``marker`` that is neither
+    alphanumeric nor whitespace (rare in prose, so cheap to rule out), else
+    its first character."""
+    return next((c for c in marker if not (c.isalnum() or c.isspace())), marker[0])
+
 
 PLAIN = ChatTemplate(id="plain")
 
@@ -121,15 +133,23 @@ def strip_completion(raw: str, stop_markers: Sequence[str],
     Raises EmptyCompletionError when nothing survives, which callers treat as
     a rejected candidate. Markers produced by the model are removed rather
     than escaped so they cannot corrupt deeper prompt renders.
+
+    A text that holds no ``_marker_char`` of a stop or role marker holds no
+    marker, so it is only trimmed. Any other text is searched for each marker,
+    each search bounded by the earliest cut found so far.
     """
+    chars = template.marker_chars
+    if any(stop_markers):
+        chars = chars.union(_marker_char(m) for m in stop_markers if m)
     cut = len(raw)
-    for markers in (stop_markers, template.markers):
-        for marker in markers:
-            if marker:
-                # only an occurrence that starts before the current cut can move it
-                idx = raw.find(marker, 0, cut + len(marker) - 1)
-                if idx != -1:
-                    cut = idx
+    if any(c in raw for c in chars):
+        for markers in (stop_markers, template.markers):
+            for marker in markers:
+                if marker:
+                    # only an occurrence that starts before the current cut can move it
+                    idx = raw.find(marker, 0, cut + len(marker) - 1)
+                    if idx != -1:
+                        cut = idx
     text = raw[:cut].strip()
     if not text:
         raise EmptyCompletionError("completion empty after stripping markers")

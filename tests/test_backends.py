@@ -148,6 +148,23 @@ def test_embedder_values_non_negative():
 
 # --- HTTP backends against a scripted local server ---------------------------------
 
+@pytest.fixture(autouse=True)
+def close_http_backends(monkeypatch):
+    """Closes every HTTP backend a test builds once the test ends, pass or
+    fail, so no socket is left for a later test's garbage collection."""
+    built = []
+    real_init = backends._HttpBase.__init__
+
+    def init(backend, *args, **kwargs):
+        real_init(backend, *args, **kwargs)
+        built.append(backend)
+
+    monkeypatch.setattr(backends._HttpBase, "__init__", init)
+    yield
+    for backend in built:
+        backend.close()
+
+
 def canned(path, payload):
     """Answers like an OpenAI-compatible server: ``n`` fixture completions, or
     one 3-dimensional embedding per input text."""
@@ -176,7 +193,6 @@ def test_http_generate_parses_fixture(scripted_server):
     server = scripted_server(canned)
     backend = HttpTextBackend(base_url=server.url + "/v1", api_key="k", model="m")
     result = backend.generate(request(n=3))
-    backend.close()
     assert [c.text for c in result.completions] == [
         "fixture completion 0", "fixture completion 1", "fixture completion 2"]
     sent = json.loads(server.seen[-1].body)
@@ -187,7 +203,6 @@ def test_http_generate_sends_stop_and_max_tokens(scripted_server):
     server = scripted_server(canned)
     backend = HttpTextBackend(base_url=server.url + "/v1", api_key="k", model="m")
     backend.generate(request(n=1, max_tokens=33, stop=("\n\n",)))
-    backend.close()
     sent = json.loads(server.seen[-1].body)
     assert sent["max_tokens"] == 33 and sent["stop"] == ["\n\n"]
 
@@ -196,10 +211,8 @@ def test_http_request_bytes_are_the_json_payload(scripted_server):
     server = scripted_server(canned)
     backend = HttpTextBackend(base_url=server.url + "/v1", api_key="k", model="m")
     backend.generate(request(prompt="caf\u00e9 \U0001f600 \"q\"", n=2, stop=("\n",)))
-    backend.close()
     embedder = HttpEmbedder(base_url=server.url + "/v1", api_key="k", model="e")
     embedder.embed(["a", "\u00fc"])
-    embedder.close()
     payloads = [{"model": "m", "prompt": "caf\u00e9 \U0001f600 \"q\"", "max_tokens": 16,
                  "temperature": 1.0, "n": 2, "seed": 42, "stop": ["\n"]},
                 {"model": "e", "input": ["a", "\u00fc"]}]
@@ -216,7 +229,6 @@ def test_http_retries_then_succeeds(scripted_server):
     backend = HttpTextBackend(base_url=server.url + "/v1", api_key="k", model="m",
                               backoff_base=0.01)
     result = backend.generate(request(n=1))
-    backend.close()
     assert result.completions[0].text == "fixture completion 0"
 
 
@@ -226,7 +238,6 @@ def test_http_gives_up_after_bounded_retries(scripted_server):
                               backoff_base=0.01, max_retries=3)
     with pytest.raises(StatusError) as exc_info:
         backend.generate(request(n=1))
-    backend.close()
     assert exc_info.value.status == 500
     assert exc_info.value.attempts == 3
     assert "boom" in exc_info.value.body
@@ -261,7 +272,6 @@ def test_http_body_nested_too_deeply_is_retried_backend_error(scripted_server):
                               backoff_base=0.0, max_retries=3)
     with pytest.raises(BackendError, match="non-JSON") as exc_info:
         backend.generate(request(n=1))
-    backend.close()
     assert exc_info.value.attempts == 3
     assert server.calls == 3
 
@@ -381,7 +391,6 @@ def test_http_embedder_round_trip(scripted_server):
     embedder = HttpEmbedder(base_url=scripted_server(canned).url + "/v1", api_key="k",
                             model="m")
     vectors = embedder.embed(["a", "b"])
-    embedder.close()
     assert vectors[0].values == (1.0, 0.5, 0.25)
     assert vectors[1].values == (2.0, 0.5, 0.25)
     assert all(v.dim == 3 for v in vectors)
@@ -435,7 +444,6 @@ def test_http_retry_after_replaces_the_backoff(scripted_server, monkeypatch,
     backend = HttpTextBackend(base_url=server.url, api_key="k", model="m", timeout=5.0,
                               backoff_base=0.25)
     assert [c.text for c in _call(backend)] == ["fine"]
-    backend.close()
     assert sleeps == [wait]
     assert server.calls == 2
 
@@ -450,7 +458,6 @@ def test_http_connection_the_server_closed_idle_is_reopened_for_free(scripted_se
     for _ in range(5):
         assert [c.text for c in _call(backend)] == ["fine"]
         assert server.closed.acquire(timeout=10)  # closed while the client is idle
-    backend.close()
     assert sleeps == []  # no attempt was spent on a dead connection
     assert (server.calls, server.connections) == (5, 5)
 
@@ -470,12 +477,10 @@ def test_http_proxy_gets_an_absolute_form_target_unless_no_proxy(scripted_server
     proxied = HttpTextBackend(base_url="http://127.0.0.2:9/v1", api_key="k", model="m",
                               max_retries=1)
     assert [c.text for c in _call(proxied)] == ["fine"]
-    proxied.close()
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
     direct = HttpTextBackend(base_url=server.url + "/v1", api_key="k", model="m",
                              max_retries=1)
     assert [c.text for c in _call(direct)] == ["fine"]
-    direct.close()
     via_proxy, bypassed = server.seen
     assert via_proxy.target == "http://127.0.0.2:9/v1/completions"
     assert via_proxy.headers["Host"] == "127.0.0.2:9"
@@ -493,7 +498,6 @@ def test_https_proxy_is_asked_for_a_tunnel(scripted_server, monkeypatch):
                               max_retries=1)
     with pytest.raises(BackendError, match="transport failure.*502"):
         _call(backend)
-    backend.close()
     [seen] = server.seen
     assert (seen.method, seen.target) == ("CONNECT", "127.0.0.2:8443")
     assert seen.headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"u:p").decode()

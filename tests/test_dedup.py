@@ -12,12 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from treegen import dedup
+from treegen import dedup, scheduler
 from treegen.backends import (EmbeddingVector, GenerationRequest, MockEmbedder,
                               MockTextBackend)
 from treegen.dedup import PoolSimilarity, mmr_select, near_duplicate_filter
 from treegen.errors import ConfigError
-from treegen.scheduler import expand_parent
+from treegen.scheduler import CheckpointStore, TreeRunner, expand_parent
 from treegen.templates import get_template
 from treegen.tree import Tree
 
@@ -270,10 +270,13 @@ def reference_mmr_select(candidates, query, k, lam):
 
 
 def reference_near_duplicate_filter(candidates, selected, scores, pool_scores, threshold):
-    """Returns (kept, kept_scores, dropped) of the pick-order scan plus backfill."""
+    """Returns (kept, kept_scores, dropped) of the pick-order scan plus backfill;
+    ``dropped`` lists the scan's drops in pick order, then the backfill's in
+    index order."""
     kept: list[int] = []
     kept_scores: list[float] = []
     dropped: list[int] = []
+    backfill_dropped: list[int] = []
 
     def is_duplicate(idx):
         return any(reference_cosine(candidates[idx], candidates[j]) >= threshold
@@ -292,11 +295,11 @@ def reference_near_duplicate_filter(candidates, selected, scores, pool_scores, t
             if len(kept) >= len(selected):
                 break
             if is_duplicate(idx):
-                dropped.append(idx)
+                backfill_dropped.append(idx)
             else:
                 kept.append(idx)
                 kept_scores.append(pool_scores[idx])
-    return tuple(kept), tuple(kept_scores), tuple(dropped)
+    return tuple(kept), tuple(kept_scores), tuple(dropped + sorted(backfill_dropped))
 
 
 def bits(values):
@@ -395,9 +398,10 @@ def test_selection_equals_per_pair_reference_bitwise(kind):
 
 def test_filtering_a_filtered_selection_equals_reference():
     # the second filter backfills from every candidate outside the filtered
-    # selection, MMR picks it dropped included, by their pool scores
+    # selection, MMR picks it dropped included, by their pool scores; a
+    # candidate both filters drop is listed once
     rng = random.Random("filter-twice")
-    backfills = 0
+    backfills = relisted = 0
     for trial in range(200):
         n = rng.randint(2, 10)
         pool = [vec(*(rng.uniform(0, 1) for _ in range(3))) for _ in range(n)]
@@ -409,8 +413,41 @@ def test_filtering_a_filtered_selection_equals_reference():
         second = near_duplicate_filter(pool, first, 0.9)
         again = reference_near_duplicate_filter(pool, kept, kept_scores, want[2], 0.9)
         assert (second.selected, bits(second.scores)) == (again[0], bits(again[1])), trial
+        listed = first.dropped_as_duplicates
+        assert second.dropped_as_duplicates == listed + tuple(
+            i for i in again[2] if i not in listed), trial
         backfills += bool(set(again[0]) - set(kept))
-    assert backfills >= 10
+        relisted += bool(set(again[2]) & set(listed))
+    assert backfills >= 10 and relisted >= 10, (backfills, relisted)
+
+
+def test_scheduler_filter_equals_reference_on_a_shortfall_tree(monkeypatch, tmp_path):
+    # long answers embedded at d=16 are near-duplicates, so most expansions
+    # drop, backfill and fall short; every filter the scheduler runs must
+    # match the reference walk over all candidates
+    real_filter = scheduler.near_duplicate_filter
+    calls = backfills = drops = 0
+
+    def checked_filter(candidates, selection, threshold):
+        nonlocal calls, backfills, drops
+        filtered = real_filter(candidates, selection, threshold)
+        kept, kept_scores, dropped = reference_near_duplicate_filter(
+            candidates, selection.selected, selection.scores, selection.pool_scores, threshold)
+        assert filtered.selected == kept
+        assert bits(filtered.scores) == bits(kept_scores)
+        assert filtered.dropped_as_duplicates == dropped
+        calls += 1
+        backfills += bool(set(kept) - set(selection.selected))
+        drops += len(dropped)
+        return filtered
+
+    monkeypatch.setattr(scheduler, "near_duplicate_filter", checked_filter)
+    config = sft_config([4, 4, 3, 3], q_tokens=32, a_tokens=256, a_step=256,
+                        template_id="llama2-chat")
+    tree = TreeRunner(config, MockTextBackend(), MockEmbedder(dim=16),
+                      CheckpointStore(tmp_path), workers=2).run()
+    assert tree.non_root_count() < 4 + 16 + 48 + 144  # shortfalls
+    assert calls > 20 and backfills > 5 and drops > 100, (calls, backfills, drops)
 
 
 def test_mixed_dimension_pool_or_query_raises():
@@ -497,6 +534,21 @@ def test_each_pair_computed_at_most_once(monkeypatch, n, k):
                            MockEmbedder())
     assert result.retried and result.dedup_drops > 0
     assert len(pairs) == len(set(pairs)) > 0
+
+
+def test_backfill_computes_no_pair_for_candidates_the_first_pick_blocks(monkeypatch):
+    # every unselected candidate near-duplicates the first pick, whose row
+    # the greedy computed: the backfill drops them all without a pair
+    # against another pick, which scoring them would take
+    pool = [vec(1, 0.9, 0), vec(0.2, 1, 0), *(vec(1, 0.9, e) for e in (0.01, 0.02, 0.03, 0.04))]
+    selection = mmr_select(pool, vec(1, 1, 0), 3, 0.5)
+    assert selection.selected == (0, 1, 5)
+    pairs = count_pairs(monkeypatch)
+    filtered = near_duplicate_filter(pool, selection, 0.99)
+    assert filtered.selected == (0, 1)
+    assert filtered.dropped_as_duplicates == (5, 2, 3, 4)  # the scan's, then by index
+    later_picks = {id(pool[i].values) for i in selection.selected[1:]}
+    assert not [pair for pair in pairs if pair & later_picks]
 
 
 @pytest.mark.parametrize("dim", [0, 1, 5, 16])

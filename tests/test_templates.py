@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
@@ -142,6 +143,69 @@ def test_strip_cuts_at_template_markers_too():
 def test_strip_uses_earliest_marker():
     raw = "abc STOP def [/INST] ghi"
     assert strip_completion(raw, ["STOP"], LLAMA2_CHAT) == "abc"
+
+
+def test_marker_chars_are_one_rare_character_of_each_marker():
+    assert LLAMA2_CHAT.marker_chars == {"[", "<"}
+    assert PLAIN.marker_chars == frozenset()
+    words = ChatTemplate(id="words", system_open="\nSystem: ", user_open="User")
+    assert words.marker_chars == {":", "U"}
+
+
+def reference_strip_completion(raw, stop_markers, template):
+    """The plain algorithm: one search per marker on every text, each bounded
+    by the earliest cut found so far."""
+    cut = len(raw)
+    for markers in (stop_markers, template.markers):
+        for marker in markers:
+            if marker:
+                idx = raw.find(marker, 0, cut + len(marker) - 1)
+                if idx != -1:
+                    cut = idx
+    text = raw[:cut].strip()
+    if not text:
+        raise EmptyCompletionError("completion empty after stripping markers")
+    return text
+
+
+def _outcome(strip, raw, stop_markers, template):
+    try:
+        return strip(raw, stop_markers, template)
+    except EmptyCompletionError as exc:
+        return EmptyCompletionError, str(exc)
+
+
+def test_strip_equals_the_plain_search_on_random_marker_texts():
+    templates = (PLAIN, LLAMA2_CHAT, TAGGED)
+    markers = sorted({m for t in templates for m in t.markers})
+    # markers, their halves (so texts hold overlapping and partial markers),
+    # their rare characters alone, and prose
+    fragments = sorted({*markers, *(m[:len(m) // 2] for m in markers),
+                        *(m[len(m) // 2:] for m in markers),
+                        "[", "<", "/", ">", "]", "INST", "SYS", " ", "\n", "a", "word",
+                        "STOP", "caf\u00e9"} - {""})
+    stop_sets = [(), ("",), ("STOP",), ("[INST]",), ("", "</s>"), ("INST]", "[/"),
+                 ("<<", "<"), ("s>[", "S>\n"), ("\n",), ("a", "word"), ("\u00e9",)]
+    rng = random.Random("strip")
+    empty = cut = searched = 0
+    for trial in range(100_000):
+        template = templates[trial % len(templates)]
+        if trial % 4 == 3:  # stop markers drawn from the fragments, empty ones included
+            stop_markers = [rng.choice(fragments + [""]) for _ in range(rng.randint(1, 3))]
+        else:
+            stop_markers = rng.choice(stop_sets)
+        if trial % 10 == 9:  # nothing but markers
+            raw = "".join(rng.choices(list(template.markers) + [m for m in stop_markers if m]
+                                      or [""], k=rng.randint(1, 4)))
+        else:
+            raw = "".join(rng.choices(fragments, k=rng.randint(0, 6)))
+        want = _outcome(reference_strip_completion, raw, stop_markers, template)
+        assert _outcome(strip_completion, raw, stop_markers, template) == want, (
+            raw, stop_markers, template.id)
+        empty += isinstance(want, tuple)
+        cut += not isinstance(want, tuple) and want != raw.strip()
+        searched += any(c in raw for c in template.marker_chars)
+    assert min(empty, cut, searched, 100_000 - searched) > 10_000, (empty, cut, searched)
 
 
 # --- template lookup ----------------------------------------------------------------------
