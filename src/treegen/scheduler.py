@@ -305,7 +305,6 @@ class ExpansionResult:
     parent_id: str
     layer_index: int
     children: list[TreeNode]
-    vectors: list[EmbeddingVector]  # the children's embeddings, in order
     shortfall: int
     dedup_drops: int
     retried: bool = False
@@ -325,18 +324,20 @@ def prompt_for_layer(role: Role, path_texts: Sequence[str], config: TreeConfig,
 
 def expand_parent(parent: TreeNode, path_texts: Sequence[str], layer_index: int,
                   config: TreeConfig, template: ChatTemplate,
-                  generator: GenerationBackend, embedder: EmbeddingBackend,
-                  query: EmbeddingVector | None = None) -> ExpansionResult:
+                  generator: GenerationBackend, embedder: EmbeddingBackend) -> ExpansionResult:
     """Generate, strip, embed, and MMR-filter one parent's child set.
 
     Requests ceil(oversample_factor * branching) candidates keyed by
     FNV-1a(config seed, parent id, layer index); on a dedup shortfall, one
     regeneration retry widens the pool before the shortfall is accepted.
 
-    ``query`` is the parent's embedding, the MMR query. Without it the
-    parent's text is embedded with the pool. A pool vector whose dimension
-    differs from the query's, or any vector whose squared norm is not finite,
-    is a ``BackendError``.
+    The MMR query, the parent's embedding, comes from the first embed call,
+    of ``[parent.text] + pool``; a retry embeds only its new texts. No vector
+    outlives the expansion. A pool vector whose dimension differs from the
+    query's, as when the embedder changes between the first call and the
+    retry's, or any vector whose squared norm is not finite, is a
+    ``BackendError``. ``dedup_drops`` sums the drops of every filter call,
+    the first attempt's and the retry's.
     """
     layer = config.layer(layer_index)
     want = math.ceil(config.oversample_factor * layer.branching)
@@ -347,7 +348,9 @@ def expand_parent(parent: TreeNode, path_texts: Sequence[str], layer_index: int,
     pool_meta: list[tuple[int, str]] = []  # (global sample index, finish_reason)
     pool_vectors: list[EmbeddingVector] = []
 
+    query: EmbeddingVector | None = None
     selection = None
+    drops = 0
     retried = False
     for attempt in range(2):
         offset = attempt * want
@@ -394,15 +397,14 @@ def expand_parent(parent: TreeNode, path_texts: Sequence[str], layer_index: int,
                 raise BackendError(f"embedding for parent {parent.id}: {exc}") from exc
             selection = near_duplicate_filter(pool_vectors, selection,
                                               config.dedup_threshold)
+            drops += len(selection.dropped_as_duplicates)
             if len(selection.selected) >= layer.branching:
                 break
         if attempt == 0:
             retried = True
 
-    kept = list(selection.selected) if selection else []
-    drops = len(selection.dropped_as_duplicates) if selection else 0
     children = []
-    for rank, pool_index in enumerate(kept):
+    for rank, pool_index in enumerate(selection.selected if selection else ()):
         sample_index, finish_reason = pool_meta[pool_index]
         text = pool_texts[pool_index]
         children.append(TreeNode(
@@ -421,8 +423,7 @@ def expand_parent(parent: TreeNode, path_texts: Sequence[str], layer_index: int,
         log.info("expansion shortfall at parent %s layer %d: kept %d of %d",
                  parent.id, layer_index, len(children), layer.branching)
     return ExpansionResult(parent_id=parent.id, layer_index=layer_index,
-                           children=children,
-                           vectors=[pool_vectors[i] for i in kept], shortfall=shortfall,
+                           children=children, shortfall=shortfall,
                            dedup_drops=drops, retried=retried)
 
 
@@ -470,29 +471,27 @@ class TreeRunner:
     def _grow(self, tree: Tree) -> None:
         """Expand the frontier round by round until no node awaits expansion.
 
-        ``queries`` holds the embedding of every committed node that awaits
-        expansion, its MMR query, and drops it once the node is expanded. It
-        starts empty, so on resume a frontier node's text is embedded again
-        with its pool.
+        Frontier nodes carry no vectors: each expansion embeds its parent's
+        text with its pool, fresh or resumed alike, so the run holds only the
+        vectors of the pools in flight.
         """
         failed = threading.Event()
-        queries: dict[str, EmbeddingVector] = {}
         pool = ThreadPoolExecutor(max_workers=self.workers)
         try:
             while frontier := self._frontier(tree):
                 futures = deque(pool.submit(self._expand_from, failed, node,
-                                            tree.path_texts(node.id), queries.get(node.id))
+                                            tree.path_texts(node.id))
                                 for node in frontier)
                 skipped = False
                 while futures:  # commit strictly in frontier order
                     # popped before it is awaited: once committed, a task's
-                    # results and their vectors are freed
+                    # results are freed
                     results = self._await(futures.popleft())
                     # None: this task started just after a later one failed;
                     # commit nothing past it, as awaiting the failed one raises
                     skipped = skipped or results is None
                     for result in () if skipped else results:
-                        self._commit_result(tree, queries, result)
+                        self._commit_result(tree, result)
         except BaseException:
             failed.set()
             raise
@@ -507,10 +506,11 @@ class TreeRunner:
             pending = [node for node in pending if node.layer == shallowest]
         return pending
 
-    def _expand_from(self, failed: threading.Event, node: TreeNode, path_texts: list[str],
-                     query: EmbeddingVector | None) -> list[ExpansionResult] | None:
+    def _expand_from(self, failed: threading.Event, node: TreeNode,
+                     path_texts: list[str]) -> list[ExpansionResult] | None:
         """Expand ``node``; outside a balance tree, keep descending while an
         expansion kept exactly one child, so a wide tree's chain is one task.
+        Each step embeds its own parent's text, as the chain's first does.
 
         Runs on a pool thread and reads nothing from the tree: ``node`` and
         its path are committed and immutable, and new nodes go back to the
@@ -523,13 +523,12 @@ class TreeRunner:
         try:
             while True:
                 result = expand_parent(node, path_texts, node.layer + 1, self.config,
-                                       self.template, self.generator, self.embedder,
-                                       query=query)
+                                       self.template, self.generator, self.embedder)
                 results.append(result)
                 if (self.shape is TreeShape.BALANCE or len(result.children) != 1
                         or result.layer_index == self.config.depth):
                     return results
-                node, query = result.children[0], result.vectors[0]
+                node = result.children[0]
                 path_texts = [*path_texts, node.text]
         except BaseException:
             failed.set()
@@ -544,12 +543,8 @@ class TreeRunner:
             raise ResumableRunError(
                 f"backend failure after {exc.attempts} attempt(s): {exc}") from exc
 
-    def _commit_result(self, tree: Tree, queries: dict[str, EmbeddingVector],
-                       result: ExpansionResult) -> None:
+    def _commit_result(self, tree: Tree, result: ExpansionResult) -> None:
         # disk first: if the append fails, the tree still matches nodes.jsonl
         self.store.append_block(result.children, parent_id=result.parent_id,
                                 dedup_drops=result.dedup_drops, retried=result.retried)
         tree.add_children(result.parent_id, result.children)
-        queries.pop(result.parent_id, None)
-        if result.layer_index < self.config.depth:  # last-layer nodes are never queries
-            queries.update(zip((child.id for child in result.children), result.vectors))

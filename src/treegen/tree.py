@@ -320,9 +320,9 @@ class TreeNode:
     """One generated question/answer/continuation.
 
     Identity fields are immutable; ``children`` is the only list the owning
-    tree appends to (single writer). ``embedding`` is always None: the runner
-    keeps a node's vector apart, and only until the node is expanded. It stays
-    only because the benchmark still reads it (ROADMAP item 4 deletes it).
+    tree appends to (single writer). ``embedding`` is always None: no vector
+    outlives its expansion. It stays only because the benchmark still reads it
+    (ROADMAP item 6 deletes it).
     """
 
     id: str

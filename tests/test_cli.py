@@ -112,20 +112,32 @@ def test_generate_http_malformed_item_exits_2(tmp_path, capsys, monkeypatch, scr
     assert json.loads((out_dir / "manifest.json").read_text())["status"] == "aborted"
 
 
-def openai_replies(later_dim: int):
-    """Replies like an OpenAI-compatible server. The first embedding call
-    returns 16 dimensions, every later one ``later_dim``."""
-    embed_calls = []
+def openai_replies(retry_dim: int):
+    """Replies like an OpenAI-compatible server. A prompt that quotes no
+    sample, the root's, gets distinct samples; any other gets one sample
+    repeated, so its expansion retries. Within one embedding call, each
+    distinct text gets the next basis vector, at 16 dimensions, or at
+    ``retry_dim`` for a call that holds the samples of a retried prompt."""
+    prompts: set[str] = set()
+    retried: set[str] = set()
 
     def reply(path, payload):
         if path.endswith("/completions"):
-            body = {"choices": [{"index": i, "text": f"sample {payload['seed']} {i}"}
-                                for i in range(payload["n"])]}
+            prompt, seed = payload["prompt"], payload["seed"]
+            texts = [f"sample {seed}" + ("" if "sample" in prompt else f" {i}")
+                     for i in range(payload["n"])]
+            if prompt in prompts:
+                retried.update(texts)
+            prompts.add(prompt)
+            body = {"choices": [{"index": i, "text": text} for i, text in enumerate(texts)]}
         else:
-            embed_calls.append(path)
-            dim = 16 if len(embed_calls) == 1 else later_dim
-            body = {"data": [{"index": i, "embedding": [float(j == i % 16) for j in range(dim)]}
-                             for i in range(len(payload["input"]))]}
+            texts = payload["input"]
+            dim = retry_dim if retried.intersection(texts) else 16
+            basis: dict[str, int] = {}
+            for text in texts:
+                basis.setdefault(text, len(basis))
+            body = {"data": [{"index": i, "embedding": [float(j == basis[t]) for j in range(dim)]}
+                             for i, t in enumerate(texts)]}
         return 200, json.dumps(body).encode()
 
     return reply
@@ -134,7 +146,7 @@ def openai_replies(later_dim: int):
 def test_generate_http_text_not_utf8_exits_2(tmp_path, capsys, monkeypatch, scripted_server):
     # "caf\ud83d" is legal JSON, but a lone surrogate cannot be written to
     # nodes.jsonl: the reply is malformed, retried, and a resumable abort
-    server_reply = openai_replies(later_dim=16)
+    server_reply = openai_replies(retry_dim=16)
 
     def lone_surrogate(path, payload):
         status, body = server_reply(path, payload)
@@ -169,18 +181,19 @@ def test_generate_http_body_nested_too_deeply_exits_2(tmp_path, capsys, monkeypa
     assert json.loads((out_dir / "manifest.json").read_text())["status"] == "aborted"
 
 
-def run_http_generate(tmp_path, capsys, monkeypatch, server_factory, later_dim: int):
-    server = server_factory(openai_replies(later_dim))
+def run_http_generate(tmp_path, capsys, monkeypatch, server_factory, retry_dim: int):
+    server = server_factory(openai_replies(retry_dim))
     config_path = write_config(tmp_path, sft_config([2, 2]))
     return http_generate(capsys, monkeypatch, server, config_path, tmp_path / "o")
 
 
 def test_generate_http_embedding_dimension_change_exits_2(tmp_path, capsys, monkeypatch,
                                                           scripted_server):
-    # the root's children are embedded at 16 dimensions, every later pool at
-    # 17: selecting against a 16-dimensional query is a resumable abort
+    # each layer-2 parent is embedded with its pool at 16 dimensions, and its
+    # retry's samples at 17: selecting them against a 16-dimensional query is
+    # a resumable abort
     code, out, err = run_http_generate(tmp_path, capsys, monkeypatch, scripted_server,
-                                       later_dim=17)
+                                       retry_dim=17)
     out_dir = tmp_path / "o"
     assert code == 2
     assert "has 16, its pool has [17]" in err
@@ -189,12 +202,12 @@ def test_generate_http_embedding_dimension_change_exits_2(tmp_path, capsys, monk
     assert len((out_dir / "nodes.jsonl").read_text().splitlines()) == 3  # root + 2
 
 
-@pytest.mark.parametrize("later_dim, exit_code", [(16, 0), (17, 2)],
+@pytest.mark.parametrize("retry_dim, exit_code", [(16, 0), (17, 2)],
                          ids=["complete", "aborted"])
 def test_generate_http_closes_every_session(tmp_path, capsys, monkeypatch, scripted_server,
-                                            later_dim, exit_code):
+                                            retry_dim, exit_code):
     opened, closed = record_connections(monkeypatch)
-    code = run_http_generate(tmp_path, capsys, monkeypatch, scripted_server, later_dim)[0]
+    code = run_http_generate(tmp_path, capsys, monkeypatch, scripted_server, retry_dim)[0]
     assert code == exit_code
     assert opened and {id(c) for c in closed} == {id(c) for c in opened}
 

@@ -55,21 +55,6 @@ def run_to_completion(config, directory, workers=4, backend=None, embedder=None)
 
 # --- expand_parent -----------------------------------------------------------
 
-def test_expand_with_query_equals_expand_without(mock_embedder):
-    # the runner hands a parent its vector from the parent's own expansion;
-    # without it (the root, or a resumed frontier) the text is embedded anew
-    config = sft_config([3, 3])
-    template = get_template("plain")
-    root = expand_parent(Tree(config).root, [], 1, config, template,
-                         MockTextBackend(), mock_embedder)
-    assert [v.values for v in root.vectors] == [
-        mock_embedder.embed([c.text])[0].values for c in root.children]
-    for parent, query in zip(root.children, root.vectors):
-        args = (parent, [parent.text], 2, config, template, MockTextBackend(), mock_embedder)
-        given, embedded = expand_parent(*args, query=query), expand_parent(*args)
-        assert given == embedded
-
-
 def test_expand_requests_oversampled_pool(mock_embedder):
     config = sft_config([2, 2], dedup_threshold=1.01)
     backend = CountingBackend()
@@ -111,6 +96,28 @@ def test_expand_duplicate_pool_shortfalls(mock_embedder):
     assert result.shortfall == 3
     assert result.retried  # one regeneration attempt happened first
     assert result.dedup_drops > 0
+
+
+def test_retried_expansion_counts_the_drops_of_both_attempts(mock_embedder, monkeypatch):
+    # eight identical candidates, then sixteen: each attempt's filter drops
+    # every candidate but the one it keeps, 7 and then 15
+    config = sft_config([4, 2], dedup_threshold=0.95)
+    filtered = []
+    dupfilter = scheduler.near_duplicate_filter
+
+    def counting_filter(candidates, selection, threshold):
+        result = dupfilter(candidates, selection, threshold)
+        filtered.append(len(result.dropped_as_duplicates)
+                        - len(selection.dropped_as_duplicates))
+        return result
+
+    monkeypatch.setattr(scheduler, "near_duplicate_filter", counting_filter)
+    result = expand_parent(Tree(config).root, [], 1, config, get_template("plain"),
+                           MockTextBackend(fixed_text="always the same words"),
+                           mock_embedder)
+    assert result.retried and len(result.children) == 1
+    assert filtered == [7, 15]
+    assert result.dedup_drops == 22
 
 
 def test_expand_applies_layer_stop_markers(mock_embedder):
@@ -585,30 +592,58 @@ def test_backend_failure_aborts_resumably(tmp_path, branching):
     assert_aborted_prefix_resumes(config, tmp_path / "t", workers)
 
 
-class DimensionChangingEmbedder(MockEmbedder):
-    """Returns 17-dimensional vectors from its ``from_call``-th call on."""
+DUPLICATE_TEXT = "one answer repeated"
 
-    def __init__(self, from_call: int):
+
+class DuplicatingBackend(MockTextBackend):
+    """Answers every request of attempt 0 of the expansion whose base seed is
+    ``base_seed`` and pool ``want`` samples with one text repeated, so that it
+    keeps one child and retries; any other request as the mock does."""
+
+    def __init__(self, base_seed: int, want: int):
+        super().__init__()
+        chunks = range(1, math.ceil(want / self.sample_cap))
+        self.duplicate_seeds = {base_seed} | {combine(base_seed, 0, c) for c in chunks}
+
+    def generate(self, request):
+        if request.request_seed not in self.duplicate_seeds:
+            return super().generate(request)
+        return GenerationResult(completions=tuple(
+            Completion(text=DUPLICATE_TEXT, finish_reason="stop")
+            for _ in range(request.n_samples)), latency_ms=0.0)
+
+
+class DimensionChangingEmbedder(MockEmbedder):
+    """Once a call has embedded ``DUPLICATE_TEXT``, returns 17-dimensional
+    vectors from every later call. The extra component is 0, so a cosine
+    between two 17-dimensional vectors is the mock's."""
+
+    def __init__(self):
         super().__init__()
         self._lock = threading.Lock()
-        self.from_call = from_call
-        self.calls = 0
+        self.grown = False
 
     def embed(self, texts):
         with self._lock:
-            self.calls += 1
-            grown = self.calls >= self.from_call
+            grown = self.grown
+            self.grown = grown or DUPLICATE_TEXT in texts
         vectors = super().embed(texts)
         if grown:
             vectors = [EmbeddingVector(values=v.values + (0.0,)) for v in vectors]
         return vectors
 
 
-@FAILFAST_SHAPES
-def test_embedding_dimension_change_aborts_resumably(tmp_path, branching):
-    # the root's vectors come from the first call; every later pool has 17
+@pytest.mark.parametrize("branching, parent_id", [([64, 2], "2"), ([64, 1, 1, 1], ROOT_ID)],
+                         ids=["64x2", "64x1x1x1"])
+def test_embedding_dimension_change_aborts_resumably(tmp_path, branching, parent_id):
+    # the parent's query and first pool come from one 16-dimensional call; its
+    # pool is one text, so it retries, and the retry's call returns 17. Below
+    # the root only a branching above 1 retries on duplicates.
     config = sft_config(branching)
-    runner = TreeRunner(config, MockTextBackend(), DimensionChangingEmbedder(from_call=2),
+    layer = 1 if parent_id == ROOT_ID else 2
+    backend = DuplicatingBackend(combine(config.seed, parent_id, layer),
+                                 math.ceil(config.oversample_factor * branching[layer - 1]))
+    runner = TreeRunner(config, backend, DimensionChangingEmbedder(),
                         CheckpointStore(tmp_path / "t"), workers=2)
     with pytest.raises(ResumableRunError, match=r"has 16, its pool has \[17\]"):
         runner.run()
@@ -616,22 +651,27 @@ def test_embedding_dimension_change_aborts_resumably(tmp_path, branching):
 
 
 class OverflowingEmbedder(MockEmbedder):
-    """Scales the first vector of every call by 1e200: each value stays
-    finite, but the squared norm does not, and a cosine of it is nan."""
+    """Scales the vector at ``position`` of every call by 1e200: each value
+    stays finite, but the squared norm does not, and a cosine of it is nan."""
+
+    def __init__(self, position: int):
+        super().__init__()
+        self.position = position
 
     def embed(self, texts):
-        first, *rest = super().embed(texts)
-        return [EmbeddingVector(values=tuple(x * 1e200 for x in first.values))] + rest
+        vectors = super().embed(texts)
+        values = vectors[self.position].values
+        vectors[self.position] = EmbeddingVector(values=tuple(x * 1e200 for x in values))
+        return vectors
 
 
-@pytest.mark.parametrize("overflowing", ["query", "pool"])
-def test_overflowing_embedding_is_a_backend_error(overflowing):
-    # without a query the root's text is embedded first, ahead of its pool
+@pytest.mark.parametrize("position", [0, -1], ids=["query", "pool"])
+def test_overflowing_embedding_is_a_backend_error(position):
+    # the parent's text is embedded first, ahead of its pool
     config = sft_config([4, 2])
-    query = None if overflowing == "query" else MockEmbedder().embed_one("root")
     with pytest.raises(BackendError, match="squared norm is not finite"):
         expand_parent(Tree(config).root, [], 1, config, get_template("plain"),
-                      MockTextBackend(), OverflowingEmbedder(), query=query)
+                      MockTextBackend(), OverflowingEmbedder(position))
 
 
 class InterruptingStore(CheckpointStore):
@@ -665,6 +705,29 @@ def test_interrupt_stops_queued_expansions(tmp_path, branching):
         TreeRunner(config, backend, MockEmbedder(), store, workers=workers).run()
     assert len(backend.calls) <= store.calls_at_interrupt + workers * config.depth
     assert_aborted_prefix_resumes(config, tmp_path / "t", workers)
+
+
+class PositionalEmbedder(MockEmbedder):
+    """Embeds the first text of every call with its components rotated by one,
+    as a server whose batched embeddings depend on the batch might."""
+
+    def embed(self, texts):
+        first, *rest = super().embed(texts)
+        return [EmbeddingVector(values=first.values[1:] + first.values[:1]), *rest]
+
+
+def test_query_comes_from_the_same_batch_fresh_and_resumed(tmp_path):
+    # a parent is embedded first in its own pool's call, in a fresh session
+    # and after a resume alike, so the interrupted tree is the fresh one
+    config = sft_config([4, 3, 2, 2], dedup_threshold=1.01)
+    run_to_completion(config, tmp_path / "fresh", workers=2, embedder=PositionalEmbedder())
+    backend = CountingBackend()
+    store = InterruptingStore(tmp_path / "t", backend, at=3)
+    with pytest.raises(KeyboardInterrupt):
+        TreeRunner(config, backend, PositionalEmbedder(), store, workers=2).run()
+    run_to_completion(config, tmp_path / "t", workers=2, embedder=PositionalEmbedder())
+    assert (tmp_path / "t" / NODES_FILE).read_bytes() == \
+        (tmp_path / "fresh" / NODES_FILE).read_bytes()
 
 
 # --- scheduling semantics ----------------------------------------------------------
@@ -749,67 +812,55 @@ class TrackedValues(list):
 
 
 class TrackingEmbedder(MockEmbedder):
-    """MockEmbedder that keeps a weak reference to the floats of every vector
-    it returns: whatever holds a vector, or only its values, keeps them live."""
+    """MockEmbedder that keeps a weak reference to every vector it returns and
+    to its floats: whatever holds a vector, or only its values, keeps it live.
+    ``peak`` is the most vectors of earlier calls live at any call."""
 
     def __init__(self):
         super().__init__()
         self._lock = threading.Lock()
-        self._refs: list[weakref.ref] = []
+        self._refs: list[tuple[weakref.ref, weakref.ref]] = []
+        self.calls = 0
+        self.peak = 0
 
     def embed(self, texts):
         vectors = [EmbeddingVector(values=TrackedValues(v.values))
                    for v in super().embed(texts)]
         with self._lock:
-            self._refs.extend(weakref.ref(v.values) for v in vectors)
+            self.calls += 1
+            self.peak = max(self.peak, self._live())
+            self._refs.extend((weakref.ref(v), weakref.ref(v.values)) for v in vectors)
         return vectors
+
+    def _live(self) -> int:
+        return sum(ref() is not None or values() is not None for ref, values in self._refs)
 
     def live(self) -> int:
         with self._lock:
-            return sum(ref() is not None for ref in self._refs)
+            return self._live()
 
 
 class MemoryCheckingStore(CheckpointStore):
-    """At every commit, checks that the live vectors are at most those of the
-    committed unexpanded nodes above the last layer, of the children returned
-    by expansions but not yet committed (workers may finish tasks ahead of
-    the writer), and ``in_flight`` for the pools the workers are selecting
-    from."""
+    """At every commit, checks that the live vectors are at most
+    ``in_flight``, those of the pools the workers are selecting from."""
 
     def __init__(self, directory, embedder: TrackingEmbedder, in_flight: int):
         super().__init__(directory)
         self.embedder = embedder
         self.in_flight = in_flight
-        self.tree = None
-        self._lock = threading.Lock()
-        self.uncommitted = 0
         self.commits = 0
 
-    def initialize(self, *args, **kwargs):
-        self.tree = super().initialize(*args, **kwargs)
-        return self.tree
-
-    def expanded(self, result):
-        with self._lock:
-            self.uncommitted += len(result.children)
-        return result
-
     def append_block(self, nodes, **kwargs):
-        with self._lock:
-            uncommitted = self.uncommitted
-        bound = len(self.tree.unexpanded()) + uncommitted + self.in_flight
         live = self.embedder.live()
-        assert live <= bound, f"commit {self.commits}: {live} vectors live, bound {bound}"
+        assert live <= self.in_flight, \
+            f"commit {self.commits}: {live} vectors live, bound {self.in_flight}"
         super().append_block(nodes, **kwargs)
-        with self._lock:
-            self.uncommitted -= len(nodes)
         self.commits += 1
 
 
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("branching", [[4, 3, 2, 2], [16, 1, 1, 1]])
-def test_vectors_live_only_until_their_node_is_expanded(tmp_path, monkeypatch,
-                                                        branching, workers):
+def test_vectors_live_only_until_their_node_is_expanded(tmp_path, branching, workers):
     config = sft_config(branching)
     embedder = TrackingEmbedder()
     # a worker selects from at most two attempts' candidates plus the query;
@@ -817,9 +868,6 @@ def test_vectors_live_only_until_their_node_is_expanded(tmp_path, monkeypatch,
     pool = max(math.ceil(config.oversample_factor * n) for n in branching[1:])
     store = MemoryCheckingStore(tmp_path / "t", embedder,
                                 in_flight=workers * (2 * pool + 1))
-    expand = scheduler.expand_parent
-    monkeypatch.setattr(scheduler, "expand_parent",
-                        lambda *args, **kwargs: store.expanded(expand(*args, **kwargs)))
     tree = TreeRunner(config, MockTextBackend(), embedder, store, workers=workers).run()
     assert store.commits > 1 + branching[0]
     assert all(node.embedding is None for node in tree.nodes.values())
@@ -828,3 +876,18 @@ def test_vectors_live_only_until_their_node_is_expanded(tmp_path, monkeypatch,
     run_to_completion(config, tmp_path / "plain", workers=workers)
     assert (tmp_path / "t" / NODES_FILE).read_bytes() == \
         (tmp_path / "plain" / NODES_FILE).read_bytes()
+
+
+def test_live_vectors_are_bounded_by_the_pools_in_flight(tmp_path):
+    # the layer-3 frontier is 64 nodes wide; at an embed call, only the
+    # worker's own expansion may hold an earlier call's vectors: its query
+    # and first pool
+    config = sft_config([8, 4, 2, 2])
+    workers = 1
+    pool = max(math.ceil(config.oversample_factor * layer.branching)
+               for layer in config.layers)
+    embedder = TrackingEmbedder()
+    tree, _ = run_to_completion(config, tmp_path / "t", workers=workers, embedder=embedder)
+    assert len(tree.unexpanded()) == 0 and len(tree.layer_ids(3)) > workers * (pool + 1)
+    assert embedder.calls > len(tree.layer_ids(3))
+    assert embedder.peak <= workers * (pool + 1)
