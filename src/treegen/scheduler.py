@@ -61,10 +61,9 @@ CONFIG_FILE = "config.json"
 NODES_FILE = "nodes.jsonl"
 MANIFEST_FILE = "manifest.json"
 
-# Layout version, stored in config.json. Format 2 records a zero-child
-# expansion as a marker line in nodes.jsonl; older checkpoints have no format
-# number and kept that record in the manifest, so they are refused.
-CHECKPOINT_FORMAT = 2
+# Layout version, stored in config.json. Format 3 opens each block of
+# nodes.jsonl with a header that gives its length; other formats are refused.
+CHECKPOINT_FORMAT = 3
 
 
 def _utcnow() -> str:
@@ -78,14 +77,15 @@ def _dumps(record: dict) -> str:
 class CheckpointStore:
     """Append-only persisted tree: config.json + nodes.jsonl + manifest.json.
 
-    nodes.jsonl alone holds the committed tree. Every node record's parent
-    appears earlier in the file, and one parent's full child set is appended
-    as a single block; an expansion that kept no children is a one-line block,
-    the marker ``{"parent_id": ..., "children": []}``. Replaying the file
-    therefore rebuilds every node, child list and shortfall. ``load`` streams
-    it, holding back only the open block, and skips a torn trailing block; it
+    nodes.jsonl alone holds the committed tree: the root record, then one
+    block per expansion, appended as a single write. A block is the header
+    ``{"parent_id": P, "children": n}`` and P's n node records, so an
+    expansion that kept no children is a header alone, and every node
+    record's parent appears earlier in the file. Replaying the file therefore
+    rebuilds every node, child list and shortfall. ``load`` streams it,
+    holding back only the open block, and skips a torn trailing block; it
     writes nothing, and the first append after it cuts the file where the
-    intact records end, so the block is regenerated deterministically.
+    intact blocks end, so the block is regenerated deterministically.
 
     config.json is read here only, by ``stored_config`` and ``load``.
 
@@ -150,11 +150,9 @@ class CheckpointStore:
 
     def append_block(self, nodes: Sequence[TreeNode], parent_id: str,
                      dedup_drops: int = 0, retried: bool = False) -> None:
-        """Commit one expansion result atomically (all-or-nothing lines)."""
-        if nodes:
-            self._write_lines([_dumps(node_to_record(n)) for n in nodes])
-        else:
-            self._write_lines([_dumps({"parent_id": parent_id, "children": []})])
+        """Commit one expansion result: its header and node records, in one write."""
+        self._write_lines([_dumps({"parent_id": parent_id, "children": len(nodes)}),
+                           *(_dumps(node_to_record(n)) for n in nodes)])
         self._session["dedup_drops"] += dedup_drops
         self._session["retries"] += int(retried)
 
@@ -225,20 +223,19 @@ class CheckpointStore:
 
     def _replay(self, tree: Tree) -> int:
         """Replay nodes.jsonl into ``tree`` in one forward pass; returns the
-        bytes of the replayed records.
+        bytes of the replayed blocks.
 
-        A block is written as one append, so only the last can be torn. The
-        open same-parent block is held back until the next parent's line or a
-        clean end of file commits it. A partial or unparseable line (invalid
-        UTF-8 included) drops it, intact or not, and ends the replay: expansion
-        is deterministic, so resume redoes it. A whole line that parses but is
-        not a JSON object is no tear, so it is a CheckpointError.
+        A block is written as one append, so only the last can be torn. It is
+        committed, with one ``add_children`` call, once its header's count of
+        records has been read. A partial or unparseable line (invalid UTF-8
+        included), or an end of file inside a block, drops that block and ends
+        the replay: expansion is deterministic, so resume redoes it. A whole
+        line that parses but does not continue the tree is a CheckpointError.
         """
         if not self.nodes_path.exists():
             return 0
-        intact = size = 0  # bytes of the committed blocks; of every line read
-        block: list[dict] = []  # the open block's records, from line ``start`` on
-        start, block_parent = 1, None
+        intact = 0  # bytes of the committed blocks
+        parent, count, children = None, 0, []  # the open block
         with open(self.nodes_path, "rb") as lines:
             for number, line in enumerate(lines, start=1):
                 try:
@@ -246,55 +243,63 @@ class CheckpointStore:
                         raise ValueError("partial line")
                     record = json.loads(line.decode())
                 except ValueError:  # UnicodeDecodeError and JSONDecodeError too
-                    log.warning("nodes.jsonl has a torn trailing block; the next append "
-                                "cuts it and resume regenerates it")
-                    return intact
+                    break
                 if not isinstance(record, dict):
                     raise CheckpointError(f"{self.nodes_path} line {number} is not a JSON object")
-                parent_id = record.get("parent_id")
-                if block and parent_id != block_parent:
-                    self._commit_block(tree, start, block)
-                    block, intact, start = [], size, number
-                block_parent = parent_id
-                block.append(record)
-                size += len(line)
-        self._commit_block(tree, start, block)
-        return size
+                if number == 1:
+                    if record.get("id") != ROOT_ID:
+                        raise CheckpointError(f"{self.nodes_path} line 1 is not the root record")
+                elif parent is None:
+                    parent, count = self._check_header(tree, number, record)
+                else:
+                    children.append(self._check_child(tree, number, record, parent,
+                                                      len(children)))
+                if len(children) == count:
+                    if parent is not None:
+                        tree.add_children(parent.id, children)
+                    intact, parent, count, children = lines.tell(), None, 0, []
+        if intact < self.nodes_path.stat().st_size:
+            log.warning("nodes.jsonl has a torn trailing block; the next append "
+                        "cuts it and resume regenerates it")
+        return intact
 
-    def _commit_block(self, tree: Tree, start: int, block: list[dict]) -> None:
-        """Add one block, whose records share a parent and start at line
-        ``start``; ids are structural, so each record is checked, not only parsed."""
-        continuing = False  # the previous record added a child to this parent
-        for number, record in enumerate(block, start):
-            if number == 1:
-                if record.get("id") != ROOT_ID:
-                    raise CheckpointError("nodes.jsonl does not start with the root record")
-                continue
-            try:
-                parent_id = record["parent_id"]
-                # a record without an id is a zero-child expansion marker
-                node = node_from_record(record) if "id" in record else None
-                parent, problem = tree.nodes[parent_id], None
-                if (node is None or not continuing) and tree.is_expanded(parent_id):
-                    problem = f"adds to parent {parent_id!r}, which is already expanded"
-                elif node is not None:
-                    layer, rank = tree.config.layer(parent.layer + 1), len(parent.children)
-                    if node.id != (expected := child_id(parent_id, rank)):
-                        problem = f"has id {node.id!r} where the next child is {expected!r}"
-                    elif rank >= layer.branching:
-                        problem = (f"adds child {rank + 1} to parent {parent_id!r}, beyond "
-                                   f"layer {parent.layer + 1}'s branching of {layer.branching}")
-                    elif node.role is not layer.role:
-                        problem = (f"has role {node.role.value!r} where layer "
-                                   f"{parent.layer + 1} holds {layer.role.value!r}")
-                if problem is None:
-                    tree.add_children(parent_id, [] if node is None else [node])
-                    continuing = node is not None
-                    continue
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CheckpointError(f"{self.nodes_path} line {number} is not a node "
-                                      f"record: {exc!r:.200}") from exc
-            raise CheckpointError(f"{self.nodes_path} line {number} {problem}")
+    def _check_header(self, tree: Tree, number: int, record: dict) -> tuple[TreeNode, int]:
+        """The parent and record count of the block header at line ``number``."""
+        try:
+            parent, count = tree.nodes[record["parent_id"]], record["children"]
+        except (KeyError, TypeError) as exc:
+            raise CheckpointError(f"{self.nodes_path} line {number} is not a block "
+                                  f"header: {exc!r:.200}") from exc
+        layer = parent.layer + 1
+        if tree.is_expanded(parent.id):
+            problem = f"adds to parent {parent.id!r}, which is already expanded"
+        elif type(count) is not int or not 0 <= count <= tree.config.layer(layer).branching:
+            problem = (f"gives parent {parent.id!r} {count!r:.80} children where layer "
+                       f"{layer} takes 0 to {tree.config.layer(layer).branching}")
+        else:
+            return parent, count
+        raise CheckpointError(f"{self.nodes_path} line {number} {problem}")
+
+    def _check_child(self, tree: Tree, number: int, record: dict, parent: TreeNode,
+                     rank: int) -> TreeNode:
+        """``parent``'s child at ``rank``, as the node record at line ``number`` holds it."""
+        try:
+            node = node_from_record(record)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{self.nodes_path} line {number} is not a node "
+                                  f"record: {exc!r:.200}") from exc
+        layer = parent.layer + 1
+        if node.parent_id != parent.id:
+            problem = f"has parent_id {node.parent_id!r} in the block of {parent.id!r}"
+        elif node.id != (expected := child_id(parent.id, rank)):
+            problem = f"has id {node.id!r} where the next child is {expected!r}"
+        elif node.layer != layer:
+            problem = f"has layer {node.layer} where its parent's children are at layer {layer}"
+        elif node.role is not (role := tree.config.layer(layer).role):
+            problem = f"has role {node.role.value!r} where layer {layer} holds {role.value!r}"
+        else:
+            return node
+        raise CheckpointError(f"{self.nodes_path} line {number} {problem}")
 
 
 # --- one expansion step ------------------------------------------------------

@@ -376,8 +376,7 @@ def _wrong_kind(record: dict, *kinds: tuple[str, type]) -> ValueError:
 
 def node_from_record(record: dict) -> TreeNode:
     """The node a nodes.jsonl record holds. A field of the wrong JSON type is a
-    ValueError; a key it does not read, such as the ``embedding`` that older
-    format-2 records may hold, is ignored."""
+    ValueError; a key it does not read is ignored."""
     meta = record.get("gen_meta")
     if meta is not None:
         if type(meta) is not dict:
@@ -427,15 +426,11 @@ class Tree:
     def add_children(self, parent_id: str, children: Sequence[TreeNode]) -> None:
         """Attach one committed child set and mark the parent expanded.
 
-        Used for fresh commits and for checkpoint replay alike; an empty
-        ``children`` records a zero-child expansion.
+        Used for fresh commits and for checkpoint replay alike, which checks
+        each child first; an empty ``children`` records a zero-child expansion.
         """
         parent = self.nodes[parent_id]
         for node in children:
-            if node.layer != parent.layer + 1:
-                raise ValueError(
-                    f"child {node.id} has layer {node.layer}, parent {parent_id} "
-                    f"is at layer {parent.layer}")
             self.nodes[node.id] = node
             parent.children.append(node.id)
         self._expanded.add(parent_id)

@@ -147,6 +147,13 @@ class FlakyBackend(MockTextBackend):
         return super().generate(request)
 
 
+def node_records(nodes_jsonl: str | bytes) -> list[dict]:
+    """The node records of a nodes.jsonl text in file order, root first: every
+    line but the block headers, which hold a ``children`` count."""
+    return [record for record in map(json.loads, nodes_jsonl.splitlines())
+            if "children" not in record]
+
+
 def build_full_tree(config) -> Tree:
     """Hand-expand a tree breadth-first with synthetic texts (no backend)."""
     tree = Tree(config)

@@ -14,11 +14,11 @@ import pytest
 
 from treegen import backends
 from treegen.cli import build_parser, main
-from treegen.scheduler import CheckpointStore
+from treegen.scheduler import CHECKPOINT_FORMAT, CheckpointStore
 from treegen.tree import config_to_dict
 
-from conftest import (BAD_CONFIG_VALUES, bad_config_dict, pt_config, record_connections,
-                      sft_config)
+from conftest import (BAD_CONFIG_VALUES, bad_config_dict, node_records, pt_config,
+                      record_connections, sft_config)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -199,7 +199,7 @@ def test_generate_http_embedding_dimension_change_exits_2(tmp_path, capsys, monk
     assert "has 16, its pool has [17]" in err
     assert out == ""
     assert json.loads((out_dir / "manifest.json").read_text())["status"] == "aborted"
-    assert len((out_dir / "nodes.jsonl").read_text().splitlines()) == 3  # root + 2
+    assert len(node_records((out_dir / "nodes.jsonl").read_text())) == 3  # root + 2
 
 
 @pytest.mark.parametrize("retry_dim, exit_code", [(16, 0), (17, 2)],
@@ -248,6 +248,7 @@ DAMAGED_CHECKPOINT_CONFIGS = {
     "truncated": lambda text: text[:len(text) // 2],
     "not-an-object": lambda text: "[1, 2]\n",
     "no-format": _without("format"),
+    "format-2": lambda text: json.dumps({**json.loads(text), "format": 2}),
     "no-config": _without("config"),
     "invalid-config": lambda text: json.dumps({**json.loads(text), "config": {"mode": "sft"}}),
 }
@@ -273,48 +274,53 @@ def test_damaged_checkpoint_config_exits_1(tmp_path, capsys, command, damage):
     assert last.startswith("error: ") and str(stored) in last
 
 
-def _orphan(nodes_text):
-    record = json.loads(nodes_text.splitlines()[-1])
-    return json.dumps({**record, "id": "x.1", "parent_id": "x"})
+def _header(parent_id, children) -> str:
+    return json.dumps({"parent_id": parent_id, "children": children})
 
 
-def _marker_for_last_parent(nodes_text):
-    record = json.loads(nodes_text.splitlines()[-1])
-    return json.dumps({"parent_id": record["parent_id"], "children": []})
+def _last(lines, **fields) -> str:
+    """The last record of ``lines`` with ``fields`` rewritten."""
+    return json.dumps({**json.loads(lines[-1]), **fields})
 
 
-def _late_child_of_root(nodes_text):
-    # the id is the root's next child, but the root's block has ended
-    record = json.loads(nodes_text.splitlines()[1])
-    return json.dumps({**record, "id": "2"})
+def _recount(lines, children) -> list[str]:
+    """``lines`` with the count in the last block's header rewritten."""
+    return [*lines[:-3], _header("1", children), *lines[-2:]]
 
 
-def _next_child_of_last_parent(nodes_text):
-    record = json.loads(nodes_text.splitlines()[-1])
-    return json.dumps({**record, "id": "1.2"})
-
-
-def _child_of_last_record(nodes_text):
-    record = json.loads(nodes_text.splitlines()[-1])
-    return json.dumps({**record, "id": "1.1.0", "parent_id": "1.1", "layer": 3})
-
-
-# a whole nodes.jsonl line that parses but does not continue the tree -> what
-# the error says
+# the lines of a [2, 2] checkpoint, whose last block is parent '1''s header
+# and its records '1.0' and '1.1', damaged so that they parse but do not
+# continue the tree -> what the error says about the first changed line
 DAMAGED_NODE_LINES = {
-    "empty-object": (lambda text: "{}", "is not a node record"),
-    "array": (lambda text: "[1]", "is not a JSON object"),
-    "unknown-parent": (_orphan, "is not a node record"),
-    "repeated-last-record": (lambda text: text.splitlines()[-1],
-                             "has id '1.1' where the next child is '1.2'"),
-    "marker-for-expanded-parent": (_marker_for_last_parent,
+    "empty-object": (lambda lines: [*lines, "{}"],
+                     "is not a block header: KeyError('parent_id')"),
+    "array": (lambda lines: [*lines, "[1]"], "is not a JSON object"),
+    "unknown-parent": (lambda lines: [*lines, _header("x", 1),
+                                      _last(lines, id="x.0", parent_id="x")],
+                       "is not a block header: KeyError('x')"),
+    "repeated-last-record": (lambda lines: [*lines[:-1], lines[-2]],
+                             "has id '1.0' where the next child is '1.1'"),
+    "marker-for-expanded-parent": (lambda lines: [*lines, _header("1", 0)],
                                    "adds to parent '1', which is already expanded"),
-    "second-block-for-parent": (_late_child_of_root,
+    "second-block-for-parent": (lambda lines: [*lines, _header("root", 1),
+                                               _last(lines, id="2", parent_id="root", layer=1)],
                                 "adds to parent 'root', which is already expanded"),
-    "child-beyond-branching": (_next_child_of_last_parent,
-                               "adds child 3 to parent '1', beyond layer 2's branching of 2"),
-    "child-of-last-layer-node": (_child_of_last_record,
+    "child-beyond-branching": (lambda lines: [*_recount(lines, 3), _last(lines, id="1.2")],
+                               "gives parent '1' 3 children where layer 2 takes 0 to 2"),
+    "child-of-last-layer-node": (lambda lines: [*lines, _header("1.1", 1), _last(
+                                     lines, id="1.1.0", parent_id="1.1", layer=3)],
                                  "adds to parent '1.1', which is already expanded"),
+    "children-true": (lambda lines: _recount(lines, True), "gives parent '1' True children"),
+    "children-float": (lambda lines: _recount(lines, 1.0), "gives parent '1' 1.0 children"),
+    "children-string": (lambda lines: _recount(lines, "2"), "gives parent '1' '2' children"),
+    "children-list": (lambda lines: _recount(lines, []), "gives parent '1' [] children"),
+    "children-negative": (lambda lines: _recount(lines, -1), "gives parent '1' -1 children"),
+    "children-above-branching": (lambda lines: _recount(lines, 3),
+                                 "gives parent '1' 3 children"),
+    "record-of-other-parent": (lambda lines: [*lines[:-1], _last(lines, parent_id="0")],
+                               "has parent_id '0' in the block of '1'"),
+    "record-where-header-is-due": (lambda lines: [*lines, lines[-1]],
+                                   "is not a block header: KeyError('children')"),
 }
 
 
@@ -326,9 +332,15 @@ def test_node_line_that_is_no_record_exits_1(tmp_path, capsys, command, damage):
     assert run_cli(capsys, "generate", "--config", str(config_path),
                    "--out", str(out_dir))[0] == 0
     nodes = out_dir / "nodes.jsonl"
-    text = nodes.read_text()
-    line, says = DAMAGED_NODE_LINES[damage]
-    nodes.write_text(text + line(text) + "\n")
+    lines = nodes.read_text().splitlines()
+    assert lines[-3] == '{"parent_id":"1","children":2}'
+    assert [json.loads(line)["id"] for line in lines[-2:]] == ["1.0", "1.1"]
+    damage, says = DAMAGED_NODE_LINES[damage]
+    damaged_lines = damage(lines)
+    nodes.write_text("\n".join(damaged_lines) + "\n")
+    changed = next(number for number, (line, damaged_line)
+                   in enumerate(zip([*lines, None], damaged_lines), start=1)
+                   if line != damaged_line)
     damaged = nodes.read_bytes()
     if command == "export":
         argv = ["export", "--tree", str(out_dir), "--format", "sharegpt",
@@ -338,7 +350,7 @@ def test_node_line_that_is_no_record_exits_1(tmp_path, capsys, command, damage):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     last = err.splitlines()[-1]
-    assert last.startswith(f"error: {nodes} line {len(text.splitlines()) + 1} {says}")
+    assert last.startswith(f"error: {nodes} line {changed} {says}")
     assert nodes.read_bytes() == damaged
 
 
@@ -360,6 +372,8 @@ def _meta_without(key):
 DAMAGED_NODE_FIELDS = {
     "role-of-other-layer": (_field("role", "question"),
                             "has role 'question' where layer 2 holds 'answer'"),
+    "layer-of-other-layer": (_field("layer", 3),
+                             "has layer 3 where its parent's children are at layer 2"),
     "unknown-role": (_field("role", "oracle"), "is not a node record: ValueError"),
     "token-count-string": (_field("token_count", "many"),
                            "is not a node record: ValueError(\"'token_count'"),
@@ -699,9 +713,10 @@ def test_invalid_utf8_line_is_a_tear_that_resumes_identically(completed_run, tmp
     nodes = completed_run / "nodes.jsonl"
     complete = nodes.read_bytes()
     lines = complete.splitlines(keepends=True)
-    # byte 0xff inside the text of line 10, a whole line in the middle of the file
-    at = lines[9].index(b'"text":"') + len(b'"text":"')
-    lines[9] = lines[9][:at] + b"\xff" + lines[9][at + 1:]
+    # byte 0xff inside the text of node 2.0, a whole line in the middle of the file
+    number = next(i for i, line in enumerate(lines) if line.startswith(b'{"id":"2.0"'))
+    at = lines[number].index(b'"text":"') + len(b'"text":"')
+    lines[number] = lines[number][:at] + b"\xff" + lines[number][at + 1:]
     nodes.write_bytes(b"".join(lines))
     torn = nodes.read_bytes()
     code, out, err = run_cli(capsys, "export", "--tree", str(completed_run),
@@ -720,16 +735,17 @@ def test_invalid_utf8_line_is_a_tear_that_resumes_identically(completed_run, tmp
 
 def test_records_with_stored_embeddings_export_the_same_bytes(completed_run, tmp_path,
                                                               capsys):
-    # format-2 records written with the former --store-embeddings carry an
-    # "embedding" key after gen_meta; it is ignored
+    # a node record that carries a key replay does not read, such as the
+    # "embedding" of the former --store-embeddings, exports as one without it
     from treegen.backends import MockEmbedder
     stored = tmp_path / "stored"
     stored.mkdir()
     lines = (completed_run / "nodes.jsonl").read_text().splitlines()
     records = [lines[0]] + [
-        json.dumps({**record, "embedding": list(MockEmbedder().embed([record["text"]])[0].values)},
-                   ensure_ascii=False, separators=(",", ":"))
-        for record in map(json.loads, lines[1:])]
+        line if "children" in record else json.dumps(
+            {**record, "embedding": list(MockEmbedder().embed([record["text"]])[0].values)},
+            ensure_ascii=False, separators=(",", ":"))
+        for line, record in zip(lines[1:], map(json.loads, lines[1:]))]
     (stored / "nodes.jsonl").write_text("\n".join(records) + "\n")
     for name in ("config.json", "manifest.json"):
         (stored / name).write_bytes((completed_run / name).read_bytes())
@@ -777,8 +793,7 @@ def test_resume_writes_its_own_session(tmp_path, capsys, monkeypatch):
     first = json.loads((out_dir / "manifest.json").read_text())
     nodes = out_dir / "nodes.jsonl"
     lines = nodes.read_text().splitlines(keepends=True)
-    parents = [json.loads(line).get("parent_id") for line in lines]
-    cut = next(i for i in range(len(lines) // 2, 0, -1) if parents[i] != parents[i - 1])
+    cut = next(i for i in range(len(lines) // 2, 0, -1) if "children" in json.loads(lines[i]))
     nodes.write_text("".join(lines[:cut]))  # whole blocks: the resume redoes the rest
     code, out, _ = run_cli(capsys, "generate", "--config", str(config_path),
                            "--out", str(out_dir), "--workers", "2", "--resume")
@@ -804,6 +819,11 @@ def test_readme_lists_the_manifest_fields(completed_run):
     listed = re.findall(r"`(\w+)`", paragraph[paragraph.index("Fields:"):])
     manifest = json.loads((completed_run / "manifest.json").read_text())
     assert listed == list(manifest)
+
+
+def test_readme_names_the_checkpoint_format():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert re.findall(r'"format": (\d+)', readme) == [str(CHECKPOINT_FORMAT)]
 
 
 def test_stdout_is_json_only(completed_run, tmp_path, capsys):

@@ -21,7 +21,7 @@ from treegen.cli import main
 from treegen.scheduler import NODES_FILE, CheckpointStore, TreeRunner
 from treegen.tree import config_to_dict
 
-from conftest import sft_config
+from conftest import node_records, sft_config
 
 STUB = Path(__file__).resolve().parent.parent / "treebench" / "stub_server.py"
 MODEL = "stub"
@@ -54,5 +54,5 @@ def test_http_tree_equals_the_mock_tree(tmp_path, capsys, monkeypatch, stub_url)
     TreeRunner(config, generator, MockEmbedder(), CheckpointStore(tmp_path / "mock"),
                workers=2).run()
     http_nodes = (tmp_path / "http" / NODES_FILE).read_bytes()
-    assert len(http_nodes.splitlines()) == 1 + 4 + 8
+    assert len(node_records(http_nodes)) == 1 + 4 + 8
     assert http_nodes == (tmp_path / "mock" / NODES_FILE).read_bytes()

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import gc
-import itertools
 import json
 import math
+import random
 import threading
 import time
 import tracemalloc
@@ -13,7 +13,7 @@ import weakref
 
 import pytest
 
-from treegen import scheduler
+from treegen import cli, scheduler
 from treegen.backends import (Completion, EmbeddingVector, GenerationResult, MockEmbedder,
                               MockTextBackend)
 from treegen.errors import BackendError, CheckpointError, ResumableRunError
@@ -21,9 +21,9 @@ from treegen.fnv import combine, hash_text
 from treegen.scheduler import (CONFIG_FILE, MANIFEST_FILE, NODES_FILE, CheckpointStore,
                                TreeRunner, expand_parent)
 from treegen.templates import get_template
-from treegen.tree import ROOT_ID, Tree, expected_leaf_count, node_to_record
+from treegen.tree import ROOT_ID, Tree, config_to_dict, expected_leaf_count, node_to_record
 
-from conftest import CountingBackend, FlakyBackend, pt_config, sft_config
+from conftest import CountingBackend, FlakyBackend, node_records, pt_config, sft_config
 
 
 class InjectedCrash(RuntimeError):
@@ -180,8 +180,7 @@ def test_nodes_jsonl_parent_before_child(tmp_path):
     config = sft_config([3, 2, 2, 2], dedup_threshold=1.01)
     _, store = run_to_completion(config, tmp_path / "t")
     seen = set()
-    for line in (tmp_path / "t" / NODES_FILE).read_text().splitlines():
-        record = json.loads(line)
+    for record in node_records((tmp_path / "t" / NODES_FILE).read_text()):
         if record["id"] != ROOT_ID:
             assert record["parent_id"] in seen
         seen.add(record["id"])
@@ -192,8 +191,7 @@ def test_balance_log_is_in_structural_order_per_layer(tmp_path):
     config = sft_config([3, 2, 2, 2], dedup_threshold=1.01)
     run_to_completion(config, tmp_path / "t", workers=8)
     by_layer: dict[int, list[str]] = {}
-    for line in (tmp_path / "t" / NODES_FILE).read_text().splitlines():
-        record = json.loads(line)
+    for record in node_records((tmp_path / "t" / NODES_FILE).read_text()):
         by_layer.setdefault(record["layer"], []).append(record["id"])
     for layer, ids in by_layer.items():
         assert ids == sorted(ids, key=structural_key), f"layer {layer}"
@@ -316,7 +314,7 @@ def test_interrupt_and_resume_equals_uninterrupted(tmp_path, branching, fraction
     baseline_dir = tmp_path / "baseline"
     run_to_completion(config, baseline_dir)
     baseline = (baseline_dir / NODES_FILE).read_bytes()
-    total_nodes = sum(1 for _ in baseline.splitlines()) - 1
+    total_nodes = len(node_records(baseline)) - 1
 
     crash_dir = tmp_path / f"crash-{fraction}"
     aborting = AbortingStore(crash_dir, abort_after_nodes=int(total_nodes * fraction))
@@ -398,24 +396,20 @@ def shortfall_heavy_config(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_tear_after_partial_shortfall_block_resumes_identically(tmp_path, seed):
-    # the tear lands in the block after a partial-shortfall block; torn-tail
-    # recovery drops that intact block too, so its parent must count as
-    # unexpanded again and be regenerated on resume
+    # the tear lands in the header after a partial-shortfall block: the
+    # header's count marks that block complete, so replay keeps it, with its
+    # shortfall, and resume regenerates only the torn block
     config = shortfall_heavy_config(seed)
     baseline_dir = tmp_path / "baseline"
-    run_to_completion(config, baseline_dir)
+    tree, _ = run_to_completion(config, baseline_dir)
     baseline = (baseline_dir / NODES_FILE).read_bytes()
 
+    partial = {pid for pid in tree.shortfalls if tree.nodes[pid].children}
     lines = baseline.splitlines(keepends=True)
-    pairs = zip(lines, (json.loads(line) for line in lines))
-    blocks = [list(group) for _, group in
-              itertools.groupby(pairs, key=lambda pair: pair[1]["parent_id"])]
-    offset = 0
-    for block, following in zip(blocks, blocks[1:]):
-        offset += sum(len(line) for line, _ in block)
-        first = block[0][1]
-        if first.get("layer", 0) >= 1 and len(block) < config.layer(first["layer"]).branching:
-            cut = offset + len(following[0][0]) // 2
+    for number, record in enumerate(map(json.loads, lines)):
+        following = number + 1 + record.get("children", 0)  # the next block's header
+        if "children" in record and record["parent_id"] in partial and following < len(lines):
+            cut = len(b"".join(lines[:following])) + len(lines[following]) // 2
             break
     else:
         pytest.fail("the run has no partial-shortfall block followed by another block")
@@ -465,6 +459,41 @@ def test_load_without_manifest_rebuilds_tree(tmp_path):
     assert reloaded.shortfalls == shortfalls
 
 
+# silent prompts give both shapes a zero-child expansion; a low near-duplicate
+# cutoff gives the balance tree's short texts partial shortfalls too
+EVERY_CUT_CONFIGS = {
+    "balance": sft_config([3, 2, 2, 2], q_tokens=8, a_tokens=8, a_step=1, seed=0,
+                          dedup_threshold=0.3),
+    "wide": sft_config([4, 1, 1, 1], seed=0),
+}
+
+
+@pytest.mark.parametrize("shape", list(EVERY_CUT_CONFIGS))
+def test_resume_from_a_cut_at_any_byte_equals_uninterrupted(tmp_path, capsys, monkeypatch,
+                                                            shape):
+    # a write cut at every line end, one inside a block included, and at a
+    # sample of other bytes resumes to the uninterrupted run's bytes
+    monkeypatch.setattr(cli, "MockTextBackend", SilentOnSomePrompts)
+    config = EVERY_CUT_CONFIGS[shape]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config_to_dict(config)))
+    generate = ["generate", "--config", str(config_path), "--out", str(tmp_path / "t")]
+    assert cli.main(generate) == 0
+    tree = CheckpointStore(tmp_path / "t").load(config)
+    child_counts = [len(tree.nodes[pid].children) for pid in tree.shortfalls]
+    assert 0 in child_counts and (shape == "wide" or any(child_counts))
+    nodes_path = tmp_path / "t" / NODES_FILE
+    baseline = nodes_path.read_bytes()
+    line_ends = [at + 1 for at, byte in enumerate(baseline) if byte == ord("\n")]
+    others = sorted(set(range(len(baseline))) - set(line_ends))
+    for cut in line_ends + random.Random(0).sample(others, 50):
+        for workers in ("1", "2"):
+            nodes_path.write_bytes(baseline[:cut])
+            assert cli.main([*generate, "--workers", workers, "--resume"]) == 0, cut
+            assert nodes_path.read_bytes() == baseline, f"cut at byte {cut}, workers {workers}"
+            capsys.readouterr()
+
+
 def test_manifest_counts_equal_the_tree_after_abort_and_resume(tmp_path):
     config = shortfall_heavy_config(0)
     directory = tmp_path / "t"
@@ -504,7 +533,9 @@ def test_manifest_written_at_start_and_finish_only(tmp_path, monkeypatch):
     assert statuses == ["running", "complete"]
     # a resumed session writes its own start and end; loading writes nothing
     nodes = tmp_path / "t" / NODES_FILE
-    nodes.write_bytes(b"".join(nodes.read_bytes().splitlines(keepends=True)[:5]))
+    lines = nodes.read_bytes().splitlines(keepends=True)
+    # the root record and the root's block, whose header is line 2
+    nodes.write_bytes(b"".join(lines[:2 + json.loads(lines[1])["children"]]))
     statuses.clear()
     CheckpointStore(tmp_path / "t").load(config)
     assert statuses == []
@@ -516,11 +547,14 @@ def test_load_refuses_checkpoint_without_format(tmp_path):
     config = sft_config([2, 2])
     run_to_completion(config, tmp_path / "t")
     config_path = tmp_path / "t" / CONFIG_FILE
-    stored = json.loads(config_path.read_text())
-    del stored["format"]
-    config_path.write_text(json.dumps(stored))
-    with pytest.raises(CheckpointError, match="no checkpoint format.*format 2"):
-        CheckpointStore(tmp_path / "t").load(config)
+    written = json.loads(config_path.read_text())
+    for stored, declares in (({k: v for k, v in written.items() if k != "format"},
+                              "no checkpoint format"),
+                             ({**written, "format": 2}, "checkpoint format 2")):
+        config_path.write_text(json.dumps(stored))
+        with pytest.raises(CheckpointError, match=f"declares {declares}; this version reads "
+                                                  "checkpoint format 3 only, so regenerate"):
+            CheckpointStore(tmp_path / "t").load(config)
 
 
 class EmptyAfterN(MockTextBackend):
@@ -550,12 +584,12 @@ def test_dead_chain_resumes_idempotently(tmp_path):
     assert len(paths) == 1 and paths[0][0].id == "0"
     assert store.manifest["shortfalls"] == 1
     assert tree.shortfalls == {"1": 1}
-    assert '{"parent_id":"1","children":[]}\n' in (tmp_path / "t" / NODES_FILE).read_text()
+    assert '{"parent_id":"1","children":0}\n' in (tmp_path / "t" / NODES_FILE).read_text()
     counting = CountingBackend()
     resumed = TreeRunner(config, counting, MockEmbedder(),
                          CheckpointStore(tmp_path / "t"), workers=1).run()
     assert not resumed.unexpanded()
-    assert resumed.shortfalls == {"1": 1}  # replayed from the zero-child marker
+    assert resumed.shortfalls == {"1": 1}  # replayed from the zero-count header
     assert counting.calls == []
 
 
