@@ -40,7 +40,7 @@ def compute_stats(records: Sequence[ConversationRecord]) -> CorpusStats:
     lengths: list[int] = []
     for record in records:
         histogram[record.turn_count] = histogram.get(record.turn_count, 0) + 1
-        lengths.extend(len(turn.value) for turn in record.turns)
+        lengths.extend(map(len, record.turns))
     if lengths:
         lengths.sort()
         length_stats = LengthStats(

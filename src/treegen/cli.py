@@ -82,9 +82,9 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _parse_policy(spec: str, seed: int, tree: Tree) -> TurnPolicy:
+def _parse_policy(spec: str, seed: int, tree: Tree) -> TurnPolicy | None:
     if spec == "full":
-        return TurnPolicy.fixed()
+        return None  # every leaf path
     if spec == "gturn":
         # the paper's 1-4 turns, cut to those the tree exports and renormalized
         # (build_corpus refuses an incomplete tree exported without --permissive)
@@ -100,6 +100,9 @@ def _parse_policy(spec: str, seed: int, tree: Tree) -> TurnPolicy:
 
 
 def cmd_export(args) -> int:
+    if args.format == "pt" and (args.target_size is not None or args.inline_system):
+        raise _UsageError("--target-size and --inline-system apply to sharegpt and "
+                          "jsonl exports, not to --format pt")
     store = CheckpointStore(args.tree)
     tree = store.load(store.stored_config())  # load writes nothing and opens no file
     if args.format == "pt":
@@ -162,10 +165,11 @@ def build_parser() -> _Parser:
                      help="full | fixed:K | gturn (ignored for --format pt)")
     exp.add_argument("--policy-seed", type=int, default=0)
     exp.add_argument("--target-size", type=int, default=None,
-                     help="downsample to this many records")
+                     help="downsample to this many records (not for --format pt)")
     exp.add_argument("--sample-seed", type=int, default=0)
     exp.add_argument("--inline-system", action="store_true",
-                     help="prepend the system prompt to the first human turn")
+                     help="prepend the system prompt to the first human turn "
+                          "(not for --format pt)")
     exp.add_argument("--permissive", action="store_true",
                      help="allow exporting from an incomplete tree")
     exp.set_defaults(func=cmd_export)

@@ -1,9 +1,12 @@
 """Corpus materialization: dialogue records, turn policies, and exports.
 
-A completed SFT tree yields one conversation per root-to-leaf path. Turn
-policies can instead truncate to a fixed turn count (one record per distinct
-even-depth ancestor, so identical prefixes are never emitted twice) or draw a
-seeded mixture whose empirical turn-count distribution targets given weights.
+A record is one depth-2k prefix of an SFT tree: its id, the system prompt and
+the path's texts, human first, so a turn's role follows from its position.
+A turn policy draws the records: within each turn-count stratum (the nodes of
+layer 2k, in structural order), a seeded draw without replacement sized so
+the turn counts follow the policy's weights. ``fixed(k)`` is the one-stratum
+mixture ``{k: 1.0}``, which takes every distinct depth-2k prefix, and no
+policy is ``fixed`` at the tree's export depth: one record per leaf path.
 """
 
 from __future__ import annotations
@@ -18,61 +21,44 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigError, ModeError
 from .templates import get_template
-from .tree import Mode, Role, Tree
+from .tree import Mode, Tree
 
 HUMAN = "human"
 GPT = "gpt"
 
-_ROLE_NAMES = {Role.QUESTION: HUMAN, Role.ANSWER: GPT}
-
-
-@dataclass(frozen=True)
-class Turn:
-    role: str  # "human" | "gpt"
-    value: str
-
 
 @dataclass(frozen=True)
 class ConversationRecord:
-    """One exported dialogue: complete alternating human/gpt turns."""
+    """One exported dialogue. ``turns`` are its texts in order: turn i is
+    human's for even i and gpt's for odd i. Construction raises ConfigError
+    unless the turns are complete pairs."""
 
     id: str
     system: str
-    turns: tuple[Turn, ...]
-    source_leaf: str
-    turn_count: int
+    turns: tuple[str, ...]
 
-    def validate(self) -> None:
-        if not self.turns or len(self.turns) % 2 != 0:
-            raise ConfigError(f"record {self.id}: turns must be complete pairs")
-        for i, turn in enumerate(self.turns):
-            expected = HUMAN if i % 2 == 0 else GPT
-            if turn.role != expected:
-                raise ConfigError(
-                    f"record {self.id}: turn {i} has role {turn.role!r}, "
-                    f"expected {expected!r}")
-        if self.turn_count != len(self.turns) // 2:
-            raise ConfigError(f"record {self.id}: turn_count mismatch")
+    def __post_init__(self) -> None:
+        if not self.turns or len(self.turns) % 2:
+            raise ConfigError(f"record {self.id}: turns must be complete pairs "
+                              f"(got {len(self.turns)} turns)")
+
+    @property
+    def turn_count(self) -> int:
+        return len(self.turns) // 2
 
 
 @dataclass(frozen=True)
 class TurnPolicy:
-    """How conversations are drawn from the tree.
+    """Turn-count weights for the records drawn from a tree, and the seed of
+    the draw. Build it with ``fixed`` or ``mixture``."""
 
-    ``fixed`` emits every distinct depth-2k prefix; ``mixture`` draws records
-    so the empirical turn-count distribution targets ``weights`` (sampling
-    without replacement within each turn-count stratum, deterministic under
-    ``sample_seed``).
-    """
-
-    kind: str  # "fixed" | "mixture"
-    k: int | None = None  # fixed: None means full tree depth
-    weights: tuple[tuple[int, float], ...] | None = None
+    weights: tuple[tuple[int, float], ...]
     sample_seed: int = 0
 
     @classmethod
-    def fixed(cls, k: int | None = None) -> "TurnPolicy":
-        return cls(kind="fixed", k=k)
+    def fixed(cls, k: int) -> "TurnPolicy":
+        """Every distinct depth-2k prefix: the one-stratum mixture {k: 1.0}."""
+        return cls.mixture({k: 1.0})
 
     @classmethod
     def mixture(cls, weights: dict[int, float], sample_seed: int = 0) -> "TurnPolicy":
@@ -84,76 +70,54 @@ class TurnPolicy:
         if any(not w >= 0 for w in weights.values()):  # NaN too
             raise ConfigError(f"mixture weights must be >= 0 (got {weights})")
         ordered = tuple(sorted((int(t), float(w)) for t, w in weights.items()))
-        return cls(kind="mixture", weights=ordered, sample_seed=sample_seed)
+        return cls(weights=ordered, sample_seed=sample_seed)
 
 
-def gaussian_turn_weights(turn_counts: Sequence[int] = (1, 2, 3, 4),
-                          mean: float = 2.5, std: float = 1.0) -> dict[int, float]:
-    """Discretized normal over the given turn counts, normalized to sum 1."""
-    raw = {t: math.exp(-((t - mean) ** 2) / (2 * std * std)) for t in turn_counts}
+def gaussian_turn_policy(sample_seed: int = 0,
+                         turn_counts: Sequence[int] = (1, 2, 3, 4)) -> TurnPolicy:
+    """The G-Turn mixture: a normal of mean 2.5 and std 1 discretized over
+    ``turn_counts`` and normalized to sum 1."""
+    raw = {t: math.exp(-((t - 2.5) ** 2) / 2) for t in turn_counts}
     total = sum(raw.values())
-    return {t: v / total for t, v in raw.items()}
-
-
-def gaussian_turn_policy(sample_seed: int = 0, turn_counts: Sequence[int] = (1, 2, 3, 4),
-                         mean: float = 2.5, std: float = 1.0) -> TurnPolicy:
-    return TurnPolicy.mixture(gaussian_turn_weights(turn_counts, mean, std),
+    return TurnPolicy.mixture({t: v / total for t, v in raw.items()},
                               sample_seed=sample_seed)
 
 
 # --- building records --------------------------------------------------------
 
 
-def _record_for_node(tree: Tree, node_id: str, turn_count: int) -> ConversationRecord:
-    path = tree.path_nodes(node_id)
-    turns = tuple(Turn(role=_ROLE_NAMES[n.role], value=n.text) for n in path)
-    return ConversationRecord(
-        id=f"{node_id}:{turn_count}",
-        system=tree.config.system_prompt,
-        turns=turns,
-        source_leaf=node_id,
-        turn_count=turn_count,
-    )
+def _draw(rng: random.Random, n: int, k: int) -> list[int]:
+    """``k`` of ``range(n)`` without replacement, in increasing order."""
+    return sorted(rng.sample(range(n), k))
 
 
 def build_corpus(tree: Tree, policy: TurnPolicy | None = None,
                  permissive: bool = False) -> list[ConversationRecord]:
-    """Materialize conversation records from a completed SFT tree."""
+    """Draw conversation records from a completed SFT tree, stratum by stratum
+    in turn-count order, each stratum's records in structural order."""
     if tree.config.mode is not Mode.SFT:
         raise ModeError("build_corpus needs an SFT tree; use export_pt for PT trees")
     max_turns = tree.export_depth(permissive) // 2
     if max_turns == 0:
         return []
 
-    policy = policy or TurnPolicy.fixed()
-    if policy.kind == "fixed":
-        k = policy.k if policy.k is not None else max_turns
-        if not 1 <= k <= max_turns:
-            raise ConfigError(f"fixed turn count {k} outside [1, {max_turns}]")
-        return [_record_for_node(tree, nid, k)
-                for nid in tree.layer_ids(2 * k)]
-
-    if policy.kind != "mixture":
-        raise ConfigError(f"unknown turn policy kind {policy.kind!r}")
-    if policy.weights is None:
-        raise ConfigError("mixture policy has no weights")
+    policy = policy or TurnPolicy.fixed(max_turns)
     weights = dict(policy.weights)
     if any(t > max_turns for t in weights):
         raise ConfigError(
-            f"mixture includes turn counts beyond the tree depth "
+            f"turn policy includes turn counts beyond the tree depth "
             f"({sorted(weights)} vs max {max_turns})")
 
     strata = {t: tree.layer_ids(2 * t) for t in weights}
     quotas = _mixture_quotas(weights, {t: len(ids) for t, ids in strata.items()})
     rng = random.Random(policy.sample_seed)
+    system = tree.config.system_prompt
     records: list[ConversationRecord] = []
     for t in sorted(weights):
-        take = quotas.get(t, 0)
-        if take == 0:
-            continue
         ids = strata[t]  # in structural order, so sorted indices keep it
-        chosen = sorted(rng.sample(range(len(ids)), take))
-        records.extend(_record_for_node(tree, ids[i], t) for i in chosen)
+        for i in _draw(rng, len(ids), quotas.get(t, 0)):
+            records.append(ConversationRecord(f"{ids[i]}:{t}", system,
+                                              tuple(tree.path_texts(ids[i]))))
     return records
 
 
@@ -226,12 +190,9 @@ def _escape_rows(rows: Iterable[Sequence[str]]) -> Iterator[list[str]]:
 
 def _escaped_records(records: Sequence[ConversationRecord],
                      inline_system: bool) -> Iterator[tuple[str, list[str]]]:
-    """(escaped id, escaped turn values) of every record in id order. Every
-    record is validated before this returns."""
-    for record in records:
-        record.validate()
+    """(escaped id, escaped turn values) of every record in id order."""
     ordered = sorted(records, key=lambda r: r.id)
-    rows = _escape_rows([turn.value for turn in record.turns] for record in ordered)
+    rows = _escape_rows(record.turns for record in ordered)
     return ((_json_str(record.id),
              # f"{system}\n\n{value}", escaped from its parts
              [_json_str(record.system)[:-1] + "\\n\\n" + values[0][1:], *values[1:]]
@@ -320,30 +281,28 @@ def _parse_json(text: str, where: str):
 
 def _record_from_element(element, where: str) -> ConversationRecord:
     try:
-        turns = tuple(Turn(role=c["from"], value=c["value"])
-                      for c in element["conversations"])
+        pairs = [(c["from"], c["value"]) for c in element["conversations"]]
         record_id = str(element["id"])
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"{where} is not a ShareGPT record "
                           f"({type(exc).__name__}: {exc})") from exc
-    record = ConversationRecord(id=record_id, system="", turns=turns,
-                                source_leaf=record_id.split(":")[0],
-                                turn_count=len(turns) // 2)
     try:
-        record.validate()
+        for i, (role, value) in enumerate(pairs):
+            if role != (expected := (HUMAN, GPT)[i & 1]):
+                raise ConfigError(f"record {record_id}: turn {i} has role {role!r}, "
+                                  f"expected {expected!r}")
+            if not isinstance(value, str):
+                raise ConfigError(f"record {record_id}: turn {i} has a value of type "
+                                  f"{type(value).__name__}, not a string")
+        return ConversationRecord(record_id, "", tuple(value for _, value in pairs))
     except ConfigError as exc:
         raise ConfigError(f"{where} is not a valid record: {exc}") from exc
-    return record
 
 
 def sample_to_size(records: Sequence[ConversationRecord], target_n: int,
                    seed: int) -> list[ConversationRecord]:
     """Uniform random subset of exactly ``target_n``, original order preserved."""
-    if target_n > len(records):
-        raise ConfigError(
-            f"target size {target_n} exceeds corpus size {len(records)}")
-    if target_n == len(records):
-        return list(records)
-    rng = random.Random(seed)
-    keep = sorted(rng.sample(range(len(records)), target_n))
-    return [records[i] for i in keep]
+    if not 0 <= target_n <= len(records):
+        raise ConfigError(f"target size {target_n} is not between 0 and the "
+                          f"corpus size {len(records)}")
+    return [records[i] for i in _draw(random.Random(seed), len(records), target_n)]

@@ -17,7 +17,7 @@ import pytest
 
 from treegen.backends import EmbeddingVector, MockEmbedder, MockTextBackend
 from treegen.corpus import (build_corpus, export_sharegpt, gaussian_turn_policy,
-                            gaussian_turn_weights, validate_sharegpt_file)
+                            validate_sharegpt_file)
 from treegen.dedup import mmr_select, near_duplicate_filter
 from treegen.scheduler import NODES_FILE, CheckpointStore, TreeRunner
 from treegen.templates import (LLAMA2_CHAT, get_template, render_answer_prompt,
@@ -212,12 +212,13 @@ def test_criterion_7_gturn_distribution(tmp_path):
     config = sft_config([64, 24, 1, 3, 1, 1, 1, 1], q_tokens=10, a_tokens=12,
                         a_step=2, dedup_threshold=1.01)
     tree, _ = mock_run(config, tmp_path / "gturn", workers=8)
-    records = build_corpus(tree, gaussian_turn_policy(sample_seed=17))
+    policy = gaussian_turn_policy(sample_seed=17)
+    records = build_corpus(tree, policy)
     assert len(records) >= 10_000
     histogram: dict[int, int] = {}
     for record in records:
         histogram[record.turn_count] = histogram.get(record.turn_count, 0) + 1
-    weights = gaussian_turn_weights()
+    weights = dict(policy.weights)
     for t, weight in weights.items():
         observed = histogram.get(t, 0) / len(records)
         assert abs(observed - weight) <= 0.02, (t, observed, weight)

@@ -3,16 +3,13 @@
 from __future__ import annotations
 
 from treegen.analysis import compute_stats
-from treegen.corpus import ConversationRecord, Turn, build_corpus
+from treegen.corpus import ConversationRecord, build_corpus
 
 from conftest import build_full_tree, sft_config
 
 
 def make_record(rid: str, *turn_texts: str) -> ConversationRecord:
-    turns = tuple(Turn("human" if i % 2 == 0 else "gpt", t)
-                  for i, t in enumerate(turn_texts))
-    return ConversationRecord(id=rid, system="s", turns=turns,
-                              source_leaf=rid, turn_count=len(turns) // 2)
+    return ConversationRecord(id=rid, system="s", turns=turn_texts)
 
 
 # --- compute_stats ------------------------------------------------------------

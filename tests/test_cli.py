@@ -466,7 +466,14 @@ def test_export_sharegpt_and_stats(completed_run, tmp_path, capsys):
     ("[1", "is not valid JSON"),
     ('[{"id": "a", "conversations": [{"from": "human", "value": "x"}]}]',
      "element 0 is not a valid record"),
-], ids=["object-line", "truncated-array", "one-human-turn"])
+    ('[{"id": "a", "conversations": [{"from": "human", "value": 5}, '
+     '{"from": "gpt", "value": "x"}]}]', "element 0 is not a valid record"),
+    ('[{"id": "a", "conversations": [{"from": "human", "value": "q"}, '
+     '{"from": "gpt", "value": null}]}]', "element 0 is not a valid record"),
+    ('{"id": "a", "conversations": [{"from": 1, "value": "q"}, '
+     '{"from": "gpt", "value": "x"}]}\n', "line 1 is not a valid record"),
+], ids=["object-line", "truncated-array", "one-human-turn", "int-value", "null-value",
+        "int-from"])
 def test_stats_on_a_file_that_is_not_a_corpus_exits_1(tmp_path, capsys, content, names):
     path = tmp_path / "notes.json"
     path.write_text(content)
@@ -522,6 +529,29 @@ def test_export_with_target_size(completed_run, tmp_path, capsys):
                            "--target-size", "10", "--sample-seed", "3")
     assert code == 0
     assert json.loads(out)["records"] == 10
+
+
+def test_export_negative_target_size_exits_1(completed_run, tmp_path, capsys):
+    corpus = tmp_path / "sampled.json"
+    code, out, err = run_cli(capsys, "export", "--tree", str(completed_run),
+                             "--format", "sharegpt", "--out", str(corpus),
+                             "--target-size", "-1")
+    assert code == 1 and out == "" and not corpus.exists()
+    assert err.splitlines() == ["error: target size -1 is not between 0 and the corpus size 32"]
+
+
+@pytest.mark.parametrize("option", [["--target-size", "1"], ["--inline-system"]],
+                         ids=["target-size", "inline-system"])
+def test_export_pt_with_a_conversation_option_is_usage_error(tmp_path, capsys, option):
+    config_path = write_config(tmp_path, pt_config([3, 2], dedup_threshold=1.01))
+    out_dir = tmp_path / "pt-tree"
+    assert main(["generate", "--config", str(config_path), "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    corpus = tmp_path / "pt.jsonl"
+    code, out, err = run_cli(capsys, "export", "--tree", str(out_dir), "--format", "pt",
+                             "--out", str(corpus), *option)
+    assert code == 64 and out == "" and not corpus.exists()
+    assert err.startswith("usage error: ") and option[0] in err
 
 
 def test_export_pt_from_pt_tree(tmp_path, capsys):

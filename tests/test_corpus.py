@@ -8,13 +8,12 @@ import random
 
 import pytest
 
-from treegen.corpus import (ConversationRecord, Turn, TurnPolicy, _mixture_quotas, build_corpus,
+from treegen.corpus import (ConversationRecord, TurnPolicy, _mixture_quotas, build_corpus,
                             export_jsonl, export_pt, export_sharegpt,
-                            gaussian_turn_policy, gaussian_turn_weights, sample_to_size,
-                            validate_sharegpt_file)
+                            gaussian_turn_policy, sample_to_size, validate_sharegpt_file)
 from treegen.errors import ConfigError, IncompleteTreeError, ModeError
 from treegen.templates import LLAMA2_CHAT
-from treegen.tree import Tree
+from treegen.tree import Tree, TreeNode, child_id
 
 from conftest import build_full_tree, pt_config, sft_config
 
@@ -22,7 +21,7 @@ from conftest import build_full_tree, pt_config, sft_config
 # --- gaussian preset -----------------------------------------------------------
 
 def test_gaussian_weights_match_hand_computation():
-    weights = gaussian_turn_weights()
+    weights = dict(gaussian_turn_policy().weights)
     raw = {t: math.exp(-((t - 2.5) ** 2) / 2) for t in (1, 2, 3, 4)}
     total = sum(raw.values())
     for t in (1, 2, 3, 4):
@@ -36,12 +35,10 @@ def test_gaussian_weights_match_hand_computation():
 
 def test_full_depth_records_one_per_leaf():
     tree = build_full_tree(sft_config([4, 2, 2, 2]))
-    records = build_corpus(tree, TurnPolicy.fixed())
+    records = build_corpus(tree)
     assert len(records) == 32
     assert all(r.turn_count == 2 for r in records)
     assert all(len(r.turns) == 4 for r in records)
-    for record in records:
-        record.validate()
 
 
 def test_truncated_prefixes_deduplicated():
@@ -49,7 +46,7 @@ def test_truncated_prefixes_deduplicated():
     records = build_corpus(tree, TurnPolicy.fixed(1))
     assert len(records) == 8  # distinct depth-2 ancestors: 4 * 2
     assert all(r.turn_count == 1 for r in records)
-    assert len({(r.source_leaf, r.turn_count) for r in records}) == len(records)
+    assert len({r.id for r in records}) == len(records)
 
 
 def test_fixed_k_beyond_depth_rejected():
@@ -72,11 +69,76 @@ def test_incomplete_tree_needs_permissive():
     assert build_corpus(tree, permissive=True) == []
 
 
-def test_turns_alternate_human_gpt():
+def test_turns_alternate_human_gpt(tmp_path):
     tree = build_full_tree(sft_config([2, 2, 2, 2]))
-    for record in build_corpus(tree):
-        roles = [t.role for t in record.turns]
+    out = export_sharegpt(build_corpus(tree), tmp_path / "corpus.json")
+    for element in json.loads(out.read_text(encoding="utf-8")):
+        roles = [turn["from"] for turn in element["conversations"]]
         assert roles == ["human", "gpt", "human", "gpt"]
+
+
+@pytest.mark.parametrize("turns", [(), ("q",), ("q", "a", "q2")])
+def test_record_of_zero_or_odd_turns_cannot_be_constructed(turns):
+    with pytest.raises(ConfigError, match="complete pairs"):
+        ConversationRecord(id="x:1", system="", turns=turns)
+
+
+# --- fixed:K is the one-stratum mixture {K: 1.0} ---------------------------------------
+
+def reference_fixed(tree: Tree, k: int) -> list[ConversationRecord]:
+    """The fixed-K corpus as its own code path built it: the nodes of layer 2K
+    in structural order, each with its path texts."""
+    return [ConversationRecord(f"{node}:{k}", tree.config.system_prompt,
+                               tuple(n.text for n in tree.path_nodes(node)))
+            for node in tree.layer_ids(2 * k)]
+
+
+def partial_tree_with_shortfalls(seed: int) -> Tree:
+    """A [4, 3, 2, 2, 2, 2] tree whose parents below the root keep a random
+    number of children (zero included), with a third of layer 4 unexpanded,
+    so its permissive export ends at layer 4."""
+    config = sft_config([4, 3, 2, 2, 2, 2])
+    rng = random.Random(seed)
+    tree = Tree(config)
+    frontier = ["root"]
+    for layer_index, layer in enumerate(config.layers[:4], start=1):
+        next_frontier = []
+        for pid in frontier:
+            kept = layer.branching if pid == "root" else rng.randint(0, layer.branching)
+            children = [TreeNode(id=child_id(pid, rank), parent_id=pid, layer=layer_index,
+                                 role=layer.role, text=f"{layer.role.value}-{pid}-{rank}",
+                                 token_count=2)
+                        for rank in range(kept)]
+            tree.add_children(pid, children)
+            next_frontier.extend(c.id for c in children)
+        frontier = next_frontier
+    for pid in frontier[::3]:  # layer 4: the rest stay unexpanded
+        tree.add_children(pid, [])
+    assert tree.shortfall_total > 0 and tree.export_depth(permissive=True) == 4
+    return tree
+
+
+FIXED_TREES = {
+    "full-4x2x2x2": lambda: build_full_tree(sft_config([4, 2, 2, 2])),
+    "full-3x1x2x2x1x3": lambda: build_full_tree(sft_config([3, 1, 2, 2, 1, 3])),
+    "partial-seed-0": lambda: partial_tree_with_shortfalls(0),
+    "partial-seed-5": lambda: partial_tree_with_shortfalls(5),
+}
+
+
+@pytest.mark.parametrize("shape", list(FIXED_TREES))
+def test_fixed_k_equals_the_reference_for_every_k_and_seed(shape):
+    tree = FIXED_TREES[shape]()
+    max_turns = tree.export_depth(permissive=True) // 2
+    assert max_turns >= 2
+    for k in range(1, max_turns + 1):
+        expected = reference_fixed(tree, k)
+        assert expected
+        assert build_corpus(tree, TurnPolicy.fixed(k), permissive=True) == expected
+        for seed in (0, 1, 7, 2024):
+            policy = TurnPolicy.mixture({k: 1.0}, sample_seed=seed)
+            assert build_corpus(tree, policy, permissive=True) == expected
+    assert build_corpus(tree, permissive=True) == reference_fixed(tree, max_turns)
 
 
 # --- mixture corpora -----------------------------------------------------------------
@@ -85,7 +147,7 @@ def test_mixture_targets_weights_exactly_when_feasible():
     tree = build_full_tree(sft_config([6, 4, 1, 2, 1, 1, 1, 1]))
     policy = gaussian_turn_policy(sample_seed=5)
     records = build_corpus(tree, policy)
-    weights = gaussian_turn_weights()
+    weights = dict(policy.weights)
     histogram = {}
     for r in records:
         histogram[r.turn_count] = histogram.get(r.turn_count, 0) + 1
@@ -168,8 +230,7 @@ def test_sharegpt_shape_and_field_names(tmp_path):
 
 def test_sharegpt_single_record_shape(tmp_path):
     record = ConversationRecord(
-        id="x:1", system="S", turns=(Turn("human", "q"), Turn("gpt", "a")),
-        source_leaf="x", turn_count=1)
+        id="x:1", system="S", turns=("q", "a"))
     out = tmp_path / "one.json"
     export_sharegpt([record], out)
     payload = json.loads(out.read_text(encoding="utf-8"))
@@ -272,3 +333,8 @@ def test_sample_rejects_oversized_target():
     records = sample_records()
     with pytest.raises(ConfigError, match="6"):
         sample_to_size(records, 7, seed=1)
+
+
+def test_sample_rejects_negative_target():
+    with pytest.raises(ConfigError, match="target size -1"):
+        sample_to_size(sample_records(), -1, seed=1)

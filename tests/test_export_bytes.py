@@ -17,8 +17,7 @@ import json
 import pytest
 
 from treegen import corpus
-from treegen.corpus import (ConversationRecord, Turn, _json_str, export_jsonl, export_pt,
-                            export_sharegpt)
+from treegen.corpus import ConversationRecord, _json_str, export_jsonl, export_pt, export_sharegpt
 from treegen.tree import Tree, TreeNode, child_id
 
 from conftest import pt_config
@@ -47,11 +46,10 @@ def distinct_copy(text: str) -> str:
 
 def reference_element(record: ConversationRecord, inline_system: bool) -> dict:
     conversations = []
-    for i, turn in enumerate(record.turns):
-        value = turn.value
+    for i, value in enumerate(record.turns):
         if inline_system and i == 0 and record.system:
             value = f"{record.system}\n\n{value}"
-        conversations.append({"from": turn.role, "value": value})
+        conversations.append({"from": "human" if i % 2 == 0 else "gpt", "value": value})
     return {"id": record.id, "conversations": conversations}
 
 
@@ -76,10 +74,7 @@ def reference_pt(tree: Tree, separator: str) -> bytes:
 
 
 def record(record_id: str, *values: str, system: str = "Sys \u2603 \"q\"\n") -> ConversationRecord:
-    turns = tuple(Turn("human" if i % 2 == 0 else "gpt", v) for i, v in enumerate(values))
-    return ConversationRecord(id=record_id, system=system, turns=turns,
-                              source_leaf=record_id.split(":")[0],
-                              turn_count=len(turns) // 2)
+    return ConversationRecord(id=record_id, system=system, turns=values)
 
 
 def special_records() -> list[ConversationRecord]:
