@@ -99,10 +99,26 @@ def _parse_policy(spec: str, seed: int, tree: Tree) -> TurnPolicy | None:
                       "(expected full, fixed:K, or gturn)")
 
 
+# the export flags that shape a conversation corpus, by argparse dest; each
+# defaults to None (False for --inline-system), so a given flag can be told
+_CONVERSATION_FLAGS = {"turn_policy": "--turn-policy", "policy_seed": "--policy-seed",
+                       "target_size": "--target-size", "sample_seed": "--sample-seed",
+                       "inline_system": "--inline-system"}
+
+
 def cmd_export(args) -> int:
-    if args.format == "pt" and (args.target_size is not None or args.inline_system):
-        raise _UsageError("--target-size and --inline-system apply to sharegpt and "
-                          "jsonl exports, not to --format pt")
+    """A flag that cannot change the output is a usage error, not ignored."""
+    if args.format == "pt":
+        given = [flag for dest, flag in _CONVERSATION_FLAGS.items()
+                 if getattr(args, dest) not in (None, False)]
+        if given:
+            raise _UsageError(f"{', '.join(given)}: for sharegpt and jsonl exports only, "
+                              "not for --format pt")
+    spec = "full" if args.turn_policy is None else args.turn_policy
+    if args.policy_seed is not None and spec != "gturn":
+        raise _UsageError(f"--policy-seed applies to --turn-policy gturn only, not {spec}")
+    if args.sample_seed is not None and args.target_size is None:
+        raise _UsageError("--sample-seed applies only with --target-size")
     store = CheckpointStore(args.tree)
     tree = store.load(store.stored_config())  # load writes nothing and opens no file
     if args.format == "pt":
@@ -112,10 +128,10 @@ def cmd_export(args) -> int:
         _emit({"out": str(out), "lines": lines})
         return EXIT_OK
 
-    policy = _parse_policy(args.turn_policy, args.policy_seed, tree)
+    policy = _parse_policy(spec, args.policy_seed or 0, tree)
     records = build_corpus(tree, policy, permissive=args.permissive)
     if args.target_size is not None:
-        records = sample_to_size(records, args.target_size, args.sample_seed)
+        records = sample_to_size(records, args.target_size, args.sample_seed or 0)
     if args.format == "sharegpt":
         out = export_sharegpt(records, args.out, inline_system=args.inline_system)
     else:
@@ -161,12 +177,15 @@ def build_parser() -> _Parser:
     exp.add_argument("--tree", required=True, help="checkpoint directory")
     exp.add_argument("--format", required=True, choices=("sharegpt", "jsonl", "pt"))
     exp.add_argument("--out", required=True, help="output file path")
-    exp.add_argument("--turn-policy", default="full",
-                     help="full | fixed:K | gturn (ignored for --format pt)")
-    exp.add_argument("--policy-seed", type=int, default=0)
+    exp.add_argument("--turn-policy", default=None,
+                     help="full | fixed:K | gturn (default: full; not for --format pt)")
+    exp.add_argument("--policy-seed", type=int, default=None,
+                     help="seed of the gturn draw (default: 0; only with "
+                          "--turn-policy gturn)")
     exp.add_argument("--target-size", type=int, default=None,
                      help="downsample to this many records (not for --format pt)")
-    exp.add_argument("--sample-seed", type=int, default=0)
+    exp.add_argument("--sample-seed", type=int, default=None,
+                     help="seed of the downsampling (default: 0; only with --target-size)")
     exp.add_argument("--inline-system", action="store_true",
                      help="prepend the system prompt to the first human turn "
                           "(not for --format pt)")

@@ -275,7 +275,7 @@ def validate_sharegpt_file(path: str | Path) -> list[ConversationRecord]:
 def _parse_json(text: str, where: str):
     try:
         return json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ConfigError(f"{where} is not valid JSON: {exc}") from exc
 
 

@@ -70,6 +70,13 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+# one scanner call: a line's value and the index just past it
+_scan = json.JSONDecoder().raw_decode
+# replay's read buffer: a node record runs to kilobytes, so the default 8 KiB
+# would be refilled every few lines
+_READ_BUFFER = 1 << 16
+
+
 def _dumps(record: dict) -> str:
     return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
 
@@ -191,7 +198,7 @@ class CheckpointStore:
             raise CheckpointError(f"no checkpoint in {self.directory}")
         try:
             stored = json.loads(self.config_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise CheckpointError(f"cannot read {self.config_path}: {exc}") from exc
         if not isinstance(stored, dict):
             raise CheckpointError(f"{self.config_path} does not hold a JSON object")
@@ -228,74 +235,90 @@ class CheckpointStore:
         A block is written as one append, so only the last can be torn. It is
         committed, with one ``add_children`` call, once its header's count of
         records has been read. A partial or unparseable line (invalid UTF-8
-        included), or an end of file inside a block, drops that block and ends
-        the replay: expansion is deterministic, so resume redoes it. A whole
-        line that parses but does not continue the tree is a CheckpointError.
+        and nesting too deep for the parser included), or an end of file
+        inside a block, drops that block and ends the replay: expansion is
+        deterministic, so resume redoes it. A whole line that parses but does
+        not continue the tree is a CheckpointError.
+
+        A line is parsed as ``json.loads`` parses it, in one scanner call when
+        its value ends just before its newline, as every line that
+        ``append_block`` writes does; any other line goes to ``json.loads``.
         """
         if not self.nodes_path.exists():
             return 0
-        intact = 0  # bytes of the committed blocks
+        read = intact = 0  # bytes of the lines read, and of the committed blocks
         parent, count, children = None, 0, []  # the open block
-        with open(self.nodes_path, "rb") as lines:
+        layer, role = 0, Role.ROOT  # its parent's children's layer and role
+        with open(self.nodes_path, "rb", buffering=_READ_BUFFER) as lines:
             for number, line in enumerate(lines, start=1):
+                read += len(line)
                 try:
                     if not line.endswith(b"\n"):
                         raise ValueError("partial line")
-                    record = json.loads(line.decode())
-                except ValueError:  # UnicodeDecodeError and JSONDecodeError too
+                    text = line.decode()
+                    try:
+                        record, end = _scan(text)
+                        if end != len(text) - 1:
+                            raise ValueError("more than a newline after the value")
+                    except ValueError:  # no value at the start, or more after it
+                        record = json.loads(text)
+                except (ValueError, RecursionError):  # UnicodeDecodeError too
                     break
                 if not isinstance(record, dict):
                     raise CheckpointError(f"{self.nodes_path} line {number} is not a JSON object")
-                if number == 1:
+                if parent is not None:
+                    children.append(self._check_child(number, record, parent, layer, role,
+                                                      len(children)))
+                elif number == 1:
                     if record.get("id") != ROOT_ID:
                         raise CheckpointError(f"{self.nodes_path} line 1 is not the root record")
-                elif parent is None:
-                    parent, count = self._check_header(tree, number, record)
                 else:
-                    children.append(self._check_child(tree, number, record, parent,
-                                                      len(children)))
+                    parent, count, layer, role = self._check_header(tree, number, record)
                 if len(children) == count:
                     if parent is not None:
                         tree.add_children(parent.id, children)
-                    intact, parent, count, children = lines.tell(), None, 0, []
+                    intact, parent, count, children = read, None, 0, []
         if intact < self.nodes_path.stat().st_size:
             log.warning("nodes.jsonl has a torn trailing block; the next append "
                         "cuts it and resume regenerates it")
         return intact
 
-    def _check_header(self, tree: Tree, number: int, record: dict) -> tuple[TreeNode, int]:
-        """The parent and record count of the block header at line ``number``."""
+    def _check_header(self, tree: Tree, number: int,
+                      record: dict) -> tuple[TreeNode, int, int, Role]:
+        """The parent and record count of the block header at line ``number``,
+        and the layer and role of the parent's children."""
         try:
             parent, count = tree.nodes[record["parent_id"]], record["children"]
         except (KeyError, TypeError) as exc:
             raise CheckpointError(f"{self.nodes_path} line {number} is not a block "
                                   f"header: {exc!r:.200}") from exc
         layer = parent.layer + 1
-        if tree.is_expanded(parent.id):
+        if tree.is_expanded(parent.id):  # a last-layer node included
             problem = f"adds to parent {parent.id!r}, which is already expanded"
-        elif type(count) is not int or not 0 <= count <= tree.config.layer(layer).branching:
-            problem = (f"gives parent {parent.id!r} {count!r:.80} children where layer "
-                       f"{layer} takes 0 to {tree.config.layer(layer).branching}")
         else:
-            return parent, count
+            spec = tree.config.layer(layer)
+            if type(count) is int and 0 <= count <= spec.branching:
+                return parent, count, layer, spec.role
+            problem = (f"gives parent {parent.id!r} {count!r:.80} children where layer "
+                       f"{layer} takes 0 to {spec.branching}")
         raise CheckpointError(f"{self.nodes_path} line {number} {problem}")
 
-    def _check_child(self, tree: Tree, number: int, record: dict, parent: TreeNode,
-                     rank: int) -> TreeNode:
-        """``parent``'s child at ``rank``, as the node record at line ``number`` holds it."""
+    def _check_child(self, number: int, record: dict, parent: TreeNode, layer: int,
+                     role: Role, rank: int) -> TreeNode:
+        """``parent``'s child at ``rank``, as the node record at line ``number``
+        holds it; the child is at ``layer`` with ``role``."""
         try:
             node = node_from_record(record)
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{self.nodes_path} line {number} is not a node "
                                   f"record: {exc!r:.200}") from exc
-        layer = parent.layer + 1
         if node.parent_id != parent.id:
             problem = f"has parent_id {node.parent_id!r} in the block of {parent.id!r}"
         elif node.id != (expected := child_id(parent.id, rank)):
             problem = f"has id {node.id!r} where the next child is {expected!r}"
         elif node.layer != layer:
             problem = f"has layer {node.layer} where its parent's children are at layer {layer}"
-        elif node.role is not (role := tree.config.layer(layer).role):
+        elif node.role is not role:
             problem = f"has role {node.role.value!r} where layer {layer} holds {role.value!r}"
         else:
             return node

@@ -16,6 +16,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -271,7 +272,7 @@ def config_from_dict(raw: dict) -> TreeConfig:
 def load_config(path: str | Path) -> TreeConfig:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return config_from_dict(raw)
 
@@ -308,14 +309,14 @@ def config_hash(config: TreeConfig) -> str:
 
 # --- nodes and the tree container -----------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenMeta:
     backend_id: str
     finish_reason: str
     sample_index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreeNode:
     """One generated question/answer/continuation.
 
@@ -374,6 +375,15 @@ def _wrong_kind(record: dict, *kinds: tuple[str, type]) -> ValueError:
                       f"(got {record[key]!r:.80})")
 
 
+# a role from its record value by one dict lookup; Role(value) stays the
+# fallback that raises for a value that is no role
+_ROLES = {role.value: role for role in Role}
+# Equal gen_meta records share one GenMeta, which is immutable: a tree holds a
+# few backend ids, finish reasons and sample indices, and a frozen instance
+# costs several times a cache hit to build.
+_gen_meta = lru_cache(maxsize=1024)(GenMeta)
+
+
 def node_from_record(record: dict) -> TreeNode:
     """The node a nodes.jsonl record holds. A field of the wrong JSON type is a
     ValueError; a key it does not read is ignored."""
@@ -385,21 +395,17 @@ def node_from_record(record: dict) -> TreeNode:
                 or type(meta["sample_index"]) is not int):
             raise _wrong_kind(meta, ("backend_id", str), ("finish_reason", str),
                               ("sample_index", int))
-        meta = GenMeta(backend_id=meta["backend_id"], finish_reason=meta["finish_reason"],
-                       sample_index=meta["sample_index"])
-    node = TreeNode(
-        id=record["id"],
-        parent_id=record["parent_id"],
-        layer=record["layer"],
-        role=Role(record["role"]),
-        text=record["text"],
-        token_count=record["token_count"],
-        gen_meta=meta,
-    )
-    if (type(node.layer) is not int or type(node.text) is not str
-            or type(node.token_count) is not int):
+        meta = _gen_meta(meta["backend_id"], meta["finish_reason"], meta["sample_index"])
+    node_id, parent_id, layer, role = (
+        record["id"], record["parent_id"], record["layer"], record["role"])
+    try:
+        role = _ROLES[role]
+    except (KeyError, TypeError):  # not a role value, or not hashable
+        role = Role(role)
+    text, token_count = record["text"], record["token_count"]
+    if type(layer) is not int or type(text) is not str or type(token_count) is not int:
         raise _wrong_kind(record, ("layer", int), ("text", str), ("token_count", int))
-    return node
+    return TreeNode(node_id, parent_id, layer, role, text, token_count, None, [], meta)
 
 
 class Tree:

@@ -251,6 +251,7 @@ DAMAGED_CHECKPOINT_CONFIGS = {
     "format-2": lambda text: json.dumps({**json.loads(text), "format": 2}),
     "no-config": _without("config"),
     "invalid-config": lambda text: json.dumps({**json.loads(text), "config": {"mode": "sft"}}),
+    "nested-too-deeply": lambda text: "[" * 100_000,
 }
 
 
@@ -464,6 +465,7 @@ def test_export_sharegpt_and_stats(completed_run, tmp_path, capsys):
 @pytest.mark.parametrize("content, names", [
     ('{"not": "a corpus"}\n', "line 1 is not a ShareGPT record"),
     ("[1", "is not valid JSON"),
+    ("[" * 100_000, "is not valid JSON"),
     ('[{"id": "a", "conversations": [{"from": "human", "value": "x"}]}]',
      "element 0 is not a valid record"),
     ('[{"id": "a", "conversations": [{"from": "human", "value": 5}, '
@@ -472,8 +474,8 @@ def test_export_sharegpt_and_stats(completed_run, tmp_path, capsys):
      '{"from": "gpt", "value": null}]}]', "element 0 is not a valid record"),
     ('{"id": "a", "conversations": [{"from": 1, "value": "q"}, '
      '{"from": "gpt", "value": "x"}]}\n', "line 1 is not a valid record"),
-], ids=["object-line", "truncated-array", "one-human-turn", "int-value", "null-value",
-        "int-from"])
+], ids=["object-line", "truncated-array", "nested-too-deeply", "one-human-turn",
+        "int-value", "null-value", "int-from"])
 def test_stats_on_a_file_that_is_not_a_corpus_exits_1(tmp_path, capsys, content, names):
     path = tmp_path / "notes.json"
     path.write_text(content)
@@ -540,8 +542,11 @@ def test_export_negative_target_size_exits_1(completed_run, tmp_path, capsys):
     assert err.splitlines() == ["error: target size -1 is not between 0 and the corpus size 32"]
 
 
-@pytest.mark.parametrize("option", [["--target-size", "1"], ["--inline-system"]],
-                         ids=["target-size", "inline-system"])
+@pytest.mark.parametrize("option", [["--target-size", "1"], ["--inline-system"],
+                                    ["--turn-policy", "full"], ["--policy-seed", "3"],
+                                    ["--sample-seed", "0"]],
+                         ids=["target-size", "inline-system", "turn-policy", "policy-seed",
+                              "sample-seed"])
 def test_export_pt_with_a_conversation_option_is_usage_error(tmp_path, capsys, option):
     config_path = write_config(tmp_path, pt_config([3, 2], dedup_threshold=1.01))
     out_dir = tmp_path / "pt-tree"
@@ -552,6 +557,52 @@ def test_export_pt_with_a_conversation_option_is_usage_error(tmp_path, capsys, o
                              "--out", str(corpus), *option)
     assert code == 64 and out == "" and not corpus.exists()
     assert err.startswith("usage error: ") and option[0] in err
+
+
+@pytest.mark.parametrize("options, flag", [
+    (["--sample-seed", "4"], "--sample-seed"),
+    (["--policy-seed", "3"], "--policy-seed"),
+    (["--turn-policy", "full", "--policy-seed", "0"], "--policy-seed"),
+    (["--turn-policy", "fixed:1", "--policy-seed", "3"], "--policy-seed"),
+], ids=["sample-seed-without-target-size", "policy-seed-with-default-policy",
+        "policy-seed-with-full", "policy-seed-with-fixed"])
+def test_export_option_that_cannot_change_the_output_is_usage_error(completed_run, tmp_path,
+                                                                   capsys, options, flag):
+    corpus = tmp_path / "c.json"
+    code, out, err = run_cli(capsys, "export", "--tree", str(completed_run),
+                             "--format", "sharegpt", "--out", str(corpus), *options)
+    assert code == 64 and out == "" and not corpus.exists()
+    assert err.startswith("usage error: ") and flag in err
+
+
+def test_export_pt_names_every_conversation_option_given(tmp_path, capsys):
+    config_path = write_config(tmp_path, pt_config([3, 2], dedup_threshold=1.01))
+    out_dir = tmp_path / "pt-tree"
+    assert main(["generate", "--config", str(config_path), "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    corpus = tmp_path / "pt.jsonl"
+    code, out, err = run_cli(capsys, "export", "--tree", str(out_dir), "--format", "pt",
+                             "--out", str(corpus), "--turn-policy", "fixed:9",
+                             "--policy-seed", "3", "--sample-seed", "4")
+    assert code == 64 and out == "" and not corpus.exists()
+    assert err.splitlines() == ["usage error: --turn-policy, --policy-seed, --sample-seed: "
+                                "for sharegpt and jsonl exports only, not for --format pt"]
+
+
+@pytest.mark.parametrize("given, omitted", [
+    (["--turn-policy", "full"], []),
+    (["--turn-policy", "gturn", "--policy-seed", "0"], ["--turn-policy", "gturn"]),
+    (["--target-size", "10", "--sample-seed", "0"], ["--target-size", "10"]),
+], ids=["turn-policy", "policy-seed", "sample-seed"])
+def test_export_default_given_equals_it_omitted(completed_run, tmp_path, capsys, given,
+                                                omitted):
+    outputs = []
+    for name, options in (("given.json", given), ("omitted.json", omitted)):
+        corpus = tmp_path / name
+        assert run_cli(capsys, "export", "--tree", str(completed_run), "--format",
+                       "sharegpt", "--out", str(corpus), *options)[0] == 0
+        outputs.append(corpus.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_export_pt_from_pt_tree(tmp_path, capsys):
@@ -640,6 +691,21 @@ def test_bad_config_value_exits_1(tmp_path, capsys, command, case):
     assert code == 1 and out == ""
     last = err.splitlines()[-1]
     assert last.startswith("error: ") and names in last
+
+
+@pytest.mark.parametrize("content", [b"[" * 100_000, b'{"mode": "sft\xff"}'],
+                         ids=["nested-too-deeply", "not-utf8"])
+@pytest.mark.parametrize("command", ["validate", "generate"])
+def test_config_file_that_cannot_be_read_exits_1(tmp_path, capsys, command, content):
+    config_path = tmp_path / "config.json"
+    config_path.write_bytes(content)
+    argv = ["--config", str(config_path)]
+    if command == "generate":
+        argv += ["--out", str(tmp_path / "o")]
+    code, out, err = run_cli(capsys, command, *argv)
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1].startswith(f"error: cannot read config {config_path}: ")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["validate", "generate"])
@@ -738,15 +804,14 @@ def test_export_leaves_a_torn_checkpoint_unchanged(completed_run, tmp_path, caps
     assert nodes.read_bytes() == torn
 
 
-def test_invalid_utf8_line_is_a_tear_that_resumes_identically(completed_run, tmp_path,
-                                                                capsys, caplog):
+def _tear_resumes_identically(completed_run, tmp_path, capsys, caplog, damage):
+    """``damage`` rewrites the line of node 2.0, a whole line in the middle of
+    the file: export refuses the torn tree, and resume restores every byte."""
     nodes = completed_run / "nodes.jsonl"
     complete = nodes.read_bytes()
     lines = complete.splitlines(keepends=True)
-    # byte 0xff inside the text of node 2.0, a whole line in the middle of the file
     number = next(i for i, line in enumerate(lines) if line.startswith(b'{"id":"2.0"'))
-    at = lines[number].index(b'"text":"') + len(b'"text":"')
-    lines[number] = lines[number][:at] + b"\xff" + lines[number][at + 1:]
+    lines[number] = damage(lines[number])
     nodes.write_bytes(b"".join(lines))
     torn = nodes.read_bytes()
     code, out, err = run_cli(capsys, "export", "--tree", str(completed_run),
@@ -761,6 +826,22 @@ def test_invalid_utf8_line_is_a_tear_that_resumes_identically(completed_run, tmp
     assert run_cli(capsys, "generate", "--config", str(config_path),
                    "--out", str(completed_run), "--resume")[0] == 0
     assert nodes.read_bytes() == complete
+
+
+def test_invalid_utf8_line_is_a_tear_that_resumes_identically(completed_run, tmp_path,
+                                                                capsys, caplog):
+    def damage(line):  # byte 0xff inside the text of node 2.0
+        at = line.index(b'"text":"') + len(b'"text":"')
+        return line[:at] + b"\xff" + line[at + 1:]
+
+    _tear_resumes_identically(completed_run, tmp_path, capsys, caplog, damage)
+
+
+def test_line_nested_too_deeply_is_a_tear_that_resumes_identically(completed_run, tmp_path,
+                                                                     capsys, caplog):
+    # the parser raises RecursionError, not ValueError, on 100,000 nested arrays
+    _tear_resumes_identically(completed_run, tmp_path, capsys, caplog,
+                              lambda line: b"[" * 100_000 + b"\n")
 
 
 def test_records_with_stored_embeddings_export_the_same_bytes(completed_run, tmp_path,

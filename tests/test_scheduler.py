@@ -459,6 +459,62 @@ def test_load_without_manifest_rebuilds_tree(tmp_path):
     assert reloaded.shortfalls == shortfalls
 
 
+def _replay_outcome(directory, config):
+    """What loading ``directory`` gives: its error text, or the replayed
+    nodes, their children, the unexpanded ids and the intact byte count."""
+    store = CheckpointStore(directory)
+    try:
+        tree = store.load(config)
+    except CheckpointError as exc:
+        return str(exc)
+    return ([(node_to_record(node), node.children) for node in tree.nodes.values()],
+            [node.id for node in tree.unexpanded()], store._intact)
+
+
+# a node record, without its newline, rewritten -> how replay takes it
+REWRITTEN_NODE_LINES = {
+    "leading-space": (lambda line: b" " + line, "same"),
+    "leading-tab": (lambda line: b"\t" + line, "same"),
+    "trailing-space": (lambda line: line + b"  ", "same"),
+    "carriage-return": (lambda line: line + b"\r", "same"),
+    "extra-key": (lambda line: line[:-1] + b',"note":[1,{"a":null}]}', "same"),
+    "two-values": (lambda line: line + line, "tear"),
+    "value-then-garbage": (lambda line: line + b" x", "tear"),
+    "empty": (lambda line: b"", "tear"),
+    "bare-nan": (lambda line: b"NaN", "error"),
+    "array": (lambda line: b"[" + line + b"]", "error"),
+}
+
+
+@pytest.mark.parametrize("case", list(REWRITTEN_NODE_LINES))
+def test_replay_parses_each_line_as_json_loads_does(tmp_path, monkeypatch, case):
+    # the fast path's one scanner call must accept and reject what json.loads
+    # does: a reference replay sends every line to json.loads
+    config = sft_config([2, 2, 2, 2], dedup_threshold=1.01)
+    run_to_completion(config, tmp_path / "t")
+    nodes_path = tmp_path / "t" / NODES_FILE
+    untouched = _replay_outcome(tmp_path / "t", config)
+    lines = nodes_path.read_bytes().split(b"\n")
+    number = next(i for i, line in enumerate(lines) if line.startswith(b'{"id":"1.0"'))
+    rewrite, kind = REWRITTEN_NODE_LINES[case]
+    lines[number] = rewrite(lines[number])
+    nodes_path.write_bytes(b"\n".join(lines))
+
+    outcome = _replay_outcome(tmp_path / "t", config)
+
+    def no_scan(text):
+        raise ValueError("parsed by json.loads")
+
+    monkeypatch.setattr(scheduler, "_scan", no_scan)
+    assert _replay_outcome(tmp_path / "t", config) == outcome
+    if kind == "same":
+        assert outcome[:2] == untouched[:2]
+    elif kind == "tear":  # the block of parent '1' and every later one dropped
+        assert "1" in outcome[1] and outcome[2] < nodes_path.stat().st_size
+    else:
+        assert outcome == f"{nodes_path} line {number + 1} is not a JSON object"
+
+
 # silent prompts give both shapes a zero-child expansion; a low near-duplicate
 # cutoff gives the balance tree's short texts partial shortfalls too
 EVERY_CUT_CONFIGS = {

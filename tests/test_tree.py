@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 
 import pytest
 
 from treegen.errors import ConfigError, IncompleteTreeError
-from treegen.tree import (LayerSpec, Mode, Role, Tree, TreeConfig, TreeNode, TreeShape,
+from treegen.tree import (GenMeta, LayerSpec, Mode, Role, Tree, TreeConfig, TreeNode, TreeShape,
                           child_id, classify_shape, config_from_dict, config_hash,
                           config_to_dict, expected_leaf_count, node_from_record,
                           node_to_record, structural_key, validate_config)
@@ -275,8 +276,38 @@ def test_config_hash_changes_with_seed():
 
 # --- node record round trip ----------------------------------------------------------
 
+@pytest.mark.parametrize("make", [
+    lambda: TreeNode(id="0", parent_id="root", layer=1, role=Role.QUESTION, text="q",
+                     token_count=1, gen_meta=GenMeta("mock", "stop", 0)),
+    lambda: GenMeta("mock", "stop", 0),
+], ids=["TreeNode", "GenMeta"])
+def test_nodes_are_immutable_and_carry_no_instance_dict(make):
+    value = make()
+    for name in (f.name for f in dataclasses.fields(value)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
+    # nor can a name that is no field be added (Python 3.11 raises TypeError
+    # there for a slotted frozen dataclass, later versions AttributeError)
+    with pytest.raises((AttributeError, TypeError)):
+        value.extra = 1
+    assert not hasattr(value, "__dict__")
+
+
+def test_node_from_record_takes_roles_and_gen_meta_by_value():
+    record = {"id": "0", "parent_id": "root", "layer": 1, "role": "question", "text": "q",
+              "token_count": 1,
+              "gen_meta": {"backend_id": "mock", "finish_reason": "stop", "sample_index": 2}}
+    node = node_from_record(record)
+    assert node.role is Role.QUESTION and node.children == []
+    assert node.gen_meta == GenMeta("mock", "stop", 2) and node.embedding is None
+    assert node_from_record(dict(record)).children is not node.children
+    for role, error in ((["question"], "['question'] is not a valid Role"),
+                        ("Question", "'Question' is not a valid Role")):
+        with pytest.raises(ValueError, match=re.escape(error)):
+            node_from_record({**record, "role": role})
+
+
 def test_node_record_round_trip():
-    from treegen.tree import GenMeta
     node = TreeNode(id="0.1", parent_id="0", layer=2, role=Role.ANSWER,
                     text="hello world", token_count=2,
                     gen_meta=GenMeta("mock", "stop", 3))
