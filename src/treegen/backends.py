@@ -68,10 +68,6 @@ class GenerationResult:
 class EmbeddingVector:
     values: tuple[float, ...]
 
-    @property
-    def dim(self) -> int:
-        return len(self.values)
-
 
 class GenerationBackend(ABC):
     backend_id: str = "generation"
@@ -131,56 +127,24 @@ class MockTextBackend(GenerationBackend):
     """Hash-keyed generator: same (seed, prompt, index) -> identical bytes.
 
     Sample ``i`` of a request is pseudo-text keyed by FNV-1a-64 of (request
-    seed, prompt, i), one vocabulary word per token of ``max_tokens``.
-
-    ``latency_ms`` injects a per-call sleep for scheduling experiments;
-    ``latency_jitter`` spreads it deterministically (keyed by the request)
-    over [mean*(1-j), mean*(1+j)]. ``fixed_text`` forces every completion to
-    one string, which is how tests construct degenerate duplicate pools.
+    seed, prompt, i), one ``vocab`` word per token of ``max_tokens``.
     """
 
     backend_id = "mock"
-
-    def __init__(self, vocab_size: int | None = None, latency_ms: float = 0.0,
-                 latency_jitter: float = 0.0, fixed_text: str | None = None,
-                 sample_cap: int = DEFAULT_SAMPLE_CAP):
-        if vocab_size is not None and not 1 <= vocab_size <= len(MOCK_VOCAB):
-            raise ConfigError(f"vocab_size must be in [1, {len(MOCK_VOCAB)}]")
-        self.vocab = MOCK_VOCAB[:vocab_size] if vocab_size else MOCK_VOCAB
-        self.latency_ms = latency_ms
-        self.latency_jitter = latency_jitter
-        self.fixed_text = fixed_text
-        self.sample_cap = sample_cap
-
-    def _sleep(self, request: GenerationRequest) -> None:
-        if self.latency_ms <= 0:
-            return
-        delay = self.latency_ms
-        if self.latency_jitter > 0:
-            state = fnv1a64(u64_bytes(request.request_seed))
-            key = fnv1a64(request.prompt.encode("utf-8"), state)
-            unit = key / 2**64  # [0, 1)
-            delay *= 1.0 + self.latency_jitter * (2.0 * unit - 1.0)
-        time.sleep(delay / 1000.0)
+    vocab: Sequence[str] = MOCK_VOCAB
 
     def generate(self, request: GenerationRequest) -> GenerationResult:
         self.check_request(request)
         start = time.monotonic()
-        self._sleep(request)
-        completions = []
-        if self.fixed_text is not None:
-            completions = [Completion(text=self.fixed_text, finish_reason="stop")
-                           for _ in range(request.n_samples)]
-        else:
-            # hash the prompt once per request; per-sample keys extend the state
-            state = _prompt_state(request.request_seed, request.prompt)
-            for i in range(request.n_samples):
-                key = fnv1a64(u64_bytes(i), state)
-                completions.append(Completion(
-                    text=_words_from_key(key, request.max_tokens, self.vocab),
-                    finish_reason="stop"))
+        # hash the prompt once per request; per-sample keys extend the state
+        state = _prompt_state(request.request_seed, request.prompt)
+        completions = tuple(
+            Completion(text=_words_from_key(fnv1a64(u64_bytes(i), state),
+                                            request.max_tokens, self.vocab),
+                       finish_reason="stop")
+            for i in range(request.n_samples))
         elapsed = (time.monotonic() - start) * 1000.0
-        return GenerationResult(completions=tuple(completions), latency_ms=elapsed)
+        return GenerationResult(completions=completions, latency_ms=elapsed)
 
 
 class MockEmbedder(EmbeddingBackend):
@@ -447,8 +411,8 @@ def _items(body, key: str, n: int) -> list[dict]:
 class HttpTextBackend(_HttpBase, GenerationBackend):
     """OpenAI-compatible /completions client (prompt mode; prompts arrive
     pre-rendered). Each request is one call that sends the native ``n`` and
-    forwards ``request_seed`` as the API ``seed``; only the mock guarantees
-    determinism.
+    ``request_seed`` as the API ``seed``, a signed 64-bit integer; only the
+    mock guarantees determinism.
     """
 
     def __init__(self, *args, **kwargs):
@@ -458,13 +422,16 @@ class HttpTextBackend(_HttpBase, GenerationBackend):
     def generate(self, request: GenerationRequest) -> GenerationResult:
         self.check_request(request)
         start = time.monotonic()
+        seed = request.request_seed
         payload: dict = {
             "model": self.model,
             "prompt": request.prompt,
             "max_tokens": request.max_tokens,
             "temperature": request.temperature,
             "n": request.n_samples,
-            "seed": request.request_seed,
+            # the API types seed as a signed 64-bit integer: send the request
+            # seed's two's-complement value, which % 2**64 maps back
+            "seed": seed - 2**64 if seed >= 2**63 else seed,
         }
         if request.stop:
             payload["stop"] = list(request.stop)

@@ -13,10 +13,6 @@ class TemplateError(TreeGenError):
     """Unknown template id."""
 
 
-class StructuralError(TreeGenError):
-    """A node path is inconsistent with the layer role sequence."""
-
-
 class ModeError(TreeGenError):
     """Operation invoked for the wrong generation mode (SFT vs PT)."""
 

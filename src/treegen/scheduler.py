@@ -47,10 +47,9 @@ from .dedup import mmr_select, near_duplicate_filter
 from .errors import (BackendError, CheckpointError, ConfigError,
                      EmptyCompletionError, ResumableRunError)
 from .fnv import combine
-from .templates import (ChatTemplate, get_template, render_answer_prompt,
-                        render_continuation_prompt, render_question_prompt,
-                        strip_completion)
-from .tree import (ROOT_ID, GenMeta, Role, Tree, TreeConfig, TreeNode,
+from .templates import (ChatTemplate, get_template, render_continuation_prompt,
+                        render_dialogue_prompt, strip_completion)
+from .tree import (ROOT_ID, GenMeta, Mode, Role, Tree, TreeConfig, TreeNode,
                    TreeShape, child_id, config_from_dict, config_hash,
                    config_to_dict, node_from_record, node_to_record,
                    validate_config)
@@ -338,16 +337,13 @@ class ExpansionResult:
     retried: bool = False
 
 
-def prompt_for_layer(role: Role, path_texts: Sequence[str], config: TreeConfig,
+def prompt_for_layer(path_texts: Sequence[str], config: TreeConfig,
                      template: ChatTemplate) -> str:
-    if role is Role.CONTINUATION:
+    """The prompt for the children of the node whose path is ``path_texts``."""
+    if config.mode is Mode.PT:
         return render_continuation_prompt(path_texts, config.system_prompt,
                                           template.turn_separator)
-    if role is Role.QUESTION:
-        return render_question_prompt(path_texts, template, config.system_prompt)
-    if role is Role.ANSWER:
-        return render_answer_prompt(path_texts, template, config.system_prompt)
-    raise ConfigError(f"cannot build a prompt for role {role}")
+    return render_dialogue_prompt(path_texts, template, config.system_prompt)
 
 
 def expand_parent(parent: TreeNode, path_texts: Sequence[str], layer_index: int,
@@ -369,7 +365,7 @@ def expand_parent(parent: TreeNode, path_texts: Sequence[str], layer_index: int,
     """
     layer = config.layer(layer_index)
     want = math.ceil(config.oversample_factor * layer.branching)
-    prompt = prompt_for_layer(layer.role, path_texts, config, template)
+    prompt = prompt_for_layer(path_texts, config, template)
     base_seed = combine(config.seed, parent.id, layer_index)
 
     pool_texts: list[str] = []

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .errors import EmptyCompletionError, StructuralError, TemplateError
+from .errors import EmptyCompletionError, TemplateError
 
 
 @dataclass(frozen=True)
@@ -79,47 +79,25 @@ def get_template(template_id: str) -> ChatTemplate:
         ) from None
 
 
-def _render_system(template: ChatTemplate, system_prompt: str) -> list[str]:
-    return [template.system_open, system_prompt, template.system_close]
-
-
-def render_question_prompt(path: Sequence[str], template: ChatTemplate,
+def render_dialogue_prompt(path: Sequence[str], template: ChatTemplate,
                            system_prompt: str) -> str:
-    """Prompt after which the model continues in the user role.
+    """Prompt after which the model continues the dialogue ``path``.
 
-    ``path`` holds the ancestor texts in order and must consist of complete
-    (question, answer) turns.
+    Turn roles follow from position, as in a corpus record: text i is the
+    user's for even i and the assistant's for odd i. The prompt ends with the
+    opening marker of the role that speaks next.
     """
-    if len(path) % 2 != 0:
-        raise StructuralError(
-            f"question prompt needs complete turns; got {len(path)} path texts")
-    parts = _render_system(template, system_prompt)
-    for i in range(0, len(path), 2):
-        parts += [template.user_open, path[i], template.user_close,
-                  template.assistant_open, path[i + 1], template.assistant_close]
-    parts.append(template.user_open)
-    return "".join(parts)
-
-
-def render_answer_prompt(path: Sequence[str], template: ChatTemplate,
-                         system_prompt: str) -> str:
-    """Prompt after which the model continues in the assistant role.
-
-    ``path`` must end with an unanswered question.
-    """
-    if len(path) % 2 != 1:
-        raise StructuralError(
-            f"answer prompt needs a trailing unanswered question; got {len(path)} path texts")
-    parts = _render_system(template, system_prompt)
-    for i in range(0, len(path) - 1, 2):
-        parts += [template.user_open, path[i], template.user_close,
-                  template.assistant_open, path[i + 1], template.assistant_close]
-    parts += [template.user_open, path[-1], template.user_close, template.assistant_open]
+    parts = [template.system_open, system_prompt, template.system_close, template.user_open]
+    for i, text in enumerate(path):
+        if i % 2:
+            parts += [text, template.assistant_close, template.user_open]
+        else:
+            parts += [text, template.user_close, template.assistant_open]
     return "".join(parts)
 
 
 def render_continuation_prompt(path: Sequence[str], system_prompt: str,
-                               separator: str = " ") -> str:
+                               separator: str) -> str:
     """Role-free continuation prompt: the system prompt and the ancestor texts
     joined by ``separator``. Only PT-mode layers continue; ``validate_config``
     rejects a continuation layer in SFT mode."""

@@ -11,7 +11,8 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 import pytest
 
-from treegen.backends import EmbeddingVector, MockEmbedder, MockTextBackend
+from treegen.backends import (MOCK_VOCAB, Completion, EmbeddingVector, GenerationResult,
+                              MockEmbedder, MockTextBackend, _prompt_state)
 from treegen.errors import BackendError
 from treegen.tree import (ANSWER_TEMPERATURE, QUESTION_TEMPERATURE, LayerSpec, Mode,
                           Role, Tree, TreeConfig, TreeNode, child_id, config_to_dict,
@@ -88,8 +89,8 @@ def bad_config_dict(case: str) -> tuple[dict, str]:
 def reference_cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
     """Selection's cosine, bit for bit, computed independently: three sequential
     accumulators in one loop, roots with ``** 0.5``, 0 for a zero vector."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    if len(a.values) != len(b.values):
+        raise ValueError(f"dimension mismatch: {len(a.values)} vs {len(b.values)}")
     dot = norm_a = norm_b = 0.0
     for x, y in zip(a.values, b.values):
         dot += x * y
@@ -100,7 +101,36 @@ def reference_cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
     return dot / (norm_a**0.5 * norm_b**0.5)
 
 
-class CountingBackend(MockTextBackend):
+class OptionMock(MockTextBackend):
+    """The mock with the options tests set: the first ``vocab_size`` words of
+    MOCK_VOCAB, one ``fixed_text`` for every completion (degenerate duplicate
+    pools), and a sleep of ``latency_ms`` per call, spread by
+    ``latency_jitter`` over [mean*(1-j), mean*(1+j)] and keyed by the
+    request."""
+
+    def __init__(self, vocab_size: int | None = None, latency_ms: float = 0.0,
+                 latency_jitter: float = 0.0, fixed_text: str | None = None):
+        if vocab_size is not None:
+            self.vocab = MOCK_VOCAB[:vocab_size]
+        self.latency_ms = latency_ms
+        self.latency_jitter = latency_jitter
+        self.fixed_text = fixed_text
+
+    def generate(self, request):
+        if self.latency_ms > 0:
+            unit = _prompt_state(request.request_seed, request.prompt) / 2**64  # [0, 1)
+            delay = self.latency_ms * (1.0 + self.latency_jitter * (2.0 * unit - 1.0))
+            time.sleep(delay / 1000.0)
+        result = super().generate(request)
+        if self.fixed_text is None:
+            return result
+        return GenerationResult(
+            completions=tuple(Completion(text=self.fixed_text, finish_reason="stop")
+                              for _ in result.completions),
+            latency_ms=result.latency_ms)
+
+
+class CountingBackend(OptionMock):
     """Mock that logs every call (thread-safe) for scheduling assertions."""
 
     def __init__(self, *args, seed_to_layer: dict[int, int] | None = None, **kwargs):
@@ -130,7 +160,7 @@ class CountingBackend(MockTextBackend):
                 entry["end"] = time.monotonic()
 
 
-class FlakyBackend(MockTextBackend):
+class FlakyBackend(OptionMock):
     """Fails generate() call number ``fail_on_call`` and counts every call."""
 
     def __init__(self, fail_on_call: int, *args, **kwargs):

@@ -20,11 +20,11 @@ from treegen.corpus import (build_corpus, export_sharegpt, gaussian_turn_policy,
                             validate_sharegpt_file)
 from treegen.dedup import mmr_select, near_duplicate_filter
 from treegen.scheduler import NODES_FILE, CheckpointStore, TreeRunner
-from treegen.templates import (LLAMA2_CHAT, get_template, render_answer_prompt,
-                               render_continuation_prompt, render_question_prompt)
+from treegen.templates import (LLAMA2_CHAT, get_template, render_continuation_prompt,
+                               render_dialogue_prompt)
 from treegen.tree import expected_leaf_count
 
-from conftest import CountingBackend, reference_cosine, sft_config
+from conftest import CountingBackend, OptionMock, reference_cosine, sft_config
 from test_dedup import oracle_mmr
 from test_scheduler import AbortingStore, InjectedCrash, expected_seed_layer_map
 
@@ -72,21 +72,24 @@ def test_criterion_1_leaf_count_law(tmp_path):
 @report(2, "prompt fidelity")
 def test_criterion_2_prompt_fidelity():
     system = "You are helpful."
-    p1 = render_question_prompt([], LLAMA2_CHAT, system)
-    p2 = render_answer_prompt(["q"], LLAMA2_CHAT, system)
-    p3 = render_question_prompt(["q", "r"], LLAMA2_CHAT, system)
+    p1 = render_dialogue_prompt([], LLAMA2_CHAT, system)
+    p2 = render_dialogue_prompt(["q"], LLAMA2_CHAT, system)
+    p3 = render_dialogue_prompt(["q", "r"], LLAMA2_CHAT, system)
+    p4 = render_dialogue_prompt(["q", "r", "q2"], LLAMA2_CHAT, system)
     assert p1 == (GOLDEN / "llama2_p1.txt").read_text(encoding="utf-8")
     assert p2 == (GOLDEN / "llama2_p2.txt").read_text(encoding="utf-8")
     assert p3 == (GOLDEN / "llama2_p3.txt").read_text(encoding="utf-8")
+    assert p4 == (GOLDEN / "llama2_p4.txt").read_text(encoding="utf-8")
     # marker structure: system prompt enclosed in <<SYS>> inside the first
     # instruction; generation of answers starts after [/INST]
     assert p1.startswith("[INST] <<SYS>>\n" + system)
     assert "\n<</SYS>>\n\n" in p1
     assert p2.endswith("q [/INST]")
     assert p3.count("[INST]") == 2 and p3.count("[/INST]") == 1
+    assert p4.startswith(p3) and p4.endswith("q2 [/INST]")
 
     base = "Here are some useful world knowledge:"
-    assert render_continuation_prompt([], base) == base
+    assert render_continuation_prompt([], base, "\n") == base
     joined = render_continuation_prompt(["fact A", "fact B"], base, separator="\n")
     assert joined == base + "\nfact A\nfact B"
     assert joined == (GOLDEN / "pt_prompt.txt").read_text(encoding="utf-8")
@@ -197,7 +200,7 @@ def test_criterion_6_scheduling_semantics(tmp_path):
     def timed(config, directory):
         start = time.monotonic()
         mock_run(config, directory, workers=8,
-                 backend=MockTextBackend(latency_ms=50, latency_jitter=0.8))
+                 backend=OptionMock(latency_ms=50, latency_jitter=0.8))
         return time.monotonic() - start
 
     wide_elapsed = timed(wide, tmp_path / "wide")
@@ -235,7 +238,7 @@ def test_criterion_8_dedup_efficacy(tmp_path):
         # tiny vocabulary + short texts force exact duplicate candidates
         config = sft_config([6, 4], q_tokens=2, a_tokens=2, seed=13,
                             dedup_threshold=tau)
-        backend = MockTextBackend(vocab_size=3)
+        backend = OptionMock(vocab_size=3)
         tree, _ = mock_run(config, directory, backend=backend)
         return tree
 

@@ -16,7 +16,8 @@ from treegen.backends import (GenerationRequest, HttpEmbedder, HttpTextBackend,
                               MockEmbedder, MockTextBackend)
 from treegen.errors import BackendError, ConfigError, StatusError
 
-from conftest import record_connections, reference_cosine
+import conftest
+from conftest import OptionMock, record_connections, reference_cosine
 
 FNV_OFFSET = 14695981039346656037
 FNV_PRIME = 1099511628211
@@ -82,23 +83,29 @@ def test_mock_backend_returns_n_completions(mock_backend):
     assert len({c.text for c in result.completions}) == 4
 
 
-def test_mock_backend_respects_sample_cap():
-    backend = MockTextBackend(sample_cap=8)
+def test_mock_backend_respects_sample_cap(mock_backend):
+    assert mock_backend.sample_cap == backends.DEFAULT_SAMPLE_CAP == 64
+    assert len(mock_backend.generate(request(n=64)).completions) == 64
     with pytest.raises(ConfigError):
-        backend.generate(request(n=9))
+        mock_backend.generate(request(n=65))
 
 
 def test_mock_backend_fixed_text_repeats():
-    backend = MockTextBackend(fixed_text="same words")
+    backend = OptionMock(fixed_text="same words")
     result = backend.generate(request(n=3))
     assert {c.text for c in result.completions} == {"same words"}
 
 
-def test_mock_latency_jitter_is_deterministic():
-    backend = MockTextBackend(latency_ms=1.0, latency_jitter=0.8)
-    # the sleep duration derives from the request key; just check call works
-    result = backend.generate(request(n=1))
-    assert result.latency_ms >= 0.0
+def test_mock_latency_jitter_is_deterministic(monkeypatch):
+    delays = []
+    monkeypatch.setattr(conftest.time, "sleep", delays.append)
+    backend = OptionMock(latency_ms=1.0, latency_jitter=0.8)
+    first = backend.generate(request(n=1))
+    assert backend.generate(request(n=1)).completions == first.completions
+    backend.generate(request(prompt="other", n=1))
+    # the sleep is keyed by the request: the same request sleeps as long
+    assert delays[0] == delays[1] != delays[2]
+    assert all(0.0002 <= d <= 0.0018 for d in delays)
 
 
 # --- mock embedder ---------------------------------------------------------------
@@ -393,7 +400,7 @@ def test_http_embedder_round_trip(scripted_server):
     vectors = embedder.embed(["a", "b"])
     assert vectors[0].values == (1.0, 0.5, 0.25)
     assert vectors[1].values == (2.0, 0.5, 0.25)
-    assert all(v.dim == 3 for v in vectors)
+    assert all(len(v.values) == 3 for v in vectors)
 
 
 def test_close_closes_the_session_of_every_thread(scripted_server, monkeypatch):

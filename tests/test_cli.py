@@ -14,11 +14,11 @@ import pytest
 
 from treegen import backends
 from treegen.cli import build_parser, main
-from treegen.scheduler import CHECKPOINT_FORMAT, CheckpointStore
+from treegen.scheduler import CHECKPOINT_FORMAT, CheckpointStore, TreeRunner
 from treegen.tree import config_to_dict
 
-from conftest import (BAD_CONFIG_VALUES, bad_config_dict, node_records, pt_config,
-                      record_connections, sft_config)
+from conftest import (BAD_CONFIG_VALUES, CountingBackend, bad_config_dict, node_records,
+                      pt_config, record_connections, sft_config)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -179,6 +179,43 @@ def test_generate_http_body_nested_too_deeply_exits_2(tmp_path, capsys, monkeypa
     assert "Traceback" not in err and out == ""
     assert server.calls == backends.DEFAULT_RETRIES
     assert json.loads((out_dir / "manifest.json").read_text())["status"] == "aborted"
+
+
+def test_generate_http_sends_signed_64_bit_seeds(tmp_path, capsys, monkeypatch,
+                                                scripted_server):
+    # a server that types seed as a signed 64-bit integer, as vLLM does,
+    # refuses any other value with a 400, which is not retried
+    generator, embedder = backends.MockTextBackend(), backends.MockEmbedder()
+
+    def signed_seeds_only(path, payload):
+        if path.endswith("/embeddings"):
+            vectors = embedder.embed(payload["input"])
+            body = {"data": [{"index": i, "embedding": list(v.values)}
+                             for i, v in enumerate(vectors)]}
+        elif not -2**63 <= payload["seed"] < 2**63:
+            return 400, b'{"error": "seed out of range"}'
+        else:
+            result = generator.generate(backends.GenerationRequest(
+                prompt=payload["prompt"], max_tokens=payload["max_tokens"],
+                temperature=payload["temperature"], n_samples=payload["n"], stop=(),
+                request_seed=payload["seed"] % 2**64))
+            body = {"choices": [{"index": i, "text": c.text}
+                                for i, c in enumerate(result.completions)]}
+        return 200, json.dumps(body).encode()
+
+    server = scripted_server(signed_seeds_only)
+    config = sft_config([4, 2])
+    code, out, err = http_generate(capsys, monkeypatch, server,
+                                   write_config(tmp_path, config), tmp_path / "o")
+    assert code == 0, err
+    assert json.loads(out)["leaf_count"] == 8
+    sent = [json.loads(seen.body)["seed"] for seen in server.seen
+            if seen.target.endswith("/completions")]
+    assert min(sent) < 0  # some request seed is 2**63 or more
+    mock = CountingBackend()
+    TreeRunner(config, mock, backends.MockEmbedder(), CheckpointStore(tmp_path / "m")).run()
+    assert sorted(seed % 2**64 for seed in sent) == sorted(c["request_seed"]
+                                                           for c in mock.calls)
 
 
 def run_http_generate(tmp_path, capsys, monkeypatch, server_factory, retry_dim: int):

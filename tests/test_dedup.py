@@ -21,7 +21,7 @@ from treegen.scheduler import CheckpointStore, TreeRunner, expand_parent
 from treegen.templates import get_template
 from treegen.tree import Tree
 
-from conftest import reference_cosine, sft_config
+from conftest import OptionMock, reference_cosine, sft_config
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -333,7 +333,7 @@ def _mock_pool(rng, n):
     tokens = rng.randint(1, 24)
     request = GenerationRequest(prompt="p", max_tokens=tokens, temperature=1.0,
                                 n_samples=n + 1, stop=(), request_seed=seed)
-    completions = MockTextBackend(sample_cap=n + 1).generate(request).completions
+    completions = MockTextBackend().generate(request).completions
     return [list(_MOCK_EMBEDDER.embed_one(c.text).values) for c in completions]
 
 
@@ -530,7 +530,7 @@ def test_each_pair_computed_at_most_once(monkeypatch, n, k):
     pairs.clear()
     config = sft_config([4, 2], dedup_threshold=0.95)
     result = expand_parent(Tree(config).root, [], 1, config, get_template("plain"),
-                           MockTextBackend(fixed_text="always the same words"),
+                           OptionMock(fixed_text="always the same words"),
                            MockEmbedder())
     assert result.retried and result.dedup_drops > 0
     assert len(pairs) == len(set(pairs)) > 0

@@ -23,7 +23,8 @@ from treegen.scheduler import (CONFIG_FILE, MANIFEST_FILE, NODES_FILE, Checkpoin
 from treegen.templates import get_template
 from treegen.tree import ROOT_ID, Tree, config_to_dict, expected_leaf_count, node_to_record
 
-from conftest import CountingBackend, FlakyBackend, node_records, pt_config, sft_config
+from conftest import (CountingBackend, FlakyBackend, OptionMock, node_records, pt_config,
+                      sft_config)
 
 
 class InjectedCrash(RuntimeError):
@@ -88,7 +89,7 @@ def test_expand_child_ids_are_structural(mock_embedder):
 
 def test_expand_duplicate_pool_shortfalls(mock_embedder):
     config = sft_config([4, 2], dedup_threshold=0.95)
-    backend = MockTextBackend(fixed_text="always the same words")
+    backend = OptionMock(fixed_text="always the same words")
     tree = Tree(config)
     result = expand_parent(tree.root, [], 1, config, get_template("plain"),
                            backend, mock_embedder)
@@ -113,7 +114,7 @@ def test_retried_expansion_counts_the_drops_of_both_attempts(mock_embedder, monk
 
     monkeypatch.setattr(scheduler, "near_duplicate_filter", counting_filter)
     result = expand_parent(Tree(config).root, [], 1, config, get_template("plain"),
-                           MockTextBackend(fixed_text="always the same words"),
+                           OptionMock(fixed_text="always the same words"),
                            mock_embedder)
     assert result.retried and len(result.children) == 1
     assert filtered == [7, 15]
@@ -124,7 +125,7 @@ def test_expand_applies_layer_stop_markers(mock_embedder):
     # every raw completion carries trailing junk after the stop marker; the
     # stripped candidates collapse to one duplicate, so one child survives
     config = sft_config([3, 2], dedup_threshold=0.95, stop_markers=["STOP"])
-    backend = MockTextBackend(fixed_text="alpha beta STOP trailing junk")
+    backend = OptionMock(fixed_text="alpha beta STOP trailing junk")
     tree = Tree(config)
     result = expand_parent(tree.root, [], 1, config, get_template("plain"),
                            backend, mock_embedder)
@@ -355,7 +356,7 @@ def test_all_empty_completions_complete_with_shortfalls(tmp_path):
     # a backend that only produces empty text: every expansion records a
     # zero-child shortfall, the run still completes, and resume is idempotent
     config = sft_config([3, 2], dedup_threshold=1.01)
-    backend = MockTextBackend(fixed_text="   ")
+    backend = OptionMock(fixed_text="   ")
     store = CheckpointStore(tmp_path / "t")
     tree = TreeRunner(config, backend, MockEmbedder(), store, workers=2).run()
     assert not tree.unexpanded()
@@ -613,7 +614,7 @@ def test_load_refuses_checkpoint_without_format(tmp_path):
             CheckpointStore(tmp_path / "t").load(config)
 
 
-class EmptyAfterN(MockTextBackend):
+class EmptyAfterN(OptionMock):
     """Returns only empty completions from the (n+1)-th call on."""
 
     def __init__(self, n, **kwargs):
@@ -680,6 +681,31 @@ def test_backend_failure_aborts_resumably(tmp_path, branching):
         runner.run()
     assert backend.seen <= 3 + (workers - 1) * config.depth
     assert_aborted_prefix_resumes(config, tmp_path / "t", workers)
+
+
+def test_seeded_fault_sweep_aborts_to_a_prefix_and_resumes_byte_identically(tmp_path):
+    # each case fails one generate call, drawn from the uninterrupted run's
+    # calls: the aborted nodes.jsonl is a prefix of that run's, and a resume
+    # completes it byte for byte
+    rng = random.Random(0)
+    shapes = {"4x2x2x2": sft_config([4, 2, 2, 2]), "6x1x1x1": sft_config([6, 1, 1, 1]),
+              "pt-3x2x2": pt_config([3, 2, 2])}
+    for name, config in shapes.items():
+        counting = CountingBackend()
+        run_to_completion(config, tmp_path / name / "baseline", workers=1, backend=counting)
+        baseline = (tmp_path / name / "baseline" / NODES_FILE).read_bytes()
+        for workers in (1, 4):
+            for fail_on_call in sorted(rng.sample(range(1, len(counting.calls) + 1), 4)):
+                case = f"{name} workers={workers} fail_on_call={fail_on_call}"
+                directory = tmp_path / name / f"w{workers}-c{fail_on_call}"
+                with pytest.raises(ResumableRunError):
+                    TreeRunner(config, FlakyBackend(fail_on_call), MockEmbedder(),
+                               CheckpointStore(directory), workers=workers).run()
+                nodes = (directory / NODES_FILE).read_bytes()
+                assert baseline.startswith(nodes), case
+                TreeRunner(config, MockTextBackend(), MockEmbedder(),
+                           CheckpointStore(directory), workers=workers).run()
+                assert (directory / NODES_FILE).read_bytes() == baseline, case
 
 
 DUPLICATE_TEXT = "one answer repeated"
@@ -884,7 +910,7 @@ def test_wide_tree_beats_balance_tree_with_latency(tmp_path):
     assert expected_leaf_count(wide) == expected_leaf_count(balance) == 8
 
     def timed(config, directory):
-        backend = MockTextBackend(latency_ms=50, latency_jitter=0.8)
+        backend = OptionMock(latency_ms=50, latency_jitter=0.8)
         store = CheckpointStore(directory)
         start = time.monotonic()
         TreeRunner(config, backend, MockEmbedder(), store, workers=8).run()

@@ -7,11 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from treegen.errors import EmptyCompletionError, StructuralError, TemplateError
+from treegen.errors import EmptyCompletionError, TemplateError
+from treegen.scheduler import prompt_for_layer
 from treegen.templates import (LLAMA2_CHAT, PLAIN, ChatTemplate, get_template,
-                               render_answer_prompt,
-                               render_continuation_prompt, render_question_prompt,
+                               render_continuation_prompt, render_dialogue_prompt,
                                strip_completion)
+
+from conftest import pt_config
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -25,22 +27,12 @@ TAGGED = ChatTemplate(id="tagged", system_open="<s>", system_close="</s>",
 # --- degenerate plain-template renders -----------------------------------------
 
 def test_empty_path_plain_is_just_the_system_prompt():
-    assert render_question_prompt([], PLAIN, "S") == "S"
+    assert render_dialogue_prompt([], PLAIN, "S") == "S"
 
 
 def test_plain_concatenation_of_turns():
-    assert render_question_prompt(["q", "r"], PLAIN, "S") == "Sqr"
-    assert render_answer_prompt(["q"], PLAIN, "S") == "Sq"
-
-
-def test_question_prompt_rejects_dangling_question():
-    with pytest.raises(StructuralError):
-        render_question_prompt(["q"], PLAIN, "S")
-
-
-def test_answer_prompt_rejects_complete_turns():
-    with pytest.raises(StructuralError):
-        render_answer_prompt(["q", "r"], PLAIN, "S")
+    assert render_dialogue_prompt(["q", "r"], PLAIN, "S") == "Sqr"
+    assert render_dialogue_prompt(["q"], PLAIN, "S") == "Sq"
 
 
 # --- marker counting (formula structure) ------------------------------------------
@@ -48,31 +40,38 @@ def test_answer_prompt_rejects_complete_turns():
 @pytest.mark.parametrize("turns", [0, 1, 2, 3])
 def test_question_prompt_marker_counts(turns):
     path = [t for i in range(turns) for t in (f"q{i}", f"r{i}")]
-    out = render_question_prompt(path, TAGGED, "S")
+    out = render_dialogue_prompt(path, TAGGED, "S")
     assert out.count("<u>") == turns + 1
     assert out.count("<a>") == turns
+    assert out.endswith("<u>")
 
 
 @pytest.mark.parametrize("turns", [1, 2, 3])
 def test_answer_prompt_marker_counts(turns):
     path = [t for i in range(turns - 1) for t in (f"q{i}", f"r{i}")] + [f"q{turns - 1}"]
-    out = render_answer_prompt(path, TAGGED, "S")
+    out = render_dialogue_prompt(path, TAGGED, "S")
     assert out.count("<u>") == turns
     assert out.count("<a>") == turns
+    assert out.endswith("</u><a>")
+
+
+def test_turn_roles_follow_position():
+    out = render_dialogue_prompt(["q0", "r0", "q1"], TAGGED, "S")
+    assert out == "<s>S</s><u>q0</u><a>r0</a><u>q1</u><a>"
 
 
 def test_question_prompt_is_prefix_of_extended_answer_prompt():
     for turns in range(4):
         path = [t for i in range(turns) for t in (f"q{i}", f"r{i}")]
-        q_prompt = render_question_prompt(path, TAGGED, "S")
-        a_prompt = render_answer_prompt(path + ["next question"], TAGGED, "S")
+        q_prompt = render_dialogue_prompt(path, TAGGED, "S")
+        a_prompt = render_dialogue_prompt(path + ["next question"], TAGGED, "S")
         assert a_prompt.startswith(q_prompt)
 
 
 def test_rendering_is_pure():
     path = ["q1", "r1", "q2", "r2"]
-    a = render_question_prompt(path, LLAMA2_CHAT, "sys")
-    b = render_question_prompt(path, LLAMA2_CHAT, "sys")
+    a = render_dialogue_prompt(path, LLAMA2_CHAT, "sys")
+    b = render_dialogue_prompt(path, LLAMA2_CHAT, "sys")
     assert a == b and a is not b
 
 
@@ -83,30 +82,37 @@ def _golden(name: str) -> str:
 
 
 def test_llama2_first_question_prompt_matches_golden():
-    out = render_question_prompt([], LLAMA2_CHAT, "You are helpful.")
+    out = render_dialogue_prompt([], LLAMA2_CHAT, "You are helpful.")
     assert out == _golden("llama2_p1.txt")
     assert out.startswith("[INST] <<SYS>>\n")
     assert "\n<</SYS>>\n\n" in out
 
 
 def test_llama2_first_answer_prompt_matches_golden():
-    out = render_answer_prompt(["q"], LLAMA2_CHAT, "You are helpful.")
+    out = render_dialogue_prompt(["q"], LLAMA2_CHAT, "You are helpful.")
     assert out == _golden("llama2_p2.txt")
     assert out == "[INST] <<SYS>>\nYou are helpful.\n<</SYS>>\n\nq [/INST]"
 
 
 def test_llama2_second_question_prompt_matches_golden():
-    out = render_question_prompt(["q", "r"], LLAMA2_CHAT, "You are helpful.")
+    out = render_dialogue_prompt(["q", "r"], LLAMA2_CHAT, "You are helpful.")
     assert out == _golden("llama2_p3.txt")
     assert out.endswith("[INST] ")
     assert out.count("[INST]") == 2 and out.count("[/INST]") == 1
+
+
+def test_llama2_second_answer_prompt_matches_golden():
+    out = render_dialogue_prompt(["q", "r", "q2"], LLAMA2_CHAT, "You are helpful.")
+    assert out == _golden("llama2_p4.txt")
+    assert out.endswith("</s><s>[INST] q2 [/INST]")
+    assert out.count("[INST]") == 2 and out.count("[/INST]") == 2
 
 
 # --- PT continuation prompts -----------------------------------------------------------
 
 def test_continuation_prompt_empty_path_is_exact():
     prompt = "Here are some useful world knowledge:"
-    assert render_continuation_prompt([], prompt) == prompt
+    assert render_continuation_prompt([], prompt, " ") == prompt
 
 
 def test_continuation_prompt_joins_with_separator():
@@ -118,6 +124,13 @@ def test_continuation_prompt_has_no_role_markers():
     out = render_continuation_prompt(["fact A", "fact B"], "P0", separator=" ")
     for marker in LLAMA2_CHAT.markers + TAGGED.markers:
         assert marker not in out
+
+
+def test_pt_layer_prompt_joins_texts_with_the_template_separator():
+    config = pt_config([2, 2, 2], system_prompt="Here are some useful world knowledge:")
+    out = prompt_for_layer(["fact A", "fact B"], config, LLAMA2_CHAT)
+    assert out == "Here are some useful world knowledge:\nfact A\nfact B"
+    assert out == _golden("pt_prompt.txt")
 
 
 # --- strip_completion -------------------------------------------------------------------
