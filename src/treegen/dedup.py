@@ -12,22 +12,27 @@ on), roots are taken with ``** 0.5``, a cosine is ``dot / (root_a * root_b)``,
 and a zero vector has similarity 0. ``PoolSimilarity`` is the one place a
 similarity is computed. It takes each norm once and each pair's dot product at
 most once, through ``_dots``, which takes one vector against four others per
-pass, each pair in its own sequential accumulator. The scheduler keeps one per
-expansion, so a retry's grown pool reuses every pair of the first attempt. As
-the arithmetic never changes, none of this changes a byte of ``nodes.jsonl``.
+pass, and against the one to three left over in one more, each pair in its own
+sequential accumulator. The scheduler keeps one per expansion, so a retry's
+grown pool reuses every pair of the first attempt. As the arithmetic never
+changes, none of this changes a byte of ``nodes.jsonl``.
 A vector whose squared norm is not finite is rejected, so every similarity,
 and every score, is a number.
 
 The greedy is lazy (Minoux's accelerated greedy, 1978). A candidate's maximum
-similarity to the picks only grows with each pick, and IEEE rounding is
-monotone, so the score a candidate had at its last refresh is an upper bound
-on its score now. The unpicked candidates wait in a heap keyed (-score,
-index); only the top one is refreshed, against the picks made since its last
-refresh, and it is picked once it is fresh and still on top. Picks, scores and
-the lowest-index tie rule are those of the eager loop that rescores every
-candidate at every step, but most pairs of a pool are never computed.
-``MmrSelection.pool_scores`` scores the unpicked candidates against every pick
-only when first read.
+similarity to the picks only grows as picks are folded into it, and IEEE
+rounding is monotone, so its score against any prefix of the picks is an upper
+bound on its score against all of them. The unpicked candidates wait in a heap
+keyed (-score, index); only the top one is refreshed, by folding in at most
+the next four picks it has not seen, in pick order (one ``_dots`` pass), and
+it goes back into the heap. It is picked once it has seen every pick and is
+still on top, so every candidate below it has a key no better than its fresh
+one. A maximum does not depend on how it is split, and each pair is still
+computed once, by the same sum, so picks, scores and the lowest-index tie rule
+are those of the eager loop that rescores every candidate at every step, but
+most pairs of a pool are never computed, and a candidate that falls below the
+top after a few picks never meets the rest. ``MmrSelection.pool_scores``
+scores the unpicked candidates against every pick only when first read.
 
 The filter's backfill walks the candidates outside the selection in that
 score order, but scores only those it could keep. Kept candidates only
@@ -59,7 +64,7 @@ def _sq_norm(values: Sequence[float]) -> float:
 
 def _dots(a: Sequence[float], rows: Sequence[Sequence[float]]) -> list[float]:
     """The dot product of ``a`` with each row, each a sequential sum, with one
-    pass over ``a`` per four rows."""
+    pass over ``a`` per four rows and one for the one to three left over."""
     dots: list[float] = []
     full = len(rows) - len(rows) % 4
     for start in range(0, full, 4):
@@ -70,11 +75,25 @@ def _dots(a: Sequence[float], rows: Sequence[Sequence[float]]) -> list[float]:
             s3 += x * y3
             s4 += x * y4
         dots += (s1, s2, s3, s4)
-    for b in rows[full:]:
-        s = 0.0
-        for x, y in zip(a, b):
-            s += x * y
-        dots.append(s)
+    rest = rows[full:]
+    if len(rest) == 3:
+        s1 = s2 = s3 = 0.0
+        for x, y1, y2, y3 in zip(a, *rest):
+            s1 += x * y1
+            s2 += x * y2
+            s3 += x * y3
+        dots += (s1, s2, s3)
+    elif len(rest) == 2:
+        s1 = s2 = 0.0
+        for x, y1, y2 in zip(a, *rest):
+            s1 += x * y1
+            s2 += x * y2
+        dots += (s1, s2)
+    elif rest:
+        s1 = 0.0
+        for x, y1 in zip(a, rest[0]):
+            s1 += x * y1
+        dots.append(s1)
     return dots
 
 
@@ -190,14 +209,19 @@ class _LazyMmr:
         return (self._lambda * self.similarity.relevance[i]
                 - (1.0 - self._lambda) * self._max_sim[i])
 
-    def _refresh(self, i: int) -> None:
-        """Fold the picks made since ``i``'s last refresh, in pick order."""
+    def _refresh(self, i: int, limit: int = 4) -> None:
+        """Fold into ``i``'s maximum similarity the next ``limit`` picks it has
+        not seen, in pick order. The default four are one ``_dots`` pass; its
+        score after any refresh is an upper bound, fresh once it has seen
+        every pick."""
+        seen = self._seen[i]
+        unseen = self.picks[seen:seen + limit]
         best = self._max_sim[i]
-        for sim in self.similarity.row(i, self.picks[self._seen[i]:]):
+        for sim in self.similarity.row(i, unseen):
             if sim > best:
                 best = sim
         self._max_sim[i] = best
-        self._seen[i] = len(self.picks)
+        self._seen[i] = seen + len(unseen)
 
     def _start(self) -> None:
         """Score every other candidate against the first pick, one row, and heap them."""
@@ -212,7 +236,8 @@ class _LazyMmr:
 
     def _pop(self) -> tuple[int, float]:
         """Take the unpicked candidate that scores best against every pick,
-        lowest index on ties, with its score."""
+        lowest index on ties, with its score. Until the top candidate has
+        seen every pick, it is refreshed by up to four and put back."""
         heap = self._heap
         while True:
             key, i = heap[0]
@@ -226,7 +251,7 @@ class _LazyMmr:
         """Candidate ``i``'s score against all picks (its pick score if picked)."""
         if i in self._picked:
             return self._picked[i]
-        self._refresh(i)
+        self._refresh(i, len(self.picks))
         return self._score(i)
 
     def pool_scores(self) -> tuple[float, ...]:

@@ -442,12 +442,8 @@ def expand_parent(parent: TreeNode, path_texts: Sequence[str], layer_index: int,
                              finish_reason=finish_reason,
                              sample_index=sample_index),
         ))
-    shortfall = layer.branching - len(children)
-    if shortfall:
-        log.info("expansion shortfall at parent %s layer %d: kept %d of %d",
-                 parent.id, layer_index, len(children), layer.branching)
     return ExpansionResult(parent_id=parent.id, layer_index=layer_index,
-                           children=children, shortfall=shortfall,
+                           children=children, shortfall=layer.branching - len(children),
                            dedup_drops=drops, retried=retried)
 
 
@@ -498,6 +494,10 @@ class TreeRunner:
         Frontier nodes carry no vectors: each expansion embeds its parent's
         text with its pool, fresh or resumed alike, so the run holds only the
         vectors of the pools in flight.
+
+        When a round ends, or stops at a failure, each layer it committed an
+        expansion short of children to gets one INFO line, summed over the
+        round's commits at that layer.
         """
         failed = threading.Event()
         pool = ThreadPoolExecutor(max_workers=self.workers)
@@ -506,21 +506,37 @@ class TreeRunner:
                 futures = deque(pool.submit(self._expand_from, failed, node,
                                             tree.path_texts(node.id))
                                 for node in frontier)
+                # per layer: expansions committed, how many fell short, children kept
+                tally: dict[int, list[int]] = {}
                 skipped = False
-                while futures:  # commit strictly in frontier order
-                    # popped before it is awaited: once committed, a task's
-                    # results are freed
-                    results = self._await(futures.popleft())
-                    # None: this task started just after a later one failed;
-                    # commit nothing past it, as awaiting the failed one raises
-                    skipped = skipped or results is None
-                    for result in () if skipped else results:
-                        self._commit_result(tree, result)
+                try:
+                    while futures:  # commit strictly in frontier order
+                        # popped before it is awaited: once committed, a task's
+                        # results are freed
+                        results = self._await(futures.popleft())
+                        # None: this task started just after a later one failed;
+                        # commit nothing past it, as awaiting the failed one raises
+                        skipped = skipped or results is None
+                        for result in () if skipped else results:
+                            self._commit_result(tree, result)
+                            counts = tally.setdefault(result.layer_index, [0, 0, 0])
+                            counts[0] += 1
+                            counts[1] += result.shortfall > 0
+                            counts[2] += len(result.children)
+                finally:
+                    self._log_shortfalls(tally)
         except BaseException:
             failed.set()
             raise
         finally:
             pool.shutdown(cancel_futures=True)
+
+    def _log_shortfalls(self, tally: dict[int, list[int]]) -> None:
+        for layer_index, (expansions, short, kept) in sorted(tally.items()):
+            if short:
+                log.info("layer %d: %d of %d expansions fell short, keeping %d of %d children",
+                         layer_index, short, expansions, kept,
+                         expansions * self.config.layer(layer_index).branching)
 
     def _frontier(self, tree: Tree) -> list[TreeNode]:
         """Nodes to expand this round; a balance tree takes one layer at a time."""

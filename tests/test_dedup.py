@@ -565,7 +565,9 @@ def test_dots_equals_dot_bitwise(dim):
 
 
 def test_lazy_selection_computes_fewer_pairs_than_eager(monkeypatch):
-    # the eager greedy computes n relevance pairs and n pairs per pick
+    # the eager greedy computes n relevance pairs and n pairs per pick; the
+    # lazy one refreshing a candidate against every pick since its last
+    # refresh computes 0.499 of that here, four picks at a time 0.446
     pairs = count_pairs(monkeypatch)
     rng = random.Random("lazy-sign-d1024")
     computed = eager = 0
@@ -579,7 +581,7 @@ def test_lazy_selection_computes_fewer_pairs_than_eager(monkeypatch):
         near_duplicate_filter(pool, selection, 0.95)
         computed += len(pairs)
         eager += n + n * 16
-    assert computed < 0.6 * eager, (computed, eager)
+    assert computed <= 0.47 * eager, (computed, eager)
 
 
 def test_import_does_not_load_numpy():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import logging
 import math
 import random
 import threading
@@ -598,6 +599,45 @@ def test_manifest_written_at_start_and_finish_only(tmp_path, monkeypatch):
     assert statuses == []
     run_to_completion(config, tmp_path / "t")
     assert statuses == ["running", "complete"]
+
+
+def shortfall_lines_from_log(nodes_jsonl: str, config) -> list[str]:
+    """The INFO line of each layer whose blocks in ``nodes_jsonl`` hold a
+    shortfall, from a count of those blocks, layer order."""
+    records = [json.loads(line) for line in nodes_jsonl.splitlines()]
+    layer_of = {r["id"]: r["layer"] for r in records if "children" not in r}
+    counts: dict[int, list[int]] = {}
+    for header in (r for r in records if "children" in r):
+        layer = layer_of[header["parent_id"]] + 1
+        tally = counts.setdefault(layer, [0, 0, 0])
+        tally[0] += 1
+        tally[1] += header["children"] < config.layer(layer).branching
+        tally[2] += header["children"]
+    return [f"layer {layer}: {short} of {expansions} expansions fell short, keeping "
+            f"{kept} of {expansions * config.layer(layer).branching} children"
+            for layer, (expansions, short, kept) in sorted(counts.items()) if short]
+
+
+@pytest.mark.parametrize("abort_after_nodes", [None, 60])
+def test_shortfalls_are_logged_once_per_layer_and_round(tmp_path, caplog, abort_after_nodes):
+    # 512-token mock answers look alike to the 16-dim embedder, so most
+    # answer expansions fall short; a balance round is one layer, so each
+    # layer logs at most one line, whose counts are its blocks', also for
+    # the round a failure cut short
+    config = sft_config([8, 8, 4, 4], a_tokens=512, a_step=0)
+    caplog.set_level(logging.INFO, logger="treegen.scheduler")
+    directory = tmp_path / "t"
+    if abort_after_nodes is None:
+        run_to_completion(config, directory, workers=2)
+    else:
+        with pytest.raises(InjectedCrash):
+            TreeRunner(config, MockTextBackend(), MockEmbedder(),
+                       AbortingStore(directory, abort_after_nodes), workers=2).run()
+    lines = [r.getMessage() for r in caplog.records if r.name == "treegen.scheduler"]
+    want = shortfall_lines_from_log((directory / NODES_FILE).read_text(), config)
+    assert lines == want
+    short = sum(int(line.split()[2]) for line in want)
+    assert short > len(want) > 0  # one line stands for many short expansions
 
 
 def test_load_refuses_checkpoint_without_format(tmp_path):
