@@ -141,9 +141,7 @@ def cmd_export(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    records = validate_sharegpt_file(args.corpus)
-    stats = compute_stats(records)
-    _emit(stats.to_dict())
+    _emit(compute_stats(validate_sharegpt_file(args.corpus)))
     return EXIT_OK
 
 

@@ -34,6 +34,9 @@ most pairs of a pool are never computed, and a candidate that falls below the
 top after a few picks never meets the rest. ``MmrSelection.pool_scores``
 scores the unpicked candidates against every pick only when first read.
 
+``MmrSelection`` is the greedy and its result in one class; the filter
+returns a copy that shares its picks, refresh state and similarities.
+
 The filter's backfill walks the candidates outside the selection in that
 score order, but scores only those it could keep. Kept candidates only
 accumulate, so one that near-duplicates a candidate the pick-order scan kept
@@ -47,6 +50,7 @@ the backfill lists its drops in index order, not in walk order.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 from typing import Sequence
@@ -174,12 +178,23 @@ class PoolSimilarity:
         return missing and any(sim >= threshold for sim in self.row(i, js))
 
 
-class _LazyMmr:
-    """Greedy MMR over one pool in the lazy order the module docstring gives.
+class MmrSelection:
+    """Greedy MMR over one pool, in the lazy order the module docstring gives,
+    and the result of that selection pass.
 
-    ``picks`` and ``pick_scores`` are the ``k`` picks and their scores;
-    ``pool_scores`` scores every candidate against all of them.
+    ``selected`` and ``scores`` are the ``k`` picks and their pick scores.
+    ``pool_scores`` holds, for every candidate, its MMR score against all the
+    picks (the pick score for a pick), computed when first read; the
+    duplicate filter backfills in that score order. ``dropped_as_duplicates``
+    lists each candidate a filter dropped once: for each filter in turn, its
+    scan's drops in pick order, then its backfill's in index order.
+
+    A filter returns a shallow copy with its own ``selected``, ``scores`` and
+    ``dropped_as_duplicates``; it shares the greedy's picks, refresh state and
+    ``similarity``, so a score refreshed through either is fresh for both.
     """
+
+    dropped_as_duplicates: tuple[int, ...] = ()
 
     def __init__(self, similarity: PoolSimilarity, k: int, lambda_: float):
         self.similarity = similarity
@@ -189,8 +204,8 @@ class _LazyMmr:
         for i in range(1, len(relevance)):
             if relevance[i] > relevance[first]:
                 first = i
-        self.picks = [first]
-        self.pick_scores = [relevance[first]]
+        self._picks = [first]
+        scores = [relevance[first]]
         # max similarity of each candidate to the first _seen[i] picks;
         # similarities may be negative, so the empty-set sentinel is -inf
         self._max_sim = [float("-inf")] * len(relevance)
@@ -199,11 +214,13 @@ class _LazyMmr:
         self._pool_scores: tuple[float, ...] | None = None
         if k > 1:
             self._start()
-        while len(self.picks) < k:
+        while len(self._picks) < k:
             i, score = self._pop()
-            self.picks.append(i)
-            self.pick_scores.append(score)
-        self._picked = dict(zip(self.picks, self.pick_scores))
+            self._picks.append(i)
+            scores.append(score)
+        self._picked = dict(zip(self._picks, scores))
+        self.selected = tuple(self._picks)
+        self.scores = tuple(scores)
 
     def _score(self, i: int) -> float:
         return (self._lambda * self.similarity.relevance[i]
@@ -215,7 +232,7 @@ class _LazyMmr:
         score after any refresh is an upper bound, fresh once it has seen
         every pick."""
         seen = self._seen[i]
-        unseen = self.picks[seen:seen + limit]
+        unseen = self._picks[seen:seen + limit]
         best = self._max_sim[i]
         for sim in self.similarity.row(i, unseen):
             if sim > best:
@@ -225,7 +242,7 @@ class _LazyMmr:
 
     def _start(self) -> None:
         """Score every other candidate against the first pick, one row, and heap them."""
-        first = self.picks[0]
+        first = self._picks[0]
         others = [i for i in range(len(self._max_sim)) if i != first]
         for i, sim in zip(others, self.similarity.row(first, others)):
             if sim > self._max_sim[i]:
@@ -241,7 +258,7 @@ class _LazyMmr:
         heap = self._heap
         while True:
             key, i = heap[0]
-            if self._seen[i] == len(self.picks):
+            if self._seen[i] == len(self._picks):
                 heapq.heappop(heap)
                 return i, -key
             self._refresh(i)
@@ -251,42 +268,15 @@ class _LazyMmr:
         """Candidate ``i``'s score against all picks (its pick score if picked)."""
         if i in self._picked:
             return self._picked[i]
-        self._refresh(i, len(self.picks))
+        self._refresh(i, len(self._picks))
         return self._score(i)
 
+    @property
     def pool_scores(self) -> tuple[float, ...]:
         """Every candidate's ``pool_score``."""
         if self._pool_scores is None:
             self._pool_scores = tuple(map(self.pool_score, range(len(self._max_sim))))
         return self._pool_scores
-
-
-class MmrSelection:
-    """Result of one selection pass over a candidate pool.
-
-    ``pool_scores`` holds, for every candidate, its MMR score against the
-    final selected set (the pick-step score for selected candidates), computed
-    when first read. The duplicate filter backfills in that score order.
-    ``dropped_as_duplicates`` lists each candidate a filter dropped once: for
-    each filter in turn, its scan's drops in pick order, then its backfill's
-    in index order. ``similarity`` carries the pool's computed similarities
-    from ``mmr_select`` to the filter.
-    """
-
-    def __init__(self, selected: tuple[int, ...], scores: tuple[float, ...],
-                 dropped_as_duplicates: tuple[int, ...], greedy: _LazyMmr):
-        self.selected = selected
-        self.scores = scores
-        self.dropped_as_duplicates = dropped_as_duplicates
-        self._greedy = greedy
-
-    @property
-    def pool_scores(self) -> tuple[float, ...]:
-        return self._greedy.pool_scores()
-
-    @property
-    def similarity(self) -> PoolSimilarity:
-        return self._greedy.similarity
 
 
 def mmr_select(candidates: Sequence[EmbeddingVector], query: EmbeddingVector,
@@ -313,9 +303,7 @@ def mmr_select(candidates: Sequence[EmbeddingVector], query: EmbeddingVector,
     if similarity is None:
         similarity = PoolSimilarity(query)
     similarity.extend(candidates)
-    greedy = _LazyMmr(similarity, k, lambda_)
-    return MmrSelection(selected=tuple(greedy.picks), scores=tuple(greedy.pick_scores),
-                        dropped_as_duplicates=(), greedy=greedy)
+    return MmrSelection(similarity, k, lambda_)
 
 
 def near_duplicate_filter(candidates: Sequence[EmbeddingVector],
@@ -327,8 +315,10 @@ def near_duplicate_filter(candidates: Sequence[EmbeddingVector],
     unselected pool in MMR-score order under the same rule, scoring only the
     candidates it could keep (see the module docstring). The drops are
     appended to the selection's, the scan's in pick order and the backfill's
-    in index order, leaving out any it already lists. Thresholds above 1
-    disable the filter entirely. The similarities are the selection's own, so
+    in index order, leaving out any it already lists, in a copy of
+    ``selection`` (see ``MmrSelection``); ``selection`` is left as it was.
+    Thresholds above 1 disable the filter and return ``selection`` itself.
+    The similarities are the selection's own, so
     ``selection`` must have been made over ``candidates``; a ``ValueError``
     otherwise.
     """
@@ -356,7 +346,6 @@ def near_duplicate_filter(candidates: Sequence[EmbeddingVector],
     if len(kept) < target:
         # as the module docstring says: a candidate that near-duplicates one
         # the scan kept is blocked, never kept, and walks unscored
-        greedy = selection._greedy
         in_selection = set(selection.selected)
         scan_kept = tuple(kept)
         blocked: list[int] = []
@@ -367,7 +356,7 @@ def near_duplicate_filter(candidates: Sequence[EmbeddingVector],
             if similarity.reaches(i, scan_kept, threshold):
                 blocked.append(i)
             else:
-                walk.append((-greedy.pool_score(i), i))
+                walk.append((-selection.pool_score(i), i))
         walk.sort()
         backfill_drops: list[int] = []
         stop = None
@@ -377,16 +366,18 @@ def near_duplicate_filter(candidates: Sequence[EmbeddingVector],
                 backfill_drops.append(idx)
             else:
                 kept.append(idx)
-                kept_scores.append(greedy.pool_score(idx))
+                kept_scores.append(selection.pool_score(idx))
                 if len(kept) == target:
                     stop = key
                     break
         # a blocked candidate is a drop if the walk over all would reach it
         if stop is not None:
-            blocked = [i for i in blocked if (-greedy.pool_score(i), i) < stop]
+            blocked = [i for i in blocked if (-selection.pool_score(i), i) < stop]
         drops += sorted(backfill_drops + blocked)
 
     listed = set(selection.dropped_as_duplicates)
-    dropped = selection.dropped_as_duplicates + tuple(i for i in drops if i not in listed)
-    return MmrSelection(selected=tuple(kept), scores=tuple(kept_scores),
-                        dropped_as_duplicates=dropped, greedy=selection._greedy)
+    filtered = copy.copy(selection)
+    filtered.selected, filtered.scores = tuple(kept), tuple(kept_scores)
+    filtered.dropped_as_duplicates = (selection.dropped_as_duplicates
+                                      + tuple(i for i in drops if i not in listed))
+    return filtered

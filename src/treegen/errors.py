@@ -17,10 +17,6 @@ class ModeError(TreeGenError):
     """Operation invoked for the wrong generation mode (SFT vs PT)."""
 
 
-class EmptyCompletionError(TreeGenError):
-    """Completion is empty after marker stripping; the candidate is rejected."""
-
-
 class IncompleteTreeError(TreeGenError):
     """Tree still has pending expansions and the caller did not ask for permissive handling."""
 

@@ -44,8 +44,7 @@ from typing import Sequence
 from .backends import (EmbeddingBackend, EmbeddingVector, GenerationBackend,
                        GenerationRequest)
 from .dedup import mmr_select, near_duplicate_filter
-from .errors import (BackendError, CheckpointError, ConfigError,
-                     EmptyCompletionError, ResumableRunError)
+from .errors import BackendError, CheckpointError, ConfigError, ResumableRunError
 from .fnv import combine
 from .templates import (ChatTemplate, get_template, render_continuation_prompt,
                         render_dialogue_prompt, strip_completion)
@@ -78,6 +77,14 @@ _READ_BUFFER = 1 << 16
 
 def _dumps(record: dict) -> str:
     return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+
+
+def _write_json(path: Path, value: dict) -> None:
+    """Write ``value`` as indented JSON to a temporary file beside ``path``,
+    then rename it over ``path``: a write cut short leaves no partial file."""
+    tmp = path.with_suffix(".json.tmp")
+    tmp.write_text(json.dumps(value, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    os.replace(tmp, path)
 
 
 class CheckpointStore:
@@ -123,10 +130,9 @@ class CheckpointStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         if self.exists():
             raise CheckpointError(f"checkpoint already present in {self.directory}")
-        payload = {"format": CHECKPOINT_FORMAT, "config": config_to_dict(config),
-                   "hash": config_hash(config)}
-        self.config_path.write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n",
-                                    encoding="utf-8")
+        _write_json(self.config_path, {"format": CHECKPOINT_FORMAT,
+                                       "config": config_to_dict(config),
+                                       "hash": config_hash(config)})
         tree = Tree(config)
         self._intact, self._root_line = 0, _dumps(node_to_record(tree.root))
         self._write_lines([])
@@ -173,10 +179,7 @@ class CheckpointStore:
             **self._session,
             "ended_at": None if status == "running" else _utcnow(),
         }
-        tmp = self.manifest_path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(self.manifest, indent=2, ensure_ascii=False) + "\n",
-                       encoding="utf-8")
-        os.replace(tmp, self.manifest_path)
+        _write_json(self.manifest_path, self.manifest)
 
     def finalize(self, tree: Tree, status: str) -> None:
         """End the session: write the manifest as ``complete`` or ``aborted``."""
@@ -346,10 +349,11 @@ def prompt_for_layer(path_texts: Sequence[str], config: TreeConfig,
     return render_dialogue_prompt(path_texts, template, config.system_prompt)
 
 
-def expand_parent(parent: TreeNode, path_texts: Sequence[str], layer_index: int,
-                  config: TreeConfig, template: ChatTemplate,
-                  generator: GenerationBackend, embedder: EmbeddingBackend) -> ExpansionResult:
-    """Generate, strip, embed, and MMR-filter one parent's child set.
+def expand_parent(parent: TreeNode, path_texts: Sequence[str], config: TreeConfig,
+                  template: ChatTemplate, generator: GenerationBackend,
+                  embedder: EmbeddingBackend) -> ExpansionResult:
+    """Generate, strip, embed, and MMR-filter the child set of ``parent``,
+    one layer below it.
 
     Requests ceil(oversample_factor * branching) candidates keyed by
     FNV-1a(config seed, parent id, layer index); on a dedup shortfall, one
@@ -363,6 +367,7 @@ def expand_parent(parent: TreeNode, path_texts: Sequence[str], layer_index: int,
     ``BackendError``. ``dedup_drops`` sums the drops of every filter call,
     the first attempt's and the retry's.
     """
+    layer_index = parent.layer + 1
     layer = config.layer(layer_index)
     want = math.ceil(config.oversample_factor * layer.branching)
     prompt = prompt_for_layer(path_texts, config, template)
@@ -393,12 +398,10 @@ def expand_parent(parent: TreeNode, path_texts: Sequence[str], layer_index: int,
             result = generator.generate(request)
             for i, completion in enumerate(result.completions):
                 global_index = offset + chunk_start + i
-                try:
-                    text = strip_completion(completion.text, layer.stop_markers, template)
-                except EmptyCompletionError:
-                    continue
-                pool_texts.append(text)
-                pool_meta.append((global_index, completion.finish_reason))
+                text = strip_completion(completion.text, layer.stop_markers, template)
+                if text:
+                    pool_texts.append(text)
+                    pool_meta.append((global_index, completion.finish_reason))
 
         new_texts = pool_texts[len(pool_vectors):]
         if new_texts:
@@ -562,8 +565,8 @@ class TreeRunner:
         results: list[ExpansionResult] = []
         try:
             while True:
-                result = expand_parent(node, path_texts, node.layer + 1, self.config,
-                                       self.template, self.generator, self.embedder)
+                result = expand_parent(node, path_texts, self.config, self.template,
+                                       self.generator, self.embedder)
                 results.append(result)
                 if (self.shape is TreeShape.BALANCE or len(result.children) != 1
                         or result.layer_index == self.config.depth):

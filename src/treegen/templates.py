@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .errors import EmptyCompletionError, TemplateError
+from .errors import TemplateError
 
 
 @dataclass(frozen=True)
@@ -108,9 +108,9 @@ def strip_completion(raw: str, stop_markers: Sequence[str],
                      template: ChatTemplate) -> str:
     """Truncate a raw completion at the first stop or role marker and trim it.
 
-    Raises EmptyCompletionError when nothing survives, which callers treat as
-    a rejected candidate. Markers produced by the model are removed rather
-    than escaped so they cannot corrupt deeper prompt renders.
+    Returns ``""`` when nothing survives, which callers treat as a rejected
+    candidate. Markers produced by the model are removed rather than escaped
+    so they cannot corrupt deeper prompt renders.
 
     A text that holds no ``_marker_char`` of a stop or role marker holds no
     marker, so it is only trimmed. Any other text is searched for each marker,
@@ -128,7 +128,4 @@ def strip_completion(raw: str, stop_markers: Sequence[str],
                     idx = raw.find(marker, 0, cut + len(marker) - 1)
                     if idx != -1:
                         cut = idx
-    text = raw[:cut].strip()
-    if not text:
-        raise EmptyCompletionError("completion empty after stripping markers")
-    return text
+    return raw[:cut].strip()

@@ -14,7 +14,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
@@ -180,11 +180,8 @@ def expected_leaf_count(config: TreeConfig) -> int:
 
 # --- config JSON ----------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "mode", "system_prompt", "layers", "oversample_factor",
-    "mmr_lambda", "dedup_threshold", "seed", "template_id",
-}
-_LAYER_KEYS = {"branching", "max_tokens", "role", "temperature", "stop_markers"}
+_CONFIG_KEYS = {f.name for f in fields(TreeConfig)}
+_LAYER_KEYS = {f.name for f in fields(LayerSpec)}
 
 
 def _number(raw: dict, key: str, kind: type, where: str, default=None):
@@ -261,11 +258,12 @@ def config_from_dict(raw: dict) -> TreeConfig:
         mode=mode,
         system_prompt=str(raw["system_prompt"]),
         layers=layers,
-        oversample_factor=_number(raw, "oversample_factor", float, "", 2.0),
-        mmr_lambda=_number(raw, "mmr_lambda", float, "", 0.5),
-        dedup_threshold=_number(raw, "dedup_threshold", float, "", 0.95),
-        seed=_number(raw, "seed", int, "", 0),
-        template_id=str(raw.get("template_id", "plain")),
+        oversample_factor=_number(raw, "oversample_factor", float, "",
+                                  TreeConfig.oversample_factor),
+        mmr_lambda=_number(raw, "mmr_lambda", float, "", TreeConfig.mmr_lambda),
+        dedup_threshold=_number(raw, "dedup_threshold", float, "", TreeConfig.dedup_threshold),
+        seed=_number(raw, "seed", int, "", TreeConfig.seed),
+        template_id=str(raw.get("template_id", TreeConfig.template_id)),
     )
 
 
@@ -277,27 +275,16 @@ def load_config(path: str | Path) -> TreeConfig:
     return config_from_dict(raw)
 
 
+def _json_fields(pairs: list[tuple[str, object]]) -> dict:
+    """A dataclass's fields as JSON holds them: enums as values, tuples as lists."""
+    return {name: value.value if isinstance(value, Enum)
+            else list(value) if isinstance(value, tuple) else value
+            for name, value in pairs}
+
+
 def config_to_dict(config: TreeConfig) -> dict:
-    """Canonical dict form: every field materialized, enum values lowered."""
-    return {
-        "mode": config.mode.value,
-        "system_prompt": config.system_prompt,
-        "layers": [
-            {
-                "branching": l.branching,
-                "max_tokens": l.max_tokens,
-                "role": l.role.value,
-                "temperature": l.temperature,
-                "stop_markers": list(l.stop_markers),
-            }
-            for l in config.layers
-        ],
-        "oversample_factor": config.oversample_factor,
-        "mmr_lambda": config.mmr_lambda,
-        "dedup_threshold": config.dedup_threshold,
-        "seed": config.seed,
-        "template_id": config.template_id,
-    }
+    """Canonical dict form: every field, in declaration order, as JSON holds it."""
+    return asdict(config, dict_factory=_json_fields)
 
 
 def config_hash(config: TreeConfig) -> str:
@@ -322,8 +309,9 @@ class TreeNode:
 
     Identity fields are immutable; ``children`` is the only list the owning
     tree appends to (single writer). ``embedding`` is always None: no vector
-    outlives its expansion. It stays only because the benchmark still reads it
-    (ROADMAP item 6 deletes it).
+    outlives its expansion. It stays only because ``treebench/job.py`` reads
+    it on every node of each in-process job, traced or not, to report
+    ``embedding_floats`` (ROADMAP item 6 deletes both).
     """
 
     id: str

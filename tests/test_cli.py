@@ -499,6 +499,51 @@ def test_export_sharegpt_and_stats(completed_run, tmp_path, capsys):
     assert stats["turn_histogram"] == {"2": 32}
 
 
+def test_stats_stdout_is_pinned(completed_run, tmp_path, capsys):
+    corpus = tmp_path / "gturn.jsonl"
+    assert main(["export", "--tree", str(completed_run), "--format", "jsonl",
+                 "--turn-policy", "gturn", "--out", str(corpus)]) == 0
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "stats", "--corpus", str(corpus))
+    assert code == 0
+    assert out == """\
+{
+  "record_count": 29,
+  "turn_histogram": {
+    "1": 8,
+    "2": 21
+  },
+  "text_length_stats": {
+    "min": 44,
+    "max": 117,
+    "mean": 70.58,
+    "p50": 57,
+    "p95": 106
+  }
+}
+"""
+
+
+def test_stats_of_an_empty_corpus_is_all_zero(tmp_path, capsys):
+    corpus = tmp_path / "empty.json"
+    corpus.write_text("[]\n")
+    code, out, _ = run_cli(capsys, "stats", "--corpus", str(corpus))
+    assert code == 0
+    assert out == """\
+{
+  "record_count": 0,
+  "turn_histogram": {},
+  "text_length_stats": {
+    "min": 0,
+    "max": 0,
+    "mean": 0.0,
+    "p50": 0,
+    "p95": 0
+  }
+}
+"""
+
+
 @pytest.mark.parametrize("content, names", [
     ('{"not": "a corpus"}\n', "line 1 is not a ShareGPT record"),
     ("[1", "is not valid JSON"),

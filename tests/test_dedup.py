@@ -529,7 +529,7 @@ def test_each_pair_computed_at_most_once(monkeypatch, n, k):
     # pool reuses every pair of the first attempt
     pairs.clear()
     config = sft_config([4, 2], dedup_threshold=0.95)
-    result = expand_parent(Tree(config).root, [], 1, config, get_template("plain"),
+    result = expand_parent(Tree(config).root, [], config, get_template("plain"),
                            OptionMock(fixed_text="always the same words"),
                            MockEmbedder())
     assert result.retried and result.dedup_drops > 0

@@ -11,6 +11,7 @@ import threading
 import time
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -22,10 +23,13 @@ from treegen.fnv import combine, hash_text
 from treegen.scheduler import (CONFIG_FILE, MANIFEST_FILE, NODES_FILE, CheckpointStore,
                                TreeRunner, expand_parent)
 from treegen.templates import get_template
-from treegen.tree import ROOT_ID, Tree, config_to_dict, expected_leaf_count, node_to_record
+from treegen.tree import (ROOT_ID, Tree, config_to_dict, expected_leaf_count, load_config,
+                          node_to_record)
 
 from conftest import (CountingBackend, FlakyBackend, OptionMock, node_records, pt_config,
                       sft_config)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class InjectedCrash(RuntimeError):
@@ -61,7 +65,7 @@ def test_expand_requests_oversampled_pool(mock_embedder):
     config = sft_config([2, 2], dedup_threshold=1.01)
     backend = CountingBackend()
     tree = Tree(config)
-    result = expand_parent(tree.root, [], 1, config, get_template("plain"),
+    result = expand_parent(tree.root, [], config, get_template("plain"),
                            backend, mock_embedder)
     assert backend.calls[0]["n_samples"] == 4  # ceil(2.0 * 2)
     assert len(result.children) == 2
@@ -72,7 +76,7 @@ def test_expand_requests_oversampled_pool(mock_embedder):
 def test_expand_is_deterministic(mock_embedder):
     config = sft_config([2, 2])
     tree = Tree(config)
-    args = (tree.root, [], 1, config, get_template("plain"))
+    args = (tree.root, [], config, get_template("plain"))
     a = expand_parent(*args, MockTextBackend(), mock_embedder)
     b = expand_parent(*args, MockTextBackend(), mock_embedder)
     assert [c.text for c in a.children] == [c.text for c in b.children]
@@ -82,7 +86,7 @@ def test_expand_is_deterministic(mock_embedder):
 def test_expand_child_ids_are_structural(mock_embedder):
     config = sft_config([3, 2], dedup_threshold=1.01)
     tree = Tree(config)
-    result = expand_parent(tree.root, [], 1, config, get_template("plain"),
+    result = expand_parent(tree.root, [], config, get_template("plain"),
                            MockTextBackend(), mock_embedder)
     assert [c.id for c in result.children] == ["0", "1", "2"]
     assert all(c.parent_id == ROOT_ID and c.layer == 1 for c in result.children)
@@ -92,7 +96,7 @@ def test_expand_duplicate_pool_shortfalls(mock_embedder):
     config = sft_config([4, 2], dedup_threshold=0.95)
     backend = OptionMock(fixed_text="always the same words")
     tree = Tree(config)
-    result = expand_parent(tree.root, [], 1, config, get_template("plain"),
+    result = expand_parent(tree.root, [], config, get_template("plain"),
                            backend, mock_embedder)
     assert len(result.children) == 1  # every candidate is an exact duplicate
     assert result.shortfall == 3
@@ -114,7 +118,7 @@ def test_retried_expansion_counts_the_drops_of_both_attempts(mock_embedder, monk
         return result
 
     monkeypatch.setattr(scheduler, "near_duplicate_filter", counting_filter)
-    result = expand_parent(Tree(config).root, [], 1, config, get_template("plain"),
+    result = expand_parent(Tree(config).root, [], config, get_template("plain"),
                            OptionMock(fixed_text="always the same words"),
                            mock_embedder)
     assert result.retried and len(result.children) == 1
@@ -128,7 +132,7 @@ def test_expand_applies_layer_stop_markers(mock_embedder):
     config = sft_config([3, 2], dedup_threshold=0.95, stop_markers=["STOP"])
     backend = OptionMock(fixed_text="alpha beta STOP trailing junk")
     tree = Tree(config)
-    result = expand_parent(tree.root, [], 1, config, get_template("plain"),
+    result = expand_parent(tree.root, [], config, get_template("plain"),
                            backend, mock_embedder)
     assert [c.text for c in result.children] == ["alpha beta"]
     assert result.shortfall == 2
@@ -138,7 +142,7 @@ def test_expand_uses_spec_request_seed(mock_embedder):
     config = sft_config([2, 2], dedup_threshold=1.01)
     backend = CountingBackend()
     tree = Tree(config)
-    expand_parent(tree.root, [], 1, config, get_template("plain"),
+    expand_parent(tree.root, [], config, get_template("plain"),
                   backend, mock_embedder)
     assert backend.calls[0]["request_seed"] == combine(config.seed, ROOT_ID, 1)
 
@@ -147,7 +151,7 @@ def test_expand_chunks_when_pool_exceeds_cap(mock_embedder):
     config = sft_config([40, 2], dedup_threshold=1.01)  # wants 80 > cap 64
     backend = CountingBackend()
     tree = Tree(config)
-    result = expand_parent(tree.root, [], 1, config, get_template("plain"),
+    result = expand_parent(tree.root, [], config, get_template("plain"),
                            backend, mock_embedder)
     assert [c["n_samples"] for c in backend.calls] == [64, 16]
     assert len(result.children) == 40
@@ -654,6 +658,80 @@ def test_load_refuses_checkpoint_without_format(tmp_path):
             CheckpointStore(tmp_path / "t").load(config)
 
 
+PT_WORLD_KNOWLEDGE_CONFIG_JSON = """\
+{
+  "format": 3,
+  "config": {
+    "mode": "pt",
+    "system_prompt": "Here are some useful world knowledge:",
+    "layers": [
+      {
+        "branching": 16,
+        "max_tokens": 48,
+        "role": "continuation",
+        "temperature": 1.0,
+        "stop_markers": []
+      },
+      {
+        "branching": 2,
+        "max_tokens": 48,
+        "role": "continuation",
+        "temperature": 1.0,
+        "stop_markers": []
+      },
+      {
+        "branching": 2,
+        "max_tokens": 48,
+        "role": "continuation",
+        "temperature": 1.0,
+        "stop_markers": []
+      }
+    ],
+    "oversample_factor": 2.0,
+    "mmr_lambda": 0.5,
+    "dedup_threshold": 0.95,
+    "seed": 5,
+    "template_id": "plain"
+  },
+  "hash": "3103f646be25e229"
+}
+"""
+
+
+def test_initialize_writes_pinned_config_json(tmp_path):
+    config = load_config(CONFIGS / "pt_world_knowledge.json")
+    store = CheckpointStore(tmp_path / "t")
+    store.initialize(config)
+    store.close()
+    assert (tmp_path / "t" / CONFIG_FILE).read_bytes() == PT_WORLD_KNOWLEDGE_CONFIG_JSON.encode()
+
+
+def test_a_config_json_write_cut_short_leaves_no_checkpoint(tmp_path, capsys, monkeypatch):
+    # config.json is renamed into place whole: when that fails, the directory
+    # holds no checkpoint, so a plain rerun starts the tree afresh
+    config = sft_config([3, 2])
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config_to_dict(config)))
+    run_to_completion(config, tmp_path / "clean")
+    out_dir = tmp_path / "t"
+    replace = scheduler.os.replace
+
+    def failing_replace(src, dst):
+        if dst == out_dir / CONFIG_FILE:
+            raise OSError("disk full")
+        replace(src, dst)
+
+    generate = ["generate", "--config", str(config_path), "--out", str(out_dir)]
+    with monkeypatch.context() as patch:
+        patch.setattr(scheduler.os, "replace", failing_replace)
+        assert cli.main(generate) == 1
+    assert not (out_dir / CONFIG_FILE).exists()
+    assert cli.main(generate) == 0
+    capsys.readouterr()
+    assert ((out_dir / NODES_FILE).read_bytes()
+            == (tmp_path / "clean" / NODES_FILE).read_bytes())
+
+
 class EmptyAfterN(OptionMock):
     """Returns only empty completions from the (n+1)-th call on."""
 
@@ -826,7 +904,7 @@ def test_overflowing_embedding_is_a_backend_error(position):
     # the parent's text is embedded first, ahead of its pool
     config = sft_config([4, 2])
     with pytest.raises(BackendError, match="squared norm is not finite"):
-        expand_parent(Tree(config).root, [], 1, config, get_template("plain"),
+        expand_parent(Tree(config).root, [], config, get_template("plain"),
                       MockTextBackend(), OverflowingEmbedder(position))
 
 

@@ -5,16 +5,20 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 from treegen.errors import ConfigError, IncompleteTreeError
 from treegen.tree import (GenMeta, LayerSpec, Mode, Role, Tree, TreeConfig, TreeNode, TreeShape,
                           child_id, classify_shape, config_from_dict, config_hash,
-                          config_to_dict, expected_leaf_count, node_from_record,
-                          node_to_record, structural_key, validate_config)
+                          config_to_dict, expected_leaf_count, load_config,
+                          node_from_record, node_to_record, structural_key,
+                          validate_config)
 
 from conftest import BAD_CONFIG_VALUES, bad_config_dict, build_full_tree, pt_config, sft_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 # --- validate_config ---------------------------------------------------------
@@ -272,6 +276,23 @@ def test_config_hash_changes_with_seed():
     b = sft_config([2, 2], seed=2)
     assert config_hash(a) != config_hash(b)
     assert len(config_hash(a)) == 16
+
+
+# config_hash of each shipped config, pinned: config.json records it and a
+# resume compares it
+SHIPPED_CONFIG_HASHES = {
+    "balance_32x16x8x8": "f60548cef2d0600b",
+    "balance_32x8x8x8": "3ea49bfc635907bc",
+    "balance_8x4x2x2": "250a6a801c9c2471",
+    "pt_world_knowledge": "3103f646be25e229",
+    "wide_64x1x1x1": "337382a122d3199e",
+}
+
+
+def test_shipped_config_hashes_are_pinned():
+    hashes = {path.stem: config_hash(load_config(path))
+              for path in sorted(CONFIGS.glob("*.json"))}
+    assert hashes == SHIPPED_CONFIG_HASHES
 
 
 # --- node record round trip ----------------------------------------------------------
