@@ -55,12 +55,6 @@ def _build_backends(args):
 
 def cmd_generate(args) -> int:
     config = load_config(args.config)
-    report = validate_config(config)
-    if not report.ok:
-        raise ConfigError("invalid config: " + "; ".join(report.errors))
-    for warning in report.warnings:
-        log.warning("config warning: %s", warning)
-
     generator, embedder = _build_backends(args)
     try:
         store = CheckpointStore(args.out)
@@ -146,10 +140,9 @@ def cmd_stats(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    config = load_config(args.config)
-    report = validate_config(config)
-    _emit(report.to_dict())
-    return EXIT_OK if report.ok else EXIT_HARD
+    report = validate_config(load_config(args.config))
+    _emit(report)
+    return EXIT_HARD if report["errors"] else EXIT_OK
 
 
 def build_parser() -> _Parser:
@@ -204,13 +197,8 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -218,10 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResumableRunError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESUMABLE
-    except TreeGenError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_HARD
-    except OSError as exc:
+    except (TreeGenError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HARD
 

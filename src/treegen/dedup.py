@@ -31,8 +31,8 @@ one. A maximum does not depend on how it is split, and each pair is still
 computed once, by the same sum, so picks, scores and the lowest-index tie rule
 are those of the eager loop that rescores every candidate at every step, but
 most pairs of a pool are never computed, and a candidate that falls below the
-top after a few picks never meets the rest. ``MmrSelection.pool_scores``
-scores the unpicked candidates against every pick only when first read.
+top after a few picks never meets the rest. ``MmrSelection.pool_score``
+scores an unpicked candidate against every pick only when asked for it.
 
 ``MmrSelection`` is the greedy and its result in one class; the filter
 returns a copy that shares its picks, refresh state and similarities.
@@ -183,9 +183,9 @@ class MmrSelection:
     and the result of that selection pass.
 
     ``selected`` and ``scores`` are the ``k`` picks and their pick scores.
-    ``pool_scores`` holds, for every candidate, its MMR score against all the
-    picks (the pick score for a pick), computed when first read; the
-    duplicate filter backfills in that score order. ``dropped_as_duplicates``
+    ``pool_score(i)`` is candidate ``i``'s MMR score against all the picks
+    (its pick score for a pick), computed when asked for; the duplicate
+    filter backfills in that score order. ``dropped_as_duplicates``
     lists each candidate a filter dropped once: for each filter in turn, its
     scan's drops in pick order, then its backfill's in index order.
 
@@ -211,7 +211,6 @@ class MmrSelection:
         self._max_sim = [float("-inf")] * len(relevance)
         self._seen = [0] * len(relevance)
         self._heap: list[tuple[float, int]] = []
-        self._pool_scores: tuple[float, ...] | None = None
         if k > 1:
             self._start()
         while len(self._picks) < k:
@@ -270,13 +269,6 @@ class MmrSelection:
             return self._picked[i]
         self._refresh(i, len(self._picks))
         return self._score(i)
-
-    @property
-    def pool_scores(self) -> tuple[float, ...]:
-        """Every candidate's ``pool_score``."""
-        if self._pool_scores is None:
-            self._pool_scores = tuple(map(self.pool_score, range(len(self._max_sim))))
-        return self._pool_scores
 
 
 def mmr_select(candidates: Sequence[EmbeddingVector], query: EmbeddingVector,

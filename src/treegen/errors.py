@@ -9,10 +9,6 @@ class ConfigError(TreeGenError):
     """Rejected input: bad config JSON, unknown keys, or hard invariant violations."""
 
 
-class TemplateError(TreeGenError):
-    """Unknown template id."""
-
-
 class ModeError(TreeGenError):
     """Operation invoked for the wrong generation mode (SFT vs PT)."""
 

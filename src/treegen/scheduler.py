@@ -174,7 +174,7 @@ class CheckpointStore:
             "status": status,
             "config_hash": config_hash(tree.config),
             "nodes_committed": tree.non_root_count(),
-            "shortfalls": tree.shortfall_total,
+            "shortfalls": sum(tree.shortfalls.values()),
             "leaf_count": len(tree.layer_ids(tree.depth)),
             **self._session,
             "ended_at": None if status == "running" else _utcnow(),
@@ -350,10 +350,10 @@ def prompt_for_layer(path_texts: Sequence[str], config: TreeConfig,
 
 
 def expand_parent(parent: TreeNode, path_texts: Sequence[str], config: TreeConfig,
-                  template: ChatTemplate, generator: GenerationBackend,
+                  generator: GenerationBackend,
                   embedder: EmbeddingBackend) -> ExpansionResult:
     """Generate, strip, embed, and MMR-filter the child set of ``parent``,
-    one layer below it.
+    one layer below it, rendering and stripping with the config's template.
 
     Requests ceil(oversample_factor * branching) candidates keyed by
     FNV-1a(config seed, parent id, layer index); on a dedup shortfall, one
@@ -369,6 +369,7 @@ def expand_parent(parent: TreeNode, path_texts: Sequence[str], config: TreeConfi
     """
     layer_index = parent.layer + 1
     layer = config.layer(layer_index)
+    template = get_template(config.template_id)
     want = math.ceil(config.oversample_factor * layer.branching)
     prompt = prompt_for_layer(path_texts, config, template)
     base_seed = combine(config.seed, parent.id, layer_index)
@@ -459,17 +460,18 @@ class TreeRunner:
     def __init__(self, config: TreeConfig, generator: GenerationBackend,
                  embedder: EmbeddingBackend, store: CheckpointStore, workers: int = 8):
         report = validate_config(config)
-        if not report.ok:
-            raise ConfigError("invalid config: " + "; ".join(report.errors))
+        if report["errors"]:
+            raise ConfigError("invalid config: " + "; ".join(report["errors"]))
+        for warning in report["warnings"]:
+            log.warning("config warning: %s", warning)
         if workers < 1:
             raise ConfigError("workers must be >= 1")
         self.config = config
         self.generator = generator
         self.embedder = embedder
         self.store = store
-        self.template = get_template(config.template_id)
         self.workers = workers
-        self.shape = report.shape
+        self.shape = TreeShape(report["shape"])
 
     # -- public entry point --------------------------------------------------
 
@@ -565,8 +567,8 @@ class TreeRunner:
         results: list[ExpansionResult] = []
         try:
             while True:
-                result = expand_parent(node, path_texts, self.config, self.template,
-                                       self.generator, self.embedder)
+                result = expand_parent(node, path_texts, self.config, self.generator,
+                                       self.embedder)
                 results.append(result)
                 if (self.shape is TreeShape.BALANCE or len(result.children) != 1
                         or result.layer_index == self.config.depth):

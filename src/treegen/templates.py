@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .errors import TemplateError
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def get_template(template_id: str) -> ChatTemplate:
     try:
         return BUILTIN_TEMPLATES[template_id]
     except KeyError:
-        raise TemplateError(
+        raise ConfigError(
             f"unknown template {template_id!r}; built-ins: {sorted(BUILTIN_TEMPLATES)}"
         ) from None
 

@@ -105,27 +105,16 @@ def classify_shape(branching: Sequence[int]) -> TreeShape:
     return TreeShape.CHAIN
 
 
-@dataclass
-class ValidationReport:
-    """Hard violations plus advisory warnings; validation never raises."""
+def validate_config(config: TreeConfig) -> dict:
+    """Check structural invariants; budget-shape issues are warnings only.
 
-    errors: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-    shape: TreeShape | None = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "shape": self.shape.value if self.shape else None}
-
-
-def validate_config(config: TreeConfig) -> ValidationReport:
-    """Check structural invariants; budget-shape issues are warnings only."""
-    report = ValidationReport()
-    err = report.errors.append
-    warn = report.warnings.append
+    Returns what ``treegen validate`` prints: ``{"errors": [...], "warnings":
+    [...], "shape": <TreeShape value, or None when there are errors>}``.
+    Never raises.
+    """
+    report = {"errors": [], "warnings": [], "shape": None}
+    err = report["errors"].append
+    warn = report["warnings"].append
 
     if config.depth == 0:
         err("config has no layers")
@@ -157,7 +146,7 @@ def validate_config(config: TreeConfig) -> ValidationReport:
         err(f"unknown template_id {config.template_id!r} "
             f"(built-ins: {sorted(BUILTIN_TEMPLATES)})")
 
-    if config.mode is Mode.SFT and report.ok:
+    if config.mode is Mode.SFT and not report["errors"]:
         answer_budgets = [l.max_tokens for l in config.layers if l.role is Role.ANSWER]
         if any(b <= a for a, b in zip(answer_budgets, answer_budgets[1:])):
             warn("answer budgets not increasing with depth")
@@ -165,16 +154,16 @@ def validate_config(config: TreeConfig) -> ValidationReport:
         if len(question_budgets) > 1:
             warn("question budgets vary across layers (a single shared budget is intended)")
 
-    if report.ok:
-        report.shape = classify_shape(config.branching)
+    if not report["errors"]:
+        report["shape"] = classify_shape(config.branching).value
     return report
 
 
 def expected_leaf_count(config: TreeConfig) -> int:
     """Product of the branching factors: leaf count of a shortfall-free run."""
-    report = validate_config(config)
-    if not report.ok:
-        raise ConfigError("invalid config: " + "; ".join(report.errors))
+    errors = validate_config(config)["errors"]
+    if errors:
+        raise ConfigError("invalid config: " + "; ".join(errors))
     return math.prod(config.branching)
 
 
@@ -184,23 +173,27 @@ _CONFIG_KEYS = {f.name for f in fields(TreeConfig)}
 _LAYER_KEYS = {f.name for f in fields(LayerSpec)}
 
 
-def _number(raw: dict, key: str, kind: type, where: str, default=None):
-    """``raw[key]`` as a ``kind``, or ``default`` when the key is absent. A
-    missing key without a default, a value that is not a JSON number (a
-    boolean, a string, null), ``NaN`` or an infinity, and a fraction in an
-    integer field are each a ConfigError naming ``where`` and the key."""
+def _value(raw: dict, key, kind: type, where: str, default=None):
+    """``raw[key]`` as a ``kind`` (``int``, ``float`` or ``str``), or
+    ``default`` when the key is absent. A missing key without a default, a
+    value of another JSON type (a boolean is no number, null no string),
+    ``NaN`` or an infinity, and a fraction in an integer field are each a
+    ConfigError naming ``where`` and the key."""
     if key not in raw:
         if default is None:
             raise ConfigError(f"{where}missing required key {key!r}")
         return default
     value = raw[key]
-    if not isinstance(value, bool):  # an int to Python, not a number to JSON
+    if kind is str:
+        if isinstance(value, str):
+            return value
+    elif not isinstance(value, bool):  # an int to Python, not a number to JSON
         if kind is int and isinstance(value, int):
             return value
         if (kind is float and isinstance(value, (int, float))
                 and abs(value) <= sys.float_info.max):  # False for NaN too
             return float(value)
-    what = "an integer" if kind is int else "a finite number"
+    what = {int: "an integer", float: "a finite number", str: "a string"}[kind]
     raise ConfigError(f"{where}{key!r} must be {what} (got {value!r})")
 
 
@@ -211,8 +204,8 @@ def _layer_from_dict(raw, mode: Mode, layer_index: int) -> LayerSpec:
     unknown = set(raw) - _LAYER_KEYS
     if unknown:
         raise ConfigError(f"unknown keys in layer {layer_index}: {sorted(unknown)}")
-    branching = _number(raw, "branching", int, where)
-    max_tokens = _number(raw, "max_tokens", int, where)
+    branching = _value(raw, "branching", int, where)
+    max_tokens = _value(raw, "max_tokens", int, where)
 
     if "role" in raw:
         try:
@@ -223,15 +216,17 @@ def _layer_from_dict(raw, mode: Mode, layer_index: int) -> LayerSpec:
         role = role_for_layer(mode, layer_index)
 
     default_temperature = ANSWER_TEMPERATURE if role is Role.ANSWER else QUESTION_TEMPERATURE
-    temperature = _number(raw, "temperature", float, where, default_temperature)
+    temperature = _value(raw, "temperature", float, where, default_temperature)
 
     stop_markers = raw.get("stop_markers", [])
     if not isinstance(stop_markers, list):
         raise ConfigError(f"layer {layer_index}: 'stop_markers' must be a list "
                           f"(got {stop_markers!r})")
+    items = dict(enumerate(stop_markers))
     return LayerSpec(branching=branching, max_tokens=max_tokens, role=role,
                      temperature=temperature,
-                     stop_markers=tuple(str(s) for s in stop_markers))
+                     stop_markers=tuple(_value(items, i, str, f"{where}'stop_markers' item ")
+                                        for i in items))
 
 
 def config_from_dict(raw: dict) -> TreeConfig:
@@ -256,14 +251,14 @@ def config_from_dict(raw: dict) -> TreeConfig:
     )
     return TreeConfig(
         mode=mode,
-        system_prompt=str(raw["system_prompt"]),
+        system_prompt=_value(raw, "system_prompt", str, ""),
         layers=layers,
-        oversample_factor=_number(raw, "oversample_factor", float, "",
-                                  TreeConfig.oversample_factor),
-        mmr_lambda=_number(raw, "mmr_lambda", float, "", TreeConfig.mmr_lambda),
-        dedup_threshold=_number(raw, "dedup_threshold", float, "", TreeConfig.dedup_threshold),
-        seed=_number(raw, "seed", int, "", TreeConfig.seed),
-        template_id=str(raw.get("template_id", TreeConfig.template_id)),
+        oversample_factor=_value(raw, "oversample_factor", float, "",
+                                 TreeConfig.oversample_factor),
+        mmr_lambda=_value(raw, "mmr_lambda", float, "", TreeConfig.mmr_lambda),
+        dedup_threshold=_value(raw, "dedup_threshold", float, "", TreeConfig.dedup_threshold),
+        seed=_value(raw, "seed", int, "", TreeConfig.seed),
+        template_id=_value(raw, "template_id", str, "", TreeConfig.template_id),
     )
 
 
@@ -446,10 +441,6 @@ class Tree:
                 if short:
                     missing[node_id] = short
         return missing
-
-    @property
-    def shortfall_total(self) -> int:
-        return sum(self.shortfalls.values())
 
     def _walk(self, last_layer: int) -> Iterator[TreeNode]:
         """Every node down to ``last_layer``, root first, in structural order:

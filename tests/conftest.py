@@ -74,6 +74,10 @@ BAD_CONFIG_VALUES = {
     "oversample-nan": (None, "oversample_factor", float("nan"), "'oversample_factor'"),
     "dedup-threshold-infinite": (None, "dedup_threshold", float("inf"), "'dedup_threshold'"),
     "temperature-huge-integer": (1, "temperature", 10**400, "layer 2: 'temperature'"),
+    "system-prompt-null": (None, "system_prompt", None, "'system_prompt'"),
+    "template-id-number": (None, "template_id", 3, "'template_id'"),
+    "stop-marker-null": (1, "stop_markers", [None, "</s>"], "layer 2: 'stop_markers' item 0"),
+    "stop-marker-number": (0, "stop_markers", ["</s>", 3], "layer 1: 'stop_markers' item 1"),
 }
 
 

@@ -6,7 +6,10 @@ import argparse
 import dataclasses
 import gc
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -21,6 +24,7 @@ from conftest import (BAD_CONFIG_VALUES, CountingBackend, bad_config_dict, node_
                       pt_config, record_connections, sft_config)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = CONFIGS.parent / "src"
 
 
 def write_config(tmp_path, config, name="config.json") -> Path:
@@ -470,6 +474,19 @@ def test_generate_rejects_invalid_config(tmp_path, capsys):
                            "--out", str(tmp_path / "o"))
     assert code == 1
     assert "odd depth" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_generate_logs_a_config_warning_once(tmp_path):
+    # a process of its own: main's logging.basicConfig writes to stderr only
+    # where no handler is installed yet, and pytest installs its own
+    config_path = write_config(tmp_path, sft_config([2, 2, 2, 2], a_step=0))
+    proc = subprocess.run([sys.executable, "-m", "treegen.cli", "generate", "--config",
+                           str(config_path), "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count("config warning: answer budgets not increasing with depth") == 1
 
 
 # --- export / stats ------------------------------------------------------------------

@@ -114,7 +114,7 @@ def partial_tree_with_shortfalls(seed: int) -> Tree:
         frontier = next_frontier
     for pid in frontier[::3]:  # layer 4: the rest stay unexpanded
         tree.add_children(pid, [])
-    assert tree.shortfall_total > 0 and tree.export_depth(permissive=True) == 4
+    assert sum(tree.shortfalls.values()) > 0 and tree.export_depth(permissive=True) == 4
     return tree
 
 

@@ -18,7 +18,6 @@ from treegen.backends import (EmbeddingVector, GenerationRequest, MockEmbedder,
 from treegen.dedup import PoolSimilarity, mmr_select, near_duplicate_filter
 from treegen.errors import ConfigError
 from treegen.scheduler import CheckpointStore, TreeRunner, expand_parent
-from treegen.templates import get_template
 from treegen.tree import Tree
 
 from conftest import OptionMock, reference_cosine, sft_config
@@ -124,7 +123,7 @@ def test_hand_example_selection_and_scores():
     assert sel.scores[0] == pytest.approx(1.0)
     assert sel.scores[1] == pytest.approx(0.40)  # 0.7*1 - 0.3*1
     # the unselected candidate's standing score: 0.7*0.8 - 0.3*0.8 = 0.32
-    assert sel.pool_scores[1] == pytest.approx(0.32)
+    assert sel.pool_score(1) == pytest.approx(0.32)
 
 
 def test_hand_example_filter_backfills():
@@ -370,7 +369,7 @@ def test_selection_equals_per_pair_reference_bitwise(kind):
         want = reference_mmr_select(pool, query, k, lam)
         assert got.selected == want[0], f"trial {trial}"
         assert bits(got.scores) == bits(want[1]), f"trial {trial}"
-        assert bits(got.pool_scores) == bits(want[2]), f"trial {trial}"
+        assert bits(map(got.pool_score, range(n))) == bits(want[2]), f"trial {trial}"
 
         filtered = near_duplicate_filter(pool, got, threshold)
         if threshold > 1.0:
@@ -381,7 +380,7 @@ def test_selection_equals_per_pair_reference_bitwise(kind):
             assert filtered.selected == kept, f"trial {trial}"
             assert bits(filtered.scores) == bits(kept_scores), f"trial {trial}"
             assert filtered.dropped_as_duplicates == dropped, f"trial {trial}"
-            assert bits(filtered.pool_scores) == bits(want[2]), f"trial {trial}"
+            assert bits(map(filtered.pool_score, range(n))) == bits(want[2]), f"trial {trial}"
             drops += bool(dropped)
             backfills += bool(set(kept) - set(want[0]))
 
@@ -432,7 +431,8 @@ def test_scheduler_filter_equals_reference_on_a_shortfall_tree(monkeypatch, tmp_
         nonlocal calls, backfills, drops
         filtered = real_filter(candidates, selection, threshold)
         kept, kept_scores, dropped = reference_near_duplicate_filter(
-            candidates, selection.selected, selection.scores, selection.pool_scores, threshold)
+            candidates, selection.selected, selection.scores,
+            tuple(map(selection.pool_score, range(len(candidates)))), threshold)
         assert filtered.selected == kept
         assert bits(filtered.scores) == bits(kept_scores)
         assert filtered.dropped_as_duplicates == dropped
@@ -529,7 +529,7 @@ def test_each_pair_computed_at_most_once(monkeypatch, n, k):
     # pool reuses every pair of the first attempt
     pairs.clear()
     config = sft_config([4, 2], dedup_threshold=0.95)
-    result = expand_parent(Tree(config).root, [], config, get_template("plain"),
+    result = expand_parent(Tree(config).root, [], config,
                            OptionMock(fixed_text="always the same words"),
                            MockEmbedder())
     assert result.retried and result.dedup_drops > 0

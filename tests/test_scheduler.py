@@ -22,7 +22,6 @@ from treegen.errors import BackendError, CheckpointError, ResumableRunError
 from treegen.fnv import combine, hash_text
 from treegen.scheduler import (CONFIG_FILE, MANIFEST_FILE, NODES_FILE, CheckpointStore,
                                TreeRunner, expand_parent)
-from treegen.templates import get_template
 from treegen.tree import (ROOT_ID, Tree, config_to_dict, expected_leaf_count, load_config,
                           node_to_record)
 
@@ -65,7 +64,7 @@ def test_expand_requests_oversampled_pool(mock_embedder):
     config = sft_config([2, 2], dedup_threshold=1.01)
     backend = CountingBackend()
     tree = Tree(config)
-    result = expand_parent(tree.root, [], config, get_template("plain"),
+    result = expand_parent(tree.root, [], config,
                            backend, mock_embedder)
     assert backend.calls[0]["n_samples"] == 4  # ceil(2.0 * 2)
     assert len(result.children) == 2
@@ -76,7 +75,7 @@ def test_expand_requests_oversampled_pool(mock_embedder):
 def test_expand_is_deterministic(mock_embedder):
     config = sft_config([2, 2])
     tree = Tree(config)
-    args = (tree.root, [], config, get_template("plain"))
+    args = (tree.root, [], config)
     a = expand_parent(*args, MockTextBackend(), mock_embedder)
     b = expand_parent(*args, MockTextBackend(), mock_embedder)
     assert [c.text for c in a.children] == [c.text for c in b.children]
@@ -86,7 +85,7 @@ def test_expand_is_deterministic(mock_embedder):
 def test_expand_child_ids_are_structural(mock_embedder):
     config = sft_config([3, 2], dedup_threshold=1.01)
     tree = Tree(config)
-    result = expand_parent(tree.root, [], config, get_template("plain"),
+    result = expand_parent(tree.root, [], config,
                            MockTextBackend(), mock_embedder)
     assert [c.id for c in result.children] == ["0", "1", "2"]
     assert all(c.parent_id == ROOT_ID and c.layer == 1 for c in result.children)
@@ -96,7 +95,7 @@ def test_expand_duplicate_pool_shortfalls(mock_embedder):
     config = sft_config([4, 2], dedup_threshold=0.95)
     backend = OptionMock(fixed_text="always the same words")
     tree = Tree(config)
-    result = expand_parent(tree.root, [], config, get_template("plain"),
+    result = expand_parent(tree.root, [], config,
                            backend, mock_embedder)
     assert len(result.children) == 1  # every candidate is an exact duplicate
     assert result.shortfall == 3
@@ -118,7 +117,7 @@ def test_retried_expansion_counts_the_drops_of_both_attempts(mock_embedder, monk
         return result
 
     monkeypatch.setattr(scheduler, "near_duplicate_filter", counting_filter)
-    result = expand_parent(Tree(config).root, [], config, get_template("plain"),
+    result = expand_parent(Tree(config).root, [], config,
                            OptionMock(fixed_text="always the same words"),
                            mock_embedder)
     assert result.retried and len(result.children) == 1
@@ -132,7 +131,7 @@ def test_expand_applies_layer_stop_markers(mock_embedder):
     config = sft_config([3, 2], dedup_threshold=0.95, stop_markers=["STOP"])
     backend = OptionMock(fixed_text="alpha beta STOP trailing junk")
     tree = Tree(config)
-    result = expand_parent(tree.root, [], config, get_template("plain"),
+    result = expand_parent(tree.root, [], config,
                            backend, mock_embedder)
     assert [c.text for c in result.children] == ["alpha beta"]
     assert result.shortfall == 2
@@ -142,7 +141,7 @@ def test_expand_uses_spec_request_seed(mock_embedder):
     config = sft_config([2, 2], dedup_threshold=1.01)
     backend = CountingBackend()
     tree = Tree(config)
-    expand_parent(tree.root, [], config, get_template("plain"),
+    expand_parent(tree.root, [], config,
                   backend, mock_embedder)
     assert backend.calls[0]["request_seed"] == combine(config.seed, ROOT_ID, 1)
 
@@ -151,7 +150,7 @@ def test_expand_chunks_when_pool_exceeds_cap(mock_embedder):
     config = sft_config([40, 2], dedup_threshold=1.01)  # wants 80 > cap 64
     backend = CountingBackend()
     tree = Tree(config)
-    result = expand_parent(tree.root, [], config, get_template("plain"),
+    result = expand_parent(tree.root, [], config,
                            backend, mock_embedder)
     assert [c["n_samples"] for c in backend.calls] == [64, 16]
     assert len(result.children) == 40
@@ -567,14 +566,14 @@ def test_manifest_counts_equal_the_tree_after_abort_and_resume(tmp_path):
         store.close()
         assert manifest["status"] == status
         assert manifest["nodes_committed"] == tree.non_root_count()
-        assert manifest["shortfalls"] == tree.shortfall_total
+        assert manifest["shortfalls"] == sum(tree.shortfalls.values())
         return tree
 
     with pytest.raises(InjectedCrash):
         TreeRunner(config, MockTextBackend(), MockEmbedder(),
                    AbortingStore(directory, abort_after_nodes=60), workers=2).run()
     partial = assert_manifest_matches_tree("aborted")
-    assert 0 < partial.non_root_count() <= 60 and partial.shortfall_total > 0
+    assert 0 < partial.non_root_count() <= 60 and sum(partial.shortfalls.values()) > 0
     TreeRunner(config, MockTextBackend(), MockEmbedder(),
                CheckpointStore(directory), workers=2).run()
     assert not assert_manifest_matches_tree("complete").unexpanded()
@@ -637,7 +636,9 @@ def test_shortfalls_are_logged_once_per_layer_and_round(tmp_path, caplog, abort_
         with pytest.raises(InjectedCrash):
             TreeRunner(config, MockTextBackend(), MockEmbedder(),
                        AbortingStore(directory, abort_after_nodes), workers=2).run()
-    lines = [r.getMessage() for r in caplog.records if r.name == "treegen.scheduler"]
+    # the runner also logs the config's warning (a_step=0) on this logger
+    lines = [r.getMessage() for r in caplog.records if r.name == "treegen.scheduler"
+             and r.getMessage().startswith("layer ")]
     want = shortfall_lines_from_log((directory / NODES_FILE).read_text(), config)
     assert lines == want
     short = sum(int(line.split()[2]) for line in want)
@@ -904,7 +905,7 @@ def test_overflowing_embedding_is_a_backend_error(position):
     # the parent's text is embedded first, ahead of its pool
     config = sft_config([4, 2])
     with pytest.raises(BackendError, match="squared norm is not finite"):
-        expand_parent(Tree(config).root, [], config, get_template("plain"),
+        expand_parent(Tree(config).root, [], config,
                       MockTextBackend(), OverflowingEmbedder(position))
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from treegen.errors import TemplateError
+from treegen.errors import ConfigError
 from treegen.scheduler import prompt_for_layer
 from treegen.templates import (LLAMA2_CHAT, PLAIN, ChatTemplate, get_template,
                                render_continuation_prompt, render_dialogue_prompt,
@@ -215,5 +215,5 @@ def test_strip_equals_the_plain_search_on_random_marker_texts():
 def test_builtin_lookup():
     assert get_template("plain") is PLAIN
     assert get_template("llama2-chat") is LLAMA2_CHAT
-    with pytest.raises(TemplateError):
+    with pytest.raises(ConfigError):
         get_template("nope")
