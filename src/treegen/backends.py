@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 from urllib.parse import SplitResult, quote, unquote, urlsplit
 
-from .errors import BackendError, ConfigError, StatusError
+from .errors import BackendError, ConfigError
 from .fnv import fnv1a64, splitmix64, u64_bytes
 
 # http.client, ssl and urllib.request are imported where the HTTP backends
@@ -367,7 +367,8 @@ class _HttpBase:
                                      attempts=attempt)
                 continue
             if not 200 <= status < 300:
-                error = StatusError(status, data.decode("utf-8", "replace"), attempts=attempt)
+                error = BackendError(f"HTTP {status}: {data.decode('utf-8', 'replace')[:500]}",
+                                     attempts=attempt)
                 if status < 500 and status != 429:
                     raise error  # client errors are not retryable
                 if status in (429, 503):
@@ -448,8 +449,11 @@ class HttpTextBackend(_HttpBase, GenerationBackend):
                 except UnicodeEncodeError as exc:
                     raise ValueError("malformed 'choices' item: 'text' cannot be written as "
                                      f"UTF-8 ({exc.reason}): {text!r:.80}") from None
-            return tuple(Completion(text=c["text"],
-                                    finish_reason=str(c.get("finish_reason") or "stop"))
+                reason = choice.get("finish_reason")
+                if reason is not None and not isinstance(reason, str):
+                    raise ValueError("malformed 'choices' item: 'finish_reason' is not a "
+                                     f"string: {reason!r:.80}")
+            return tuple(Completion(text=c["text"], finish_reason=c.get("finish_reason") or "stop")
                          for c in choices)
 
         completions = self._post("completions", payload, parse)

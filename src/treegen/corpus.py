@@ -19,7 +19,7 @@ from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ConfigError, ModeError
+from .errors import ConfigError
 from .templates import get_template
 from .tree import Mode, Tree
 
@@ -96,7 +96,7 @@ def build_corpus(tree: Tree, policy: TurnPolicy | None = None,
     """Draw conversation records from a completed SFT tree, stratum by stratum
     in turn-count order, each stratum's records in structural order."""
     if tree.config.mode is not Mode.SFT:
-        raise ModeError("build_corpus needs an SFT tree; use export_pt for PT trees")
+        raise ConfigError("build_corpus needs an SFT tree; use export_pt for PT trees")
     max_turns = tree.export_depth(permissive) // 2
     if max_turns == 0:
         return []
@@ -244,7 +244,7 @@ def export_pt(tree: Tree, path: str | Path, permissive: bool = False) -> Path:
     """One line per leaf path: {"text": continuations joined by the template
     separator}, system prompt excluded."""
     if tree.config.mode is not Mode.PT:
-        raise ModeError("export_pt needs a PT tree; use the conversation exports for SFT")
+        raise ConfigError("export_pt needs a PT tree; use the conversation exports for SFT")
     separator = _json_str(get_template(tree.config.template_id).turn_separator)[1:-1]
     paths = tree.leaf_paths(permissive=permissive)  # before the file is opened
     return _write(path, ('{"text": "%s"}\n' % separator.join(value[1:-1] for value in texts)

@@ -1,4 +1,6 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline: one for each way a caller
+handles a failure. The CLI exits 2 on a ``ResumableRunError`` and 1 on any
+other ``TreeGenError``."""
 
 
 class TreeGenError(Exception):
@@ -6,36 +8,17 @@ class TreeGenError(Exception):
 
 
 class ConfigError(TreeGenError):
-    """Rejected input: bad config JSON, unknown keys, or hard invariant violations."""
-
-
-class ModeError(TreeGenError):
-    """Operation invoked for the wrong generation mode (SFT vs PT)."""
-
-
-class IncompleteTreeError(TreeGenError):
-    """Tree still has pending expansions and the caller did not ask for permissive handling."""
+    """Input the program cannot use: a bad config, a missing, incompatible or
+    corrupted checkpoint, an unreadable corpus file, a tree in the wrong mode
+    (SFT vs PT) for the operation, or a tree with expansions still pending."""
 
 
 class BackendError(TreeGenError):
-    """A generation or embedding call failed."""
+    """A generation or embedding call failed; ``attempts`` counts the tries."""
 
     def __init__(self, message: str, attempts: int = 1):
         super().__init__(message)
         self.attempts = attempts
-
-
-class StatusError(BackendError):
-    """Non-2xx HTTP response; carries the status code and response body."""
-
-    def __init__(self, status: int, body: str, attempts: int = 1):
-        super().__init__(f"HTTP {status}: {body[:500]}", attempts=attempts)
-        self.status = status
-        self.body = body
-
-
-class CheckpointError(TreeGenError):
-    """Checkpoint store missing, incompatible, or corrupted beyond recovery."""
 
 
 class ResumableRunError(TreeGenError):

@@ -44,7 +44,7 @@ from typing import Sequence
 from .backends import (EmbeddingBackend, EmbeddingVector, GenerationBackend,
                        GenerationRequest)
 from .dedup import mmr_select, near_duplicate_filter
-from .errors import BackendError, CheckpointError, ConfigError, ResumableRunError
+from .errors import BackendError, ConfigError, ResumableRunError
 from .fnv import combine
 from .templates import (ChatTemplate, get_template, render_continuation_prompt,
                         render_dialogue_prompt, strip_completion)
@@ -129,7 +129,7 @@ class CheckpointStore:
     def initialize(self, config: TreeConfig) -> Tree:
         self.directory.mkdir(parents=True, exist_ok=True)
         if self.exists():
-            raise CheckpointError(f"checkpoint already present in {self.directory}")
+            raise ConfigError(f"checkpoint already present in {self.directory}")
         _write_json(self.config_path, {"format": CHECKPOINT_FORMAT,
                                        "config": config_to_dict(config),
                                        "hash": config_hash(config)})
@@ -193,27 +193,27 @@ class CheckpointStore:
         return self._read_config_file()[0]
 
     def _read_config_file(self) -> tuple[TreeConfig, object]:
-        """config.json's config and hash. Raises CheckpointError unless the file
+        """config.json's config and hash. Raises ConfigError unless the file
         is a JSON object that declares this checkpoint format and holds a
         config that parses."""
         if not self.exists():
-            raise CheckpointError(f"no checkpoint in {self.directory}")
+            raise ConfigError(f"no checkpoint in {self.directory}")
         try:
             stored = json.loads(self.config_path.read_text(encoding="utf-8"))
         except (OSError, ValueError, RecursionError) as exc:
-            raise CheckpointError(f"cannot read {self.config_path}: {exc}") from exc
+            raise ConfigError(f"cannot read {self.config_path}: {exc}") from exc
         if not isinstance(stored, dict):
-            raise CheckpointError(f"{self.config_path} does not hold a JSON object")
+            raise ConfigError(f"{self.config_path} does not hold a JSON object")
         found = stored.get("format")
         if found != CHECKPOINT_FORMAT:
             what = "no checkpoint format" if found is None else f"checkpoint format {found}"
-            raise CheckpointError(
+            raise ConfigError(
                 f"{self.config_path} declares {what}; this version reads checkpoint "
                 f"format {CHECKPOINT_FORMAT} only, so regenerate the tree")
         try:
             config = config_from_dict(stored.get("config"))
         except (ConfigError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"{self.config_path} holds no valid config: {exc}") from exc
+            raise ConfigError(f"{self.config_path} holds no valid config: {exc}") from exc
         return config, stored.get("hash")
 
     def load(self, config: TreeConfig) -> Tree:
@@ -221,7 +221,7 @@ class CheckpointStore:
         streamed pass that checks every record it keeps; writes nothing."""
         stored_hash = self._read_config_file()[1]
         if stored_hash != config_hash(config):
-            raise CheckpointError(
+            raise ConfigError(
                 f"checkpoint config hash {stored_hash} does not match the "
                 f"provided config hash {config_hash(config)}")
 
@@ -240,7 +240,7 @@ class CheckpointStore:
         and nesting too deep for the parser included), or an end of file
         inside a block, drops that block and ends the replay: expansion is
         deterministic, so resume redoes it. A whole line that parses but does
-        not continue the tree is a CheckpointError.
+        not continue the tree is a ConfigError.
 
         A line is parsed as ``json.loads`` parses it, in one scanner call when
         its value ends just before its newline, as every line that
@@ -267,13 +267,13 @@ class CheckpointStore:
                 except (ValueError, RecursionError):  # UnicodeDecodeError too
                     break
                 if not isinstance(record, dict):
-                    raise CheckpointError(f"{self.nodes_path} line {number} is not a JSON object")
+                    raise ConfigError(f"{self.nodes_path} line {number} is not a JSON object")
                 if parent is not None:
                     children.append(self._check_child(number, record, parent, layer, role,
                                                       len(children)))
                 elif number == 1:
                     if record.get("id") != ROOT_ID:
-                        raise CheckpointError(f"{self.nodes_path} line 1 is not the root record")
+                        raise ConfigError(f"{self.nodes_path} line 1 is not the root record")
                 else:
                     parent, count, layer, role = self._check_header(tree, number, record)
                 if len(children) == count:
@@ -292,7 +292,7 @@ class CheckpointStore:
         try:
             parent, count = tree.nodes[record["parent_id"]], record["children"]
         except (KeyError, TypeError) as exc:
-            raise CheckpointError(f"{self.nodes_path} line {number} is not a block "
+            raise ConfigError(f"{self.nodes_path} line {number} is not a block "
                                   f"header: {exc!r:.200}") from exc
         layer = parent.layer + 1
         if tree.is_expanded(parent.id):  # a last-layer node included
@@ -303,7 +303,7 @@ class CheckpointStore:
                 return parent, count, layer, spec.role
             problem = (f"gives parent {parent.id!r} {count!r:.80} children where layer "
                        f"{layer} takes 0 to {spec.branching}")
-        raise CheckpointError(f"{self.nodes_path} line {number} {problem}")
+        raise ConfigError(f"{self.nodes_path} line {number} {problem}")
 
     def _check_child(self, number: int, record: dict, parent: TreeNode, layer: int,
                      role: Role, rank: int) -> TreeNode:
@@ -312,7 +312,7 @@ class CheckpointStore:
         try:
             node = node_from_record(record)
         except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"{self.nodes_path} line {number} is not a node "
+            raise ConfigError(f"{self.nodes_path} line {number} is not a node "
                                   f"record: {exc!r:.200}") from exc
         if node.parent_id != parent.id:
             problem = f"has parent_id {node.parent_id!r} in the block of {parent.id!r}"
@@ -324,7 +324,7 @@ class CheckpointStore:
             problem = f"has role {node.role.value!r} where layer {layer} holds {role.value!r}"
         else:
             return node
-        raise CheckpointError(f"{self.nodes_path} line {number} {problem}")
+        raise ConfigError(f"{self.nodes_path} line {number} {problem}")
 
 
 # --- one expansion step ------------------------------------------------------
@@ -371,84 +371,60 @@ def expand_parent(parent: TreeNode, path_texts: Sequence[str], config: TreeConfi
     layer = config.layer(layer_index)
     template = get_template(config.template_id)
     want = math.ceil(config.oversample_factor * layer.branching)
+    cap = generator.sample_cap
     prompt = prompt_for_layer(path_texts, config, template)
     base_seed = combine(config.seed, parent.id, layer_index)
 
-    pool_texts: list[str] = []
-    pool_meta: list[tuple[int, str]] = []  # (global sample index, finish_reason)
-    pool_vectors: list[EmbeddingVector] = []
-
+    pool: list[tuple[str, int, str]] = []  # (text, global sample index, finish_reason)
+    vectors: list[EmbeddingVector] = []
     query: EmbeddingVector | None = None
     selection = None
     drops = 0
-    retried = False
     for attempt in range(2):
-        offset = attempt * want
-        for chunk_index, chunk_start in enumerate(range(0, want, generator.sample_cap)):
-            n = min(generator.sample_cap, want - chunk_start)
+        for start in range(0, want, cap):
             # the first chunk of the first attempt uses the base seed directly;
             # further chunks/attempts derive fresh seeds for fresh sample ranges
-            if attempt == 0 and chunk_index == 0:
-                seed = base_seed
-            else:
-                seed = combine(base_seed, attempt, chunk_index)
-            request = GenerationRequest(
+            seed = (base_seed if attempt == start == 0
+                    else combine(base_seed, attempt, start // cap))
+            result = generator.generate(GenerationRequest(
                 prompt=prompt, max_tokens=layer.max_tokens,
-                temperature=layer.temperature, n_samples=n,
-                stop=tuple(layer.stop_markers), request_seed=seed)
-            result = generator.generate(request)
-            for i, completion in enumerate(result.completions):
-                global_index = offset + chunk_start + i
+                temperature=layer.temperature, n_samples=min(cap, want - start),
+                stop=tuple(layer.stop_markers), request_seed=seed))
+            for index, completion in enumerate(result.completions, attempt * want + start):
                 text = strip_completion(completion.text, layer.stop_markers, template)
                 if text:
-                    pool_texts.append(text)
-                    pool_meta.append((global_index, completion.finish_reason))
+                    pool.append((text, index, completion.finish_reason))
 
-        new_texts = pool_texts[len(pool_vectors):]
-        if new_texts:
-            if query is None:
-                vectors = embedder.embed([parent.text] + new_texts)
-                query, vectors = vectors[0], vectors[1:]
-            else:
-                vectors = embedder.embed(new_texts)
-            pool_vectors.extend(vectors)
+        new_texts = [text for text, _, _ in pool[len(vectors):]]
+        if new_texts and query is None:
+            query, *fresh = embedder.embed([parent.text] + new_texts)
+            vectors.extend(fresh)
+        elif new_texts:
+            vectors.extend(embedder.embed(new_texts))
 
-        if pool_vectors:
-            k = min(layer.branching, len(pool_vectors))
+        if vectors:
             # one similarity cache per expansion: a retry's grown pool reuses
             # every pair of attempt 0's
             similarity = None if selection is None else selection.similarity
             try:
-                selection = mmr_select(pool_vectors, query, k, config.mmr_lambda,
-                                       similarity=similarity)
+                selection = mmr_select(vectors, query, min(layer.branching, len(vectors)),
+                                       config.mmr_lambda, similarity=similarity)
             except ValueError as exc:
                 raise BackendError(f"embedding for parent {parent.id}: {exc}") from exc
-            selection = near_duplicate_filter(pool_vectors, selection,
-                                              config.dedup_threshold)
+            selection = near_duplicate_filter(vectors, selection, config.dedup_threshold)
             drops += len(selection.dropped_as_duplicates)
             if len(selection.selected) >= layer.branching:
                 break
-        if attempt == 0:
-            retried = True
 
-    children = []
-    for rank, pool_index in enumerate(selection.selected if selection else ()):
-        sample_index, finish_reason = pool_meta[pool_index]
-        text = pool_texts[pool_index]
-        children.append(TreeNode(
-            id=child_id(parent.id, rank),
-            parent_id=parent.id,
-            layer=layer_index,
-            role=layer.role,
-            text=text,
-            token_count=len(text.split()),
-            gen_meta=GenMeta(backend_id=generator.backend_id,
-                             finish_reason=finish_reason,
-                             sample_index=sample_index),
-        ))
+    kept = [pool[i] for i in selection.selected] if selection else []
+    children = [TreeNode(id=child_id(parent.id, rank), parent_id=parent.id, layer=layer_index,
+                         role=layer.role, text=text, token_count=len(text.split()),
+                         gen_meta=GenMeta(backend_id=generator.backend_id,
+                                          finish_reason=finish_reason, sample_index=sample_index))
+                for rank, (text, sample_index, finish_reason) in enumerate(kept)]
     return ExpansionResult(parent_id=parent.id, layer_index=layer_index,
                            children=children, shortfall=layer.branching - len(children),
-                           dedup_drops=drops, retried=retried)
+                           dedup_drops=drops, retried=attempt == 1)
 
 
 # --- the runner --------------------------------------------------------------

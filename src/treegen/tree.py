@@ -20,7 +20,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .errors import ConfigError, IncompleteTreeError
+from .errors import ConfigError
 from .fnv import hash_text
 from .templates import BUILTIN_TEMPLATES
 
@@ -469,7 +469,7 @@ class Tree:
         if not pending:
             return self.depth
         if not permissive:
-            raise IncompleteTreeError(
+            raise ConfigError(
                 "tree expansion is not finished; pass permissive=True to export "
                 "down to the deepest completed layer")
         deepest = min(node.layer for node in pending)

@@ -54,3 +54,18 @@ def test_benchmark_jobs_complete_with_the_recorded_digests(tmp_path):
         for proc in (*jobs.values(), stub):
             proc.terminate()
             proc.communicate()
+
+
+def test_the_stand_ins_keep_their_contract():
+    # selfcheck's contract checks only: its stub checks and CPU-share checks
+    # time what they run, so they depend on the machine
+    code = (f"import json, sys; sys.path.insert(0, {str(REPO / 'treebench')!r})\n"
+            "import selfcheck\n"
+            "selfcheck.check_standins()\n"
+            "print(json.dumps(selfcheck.failures))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *checks, failures = proc.stdout.splitlines()
+    assert checks and all(line.startswith("PASS") for line in checks), proc.stdout
+    assert json.loads(failures) == []

@@ -11,7 +11,7 @@ import pytest
 from treegen.corpus import (ConversationRecord, TurnPolicy, _mixture_quotas, build_corpus,
                             export_jsonl, export_pt, export_sharegpt,
                             gaussian_turn_policy, sample_to_size, validate_sharegpt_file)
-from treegen.errors import ConfigError, IncompleteTreeError, ModeError
+from treegen.errors import ConfigError
 from treegen.templates import LLAMA2_CHAT
 from treegen.tree import Tree, TreeNode, child_id
 
@@ -57,14 +57,14 @@ def test_fixed_k_beyond_depth_rejected():
 
 def test_pt_tree_rejected():
     tree = build_full_tree(pt_config([2, 2]))
-    with pytest.raises(ModeError):
+    with pytest.raises(ConfigError, match="build_corpus needs an SFT tree"):
         build_corpus(tree)
 
 
 def test_incomplete_tree_needs_permissive():
     config = sft_config([2, 2])
     tree = Tree(config)
-    with pytest.raises(IncompleteTreeError):
+    with pytest.raises(ConfigError, match="expansion is not finished"):
         build_corpus(tree)
     assert build_corpus(tree, permissive=True) == []
 
@@ -299,7 +299,7 @@ def test_pt_export_line_per_leaf(tmp_path):
 
 def test_pt_export_rejects_sft_tree(tmp_path):
     tree = build_full_tree(sft_config([2, 2]))
-    with pytest.raises(ModeError):
+    with pytest.raises(ConfigError, match="export_pt needs a PT tree"):
         export_pt(tree, tmp_path / "x.jsonl")
 
 

@@ -1,4 +1,5 @@
-"""The package's public names are exactly what README's "Library use" shows."""
+"""The package's public names are exactly what README's "Library use" shows,
+and ``treegen.errors`` defines exactly the error types it names."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import types
 from pathlib import Path
 
 import treegen
+from treegen import errors
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,3 +33,9 @@ def test_public_names_are_the_readme_imports():
     public = {name for name, value in vars(treegen).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == imported
+
+
+def test_error_types_are_the_four_a_caller_branches_on():
+    defined = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and value.__module__ == errors.__name__}
+    assert defined == {"TreeGenError", "ConfigError", "BackendError", "ResumableRunError"}

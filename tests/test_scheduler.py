@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import gc
 import json
 import logging
@@ -18,7 +19,7 @@ import pytest
 from treegen import cli, scheduler
 from treegen.backends import (Completion, EmbeddingVector, GenerationResult, MockEmbedder,
                               MockTextBackend)
-from treegen.errors import BackendError, CheckpointError, ResumableRunError
+from treegen.errors import BackendError, ConfigError, ResumableRunError
 from treegen.fnv import combine, hash_text
 from treegen.scheduler import (CONFIG_FILE, MANIFEST_FILE, NODES_FILE, CheckpointStore,
                                TreeRunner, expand_parent)
@@ -302,13 +303,13 @@ def test_resume_rejects_altered_seed(tmp_path):
     altered = dataclasses.replace(config, seed=2)
     runner = TreeRunner(altered, MockTextBackend(), MockEmbedder(),
                         CheckpointStore(tmp_path / "t"))
-    with pytest.raises(CheckpointError, match="hash"):
+    with pytest.raises(ConfigError, match="hash"):
         runner.run()
 
 
 def test_resume_requires_checkpoint(tmp_path):
     config = sft_config([2, 2])
-    with pytest.raises(CheckpointError, match="no checkpoint"):
+    with pytest.raises(ConfigError, match="no checkpoint"):
         CheckpointStore(tmp_path / "fresh").load(config)
 
 
@@ -470,7 +471,7 @@ def _replay_outcome(directory, config):
     store = CheckpointStore(directory)
     try:
         tree = store.load(config)
-    except CheckpointError as exc:
+    except ConfigError as exc:
         return str(exc)
     return ([(node_to_record(node), node.children) for node in tree.nodes.values()],
             [node.id for node in tree.unexpanded()], store._intact)
@@ -654,7 +655,7 @@ def test_load_refuses_checkpoint_without_format(tmp_path):
                               "no checkpoint format"),
                              ({**written, "format": 2}, "checkpoint format 2")):
         config_path.write_text(json.dumps(stored))
-        with pytest.raises(CheckpointError, match=f"declares {declares}; this version reads "
+        with pytest.raises(ConfigError, match=f"declares {declares}; this version reads "
                                                   "checkpoint format 3 only, so regenerate"):
             CheckpointStore(tmp_path / "t").load(config)
 
@@ -802,24 +803,57 @@ def test_backend_failure_aborts_resumably(tmp_path, branching):
     assert_aborted_prefix_resumes(config, tmp_path / "t", workers)
 
 
+class FailingStore(CheckpointStore):
+    """Raises OSError from its ``fail_on_commit``-th ``append_block``: before
+    it writes, or with ``torn`` after writing and flushing the first half of
+    the block's bytes."""
+
+    def __init__(self, directory, fail_on_commit: int, torn: bool):
+        super().__init__(directory)
+        self.fail_on_commit, self.torn, self.commits = fail_on_commit, torn, 0
+
+    def append_block(self, nodes, **kwargs):
+        self.commits += 1
+        if self.commits == self.fail_on_commit and not self.torn:
+            raise OSError("injected store failure before the write")
+        super().append_block(nodes, **kwargs)
+
+    def _write_lines(self, lines):
+        if self.commits != self.fail_on_commit:
+            return super()._write_lines(lines)
+        block = "".join(line + "\n" for line in lines)
+        self._handle.write(block[:len(block) // 2])
+        self._handle.flush()
+        raise OSError("injected store failure after a partial write")
+
+
 def test_seeded_fault_sweep_aborts_to_a_prefix_and_resumes_byte_identically(tmp_path):
     # each case fails one generate call, drawn from the uninterrupted run's
-    # calls: the aborted nodes.jsonl is a prefix of that run's, and a resume
-    # completes it byte for byte
-    rng = random.Random(0)
+    # calls, or one commit, drawn from its commits, before the store writes
+    # or halfway through the block: the aborted nodes.jsonl is a prefix of
+    # that run's, and a resume completes it byte for byte
+    calls_rng, commits_rng = random.Random(0), random.Random(1)
     shapes = {"4x2x2x2": sft_config([4, 2, 2, 2]), "6x1x1x1": sft_config([6, 1, 1, 1]),
               "pt-3x2x2": pt_config([3, 2, 2])}
     for name, config in shapes.items():
         counting = CountingBackend()
         run_to_completion(config, tmp_path / name / "baseline", workers=1, backend=counting)
         baseline = (tmp_path / name / "baseline" / NODES_FILE).read_bytes()
+        commits = len(baseline.splitlines()) - len(node_records(baseline))
         for workers in (1, 4):
-            for fail_on_call in sorted(rng.sample(range(1, len(counting.calls) + 1), 4)):
-                case = f"{name} workers={workers} fail_on_call={fail_on_call}"
-                directory = tmp_path / name / f"w{workers}-c{fail_on_call}"
-                with pytest.raises(ResumableRunError):
-                    TreeRunner(config, FlakyBackend(fail_on_call), MockEmbedder(),
-                               CheckpointStore(directory), workers=workers).run()
+            cases = [(f"fail_on_call={call}", FlakyBackend(call), CheckpointStore,
+                      ResumableRunError)
+                     for call in sorted(calls_rng.sample(range(1, len(counting.calls) + 1), 4))]
+            cases += [(f"fail_on_commit={commit} torn={torn}", MockTextBackend(),
+                       functools.partial(FailingStore, fail_on_commit=commit, torn=torn), OSError)
+                      for commit in sorted(commits_rng.sample(range(1, commits + 1), 2))
+                      for torn in (False, True)]
+            for label, generator, make_store, error in cases:
+                case = f"{name} workers={workers} {label}"
+                directory = tmp_path / name / f"w{workers} {label}"
+                with pytest.raises(error, match="injected"):
+                    TreeRunner(config, generator, MockEmbedder(), make_store(directory),
+                               workers=workers).run()
                 nodes = (directory / NODES_FILE).read_bytes()
                 assert baseline.startswith(nodes), case
                 TreeRunner(config, MockTextBackend(), MockEmbedder(),

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from treegen.errors import ConfigError, IncompleteTreeError
+from treegen.errors import ConfigError
 from treegen.tree import (GenMeta, LayerSpec, Mode, Role, Tree, TreeConfig, TreeNode, TreeShape,
                           child_id, classify_shape, config_from_dict, config_hash,
                           config_to_dict, expected_leaf_count, load_config,
@@ -180,7 +180,7 @@ def test_incomplete_tree_raises_unless_permissive():
         a = [TreeNode(id=child_id(pid, r), parent_id=pid, layer=2, role=Role.ANSWER,
                       text="a", token_count=1) for r in range(2)]
         tree.add_children(pid, a)
-    with pytest.raises(IncompleteTreeError):
+    with pytest.raises(ConfigError, match="expansion is not finished"):
         tree.leaf_paths()
     paths = tree.leaf_paths(permissive=True)
     assert len(paths) == 4 and all(len(p) == 2 for p in paths)
