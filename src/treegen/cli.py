@@ -115,6 +115,9 @@ def cmd_export(args) -> int:
         raise _UsageError("--sample-seed applies only with --target-size")
     store = CheckpointStore(args.tree)
     tree = store.load(store.stored_config())  # load writes nothing and opens no file
+    if not args.permissive and tree.unexpanded():
+        raise ConfigError("tree expansion is not finished; pass --permissive to export "
+                          "down to the deepest completed layer")
     if args.format == "pt":
         out = export_pt(tree, args.out, permissive=args.permissive)
         with open(out, encoding="utf-8") as fh:

@@ -34,18 +34,33 @@ most pairs of a pool are never computed, and a candidate that falls below the
 top after a few picks never meets the rest. ``MmrSelection.pool_score``
 scores an unpicked candidate against every pick only when asked for it.
 
-``MmrSelection`` is the greedy and its result in one class; the filter
-returns a copy that shares its picks, refresh state and similarities.
+``MmrSelection`` is the greedy and its result in one class, and it draws its
+picks on demand: construction makes only the first, the argmax of relevance,
+and the heap is built when the second is drawn. The filter returns a copy
+that shares its picks, heap, refresh state and similarities.
 
-The filter's backfill walks the candidates outside the selection in that
-score order, but scores only those it could keep. Kept candidates only
+The filter draws the picks one at a time as its pick-order scan reaches
+them. It keeps the set of candidates not yet scanned and not known to
+near-duplicate a kept one: after each kept candidate it removes those whose
+similarity to it is computed already and reaches the cutoff, computing no
+pair for this but the first kept pick's row, the one the second pick's heap
+is built from, and that only when there is a second pick. Once the set is
+empty, every candidate left would be dropped by the scan or set aside by the
+backfill below, so the filter drops them all and draws no more picks: in a
+pool where every pair reaches the cutoff, as long answers embedded at d=16
+do, it stops after its first pick. A pick not drawn is drawn, with the
+same value, when ``selected``, ``scores`` or ``pool_score`` is read, and as
+the pick order of the undrawn picks is not known, each filter lists its drops
+in index order.
+
+The filter's backfill walks the candidates outside the selection in
+``pool_score`` order, but scores only those it could keep. Kept candidates only
 accumulate, so one that near-duplicates a candidate the pick-order scan kept
 is dropped wherever the walk meets it; it is set aside unscored, and the
 others are walked alone, which keeps what the walk over all keeps. A set-aside
 candidate is listed as a drop if the walk over all would have met it: all of
 them if the walk falls short, else those ranked before the candidate that
-completed the selection, the one case in which they are scored. That is why
-the backfill lists its drops in index order, not in walk order.
+completed the selection, the one case in which they are scored.
 """
 
 from __future__ import annotations
@@ -53,7 +68,7 @@ from __future__ import annotations
 import copy
 import heapq
 import math
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .backends import EmbeddingVector
 from .errors import ConfigError
@@ -177,27 +192,39 @@ class PoolSimilarity:
                 return True
         return missing and any(sim >= threshold for sim in self.row(i, js))
 
+    def known_to_reach(self, i: int, js: Iterable[int], threshold: float) -> set[int]:
+        """The candidates among ``js`` whose similarity to candidate ``i`` is
+        computed already and reaches ``threshold``; computes none."""
+        sims = self._sims[i]
+        return {j for j in js if (sim := sims[j]) is not None and sim >= threshold}
+
 
 class MmrSelection:
     """Greedy MMR over one pool, in the lazy order the module docstring gives,
     and the result of that selection pass.
 
-    ``selected`` and ``scores`` are the ``k`` picks and their pick scores.
+    The picks are drawn on demand: construction makes only the first, the
+    argmax of relevance, and the heap waits for the second. ``selected`` and
+    ``scores`` are the ``k`` picks and their pick scores, and
     ``pool_score(i)`` is candidate ``i``'s MMR score against all the picks
-    (its pick score for a pick), computed when asked for; the duplicate
-    filter backfills in that score order. ``dropped_as_duplicates``
-    lists each candidate a filter dropped once: for each filter in turn, its
-    scan's drops in pick order, then its backfill's in index order.
+    (its pick score for a pick), computed when asked for; each draws any pick
+    still missing first. The duplicate filter draws the picks one at a time
+    and backfills in pool-score order. ``dropped_as_duplicates`` lists each
+    candidate a filter dropped once: for each filter in turn, its drops in
+    index order.
 
-    A filter returns a shallow copy with its own ``selected``, ``scores`` and
-    ``dropped_as_duplicates``; it shares the greedy's picks, refresh state and
-    ``similarity``, so a score refreshed through either is fresh for both.
+    A filter returns a shallow copy whose ``selected``, ``scores`` and
+    ``dropped_as_duplicates`` are its own; it shares the greedy's picks, heap,
+    refresh state and ``similarity``, so a pick drawn or a score refreshed
+    through either is there for both.
     """
 
     dropped_as_duplicates: tuple[int, ...] = ()
+    _kept: tuple[tuple[int, float], ...] | None = None  # a filter's: (index, score) per member
 
     def __init__(self, similarity: PoolSimilarity, k: int, lambda_: float):
         self.similarity = similarity
+        self._k = k
         self._lambda = lambda_
         relevance = similarity.relevance
         first = 0  # the first pick maximizes relevance; strict > keeps the lowest index
@@ -205,21 +232,41 @@ class MmrSelection:
             if relevance[i] > relevance[first]:
                 first = i
         self._picks = [first]
-        scores = [relevance[first]]
+        self._picked = {first: relevance[first]}  # pick -> pick score
         # max similarity of each candidate to the first _seen[i] picks;
         # similarities may be negative, so the empty-set sentinel is -inf
         self._max_sim = [float("-inf")] * len(relevance)
         self._seen = [0] * len(relevance)
+        # filled in place when the second pick is drawn, so filter copies share it
         self._heap: list[tuple[float, int]] = []
-        if k > 1:
+
+    @property
+    def selected(self) -> tuple[int, ...]:
+        return tuple(i for i, _ in self._members())
+
+    @property
+    def scores(self) -> tuple[float, ...]:
+        return tuple(score for _, score in self._members())
+
+    def _members(self) -> Iterator[tuple[int, float]]:
+        """(index, score) of each member in order: a filter's kept candidates,
+        else the ``k`` picks, each drawn when the iteration reaches it."""
+        if self._kept is not None:
+            yield from self._kept
+            return
+        for n in range(self._k):
+            if n == len(self._picks):
+                self._draw()
+            pick = self._picks[n]
+            yield pick, self._picked[pick]
+
+    def _draw(self) -> None:
+        """Make the next pick; the second first scores and heaps the others."""
+        if len(self._picks) == 1:
             self._start()
-        while len(self._picks) < k:
-            i, score = self._pop()
-            self._picks.append(i)
-            scores.append(score)
-        self._picked = dict(zip(self._picks, scores))
-        self.selected = tuple(self._picks)
-        self.scores = tuple(scores)
+        i, score = self._pop()
+        self._picks.append(i)
+        self._picked[i] = score
 
     def _score(self, i: int) -> float:
         return (self._lambda * self.similarity.relevance[i]
@@ -247,7 +294,7 @@ class MmrSelection:
             if sim > self._max_sim[i]:
                 self._max_sim[i] = sim
             self._seen[i] = 1
-        self._heap = [(-self._score(i), i) for i in others]
+        self._heap += [(-self._score(i), i) for i in others]
         heapq.heapify(self._heap)
 
     def _pop(self) -> tuple[int, float]:
@@ -265,6 +312,8 @@ class MmrSelection:
 
     def pool_score(self, i: int) -> float:
         """Candidate ``i``'s score against all picks (its pick score if picked)."""
+        while len(self._picks) < self._k:
+            self._draw()
         if i in self._picked:
             return self._picked[i]
         self._refresh(i, len(self._picks))
@@ -302,17 +351,19 @@ def near_duplicate_filter(candidates: Sequence[EmbeddingVector],
                           selection: MmrSelection, threshold: float) -> MmrSelection:
     """Drop selected candidates that near-duplicate an earlier kept one.
 
-    Scans the selection in pick order, dropping any candidate whose cosine to
-    an already kept candidate reaches ``threshold``, then backfills from the
-    unselected pool in MMR-score order under the same rule, scoring only the
-    candidates it could keep (see the module docstring). The drops are
-    appended to the selection's, the scan's in pick order and the backfill's
-    in index order, leaving out any it already lists, in a copy of
-    ``selection`` (see ``MmrSelection``); ``selection`` is left as it was.
-    Thresholds above 1 disable the filter and return ``selection`` itself.
-    The similarities are the selection's own, so
-    ``selection`` must have been made over ``candidates``; a ``ValueError``
-    otherwise.
+    Scans the selection in pick order, drawing each pick when it reaches it
+    and dropping any candidate whose cosine to an already kept candidate
+    reaches ``threshold``, then backfills from the unselected pool in
+    MMR-score order under the same rule, scoring only the candidates it
+    could keep. It stops drawing picks, and drops every candidate it has not
+    scanned, once each of those is known to near-duplicate a kept one (see
+    the module docstring). The drops are appended to the selection's in
+    index order, leaving out any it already lists, in a copy of
+    ``selection`` (see ``MmrSelection``); ``selection`` is left as it was,
+    but for the picks drawn. Thresholds above 1 disable the filter and
+    return ``selection`` itself. The similarities are the selection's own,
+    so ``selection`` must have been made over ``candidates``; a
+    ``ValueError`` otherwise.
     """
     if not 0.0 < threshold <= 1.01:
         raise ConfigError(f"threshold must be in (0, 1.01] (got {threshold})")
@@ -323,27 +374,40 @@ def near_duplicate_filter(candidates: Sequence[EmbeddingVector],
     if len(candidates) != len(similarity.relevance):
         raise ValueError("the selection was made over another pool")
     similarity.extend(candidates)  # adds none, but checks they are the pool's own
-    target = len(selection.selected)
+    target = selection._k if selection._kept is None else len(selection._kept)
     kept: list[int] = []
     kept_scores: list[float] = []
     drops: list[int] = []
+    scanned: set[int] = set()
+    # the unscanned candidates not known, from the pairs computed so far, to
+    # near-duplicate a kept one
+    unblocked = set(range(len(candidates)))
 
-    for idx, score in zip(selection.selected, selection.scores):
+    for idx, score in selection._members():  # draws each pick when it reaches it
+        scanned.add(idx)
+        unblocked.discard(idx)
+        # computes no pair for a pick: when drawn, it met every earlier pick
         if similarity.reaches(idx, kept, threshold):
             drops.append(idx)
         else:
+            if not kept and target > 1:  # the row the second pick's heap is built from
+                similarity.row(idx, [i for i in range(len(candidates)) if i != idx])
             kept.append(idx)
             kept_scores.append(score)
+            unblocked -= similarity.known_to_reach(idx, unblocked, threshold)
+        if not unblocked and len(scanned) < target:
+            # neither the scan nor the backfill can keep another candidate
+            drops += (i for i in range(len(candidates)) if i not in scanned)
+            break
 
-    if len(kept) < target:
+    if len(scanned) == target and len(kept) < target:
         # as the module docstring says: a candidate that near-duplicates one
         # the scan kept is blocked, never kept, and walks unscored
-        in_selection = set(selection.selected)
         scan_kept = tuple(kept)
         blocked: list[int] = []
         walk: list[tuple[float, int]] = []
         for i in range(len(candidates)):
-            if i in in_selection:
+            if i in scanned:
                 continue
             if similarity.reaches(i, scan_kept, threshold):
                 blocked.append(i)
@@ -365,11 +429,11 @@ def near_duplicate_filter(candidates: Sequence[EmbeddingVector],
         # a blocked candidate is a drop if the walk over all would reach it
         if stop is not None:
             blocked = [i for i in blocked if (-selection.pool_score(i), i) < stop]
-        drops += sorted(backfill_drops + blocked)
+        drops += backfill_drops + blocked
 
     listed = set(selection.dropped_as_duplicates)
     filtered = copy.copy(selection)
-    filtered.selected, filtered.scores = tuple(kept), tuple(kept_scores)
+    filtered._kept = tuple(zip(kept, kept_scores))
     filtered.dropped_as_duplicates = (selection.dropped_as_duplicates
-                                      + tuple(i for i in drops if i not in listed))
+                                      + tuple(sorted(set(drops) - listed)))
     return filtered

@@ -891,6 +891,25 @@ def test_export_incomplete_tree_needs_permissive(tmp_path, capsys):
     assert json.loads(out)["records"] > 0
 
 
+@pytest.mark.parametrize("fmt", ["sharegpt", "jsonl", "pt"])
+def test_export_of_an_unfinished_tree_names_the_flag(tmp_path, capsys, fmt):
+    from treegen.backends import MockEmbedder, MockTextBackend
+    from treegen.scheduler import TreeRunner
+    from test_scheduler import AbortingStore, InjectedCrash
+    config = sft_config([4, 2, 2, 2], dedup_threshold=1.01)
+    out_dir = tmp_path / "partial"
+    with pytest.raises(InjectedCrash):
+        TreeRunner(config, MockTextBackend(), MockEmbedder(),
+                   AbortingStore(out_dir, abort_after_nodes=20)).run()
+    out_file = tmp_path / "x.out"
+    code, out, err = run_cli(capsys, "export", "--tree", str(out_dir), "--format", fmt,
+                             "--out", str(out_file))
+    assert (code, out) == (1, "")
+    assert err == ("error: tree expansion is not finished; pass --permissive to export "
+                   "down to the deepest completed layer\n")
+    assert not out_file.exists()
+
+
 def test_export_leaves_a_torn_checkpoint_unchanged(completed_run, tmp_path, capsys, caplog):
     nodes = completed_run / "nodes.jsonl"
     nodes.write_bytes(nodes.read_bytes()[:-17])  # cut into the final line

@@ -349,7 +349,7 @@ POOL_KINDS = {"gaussian": (_gaussian_pool, 12), "zero": (_zero_pool, 10),
 def test_selection_equals_per_pair_reference_bitwise(kind):
     make_pool, max_n = POOL_KINDS[kind]
     rng = random.Random(f"selection-{kind}")
-    drops = backfills = ties = 0
+    drops = backfills = ties = stops = 0
     for trial in range(110):
         n = rng.randint(1, max_n)
         raw = make_pool(rng, n)
@@ -365,8 +365,24 @@ def test_selection_equals_per_pair_reference_bitwise(kind):
         else:
             threshold = rng.choice((0.3, 0.9, 0.95, 0.99, 1.0, 1.01))
 
-        got = mmr_select(pool, query, k, lam)
         want = reference_mmr_select(pool, query, k, lam)
+        if threshold <= 1.0:
+            kept, kept_scores, dropped = reference_near_duplicate_filter(
+                pool, *want, threshold)
+            # filter first: the filter draws only the picks it reads, and
+            # the rest are drawn when asked for
+            fresh = mmr_select(pool, query, k, lam)
+            filtered = near_duplicate_filter(pool, fresh, threshold)
+            stops += len(fresh._picks) < k
+            assert filtered.selected == kept, f"trial {trial}"
+            assert bits(filtered.scores) == bits(kept_scores), f"trial {trial}"
+            assert filtered.dropped_as_duplicates == tuple(sorted(dropped)), f"trial {trial}"
+            assert fresh.selected == want[0], f"trial {trial}"
+            assert bits(fresh.scores) == bits(want[1]), f"trial {trial}"
+            assert bits(map(fresh.pool_score, range(n))) == bits(want[2]), f"trial {trial}"
+            assert bits(map(filtered.pool_score, range(n))) == bits(want[2]), f"trial {trial}"
+
+        got = mmr_select(pool, query, k, lam)
         assert got.selected == want[0], f"trial {trial}"
         assert bits(got.scores) == bits(want[1]), f"trial {trial}"
         assert bits(map(got.pool_score, range(n))) == bits(want[2]), f"trial {trial}"
@@ -375,11 +391,9 @@ def test_selection_equals_per_pair_reference_bitwise(kind):
         if threshold > 1.0:
             assert filtered is got
         else:
-            kept, kept_scores, dropped = reference_near_duplicate_filter(
-                pool, *want, threshold)
             assert filtered.selected == kept, f"trial {trial}"
             assert bits(filtered.scores) == bits(kept_scores), f"trial {trial}"
-            assert filtered.dropped_as_duplicates == dropped, f"trial {trial}"
+            assert filtered.dropped_as_duplicates == tuple(sorted(dropped)), f"trial {trial}"
             assert bits(map(filtered.pool_score, range(n))) == bits(want[2]), f"trial {trial}"
             drops += bool(dropped)
             backfills += bool(set(kept) - set(want[0]))
@@ -391,7 +405,7 @@ def test_selection_equals_per_pair_reference_bitwise(kind):
             want_relevance = reference_cosine(pool[a], query)
             assert similarity.relevance[a].hex() == want_relevance.hex(), f"trial {trial}"
     if kind in ("duplicate", "mock-d16"):
-        assert drops >= 10 and backfills >= 3, (drops, backfills)
+        assert drops >= 10 and backfills >= 3 and stops >= 10, (drops, backfills, stops)
     assert ties > 10
 
 
@@ -414,7 +428,7 @@ def test_filtering_a_filtered_selection_equals_reference():
         assert (second.selected, bits(second.scores)) == (again[0], bits(again[1])), trial
         listed = first.dropped_as_duplicates
         assert second.dropped_as_duplicates == listed + tuple(
-            i for i in again[2] if i not in listed), trial
+            sorted(i for i in again[2] if i not in listed)), trial
         backfills += bool(set(again[0]) - set(kept))
         relisted += bool(set(again[2]) & set(listed))
     assert backfills >= 10 and relisted >= 10, (backfills, relisted)
@@ -435,7 +449,7 @@ def test_scheduler_filter_equals_reference_on_a_shortfall_tree(monkeypatch, tmp_
             tuple(map(selection.pool_score, range(len(candidates)))), threshold)
         assert filtered.selected == kept
         assert bits(filtered.scores) == bits(kept_scores)
-        assert filtered.dropped_as_duplicates == dropped
+        assert filtered.dropped_as_duplicates == tuple(sorted(dropped))
         calls += 1
         backfills += bool(set(kept) - set(selection.selected))
         drops += len(dropped)
@@ -546,9 +560,32 @@ def test_backfill_computes_no_pair_for_candidates_the_first_pick_blocks(monkeypa
     pairs = count_pairs(monkeypatch)
     filtered = near_duplicate_filter(pool, selection, 0.99)
     assert filtered.selected == (0, 1)
-    assert filtered.dropped_as_duplicates == (5, 2, 3, 4)  # the scan's, then by index
+    assert filtered.dropped_as_duplicates == (2, 3, 4, 5)  # in index order
     later_picks = {id(pool[i].values) for i in selection.selected[1:]}
     assert not [pair for pair in pairs if pair & later_picks]
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_filtering_a_saturated_pool_draws_one_pick(monkeypatch, k):
+    # every pair clears the cutoff, so once the first pick's row is known no
+    # candidate left can be kept: the filter computes the relevance pairs and,
+    # when there is a second pick to read it, that row, and draws no second
+    # pick (which would refresh a candidate against the first)
+    pairs = count_pairs(monkeypatch)
+    pool = [vec(1, 0.9, e) for e in (0.0, 0.01, 0.02, 0.03, 0.04, 0.05)]
+    query = vec(1, 1, 0)
+    selection = mmr_select(pool, query, k, 0.5)
+    filtered = near_duplicate_filter(pool, selection, 0.99)
+    first = selection._picks[0]
+    assert selection._picks == [first] and filtered.selected == (first,)
+    others = [i for i in range(len(pool)) if i != first]
+    want = {frozenset((id(query.values), id(c.values))) for c in pool}
+    if k > 1:
+        assert filtered.dropped_as_duplicates == tuple(others)
+        want |= {frozenset((id(pool[first].values), id(pool[i].values))) for i in others}
+    else:
+        assert filtered.dropped_as_duplicates == ()
+    assert len(pairs) == len(want) and set(pairs) == want
 
 
 @pytest.mark.parametrize("dim", [0, 1, 5, 16])
