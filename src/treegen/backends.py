@@ -266,17 +266,12 @@ class _HttpBase:
     """
 
     def __init__(self, base_url: str | None = None, api_key: str | None = None,
-                 model: str | None = None, timeout: float = DEFAULT_TIMEOUT,
-                 max_retries: int = DEFAULT_RETRIES, backoff_base: float = DEFAULT_BACKOFF):
+                 model: str | None = None, timeout: float = DEFAULT_TIMEOUT):
         self.base_url = _require(base_url, API_BASE_ENV, "API base URL").rstrip("/")
         url = _split_base_url(self.base_url)
         self.api_key = _require(api_key, API_KEY_ENV, "API key")
         self.model = _require(model, MODEL_ENV, "model name")
-        if max_retries < 1:
-            raise ConfigError(f"max_retries must be >= 1, got {max_retries}")
         self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
         self._headers = {"Authorization": f"Bearer {self.api_key}",
                          "Content-Type": "application/json"}
         # the request target of each endpoint is this prefix, "/" and its path
@@ -346,9 +341,10 @@ class _HttpBase:
 
         A transport failure, a 429 or 5xx status, a non-JSON body (one nested
         too deeply for ``json.loads`` included) and a reply that ``parse``
-        rejects with ``ValueError`` are retried with backoff, or after the
-        delta-seconds of a 429's or 503's ``Retry-After`` (at most
-        ``timeout``); any other status fails at once.
+        rejects with ``ValueError`` are retried, for ``DEFAULT_RETRIES``
+        attempts in all, after a backoff of ``DEFAULT_BACKOFF`` seconds that
+        doubles, or after the delta-seconds of a 429's or 503's
+        ``Retry-After`` (at most ``timeout``); any other status fails at once.
         """
         import http.client
 
@@ -356,9 +352,9 @@ class _HttpBase:
         target = f"{self._target}/{path}"
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
         wait = None
-        for attempt in range(1, self.max_retries + 1):
+        for attempt in range(1, DEFAULT_RETRIES + 1):
             if attempt > 1:
-                time.sleep(self.backoff_base * 2 ** (attempt - 2) if wait is None else wait)
+                time.sleep(DEFAULT_BACKOFF * 2 ** (attempt - 2) if wait is None else wait)
             wait = None
             try:
                 status, retry_after, data = self._exchange(target, body)

@@ -113,8 +113,7 @@ def cmd_export(args) -> int:
         raise _UsageError(f"--policy-seed applies to --turn-policy gturn only, not {spec}")
     if args.sample_seed is not None and args.target_size is None:
         raise _UsageError("--sample-seed applies only with --target-size")
-    store = CheckpointStore(args.tree)
-    tree = store.load(store.stored_config())  # load writes nothing and opens no file
+    tree = CheckpointStore(args.tree).load()  # load writes nothing and opens no file
     if not args.permissive and tree.unexpanded():
         raise ConfigError("tree expansion is not finished; pass --permissive to export "
                           "down to the deepest completed layer")

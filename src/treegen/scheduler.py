@@ -34,10 +34,10 @@ import logging
 import math
 import os
 import threading
+import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
 
@@ -65,7 +65,7 @@ CHECKPOINT_FORMAT = 3
 
 
 def _utcnow() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
 # one scanner call: a line's value and the index just past it
@@ -100,7 +100,7 @@ class CheckpointStore:
     writes nothing, and the first append after it cuts the file where the
     intact blocks end, so the block is regenerated deterministically.
 
-    config.json is read here only, by ``stored_config`` and ``load``.
+    config.json is read here only, by ``load``.
 
     manifest.json summarizes one session and is never read back. ``begin``
     writes it when the session starts and ``finalize`` when it ends: the
@@ -188,14 +188,15 @@ class CheckpointStore:
 
     # -- load / replay ------------------------------------------------------
 
-    def stored_config(self) -> TreeConfig:
-        """The config the checkpoint was grown from, as config.json records it."""
-        return self._read_config_file()[0]
+    def load(self, config: TreeConfig | None = None) -> Tree:
+        """Verify compatibility and replay the log up to a torn tail, in one
+        streamed pass that checks every record it keeps; writes nothing.
 
-    def _read_config_file(self) -> tuple[TreeConfig, object]:
-        """config.json's config and hash. Raises ConfigError unless the file
-        is a JSON object that declares this checkpoint format and holds a
-        config that parses."""
+        config.json must be a JSON object that declares this checkpoint
+        format and holds a config that parses, and the hash it records must
+        be that of ``config`` or, given none, of the config it holds; else
+        this raises a ConfigError.
+        """
         if not self.exists():
             raise ConfigError(f"no checkpoint in {self.directory}")
         try:
@@ -211,19 +212,14 @@ class CheckpointStore:
                 f"{self.config_path} declares {what}; this version reads checkpoint "
                 f"format {CHECKPOINT_FORMAT} only, so regenerate the tree")
         try:
-            config = config_from_dict(stored.get("config"))
+            held = config_from_dict(stored.get("config"))
         except (ConfigError, TypeError, ValueError) as exc:
             raise ConfigError(f"{self.config_path} holds no valid config: {exc}") from exc
-        return config, stored.get("hash")
-
-    def load(self, config: TreeConfig) -> Tree:
-        """Verify compatibility and replay the log up to a torn tail, in one
-        streamed pass that checks every record it keeps; writes nothing."""
-        stored_hash = self._read_config_file()[1]
-        if stored_hash != config_hash(config):
+        config = held if config is None else config
+        if stored.get("hash") != config_hash(config):
             raise ConfigError(
-                f"checkpoint config hash {stored_hash} does not match the "
-                f"provided config hash {config_hash(config)}")
+                f"checkpoint config hash {stored.get('hash')} does not match the "
+                f"config hash {config_hash(config)}")
 
         tree = Tree(config)
         self._intact = self._replay(tree)

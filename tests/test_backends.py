@@ -231,26 +231,33 @@ def test_http_request_bytes_are_the_json_payload(scripted_server):
         assert seen.headers["Content-Type"] == "application/json"
 
 
-def test_http_retries_then_succeeds(scripted_server):
+def fast_retries(monkeypatch, attempts: int = 3) -> None:
+    """Gives each request ``attempts`` attempts, with no backoff between them."""
+    monkeypatch.setattr(backends, "DEFAULT_RETRIES", attempts)
+    monkeypatch.setattr(backends, "DEFAULT_BACKOFF", 0.0)
+
+
+def test_http_retries_then_succeeds(scripted_server, monkeypatch):
     server = scripted_server(failing(2))
-    backend = HttpTextBackend(base_url=server.url + "/v1", api_key="k", model="m",
-                              backoff_base=0.01)
+    fast_retries(monkeypatch)
+    backend = HttpTextBackend(base_url=server.url + "/v1", api_key="k", model="m")
     result = backend.generate(request(n=1))
     assert result.completions[0].text == "fixture completion 0"
 
 
-def test_http_gives_up_after_bounded_retries(scripted_server):
+def test_http_gives_up_after_bounded_retries(scripted_server, monkeypatch):
     server = scripted_server(failing(10))
-    backend = HttpTextBackend(base_url=server.url + "/v1", api_key="k", model="m",
-                              backoff_base=0.01, max_retries=3)
+    fast_retries(monkeypatch)
+    backend = HttpTextBackend(base_url=server.url + "/v1", api_key="k", model="m")
     with pytest.raises(BackendError, match="HTTP 500: .*boom") as exc_info:
         backend.generate(request(n=1))
     assert exc_info.value.attempts == 3
 
 
-def test_http_transport_failure_is_retryable_error():
+def test_http_transport_failure_is_retryable_error(monkeypatch):
+    fast_retries(monkeypatch, attempts=2)
     backend = HttpTextBackend(base_url="http://127.0.0.1:9", api_key="k", model="m",
-                              backoff_base=0.01, max_retries=2, timeout=0.2)
+                              timeout=0.2)
     with pytest.raises(BackendError) as exc_info:
         backend.generate(request(n=1))
     assert exc_info.value.attempts == 2
@@ -260,21 +267,21 @@ def _ok(*bodies: bytes) -> list:
     return [(200, body) for body in bodies]
 
 
-def test_http_non_json_body_is_retried_backend_error(scripted_server):
+def test_http_non_json_body_is_retried_backend_error(scripted_server, monkeypatch):
     server = scripted_server(_ok(b"<html>upstream proxy error</html>"))
-    backend = HttpTextBackend(base_url=server.url, api_key="k", model="m",
-                              backoff_base=0.0, max_retries=3)
+    fast_retries(monkeypatch)
+    backend = HttpTextBackend(base_url=server.url, api_key="k", model="m")
     with pytest.raises(BackendError, match="non-JSON") as exc_info:
         backend.generate(request(n=1))
     assert exc_info.value.attempts == 3
     assert server.calls == 3
 
 
-def test_http_body_nested_too_deeply_is_retried_backend_error(scripted_server):
+def test_http_body_nested_too_deeply_is_retried_backend_error(scripted_server, monkeypatch):
     # json.loads raises RecursionError here, not ValueError
     server = scripted_server(_ok(b"[" * 100_000))
-    backend = HttpTextBackend(base_url=server.url, api_key="k", model="m",
-                              backoff_base=0.0, max_retries=3)
+    fast_retries(monkeypatch)
+    backend = HttpTextBackend(base_url=server.url, api_key="k", model="m")
     with pytest.raises(BackendError, match="non-JSON") as exc_info:
         backend.generate(request(n=1))
     assert exc_info.value.attempts == 3
@@ -304,20 +311,21 @@ def _item_count(body: bytes) -> int:
 
 
 @BAD_COUNT_CASES
-def test_http_wrong_item_count_is_retried(scripted_server, backend_class, bad, good):
+def test_http_wrong_item_count_is_retried(scripted_server, monkeypatch, backend_class, bad,
+                                          good):
     server = scripted_server(_ok(bad, good))
-    backend = backend_class(base_url=server.url, api_key="k", model="m",
-                            backoff_base=0.0, max_retries=3)
+    fast_retries(monkeypatch)
+    backend = backend_class(base_url=server.url, api_key="k", model="m")
     assert len(_call(backend)) == 1
     assert server.calls == 2
 
 
 @BAD_COUNT_CASES
-def test_http_wrong_item_count_gives_up_after_bounded_retries(scripted_server, backend_class,
-                                                              bad, good):
+def test_http_wrong_item_count_gives_up_after_bounded_retries(scripted_server, monkeypatch,
+                                                              backend_class, bad, good):
     server = scripted_server(_ok(bad))
-    backend = backend_class(base_url=server.url, api_key="k", model="m",
-                            backoff_base=0.0, max_retries=3)
+    fast_retries(monkeypatch)
+    backend = backend_class(base_url=server.url, api_key="k", model="m")
     with pytest.raises(BackendError, match="expected 1") as exc_info:
         _call(backend)
     assert exc_info.value.attempts == 3
@@ -368,20 +376,20 @@ BAD_ITEM_CASES = pytest.mark.parametrize("backend_class, bad, good", [
 
 
 @BAD_ITEM_CASES
-def test_http_malformed_item_is_retried(scripted_server, backend_class, bad, good):
+def test_http_malformed_item_is_retried(scripted_server, monkeypatch, backend_class, bad, good):
     server = scripted_server(_ok(bad, good))
-    backend = backend_class(base_url=server.url, api_key="k", model="m",
-                            backoff_base=0.0, max_retries=3)
+    fast_retries(monkeypatch)
+    backend = backend_class(base_url=server.url, api_key="k", model="m")
     assert len(_call(backend, _item_count(good))) == _item_count(good)
     assert server.calls == 2
 
 
 @BAD_ITEM_CASES
-def test_http_malformed_item_gives_up_after_bounded_retries(scripted_server, backend_class,
-                                                            bad, good):
+def test_http_malformed_item_gives_up_after_bounded_retries(scripted_server, monkeypatch,
+                                                            backend_class, bad, good):
     server = scripted_server(_ok(bad))
-    backend = backend_class(base_url=server.url, api_key="k", model="m",
-                            backoff_base=0.0, max_retries=3)
+    fast_retries(monkeypatch)
+    backend = backend_class(base_url=server.url, api_key="k", model="m")
     with pytest.raises(BackendError, match="malformed") as exc_info:
         _call(backend, _item_count(good))
     assert exc_info.value.attempts == 3
@@ -428,12 +436,6 @@ def test_close_closes_the_session_of_every_thread(scripted_server, monkeypatch):
     assert {id(c) for c in closed} == {id(c) for c in opened}
 
 
-@pytest.mark.parametrize("backend_class", [HttpTextBackend, HttpEmbedder])
-def test_fewer_than_one_attempt_is_a_config_error(backend_class):
-    with pytest.raises(ConfigError, match="max_retries must be >= 1, got 0"):
-        backend_class(base_url="http://127.0.0.1:9", api_key="k", model="m", max_retries=0)
-
-
 def test_missing_configuration_names_the_variable(monkeypatch):
     monkeypatch.delenv("TG_API_BASE", raising=False)
     monkeypatch.delenv("TG_API_KEY", raising=False)
@@ -459,8 +461,8 @@ def test_http_retry_after_replaces_the_backoff(scripted_server, monkeypatch,
     server = scripted_server([(status, b'{"error": "busy"}', headers), (200, GOOD_CHOICES)])
     sleeps = []
     monkeypatch.setattr(backends.time, "sleep", sleeps.append)
-    backend = HttpTextBackend(base_url=server.url, api_key="k", model="m", timeout=5.0,
-                              backoff_base=0.25)
+    monkeypatch.setattr(backends, "DEFAULT_BACKOFF", 0.25)
+    backend = HttpTextBackend(base_url=server.url, api_key="k", model="m", timeout=5.0)
     assert [c.text for c in _call(backend)] == ["fine"]
     assert sleeps == [wait]
     assert server.calls == 2
@@ -492,12 +494,11 @@ def test_http_proxy_gets_an_absolute_form_target_unless_no_proxy(scripted_server
     _clear_proxy_environment(monkeypatch)
     monkeypatch.setenv("HTTP_PROXY", server.url.replace("//", "//u%3A:p%40ss@"))
     # nothing listens on 127.0.0.2:9: only the proxy can answer
-    proxied = HttpTextBackend(base_url="http://127.0.0.2:9/v1", api_key="k", model="m",
-                              max_retries=1)
+    fast_retries(monkeypatch, attempts=1)
+    proxied = HttpTextBackend(base_url="http://127.0.0.2:9/v1", api_key="k", model="m")
     assert [c.text for c in _call(proxied)] == ["fine"]
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
-    direct = HttpTextBackend(base_url=server.url + "/v1", api_key="k", model="m",
-                             max_retries=1)
+    direct = HttpTextBackend(base_url=server.url + "/v1", api_key="k", model="m")
     assert [c.text for c in _call(direct)] == ["fine"]
     via_proxy, bypassed = server.seen
     assert via_proxy.target == "http://127.0.0.2:9/v1/completions"
@@ -512,8 +513,8 @@ def test_https_proxy_is_asked_for_a_tunnel(scripted_server, monkeypatch):
     server = scripted_server([])  # answers CONNECT with 502
     _clear_proxy_environment(monkeypatch)
     monkeypatch.setenv("HTTPS_PROXY", server.url.replace("//", "//u:p@"))
-    backend = HttpTextBackend(base_url="https://127.0.0.2:8443/v1", api_key="k", model="m",
-                              max_retries=1)
+    fast_retries(monkeypatch, attempts=1)
+    backend = HttpTextBackend(base_url="https://127.0.0.2:8443/v1", api_key="k", model="m")
     with pytest.raises(BackendError, match="transport failure.*502"):
         _call(backend)
     [seen] = server.seen

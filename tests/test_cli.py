@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
+import itertools
 import json
 import os
 import re
@@ -80,11 +81,27 @@ def test_generate_http_base_url_without_scheme_exits_1_writing_nothing(tmp_path,
     assert not out_dir.exists()
 
 
-def http_generate(capsys, monkeypatch, server, config_path, out_dir):
+def http_generate(capsys, monkeypatch, server, config_path, out_dir, *flags):
     monkeypatch.setenv("TG_API_KEY", "k")
     return run_cli(capsys, "generate", "--config", str(config_path),
                    "--out", str(out_dir), "--backend", "http",
-                   "--base-url", server.url + "/v1", "--model", "m")
+                   "--base-url", server.url + "/v1", "--model", "m", *flags)
+
+
+def mock_reply(path, payload):
+    """The reply of a server that answers as the shipped mocks do."""
+    if path.endswith("/embeddings"):
+        vectors = backends.MockEmbedder().embed(payload["input"])
+        body = {"data": [{"index": i, "embedding": list(v.values)}
+                         for i, v in enumerate(vectors)]}
+    else:
+        result = backends.MockTextBackend().generate(backends.GenerationRequest(
+            prompt=payload["prompt"], max_tokens=payload["max_tokens"],
+            temperature=payload["temperature"], n_samples=payload["n"], stop=(),
+            request_seed=payload["seed"] % 2**64))
+        body = {"choices": [{"index": i, "text": c.text}
+                            for i, c in enumerate(result.completions)]}
+    return 200, json.dumps(body).encode()
 
 
 def test_generate_http_non_json_body_exits_2(tmp_path, capsys, monkeypatch, scripted_server):
@@ -189,23 +206,10 @@ def test_generate_http_sends_signed_64_bit_seeds(tmp_path, capsys, monkeypatch,
                                                 scripted_server):
     # a server that types seed as a signed 64-bit integer, as vLLM does,
     # refuses any other value with a 400, which is not retried
-    generator, embedder = backends.MockTextBackend(), backends.MockEmbedder()
-
     def signed_seeds_only(path, payload):
-        if path.endswith("/embeddings"):
-            vectors = embedder.embed(payload["input"])
-            body = {"data": [{"index": i, "embedding": list(v.values)}
-                             for i, v in enumerate(vectors)]}
-        elif not -2**63 <= payload["seed"] < 2**63:
+        if path.endswith("/completions") and not -2**63 <= payload["seed"] < 2**63:
             return 400, b'{"error": "seed out of range"}'
-        else:
-            result = generator.generate(backends.GenerationRequest(
-                prompt=payload["prompt"], max_tokens=payload["max_tokens"],
-                temperature=payload["temperature"], n_samples=payload["n"], stop=(),
-                request_seed=payload["seed"] % 2**64))
-            body = {"choices": [{"index": i, "text": c.text}
-                                for i, c in enumerate(result.completions)]}
-        return 200, json.dumps(body).encode()
+        return mock_reply(path, payload)
 
     server = scripted_server(signed_seeds_only)
     config = sft_config([4, 2])
@@ -220,6 +224,52 @@ def test_generate_http_sends_signed_64_bit_seeds(tmp_path, capsys, monkeypatch,
     TreeRunner(config, mock, backends.MockEmbedder(), CheckpointStore(tmp_path / "m")).run()
     assert sorted(seed % 2**64 for seed in sent) == sorted(c["request_seed"]
                                                            for c in mock.calls)
+
+
+# the endpoint a bad body comes from, the body for a call's payload, and
+# what the error says
+MALFORMED_BODIES = {
+    "non-json": ("", lambda payload: b"<html>upstream proxy error</html>", "non-JSON"),
+    "choices-one-short": ("/completions", lambda payload: json.dumps(
+        {"choices": [{"index": i, "text": "a"} for i in range(payload["n"] - 1)]}).encode(),
+        "'choices' items, got"),
+    "data-without-embedding": ("/embeddings", lambda payload: json.dumps(
+        {"data": [{"index": i} for i in range(len(payload["input"]))]}).encode(),
+        "'embedding' is not"),
+}
+MALFORMED_FROM_CALL = 15  # past the root's 2 calls and the first layer's 8
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_BODIES))
+def test_generate_http_malformed_body_mid_run_aborts_to_a_prefix_and_resumes(
+        tmp_path, capsys, monkeypatch, scripted_server, case):
+    # from call MALFORMED_FROM_CALL on, the endpoint's every reply is bad: the
+    # client's retries fail, the run aborts with the blocks it committed,
+    # and a resume against a healthy server ends where an uninterrupted run does
+    endpoint, bad_body, message = MALFORMED_BODIES[case]
+    calls = itertools.count(1)
+
+    def turns_bad(path, payload):
+        if next(calls) >= MALFORMED_FROM_CALL and path.endswith(endpoint):
+            return 200, bad_body(payload)
+        return mock_reply(path, payload)
+
+    monkeypatch.setattr(backends.time, "sleep", lambda seconds: None)
+    config_path = write_config(tmp_path, sft_config([4, 2, 2, 2]))
+    assert http_generate(capsys, monkeypatch, scripted_server(mock_reply), config_path,
+                         tmp_path / "baseline")[0] == 0
+    baseline = (tmp_path / "baseline" / "nodes.jsonl").read_bytes()
+    out_dir = tmp_path / "o"
+    code, out, err = http_generate(capsys, monkeypatch, scripted_server(turns_bad),
+                                   config_path, out_dir)
+    assert (code, out) == (2, "") and message in err
+    assert json.loads((out_dir / "manifest.json").read_text())["status"] == "aborted"
+    nodes = (out_dir / "nodes.jsonl").read_bytes()
+    assert len(node_records(nodes)) > 1 + 4  # a layer-1 block was committed
+    assert baseline.startswith(nodes) and len(nodes) < len(baseline)
+    assert http_generate(capsys, monkeypatch, scripted_server(mock_reply), config_path,
+                         out_dir, "--resume")[0] == 0
+    assert (out_dir / "nodes.jsonl").read_bytes() == baseline
 
 
 def run_http_generate(tmp_path, capsys, monkeypatch, server_factory, retry_dim: int):
@@ -314,6 +364,20 @@ def test_damaged_checkpoint_config_exits_1(tmp_path, capsys, command, damage):
     assert code == 1 and out == ""
     last = err.splitlines()[-1]
     assert last.startswith("error: ") and str(stored) in last
+
+
+def test_export_of_a_checkpoint_whose_hash_was_edited_exits_1(tmp_path, capsys):
+    config_path = write_config(tmp_path, sft_config([2, 2]))
+    out_dir = tmp_path / "o"
+    assert run_cli(capsys, "generate", "--config", str(config_path),
+                   "--out", str(out_dir))[0] == 0
+    stored = out_dir / "config.json"
+    stored.write_text(json.dumps({**json.loads(stored.read_text()), "hash": "0" * 16}))
+    code, out, err = run_cli(capsys, "export", "--tree", str(out_dir), "--format", "sharegpt",
+                             "--out", str(tmp_path / "c.json"))
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1].startswith(f"error: checkpoint config hash {'0' * 16} ")
+    assert not (tmp_path / "c.json").exists()
 
 
 def _header(parent_id, children) -> str:
@@ -731,9 +795,9 @@ def test_export_pt_joins_with_the_config_template_separator(tmp_path, capsys):
     assert main(["export", "--tree", str(out_dir), "--format", "pt",
                  "--out", str(corpus)]) == 0
     capsys.readouterr()
-    store = CheckpointStore(out_dir)
-    assert store.stored_config().template_id == "llama2-chat"
-    paths = store.load(store.stored_config()).leaf_paths()
+    tree = CheckpointStore(out_dir).load()
+    assert tree.config.template_id == "llama2-chat"
+    paths = tree.leaf_paths()
     lines = corpus.read_text(encoding="utf-8").splitlines()
     assert [json.loads(line)["text"] for line in lines] == [
         "\n".join(node.text for node in path) for path in paths]

@@ -465,6 +465,19 @@ def test_load_without_manifest_rebuilds_tree(tmp_path):
     assert reloaded.shortfalls == shortfalls
 
 
+def test_load_without_a_config_replays_with_the_one_config_json_holds(tmp_path):
+    config = shortfall_heavy_config(0)
+    run_to_completion(config, tmp_path / "t", backend=SilentOnSomePrompts())
+    given = CheckpointStore(tmp_path / "t").load(config)
+    held = CheckpointStore(tmp_path / "t").load()
+    assert held.config == config
+    assert [node_to_record(n) for n in held.nodes.values()] == [
+        node_to_record(n) for n in given.nodes.values()]
+    assert [n.children for n in held.nodes.values()] == [
+        n.children for n in given.nodes.values()]
+    assert held.shortfalls == given.shortfalls and held.shortfalls
+
+
 def _replay_outcome(directory, config):
     """What loading ``directory`` gives: its error text, or the replayed
     nodes, their children, the unexpanded ids and the intact byte count."""
