@@ -36,8 +36,7 @@ scores an unpicked candidate against every pick only when asked for it.
 
 ``MmrSelection`` is the greedy and its result in one class, and it draws its
 picks on demand: construction makes only the first, the argmax of relevance,
-and the heap is built when the second is drawn. The filter returns a copy
-that shares its picks, heap, refresh state and similarities.
+and the heap is built when the second is drawn.
 
 The filter draws the picks one at a time as its pick-order scan reaches
 them. It keeps the set of candidates not yet scanned and not known to
@@ -49,9 +48,11 @@ empty, every candidate left would be dropped by the scan or set aside by the
 backfill below, so the filter drops them all and draws no more picks: in a
 pool where every pair reaches the cutoff, as long answers embedded at d=16
 do, it stops after its first pick. A pick not drawn is drawn, with the
-same value, when ``selected``, ``scores`` or ``pool_score`` is read, and as
-the pick order of the undrawn picks is not known, each filter lists its drops
-in index order.
+same value, when the selection's ``selected`` or ``pool_score`` is read, and
+as the pick order of the undrawn picks is not known, the filter lists its
+drops in index order. It returns a ``FilteredSelection``: the kept
+candidates, the drops and the selection's ``similarity``, nothing more; a
+kept candidate's score is the selection's ``pool_score`` of it.
 
 The filter's backfill walks the candidates outside the selection in
 ``pool_score`` order, but scores only those it could keep. Kept candidates only
@@ -65,20 +66,13 @@ completed the selection, the one case in which they are scored.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import math
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .backends import EmbeddingVector
 from .errors import ConfigError
-
-
-def _sq_norm(values: Sequence[float]) -> float:
-    sq = 0.0
-    for x in values:
-        sq += x * x
-    return sq
 
 
 def _dots(a: Sequence[float], rows: Sequence[Sequence[float]]) -> list[float]:
@@ -118,7 +112,12 @@ def _dots(a: Sequence[float], rows: Sequence[Sequence[float]]) -> list[float]:
 
 def _finite_roots(vectors: Sequence[Sequence[float]]) -> list[float]:
     """The norm of each vector; ``ValueError`` if a squared norm overflows."""
-    roots = [_sq_norm(v) ** 0.5 for v in vectors]
+    roots: list[float] = []
+    for v in vectors:
+        sq = 0.0
+        for x in v:
+            sq += x * x
+        roots.append(sq ** 0.5)
     if not all(map(math.isfinite, roots)):
         raise ValueError("a vector's squared norm is not finite")
     return roots
@@ -204,61 +203,43 @@ class MmrSelection:
     and the result of that selection pass.
 
     The picks are drawn on demand: construction makes only the first, the
-    argmax of relevance, and the heap waits for the second. ``selected`` and
-    ``scores`` are the ``k`` picks and their pick scores, and
-    ``pool_score(i)`` is candidate ``i``'s MMR score against all the picks
-    (its pick score for a pick), computed when asked for; each draws any pick
-    still missing first. The duplicate filter draws the picks one at a time
-    and backfills in pool-score order. ``dropped_as_duplicates`` lists each
-    candidate a filter dropped once: for each filter in turn, its drops in
-    index order.
-
-    A filter returns a shallow copy whose ``selected``, ``scores`` and
-    ``dropped_as_duplicates`` are its own; it shares the greedy's picks, heap,
-    refresh state and ``similarity``, so a pick drawn or a score refreshed
-    through either is there for both.
+    argmax of relevance, and the heap waits for the second. ``selected`` is
+    the ``k`` picks, and ``pool_score(i)`` is candidate ``i``'s MMR score
+    against all the picks (its pick score for a pick), computed when asked
+    for; each draws any pick still missing first. The duplicate filter draws
+    the picks one at a time and backfills in pool-score order, and returns
+    its own result, a ``FilteredSelection``.
     """
 
+    # a selection has dropped nothing; only treebench/tracing.py reads this,
+    # as the drops the filter's input already lists
     dropped_as_duplicates: tuple[int, ...] = ()
-    _kept: tuple[tuple[int, float], ...] | None = None  # a filter's: (index, score) per member
 
     def __init__(self, similarity: PoolSimilarity, k: int, lambda_: float):
         self.similarity = similarity
         self._k = k
         self._lambda = lambda_
         relevance = similarity.relevance
-        first = 0  # the first pick maximizes relevance; strict > keeps the lowest index
-        for i in range(1, len(relevance)):
-            if relevance[i] > relevance[first]:
-                first = i
+        # the first pick maximizes relevance; max keeps the first, lowest, index on ties
+        first = max(range(len(relevance)), key=relevance.__getitem__)
         self._picks = [first]
         self._picked = {first: relevance[first]}  # pick -> pick score
         # max similarity of each candidate to the first _seen[i] picks;
         # similarities may be negative, so the empty-set sentinel is -inf
         self._max_sim = [float("-inf")] * len(relevance)
         self._seen = [0] * len(relevance)
-        # filled in place when the second pick is drawn, so filter copies share it
-        self._heap: list[tuple[float, int]] = []
+        self._heap: list[tuple[float, int]] = []  # built when the second pick is drawn
 
     @property
     def selected(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self._members())
+        return tuple(self._members())
 
-    @property
-    def scores(self) -> tuple[float, ...]:
-        return tuple(score for _, score in self._members())
-
-    def _members(self) -> Iterator[tuple[int, float]]:
-        """(index, score) of each member in order: a filter's kept candidates,
-        else the ``k`` picks, each drawn when the iteration reaches it."""
-        if self._kept is not None:
-            yield from self._kept
-            return
+    def _members(self) -> Iterator[int]:
+        """The ``k`` picks in order, each drawn when the iteration reaches it."""
         for n in range(self._k):
             if n == len(self._picks):
                 self._draw()
-            pick = self._picks[n]
-            yield pick, self._picked[pick]
+            yield self._picks[n]
 
     def _draw(self) -> None:
         """Make the next pick; the second first scores and heaps the others."""
@@ -294,7 +275,7 @@ class MmrSelection:
             if sim > self._max_sim[i]:
                 self._max_sim[i] = sim
             self._seen[i] = 1
-        self._heap += [(-self._score(i), i) for i in others]
+        self._heap = [(-self._score(i), i) for i in others]
         heapq.heapify(self._heap)
 
     def _pop(self) -> tuple[int, float]:
@@ -318,6 +299,21 @@ class MmrSelection:
             return self._picked[i]
         self._refresh(i, len(self._picks))
         return self._score(i)
+
+
+@dataclass(frozen=True)
+class FilteredSelection:
+    """What the near-duplicate filter kept and dropped.
+
+    ``selected`` holds the kept candidates in keep order: the picks the scan
+    kept, in pick order, then the backfill's. ``dropped_as_duplicates`` holds
+    the drops in index order, and ``similarity`` is the filtered selection's
+    own, for a retry's grown pool to reuse.
+    """
+
+    selected: tuple[int, ...]
+    dropped_as_duplicates: tuple[int, ...]
+    similarity: PoolSimilarity
 
 
 def mmr_select(candidates: Sequence[EmbeddingVector], query: EmbeddingVector,
@@ -348,7 +344,7 @@ def mmr_select(candidates: Sequence[EmbeddingVector], query: EmbeddingVector,
 
 
 def near_duplicate_filter(candidates: Sequence[EmbeddingVector],
-                          selection: MmrSelection, threshold: float) -> MmrSelection:
+                          selection: MmrSelection, threshold: float) -> FilteredSelection:
     """Drop selected candidates that near-duplicate an earlier kept one.
 
     Scans the selection in pick order, drawing each pick when it reaches it
@@ -357,50 +353,47 @@ def near_duplicate_filter(candidates: Sequence[EmbeddingVector],
     MMR-score order under the same rule, scoring only the candidates it
     could keep. It stops drawing picks, and drops every candidate it has not
     scanned, once each of those is known to near-duplicate a kept one (see
-    the module docstring). The drops are appended to the selection's in
-    index order, leaving out any it already lists, in a copy of
-    ``selection`` (see ``MmrSelection``); ``selection`` is left as it was,
-    but for the picks drawn. Thresholds above 1 disable the filter and
-    return ``selection`` itself. The similarities are the selection's own,
-    so ``selection`` must have been made over ``candidates``; a
+    the module docstring). Returns the kept candidates, the drops in index
+    order and the selection's similarities; ``selection`` is left as it was,
+    but for the picks drawn. Thresholds above 1 disable the filter: it keeps
+    the ``k`` picks and drops none. The similarities are the selection's
+    own, so ``selection`` must have been made over ``candidates``; a
     ``ValueError`` otherwise.
     """
     if not 0.0 < threshold <= 1.01:
         raise ConfigError(f"threshold must be in (0, 1.01] (got {threshold})")
-    if threshold > 1.0:
-        return selection
-
     similarity = selection.similarity
-    if len(candidates) != len(similarity.relevance):
+    if threshold > 1.0:
+        return FilteredSelection(selection.selected, (), similarity)
+
+    if (len(candidates) != len(similarity.relevance)
+            or any(c.values is not v for c, v in zip(candidates, similarity._vectors))):
         raise ValueError("the selection was made over another pool")
-    similarity.extend(candidates)  # adds none, but checks they are the pool's own
-    target = selection._k if selection._kept is None else len(selection._kept)
+    k = selection._k
     kept: list[int] = []
-    kept_scores: list[float] = []
     drops: list[int] = []
     scanned: set[int] = set()
     # the unscanned candidates not known, from the pairs computed so far, to
     # near-duplicate a kept one
     unblocked = set(range(len(candidates)))
 
-    for idx, score in selection._members():  # draws each pick when it reaches it
+    for idx in selection._members():  # draws each pick when it reaches it
         scanned.add(idx)
         unblocked.discard(idx)
         # computes no pair for a pick: when drawn, it met every earlier pick
         if similarity.reaches(idx, kept, threshold):
             drops.append(idx)
         else:
-            if not kept and target > 1:  # the row the second pick's heap is built from
+            if not kept and k > 1:  # the row the second pick's heap is built from
                 similarity.row(idx, [i for i in range(len(candidates)) if i != idx])
             kept.append(idx)
-            kept_scores.append(score)
             unblocked -= similarity.known_to_reach(idx, unblocked, threshold)
-        if not unblocked and len(scanned) < target:
+        if not unblocked and len(scanned) < k:
             # neither the scan nor the backfill can keep another candidate
             drops += (i for i in range(len(candidates)) if i not in scanned)
             break
 
-    if len(scanned) == target and len(kept) < target:
+    if len(scanned) == k and len(kept) < k:
         # as the module docstring says: a candidate that near-duplicates one
         # the scan kept is blocked, never kept, and walks unscored
         scan_kept = tuple(kept)
@@ -414,26 +407,19 @@ def near_duplicate_filter(candidates: Sequence[EmbeddingVector],
             else:
                 walk.append((-selection.pool_score(i), i))
         walk.sort()
-        backfill_drops: list[int] = []
         stop = None
         for key in walk:
             idx = key[1]
             if similarity.reaches(idx, kept, threshold):
-                backfill_drops.append(idx)
+                drops.append(idx)
             else:
                 kept.append(idx)
-                kept_scores.append(selection.pool_score(idx))
-                if len(kept) == target:
+                if len(kept) == k:
                     stop = key
                     break
         # a blocked candidate is a drop if the walk over all would reach it
         if stop is not None:
             blocked = [i for i in blocked if (-selection.pool_score(i), i) < stop]
-        drops += backfill_drops + blocked
+        drops += blocked
 
-    listed = set(selection.dropped_as_duplicates)
-    filtered = copy.copy(selection)
-    filtered._kept = tuple(zip(kept, kept_scores))
-    filtered.dropped_as_duplicates = (selection.dropped_as_duplicates
-                                      + tuple(sorted(set(drops) - listed)))
-    return filtered
+    return FilteredSelection(tuple(kept), tuple(sorted(drops)), similarity)

@@ -218,8 +218,8 @@ class CheckpointStore:
         config = held if config is None else config
         if stored.get("hash") != config_hash(config):
             raise ConfigError(
-                f"checkpoint config hash {stored.get('hash')} does not match the "
-                f"config hash {config_hash(config)}")
+                f"{self.config_path} records checkpoint config hash {stored.get('hash')}, "
+                f"which does not match the config hash {config_hash(config)}")
 
         tree = Tree(config)
         self._intact = self._replay(tree)

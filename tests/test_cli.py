@@ -376,7 +376,8 @@ def test_export_of_a_checkpoint_whose_hash_was_edited_exits_1(tmp_path, capsys):
     code, out, err = run_cli(capsys, "export", "--tree", str(out_dir), "--format", "sharegpt",
                              "--out", str(tmp_path / "c.json"))
     assert (code, out) == (1, "")
-    assert err.splitlines()[-1].startswith(f"error: checkpoint config hash {'0' * 16} ")
+    assert err.splitlines()[-1].startswith(
+        f"error: {stored} records checkpoint config hash {'0' * 16}, ")
     assert not (tmp_path / "c.json").exists()
 
 

@@ -120,8 +120,8 @@ def test_k1_returns_argmax_relevance():
 def test_hand_example_selection_and_scores():
     sel = mmr_select(HAND_CANDS, HAND_QUERY, 2, 0.7)
     assert sel.selected == (0, 2)
-    assert sel.scores[0] == pytest.approx(1.0)
-    assert sel.scores[1] == pytest.approx(0.40)  # 0.7*1 - 0.3*1
+    assert sel.pool_score(0) == pytest.approx(1.0)
+    assert sel.pool_score(2) == pytest.approx(0.40)  # 0.7*1 - 0.3*1
     # the unselected candidate's standing score: 0.7*0.8 - 0.3*0.8 = 0.32
     assert sel.pool_score(1) == pytest.approx(0.32)
 
@@ -193,7 +193,9 @@ def test_padding_invariance():
 
 def test_threshold_above_one_disables_filter():
     sel = mmr_select(HAND_CANDS, HAND_QUERY, 2, 0.7)
-    assert near_duplicate_filter(HAND_CANDS, sel, 1.01) is sel
+    filtered = near_duplicate_filter(HAND_CANDS, sel, 1.01)
+    assert filtered.selected == sel.selected == (0, 2)  # the k picks, duplicate included
+    assert filtered.dropped_as_duplicates == ()
 
 
 def test_identical_pool_keeps_one():
@@ -375,26 +377,27 @@ def test_selection_equals_per_pair_reference_bitwise(kind):
             filtered = near_duplicate_filter(pool, fresh, threshold)
             stops += len(fresh._picks) < k
             assert filtered.selected == kept, f"trial {trial}"
-            assert bits(filtered.scores) == bits(kept_scores), f"trial {trial}"
+            assert bits(map(fresh.pool_score, filtered.selected)) == bits(kept_scores), \
+                f"trial {trial}"
             assert filtered.dropped_as_duplicates == tuple(sorted(dropped)), f"trial {trial}"
             assert fresh.selected == want[0], f"trial {trial}"
-            assert bits(fresh.scores) == bits(want[1]), f"trial {trial}"
+            assert bits(map(fresh.pool_score, fresh.selected)) == bits(want[1]), f"trial {trial}"
             assert bits(map(fresh.pool_score, range(n))) == bits(want[2]), f"trial {trial}"
-            assert bits(map(filtered.pool_score, range(n))) == bits(want[2]), f"trial {trial}"
 
         got = mmr_select(pool, query, k, lam)
         assert got.selected == want[0], f"trial {trial}"
-        assert bits(got.scores) == bits(want[1]), f"trial {trial}"
+        assert bits(map(got.pool_score, got.selected)) == bits(want[1]), f"trial {trial}"
         assert bits(map(got.pool_score, range(n))) == bits(want[2]), f"trial {trial}"
 
         filtered = near_duplicate_filter(pool, got, threshold)
         if threshold > 1.0:
-            assert filtered is got
+            assert (filtered.selected, filtered.dropped_as_duplicates) == (want[0], ())
         else:
             assert filtered.selected == kept, f"trial {trial}"
-            assert bits(filtered.scores) == bits(kept_scores), f"trial {trial}"
+            assert bits(map(got.pool_score, filtered.selected)) == bits(kept_scores), \
+                f"trial {trial}"
             assert filtered.dropped_as_duplicates == tuple(sorted(dropped)), f"trial {trial}"
-            assert bits(map(filtered.pool_score, range(n))) == bits(want[2]), f"trial {trial}"
+            assert bits(map(got.pool_score, range(n))) == bits(want[2]), f"trial {trial}"
             drops += bool(dropped)
             backfills += bool(set(kept) - set(want[0]))
 
@@ -409,31 +412,6 @@ def test_selection_equals_per_pair_reference_bitwise(kind):
     assert ties > 10
 
 
-def test_filtering_a_filtered_selection_equals_reference():
-    # the second filter backfills from every candidate outside the filtered
-    # selection, MMR picks it dropped included, by their pool scores; a
-    # candidate both filters drop is listed once
-    rng = random.Random("filter-twice")
-    backfills = relisted = 0
-    for trial in range(200):
-        n = rng.randint(2, 10)
-        pool = [vec(*(rng.uniform(0, 1) for _ in range(3))) for _ in range(n)]
-        query = vec(*(rng.uniform(0, 1) for _ in range(3)))
-        k = rng.randint(1, n)
-        want = reference_mmr_select(pool, query, k, 0.5)
-        first = near_duplicate_filter(pool, mmr_select(pool, query, k, 0.5), 0.99)
-        kept, kept_scores, _ = reference_near_duplicate_filter(pool, *want, 0.99)
-        second = near_duplicate_filter(pool, first, 0.9)
-        again = reference_near_duplicate_filter(pool, kept, kept_scores, want[2], 0.9)
-        assert (second.selected, bits(second.scores)) == (again[0], bits(again[1])), trial
-        listed = first.dropped_as_duplicates
-        assert second.dropped_as_duplicates == listed + tuple(
-            sorted(i for i in again[2] if i not in listed)), trial
-        backfills += bool(set(again[0]) - set(kept))
-        relisted += bool(set(again[2]) & set(listed))
-    assert backfills >= 10 and relisted >= 10, (backfills, relisted)
-
-
 def test_scheduler_filter_equals_reference_on_a_shortfall_tree(monkeypatch, tmp_path):
     # long answers embedded at d=16 are near-duplicates, so most expansions
     # drop, backfill and fall short; every filter the scheduler runs must
@@ -445,10 +423,10 @@ def test_scheduler_filter_equals_reference_on_a_shortfall_tree(monkeypatch, tmp_
         nonlocal calls, backfills, drops
         filtered = real_filter(candidates, selection, threshold)
         kept, kept_scores, dropped = reference_near_duplicate_filter(
-            candidates, selection.selected, selection.scores,
+            candidates, selection.selected, tuple(map(selection.pool_score, selection.selected)),
             tuple(map(selection.pool_score, range(len(candidates)))), threshold)
         assert filtered.selected == kept
-        assert bits(filtered.scores) == bits(kept_scores)
+        assert bits(map(selection.pool_score, filtered.selected)) == bits(kept_scores)
         assert filtered.dropped_as_duplicates == tuple(sorted(dropped))
         calls += 1
         backfills += bool(set(kept) - set(selection.selected))

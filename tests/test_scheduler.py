@@ -113,8 +113,7 @@ def test_retried_expansion_counts_the_drops_of_both_attempts(mock_embedder, monk
 
     def counting_filter(candidates, selection, threshold):
         result = dupfilter(candidates, selection, threshold)
-        filtered.append(len(result.dropped_as_duplicates)
-                        - len(selection.dropped_as_duplicates))
+        filtered.append(len(result.dropped_as_duplicates))
         return result
 
     monkeypatch.setattr(scheduler, "near_duplicate_filter", counting_filter)
