@@ -1,10 +1,10 @@
 """Text generation and embedding backends.
 
-Two implementations of each interface ship here: a fully deterministic mock
-pair (hash-keyed, so an entire tree run is a pure function of its config) and
-an HTTP pair speaking the OpenAI-compatible completions/embeddings wire
-shapes. Backends must tolerate concurrent in-flight calls; ordering is the
-scheduler's job.
+Two implementations ship here: a fully deterministic mock pair (hash-keyed,
+so an entire tree run is a pure function of its config) and one HTTP client
+that serves both interfaces, speaking the OpenAI-compatible
+completions/embeddings wire shapes over one connection per thread. Backends
+must tolerate concurrent in-flight calls; ordering is the scheduler's job.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from urllib.parse import SplitResult, quote, unquote, urlsplit
 from .errors import BackendError, ConfigError
 from .fnv import fnv1a64, splitmix64, u64_bytes
 
-# http.client, ssl and urllib.request are imported where the HTTP backends
-# use them: they add about 30 ms to the start of a process that never opens a
+# http.client, ssl and urllib.request are imported where the HTTP backend
+# uses them: they add about 30 ms to the start of a process that never opens a
 # connection, such as every mock run.
 
 log = logging.getLogger(__name__)
@@ -186,14 +186,12 @@ class MockEmbedder(EmbeddingBackend):
         return [self.embed_one(t) for t in texts]
 
 
-# --- OpenAI-compatible HTTP backends ----------------------------------------
+# --- OpenAI-compatible HTTP backend -----------------------------------------
 
 def _require(value: str | None, env_name: str, what: str) -> str:
+    value = value or os.environ.get(env_name)
     if value:
         return value
-    env_value = os.environ.get(env_name)
-    if env_value:
-        return env_value
     raise ConfigError(f"{what} is not configured: set {env_name} or pass it explicitly")
 
 
@@ -255,10 +253,37 @@ def _retry_after(value: str | None, limit: float) -> float | None:
     return min(float(value), limit)
 
 
-class _HttpBase:
-    """One keep-alive ``http.client`` connection per worker thread.
+def _items(body, key: str, n: int) -> list[dict]:
+    """The reply's ``key`` items in index order.
 
-    The connection goes through the proxy that HTTP_PROXY/HTTPS_PROXY name at
+    Raises ValueError unless there are exactly ``n``, each is an object, and
+    their ``index`` values are integers that are all absent or 0..n-1 in some
+    order.
+    """
+    items = body.get(key) if isinstance(body, dict) else None
+    if not isinstance(items, list) or len(items) != n:
+        got = len(items) if isinstance(items, list) else "none"
+        raise ValueError(f"expected {n} {key!r} items, got {got}")
+    for item in items:
+        if not isinstance(item, dict):
+            raise ValueError(f"malformed {key!r} item: not an object: {item!r:.80}")
+    indices = [item["index"] for item in items if "index" in item]
+    # a non-integer index is left out, so the sorted list falls short
+    if indices and sorted(i for i in indices if type(i) is int) != list(range(n)):
+        raise ValueError(f"malformed {key!r} reply: 'index' values are not integers "
+                         f"0..{n - 1} in some order: {indices!r:.80}")
+    return sorted(items, key=lambda item: item.get("index", 0))
+
+
+class HttpBackend(GenerationBackend, EmbeddingBackend):
+    """OpenAI-compatible client of both endpoints: /completions (prompt mode;
+    prompts arrive pre-rendered) with ``model``, /embeddings with
+    ``embedding_model``, which defaults to ``model``. Each generate request is
+    one call that sends the native ``n`` and ``request_seed`` as the API
+    ``seed``, a signed 64-bit integer; only the mock guarantees determinism.
+
+    Both endpoints share one keep-alive ``http.client`` connection per worker
+    thread. It goes through the proxy that HTTP_PROXY/HTTPS_PROXY name at
     construction, unless NO_PROXY bypasses it: an http:// URL as an
     absolute-form request to the proxy, an https:// one through a CONNECT
     tunnel. HTTPS verifies against the system's CA certificates (or
@@ -266,11 +291,14 @@ class _HttpBase:
     """
 
     def __init__(self, base_url: str | None = None, api_key: str | None = None,
-                 model: str | None = None, timeout: float = DEFAULT_TIMEOUT):
+                 model: str | None = None, embedding_model: str | None = None,
+                 timeout: float = DEFAULT_TIMEOUT):
         self.base_url = _require(base_url, API_BASE_ENV, "API base URL").rstrip("/")
         url = _split_base_url(self.base_url)
         self.api_key = _require(api_key, API_KEY_ENV, "API key")
         self.model = _require(model, MODEL_ENV, "model name")
+        self.embedding_model = embedding_model or self.model
+        self.backend_id = f"http:{self.model}"
         self.timeout = timeout
         self._headers = {"Authorization": f"Bearer {self.api_key}",
                          "Content-Type": "application/json"}
@@ -382,40 +410,6 @@ class _HttpBase:
                 error = BackendError(f"unusable reply from {url}: {exc}", attempts=attempt)
         raise error
 
-
-def _items(body, key: str, n: int) -> list[dict]:
-    """The reply's ``key`` items in index order.
-
-    Raises ValueError unless there are exactly ``n``, each is an object, and
-    their ``index`` values are integers that are all absent or 0..n-1 in some
-    order.
-    """
-    items = body.get(key) if isinstance(body, dict) else None
-    if not isinstance(items, list) or len(items) != n:
-        got = len(items) if isinstance(items, list) else "none"
-        raise ValueError(f"expected {n} {key!r} items, got {got}")
-    for item in items:
-        if not isinstance(item, dict):
-            raise ValueError(f"malformed {key!r} item: not an object: {item!r:.80}")
-    indices = [item["index"] for item in items if "index" in item]
-    # a non-integer index is left out, so the sorted list falls short
-    if indices and sorted(i for i in indices if type(i) is int) != list(range(n)):
-        raise ValueError(f"malformed {key!r} reply: 'index' values are not integers "
-                         f"0..{n - 1} in some order: {indices!r:.80}")
-    return sorted(items, key=lambda item: item.get("index", 0))
-
-
-class HttpTextBackend(_HttpBase, GenerationBackend):
-    """OpenAI-compatible /completions client (prompt mode; prompts arrive
-    pre-rendered). Each request is one call that sends the native ``n`` and
-    ``request_seed`` as the API ``seed``, a signed 64-bit integer; only the
-    mock guarantees determinism.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.backend_id = f"http:{self.model}"
-
     def generate(self, request: GenerationRequest) -> GenerationResult:
         self.check_request(request)
         start = time.monotonic()
@@ -456,10 +450,6 @@ class HttpTextBackend(_HttpBase, GenerationBackend):
         elapsed = (time.monotonic() - start) * 1000.0
         return GenerationResult(completions=completions, latency_ms=elapsed)
 
-
-class HttpEmbedder(_HttpBase, EmbeddingBackend):
-    """OpenAI-compatible /embeddings client."""
-
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
         if not texts:
             raise ConfigError("embed() needs at least one text")
@@ -481,4 +471,5 @@ class HttpEmbedder(_HttpBase, EmbeddingBackend):
             return [EmbeddingVector(values=tuple(map(float, embedding)))
                     for embedding in embeddings]
 
-        return self._post("embeddings", {"model": self.model, "input": list(texts)}, parse)
+        payload = {"model": self.embedding_model, "input": list(texts)}
+        return self._post("embeddings", payload, parse)

@@ -13,8 +13,7 @@ import logging
 import sys
 
 from .analysis import compute_stats
-from .backends import (API_BASE_ENV, HttpEmbedder, HttpTextBackend, MockEmbedder,
-                       MockTextBackend)
+from .backends import API_BASE_ENV, HttpBackend, MockEmbedder, MockTextBackend
 from .corpus import (TurnPolicy, build_corpus, export_jsonl, export_pt,
                      export_sharegpt, gaussian_turn_policy, sample_to_size,
                      validate_sharegpt_file)
@@ -47,13 +46,18 @@ def _emit(payload: dict) -> None:
 def _build_backends(args):
     if args.backend == "mock":
         return MockTextBackend(), MockEmbedder()
-    generator = HttpTextBackend(base_url=args.base_url, model=args.model)
-    embedder = HttpEmbedder(base_url=args.base_url,
-                            model=args.embedding_model or generator.model)
-    return generator, embedder
+    backend = HttpBackend(base_url=args.base_url, model=args.model,
+                          embedding_model=args.embedding_model)
+    return backend, backend
 
 
 def cmd_generate(args) -> int:
+    """A flag that the chosen backend does not read is a usage error, not ignored."""
+    # the flags only the HTTP backend reads; each defaults to None
+    given = [f"--{dest.replace('_', '-')}" for dest in ("model", "embedding_model", "base_url")
+             if getattr(args, dest) is not None]
+    if args.backend == "mock" and given:
+        raise _UsageError(f"{', '.join(given)}: for --backend http only, not for --backend mock")
     config = load_config(args.config)
     generator, embedder = _build_backends(args)
     try:
@@ -70,8 +74,8 @@ def cmd_generate(args) -> int:
             log.error("interrupted; checkpoint in %s is resumable", args.out)
             return EXIT_RESUMABLE
     finally:  # whether or not the run succeeded
-        generator.close()
-        embedder.close()
+        for backend in {generator, embedder}:  # the HTTP backend is both
+            backend.close()
     _emit({**store.manifest, "out": str(args.out)})
     return EXIT_OK
 
@@ -161,7 +165,7 @@ def build_parser() -> _Parser:
     gen.add_argument("--resume", action="store_true",
                      help="continue an interrupted run from its checkpoint")
     gen.add_argument("--model", default=None, help="model name for the HTTP backend")
-    gen.add_argument("--embedding-model", default=None)
+    gen.add_argument("--embedding-model", default=None, help="embedding model (default: --model)")
     gen.add_argument("--base-url", default=None,
                      help=f"HTTP API base URL (default: ${API_BASE_ENV})")
     gen.set_defaults(func=cmd_generate)

@@ -12,8 +12,7 @@ import threading
 import pytest
 
 from treegen import backends
-from treegen.backends import (GenerationRequest, HttpEmbedder, HttpTextBackend,
-                              MockEmbedder, MockTextBackend)
+from treegen.backends import GenerationRequest, HttpBackend, MockEmbedder, MockTextBackend
 from treegen.errors import BackendError, ConfigError
 
 import conftest
@@ -160,13 +159,13 @@ def close_http_backends(monkeypatch):
     """Closes every HTTP backend a test builds once the test ends, pass or
     fail, so no socket is left for a later test's garbage collection."""
     built = []
-    real_init = backends._HttpBase.__init__
+    real_init = backends.HttpBackend.__init__
 
     def init(backend, *args, **kwargs):
         real_init(backend, *args, **kwargs)
         built.append(backend)
 
-    monkeypatch.setattr(backends._HttpBase, "__init__", init)
+    monkeypatch.setattr(backends.HttpBackend, "__init__", init)
     yield
     for backend in built:
         backend.close()
@@ -198,7 +197,7 @@ def failing(times):
 
 def test_http_generate_parses_fixture(scripted_server):
     server = scripted_server(canned)
-    backend = HttpTextBackend(base_url=server.url + "/v1", api_key="k", model="m")
+    backend = HttpBackend(base_url=server.url + "/v1", api_key="k", model="m")
     result = backend.generate(request(n=3))
     assert [c.text for c in result.completions] == [
         "fixture completion 0", "fixture completion 1", "fixture completion 2"]
@@ -208,7 +207,7 @@ def test_http_generate_parses_fixture(scripted_server):
 
 def test_http_generate_sends_stop_and_max_tokens(scripted_server):
     server = scripted_server(canned)
-    backend = HttpTextBackend(base_url=server.url + "/v1", api_key="k", model="m")
+    backend = HttpBackend(base_url=server.url + "/v1", api_key="k", model="m")
     backend.generate(request(n=1, max_tokens=33, stop=("\n\n",)))
     sent = json.loads(server.seen[-1].body)
     assert sent["max_tokens"] == 33 and sent["stop"] == ["\n\n"]
@@ -216,10 +215,10 @@ def test_http_generate_sends_stop_and_max_tokens(scripted_server):
 
 def test_http_request_bytes_are_the_json_payload(scripted_server):
     server = scripted_server(canned)
-    backend = HttpTextBackend(base_url=server.url + "/v1", api_key="k", model="m")
+    backend = HttpBackend(base_url=server.url + "/v1", api_key="k", model="m",
+                          embedding_model="e")
     backend.generate(request(prompt="caf\u00e9 \U0001f600 \"q\"", n=2, stop=("\n",)))
-    embedder = HttpEmbedder(base_url=server.url + "/v1", api_key="k", model="e")
-    embedder.embed(["a", "\u00fc"])
+    backend.embed(["a", "\u00fc"])
     payloads = [{"model": "m", "prompt": "caf\u00e9 \U0001f600 \"q\"", "max_tokens": 16,
                  "temperature": 1.0, "n": 2, "seed": 42, "stop": ["\n"]},
                 {"model": "e", "input": ["a", "\u00fc"]}]
@@ -229,6 +228,7 @@ def test_http_request_bytes_are_the_json_payload(scripted_server):
     for seen in server.seen:
         assert seen.headers["Authorization"] == "Bearer k"
         assert seen.headers["Content-Type"] == "application/json"
+    assert server.connections == 1  # both endpoints share this thread's connection
 
 
 def fast_retries(monkeypatch, attempts: int = 3) -> None:
@@ -240,7 +240,7 @@ def fast_retries(monkeypatch, attempts: int = 3) -> None:
 def test_http_retries_then_succeeds(scripted_server, monkeypatch):
     server = scripted_server(failing(2))
     fast_retries(monkeypatch)
-    backend = HttpTextBackend(base_url=server.url + "/v1", api_key="k", model="m")
+    backend = HttpBackend(base_url=server.url + "/v1", api_key="k", model="m")
     result = backend.generate(request(n=1))
     assert result.completions[0].text == "fixture completion 0"
 
@@ -248,7 +248,7 @@ def test_http_retries_then_succeeds(scripted_server, monkeypatch):
 def test_http_gives_up_after_bounded_retries(scripted_server, monkeypatch):
     server = scripted_server(failing(10))
     fast_retries(monkeypatch)
-    backend = HttpTextBackend(base_url=server.url + "/v1", api_key="k", model="m")
+    backend = HttpBackend(base_url=server.url + "/v1", api_key="k", model="m")
     with pytest.raises(BackendError, match="HTTP 500: .*boom") as exc_info:
         backend.generate(request(n=1))
     assert exc_info.value.attempts == 3
@@ -256,8 +256,8 @@ def test_http_gives_up_after_bounded_retries(scripted_server, monkeypatch):
 
 def test_http_transport_failure_is_retryable_error(monkeypatch):
     fast_retries(monkeypatch, attempts=2)
-    backend = HttpTextBackend(base_url="http://127.0.0.1:9", api_key="k", model="m",
-                              timeout=0.2)
+    backend = HttpBackend(base_url="http://127.0.0.1:9", api_key="k", model="m",
+                          timeout=0.2)
     with pytest.raises(BackendError) as exc_info:
         backend.generate(request(n=1))
     assert exc_info.value.attempts == 2
@@ -270,7 +270,7 @@ def _ok(*bodies: bytes) -> list:
 def test_http_non_json_body_is_retried_backend_error(scripted_server, monkeypatch):
     server = scripted_server(_ok(b"<html>upstream proxy error</html>"))
     fast_retries(monkeypatch)
-    backend = HttpTextBackend(base_url=server.url, api_key="k", model="m")
+    backend = HttpBackend(base_url=server.url, api_key="k", model="m")
     with pytest.raises(BackendError, match="non-JSON") as exc_info:
         backend.generate(request(n=1))
     assert exc_info.value.attempts == 3
@@ -281,7 +281,7 @@ def test_http_body_nested_too_deeply_is_retried_backend_error(scripted_server, m
     # json.loads raises RecursionError here, not ValueError
     server = scripted_server(_ok(b"[" * 100_000))
     fast_retries(monkeypatch)
-    backend = HttpTextBackend(base_url=server.url, api_key="k", model="m")
+    backend = HttpBackend(base_url=server.url, api_key="k", model="m")
     with pytest.raises(BackendError, match="non-JSON") as exc_info:
         backend.generate(request(n=1))
     assert exc_info.value.attempts == 3
@@ -293,14 +293,14 @@ GOOD_DATA = b'{"data": [{"index": 0, "embedding": [1.0, 0.0]}]}'
 GOOD_CHOICES_2 = b'{"choices": [{"index": 1, "text": "b"}, {"index": 0, "text": "a"}]}'
 GOOD_DATA_2 = (b'{"data": [{"index": 1, "embedding": [0.0, 1.0]}, '
                b'{"index": 0, "embedding": [1.0, 0.0]}]}')
-BAD_COUNT_CASES = pytest.mark.parametrize("backend_class, bad, good", [
-    (HttpTextBackend, b'{"choices": []}', GOOD_CHOICES),
-    (HttpEmbedder, b'{"data": []}', GOOD_DATA),
+BAD_COUNT_CASES = pytest.mark.parametrize("method, bad, good", [
+    ("generate", b'{"choices": []}', GOOD_CHOICES),
+    ("embed", b'{"data": []}', GOOD_DATA),
 ], ids=["generate", "embed"])
 
 
-def _call(backend, n=1):
-    if isinstance(backend, HttpEmbedder):
+def _call(backend, method="generate", n=1):
+    if method == "embed":
         return backend.embed(["a"] * n)
     return backend.generate(request(n=n)).completions
 
@@ -311,59 +311,59 @@ def _item_count(body: bytes) -> int:
 
 
 @BAD_COUNT_CASES
-def test_http_wrong_item_count_is_retried(scripted_server, monkeypatch, backend_class, bad,
+def test_http_wrong_item_count_is_retried(scripted_server, monkeypatch, method, bad,
                                           good):
     server = scripted_server(_ok(bad, good))
     fast_retries(monkeypatch)
-    backend = backend_class(base_url=server.url, api_key="k", model="m")
-    assert len(_call(backend)) == 1
+    backend = HttpBackend(base_url=server.url, api_key="k", model="m")
+    assert len(_call(backend, method)) == 1
     assert server.calls == 2
 
 
 @BAD_COUNT_CASES
 def test_http_wrong_item_count_gives_up_after_bounded_retries(scripted_server, monkeypatch,
-                                                              backend_class, bad, good):
+                                                              method, bad, good):
     server = scripted_server(_ok(bad))
     fast_retries(monkeypatch)
-    backend = backend_class(base_url=server.url, api_key="k", model="m")
+    backend = HttpBackend(base_url=server.url, api_key="k", model="m")
     with pytest.raises(BackendError, match="expected 1") as exc_info:
-        _call(backend)
+        _call(backend, method)
     assert exc_info.value.attempts == 3
     assert server.calls == 3
 
 
-BAD_ITEM_CASES = pytest.mark.parametrize("backend_class, bad, good", [
-    (HttpTextBackend, b'{"choices": [7]}', GOOD_CHOICES),
-    (HttpTextBackend, b'{"choices": [{"index": 0}]}', GOOD_CHOICES),
-    (HttpTextBackend, b'{"choices": [{"index": 0, "text": 5}]}', GOOD_CHOICES),
-    (HttpTextBackend, b'{"choices": [{"index": "0", "text": "a"}]}', GOOD_CHOICES),
-    (HttpTextBackend, b'{"choices": [{"index": 0, "text": "caf\\ud83d"}]}', GOOD_CHOICES),
-    (HttpTextBackend, b'{"choices": [{"index": 0, "text": "a", "finish_reason": ["length"]}]}',
+BAD_ITEM_CASES = pytest.mark.parametrize("method, bad, good", [
+    ("generate", b'{"choices": [7]}', GOOD_CHOICES),
+    ("generate", b'{"choices": [{"index": 0}]}', GOOD_CHOICES),
+    ("generate", b'{"choices": [{"index": 0, "text": 5}]}', GOOD_CHOICES),
+    ("generate", b'{"choices": [{"index": "0", "text": "a"}]}', GOOD_CHOICES),
+    ("generate", b'{"choices": [{"index": 0, "text": "caf\\ud83d"}]}', GOOD_CHOICES),
+    ("generate", b'{"choices": [{"index": 0, "text": "a", "finish_reason": ["length"]}]}',
      GOOD_CHOICES),
-    (HttpTextBackend, b'{"choices": [{"index": 0, "text": "a", "finish_reason": true}]}',
+    ("generate", b'{"choices": [{"index": 0, "text": "a", "finish_reason": true}]}',
      GOOD_CHOICES),
-    (HttpEmbedder, b'{"data": [7]}', GOOD_DATA),
-    (HttpEmbedder, b'{"data": [{"index": 0}]}', GOOD_DATA),
-    (HttpEmbedder, b'{"data": [{"index": 0, "embedding": ["x", 1]}]}', GOOD_DATA),
-    (HttpEmbedder, b'{"data": [{"index": 0, "embedding": []}]}', GOOD_DATA),
-    (HttpEmbedder, b'{"data": [{"index": 0, "embedding": [true, 1]}]}', GOOD_DATA),
-    (HttpEmbedder, b'{"data": [{"index": 0, "embedding": [NaN, 1]}]}', GOOD_DATA),
-    (HttpEmbedder, b'{"data": [{"index": 0, "embedding": [1e999, 1]}]}', GOOD_DATA),
-    (HttpTextBackend, b'{"choices": [{"index": 0, "text": "a"}, {"index": 0, "text": "b"}]}',
+    ("embed", b'{"data": [7]}', GOOD_DATA),
+    ("embed", b'{"data": [{"index": 0}]}', GOOD_DATA),
+    ("embed", b'{"data": [{"index": 0, "embedding": ["x", 1]}]}', GOOD_DATA),
+    ("embed", b'{"data": [{"index": 0, "embedding": []}]}', GOOD_DATA),
+    ("embed", b'{"data": [{"index": 0, "embedding": [true, 1]}]}', GOOD_DATA),
+    ("embed", b'{"data": [{"index": 0, "embedding": [NaN, 1]}]}', GOOD_DATA),
+    ("embed", b'{"data": [{"index": 0, "embedding": [1e999, 1]}]}', GOOD_DATA),
+    ("generate", b'{"choices": [{"index": 0, "text": "a"}, {"index": 0, "text": "b"}]}',
      GOOD_CHOICES_2),
-    (HttpTextBackend, b'{"choices": [{"index": 0, "text": "a"}, {"index": 2, "text": "b"}]}',
+    ("generate", b'{"choices": [{"index": 0, "text": "a"}, {"index": 2, "text": "b"}]}',
      GOOD_CHOICES_2),
-    (HttpTextBackend, b'{"choices": [{"index": 1, "text": "a"}, {"text": "b"}]}',
+    ("generate", b'{"choices": [{"index": 1, "text": "a"}, {"text": "b"}]}',
      GOOD_CHOICES_2),
-    (HttpEmbedder, b'{"data": [{"index": 0, "embedding": [1.0]}, '
+    ("embed", b'{"data": [{"index": 0, "embedding": [1.0]}, '
                    b'{"index": 0, "embedding": [2.0]}]}', GOOD_DATA_2),
-    (HttpEmbedder, b'{"data": [{"index": -1, "embedding": [1.0]}, '
+    ("embed", b'{"data": [{"index": -1, "embedding": [1.0]}, '
                    b'{"index": 0, "embedding": [2.0]}]}', GOOD_DATA_2),
-    (HttpEmbedder, b'{"data": [{"index": 1, "embedding": [1.0]}, {"embedding": [2.0]}]}',
+    ("embed", b'{"data": [{"index": 1, "embedding": [1.0]}, {"embedding": [2.0]}]}',
      GOOD_DATA_2),
-    (HttpEmbedder, b'{"data": [{"index": 0, "embedding": [1.0]}, '
+    ("embed", b'{"data": [{"index": 0, "embedding": [1.0]}, '
                    b'{"index": 1, "embedding": [1.0, 2.0]}]}', GOOD_DATA_2),
-    (HttpEmbedder, b'{"data": [{"index": 0, "embedding": [1%s, 1]}]}' % (b"0" * 400),
+    ("embed", b'{"data": [{"index": 0, "embedding": [1%s, 1]}]}' % (b"0" * 400),
      GOOD_DATA),
 ], ids=["choice-not-object", "choice-no-text", "choice-text-not-string",
         "choice-index-not-int", "choice-text-lone-surrogate", "choice-finish-reason-list",
@@ -376,46 +376,46 @@ BAD_ITEM_CASES = pytest.mark.parametrize("backend_class, bad, good", [
 
 
 @BAD_ITEM_CASES
-def test_http_malformed_item_is_retried(scripted_server, monkeypatch, backend_class, bad, good):
+def test_http_malformed_item_is_retried(scripted_server, monkeypatch, method, bad, good):
     server = scripted_server(_ok(bad, good))
     fast_retries(monkeypatch)
-    backend = backend_class(base_url=server.url, api_key="k", model="m")
-    assert len(_call(backend, _item_count(good))) == _item_count(good)
+    backend = HttpBackend(base_url=server.url, api_key="k", model="m")
+    assert len(_call(backend, method, _item_count(good))) == _item_count(good)
     assert server.calls == 2
 
 
 @BAD_ITEM_CASES
 def test_http_malformed_item_gives_up_after_bounded_retries(scripted_server, monkeypatch,
-                                                            backend_class, bad, good):
+                                                            method, bad, good):
     server = scripted_server(_ok(bad))
     fast_retries(monkeypatch)
-    backend = backend_class(base_url=server.url, api_key="k", model="m")
+    backend = HttpBackend(base_url=server.url, api_key="k", model="m")
     with pytest.raises(BackendError, match="malformed") as exc_info:
-        _call(backend, _item_count(good))
+        _call(backend, method, _item_count(good))
     assert exc_info.value.attempts == 3
     assert server.calls == 3
 
 
 def test_http_items_are_returned_in_index_order(scripted_server):
-    backend = HttpTextBackend(base_url=scripted_server(_ok(GOOD_CHOICES_2)).url,
-                              api_key="k", model="m")
-    assert [c.text for c in _call(backend, 2)] == ["a", "b"]
-    embedder = HttpEmbedder(base_url=scripted_server(_ok(GOOD_DATA_2)).url,
-                            api_key="k", model="m")
-    assert [v.values for v in _call(embedder, 2)] == [(1.0, 0.0), (0.0, 1.0)]
+    backend = HttpBackend(base_url=scripted_server(_ok(GOOD_CHOICES_2)).url,
+                          api_key="k", model="m")
+    assert [c.text for c in _call(backend, n=2)] == ["a", "b"]
+    embedder = HttpBackend(base_url=scripted_server(_ok(GOOD_DATA_2)).url,
+                           api_key="k", model="m")
+    assert [v.values for v in _call(embedder, "embed", 2)] == [(1.0, 0.0), (0.0, 1.0)]
 
 
 def test_http_finish_reason_absent_null_or_empty_is_stop(scripted_server):
     body = (b'{"choices": [{"index": 0, "text": "a"}, {"index": 1, "text": "b", '
             b'"finish_reason": null}, {"index": 2, "text": "c", "finish_reason": ""}, '
             b'{"index": 3, "text": "d", "finish_reason": "length"}]}')
-    backend = HttpTextBackend(base_url=scripted_server(_ok(body)).url, api_key="k", model="m")
-    assert [c.finish_reason for c in _call(backend, 4)] == ["stop", "stop", "stop", "length"]
+    backend = HttpBackend(base_url=scripted_server(_ok(body)).url, api_key="k", model="m")
+    assert [c.finish_reason for c in _call(backend, n=4)] == ["stop", "stop", "stop", "length"]
 
 
 def test_http_embedder_round_trip(scripted_server):
-    embedder = HttpEmbedder(base_url=scripted_server(canned).url + "/v1", api_key="k",
-                            model="m")
+    embedder = HttpBackend(base_url=scripted_server(canned).url + "/v1", api_key="k",
+                           model="m")
     vectors = embedder.embed(["a", "b"])
     assert vectors[0].values == (1.0, 0.5, 0.25)
     assert vectors[1].values == (2.0, 0.5, 0.25)
@@ -424,8 +424,8 @@ def test_http_embedder_round_trip(scripted_server):
 
 def test_close_closes_the_session_of_every_thread(scripted_server, monkeypatch):
     opened, closed = record_connections(monkeypatch)
-    backend = HttpTextBackend(base_url=scripted_server(canned).url + "/v1", api_key="k",
-                              model="m")
+    backend = HttpBackend(base_url=scripted_server(canned).url + "/v1", api_key="k",
+                          model="m")
     threads = [threading.Thread(target=backend.generate, args=(request(n=1),))
                for _ in range(3)]
     for thread in threads:
@@ -440,9 +440,9 @@ def test_missing_configuration_names_the_variable(monkeypatch):
     monkeypatch.delenv("TG_API_BASE", raising=False)
     monkeypatch.delenv("TG_API_KEY", raising=False)
     with pytest.raises(ConfigError, match="TG_API_BASE"):
-        HttpTextBackend(model="m")
+        HttpBackend(model="m")
     with pytest.raises(ConfigError, match="TG_API_KEY"):
-        HttpTextBackend(base_url="http://x", model="m")
+        HttpBackend(base_url="http://x", model="m")
 
 
 @pytest.mark.parametrize("status, retry_after, wait", [
@@ -462,7 +462,7 @@ def test_http_retry_after_replaces_the_backoff(scripted_server, monkeypatch,
     sleeps = []
     monkeypatch.setattr(backends.time, "sleep", sleeps.append)
     monkeypatch.setattr(backends, "DEFAULT_BACKOFF", 0.25)
-    backend = HttpTextBackend(base_url=server.url, api_key="k", model="m", timeout=5.0)
+    backend = HttpBackend(base_url=server.url, api_key="k", model="m", timeout=5.0)
     assert [c.text for c in _call(backend)] == ["fine"]
     assert sleeps == [wait]
     assert server.calls == 2
@@ -474,7 +474,7 @@ def test_http_connection_the_server_closed_idle_is_reopened_for_free(scripted_se
     server.close_after_reply = True
     sleeps = []
     monkeypatch.setattr(backends.time, "sleep", sleeps.append)
-    backend = HttpTextBackend(base_url=server.url, api_key="k", model="m")
+    backend = HttpBackend(base_url=server.url, api_key="k", model="m")
     for _ in range(5):
         assert [c.text for c in _call(backend)] == ["fine"]
         assert server.closed.acquire(timeout=10)  # closed while the client is idle
@@ -495,10 +495,10 @@ def test_http_proxy_gets_an_absolute_form_target_unless_no_proxy(scripted_server
     monkeypatch.setenv("HTTP_PROXY", server.url.replace("//", "//u%3A:p%40ss@"))
     # nothing listens on 127.0.0.2:9: only the proxy can answer
     fast_retries(monkeypatch, attempts=1)
-    proxied = HttpTextBackend(base_url="http://127.0.0.2:9/v1", api_key="k", model="m")
+    proxied = HttpBackend(base_url="http://127.0.0.2:9/v1", api_key="k", model="m")
     assert [c.text for c in _call(proxied)] == ["fine"]
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
-    direct = HttpTextBackend(base_url=server.url + "/v1", api_key="k", model="m")
+    direct = HttpBackend(base_url=server.url + "/v1", api_key="k", model="m")
     assert [c.text for c in _call(direct)] == ["fine"]
     via_proxy, bypassed = server.seen
     assert via_proxy.target == "http://127.0.0.2:9/v1/completions"
@@ -514,7 +514,7 @@ def test_https_proxy_is_asked_for_a_tunnel(scripted_server, monkeypatch):
     _clear_proxy_environment(monkeypatch)
     monkeypatch.setenv("HTTPS_PROXY", server.url.replace("//", "//u:p@"))
     fast_retries(monkeypatch, attempts=1)
-    backend = HttpTextBackend(base_url="https://127.0.0.2:8443/v1", api_key="k", model="m")
+    backend = HttpBackend(base_url="https://127.0.0.2:8443/v1", api_key="k", model="m")
     with pytest.raises(BackendError, match="transport failure.*502"):
         _call(backend)
     [seen] = server.seen
@@ -527,7 +527,7 @@ def test_unusable_proxy_is_a_config_error(monkeypatch, proxy):
     _clear_proxy_environment(monkeypatch)
     monkeypatch.setenv("HTTP_PROXY", proxy)
     with pytest.raises(ConfigError, match="proxy"):
-        HttpTextBackend(base_url="http://127.0.0.2:9/v1", api_key="k", model="m")
+        HttpBackend(base_url="http://127.0.0.2:9/v1", api_key="k", model="m")
 
 
 @pytest.mark.parametrize("base_url", [
@@ -535,4 +535,4 @@ def test_unusable_proxy_is_a_config_error(monkeypatch, proxy):
     "http://u:p@h/v1", "http://h/v1?x=1", "http://h/v1#top", "http://[::1/v1"])
 def test_base_url_that_is_not_http_host_port_path_is_a_config_error(base_url):
     with pytest.raises(ConfigError, match=re.escape(repr(base_url))):
-        HttpTextBackend(base_url=base_url, api_key="k", model="m")
+        HttpBackend(base_url=base_url, api_key="k", model="m")

@@ -303,6 +303,49 @@ def test_generate_http_closes_every_session(tmp_path, capsys, monkeypatch, scrip
     assert opened and {id(c) for c in closed} == {id(c) for c in opened}
 
 
+def test_generate_http_one_worker_holds_one_connection(tmp_path, capsys, monkeypatch,
+                                                      scripted_server):
+    # both endpoints go over the worker thread's one keep-alive connection
+    opened, closed = record_connections(monkeypatch)
+    server = scripted_server(mock_reply)
+    code, _, err = http_generate(capsys, monkeypatch, server,
+                                 write_config(tmp_path, sft_config([2, 2])), tmp_path / "o",
+                                 "--workers", "1")
+    assert code == 0, err
+    assert {seen.target for seen in server.seen} == {"/v1/completions", "/v1/embeddings"}
+    assert server.connections == 1
+    assert opened and {id(c) for c in closed} == {id(c) for c in opened}
+
+
+@pytest.mark.parametrize("flags, embedding_model", [((), "m"), (("--embedding-model", "e"), "e")],
+                         ids=["default", "given"])
+def test_generate_http_embedding_model_names_the_embeddings_model(
+        tmp_path, capsys, monkeypatch, scripted_server, flags, embedding_model):
+    server = scripted_server(mock_reply)
+    out_dir = tmp_path / "o"
+    code, _, err = http_generate(capsys, monkeypatch, server,
+                                 write_config(tmp_path, sft_config([2, 2])), out_dir, *flags)
+    assert code == 0, err
+    models = {(seen.target, json.loads(seen.body)["model"]) for seen in server.seen}
+    assert models == {("/v1/completions", "m"), ("/v1/embeddings", embedding_model)}
+    generated = node_records((out_dir / "nodes.jsonl").read_text())[1:]  # past the root
+    assert {record["gen_meta"]["backend_id"] for record in generated} == {"http:m"}
+
+
+@pytest.mark.parametrize("flags", [("--model", "my-model"), ("--embedding-model", "e"),
+                                   ("--base-url", "http://localhost:8000/v1")],
+                         ids=["model", "embedding-model", "base-url"])
+def test_generate_mock_with_an_http_flag_exits_64_writing_nothing(tmp_path, capsys, flags):
+    config_path = write_config(tmp_path, sft_config([2, 2]))
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(capsys, "generate", "--config", str(config_path),
+                             "--out", str(out_dir), "--backend", "mock", *flags)
+    assert code == 64
+    assert f"{flags[0]}: for --backend http only" in err
+    assert out == ""
+    assert not out_dir.exists()
+
+
 def test_generate_resume_on_fresh_directory_exits_1(tmp_path, capsys):
     config_path = write_config(tmp_path, sft_config([2, 2]))
     code, _, err = run_cli(capsys, "generate", "--config", str(config_path),

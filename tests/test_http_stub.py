@@ -50,7 +50,7 @@ def test_http_tree_equals_the_mock_tree(tmp_path, capsys, monkeypatch, stub_url)
     capsys.readouterr()
 
     generator = MockTextBackend()
-    generator.backend_id = f"http:{MODEL}"  # what HttpTextBackend records
+    generator.backend_id = f"http:{MODEL}"  # what HttpBackend records
     TreeRunner(config, generator, MockEmbedder(), CheckpointStore(tmp_path / "mock"),
                workers=2).run()
     http_nodes = (tmp_path / "http" / NODES_FILE).read_bytes()
