@@ -10,7 +10,6 @@ must tolerate concurrent in-flight calls; ordering is the scheduler's job.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import select
 import sys
@@ -27,8 +26,6 @@ from .fnv import fnv1a64, splitmix64, u64_bytes
 # http.client, ssl and urllib.request are imported where the HTTP backend
 # uses them: they add about 30 ms to the start of a process that never opens a
 # connection, such as every mock run.
-
-log = logging.getLogger(__name__)
 
 API_BASE_ENV = "TG_API_BASE"
 API_KEY_ENV = "TG_API_KEY"

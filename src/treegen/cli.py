@@ -53,6 +53,8 @@ def _build_backends(args):
 
 def cmd_generate(args) -> int:
     """A flag that the chosen backend does not read is a usage error, not ignored."""
+    if args.workers < 1:
+        raise _UsageError(f"--workers must be >= 1 (got {args.workers})")
     # the flags only the HTTP backend reads; each defaults to None
     given = [f"--{dest.replace('_', '-')}" for dest in ("model", "embedding_model", "base_url")
              if getattr(args, dest) is not None]

@@ -48,9 +48,9 @@ from .errors import BackendError, ConfigError, ResumableRunError
 from .fnv import combine
 from .templates import (ChatTemplate, get_template, render_continuation_prompt,
                         render_dialogue_prompt, strip_completion)
-from .tree import (ROOT_ID, GenMeta, Mode, Role, Tree, TreeConfig, TreeNode,
-                   TreeShape, child_id, config_from_dict, config_hash,
-                   config_to_dict, node_from_record, node_to_record,
+from .tree import (GenMeta, Mode, Role, Tree, TreeConfig, TreeNode, TreeShape,
+                   child_id, config_from_dict, config_hash, config_to_dict,
+                   expected_leaf_count, node_from_record, node_to_record,
                    validate_config)
 
 log = logging.getLogger(__name__)
@@ -59,9 +59,10 @@ CONFIG_FILE = "config.json"
 NODES_FILE = "nodes.jsonl"
 MANIFEST_FILE = "manifest.json"
 
-# Layout version, stored in config.json. Format 3 opens each block of
-# nodes.jsonl with a header that gives its length; other formats are refused.
-CHECKPOINT_FORMAT = 3
+# Layout version, stored in config.json. Format 4's nodes.jsonl holds only
+# blocks, each opened by a header that gives its length, and its node records
+# hold no token count; other formats are refused.
+CHECKPOINT_FORMAT = 4
 
 
 def _utcnow() -> str:
@@ -90,22 +91,25 @@ def _write_json(path: Path, value: dict) -> None:
 class CheckpointStore:
     """Append-only persisted tree: config.json + nodes.jsonl + manifest.json.
 
-    nodes.jsonl alone holds the committed tree: the root record, then one
-    block per expansion, appended as a single write. A block is the header
+    nodes.jsonl alone holds the committed tree below the root, which comes
+    from the config: one block per expansion, appended as a single write, and
+    nothing else, so a fresh checkpoint's file is empty. A block is the header
     ``{"parent_id": P, "children": n}`` and P's n node records, so an
     expansion that kept no children is a header alone, and every node
-    record's parent appears earlier in the file. Replaying the file therefore
-    rebuilds every node, child list and shortfall. ``load`` streams it,
-    holding back only the open block, and skips a torn trailing block; it
-    writes nothing, and the first append after it cuts the file where the
-    intact blocks end, so the block is regenerated deterministically.
+    record's parent is the root or appears earlier in the file. Replaying the
+    file therefore rebuilds every node, child list and shortfall. ``load``
+    streams it, holding back only the open block, and skips a torn trailing
+    block; it writes nothing, and the first append after it cuts the file
+    where the intact blocks end, so the block is regenerated deterministically.
 
     config.json is read here only, by ``load``.
 
     manifest.json summarizes one session and is never read back. ``begin``
     writes it when the session starts and ``finalize`` when it ends: the
-    status, the tree's node, shortfall and leaf counts when written, and this
-    session's backend, workers, times and dedup/retry telemetry.
+    status, the tree's node, shortfall and leaf counts when written, the
+    leaves a run without shortfalls grows and the share of them the tree
+    holds, and this session's backend, workers, times and dedup/retry
+    telemetry.
     """
 
     def __init__(self, directory: str | Path):
@@ -116,10 +120,7 @@ class CheckpointStore:
         self.manifest: dict = {}  # the summary last written
         self._session: dict = {}
         self._handle = None
-        # what the first append writes over: the intact length of nodes.jsonl
-        # and, when that is 0, the root record to start it again
-        self._intact = 0
-        self._root_line = ""
+        self._intact = 0  # the intact length of nodes.jsonl, where the first append cuts it
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -133,10 +134,8 @@ class CheckpointStore:
         _write_json(self.config_path, {"format": CHECKPOINT_FORMAT,
                                        "config": config_to_dict(config),
                                        "hash": config_hash(config)})
-        tree = Tree(config)
-        self._intact, self._root_line = 0, _dumps(node_to_record(tree.root))
-        self._write_lines([])
-        return tree
+        self._write_lines([])  # an empty nodes.jsonl
+        return Tree(config)
 
     def begin(self, tree: Tree, backend_id: str, workers: int) -> None:
         """Start a session on a fresh or loaded tree: write the manifest as running."""
@@ -155,8 +154,6 @@ class CheckpointStore:
         if self._handle is None:
             self._handle = open(self.nodes_path, "a", encoding="utf-8", newline="\n")
             self._handle.truncate(self._intact)  # a torn block that load skipped
-            if not self._intact:
-                lines = [self._root_line, *lines]
         self._handle.write("".join(line + "\n" for line in lines))
         self._handle.flush()
 
@@ -170,12 +167,15 @@ class CheckpointStore:
 
     def _write_manifest(self, tree: Tree, status: str) -> None:
         """Build the run summary from the tree and this session, and write it."""
+        leaves, expected = len(tree.layer_ids(tree.depth)), expected_leaf_count(tree.config)
         self.manifest = {
             "status": status,
             "config_hash": config_hash(tree.config),
             "nodes_committed": tree.non_root_count(),
             "shortfalls": sum(tree.shortfalls.values()),
-            "leaf_count": len(tree.layer_ids(tree.depth)),
+            "leaf_count": leaves,
+            "expected_leaves": expected,
+            "leaf_yield": leaves / expected,
             **self._session,
             "ended_at": None if status == "running" else _utcnow(),
         }
@@ -223,7 +223,6 @@ class CheckpointStore:
 
         tree = Tree(config)
         self._intact = self._replay(tree)
-        self._root_line = _dumps(node_to_record(tree.root))
         return tree
 
     def _replay(self, tree: Tree) -> int:
@@ -245,8 +244,9 @@ class CheckpointStore:
         if not self.nodes_path.exists():
             return 0
         read = intact = 0  # bytes of the lines read, and of the committed blocks
-        parent, count, children = None, 0, []  # the open block
-        layer, role = 0, Role.ROOT  # its parent's children's layer and role
+        # the open block: its parent, count and children, and the children's
+        # layer and role, which its header sets
+        parent, count, children = None, 0, []
         with open(self.nodes_path, "rb", buffering=_READ_BUFFER) as lines:
             for number, line in enumerate(lines, start=1):
                 read += len(line)
@@ -267,9 +267,6 @@ class CheckpointStore:
                 if parent is not None:
                     children.append(self._check_child(number, record, parent, layer, role,
                                                       len(children)))
-                elif number == 1:
-                    if record.get("id") != ROOT_ID:
-                        raise ConfigError(f"{self.nodes_path} line 1 is not the root record")
                 else:
                     parent, count, layer, role = self._check_header(tree, number, record)
                 if len(children) == count:
@@ -414,7 +411,7 @@ def expand_parent(parent: TreeNode, path_texts: Sequence[str], config: TreeConfi
 
     kept = [pool[i] for i in selection.selected] if selection else []
     children = [TreeNode(id=child_id(parent.id, rank), parent_id=parent.id, layer=layer_index,
-                         role=layer.role, text=text, token_count=len(text.split()),
+                         role=layer.role, text=text,
                          gen_meta=GenMeta(backend_id=generator.backend_id,
                                           finish_reason=finish_reason, sample_index=sample_index))
                 for rank, (text, sample_index, finish_reason) in enumerate(kept)]

@@ -11,7 +11,6 @@ resume deterministic.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -23,8 +22,6 @@ from typing import Iterator, Sequence
 from .errors import ConfigError
 from .fnv import hash_text
 from .templates import BUILTIN_TEMPLATES
-
-log = logging.getLogger(__name__)
 
 ROOT_ID = "root"
 
@@ -314,7 +311,6 @@ class TreeNode:
     layer: int
     role: Role
     text: str
-    token_count: int
     embedding: tuple[float, ...] | None = None
     children: list[str] = field(default_factory=list)
     gen_meta: GenMeta | None = None
@@ -340,7 +336,6 @@ def node_to_record(node: TreeNode) -> dict:
         "layer": node.layer,
         "role": node.role.value,
         "text": node.text,
-        "token_count": node.token_count,
         "gen_meta": None if node.gen_meta is None else {
             "backend_id": node.gen_meta.backend_id,
             "finish_reason": node.gen_meta.finish_reason,
@@ -385,10 +380,10 @@ def node_from_record(record: dict) -> TreeNode:
         role = _ROLES[role]
     except (KeyError, TypeError):  # not a role value, or not hashable
         role = Role(role)
-    text, token_count = record["text"], record["token_count"]
-    if type(layer) is not int or type(text) is not str or type(token_count) is not int:
-        raise _wrong_kind(record, ("layer", int), ("text", str), ("token_count", int))
-    return TreeNode(node_id, parent_id, layer, role, text, token_count, None, [], meta)
+    text = record["text"]
+    if type(layer) is not int or type(text) is not str:
+        raise _wrong_kind(record, ("layer", int), ("text", str))
+    return TreeNode(node_id, parent_id, layer, role, text, None, [], meta)
 
 
 class Tree:
@@ -396,11 +391,8 @@ class Tree:
 
     def __init__(self, config: TreeConfig):
         self.config = config
-        root = TreeNode(
-            id=ROOT_ID, parent_id=None, layer=0, role=Role.ROOT,
-            text=config.system_prompt,
-            token_count=len(config.system_prompt.split()),
-        )
+        root = TreeNode(id=ROOT_ID, parent_id=None, layer=0, role=Role.ROOT,
+                        text=config.system_prompt)
         self.nodes: dict[str, TreeNode] = {ROOT_ID: root}
         self._expanded: set[str] = set()
 

@@ -182,8 +182,8 @@ class FlakyBackend(OptionMock):
 
 
 def node_records(nodes_jsonl: str | bytes) -> list[dict]:
-    """The node records of a nodes.jsonl text in file order, root first: every
-    line but the block headers, which hold a ``children`` count."""
+    """The node records of a nodes.jsonl text in file order: every line but
+    the block headers, which hold a ``children`` count."""
     return [record for record in map(json.loads, nodes_jsonl.splitlines())
             if "children" not in record]
 
@@ -197,8 +197,7 @@ def build_full_tree(config) -> Tree:
         for pid in frontier:
             children = [
                 TreeNode(id=child_id(pid, rank), parent_id=pid, layer=layer_index,
-                         role=layer.role, text=f"{layer.role.value}-{pid}-{rank}",
-                         token_count=2)
+                         role=layer.role, text=f"{layer.role.value}-{pid}-{rank}")
                 for rank in range(layer.branching)
             ]
             tree.add_children(pid, children)

@@ -1,0 +1,164 @@
+"""Cross-version check of the selection arithmetic and of a run's bytes.
+
+    python tests/crossver_check.py
+
+Needs nothing but the standard library and this checkout's ``src/``, so any
+Python >= 3.10 runs it. It checks, bit for bit (``float.hex``), that
+``dedup._dots``, ``dedup._finite_roots``, a pool's relevance, every
+``pool_score`` and the near-duplicate filter's kept picks equal an inline
+reference that sums each dot product sequentially, in index order, on seeded
+pools at d = 1, 3, 16 and 1024. ``sum()`` of floats is compensated from
+Python 3.12 on, so a kernel built on it passes under 3.10 and 3.11 and fails
+here under 3.12 and later.
+
+It then grows a small tree whose long answers near-duplicate one another
+under the mock embedder (so its expansions drop candidates and retry), and
+exports it with the G-Turn policy. It prints one sha256 of every checked
+value, then the run's counts and the sha256 of ``nodes.jsonl`` and of the
+export. Its stdout is the same under every interpreter;
+``tests/test_crossver.py`` compares it across interpreters. Exits 1, naming
+the first difference, when a check fails.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from treegen.backends import EmbeddingVector, MockEmbedder, MockTextBackend  # noqa: E402
+from treegen.corpus import build_corpus, export_sharegpt, gaussian_turn_policy  # noqa: E402
+from treegen.dedup import (_dots, _finite_roots, mmr_select,  # noqa: E402
+                           near_duplicate_filter)
+from treegen.scheduler import NODES_FILE, CheckpointStore, TreeRunner  # noqa: E402
+from treegen.tree import config_from_dict  # noqa: E402
+
+DIMENSIONS = (1, 3, 16, 1024)
+POOL_SIZES = (1, 2, 3, 4, 5, 6, 7, 9)  # every remainder of _dots' four-row passes
+LAMBDA = 0.5
+
+
+def ref_dot(a, b) -> float:
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
+
+
+def ref_cos(a, b) -> float:
+    root_a, root_b = ref_dot(a, a) ** 0.5, ref_dot(b, b) ** 0.5
+    return 0.0 if root_a == 0.0 or root_b == 0.0 else ref_dot(a, b) / (root_a * root_b)
+
+
+def ref_mmr(query, pool, k: int) -> tuple[list[int], list[float]]:
+    """The eager greedy: every pick rescores every candidate. Returns the
+    picks and each candidate's score against all the picks (a pick's score
+    is the one it was picked with)."""
+    relevance = [ref_cos(query, v) for v in pool]
+    picks = [max(range(len(pool)), key=relevance.__getitem__)]
+    scores = {picks[0]: relevance[picks[0]]}
+
+    def score(i: int) -> float:
+        most = max(ref_cos(pool[i], pool[p]) for p in picks)
+        return LAMBDA * relevance[i] - (1.0 - LAMBDA) * most
+
+    while len(picks) < k:
+        best = max((i for i in range(len(pool)) if i not in scores),
+                   key=lambda i: (score(i), -i))
+        scores[best] = score(best)
+        picks.append(best)
+    return picks, [scores[i] if i in scores else score(i) for i in range(len(pool))]
+
+
+def ref_filter(pool, picks: list[int], scores: list[float], threshold: float) -> list[int]:
+    """The picks in pick order, then the other candidates in score order
+    (lowest index on ties) until ``len(picks)`` are kept, each kept unless its
+    cosine to a kept one reaches ``threshold``."""
+    rest = sorted((i for i in range(len(pool)) if i not in picks), key=lambda i: (-scores[i], i))
+    kept: list[int] = []
+    for n, i in enumerate([*picks, *rest]):
+        if n >= len(picks) and len(kept) == len(picks):
+            break
+        if not any(ref_cos(pool[i], pool[j]) >= threshold for j in kept):
+            kept.append(i)
+    return kept
+
+
+class Checker:
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def same(self, what: str, got, want) -> None:
+        """``got`` and ``want``, lists of floats or ints, must be equal bit for bit."""
+        hexed, wanted = ([x.hex() if isinstance(x, float) else str(x) for x in values]
+                         for values in (got, want))
+        if hexed != wanted:
+            sys.exit(f"FAIL {what}: got {hexed}, want {wanted}")
+        self.digest.update(f"{what}:{','.join(hexed)};".encode())
+
+
+def check_arithmetic(check: Checker) -> None:
+    rng = random.Random(20240617)
+    for dim in DIMENSIONS:
+        for size in POOL_SIZES:
+            where = f"d={dim} n={size}"
+            query = [rng.gauss(0.0, 1.0) for _ in range(dim)]
+            # every other pool leans on one direction, so cosines crowd a cutoff
+            lean = [rng.gauss(0.0, 1.0) for _ in range(dim)] if size % 2 else [0.0] * dim
+            pool = [[rng.gauss(0.0, 1.0) + 3.0 * x for x in lean] for _ in range(size)]
+            check.same(f"{where} _dots", _dots(query, pool), [ref_dot(query, v) for v in pool])
+            check.same(f"{where} _finite_roots", _finite_roots(pool),
+                       [ref_dot(v, v) ** 0.5 for v in pool])
+            vectors = [EmbeddingVector(tuple(v)) for v in pool]
+            k = max(1, size // 2)
+            selection = mmr_select(vectors, EmbeddingVector(tuple(query)), k, LAMBDA)
+            check.same(f"{where} relevance", selection.similarity.relevance,
+                       [ref_cos(query, v) for v in pool])
+            picks, scores = ref_mmr(query, pool, k)
+            check.same(f"{where} picks", selection.selected, picks)
+            check.same(f"{where} pool_score",
+                       [selection.pool_score(i) for i in range(size)], scores)
+            for threshold in (0.3, 0.9):
+                fresh = mmr_select(vectors, EmbeddingVector(tuple(query)), k, LAMBDA)
+                kept = near_duplicate_filter(vectors, fresh, threshold).selected
+                check.same(f"{where} kept at {threshold}", kept,
+                           ref_filter(pool, picks, scores, threshold))
+
+
+# long answers look alike to the mock's 16-dimensional embedder
+CONFIG = {
+    "mode": "sft", "system_prompt": "You are a helpful assistant.", "seed": 7,
+    "layers": [{"branching": 4, "max_tokens": 8}, {"branching": 3, "max_tokens": 200},
+               {"branching": 2, "max_tokens": 8}, {"branching": 2, "max_tokens": 300}],
+}
+
+
+def run_digests() -> list[str]:
+    config = config_from_dict(CONFIG)
+    with tempfile.TemporaryDirectory() as work:
+        store = CheckpointStore(Path(work) / "tree")
+        tree = TreeRunner(config, MockTextBackend(), MockEmbedder(), store, workers=2).run()
+        manifest = store.manifest
+        records = build_corpus(tree, gaussian_turn_policy(sample_seed=0, turn_counts=(1, 2)))
+        export = export_sharegpt(records, Path(work) / "gturn.json")
+        return [f"leaves {manifest['leaf_count']} of {manifest['expected_leaves']}, "
+                f"dedup_drops {manifest['dedup_drops']}, retries {manifest['retries']}",
+                "nodes.jsonl sha256 "
+                + hashlib.sha256((store.directory / NODES_FILE).read_bytes()).hexdigest(),
+                "gturn export sha256 " + hashlib.sha256(export.read_bytes()).hexdigest()]
+
+
+def main() -> None:
+    check = Checker()
+    check_arithmetic(check)
+    print("arithmetic sha256 " + check.digest.hexdigest())
+    for line in run_digests():
+        print(line)
+
+
+if __name__ == "__main__":
+    main()

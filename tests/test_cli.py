@@ -54,6 +54,32 @@ def test_generate_mock_run_counts(tmp_path, capsys):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert payload == {**manifest, "out": str(out_dir)}  # stdout is the manifest
     assert (manifest["status"], manifest["workers"]) == ("complete", 4)
+    assert (manifest["expected_leaves"], manifest["leaf_yield"]) == (32, 1.0)
+
+
+def test_manifest_names_the_leaves_a_run_was_meant_to_grow(tmp_path, capsys):
+    # 512-token answers look alike to the mock embedder, so most answer
+    # expansions fall short and the run completes with a fraction of its leaves
+    config_path = write_config(tmp_path, sft_config([4, 4, 2, 2], a_tokens=512, a_step=0))
+    out_dir = tmp_path / "o"
+    code, out, _ = run_cli(capsys, "generate", "--config", str(config_path),
+                           "--out", str(out_dir), "--workers", "2")
+    assert code == 0
+    manifest = json.loads(out)
+    assert manifest["status"] == "complete" and manifest["expected_leaves"] == 64
+    assert 0 < manifest["leaf_count"] < 64
+    assert manifest["leaf_yield"] == manifest["leaf_count"] / 64
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_generate_workers_below_1_exits_64_writing_nothing(tmp_path, capsys, workers):
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(capsys, "generate", "--config",
+                             str(CONFIGS / "balance_8x4x2x2.json"), "--out", str(out_dir),
+                             "--workers", workers)
+    assert (code, out) == (64, "")
+    assert err == f"usage error: --workers must be >= 1 (got {workers})\n"
+    assert not out_dir.exists()
 
 
 def test_generate_http_without_key_exits_1(tmp_path, capsys, monkeypatch):
@@ -290,7 +316,7 @@ def test_generate_http_embedding_dimension_change_exits_2(tmp_path, capsys, monk
     assert "has 16, its pool has [17]" in err
     assert out == ""
     assert json.loads((out_dir / "manifest.json").read_text())["status"] == "aborted"
-    assert len(node_records((out_dir / "nodes.jsonl").read_text())) == 3  # root + 2
+    assert len(node_records((out_dir / "nodes.jsonl").read_text())) == 2
 
 
 @pytest.mark.parametrize("retry_dim, exit_code", [(16, 0), (17, 2)],
@@ -409,6 +435,45 @@ def test_damaged_checkpoint_config_exits_1(tmp_path, capsys, command, damage):
     assert last.startswith("error: ") and str(stored) in last
 
 
+# the line format 3 began nodes.jsonl with, for sft_config's system prompt
+ROOT_RECORD_OF_FORMAT_3 = json.dumps(
+    {"id": "root", "parent_id": None, "layer": 0, "role": "root",
+     "text": "You are a helpful assistant.", "token_count": 5, "gen_meta": None},
+    ensure_ascii=False, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("command", ["export", "resume"])
+def test_format_3_checkpoint_exits_1_to_regenerate(tmp_path, capsys, command):
+    # a format-3 checkpoint: config.json declares 3, nodes.jsonl opens with
+    # the root record and every node record holds a token_count
+    config_path = write_config(tmp_path, sft_config([2, 2]))
+    out_dir = tmp_path / "o"
+    assert run_cli(capsys, "generate", "--config", str(config_path),
+                   "--out", str(out_dir))[0] == 0
+    stored = out_dir / "config.json"
+    stored.write_text(json.dumps({**json.loads(stored.read_text()), "format": 3}))
+    nodes = out_dir / "nodes.jsonl"
+    lines = [ROOT_RECORD_OF_FORMAT_3]
+    for record in map(json.loads, nodes.read_text().splitlines()):
+        if "children" not in record:
+            record = {**record, "token_count": len(record["text"].split())}
+        lines.append(json.dumps(record))
+    nodes.write_text("\n".join(lines) + "\n")
+    before = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+    if command == "export":
+        argv = ["export", "--tree", str(out_dir), "--format", "sharegpt",
+                "--out", str(tmp_path / "c.json")]
+    else:
+        argv = ["generate", "--config", str(config_path), "--out", str(out_dir), "--resume"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == (
+        f"error: {stored} declares checkpoint format 3; this version reads checkpoint "
+        "format 4 only, so regenerate the tree")
+    assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_export_of_a_checkpoint_whose_hash_was_edited_exits_1(tmp_path, capsys):
     config_path = write_config(tmp_path, sft_config([2, 2]))
     out_dir = tmp_path / "o"
@@ -471,6 +536,10 @@ DAMAGED_NODE_LINES = {
                                "has parent_id '0' in the block of '1'"),
     "record-where-header-is-due": (lambda lines: [*lines, lines[-1]],
                                    "is not a block header: KeyError('children')"),
+    "record-on-line-1": (lambda lines: [lines[1], *lines],
+                         "is not a block header: KeyError('children')"),
+    "root-record-on-line-1": (lambda lines: [ROOT_RECORD_OF_FORMAT_3, *lines],
+                              "is not a block header: KeyError(None)"),
 }
 
 
@@ -525,12 +594,6 @@ DAMAGED_NODE_FIELDS = {
     "layer-of-other-layer": (_field("layer", 3),
                              "has layer 3 where its parent's children are at layer 2"),
     "unknown-role": (_field("role", "oracle"), "is not a node record: ValueError"),
-    "token-count-string": (_field("token_count", "many"),
-                           "is not a node record: ValueError(\"'token_count'"),
-    "token-count-bool": (_field("token_count", True),
-                         "is not a node record: ValueError(\"'token_count'"),
-    "token-count-float": (_field("token_count", 12.0),
-                          "is not a node record: ValueError(\"'token_count'"),
     "text-number": (_field("text", 5), "is not a node record: ValueError(\"'text'"),
     "layer-string": (_field("layer", "2"), "is not a node record: ValueError(\"'layer'"),
     "gen-meta-string": (_field("gen_meta", "mock"),

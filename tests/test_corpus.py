@@ -106,8 +106,7 @@ def partial_tree_with_shortfalls(seed: int) -> Tree:
         for pid in frontier:
             kept = layer.branching if pid == "root" else rng.randint(0, layer.branching)
             children = [TreeNode(id=child_id(pid, rank), parent_id=pid, layer=layer_index,
-                                 role=layer.role, text=f"{layer.role.value}-{pid}-{rank}",
-                                 token_count=2)
+                                 role=layer.role, text=f"{layer.role.value}-{pid}-{rank}")
                         for rank in range(kept)]
             tree.add_children(pid, children)
             next_frontier.extend(c.id for c in children)

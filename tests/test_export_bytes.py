@@ -129,8 +129,7 @@ def test_pt_export_matches_the_json_module(tmp_path, template_id):
                 text = TEXTS[n % len(TEXTS)]
                 children.append(TreeNode(id=child_id(pid, rank), parent_id=pid,
                                          layer=layer_index, role=layer.role,
-                                         text=distinct_copy(text) if rank else text,
-                                         token_count=1))
+                                         text=distinct_copy(text) if rank else text))
                 n += 1
             tree.add_children(pid, children)
             next_frontier.extend(c.id for c in children)

@@ -54,5 +54,5 @@ def test_http_tree_equals_the_mock_tree(tmp_path, capsys, monkeypatch, stub_url)
     TreeRunner(config, generator, MockEmbedder(), CheckpointStore(tmp_path / "mock"),
                workers=2).run()
     http_nodes = (tmp_path / "http" / NODES_FILE).read_bytes()
-    assert len(node_records(http_nodes)) == 1 + 4 + 8
+    assert len(node_records(http_nodes)) == 4 + 8
     assert http_nodes == (tmp_path / "mock" / NODES_FILE).read_bytes()

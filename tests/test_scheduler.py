@@ -184,10 +184,9 @@ def test_run_pt_mode(tmp_path):
 def test_nodes_jsonl_parent_before_child(tmp_path):
     config = sft_config([3, 2, 2, 2], dedup_threshold=1.01)
     _, store = run_to_completion(config, tmp_path / "t")
-    seen = set()
+    seen = {ROOT_ID}
     for record in node_records((tmp_path / "t" / NODES_FILE).read_text()):
-        if record["id"] != ROOT_ID:
-            assert record["parent_id"] in seen
+        assert record["parent_id"] in seen
         seen.add(record["id"])
 
 
@@ -236,7 +235,6 @@ def test_checkpoint_round_trip_identity(tmp_path):
         assert clone.layer == node.layer
         assert clone.role == node.role
         assert clone.parent_id == node.parent_id
-        assert clone.token_count == node.token_count
         assert clone.children == node.children
         # the runner keeps vectors apart from the tree
         assert node.embedding is None
@@ -373,7 +371,7 @@ def test_all_empty_completions_complete_with_shortfalls(tmp_path):
     assert counting.calls == []
 
 
-def test_tear_through_root_record_recovers(tmp_path):
+def test_tear_inside_the_first_block_recovers(tmp_path):
     config = sft_config([2, 2], dedup_threshold=1.01)
     baseline_dir = tmp_path / "base"
     run_to_completion(config, baseline_dir)
@@ -382,7 +380,11 @@ def test_tear_through_root_record_recovers(tmp_path):
     crash_dir = tmp_path / "torn"
     run_to_completion(config, crash_dir)
     nodes_path = crash_dir / NODES_FILE
-    nodes_path.write_bytes(nodes_path.read_bytes()[:10])  # only a root fragment left
+    header, first = baseline.splitlines(keepends=True)[:2]
+    nodes_path.write_bytes(baseline[:len(header) + len(first) // 2])  # no block intact
+    store = CheckpointStore(crash_dir)
+    assert [node.id for node in store.load(config).unexpanded()] == [ROOT_ID]
+    assert store._intact == 0
     manifest = json.loads((crash_dir / "manifest.json").read_text())
     manifest["status"] = "running"
     (crash_dir / "manifest.json").write_text(json.dumps(manifest))
@@ -391,6 +393,26 @@ def test_tear_through_root_record_recovers(tmp_path):
                          CheckpointStore(crash_dir), workers=2).run()
     assert not resumed.unexpanded()
     assert nodes_path.read_bytes() == baseline
+
+
+def test_nodes_jsonl_stays_empty_until_the_first_commit(tmp_path):
+    config = sft_config([2, 2], dedup_threshold=1.01)
+    baseline_dir = tmp_path / "base"
+    run_to_completion(config, baseline_dir)
+
+    # a run that stops before its first commit leaves the file empty
+    directory = tmp_path / "t"
+    nodes_path = directory / NODES_FILE
+    with pytest.raises(InjectedCrash):
+        TreeRunner(config, MockTextBackend(), MockEmbedder(),
+                   AbortingStore(directory, abort_after_nodes=0), workers=2).run()
+    assert nodes_path.read_bytes() == b""
+    assert json.loads((directory / MANIFEST_FILE).read_text())["status"] == "aborted"
+    assert [node.id for node in CheckpointStore(directory).load(config).unexpanded()] == [
+        ROOT_ID]
+    run_to_completion(config, directory)
+    assert nodes_path.read_bytes().startswith(b'{"parent_id":"root","children":2}\n')
+    assert nodes_path.read_bytes() == (baseline_dir / NODES_FILE).read_bytes()
 
 
 def shortfall_heavy_config(seed):
@@ -608,8 +630,8 @@ def test_manifest_written_at_start_and_finish_only(tmp_path, monkeypatch):
     # a resumed session writes its own start and end; loading writes nothing
     nodes = tmp_path / "t" / NODES_FILE
     lines = nodes.read_bytes().splitlines(keepends=True)
-    # the root record and the root's block, whose header is line 2
-    nodes.write_bytes(b"".join(lines[:2 + json.loads(lines[1])["children"]]))
+    # the root's block, whose header is line 1
+    nodes.write_bytes(b"".join(lines[:1 + json.loads(lines[0])["children"]]))
     statuses.clear()
     CheckpointStore(tmp_path / "t").load(config)
     assert statuses == []
@@ -621,7 +643,7 @@ def shortfall_lines_from_log(nodes_jsonl: str, config) -> list[str]:
     """The INFO line of each layer whose blocks in ``nodes_jsonl`` hold a
     shortfall, from a count of those blocks, layer order."""
     records = [json.loads(line) for line in nodes_jsonl.splitlines()]
-    layer_of = {r["id"]: r["layer"] for r in records if "children" not in r}
+    layer_of = {ROOT_ID: 0, **{r["id"]: r["layer"] for r in records if "children" not in r}}
     counts: dict[int, list[int]] = {}
     for header in (r for r in records if "children" in r):
         layer = layer_of[header["parent_id"]] + 1
@@ -665,16 +687,16 @@ def test_load_refuses_checkpoint_without_format(tmp_path):
     written = json.loads(config_path.read_text())
     for stored, declares in (({k: v for k, v in written.items() if k != "format"},
                               "no checkpoint format"),
-                             ({**written, "format": 2}, "checkpoint format 2")):
+                             ({**written, "format": 3}, "checkpoint format 3")):
         config_path.write_text(json.dumps(stored))
         with pytest.raises(ConfigError, match=f"declares {declares}; this version reads "
-                                                  "checkpoint format 3 only, so regenerate"):
+                                                  "checkpoint format 4 only, so regenerate"):
             CheckpointStore(tmp_path / "t").load(config)
 
 
 PT_WORLD_KNOWLEDGE_CONFIG_JSON = """\
 {
-  "format": 3,
+  "format": 4,
   "config": {
     "mode": "pt",
     "system_prompt": "Here are some useful world knowledge:",

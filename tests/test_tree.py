@@ -153,13 +153,13 @@ def test_leaf_paths_with_shortfall():
     config = sft_config([2, 2])
     tree = Tree(config)
     q = [TreeNode(id=str(i), parent_id="root", layer=1, role=Role.QUESTION,
-                  text=f"q{i}", token_count=1) for i in range(2)]
+                  text=f"q{i}") for i in range(2)]
     tree.add_children("root", q)
     full = [TreeNode(id=child_id("0", r), parent_id="0", layer=2, role=Role.ANSWER,
-                     text=f"a{r}", token_count=1) for r in range(2)]
+                     text=f"a{r}") for r in range(2)]
     tree.add_children("0", full)
     short = [TreeNode(id=child_id("1", 0), parent_id="1", layer=2, role=Role.ANSWER,
-                      text="a", token_count=1)]
+                      text="a")]
     tree.add_children("1", short)
     assert not tree.unexpanded()
     assert len(tree.leaf_paths()) == 3
@@ -174,11 +174,11 @@ def test_incomplete_tree_raises_unless_permissive():
     config = sft_config([2, 2, 2, 2])
     tree = Tree(config)
     q = [TreeNode(id=str(i), parent_id="root", layer=1, role=Role.QUESTION,
-                  text=f"q{i}", token_count=1) for i in range(2)]
+                  text=f"q{i}") for i in range(2)]
     tree.add_children("root", q)
     for pid in ("0", "1"):
         a = [TreeNode(id=child_id(pid, r), parent_id=pid, layer=2, role=Role.ANSWER,
-                      text="a", token_count=1) for r in range(2)]
+                      text="a") for r in range(2)]
         tree.add_children(pid, a)
     with pytest.raises(ConfigError, match="expansion is not finished"):
         tree.leaf_paths()
@@ -190,7 +190,7 @@ def test_permissive_rounds_down_to_even_layer_in_sft():
     config = sft_config([2, 2, 2, 2])
     tree = Tree(config)
     q = [TreeNode(id=str(i), parent_id="root", layer=1, role=Role.QUESTION,
-                  text="q", token_count=1) for i in range(2)]
+                  text="q") for i in range(2)]
     tree.add_children("root", q)
     # only layer 1 complete -> rounds down to 0 -> no paths
     assert tree.leaf_paths(permissive=True) == []
@@ -201,14 +201,14 @@ def test_walk_orders_like_sorted_ids():
     config = sft_config([12, 3, 2, 2])
     tree = Tree(config)
     tree.add_children("root", [TreeNode(id=str(i), parent_id="root", layer=1,
-                                        role=Role.QUESTION, text="q", token_count=1)
+                                        role=Role.QUESTION, text="q")
                                for i in range(12)])
     for pid in ("0", "2", "10"):
         tree.add_children(pid, [TreeNode(id=child_id(pid, r), parent_id=pid, layer=2,
-                                         role=Role.ANSWER, text="a", token_count=1)
+                                         role=Role.ANSWER, text="a")
                                 for r in range(3 if pid != "2" else 1)])
     tree.add_children("0.1", [TreeNode(id="0.1.0", parent_id="0.1", layer=3,
-                                       role=Role.QUESTION, text="q", token_count=1)])
+                                       role=Role.QUESTION, text="q")])
     for layer in range(4):
         ids = [nid for nid, node in tree.nodes.items() if node.layer == layer]
         assert tree.layer_ids(layer) == sorted(ids, key=structural_key)
@@ -299,7 +299,7 @@ def test_shipped_config_hashes_are_pinned():
 
 @pytest.mark.parametrize("make", [
     lambda: TreeNode(id="0", parent_id="root", layer=1, role=Role.QUESTION, text="q",
-                     token_count=1, gen_meta=GenMeta("mock", "stop", 0)),
+                     gen_meta=GenMeta("mock", "stop", 0)),
     lambda: GenMeta("mock", "stop", 0),
 ], ids=["TreeNode", "GenMeta"])
 def test_nodes_are_immutable_and_carry_no_instance_dict(make):
@@ -316,7 +316,6 @@ def test_nodes_are_immutable_and_carry_no_instance_dict(make):
 
 def test_node_from_record_takes_roles_and_gen_meta_by_value():
     record = {"id": "0", "parent_id": "root", "layer": 1, "role": "question", "text": "q",
-              "token_count": 1,
               "gen_meta": {"backend_id": "mock", "finish_reason": "stop", "sample_index": 2}}
     node = node_from_record(record)
     assert node.role is Role.QUESTION and node.children == []
@@ -330,8 +329,7 @@ def test_node_from_record_takes_roles_and_gen_meta_by_value():
 
 def test_node_record_round_trip():
     node = TreeNode(id="0.1", parent_id="0", layer=2, role=Role.ANSWER,
-                    text="hello world", token_count=2,
-                    gen_meta=GenMeta("mock", "stop", 3))
+                    text="hello world", gen_meta=GenMeta("mock", "stop", 3))
     record = json.loads(json.dumps(node_to_record(node)))
     clone = node_from_record(record)
     assert clone.id == node.id and clone.text == node.text
