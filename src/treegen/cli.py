@@ -11,10 +11,10 @@ import argparse
 import json
 import logging
 import sys
+from typing import Callable
 
-from .analysis import compute_stats
 from .backends import API_BASE_ENV, HttpBackend, MockEmbedder, MockTextBackend
-from .corpus import (TurnPolicy, build_corpus, export_jsonl, export_pt,
+from .corpus import (TurnPolicy, build_corpus, compute_stats, export_jsonl, export_pt,
                      export_sharegpt, gaussian_turn_policy, sample_to_size,
                      validate_sharegpt_file)
 from .errors import ConfigError, ResumableRunError, TreeGenError
@@ -82,21 +82,24 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _parse_policy(spec: str, seed: int, tree: Tree) -> TurnPolicy | None:
+def _parse_policy(spec: str, seed: int) -> Callable[[Tree], TurnPolicy | None]:
+    """The policy ``spec`` names, given the tree; a bad spec is a usage error."""
     if spec == "full":
-        return None  # every leaf path
+        return lambda tree: None  # every leaf path
     if spec == "gturn":
         # the paper's 1-4 turns, cut to those the tree exports and renormalized
         # (build_corpus refuses an incomplete tree exported without --permissive)
-        turns = max(1, min(4, tree.export_depth(permissive=True) // 2))
-        return gaussian_turn_policy(sample_seed=seed, turn_counts=range(1, turns + 1))
+        return lambda tree: gaussian_turn_policy(sample_seed=seed, turn_counts=range(
+            1, max(1, min(4, tree.export_depth(permissive=True) // 2)) + 1))
     if spec.startswith("fixed:"):
         try:
-            return TurnPolicy.fixed(int(spec.split(":", 1)[1]))
+            turns = int(spec.split(":", 1)[1])
         except ValueError:
-            raise _UsageError(f"bad --turn-policy value {spec!r}") from None
+            turns = 0
+        if turns >= 1:
+            return lambda tree: TurnPolicy.fixed(turns)
     raise _UsageError(f"bad --turn-policy value {spec!r} "
-                      "(expected full, fixed:K, or gturn)")
+                      "(expected full, fixed:K with K >= 1, or gturn)")
 
 
 # the export flags that shape a conversation corpus, by argparse dest; each
@@ -119,6 +122,9 @@ def cmd_export(args) -> int:
         raise _UsageError(f"--policy-seed applies to --turn-policy gturn only, not {spec}")
     if args.sample_seed is not None and args.target_size is None:
         raise _UsageError("--sample-seed applies only with --target-size")
+    if args.target_size is not None and args.target_size < 0:
+        raise _UsageError(f"--target-size must be >= 0 (got {args.target_size})")
+    policy = _parse_policy(spec, args.policy_seed or 0)
     tree = CheckpointStore(args.tree).load()  # load writes nothing and opens no file
     if not args.permissive and tree.unexpanded():
         raise ConfigError("tree expansion is not finished; pass --permissive to export "
@@ -130,8 +136,7 @@ def cmd_export(args) -> int:
         _emit({"out": str(out), "lines": lines})
         return EXIT_OK
 
-    policy = _parse_policy(spec, args.policy_seed or 0, tree)
-    records = build_corpus(tree, policy, permissive=args.permissive)
+    records = build_corpus(tree, policy(tree), permissive=args.permissive)
     if args.target_size is not None:
         records = sample_to_size(records, args.target_size, args.sample_seed or 0)
     if args.format == "sharegpt":

@@ -1,4 +1,4 @@
-"""Corpus materialization: dialogue records, turn policies, and exports.
+"""Corpus materialization: dialogue records, turn policies, exports and stats.
 
 A record is one depth-2k prefix of an SFT tree: its id, the system prompt and
 the path's texts, human first, so a turn's role follows from its position.
@@ -307,3 +307,27 @@ def sample_to_size(records: Sequence[ConversationRecord], target_n: int,
         raise ConfigError(f"target size {target_n} is not between 0 and the "
                           f"corpus size {len(records)}")
     return [records[i] for i in _draw(random.Random(seed), len(records), target_n)]
+
+
+def compute_stats(records: Sequence[ConversationRecord]) -> dict:
+    """The statistics ``treegen stats`` prints: the record count, the records
+    per turn count (string keys, in turn order) and the min, max, mean, p50
+    and p95 of the turn texts' lengths (all 0 without turns)."""
+    histogram: dict[int, int] = {}
+    lengths: list[int] = []
+    for record in records:
+        histogram[record.turn_count] = histogram.get(record.turn_count, 0) + 1
+        lengths.extend(map(len, record.turns))
+    lengths.sort()
+
+    def percentile(q: float) -> int:  # nearest rank, of a non-empty ``lengths``
+        return lengths[max(1, math.ceil(q * len(lengths))) - 1]
+
+    return {
+        "record_count": len(records),
+        "turn_histogram": {str(turns): count for turns, count in sorted(histogram.items())},
+        "text_length_stats": {
+            "min": lengths[0], "max": lengths[-1], "mean": sum(lengths) / len(lengths),
+            "p50": percentile(0.50), "p95": percentile(0.95),
+        } if lengths else {"min": 0, "max": 0, "mean": 0.0, "p50": 0, "p95": 0},
+    }

@@ -15,11 +15,12 @@ descending while an expansion kept exactly one child, so each layer-1 chain
 runs to full depth with no cross-chain barrier. The writer commits the tasks'
 results in frontier order.
 
-The first exception, in a worker or in the writer (a Ctrl-C included), stops
-the run: tasks that start after it expand nothing and queued ones are
-cancelled, so only the expansions already in flight finish. Tasks start in
-FIFO order and the writer raises at the failed task, so the committed log
-stays a prefix of the canonical order.
+The first exception, in a worker or in the writer (a Ctrl-C included), sets
+the run's one failure signal, ``failed``. A task checks it before each
+expansion, a chain's next step included, and queued tasks are cancelled, so
+only the expansions in flight finish. The writer commits a task's results
+only while it is unset, so no chain cut short is committed, and raises at the
+failed task: the committed log stays a prefix of the canonical order.
 
 nodes.jsonl is the only record of what was committed: resume replays it alone,
 and shortfalls are derived from the replayed structure. The manifest is a
@@ -63,6 +64,8 @@ MANIFEST_FILE = "manifest.json"
 # blocks, each opened by a header that gives its length, and its node records
 # hold no token count; other formats are refused.
 CHECKPOINT_FORMAT = 4
+
+LOW_LEAF_YIELD = 0.5  # a complete run that keeps a smaller share of its leaves warns
 
 
 def _utcnow() -> str:
@@ -458,6 +461,9 @@ class TreeRunner:
             self.store.finalize(tree, "aborted")
             raise
         self.store.finalize(tree, "complete")
+        if self.store.manifest["leaf_yield"] < LOW_LEAF_YIELD:
+            log.warning("the run kept only %d of its %d expected leaves",
+                        self.store.manifest["leaf_count"], self.store.manifest["expected_leaves"])
         return tree
 
     # -- the scheduling loop ---------------------------------------------------
@@ -480,23 +486,17 @@ class TreeRunner:
                 futures = deque(pool.submit(self._expand_from, failed, node,
                                             tree.path_texts(node.id))
                                 for node in frontier)
-                # per layer: expansions committed, how many fell short, children kept
+                # per layer: the shortfall of each expansion committed
                 tally: dict[int, list[int]] = {}
-                skipped = False
                 try:
                     while futures:  # commit strictly in frontier order
                         # popped before it is awaited: once committed, a task's
                         # results are freed
                         results = self._await(futures.popleft())
-                        # None: this task started just after a later one failed;
-                        # commit nothing past it, as awaiting the failed one raises
-                        skipped = skipped or results is None
-                        for result in () if skipped else results:
+                        # a task cut short saw failed set first: never commit it
+                        for result in () if failed.is_set() else results:
                             self._commit_result(tree, result)
-                            counts = tally.setdefault(result.layer_index, [0, 0, 0])
-                            counts[0] += 1
-                            counts[1] += result.shortfall > 0
-                            counts[2] += len(result.children)
+                            tally.setdefault(result.layer_index, []).append(result.shortfall)
                 finally:
                     self._log_shortfalls(tally)
         except BaseException:
@@ -506,11 +506,12 @@ class TreeRunner:
             pool.shutdown(cancel_futures=True)
 
     def _log_shortfalls(self, tally: dict[int, list[int]]) -> None:
-        for layer_index, (expansions, short, kept) in sorted(tally.items()):
-            if short:
+        for layer_index, shortfalls in sorted(tally.items()):
+            if any(shortfalls):
+                expected = len(shortfalls) * self.config.layer(layer_index).branching
                 log.info("layer %d: %d of %d expansions fell short, keeping %d of %d children",
-                         layer_index, short, expansions, kept,
-                         expansions * self.config.layer(layer_index).branching)
+                         layer_index, sum(map(bool, shortfalls)), len(shortfalls),
+                         expected - sum(shortfalls), expected)
 
     def _frontier(self, tree: Tree) -> list[TreeNode]:
         """Nodes to expand this round; a balance tree takes one layer at a time."""
@@ -521,29 +522,28 @@ class TreeRunner:
         return pending
 
     def _expand_from(self, failed: threading.Event, node: TreeNode,
-                     path_texts: list[str]) -> list[ExpansionResult] | None:
+                     path_texts: list[str]) -> list[ExpansionResult]:
         """Expand ``node``; outside a balance tree, keep descending while an
         expansion kept exactly one child, so a wide tree's chain is one task.
         Each step embeds its own parent's text, as the chain's first does.
 
         Runs on a pool thread and reads nothing from the tree: ``node`` and
         its path are committed and immutable, and new nodes go back to the
-        writer. Returns None without expanding once a failure has stopped
-        the run.
+        writer. Checks ``failed`` before every expansion, and returns what it
+        expanded once it finds it set.
         """
-        if failed.is_set():
-            return None
         results: list[ExpansionResult] = []
         try:
-            while True:
+            while not failed.is_set():
                 result = expand_parent(node, path_texts, self.config, self.generator,
                                        self.embedder)
                 results.append(result)
                 if (self.shape is TreeShape.BALANCE or len(result.children) != 1
                         or result.layer_index == self.config.depth):
-                    return results
+                    break
                 node = result.children[0]
                 path_texts = [*path_texts, node.text]
+            return results
         except BaseException:
             failed.set()
             raise

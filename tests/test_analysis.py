@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from treegen.analysis import compute_stats
-from treegen.corpus import ConversationRecord, build_corpus
+from treegen.corpus import ConversationRecord, build_corpus, compute_stats
 
 from conftest import build_full_tree, sft_config
 

@@ -803,13 +803,30 @@ def test_export_with_target_size(completed_run, tmp_path, capsys):
     assert json.loads(out)["records"] == 10
 
 
-def test_export_negative_target_size_exits_1(completed_run, tmp_path, capsys):
+@pytest.mark.parametrize("option, message", [
+    (["--target-size", "33"], "target size 33 is not between 0 and the corpus size 32"),
+    (["--turn-policy", "fixed:3"], "turn policy includes turn counts beyond the tree depth "
+                                   "([3] vs max 2)"),
+], ids=["target-size-above-the-corpus", "fixed-deeper-than-the-tree"])
+def test_export_value_the_tree_cannot_meet_exits_1(completed_run, tmp_path, capsys, option,
+                                                   message):
     corpus = tmp_path / "sampled.json"
     code, out, err = run_cli(capsys, "export", "--tree", str(completed_run),
-                             "--format", "sharegpt", "--out", str(corpus),
-                             "--target-size", "-1")
+                             "--format", "sharegpt", "--out", str(corpus), *option)
     assert code == 1 and out == "" and not corpus.exists()
-    assert err.splitlines() == ["error: target size -1 is not between 0 and the corpus size 32"]
+    assert err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("option", [["--target-size", "-1"], ["--turn-policy", "fixed:0"],
+                                    ["--turn-policy", "fixed:-1"]],
+                         ids=["target-size-negative", "fixed-0", "fixed-negative"])
+def test_export_bad_flag_value_is_usage_error_before_the_tree_loads(tmp_path, capsys, option):
+    # no checkpoint at --tree: loading it would exit 1
+    corpus = tmp_path / "c.json"
+    code, out, err = run_cli(capsys, "export", "--tree", str(tmp_path / "missing"),
+                             "--format", "sharegpt", "--out", str(corpus), *option)
+    assert code == 64 and out == "" and not corpus.exists()
+    assert err.startswith("usage error: ") and option[0] in err and option[1] in err
 
 
 @pytest.mark.parametrize("option", [["--target-size", "1"], ["--inline-system"],

@@ -23,8 +23,8 @@ from treegen.errors import BackendError, ConfigError, ResumableRunError
 from treegen.fnv import combine, hash_text
 from treegen.scheduler import (CONFIG_FILE, MANIFEST_FILE, NODES_FILE, CheckpointStore,
                                TreeRunner, expand_parent)
-from treegen.tree import (ROOT_ID, Tree, config_to_dict, expected_leaf_count, load_config,
-                          node_to_record)
+from treegen.tree import (ROOT_ID, Tree, child_id, config_to_dict, expected_leaf_count,
+                          load_config, node_to_record)
 
 from conftest import (CountingBackend, FlakyBackend, OptionMock, node_records, pt_config,
                       sft_config)
@@ -680,6 +680,31 @@ def test_shortfalls_are_logged_once_per_layer_and_round(tmp_path, caplog, abort_
     assert short > len(want) > 0  # one line stands for many short expansions
 
 
+def scheduler_warnings(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records
+            if r.name == "treegen.scheduler" and r.levelno == logging.WARNING]
+
+
+def test_a_run_that_lost_most_of_its_leaves_warns_once(tmp_path, caplog):
+    # one text for every completion: each expansion keeps one child of its
+    # pool of duplicates, so the tree holds 1 of its 32 leaves, and ends
+    # complete all the same
+    caplog.set_level(logging.INFO, logger="treegen.scheduler")
+    _, store = run_to_completion(sft_config([4, 2, 2, 2]), tmp_path / "t",
+                                 backend=OptionMock(fixed_text="the same answer"))
+    assert store.manifest["status"] == "complete"
+    assert (store.manifest["leaf_count"], store.manifest["expected_leaves"]) == (1, 32)
+    assert scheduler_warnings(caplog) == ["the run kept only 1 of its 32 expected leaves"]
+
+
+def test_a_full_yield_run_logs_no_warning(tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="treegen.scheduler")
+    _, store = run_to_completion(sft_config([4, 2, 2, 2], dedup_threshold=1.01),
+                                 tmp_path / "t")
+    assert store.manifest["leaf_yield"] == 1.0
+    assert scheduler_warnings(caplog) == []
+
+
 def test_load_refuses_checkpoint_without_format(tmp_path):
     config = sft_config([2, 2])
     run_to_completion(config, tmp_path / "t")
@@ -824,8 +849,9 @@ FAILFAST_SHAPES = pytest.mark.parametrize(
 
 @FAILFAST_SHAPES
 def test_backend_failure_aborts_resumably(tmp_path, branching):
-    # the first failure stops queued expansions: past the failing 3rd call,
-    # only the task already in flight on each other worker may finish
+    # the first failure stops every task before its next expansion: past the
+    # failing 3rd call, each other worker may start at most the call of the
+    # expansion it was in
     config = sft_config(branching, dedup_threshold=1.01)
     workers = 2
     backend = FlakyBackend(fail_on_call=3)
@@ -833,7 +859,7 @@ def test_backend_failure_aborts_resumably(tmp_path, branching):
                         CheckpointStore(tmp_path / "t"), workers=workers)
     with pytest.raises(ResumableRunError):
         runner.run()
-    assert backend.seen <= 3 + (workers - 1) * config.depth
+    assert backend.seen <= 3 + (workers - 1)
     assert_aborted_prefix_resumes(config, tmp_path / "t", workers)
 
 
@@ -999,14 +1025,108 @@ class InterruptingStore(CheckpointStore):
 def test_interrupt_stops_queued_expansions(tmp_path, branching):
     # the writer is interrupted after the workers may have run ahead of it,
     # so the bound counts from the interrupt: each worker finishes at most
-    # the one task it holds, and that task expands at most depth layers
+    # the one expansion it holds, a wide tree's chain included
     config = sft_config(branching, dedup_threshold=1.01)
     workers = 2
     backend = CountingBackend()
     store = InterruptingStore(tmp_path / "t", backend, at=3)
     with pytest.raises(KeyboardInterrupt):
         TreeRunner(config, backend, MockEmbedder(), store, workers=workers).run()
-    assert len(backend.calls) <= store.calls_at_interrupt + workers * config.depth
+    assert len(backend.calls) <= store.calls_at_interrupt + workers
+    assert_aborted_prefix_resumes(config, tmp_path / "t", workers)
+
+
+class FailedWatchingRunner(TreeRunner):
+    """Exposes the run's ``failed`` event, which its tasks are handed."""
+
+    failed = None
+
+    def _expand_from(self, failed, node, path_texts):
+        self.failed = failed
+        return super()._expand_from(failed, node, path_texts)
+
+
+class GatedBackend(OptionMock):
+    """Holds every call whose request seed is not in ``free_seeds`` until the
+    run's ``failed`` event is set; with ``fail``, the call that finds every
+    worker held raises instead. ``late`` counts the calls that start after
+    the failure."""
+
+    runner: FailedWatchingRunner
+
+    def __init__(self, workers: int, free_seeds: set[int], fail=False):
+        super().__init__(latency_ms=2.0)
+        self.workers, self.free_seeds, self.fail = workers, free_seeds, fail
+        self.held_calls = threading.Condition()
+        self.failure_seen = self.timed_out = False
+        self.held = self.late = 0
+
+    def generate(self, request):
+        with self.held_calls:
+            self.late += self.failure_seen
+            hold = request.request_seed not in self.free_seeds
+            if hold:
+                self.held += 1
+                if self.fail and self.held == self.workers:
+                    self.failure_seen = True
+                    raise BackendError("injected backend failure", attempts=1)
+                self.held_calls.notify_all()
+        if hold:
+            self.timed_out |= not self.runner.failed.wait(timeout=30)
+        return super().generate(request)
+
+    def fail_when_all_held(self) -> None:
+        with self.held_calls:
+            self.timed_out |= not self.held_calls.wait_for(
+                lambda: self.held == self.workers, timeout=30)
+            self.failure_seen = True
+
+
+class HeldFailingStore(CheckpointStore):
+    """Raises at its ``fail_on_commit``-th commit once every worker is held."""
+
+    def __init__(self, directory, backend: GatedBackend, fail_on_commit: int):
+        super().__init__(directory)
+        self.backend, self.fail_on_commit, self.commits = backend, fail_on_commit, 0
+
+    def append_block(self, nodes, **kwargs):
+        self.commits += 1
+        if self.commits == self.fail_on_commit:
+            self.backend.fail_when_all_held()
+            raise OSError("injected store failure")
+        super().append_block(nodes, **kwargs)
+
+
+def chain_seeds(config, rank: int) -> set[int]:
+    """The request seeds of the layer-1 chain under the root's child ``rank``
+    in a wide tree: one request per expansion, as each pool fits one call."""
+    parent, seeds = child_id(ROOT_ID, rank), set()
+    for layer in range(2, config.depth + 1):
+        seeds.add(combine(config.seed, parent, layer))
+        parent = child_id(parent, 0)
+    return seeds
+
+
+@pytest.mark.parametrize("workers", [2, 8])
+@pytest.mark.parametrize("failure", ["generate", "store"])
+def test_no_generate_call_starts_after_a_failure(tmp_path, failure, workers):
+    # every worker is held inside a chain's generate call when the failure
+    # comes, and released only once the run's failed event is set: a task
+    # that then went on down its chain would start a call after the failure
+    config = sft_config([16, 1, 1, 1], dedup_threshold=1.01)
+    root = {combine(config.seed, ROOT_ID, 1)}  # the root's pool of 32 is one call
+    if failure == "generate":
+        backend = GatedBackend(workers, root, fail=True)
+        store, error = CheckpointStore(tmp_path / "t"), ResumableRunError
+    else:  # chain 0 runs free, and the store fails at its first block
+        backend = GatedBackend(workers, root | chain_seeds(config, 0))
+        store, error = HeldFailingStore(tmp_path / "t", backend, fail_on_commit=2), OSError
+    backend.runner = FailedWatchingRunner(config, backend, MockEmbedder(), store,
+                                          workers=workers)
+    with pytest.raises(error, match="injected"):
+        backend.runner.run()
+    assert not backend.timed_out
+    assert backend.failure_seen and backend.late == 0
     assert_aborted_prefix_resumes(config, tmp_path / "t", workers)
 
 
