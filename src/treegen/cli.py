@@ -131,9 +131,8 @@ def cmd_export(args) -> int:
                           "down to the deepest completed layer")
     if args.format == "pt":
         out = export_pt(tree, args.out, permissive=args.permissive)
-        with open(out, encoding="utf-8") as fh:
-            lines = sum(1 for _ in fh)
-        _emit({"out": str(out), "lines": lines})
+        depth = tree.export_depth(args.permissive)  # one line per leaf path, none at depth 0
+        _emit({"out": str(out), "lines": len(tree.layer_ids(depth)) if depth else 0})
         return EXIT_OK
 
     records = build_corpus(tree, policy(tree), permissive=args.permissive)

@@ -15,6 +15,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -108,16 +109,16 @@ def build_corpus(tree: Tree, policy: TurnPolicy | None = None,
             f"turn policy includes turn counts beyond the tree depth "
             f"({sorted(weights)} vs max {max_turns})")
 
-    strata = {t: tree.layer_ids(2 * t) for t in weights}
-    quotas = _mixture_quotas(weights, {t: len(ids) for t, ids in strata.items()})
+    strata = {t: tree.layer_paths(2 * t) for t in weights}
+    quotas = _mixture_quotas(weights, {t: len(paths) for t, paths in strata.items()})
     rng = random.Random(policy.sample_seed)
     system = tree.config.system_prompt
     records: list[ConversationRecord] = []
     for t in sorted(weights):
-        ids = strata[t]  # in structural order, so sorted indices keep it
-        for i in _draw(rng, len(ids), quotas.get(t, 0)):
-            records.append(ConversationRecord(f"{ids[i]}:{t}", system,
-                                              tuple(tree.path_texts(ids[i]))))
+        paths = strata[t]  # in structural order, so sorted indices keep it
+        for i in _draw(rng, len(paths), quotas.get(t, 0)):
+            records.append(ConversationRecord(f"{paths[i][-1].id}:{t}", system,
+                                              tuple([node.text for node in paths[i]])))
     return records
 
 
@@ -148,14 +149,22 @@ def _mixture_quotas(weights: dict[int, float], available: dict[int, int]) -> dic
 # --- exports -------------------------------------------------------------------
 #
 # The exporters write, byte for byte, what json.dump(elements, indent=2) and
-# json.dumps(element) write with ensure_ascii=False, from fixed templates: any
-# indent puts json.dump on its pure-Python encoder, and a shared ancestor's
-# text would be escaped again for every record under it.
+# json.dumps(element) write with ensure_ascii=False: any indent puts json.dump
+# on its pure-Python encoder, and a shared ancestor's text would be escaped
+# again for every record under it. Each element is one ``%`` of a format built
+# once per turn count from the fixed fragments below, over the record's
+# escaped id and turn values.
 
-# one element of the ShareGPT array; a turn's role follows from its position
-_ARRAY_TURN = ('      {\n        "from": "human",\n        "value": %s\n      }',
-               '      {\n        "from": "gpt",\n        "value": %s\n      }')
-_LINE_TURN = ('{"from": "human", "value": %s}', '{"from": "gpt", "value": %s}')
+# (head holding the id, the human and the gpt turn holding its value, the
+# text between turns, tail); a turn's role follows from its position.
+# A ShareGPT array element opens with the ",\n" that follows the one before.
+_ARRAY_ELEMENT = (',\n  {\n    "id": %s,\n    "conversations": [\n',
+                  ('      {\n        "from": "human",\n        "value": %s\n      }',
+                   '      {\n        "from": "gpt",\n        "value": %s\n      }'),
+                  ",\n", "\n    ]\n  }")
+_LINE_ELEMENT = ('{"id": %s, "conversations": [',
+                 ('{"from": "human", "value": %s}', '{"from": "gpt", "value": %s}'),
+                 ", ", "]}\n")
 
 
 def _json_str(s: str) -> str:
@@ -188,16 +197,19 @@ def _escape_rows(rows: Iterable[Sequence[str]]) -> Iterator[list[str]]:
         yield previous
 
 
-def _escaped_records(records: Sequence[ConversationRecord],
-                     inline_system: bool) -> Iterator[tuple[str, list[str]]]:
-    """(escaped id, escaped turn values) of every record in id order."""
+def _elements(records: Sequence[ConversationRecord], inline_system: bool,
+              fragments: tuple) -> Iterator[str]:
+    """Every record's element in id order, from ``fragments``."""
+    head, turn, between, tail = fragments
+    formats: dict[int, str] = {}  # by turn count
     ordered = sorted(records, key=lambda r: r.id)
-    rows = _escape_rows(record.turns for record in ordered)
-    return ((_json_str(record.id),
-             # f"{system}\n\n{value}", escaped from its parts
-             [_json_str(record.system)[:-1] + "\\n\\n" + values[0][1:], *values[1:]]
-             if inline_system and record.system else values)
-            for record, values in zip(ordered, rows))
+    for record, values in zip(ordered, _escape_rows(record.turns for record in ordered)):
+        if inline_system and record.system:  # f"{system}\n\n{value}", escaped from its parts
+            values = [_json_str(record.system)[:-1] + "\\n\\n" + values[0][1:], *values[1:]]
+        if (element := formats.get(len(values))) is None:
+            element = formats[len(values)] = (
+                head + between.join(turn[i & 1] for i in range(len(values))) + tail)
+        yield element % (_json_str(record.id), *values)
 
 
 def _write(path: str | Path, lines: Iterable[str]) -> Path:
@@ -217,28 +229,17 @@ def export_sharegpt(records: Sequence[ConversationRecord], path: str | Path,
                     inline_system: bool = False) -> Path:
     """Write one JSON array of {"id", "conversations"} elements, ordered by id,
     indented by 2 as ``json.dump`` indents it."""
-    elements = _escaped_records(records, inline_system)
-
-    def lines() -> Iterator[str]:
-        opening = "[\n"
-        for record_id, values in elements:
-            turns = ",\n".join(_ARRAY_TURN[i & 1] % value for i, value in enumerate(values))
-            yield (f'{opening}  {{\n    "id": {record_id},\n    "conversations": [\n'
-                   f'{turns}\n    ]\n  }}')
-            opening = ",\n"
-        yield "[]\n" if opening == "[\n" else "\n]\n"
-
-    return _write(path, lines())
+    elements = _elements(records, inline_system, _ARRAY_ELEMENT)
+    first = next(elements, None)
+    if first is None:
+        return _write(path, ["[]\n"])
+    return _write(path, chain(["[" + first[1:]], elements, ["\n]\n"]))
 
 
 def export_jsonl(records: Sequence[ConversationRecord], path: str | Path,
                  inline_system: bool = False) -> Path:
     """Same element shape as the ShareGPT array, one record per line."""
-    elements = _escaped_records(records, inline_system)
-    return _write(path, (
-        '{"id": %s, "conversations": [%s]}\n'
-        % (record_id, ", ".join(_LINE_TURN[i & 1] % value for i, value in enumerate(values)))
-        for record_id, values in elements))
+    return _write(path, _elements(records, inline_system, _LINE_ELEMENT))
 
 
 def export_pt(tree: Tree, path: str | Path, permissive: bool = False) -> Path:

@@ -60,10 +60,10 @@ CONFIG_FILE = "config.json"
 NODES_FILE = "nodes.jsonl"
 MANIFEST_FILE = "manifest.json"
 
-# Layout version, stored in config.json. Format 4's nodes.jsonl holds only
-# blocks, each opened by a header that gives its length, and its node records
-# hold no token count; other formats are refused.
-CHECKPOINT_FORMAT = 4
+# Layout version, stored in config.json. Format 5's nodes.jsonl holds one line
+# per expansion, the parent id and a list of the node records it kept; other
+# formats are refused.
+CHECKPOINT_FORMAT = 5
 
 LOW_LEAF_YIELD = 0.5  # a complete run that keeps a smaller share of its leaves warns
 
@@ -96,14 +96,14 @@ class CheckpointStore:
 
     nodes.jsonl alone holds the committed tree below the root, which comes
     from the config: one block per expansion, appended as a single write, and
-    nothing else, so a fresh checkpoint's file is empty. A block is the header
-    ``{"parent_id": P, "children": n}`` and P's n node records, so an
-    expansion that kept no children is a header alone, and every node
-    record's parent is the root or appears earlier in the file. Replaying the
-    file therefore rebuilds every node, child list and shortfall. ``load``
-    streams it, holding back only the open block, and skips a torn trailing
-    block; it writes nothing, and the first append after it cuts the file
-    where the intact blocks end, so the block is regenerated deterministically.
+    nothing else, so a fresh checkpoint's file is empty. A block is one line,
+    ``{"parent_id": P, "children": [<node record>, ...]}``, holding P's kept
+    children in rank order, so an expansion that kept no children has an
+    empty list, and every parent is the root or a child of an earlier line.
+    Replaying the file therefore rebuilds every node, child list and
+    shortfall. ``load`` streams it line by line and stops at a torn line; it
+    writes nothing, and the first append after it cuts the file where the
+    intact lines end, so what was dropped is regenerated deterministically.
 
     config.json is read here only, by ``load``.
 
@@ -137,7 +137,7 @@ class CheckpointStore:
         _write_json(self.config_path, {"format": CHECKPOINT_FORMAT,
                                        "config": config_to_dict(config),
                                        "hash": config_hash(config)})
-        self._write_lines([])  # an empty nodes.jsonl
+        self._write("")  # an empty nodes.jsonl
         return Tree(config)
 
     def begin(self, tree: Tree, backend_id: str, workers: int) -> None:
@@ -153,18 +153,18 @@ class CheckpointStore:
 
     # -- commits ------------------------------------------------------------
 
-    def _write_lines(self, lines: Sequence[str]) -> None:
+    def _write(self, text: str) -> None:
         if self._handle is None:
             self._handle = open(self.nodes_path, "a", encoding="utf-8", newline="\n")
-            self._handle.truncate(self._intact)  # a torn block that load skipped
-        self._handle.write("".join(line + "\n" for line in lines))
+            self._handle.truncate(self._intact)  # a torn line that load skipped
+        self._handle.write(text)
         self._handle.flush()
 
     def append_block(self, nodes: Sequence[TreeNode], parent_id: str,
                      dedup_drops: int = 0, retried: bool = False) -> None:
-        """Commit one expansion result: its header and node records, in one write."""
-        self._write_lines([_dumps({"parent_id": parent_id, "children": len(nodes)}),
-                           *(_dumps(node_to_record(n)) for n in nodes)])
+        """Commit one expansion result: its block, one line, in one write."""
+        self._write(_dumps({"parent_id": parent_id,
+                            "children": [node_to_record(n) for n in nodes]}) + "\n")
         self._session["dedup_drops"] += dedup_drops
         self._session["retries"] += int(retried)
 
@@ -230,15 +230,15 @@ class CheckpointStore:
 
     def _replay(self, tree: Tree) -> int:
         """Replay nodes.jsonl into ``tree`` in one forward pass; returns the
-        bytes of the replayed blocks.
+        bytes of the replayed lines.
 
-        A block is written as one append, so only the last can be torn. It is
-        committed, with one ``add_children`` call, once its header's count of
-        records has been read. A partial or unparseable line (invalid UTF-8
-        and nesting too deep for the parser included), or an end of file
-        inside a block, drops that block and ends the replay: expansion is
-        deterministic, so resume redoes it. A whole line that parses but does
-        not continue the tree is a ConfigError.
+        A line is one block, written as one append, so only the last can be
+        torn: each line is committed with one ``add_children`` call. A
+        partial or unparseable line (invalid UTF-8 and nesting too deep for
+        the parser included) ends the replay, and it and every line after it
+        are dropped, with one WARNING naming them: expansion is
+        deterministic, so resume redoes them. A whole line that parses but
+        does not continue the tree is a ConfigError.
 
         A line is parsed as ``json.loads`` parses it, in one scanner call when
         its value ends just before its newline, as every line that
@@ -246,70 +246,64 @@ class CheckpointStore:
         """
         if not self.nodes_path.exists():
             return 0
-        read = intact = 0  # bytes of the lines read, and of the committed blocks
-        # the open block: its parent, count and children, and the children's
-        # layer and role, which its header sets
-        parent, count, children = None, 0, []
+        intact = 0  # bytes of the committed lines
         with open(self.nodes_path, "rb", buffering=_READ_BUFFER) as lines:
             for number, line in enumerate(lines, start=1):
-                read += len(line)
                 try:
                     if not line.endswith(b"\n"):
                         raise ValueError("partial line")
                     text = line.decode()
                     try:
-                        record, end = _scan(text)
+                        block, end = _scan(text)
                         if end != len(text) - 1:
                             raise ValueError("more than a newline after the value")
                     except ValueError:  # no value at the start, or more after it
-                        record = json.loads(text)
+                        block = json.loads(text)
                 except (ValueError, RecursionError):  # UnicodeDecodeError too
+                    log.warning("replay stops at nodes.jsonl line %d, which is partial or "
+                                "does not parse: the next append cuts lines %d to %d (%d "
+                                "bytes), and resume regenerates them", number, number,
+                                number + sum(1 for _ in lines),
+                                self.nodes_path.stat().st_size - intact)
                     break
-                if not isinstance(record, dict):
-                    raise ConfigError(f"{self.nodes_path} line {number} is not a JSON object")
-                if parent is not None:
-                    children.append(self._check_child(number, record, parent, layer, role,
-                                                      len(children)))
-                else:
-                    parent, count, layer, role = self._check_header(tree, number, record)
-                if len(children) == count:
-                    if parent is not None:
-                        tree.add_children(parent.id, children)
-                    intact, parent, count, children = read, None, 0, []
-        if intact < self.nodes_path.stat().st_size:
-            log.warning("nodes.jsonl has a torn trailing block; the next append "
-                        "cuts it and resume regenerates it")
+                tree.add_children(*self._check_block(tree, number, block))
+                intact += len(line)
         return intact
 
-    def _check_header(self, tree: Tree, number: int,
-                      record: dict) -> tuple[TreeNode, int, int, Role]:
-        """The parent and record count of the block header at line ``number``,
-        and the layer and role of the parent's children."""
+    def _check_block(self, tree: Tree, number: int,
+                     block) -> tuple[str, list[TreeNode]]:
+        """The parent id and children of the block at line ``number``."""
+        if type(block) is not dict:
+            raise ConfigError(f"{self.nodes_path} line {number} is not a JSON object")
         try:
-            parent, count = tree.nodes[record["parent_id"]], record["children"]
+            parent, records = tree.nodes[block["parent_id"]], block["children"]
         except (KeyError, TypeError) as exc:
-            raise ConfigError(f"{self.nodes_path} line {number} is not a block "
-                                  f"header: {exc!r:.200}") from exc
+            raise ConfigError(f"{self.nodes_path} line {number} is not a block: "
+                              f"{exc!r:.200}") from exc
         layer = parent.layer + 1
         if tree.is_expanded(parent.id):  # a last-layer node included
             problem = f"adds to parent {parent.id!r}, which is already expanded"
-        else:
-            spec = tree.config.layer(layer)
-            if type(count) is int and 0 <= count <= spec.branching:
-                return parent, count, layer, spec.role
-            problem = (f"gives parent {parent.id!r} {count!r:.80} children where layer "
+        elif type(records) is not list:
+            problem = f"gives parent {parent.id!r} children {records!r:.80}, not a JSON array"
+        elif len(records) > (spec := tree.config.layer(layer)).branching:
+            problem = (f"gives parent {parent.id!r} {len(records)} children where layer "
                        f"{layer} takes 0 to {spec.branching}")
+        else:
+            return parent.id, [self._check_child(number, record, parent, layer, spec.role, rank)
+                               for rank, record in enumerate(records)]
         raise ConfigError(f"{self.nodes_path} line {number} {problem}")
 
-    def _check_child(self, number: int, record: dict, parent: TreeNode, layer: int,
+    def _check_child(self, number: int, record, parent: TreeNode, layer: int,
                      role: Role, rank: int) -> TreeNode:
-        """``parent``'s child at ``rank``, as the node record at line ``number``
-        holds it; the child is at ``layer`` with ``role``."""
+        """``parent``'s child at ``rank``, as its node record in the block at
+        line ``number`` holds it; the child is at ``layer`` with ``role``."""
         try:
             node = node_from_record(record)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{self.nodes_path} line {number} is not a node "
-                                  f"record: {exc!r:.200}") from exc
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            problem = ("is not a JSON object" if type(record) is not dict  # no .get
+                       else f"is not a node record: {exc!r:.200}")
+            raise ConfigError(f"{self.nodes_path} line {number} children[{rank}] "
+                              f"{problem}") from exc
         if node.parent_id != parent.id:
             problem = f"has parent_id {node.parent_id!r} in the block of {parent.id!r}"
         elif node.id != (expected := child_id(parent.id, rank)):
@@ -320,7 +314,7 @@ class CheckpointStore:
             problem = f"has role {node.role.value!r} where layer {layer} holds {role.value!r}"
         else:
             return node
-        raise ConfigError(f"{self.nodes_path} line {number} {problem}")
+        raise ConfigError(f"{self.nodes_path} line {number} children[{rank}] {problem}")
 
 
 # --- one expansion step ------------------------------------------------------

@@ -482,13 +482,24 @@ class Tree:
     def path_texts(self, node_id: str) -> list[str]:
         return [node.text for node in self.path_nodes(node_id)]
 
+    def layer_paths(self, layer: int) -> list[list[TreeNode]]:
+        """The root-exclusive path to every node of ``layer`` (1 or deeper),
+        in structural order, from one walk that keeps the path it is on."""
+        paths: list[list[TreeNode]] = []
+        path: list[TreeNode] = []  # root first
+        for node in self._walk(layer):
+            path[node.layer:] = (node,)
+            if node.layer == layer:
+                paths.append(path[1:])
+        return paths
+
     def leaf_paths(self, permissive: bool = False) -> list[list[TreeNode]]:
         """Every root-to-leaf path, root excluded, in structural (DFS) order.
 
         The paths end at ``export_depth(permissive)``.
         """
         target = self.export_depth(permissive)
-        return [self.path_nodes(nid) for nid in self.layer_ids(target)] if target else []
+        return self.layer_paths(target) if target else []
 
     def non_root_count(self) -> int:
         return len(self.nodes) - 1

@@ -182,10 +182,10 @@ class FlakyBackend(OptionMock):
 
 
 def node_records(nodes_jsonl: str | bytes) -> list[dict]:
-    """The node records of a nodes.jsonl text in file order: every line but
-    the block headers, which hold a ``children`` count."""
-    return [record for record in map(json.loads, nodes_jsonl.splitlines())
-            if "children" not in record]
+    """The node records of a nodes.jsonl text in file order: every block's
+    ``children``, one block a line."""
+    return [record for block in map(json.loads, nodes_jsonl.splitlines())
+            for record in block["children"]]
 
 
 def build_full_tree(config) -> Tree:

@@ -24,7 +24,7 @@ from treegen.fnv import combine, hash_text
 from treegen.scheduler import (CONFIG_FILE, MANIFEST_FILE, NODES_FILE, CheckpointStore,
                                TreeRunner, expand_parent)
 from treegen.tree import (ROOT_ID, Tree, child_id, config_to_dict, expected_leaf_count,
-                          load_config, node_to_record)
+                          load_config, node_to_record, structural_key)
 
 from conftest import (CountingBackend, FlakyBackend, OptionMock, node_records, pt_config,
                       sft_config)
@@ -380,8 +380,8 @@ def test_tear_inside_the_first_block_recovers(tmp_path):
     crash_dir = tmp_path / "torn"
     run_to_completion(config, crash_dir)
     nodes_path = crash_dir / NODES_FILE
-    header, first = baseline.splitlines(keepends=True)[:2]
-    nodes_path.write_bytes(baseline[:len(header) + len(first) // 2])  # no block intact
+    first = baseline.splitlines(keepends=True)[0]
+    nodes_path.write_bytes(first[:len(first) // 2])  # no block intact
     store = CheckpointStore(crash_dir)
     assert [node.id for node in store.load(config).unexpanded()] == [ROOT_ID]
     assert store._intact == 0
@@ -411,7 +411,7 @@ def test_nodes_jsonl_stays_empty_until_the_first_commit(tmp_path):
     assert [node.id for node in CheckpointStore(directory).load(config).unexpanded()] == [
         ROOT_ID]
     run_to_completion(config, directory)
-    assert nodes_path.read_bytes().startswith(b'{"parent_id":"root","children":2}\n')
+    assert nodes_path.read_bytes().startswith(b'{"parent_id":"root","children":[{"id":"0",')
     assert nodes_path.read_bytes() == (baseline_dir / NODES_FILE).read_bytes()
 
 
@@ -423,9 +423,9 @@ def shortfall_heavy_config(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_tear_after_partial_shortfall_block_resumes_identically(tmp_path, seed):
-    # the tear lands in the header after a partial-shortfall block: the
-    # header's count marks that block complete, so replay keeps it, with its
-    # shortfall, and resume regenerates only the torn block
+    # the tear lands in the line after a partial-shortfall block: that
+    # block's line is whole, so replay keeps it, with its shortfall, and
+    # resume regenerates only the torn block
     config = shortfall_heavy_config(seed)
     baseline_dir = tmp_path / "baseline"
     tree, _ = run_to_completion(config, baseline_dir)
@@ -433,10 +433,9 @@ def test_tear_after_partial_shortfall_block_resumes_identically(tmp_path, seed):
 
     partial = {pid for pid in tree.shortfalls if tree.nodes[pid].children}
     lines = baseline.splitlines(keepends=True)
-    for number, record in enumerate(map(json.loads, lines)):
-        following = number + 1 + record.get("children", 0)  # the next block's header
-        if "children" in record and record["parent_id"] in partial and following < len(lines):
-            cut = len(b"".join(lines[:following])) + len(lines[following]) // 2
+    for number, block in enumerate(map(json.loads, lines[:-1])):
+        if block["parent_id"] in partial:
+            cut = len(b"".join(lines[:number + 1])) + len(lines[number + 1]) // 2
             break
     else:
         pytest.fail("the run has no partial-shortfall block followed by another block")
@@ -445,6 +444,8 @@ def test_tear_after_partial_shortfall_block_resumes_identically(tmp_path, seed):
     run_to_completion(config, crash_dir)
     nodes_path = crash_dir / NODES_FILE
     nodes_path.write_bytes(baseline[:cut])
+    torn = CheckpointStore(crash_dir).load(config)
+    assert len(torn.nodes[block["parent_id"]].children) == len(block["children"])
 
     resumed = TreeRunner(config, MockTextBackend(), MockEmbedder(),
                          CheckpointStore(crash_dir), workers=2).run()
@@ -511,7 +512,7 @@ def _replay_outcome(directory, config):
             [node.id for node in tree.unexpanded()], store._intact)
 
 
-# a node record, without its newline, rewritten -> how replay takes it
+# a block's line, without its newline, rewritten -> how replay takes it
 REWRITTEN_NODE_LINES = {
     "leading-space": (lambda line: b" " + line, "same"),
     "leading-tab": (lambda line: b"\t" + line, "same"),
@@ -535,7 +536,7 @@ def test_replay_parses_each_line_as_json_loads_does(tmp_path, monkeypatch, case)
     nodes_path = tmp_path / "t" / NODES_FILE
     untouched = _replay_outcome(tmp_path / "t", config)
     lines = nodes_path.read_bytes().split(b"\n")
-    number = next(i for i, line in enumerate(lines) if line.startswith(b'{"id":"1.0"'))
+    number = next(i for i, line in enumerate(lines) if line.startswith(b'{"parent_id":"1",'))
     rewrite, kind = REWRITTEN_NODE_LINES[case]
     lines[number] = rewrite(lines[number])
     nodes_path.write_bytes(b"\n".join(lines))
@@ -590,6 +591,48 @@ def test_resume_from_a_cut_at_any_byte_equals_uninterrupted(tmp_path, capsys, mo
             capsys.readouterr()
 
 
+@pytest.mark.parametrize("workers", [1, 8])
+@pytest.mark.parametrize("shape", list(EVERY_CUT_CONFIGS))
+def test_nodes_jsonl_holds_one_line_per_expansion_in_commit_order(tmp_path, shape, workers):
+    # commit order is a balance tree's layers one after another and a wide
+    # tree's chains one after another, each in structural order
+    config = EVERY_CUT_CONFIGS[shape]
+    tree, _ = run_to_completion(config, tmp_path / "t", workers=workers,
+                                backend=SilentOnSomePrompts())
+    blocks = [json.loads(line) for line in (tmp_path / "t" / NODES_FILE).read_text().splitlines()]
+    expanded = [node for node in tree.nodes.values() if node.layer < config.depth]
+    order = ((lambda node: structural_key(node.id)) if shape == "wide"
+             else (lambda node: (node.layer, structural_key(node.id))))
+    assert [block["parent_id"] for block in blocks] == [
+        node.id for node in sorted(expanded, key=order)]
+    for block in blocks:
+        assert ([record["id"] for record in block["children"]]
+                == tree.nodes[block["parent_id"]].children)
+    assert 0 in (len(block["children"]) for block in blocks)  # a zero-child expansion
+
+
+def test_replay_warning_names_the_first_line_it_drops(tmp_path, caplog):
+    # one invalid UTF-8 byte in line 5 of a [2, 2, 2, 2] tree's 15 lines:
+    # replay keeps lines 1-4 and names line 5 and the bytes from there on
+    config = sft_config([2, 2, 2, 2], dedup_threshold=1.01)
+    run_to_completion(config, tmp_path / "t")
+    nodes_path = tmp_path / "t" / NODES_FILE
+    lines = nodes_path.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 1 + 2 + 4 + 8
+    at = lines[4].index(b'"text":"') + len(b'"text":"')
+    lines[4] = lines[4][:at] + b"\xff" + lines[4][at + 1:]
+    nodes_path.write_bytes(b"".join(lines))
+    caplog.set_level(logging.WARNING, logger="treegen.scheduler")
+    store = CheckpointStore(tmp_path / "t")
+    tree = store.load(config)
+    kept = len(b"".join(lines[:4]))
+    assert store._intact == kept and len(tree.nodes) == 1 + 2 + 4 + 2
+    assert [r.getMessage() for r in caplog.records] == [
+        "replay stops at nodes.jsonl line 5, which is partial or does not parse: the next "
+        f"append cuts lines 5 to 15 ({nodes_path.stat().st_size - kept} bytes), and resume "
+        "regenerates them"]
+
+
 def test_manifest_counts_equal_the_tree_after_abort_and_resume(tmp_path):
     config = shortfall_heavy_config(0)
     directory = tmp_path / "t"
@@ -630,8 +673,7 @@ def test_manifest_written_at_start_and_finish_only(tmp_path, monkeypatch):
     # a resumed session writes its own start and end; loading writes nothing
     nodes = tmp_path / "t" / NODES_FILE
     lines = nodes.read_bytes().splitlines(keepends=True)
-    # the root's block, whose header is line 1
-    nodes.write_bytes(b"".join(lines[:1 + json.loads(lines[0])["children"]]))
+    nodes.write_bytes(lines[0])  # the root's block
     statuses.clear()
     CheckpointStore(tmp_path / "t").load(config)
     assert statuses == []
@@ -642,15 +684,15 @@ def test_manifest_written_at_start_and_finish_only(tmp_path, monkeypatch):
 def shortfall_lines_from_log(nodes_jsonl: str, config) -> list[str]:
     """The INFO line of each layer whose blocks in ``nodes_jsonl`` hold a
     shortfall, from a count of those blocks, layer order."""
-    records = [json.loads(line) for line in nodes_jsonl.splitlines()]
-    layer_of = {ROOT_ID: 0, **{r["id"]: r["layer"] for r in records if "children" not in r}}
+    blocks = [json.loads(line) for line in nodes_jsonl.splitlines()]
+    layer_of = {ROOT_ID: 0, **{r["id"]: r["layer"] for b in blocks for r in b["children"]}}
     counts: dict[int, list[int]] = {}
-    for header in (r for r in records if "children" in r):
-        layer = layer_of[header["parent_id"]] + 1
+    for block in blocks:
+        layer = layer_of[block["parent_id"]] + 1
         tally = counts.setdefault(layer, [0, 0, 0])
         tally[0] += 1
-        tally[1] += header["children"] < config.layer(layer).branching
-        tally[2] += header["children"]
+        tally[1] += len(block["children"]) < config.layer(layer).branching
+        tally[2] += len(block["children"])
     return [f"layer {layer}: {short} of {expansions} expansions fell short, keeping "
             f"{kept} of {expansions * config.layer(layer).branching} children"
             for layer, (expansions, short, kept) in sorted(counts.items()) if short]
@@ -712,16 +754,16 @@ def test_load_refuses_checkpoint_without_format(tmp_path):
     written = json.loads(config_path.read_text())
     for stored, declares in (({k: v for k, v in written.items() if k != "format"},
                               "no checkpoint format"),
-                             ({**written, "format": 3}, "checkpoint format 3")):
+                             ({**written, "format": 4}, "checkpoint format 4")):
         config_path.write_text(json.dumps(stored))
         with pytest.raises(ConfigError, match=f"declares {declares}; this version reads "
-                                                  "checkpoint format 4 only, so regenerate"):
+                                                  "checkpoint format 5 only, so regenerate"):
             CheckpointStore(tmp_path / "t").load(config)
 
 
 PT_WORLD_KNOWLEDGE_CONFIG_JSON = """\
 {
-  "format": 4,
+  "format": 5,
   "config": {
     "mode": "pt",
     "system_prompt": "Here are some useful world knowledge:",
@@ -820,12 +862,12 @@ def test_dead_chain_resumes_idempotently(tmp_path):
     assert len(paths) == 1 and paths[0][0].id == "0"
     assert store.manifest["shortfalls"] == 1
     assert tree.shortfalls == {"1": 1}
-    assert '{"parent_id":"1","children":0}\n' in (tmp_path / "t" / NODES_FILE).read_text()
+    assert '{"parent_id":"1","children":[]}\n' in (tmp_path / "t" / NODES_FILE).read_text()
     counting = CountingBackend()
     resumed = TreeRunner(config, counting, MockEmbedder(),
                          CheckpointStore(tmp_path / "t"), workers=1).run()
     assert not resumed.unexpanded()
-    assert resumed.shortfalls == {"1": 1}  # replayed from the zero-count header
+    assert resumed.shortfalls == {"1": 1}  # replayed from the empty block
     assert counting.calls == []
 
 
@@ -878,11 +920,10 @@ class FailingStore(CheckpointStore):
             raise OSError("injected store failure before the write")
         super().append_block(nodes, **kwargs)
 
-    def _write_lines(self, lines):
+    def _write(self, text):
         if self.commits != self.fail_on_commit:
-            return super()._write_lines(lines)
-        block = "".join(line + "\n" for line in lines)
-        self._handle.write(block[:len(block) // 2])
+            return super()._write(text)
+        self._handle.write(text[:len(text) // 2])
         self._handle.flush()
         raise OSError("injected store failure after a partial write")
 
@@ -899,7 +940,7 @@ def test_seeded_fault_sweep_aborts_to_a_prefix_and_resumes_byte_identically(tmp_
         counting = CountingBackend()
         run_to_completion(config, tmp_path / name / "baseline", workers=1, backend=counting)
         baseline = (tmp_path / name / "baseline" / NODES_FILE).read_bytes()
-        commits = len(baseline.splitlines()) - len(node_records(baseline))
+        commits = len(baseline.splitlines())
         for workers in (1, 4):
             cases = [(f"fail_on_call={call}", FlakyBackend(call), CheckpointStore,
                       ResumableRunError)
