@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import sys
+from pathlib import Path
 from typing import Callable
 
 from .backends import API_BASE_ENV, HttpBackend, MockEmbedder, MockTextBackend
@@ -110,7 +111,8 @@ _CONVERSATION_FLAGS = {"turn_policy": "--turn-policy", "policy_seed": "--policy-
 
 
 def cmd_export(args) -> int:
-    """A flag that cannot change the output is a usage error, not ignored."""
+    """A flag that cannot change the output is a usage error, not ignored, and
+    so is an ``--out`` that is one of the checkpoint's own files."""
     if args.format == "pt":
         given = [flag for dest, flag in _CONVERSATION_FLAGS.items()
                  if getattr(args, dest) not in (None, False)]
@@ -125,10 +127,13 @@ def cmd_export(args) -> int:
     if args.target_size is not None and args.target_size < 0:
         raise _UsageError(f"--target-size must be >= 0 (got {args.target_size})")
     policy = _parse_policy(spec, args.policy_seed or 0)
-    tree = CheckpointStore(args.tree).load()  # load writes nothing and opens no file
-    if not args.permissive and tree.unexpanded():
-        raise ConfigError("tree expansion is not finished; pass --permissive to export "
-                          "down to the deepest completed layer")
+    store, target = CheckpointStore(args.tree), Path(args.out)
+    for path in (store.config_path, store.nodes_path, store.manifest_path):
+        # the file by any name: a path that resolves to it, or a hard link
+        if target.resolve() == path.resolve() or (
+                target.exists() and path.exists() and target.samefile(path)):
+            raise _UsageError(f"--out {args.out} would overwrite the checkpoint's {path}")
+    tree = store.load()  # load writes nothing and opens no file
     if args.format == "pt":
         out = export_pt(tree, args.out, permissive=args.permissive)
         depth = tree.export_depth(args.permissive)  # one line per leaf path, none at depth 0

@@ -97,7 +97,7 @@ def build_corpus(tree: Tree, policy: TurnPolicy | None = None,
     """Draw conversation records from a completed SFT tree, stratum by stratum
     in turn-count order, each stratum's records in structural order."""
     if tree.config.mode is not Mode.SFT:
-        raise ConfigError("build_corpus needs an SFT tree; use export_pt for PT trees")
+        raise ConfigError("build_corpus needs an SFT tree; use --format pt for PT trees")
     max_turns = tree.export_depth(permissive) // 2
     if max_turns == 0:
         return []
@@ -246,7 +246,7 @@ def export_pt(tree: Tree, path: str | Path, permissive: bool = False) -> Path:
     """One line per leaf path: {"text": continuations joined by the template
     separator}, system prompt excluded."""
     if tree.config.mode is not Mode.PT:
-        raise ConfigError("export_pt needs a PT tree; use the conversation exports for SFT")
+        raise ConfigError("export_pt needs a PT tree; use --format sharegpt|jsonl for SFT trees")
     separator = _json_str(get_template(tree.config.template_id).turn_separator)[1:-1]
     paths = tree.leaf_paths(permissive=permissive)  # before the file is opened
     return _write(path, ('{"text": "%s"}\n' % separator.join(value[1:-1] for value in texts)

@@ -49,10 +49,9 @@ from .errors import BackendError, ConfigError, ResumableRunError
 from .fnv import combine
 from .templates import (ChatTemplate, get_template, render_continuation_prompt,
                         render_dialogue_prompt, strip_completion)
-from .tree import (GenMeta, Mode, Role, Tree, TreeConfig, TreeNode, TreeShape,
+from .tree import (GenMeta, Mode, Tree, TreeConfig, TreeNode, TreeShape, block_to_record,
                    child_id, config_from_dict, config_hash, config_to_dict,
-                   expected_leaf_count, node_from_record, node_to_record,
-                   validate_config)
+                   expected_leaf_count, validate_config)
 
 log = logging.getLogger(__name__)
 
@@ -79,10 +78,6 @@ _scan = json.JSONDecoder().raw_decode
 _READ_BUFFER = 1 << 16
 
 
-def _dumps(record: dict) -> str:
-    return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
-
-
 def _write_json(path: Path, value: dict) -> None:
     """Write ``value`` as indented JSON to a temporary file beside ``path``,
     then rename it over ``path``: a write cut short leaves no partial file."""
@@ -96,12 +91,11 @@ class CheckpointStore:
 
     nodes.jsonl alone holds the committed tree below the root, which comes
     from the config: one block per expansion, appended as a single write, and
-    nothing else, so a fresh checkpoint's file is empty. A block is one line,
-    ``{"parent_id": P, "children": [<node record>, ...]}``, holding P's kept
-    children in rank order, so an expansion that kept no children has an
-    empty list, and every parent is the root or a child of an earlier line.
-    Replaying the file therefore rebuilds every node, child list and
-    shortfall. ``load`` streams it line by line and stops at a torn line; it
+    nothing else, so a fresh checkpoint's file is empty. ``tree.py`` owns the
+    block's format: ``block_to_record`` writes it and ``Tree.add_block``
+    reads and checks it. The store only frames lines: ``append_block``
+    writes a block as one line, and ``load`` streams the file line by line,
+    hands each parsed line to ``add_block`` and stops at a torn line. Load
     writes nothing, and the first append after it cuts the file where the
     intact lines end, so what was dropped is regenerated deterministically.
 
@@ -163,8 +157,8 @@ class CheckpointStore:
     def append_block(self, nodes: Sequence[TreeNode], parent_id: str,
                      dedup_drops: int = 0, retried: bool = False) -> None:
         """Commit one expansion result: its block, one line, in one write."""
-        self._write(_dumps({"parent_id": parent_id,
-                            "children": [node_to_record(n) for n in nodes]}) + "\n")
+        self._write(json.dumps(block_to_record(parent_id, nodes), ensure_ascii=False,
+                               separators=(",", ":")) + "\n")
         self._session["dedup_drops"] += dedup_drops
         self._session["retries"] += int(retried)
 
@@ -233,12 +227,13 @@ class CheckpointStore:
         bytes of the replayed lines.
 
         A line is one block, written as one append, so only the last can be
-        torn: each line is committed with one ``add_children`` call. A
+        torn: each line is committed with one ``Tree.add_block`` call. A
         partial or unparseable line (invalid UTF-8 and nesting too deep for
         the parser included) ends the replay, and it and every line after it
         are dropped, with one WARNING naming them: expansion is
         deterministic, so resume redoes them. A whole line that parses but
-        does not continue the tree is a ConfigError.
+        that ``add_block`` refuses, as not continuing the tree, is a
+        ConfigError naming the file, the line and what ``add_block`` found.
 
         A line is parsed as ``json.loads`` parses it, in one scanner call when
         its value ends just before its newline, as every line that
@@ -266,55 +261,12 @@ class CheckpointStore:
                                 number + sum(1 for _ in lines),
                                 self.nodes_path.stat().st_size - intact)
                     break
-                tree.add_children(*self._check_block(tree, number, block))
+                try:
+                    tree.add_block(block)
+                except ValueError as exc:
+                    raise ConfigError(f"{self.nodes_path} line {number} {exc}") from exc
                 intact += len(line)
         return intact
-
-    def _check_block(self, tree: Tree, number: int,
-                     block) -> tuple[str, list[TreeNode]]:
-        """The parent id and children of the block at line ``number``."""
-        if type(block) is not dict:
-            raise ConfigError(f"{self.nodes_path} line {number} is not a JSON object")
-        try:
-            parent, records = tree.nodes[block["parent_id"]], block["children"]
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"{self.nodes_path} line {number} is not a block: "
-                              f"{exc!r:.200}") from exc
-        layer = parent.layer + 1
-        if tree.is_expanded(parent.id):  # a last-layer node included
-            problem = f"adds to parent {parent.id!r}, which is already expanded"
-        elif type(records) is not list:
-            problem = f"gives parent {parent.id!r} children {records!r:.80}, not a JSON array"
-        elif len(records) > (spec := tree.config.layer(layer)).branching:
-            problem = (f"gives parent {parent.id!r} {len(records)} children where layer "
-                       f"{layer} takes 0 to {spec.branching}")
-        else:
-            return parent.id, [self._check_child(number, record, parent, layer, spec.role, rank)
-                               for rank, record in enumerate(records)]
-        raise ConfigError(f"{self.nodes_path} line {number} {problem}")
-
-    def _check_child(self, number: int, record, parent: TreeNode, layer: int,
-                     role: Role, rank: int) -> TreeNode:
-        """``parent``'s child at ``rank``, as its node record in the block at
-        line ``number`` holds it; the child is at ``layer`` with ``role``."""
-        try:
-            node = node_from_record(record)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            problem = ("is not a JSON object" if type(record) is not dict  # no .get
-                       else f"is not a node record: {exc!r:.200}")
-            raise ConfigError(f"{self.nodes_path} line {number} children[{rank}] "
-                              f"{problem}") from exc
-        if node.parent_id != parent.id:
-            problem = f"has parent_id {node.parent_id!r} in the block of {parent.id!r}"
-        elif node.id != (expected := child_id(parent.id, rank)):
-            problem = f"has id {node.id!r} where the next child is {expected!r}"
-        elif node.layer != layer:
-            problem = f"has layer {node.layer} where its parent's children are at layer {layer}"
-        elif node.role is not role:
-            problem = f"has role {node.role.value!r} where layer {layer} holds {role.value!r}"
-        else:
-            return node
-        raise ConfigError(f"{self.nodes_path} line {number} children[{rank}] {problem}")
 
 
 # --- one expansion step ------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import ClassVar, Iterator, Sequence
 
 from .errors import ConfigError
 from .fnv import hash_text
@@ -300,10 +300,11 @@ class TreeNode:
     """One generated question/answer/continuation.
 
     Identity fields are immutable; ``children`` is the only list the owning
-    tree appends to (single writer). ``embedding`` is always None: no vector
-    outlives its expansion. It stays only because ``treebench/job.py`` reads
-    it on every node of each in-process job, traced or not, to report
-    ``embedding_floats`` (ROADMAP item 6 deletes both).
+    tree appends to (single writer). ``embedding`` is no field but a class
+    constant, None on every node: no vector outlives its expansion. It stays
+    only because ``treebench/job.py`` reads it on every node of each
+    in-process job, traced or not, to report ``embedding_floats`` (ROADMAP
+    item 6 deletes both).
     """
 
     id: str
@@ -311,9 +312,9 @@ class TreeNode:
     layer: int
     role: Role
     text: str
-    embedding: tuple[float, ...] | None = None
     children: list[str] = field(default_factory=list)
     gen_meta: GenMeta | None = None
+    embedding: ClassVar[None] = None
 
 
 def child_id(parent_id: str, rank: int) -> str:
@@ -327,6 +328,8 @@ def structural_key(node_id: str) -> tuple[int, ...]:
         return ()
     return tuple(int(part) for part in node_id.split("."))
 
+
+# --- the nodes.jsonl record format --------------------------------------------
 
 def node_to_record(node: TreeNode) -> dict:
     """The node's nodes.jsonl record."""
@@ -344,46 +347,67 @@ def node_to_record(node: TreeNode) -> dict:
     }
 
 
-def _wrong_kind(record: dict, *kinds: tuple[str, type]) -> ValueError:
-    """The error for the first of ``kinds`` that ``record`` holds with another
-    JSON type (a bool is no int). Replay tests all kinds at once, inline, and
-    calls this only when that test fails."""
-    key, kind = next((key, kind) for key, kind in kinds if type(record[key]) is not kind)
-    return ValueError(f"{key!r} must be a JSON {'integer' if kind is int else 'string'} "
-                      f"(got {record[key]!r:.80})")
+def block_to_record(parent_id: str, children: Sequence[TreeNode]) -> dict:
+    """The nodes.jsonl block of one expansion: the parent id and the node
+    records of its kept children, in rank order."""
+    return {"parent_id": parent_id, "children": [node_to_record(node) for node in children]}
 
 
-# a role from its record value by one dict lookup; Role(value) stays the
-# fallback that raises for a value that is no role
-_ROLES = {role.value: role for role in Role}
 # Equal gen_meta records share one GenMeta, which is immutable: a tree holds a
 # few backend ids, finish reasons and sample indices, and a frozen instance
 # costs several times a cache hit to build.
 _gen_meta = lru_cache(maxsize=1024)(GenMeta)
+# the JSON type each field other than the place-given four must hold
+_FIELD_KINDS = (("text", str), ("gen_meta.backend_id", str),
+                ("gen_meta.finish_reason", str), ("gen_meta.sample_index", int))
 
 
-def node_from_record(record: dict) -> TreeNode:
-    """The node a nodes.jsonl record holds. A field of the wrong JSON type is a
-    ValueError; a key it does not read is ignored."""
-    meta = record.get("gen_meta")
-    if meta is not None:
-        if type(meta) is not dict:
-            raise ValueError(f"'gen_meta' must be null or a JSON object (got {meta!r:.80})")
-        if (type(meta["backend_id"]) is not str or type(meta["finish_reason"]) is not str
-                or type(meta["sample_index"]) is not int):
-            raise _wrong_kind(meta, ("backend_id", str), ("finish_reason", str),
-                              ("sample_index", int))
-        meta = _gen_meta(meta["backend_id"], meta["finish_reason"], meta["sample_index"])
-    node_id, parent_id, layer, role = (
-        record["id"], record["parent_id"], record["layer"], record["role"])
+def node_from_record(record, parent_id: str, rank: int, layer: int, role: Role) -> TreeNode:
+    """The node that ``record``, a parsed nodes.jsonl node record, holds as
+    ``parent_id``'s child at ``rank``, at ``layer`` with ``role``.
+
+    The record's ``id``, ``parent_id``, ``layer`` and ``role`` must be those
+    its place gives, its ``text`` a JSON string and its ``gen_meta`` null or
+    an object with a string ``backend_id`` and ``finish_reason`` and an
+    integer ``sample_index``; anything else is a ValueError that names
+    ``children[rank]`` and the first field at fault. A key it does not read
+    is ignored.
+    """
+    place = (child_id(parent_id, rank), parent_id, layer, role)
     try:
-        role = _ROLES[role]
-    except (KeyError, TypeError):  # not a role value, or not hashable
-        role = Role(role)
-    text = record["text"]
-    if type(layer) is not int or type(text) is not str:
-        raise _wrong_kind(record, ("layer", int), ("text", str))
-    return TreeNode(node_id, parent_id, layer, role, text, None, [], meta)
+        found = (record["id"], record["parent_id"], record["layer"], record["role"])
+        text, meta = record["text"], record.get("gen_meta")
+        if meta is not None:
+            meta = (meta["backend_id"], meta["finish_reason"], meta["sample_index"])
+        # one comparison for the place; a bool equals an int, so layer's type too
+        if (found == place and type(found[2]) is int and type(text) is str and (
+                meta is None or type(meta[0]) is type(meta[1]) is str and type(meta[2]) is int)):
+            return TreeNode(place[0], parent_id, layer, role, text, [], meta and _gen_meta(*meta))
+    except (KeyError, TypeError):  # no object, or a field missing
+        pass
+    raise ValueError(f"children[{rank}] {_fault(record, (*place[:3], role.value))}")
+
+
+def _fault(record, place: tuple) -> str:
+    """What is first at fault in a node record that node_from_record refuses;
+    ``place`` holds the id, parent_id, layer and role its place gives. Some
+    field is at fault, so the walk ends before it would read a null
+    ``gen_meta``'s fields."""
+    if type(record) is not dict:
+        return "is not a JSON object"
+    meta = record.get("gen_meta")
+    if meta is not None and type(meta) is not dict:
+        return f"has gen_meta {meta!r:.80}, not null or a JSON object"
+    for name, want in (*zip(("id", "parent_id", "layer", "role"), place), *_FIELD_KINDS):
+        within, _, key = name.rpartition(".")
+        holder = meta if within else record
+        if key not in holder:
+            return f"has no {name}"
+        got = holder[key]
+        if isinstance(want, type) and type(got) is not want:
+            return f"has {name} {got!r:.80}, not a JSON {'string' if want is str else 'integer'}"
+        if not isinstance(want, type) and (type(got) is not type(want) or got != want):
+            return f"has {name} {got!r:.80} where its place gives {want!r}"
 
 
 class Tree:
@@ -407,8 +431,8 @@ class Tree:
     def add_children(self, parent_id: str, children: Sequence[TreeNode]) -> None:
         """Attach one committed child set and mark the parent expanded.
 
-        Used for fresh commits and for checkpoint replay alike, which checks
-        each child first; an empty ``children`` records a zero-child expansion.
+        Used for fresh commits and, through ``add_block``, for checkpoint
+        replay; an empty ``children`` records a zero-child expansion.
         """
         parent = self.nodes[parent_id]
         for node in children:
@@ -416,8 +440,32 @@ class Tree:
             parent.children.append(node.id)
         self._expanded.add(parent_id)
 
-    def is_expanded(self, node_id: str) -> bool:
-        return node_id in self._expanded or self.nodes[node_id].layer >= self.depth
+    def add_block(self, block) -> None:
+        """Commit ``block``, a parsed nodes.jsonl line: ``{"parent_id": P,
+        "children": [<node record>, ...]}``, P's kept children in rank order.
+
+        P must be committed, not yet expanded and above the last layer, and
+        ``children`` a JSON array of at most the next layer's branching node
+        records, each of which ``node_from_record`` takes at its place. Any
+        other block is a ValueError that says what is wrong and commits
+        nothing.
+        """
+        try:
+            parent, records = self.nodes[block["parent_id"]], block["children"]
+        except (KeyError, TypeError) as exc:  # TypeError: no object, or an unhashable id
+            raise ValueError("is not a JSON object" if type(block) is not dict
+                             else f"is not a block: {exc!r:.200}") from exc
+        layer = parent.layer + 1
+        if parent.id in self._expanded or layer > self.depth:
+            raise ValueError(f"adds to parent {parent.id!r}, which is already expanded")
+        if type(records) is not list:
+            raise ValueError(f"gives parent {parent.id!r} children {records!r:.80}, "
+                             "not a JSON array")
+        if len(records) > (spec := self.config.layer(layer)).branching:
+            raise ValueError(f"gives parent {parent.id!r} {len(records)} children where layer "
+                             f"{layer} takes 0 to {spec.branching}")
+        self.add_children(parent.id, [node_from_record(record, parent.id, rank, layer, spec.role)
+                                      for rank, record in enumerate(records)])
 
     @property
     def shortfalls(self) -> dict[str, int]:
@@ -462,8 +510,8 @@ class Tree:
             return self.depth
         if not permissive:
             raise ConfigError(
-                "tree expansion is not finished; pass permissive=True to export "
-                "down to the deepest completed layer")
+                "tree expansion is not finished; pass --permissive (permissive=True) to "
+                "export down to the deepest completed layer")
         deepest = min(node.layer for node in pending)
         if self.config.mode is Mode.SFT:
             deepest -= deepest % 2

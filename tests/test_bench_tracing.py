@@ -69,6 +69,12 @@ def test_trace_hooks_record_every_layer(tmp_path):
     assert metrics["dedup.pool_mean"] > 0
     assert 0 < metrics["dedup.keep_ratio"] <= 1
     assert metrics["scheduler.expansions"] == 1 + 4
+    # each hook still wraps a name the program calls: a renamed or bypassed
+    # one would read 0, not fail
+    assert metrics["store.append.calls"] == metrics["scheduler.expansions"]
+    assert metrics["store.manifest.writes"] == 2  # the session's start and end
+    assert metrics["scheduler.writer.wait_s"] > 0
+    assert metrics["templates.strip.calls"] == metrics["backends.generate.samples"] > 0
     assert metrics["store.load.records"] == 1 + 4 + 8
     assert metrics["corpus.records"] == 8 + 8  # depth 2: one turn is the full depth
     assert metrics["corpus.bytes"] == sum((tmp_path / name).stat().st_size

@@ -518,6 +518,13 @@ def _rechild(lines, children) -> list[str]:
     return [*lines[:-1], _block("1", children)]
 
 
+def _rechild_first(lines, **fields) -> list[str]:
+    """``lines`` with the last node record of the first block, the root's,
+    rewritten."""
+    *children, last = json.loads(lines[0])["children"]
+    return [_block("root", [*children, {**last, **fields}]), *lines[1:]]
+
+
 # the lines of a [2, 2] checkpoint, whose last block is parent '1''s, holding
 # its records '1.0' and '1.1', damaged so that they parse but do not continue
 # the tree -> what the error says about the first changed line
@@ -528,7 +535,7 @@ DAMAGED_NODE_LINES = {
                                                                   parent_id="x")])],
                        "is not a block: KeyError('x')"),
     "repeated-last-record": (lambda lines: _rechild(lines, [_children(lines)[0]] * 2),
-                             "children[1] has id '1.0' where the next child is '1.1'"),
+                             "children[1] has id '1.0' where its place gives '1.1'"),
     "marker-for-expanded-parent": (lambda lines: [*lines, _block("1", [])],
                                    "adds to parent '1', which is already expanded"),
     "second-block-for-parent": (lambda lines: [*lines, _block("root", [_child(
@@ -554,7 +561,10 @@ DAMAGED_NODE_LINES = {
                                  "gives parent '1' 3 children"),
     "record-of-other-parent": (lambda lines: _rechild(lines, [_children(lines)[0],
                                                               _child(lines, parent_id="0")]),
-                               "children[1] has parent_id '0' in the block of '1'"),
+                               "children[1] has parent_id '0' where its place gives '1'"),
+    # True == 1, so only the reader's explicit integer test refuses this one
+    "layer-1-record-with-layer-true": (lambda lines: _rechild_first(lines, layer=True),
+                                       "children[1] has layer True where its place gives 1"),
     "record-where-header-is-due": (lambda lines: [*lines, json.dumps(_child(lines))],
                                   "is not a block: KeyError('children')"),
     "record-on-line-1": (lambda lines: [json.dumps(json.loads(lines[0])["children"][0]),
@@ -612,25 +622,26 @@ def _meta_without(key):
 # child of the last block) rewritten -> what the error says about that child
 DAMAGED_NODE_FIELDS = {
     "role-of-other-layer": (_field("role", "question"),
-                            "has role 'question' where layer 2 holds 'answer'"),
-    "layer-of-other-layer": (_field("layer", 3),
-                             "has layer 3 where its parent's children are at layer 2"),
-    "unknown-role": (_field("role", "oracle"), "is not a node record: ValueError"),
-    "text-number": (_field("text", 5), "is not a node record: ValueError(\"'text'"),
-    "layer-string": (_field("layer", "2"), "is not a node record: ValueError(\"'layer'"),
+                            "has role 'question' where its place gives 'answer'"),
+    "layer-of-other-layer": (_field("layer", 3), "has layer 3 where its place gives 2"),
+    "unknown-role": (_field("role", "oracle"), "has role 'oracle' where its place gives 'answer'"),
+    "text-number": (_field("text", 5), "has text 5, not a JSON string"),
+    "layer-string": (_field("layer", "2"), "has layer '2' where its place gives 2"),
+    "layer-float": (_field("layer", 2.0), "has layer 2.0 where its place gives 2"),
+    "no-id": (lambda record: {k: v for k, v in record.items() if k != "id"}, "has no id"),
+    "role-unhashable": (_field("role", {}), "has role {} where its place gives 'answer'"),
     "gen-meta-string": (_field("gen_meta", "mock"),
-                        "is not a node record: ValueError(\"'gen_meta'"),
-    "gen-meta-array": (_field("gen_meta", []), "is not a node record: ValueError(\"'gen_meta'"),
-    "gen-meta-no-backend-id": (_meta_without("backend_id"),
-                               "is not a node record: KeyError('backend_id')"),
+                        "has gen_meta 'mock', not null or a JSON object"),
+    "gen-meta-array": (_field("gen_meta", []), "has gen_meta [], not null or a JSON object"),
+    "gen-meta-no-backend-id": (_meta_without("backend_id"), "has no gen_meta.backend_id"),
     "gen-meta-backend-id-number": (_meta_field("backend_id", 1),
-                                   "is not a node record: ValueError(\"'backend_id'"),
+                                   "has gen_meta.backend_id 1, not a JSON string"),
     "gen-meta-finish-reason-null": (_meta_field("finish_reason", None),
-                                    "is not a node record: ValueError(\"'finish_reason'"),
+                                    "has gen_meta.finish_reason None, not a JSON string"),
     "gen-meta-sample-index-string": (_meta_field("sample_index", "3"),
-                                     "is not a node record: ValueError(\"'sample_index'"),
+                                     "has gen_meta.sample_index '3', not a JSON integer"),
     "gen-meta-sample-index-bool": (_meta_field("sample_index", False),
-                                   "is not a node record: ValueError(\"'sample_index'"),
+                                   "has gen_meta.sample_index False, not a JSON integer"),
 }
 
 
@@ -972,10 +983,61 @@ def test_export_pt_joins_with_the_config_template_separator(tmp_path, capsys):
 
 
 def test_export_pt_rejects_sft_tree(completed_run, tmp_path, capsys):
-    code, _, err = run_cli(capsys, "export", "--tree", str(completed_run),
-                           "--format", "pt", "--out", str(tmp_path / "x.jsonl"))
-    assert code == 1
-    assert "PT-mode" in err or "PT" in err
+    out_file = tmp_path / "x.jsonl"
+    code, out, err = run_cli(capsys, "export", "--tree", str(completed_run),
+                             "--format", "pt", "--out", str(out_file))
+    assert (code, out) == (1, "")
+    assert err == ("error: export_pt needs a PT tree; use --format sharegpt|jsonl "
+                   "for SFT trees\n")
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("fmt", ["sharegpt", "jsonl"])
+def test_conversation_export_rejects_pt_tree(tmp_path, capsys, fmt):
+    out_dir = tmp_path / "pt-tree"
+    assert main(["generate", "--config", str(write_config(tmp_path, pt_config([3, 2]))),
+                 "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    out_file = tmp_path / "x.out"
+    code, out, err = run_cli(capsys, "export", "--tree", str(out_dir), "--format", fmt,
+                             "--out", str(out_file))
+    assert (code, out) == (1, "")
+    assert err == "error: build_corpus needs an SFT tree; use --format pt for PT trees\n"
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("name", ["config.json", "nodes.jsonl", "manifest.json"])
+@pytest.mark.parametrize("fmt", ["sharegpt", "jsonl", "pt"])
+def test_export_refuses_to_overwrite_its_checkpoint(tmp_path, capsys, fmt, name):
+    config = pt_config([2, 2]) if fmt == "pt" else sft_config([2, 2])
+    out_dir = tmp_path / "t"
+    assert main(["generate", "--config", str(write_config(tmp_path, config)),
+                 "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    files = {path: path.read_bytes() for path in sorted(out_dir.iterdir())}
+    assert [path.name for path in files] == ["config.json", "manifest.json", "nodes.jsonl"]
+    # a path that names the file another way resolves to it all the same
+    out_file = out_dir / ".." / "t" / name
+    code, out, err = run_cli(capsys, "export", "--tree", str(out_dir), "--format", fmt,
+                             "--out", str(out_file))
+    assert (code, out) == (64, "")
+    assert err == (f"usage error: --out {out_file} would overwrite the checkpoint's "
+                   f"{out_dir / name}\n")
+    assert {path: path.read_bytes() for path in sorted(out_dir.iterdir())} == files
+
+
+@pytest.mark.parametrize("link", [os.symlink, os.link], ids=["symlink", "hard-link"])
+def test_export_refuses_a_link_to_its_checkpoint(completed_run, tmp_path, capsys, link):
+    nodes = completed_run / "nodes.jsonl"
+    kept = nodes.read_bytes()
+    out_file = tmp_path / "corpus.jsonl"
+    link(nodes, out_file)
+    code, out, err = run_cli(capsys, "export", "--tree", str(completed_run), "--format",
+                             "jsonl", "--out", str(out_file))
+    assert (code, out) == (64, "")
+    assert err == (f"usage error: --out {out_file} would overwrite the checkpoint's "
+                   f"{nodes}\n")
+    assert nodes.read_bytes() == kept
 
 
 def test_export_bad_policy_is_usage_error(completed_run, tmp_path, capsys):
@@ -1128,7 +1190,7 @@ def test_export_of_an_unfinished_tree_names_the_flag(tmp_path, capsys, fmt):
     from treegen.backends import MockEmbedder, MockTextBackend
     from treegen.scheduler import TreeRunner
     from test_scheduler import AbortingStore, InjectedCrash
-    config = sft_config([4, 2, 2, 2], dedup_threshold=1.01)
+    config = (pt_config if fmt == "pt" else sft_config)([4, 2, 2, 2], dedup_threshold=1.01)
     out_dir = tmp_path / "partial"
     with pytest.raises(InjectedCrash):
         TreeRunner(config, MockTextBackend(), MockEmbedder(),
@@ -1137,8 +1199,8 @@ def test_export_of_an_unfinished_tree_names_the_flag(tmp_path, capsys, fmt):
     code, out, err = run_cli(capsys, "export", "--tree", str(out_dir), "--format", fmt,
                              "--out", str(out_file))
     assert (code, out) == (1, "")
-    assert err == ("error: tree expansion is not finished; pass --permissive to export "
-                   "down to the deepest completed layer\n")
+    assert err == ("error: tree expansion is not finished; pass --permissive "
+                   "(permissive=True) to export down to the deepest completed layer\n")
     assert not out_file.exists()
 
 

@@ -11,8 +11,8 @@ import pytest
 
 from treegen.errors import ConfigError
 from treegen.tree import (GenMeta, LayerSpec, Mode, Role, Tree, TreeConfig, TreeNode, TreeShape,
-                          child_id, classify_shape, config_from_dict, config_hash,
-                          config_to_dict, expected_leaf_count, load_config,
+                          block_to_record, child_id, classify_shape, config_from_dict,
+                          config_hash, config_to_dict, expected_leaf_count, load_config,
                           node_from_record, node_to_record, structural_key,
                           validate_config)
 
@@ -212,8 +212,9 @@ def test_walk_orders_like_sorted_ids():
     for layer in range(4):
         ids = [nid for nid, node in tree.nodes.items() if node.layer == layer]
         assert tree.layer_ids(layer) == sorted(ids, key=structural_key)
+    expanded = {"root", "0", "2", "10", "0.1"}  # the parents given children above
     pending = [nid for nid in tree.nodes
-               if tree.nodes[nid].layer < tree.depth and not tree.is_expanded(nid)]
+               if tree.nodes[nid].layer < tree.depth and nid not in expanded]
     assert [n.id for n in tree.unexpanded()] == sorted(pending, key=structural_key)
     assert tree.unexpanded()[:3] == [tree.nodes[nid] for nid in ("0.0", "0.1.0", "0.2")]
     assert tree.unexpanded()
@@ -307,30 +308,51 @@ def test_nodes_are_immutable_and_carry_no_instance_dict(make):
     for name in (f.name for f in dataclasses.fields(value)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(value, name, getattr(value, name))
-    # nor can a name that is no field be added (Python 3.11 raises TypeError
-    # there for a slotted frozen dataclass, later versions AttributeError)
-    with pytest.raises((AttributeError, TypeError)):
+    # nor can a name that is no field be added: the generated __setattr__ of
+    # a slotted frozen dataclass raises TypeError there on 3.10 to 3.13 alike
+    with pytest.raises(TypeError):
         value.extra = 1
     assert not hasattr(value, "__dict__")
+
+
+def test_embedding_is_a_class_constant_not_a_field():
+    node = TreeNode(id="0", parent_id="root", layer=1, role=Role.QUESTION, text="q")
+    assert node.embedding is None and TreeNode.embedding is None
+    assert "embedding" not in {f.name for f in dataclasses.fields(TreeNode)}
+    assert "embedding" not in TreeNode.__slots__
 
 
 def test_node_from_record_takes_roles_and_gen_meta_by_value():
     record = {"id": "0", "parent_id": "root", "layer": 1, "role": "question", "text": "q",
               "gen_meta": {"backend_id": "mock", "finish_reason": "stop", "sample_index": 2}}
-    node = node_from_record(record)
+    node = node_from_record(record, "root", 0, 1, Role.QUESTION)
     assert node.role is Role.QUESTION and node.children == []
     assert node.gen_meta == GenMeta("mock", "stop", 2) and node.embedding is None
-    assert node_from_record(dict(record)).children is not node.children
-    for role, error in ((["question"], "['question'] is not a valid Role"),
-                        ("Question", "'Question' is not a valid Role")):
-        with pytest.raises(ValueError, match=re.escape(error)):
-            node_from_record({**record, "role": role})
+    clone = node_from_record(dict(record), "root", 0, 1, Role.QUESTION)
+    assert clone == node and clone.children is not node.children
+    for role, found in ((["question"], "['question']"), ("Question", "'Question'")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"children[0] has role {found} where its place gives 'question'")):
+            node_from_record({**record, "role": role}, "root", 0, 1, Role.QUESTION)
 
 
 def test_node_record_round_trip():
     node = TreeNode(id="0.1", parent_id="0", layer=2, role=Role.ANSWER,
                     text="hello world", gen_meta=GenMeta("mock", "stop", 3))
     record = json.loads(json.dumps(node_to_record(node)))
-    clone = node_from_record(record)
-    assert clone.id == node.id and clone.text == node.text
-    assert clone.gen_meta == node.gen_meta
+    clone = node_from_record(record, "0", 1, 2, Role.ANSWER)
+    assert clone == node and clone.gen_meta is not None
+
+
+def test_block_to_record_round_trips_through_add_block():
+    config = sft_config([2, 2])
+    tree = build_full_tree(config)
+    clone = Tree(config)
+    for node in tree.nodes.values():  # commit order: a parent before its children
+        if node.layer < tree.depth:
+            block = block_to_record(node.id, [tree.nodes[i] for i in node.children])
+            clone.add_block(json.loads(json.dumps(block)))
+    assert clone.nodes == tree.nodes
+    with pytest.raises(ValueError, match=re.escape("adds to parent 'root', which is "
+                                                   "already expanded")):
+        clone.add_block({"parent_id": "root", "children": []})
