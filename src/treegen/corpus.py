@@ -16,13 +16,12 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import chain
-from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigError
 from .templates import get_template
-from .tree import Mode, Tree
+from .tree import Mode, Tree, json_escape
 
 HUMAN = "human"
 GPT = "gpt"
@@ -152,36 +151,23 @@ def _mixture_quotas(weights: dict[int, float], available: dict[int, int]) -> dic
 # json.dumps(element) write with ensure_ascii=False: any indent puts json.dump
 # on its pure-Python encoder, and a shared ancestor's text would be escaped
 # again for every record under it. Each element is one ``%`` of a format built
-# once per turn count from the fixed fragments below, over the record's
-# escaped id and turn values.
+# once per turn count from the fixed fragments below, which hold the quotes,
+# over the record's escaped id and turn values.
 
 # (head holding the id, the human and the gpt turn holding its value, the
 # text between turns, tail); a turn's role follows from its position.
 # A ShareGPT array element opens with the ",\n" that follows the one before.
-_ARRAY_ELEMENT = (',\n  {\n    "id": %s,\n    "conversations": [\n',
-                  ('      {\n        "from": "human",\n        "value": %s\n      }',
-                   '      {\n        "from": "gpt",\n        "value": %s\n      }'),
+_ARRAY_ELEMENT = (',\n  {\n    "id": "%s",\n    "conversations": [\n',
+                  ('      {\n        "from": "human",\n        "value": "%s"\n      }',
+                   '      {\n        "from": "gpt",\n        "value": "%s"\n      }'),
                   ",\n", "\n    ]\n  }")
-_LINE_ELEMENT = ('{"id": %s, "conversations": [',
-                 ('{"from": "human", "value": %s}', '{"from": "gpt", "value": %s}'),
+_LINE_ELEMENT = ('{"id": "%s", "conversations": [',
+                 ('{"from": "human", "value": "%s"}', '{"from": "gpt", "value": "%s"}'),
                  ", ", "]}\n")
 
 
-def _json_str(s: str) -> str:
-    """``s`` as ``json.dumps(s, ensure_ascii=False)`` writes it.
-
-    On ASCII text the ASCII escaper is faster and writes the same bytes,
-    except for U+007F, which only it escapes. The mapping is per code point,
-    so the escape of ``a + b`` is the escapes of ``a`` and ``b`` joined
-    inside one pair of quotes.
-    """
-    if s.isascii() and "\x7f" not in s:
-        return encode_basestring_ascii(s)
-    return encode_basestring(s)
-
-
 def _escape_rows(rows: Iterable[Sequence[str]]) -> Iterator[list[str]]:
-    """Each row of texts as JSON strings.
+    """Each row of texts escaped as JSON string bodies.
 
     A text that is the same object as the previous row's text at that
     position (a shared ancestor's: they are adjacent in id order) reuses its
@@ -191,7 +177,7 @@ def _escape_rows(rows: Iterable[Sequence[str]]) -> Iterator[list[str]]:
     previous: list[str] = []
     for row in rows:
         shared = len(texts)
-        previous = [previous[i] if i < shared and text is texts[i] else _json_str(text)
+        previous = [previous[i] if i < shared and text is texts[i] else json_escape(text)
                     for i, text in enumerate(row)]
         texts = row
         yield previous
@@ -205,22 +191,26 @@ def _elements(records: Sequence[ConversationRecord], inline_system: bool,
     ordered = sorted(records, key=lambda r: r.id)
     for record, values in zip(ordered, _escape_rows(record.turns for record in ordered)):
         if inline_system and record.system:  # f"{system}\n\n{value}", escaped from its parts
-            values = [_json_str(record.system)[:-1] + "\\n\\n" + values[0][1:], *values[1:]]
+            values = [json_escape(record.system) + "\\n\\n" + values[0], *values[1:]]
         if (element := formats.get(len(values))) is None:
             element = formats[len(values)] = (
                 head + between.join(turn[i & 1] for i in range(len(values))) + tail)
-        yield element % (_json_str(record.id), *values)
+        yield element % (json_escape(record.id), *values)
 
 
 def _write(path: str | Path, lines: Iterable[str]) -> Path:
     """Write ``lines`` to ``path`` as UTF-8, newlines untranslated. An
-    OSError, from the open or from any write, is a ConfigError naming the file."""
+    OSError, from the open or from any write, is a ConfigError naming the
+    file, and so is text that UTF-8 cannot hold (a lone surrogate), which
+    also removes the partial file."""
     path = Path(path)
     try:
         # the 64 KiB buffer that replay reads with: a 2 MB export is 30 writes
         with open(path, "w", buffering=1 << 16, encoding="utf-8", newline="\n") as fh:
             fh.writelines(lines)
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
+        if isinstance(exc, UnicodeEncodeError):  # raised after the open truncated the file
+            path.unlink(missing_ok=True)
         raise ConfigError(f"cannot write {path}: {exc}") from exc
     return path
 
@@ -247,9 +237,9 @@ def export_pt(tree: Tree, path: str | Path, permissive: bool = False) -> Path:
     separator}, system prompt excluded."""
     if tree.config.mode is not Mode.PT:
         raise ConfigError("export_pt needs a PT tree; use --format sharegpt|jsonl for SFT trees")
-    separator = _json_str(get_template(tree.config.template_id).turn_separator)[1:-1]
+    separator = json_escape(get_template(tree.config.template_id).turn_separator)
     paths = tree.leaf_paths(permissive=permissive)  # before the file is opened
-    return _write(path, ('{"text": "%s"}\n' % separator.join(value[1:-1] for value in texts)
+    return _write(path, ('{"text": "%s"}\n' % separator.join(texts)
                          for texts in _escape_rows([node.text for node in p] for p in paths)))
 
 

@@ -49,9 +49,9 @@ from .errors import BackendError, ConfigError, ResumableRunError
 from .fnv import combine
 from .templates import (ChatTemplate, get_template, render_continuation_prompt,
                         render_dialogue_prompt, strip_completion)
-from .tree import (GenMeta, Mode, Tree, TreeConfig, TreeNode, TreeShape, block_to_record,
-                   child_id, config_from_dict, config_hash, config_to_dict,
-                   expected_leaf_count, validate_config)
+from .tree import (GenMeta, Mode, Tree, TreeConfig, TreeNode, TreeShape, block_line, child_id,
+                   config_from_dict, config_hash, config_to_dict, expected_leaf_count,
+                   validate_config)
 
 log = logging.getLogger(__name__)
 
@@ -92,7 +92,7 @@ class CheckpointStore:
     nodes.jsonl alone holds the committed tree below the root, which comes
     from the config: one block per expansion, appended as a single write, and
     nothing else, so a fresh checkpoint's file is empty. ``tree.py`` owns the
-    block's format: ``block_to_record`` writes it and ``Tree.add_block``
+    block's format: ``block_line`` writes it and ``Tree.add_block``
     reads and checks it. The store only frames lines: ``append_block``
     writes a block as one line, and ``load`` streams the file line by line,
     hands each parsed line to ``add_block`` and stops at a torn line. Load
@@ -157,8 +157,7 @@ class CheckpointStore:
     def append_block(self, nodes: Sequence[TreeNode], parent_id: str,
                      dedup_drops: int = 0, retried: bool = False) -> None:
         """Commit one expansion result: its block, one line, in one write."""
-        self._write(json.dumps(block_to_record(parent_id, nodes), ensure_ascii=False,
-                               separators=(",", ":")) + "\n")
+        self._write(block_line(parent_id, nodes))
         self._session["dedup_drops"] += dedup_drops
         self._session["retries"] += int(retried)
 

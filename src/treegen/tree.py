@@ -16,6 +16,7 @@ import sys
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
+from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 from typing import ClassVar, Iterator, Sequence
 
@@ -329,7 +330,34 @@ def structural_key(node_id: str) -> tuple[int, ...]:
     return tuple(int(part) for part in node_id.split("."))
 
 
-# --- the nodes.jsonl record format --------------------------------------------
+# --- JSON text: the nodes.jsonl record format and the exports' strings --------
+
+# the bytes a JSON string escapes in UTF-8 text: only ASCII characters encode
+# to bytes below 0x80, and U+007F is written as it is
+_ESCAPED_BYTES = bytes(range(32)) + b'"\\'
+
+
+def json_escape(s: str) -> str:
+    """``s`` as ``json.dumps(s, ensure_ascii=False)`` writes it, without the
+    quotes; a text that needs no escape is returned as it is.
+
+    A newline, quote or backslash (three memchr-speed probes) sends ``s``
+    straight to the json module's escapers, so text that needs escapes does
+    not pay for the check. Any other text is checked with one delete pass
+    over its UTF-8 bytes, which is several times the speed of the escapers on
+    text that needs none. The ASCII escaper is faster than the Unicode one
+    and writes the same bytes except for U+007F, which only it escapes. The
+    mapping is per code point, so the escape of ``a + b`` is the escapes of
+    ``a`` and ``b`` joined.
+    """
+    if "\n" not in s and '"' not in s and "\\" not in s:
+        b = s.encode("utf-8", "surrogatepass")  # a lone surrogate is written as it is
+        if len(b.translate(None, _ESCAPED_BYTES)) == len(b):
+            return s
+    if s.isascii() and "\x7f" not in s:
+        return encode_basestring_ascii(s)[1:-1]
+    return encode_basestring(s)[1:-1]
+
 
 def node_to_record(node: TreeNode) -> dict:
     """The node's nodes.jsonl record."""
@@ -347,10 +375,23 @@ def node_to_record(node: TreeNode) -> dict:
     }
 
 
-def block_to_record(parent_id: str, children: Sequence[TreeNode]) -> dict:
-    """The nodes.jsonl block of one expansion: the parent id and the node
-    records of its kept children, in rank order."""
-    return {"parent_id": parent_id, "children": [node_to_record(node) for node in children]}
+# node_to_record's value as the line writes it, and a gen_meta that is not null
+_NODE_LINE = '{"id":"%s","parent_id":"%s","layer":%d,"role":"%s","text":"%s","gen_meta":%s}'
+_META_LINE = '{"backend_id":"%s","finish_reason":"%s","sample_index":%d}'
+
+
+def block_line(parent_id: str, children: Sequence[TreeNode]) -> str:
+    """The nodes.jsonl line of one expansion, newline included: the parent id
+    and the node records of its kept children, in rank order, as
+    ``json.dumps`` writes ``{"parent_id": parent_id, "children": [node_to_record(node), ...]}``
+    with ``ensure_ascii=False`` and ``separators=(",", ":")``."""
+    return '{"parent_id":"%s","children":[%s]}\n' % (json_escape(parent_id), ",".join([
+        _NODE_LINE % (json_escape(node.id), json_escape(node.parent_id), node.layer,
+                      node.role.value, json_escape(node.text),
+                      "null" if (meta := node.gen_meta) is None else _META_LINE % (
+                          json_escape(meta.backend_id), json_escape(meta.finish_reason),
+                          meta.sample_index))
+        for node in children]))
 
 
 # Equal gen_meta records share one GenMeta, which is immutable: a tree holds a
@@ -367,8 +408,9 @@ def node_from_record(record, parent_id: str, rank: int, layer: int, role: Role) 
     ``parent_id``'s child at ``rank``, at ``layer`` with ``role``.
 
     The record's ``id``, ``parent_id``, ``layer`` and ``role`` must be those
-    its place gives, its ``text`` a JSON string and its ``gen_meta`` null or
-    an object with a string ``backend_id`` and ``finish_reason`` and an
+    its place gives, its ``text`` a JSON string that UTF-8 can hold (JSON
+    can spell a lone surrogate, which UTF-8 cannot) and its ``gen_meta`` null
+    or an object with a string ``backend_id`` and ``finish_reason`` and an
     integer ``sample_index``; anything else is a ValueError that names
     ``children[rank]`` and the first field at fault. A key it does not read
     is ignored.
@@ -380,7 +422,8 @@ def node_from_record(record, parent_id: str, rank: int, layer: int, role: Role) 
         if meta is not None:
             meta = (meta["backend_id"], meta["finish_reason"], meta["sample_index"])
         # one comparison for the place; a bool equals an int, so layer's type too
-        if (found == place and type(found[2]) is int and type(text) is str and (
+        if (found == place and type(found[2]) is int and type(text) is str
+                and (text.isascii() or _utf8(text)) and (
                 meta is None or type(meta[0]) is type(meta[1]) is str and type(meta[2]) is int)):
             return TreeNode(place[0], parent_id, layer, role, text, [], meta and _gen_meta(*meta))
     except (KeyError, TypeError):  # no object, or a field missing
@@ -408,6 +451,17 @@ def _fault(record, place: tuple) -> str:
             return f"has {name} {got!r:.80}, not a JSON {'string' if want is str else 'integer'}"
         if not isinstance(want, type) and (type(got) is not type(want) or got != want):
             return f"has {name} {got!r:.80} where its place gives {want!r}"
+        if name == "text" and not _utf8(got):
+            return f"has text {got!r:.80}, which UTF-8 cannot hold (a lone surrogate)"
+
+
+def _utf8(text: str) -> bool:
+    """Whether UTF-8 can hold ``text``: whether it has no lone surrogate."""
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 class Tree:

@@ -11,18 +11,23 @@ pools at d = 1, 3, 16 and 1024. ``sum()`` of floats is compensated from
 Python 3.12 on, so a kernel built on it passes under 3.10 and 3.11 and fails
 here under 3.12 and later.
 
+It checks that ``tree.json_escape`` and ``tree.block_line`` write what the
+json module writes on strings that take each of their branches: the json
+module's C escapers are not the same code in every version.
+
 It then grows a small tree whose long answers near-duplicate one another
 under the mock embedder (so its expansions drop candidates and retry), and
 exports it with the G-Turn policy. It prints one sha256 of every checked
-value, then the run's counts and the sha256 of ``nodes.jsonl`` and of the
-export. Its stdout is the same under every interpreter;
-``tests/test_crossver.py`` compares it across interpreters. Exits 1, naming
-the first difference, when a check fails.
+arithmetic value and one of every checked JSON text, then the run's counts
+and the sha256 of ``nodes.jsonl`` and of the export. Its stdout is the same
+under every interpreter; ``tests/test_crossver.py`` compares it across
+interpreters. Exits 1, naming the first difference, when a check fails.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 import sys
 import tempfile
@@ -35,7 +40,8 @@ from treegen.corpus import build_corpus, export_sharegpt, gaussian_turn_policy  
 from treegen.dedup import (_dots, _finite_roots, mmr_select,  # noqa: E402
                            near_duplicate_filter)
 from treegen.scheduler import NODES_FILE, CheckpointStore, TreeRunner  # noqa: E402
-from treegen.tree import config_from_dict  # noqa: E402
+from treegen.tree import (GenMeta, Role, TreeNode, block_line, config_from_dict,  # noqa: E402
+                          json_escape, node_to_record)
 
 DIMENSIONS = (1, 3, 16, 1024)
 POOL_SIZES = (1, 2, 3, 4, 5, 6, 7, 9)  # every remainder of _dots' four-row passes
@@ -88,6 +94,15 @@ def ref_filter(pool, picks: list[int], scores: list[float], threshold: float) ->
     return kept
 
 
+# strings that take each branch of json_escape: clean and dirty, ASCII and
+# not, U+007F, line separators, non-BMP characters and lone surrogates
+JSON_TEXTS = ("", "plain ascii text", "\x7f", "ascii with a DEL \x7f inside", "a DEL \x7f\n",
+              "caf\u00e9", "\u6f22\u5b57 \U0001f600", "a line\u2028separator\u2029", "\ud800",
+              "a\udfffb", 'a "quoted" word', "a \\ backslash", "two\nlines", "a\ttab",
+              "".join(map(chr, range(0x20))), "\x1f\u00e9", "\u00e9\n\ud83d",
+              "".join(map(chr, range(0x7f, 0x800))), "x" * 5000 + '"')
+
+
 class Checker:
     def __init__(self):
         self.digest = hashlib.sha256()
@@ -98,7 +113,7 @@ class Checker:
                          for values in (got, want))
         if hexed != wanted:
             sys.exit(f"FAIL {what}: got {hexed}, want {wanted}")
-        self.digest.update(f"{what}:{','.join(hexed)};".encode())
+        self.digest.update(f"{what}:{','.join(hexed)};".encode("utf-8", "surrogatepass"))
 
 
 def check_arithmetic(check: Checker) -> None:
@@ -129,6 +144,19 @@ def check_arithmetic(check: Checker) -> None:
                            ref_filter(pool, picks, scores, threshold))
 
 
+def check_json_text(check: Checker) -> None:
+    for n, text in enumerate(JSON_TEXTS):
+        check.same(f"json_escape {n}", [json_escape(text)],
+                   [json.dumps(text, ensure_ascii=False)[1:-1]])
+    nodes = [TreeNode(f"0.{rank}", text, rank, Role.ANSWER, text,
+                      gen_meta=None if rank % 3 == 0 else GenMeta(text, text[::-1], -rank))
+             for rank, text in enumerate(JSON_TEXTS)]
+    for parent_id in JSON_TEXTS:
+        record = {"parent_id": parent_id, "children": list(map(node_to_record, nodes))}
+        check.same(f"block_line {parent_id!r:.20}", [block_line(parent_id, nodes)],
+                   [json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n"])
+
+
 # long answers look alike to the mock's 16-dimensional embedder
 CONFIG = {
     "mode": "sft", "system_prompt": "You are a helpful assistant.", "seed": 7,
@@ -156,6 +184,9 @@ def main() -> None:
     check = Checker()
     check_arithmetic(check)
     print("arithmetic sha256 " + check.digest.hexdigest())
+    check = Checker()
+    check_json_text(check)
+    print("json text sha256 " + check.digest.hexdigest())
     for line in run_digests():
         print(line)
 

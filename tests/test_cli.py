@@ -626,6 +626,9 @@ DAMAGED_NODE_FIELDS = {
     "layer-of-other-layer": (_field("layer", 3), "has layer 3 where its place gives 2"),
     "unknown-role": (_field("role", "oracle"), "has role 'oracle' where its place gives 'answer'"),
     "text-number": (_field("text", 5), "has text 5, not a JSON string"),
+    # valid JSON, but no UTF-8 text: the export would fail half written
+    "text-lone-surrogate": (_field("text", "caf\u00e9 \ud800"),
+                            "has text 'caf\u00e9 \\ud800', which UTF-8 cannot hold"),
     "layer-string": (_field("layer", "2"), "has layer '2' where its place gives 2"),
     "layer-float": (_field("layer", 2.0), "has layer 2.0 where its place gives 2"),
     "no-id": (lambda record: {k: v for k, v in record.items() if k != "id"}, "has no id"),
@@ -670,6 +673,7 @@ def test_node_field_of_the_wrong_kind_exits_1(tmp_path, capsys, command, damage)
     last = err.splitlines()[-1]
     assert last.startswith(f"error: {nodes} line {len(lines)} children[1] {says}")
     assert nodes.read_bytes() == damaged
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_generate_rejects_invalid_config(tmp_path, capsys):

@@ -1,6 +1,7 @@
-"""The selection arithmetic and a run's bytes are the same under every Python
-the project supports: ``crossver_check.py`` passes, with the same output,
-under this interpreter and under each other Python >= 3.10 it can start.
+"""The selection arithmetic, the JSON text treegen writes without the json
+module and a run's bytes are the same under every Python the project
+supports: ``crossver_check.py`` passes, with the same output, under this
+interpreter and under each other Python >= 3.10 it can start.
 
 The other interpreters are the paths that ``TREEGEN_CROSSVER_PYTHONS`` lists,
 separated by ``os.pathsep``, else ``~/.pyenv/versions/*/bin/python``. One

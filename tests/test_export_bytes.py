@@ -13,12 +13,14 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import re
 
 import pytest
 
 from treegen import corpus
-from treegen.corpus import ConversationRecord, _json_str, export_jsonl, export_pt, export_sharegpt
-from treegen.tree import Tree, TreeNode, child_id
+from treegen.corpus import ConversationRecord, export_jsonl, export_pt, export_sharegpt
+from treegen.errors import ConfigError
+from treegen.tree import Tree, TreeNode, child_id, json_escape
 
 from conftest import pt_config
 
@@ -141,17 +143,28 @@ def test_pt_export_matches_the_json_module(tmp_path, template_id):
 
 
 def test_escaper_matches_the_json_module_on_every_code_point():
+    """``json_escape`` writes the body of the string json.dumps writes."""
     for code in range(128):  # the ASCII branch, one character at a time
-        assert _json_str(chr(code)) == json.dumps(chr(code), ensure_ascii=False)
+        assert '"' + json_escape(chr(code)) + '"' == json.dumps(chr(code), ensure_ascii=False)
     every = "".join(map(chr, range(0x110000)))
-    assert _json_str(every) == json.dumps(every, ensure_ascii=False)
+    assert '"' + json_escape(every) + '"' == json.dumps(every, ensure_ascii=False)
 
 
 def test_a_shared_text_is_escaped_once(tmp_path, monkeypatch):
     question = "shared question"
     records = [record(f"0.{rank}:1", question, f"answer {rank}") for rank in range(4)]
     escaped = []
-    monkeypatch.setattr(corpus, "_json_str", lambda s: escaped.append(s) or _json_str(s))
+    monkeypatch.setattr(corpus, "json_escape", lambda s: escaped.append(s) or json_escape(s))
     export_jsonl(records, tmp_path / "corpus.jsonl")
     assert escaped.count(question) == 1
     assert (tmp_path / "corpus.jsonl").read_bytes() == reference_jsonl(records, False)
+
+
+@pytest.mark.parametrize("export", [export_sharegpt, export_jsonl])
+def test_text_utf8_cannot_hold_is_a_config_error_leaving_no_file(tmp_path, export):
+    # more than the 64 KiB write buffer comes before the text UTF-8 cannot hold
+    records = [*(record(f"{n}:1", "q", "a") for n in range(3000)), record("z:1", "q", "\ud800")]
+    out = tmp_path / "corpus"
+    with pytest.raises(ConfigError, match=f"cannot write {re.escape(str(out))}: .*surrogates"):
+        export(records, out)
+    assert not out.exists()

@@ -11,7 +11,7 @@ import pytest
 
 from treegen.errors import ConfigError
 from treegen.tree import (GenMeta, LayerSpec, Mode, Role, Tree, TreeConfig, TreeNode, TreeShape,
-                          block_to_record, child_id, classify_shape, config_from_dict,
+                          block_line, child_id, classify_shape, config_from_dict,
                           config_hash, config_to_dict, expected_leaf_count, load_config,
                           node_from_record, node_to_record, structural_key,
                           validate_config)
@@ -344,14 +344,14 @@ def test_node_record_round_trip():
     assert clone == node and clone.gen_meta is not None
 
 
-def test_block_to_record_round_trips_through_add_block():
+def test_block_line_round_trips_through_add_block():
     config = sft_config([2, 2])
     tree = build_full_tree(config)
     clone = Tree(config)
     for node in tree.nodes.values():  # commit order: a parent before its children
         if node.layer < tree.depth:
-            block = block_to_record(node.id, [tree.nodes[i] for i in node.children])
-            clone.add_block(json.loads(json.dumps(block)))
+            clone.add_block(json.loads(block_line(node.id, [tree.nodes[i]
+                                                            for i in node.children])))
     assert clone.nodes == tree.nodes
     with pytest.raises(ValueError, match=re.escape("adds to parent 'root', which is "
                                                    "already expanded")):
