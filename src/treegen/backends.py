@@ -22,6 +22,7 @@ from urllib.parse import SplitResult, quote, unquote, urlsplit
 
 from .errors import BackendError, ConfigError
 from .fnv import fnv1a64, splitmix64, u64_bytes
+from .tree import utf8_can_hold
 
 # http.client, ssl and urllib.request are imported where the HTTP backend
 # uses them: they add about 30 ms to the start of a process that never opens a
@@ -431,15 +432,14 @@ class HttpBackend(GenerationBackend, EmbeddingBackend):
                 if not isinstance(text, str):
                     raise ValueError("malformed 'choices' item: 'text' is not a string: "
                                      f"{text!r:.80}")
-                try:  # JSON can carry a lone surrogate; nodes.jsonl is UTF-8
-                    text.encode("utf-8")
-                except UnicodeEncodeError as exc:
-                    raise ValueError("malformed 'choices' item: 'text' cannot be written as "
-                                     f"UTF-8 ({exc.reason}): {text!r:.80}") from None
                 reason = choice.get("finish_reason")
                 if reason is not None and not isinstance(reason, str):
                     raise ValueError("malformed 'choices' item: 'finish_reason' is not a "
                                      f"string: {reason!r:.80}")
+                for key, value in (("text", text), ("finish_reason", reason or "")):
+                    if not utf8_can_hold(value):  # JSON can spell one; nodes.jsonl is UTF-8
+                        raise ValueError(f"malformed 'choices' item: {key!r} cannot be written "
+                                         f"as UTF-8 (a lone surrogate): {value!r:.80}")
             return tuple(Completion(text=c["text"], finish_reason=c.get("finish_reason") or "stop")
                          for c in choices)
 

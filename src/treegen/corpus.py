@@ -21,23 +21,32 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigError
 from .templates import get_template
-from .tree import Mode, Tree, json_escape
+from .tree import Mode, Tree, TreeNode, json_escape
 
 HUMAN = "human"
 GPT = "gpt"
+
+
+class _EscapeFree(tuple):
+    """Path texts that ``Tree.escape_free`` vouches for: the exporters write
+    them, and the id of the record that holds them, as they are."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
 class ConversationRecord:
     """One exported dialogue. ``turns`` are its texts in order: turn i is
     human's for even i and gpt's for odd i. Construction raises ConfigError
-    unless the turns are complete pairs."""
+    unless the turns are complete pairs, and stores them as a plain tuple."""
 
     id: str
     system: str
     turns: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if type(self.turns) is not tuple:  # drops an _EscapeFree mark, which vouches for the id
+            object.__setattr__(self, "turns", tuple(self.turns))
         if not self.turns or len(self.turns) % 2:
             raise ConfigError(f"record {self.id}: turns must be complete pairs "
                               f"(got {len(self.turns)} turns)")
@@ -116,9 +125,18 @@ def build_corpus(tree: Tree, policy: TurnPolicy | None = None,
     for t in sorted(weights):
         paths = strata[t]  # in structural order, so sorted indices keep it
         for i in _draw(rng, len(paths), quotas.get(t, 0)):
-            records.append(ConversationRecord(f"{paths[i][-1].id}:{t}", system,
-                                              tuple([node.text for node in paths[i]])))
+            # a path holds complete pairs: no __init__ to check them and drop the mark
+            record = object.__new__(ConversationRecord)
+            record.__dict__.update(id=f"{paths[i][-1].id}:{t}", system=system,
+                                   turns=_path_texts(tree, paths[i]))
+            records.append(record)
     return records
+
+
+def _path_texts(tree: Tree, path: Sequence[TreeNode]) -> tuple[str, ...]:
+    """The texts of ``path``, ``_EscapeFree`` when ``tree`` vouches for them."""
+    texts = [node.text for node in path]
+    return _EscapeFree(texts) if tree.escape_free(path) else tuple(texts)
 
 
 def _mixture_quotas(weights: dict[int, float], available: dict[int, int]) -> dict[int, int]:
@@ -166,19 +184,21 @@ _LINE_ELEMENT = ('{"id": "%s", "conversations": [',
                  ", ", "]}\n")
 
 
-def _escape_rows(rows: Iterable[Sequence[str]]) -> Iterator[list[str]]:
-    """Each row of texts escaped as JSON string bodies.
+def _escape_rows(rows: Iterable[Sequence[str]]) -> Iterator[Sequence[str]]:
+    """Each row of texts escaped as JSON string bodies; an ``_EscapeFree``
+    row is its own.
 
     A text that is the same object as the previous row's text at that
     position (a shared ancestor's: they are adjacent in id order) reuses its
     escaped form, so one row's escapes are held at a time.
     """
     texts: Sequence[str] = ()
-    previous: list[str] = []
+    previous: Sequence[str] = ()
     for row in rows:
         shared = len(texts)
-        previous = [previous[i] if i < shared and text is texts[i] else json_escape(text)
-                    for i, text in enumerate(row)]
+        previous = row if type(row) is _EscapeFree else [
+            previous[i] if i < shared and text is texts[i] else json_escape(text)
+            for i, text in enumerate(row)]
         texts = row
         yield previous
 
@@ -188,14 +208,18 @@ def _elements(records: Sequence[ConversationRecord], inline_system: bool,
     """Every record's element in id order, from ``fragments``."""
     head, turn, between, tail = fragments
     formats: dict[int, str] = {}  # by turn count
+    system, prefix = None, ""  # the last system text and its escape, as rows reuse texts
     ordered = sorted(records, key=lambda r: r.id)
     for record, values in zip(ordered, _escape_rows(record.turns for record in ordered)):
         if inline_system and record.system:  # f"{system}\n\n{value}", escaped from its parts
-            values = [json_escape(record.system) + "\\n\\n" + values[0], *values[1:]]
+            if record.system is not system:
+                system, prefix = record.system, json_escape(record.system) + "\\n\\n"
+            values = [prefix + values[0], *values[1:]]
         if (element := formats.get(len(values))) is None:
             element = formats[len(values)] = (
                 head + between.join(turn[i & 1] for i in range(len(values))) + tail)
-        yield element % (json_escape(record.id), *values)
+        yield element % (record.id if type(record.turns) is _EscapeFree
+                         else json_escape(record.id), *values)
 
 
 def _write(path: str | Path, lines: Iterable[str]) -> Path:
@@ -240,7 +264,7 @@ def export_pt(tree: Tree, path: str | Path, permissive: bool = False) -> Path:
     separator = json_escape(get_template(tree.config.template_id).turn_separator)
     paths = tree.leaf_paths(permissive=permissive)  # before the file is opened
     return _write(path, ('{"text": "%s"}\n' % separator.join(texts)
-                         for texts in _escape_rows([node.text for node in p] for p in paths)))
+                         for texts in _escape_rows(_path_texts(tree, p) for p in paths)))
 
 
 def validate_sharegpt_file(path: str | Path) -> list[ConversationRecord]:

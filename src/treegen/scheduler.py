@@ -80,9 +80,14 @@ _READ_BUFFER = 1 << 16
 
 def _write_json(path: Path, value: dict) -> None:
     """Write ``value`` as indented JSON to a temporary file beside ``path``,
-    then rename it over ``path``: a write cut short leaves no partial file."""
+    removed if the write fails, then rename it over ``path``: a write cut
+    short leaves no partial file."""
     tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(value, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    try:
+        tmp.write_text(json.dumps(value, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 
@@ -155,11 +160,14 @@ class CheckpointStore:
         self._handle.flush()
 
     def append_block(self, nodes: Sequence[TreeNode], parent_id: str,
-                     dedup_drops: int = 0, retried: bool = False) -> None:
-        """Commit one expansion result: its block, one line, in one write."""
-        self._write(block_line(parent_id, nodes))
+                     dedup_drops: int = 0, retried: bool = False) -> bool:
+        """Commit one expansion result: its block, one line, in one write.
+        Returns whether the line holds no backslash, as replay finds it."""
+        line = block_line(parent_id, nodes)
+        self._write(line)
         self._session["dedup_drops"] += dedup_drops
         self._session["retries"] += int(retried)
+        return "\\" not in line
 
     def _write_manifest(self, tree: Tree, status: str) -> None:
         """Build the run summary from the tree and this session, and write it."""
@@ -226,7 +234,8 @@ class CheckpointStore:
         bytes of the replayed lines.
 
         A line is one block, written as one append, so only the last can be
-        torn: each line is committed with one ``Tree.add_block`` call. A
+        torn: each line is committed with one ``Tree.add_block`` call, told
+        whether the line holds a backslash (one memchr). A
         partial or unparseable line (invalid UTF-8 and nesting too deep for
         the parser included) ends the replay, and it and every line after it
         are dropped, with one WARNING naming them: expansion is
@@ -261,7 +270,7 @@ class CheckpointStore:
                                 self.nodes_path.stat().st_size - intact)
                     break
                 try:
-                    tree.add_block(block)
+                    tree.add_block(block, escape_free=b"\\" not in line)
                 except ValueError as exc:
                     raise ConfigError(f"{self.nodes_path} line {number} {exc}") from exc
                 intact += len(line)
@@ -504,6 +513,7 @@ class TreeRunner:
 
     def _commit_result(self, tree: Tree, result: ExpansionResult) -> None:
         # disk first: if the append fails, the tree still matches nodes.jsonl
-        self.store.append_block(result.children, parent_id=result.parent_id,
-                                dedup_drops=result.dedup_drops, retried=result.retried)
-        tree.add_children(result.parent_id, result.children)
+        escape_free = self.store.append_block(result.children, parent_id=result.parent_id,
+                                              dedup_drops=result.dedup_drops,
+                                              retried=result.retried)
+        tree.add_children(result.parent_id, result.children, escape_free=escape_free)

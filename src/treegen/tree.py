@@ -175,15 +175,15 @@ def _value(raw: dict, key, kind: type, where: str, default=None):
     """``raw[key]`` as a ``kind`` (``int``, ``float`` or ``str``), or
     ``default`` when the key is absent. A missing key without a default, a
     value of another JSON type (a boolean is no number, null no string),
-    ``NaN`` or an infinity, and a fraction in an integer field are each a
-    ConfigError naming ``where`` and the key."""
+    ``NaN`` or an infinity, a fraction in an integer field and a string that
+    UTF-8 cannot hold are each a ConfigError naming ``where`` and the key."""
     if key not in raw:
         if default is None:
             raise ConfigError(f"{where}missing required key {key!r}")
         return default
     value = raw[key]
     if kind is str:
-        if isinstance(value, str):
+        if isinstance(value, str) and utf8_can_hold(value):
             return value
     elif not isinstance(value, bool):  # an int to Python, not a number to JSON
         if kind is int and isinstance(value, int):
@@ -191,7 +191,7 @@ def _value(raw: dict, key, kind: type, where: str, default=None):
         if (kind is float and isinstance(value, (int, float))
                 and abs(value) <= sys.float_info.max):  # False for NaN too
             return float(value)
-    what = {int: "an integer", float: "a finite number", str: "a string"}[kind]
+    what = {int: "an integer", float: "a finite number", str: "a string UTF-8 can hold"}[kind]
     raise ConfigError(f"{where}{key!r} must be {what} (got {value!r})")
 
 
@@ -423,7 +423,7 @@ def node_from_record(record, parent_id: str, rank: int, layer: int, role: Role) 
             meta = (meta["backend_id"], meta["finish_reason"], meta["sample_index"])
         # one comparison for the place; a bool equals an int, so layer's type too
         if (found == place and type(found[2]) is int and type(text) is str
-                and (text.isascii() or _utf8(text)) and (
+                and utf8_can_hold(text) and (
                 meta is None or type(meta[0]) is type(meta[1]) is str and type(meta[2]) is int)):
             return TreeNode(place[0], parent_id, layer, role, text, [], meta and _gen_meta(*meta))
     except (KeyError, TypeError):  # no object, or a field missing
@@ -451,12 +451,14 @@ def _fault(record, place: tuple) -> str:
             return f"has {name} {got!r:.80}, not a JSON {'string' if want is str else 'integer'}"
         if not isinstance(want, type) and (type(got) is not type(want) or got != want):
             return f"has {name} {got!r:.80} where its place gives {want!r}"
-        if name == "text" and not _utf8(got):
+        if name == "text" and not utf8_can_hold(got):
             return f"has text {got!r:.80}, which UTF-8 cannot hold (a lone surrogate)"
 
 
-def _utf8(text: str) -> bool:
+def utf8_can_hold(text: str) -> bool:
     """Whether UTF-8 can hold ``text``: whether it has no lone surrogate."""
+    if text.isascii():
+        return True
     try:
         text.encode()
     except UnicodeEncodeError:
@@ -473,6 +475,7 @@ class Tree:
                         text=config.system_prompt)
         self.nodes: dict[str, TreeNode] = {ROOT_ID: root}
         self._expanded: set[str] = set()
+        self._escape_free: set[str] = set()  # parents committed escape_free
 
     @property
     def root(self) -> TreeNode:
@@ -482,19 +485,30 @@ class Tree:
     def depth(self) -> int:
         return self.config.depth
 
-    def add_children(self, parent_id: str, children: Sequence[TreeNode]) -> None:
+    def add_children(self, parent_id: str, children: Sequence[TreeNode], *,
+                     escape_free: bool = False) -> None:
         """Attach one committed child set and mark the parent expanded.
 
         Used for fresh commits and, through ``add_block``, for checkpoint
         replay; an empty ``children`` records a zero-child expansion.
+        ``escape_free`` says that the block's line holds no backslash, which
+        strict JSON needs to write a quote, backslash or control character.
         """
         parent = self.nodes[parent_id]
         for node in children:
             self.nodes[node.id] = node
             parent.children.append(node.id)
         self._expanded.add(parent_id)
+        if escape_free:
+            self._escape_free.add(parent_id)
 
-    def add_block(self, block) -> None:
+    def escape_free(self, path: Sequence[TreeNode]) -> bool:
+        """Whether every node of ``path`` was committed ``escape_free``, so its
+        id and text are their own JSON escapes; at once when every block was."""
+        known = self._escape_free
+        return len(known) == len(self._expanded) or all(n.parent_id in known for n in path)
+
+    def add_block(self, block, *, escape_free: bool = False) -> None:
         """Commit ``block``, a parsed nodes.jsonl line: ``{"parent_id": P,
         "children": [<node record>, ...]}``, P's kept children in rank order.
 
@@ -502,7 +516,7 @@ class Tree:
         ``children`` a JSON array of at most the next layer's branching node
         records, each of which ``node_from_record`` takes at its place. Any
         other block is a ValueError that says what is wrong and commits
-        nothing.
+        nothing. ``escape_free`` goes to ``add_children``.
         """
         try:
             parent, records = self.nodes[block["parent_id"]], block["children"]
@@ -519,7 +533,8 @@ class Tree:
             raise ValueError(f"gives parent {parent.id!r} {len(records)} children where layer "
                              f"{layer} takes 0 to {spec.branching}")
         self.add_children(parent.id, [node_from_record(record, parent.id, rank, layer, spec.role)
-                                      for rank, record in enumerate(records)])
+                                      for rank, record in enumerate(records)],
+                          escape_free=escape_free)
 
     @property
     def shortfalls(self) -> dict[str, int]:

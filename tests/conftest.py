@@ -78,6 +78,11 @@ BAD_CONFIG_VALUES = {
     "template-id-number": (None, "template_id", 3, "'template_id'"),
     "stop-marker-null": (1, "stop_markers", [None, "</s>"], "layer 2: 'stop_markers' item 0"),
     "stop-marker-number": (0, "stop_markers", ["</s>", 3], "layer 1: 'stop_markers' item 1"),
+    # JSON spells a lone surrogate, which UTF-8 cannot hold
+    "system-prompt-lone-surrogate": (None, "system_prompt", "bad \ud800", "'system_prompt'"),
+    "template-id-lone-surrogate": (None, "template_id", "plain\udfff", "'template_id'"),
+    "stop-marker-lone-surrogate": (1, "stop_markers", ["</s>", "\ud83d"],
+                                   "layer 2: 'stop_markers' item 1"),
 }
 
 

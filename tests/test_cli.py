@@ -212,6 +212,35 @@ def test_generate_http_text_not_utf8_exits_2(tmp_path, capsys, monkeypatch, scri
     assert json.loads((out_dir / "manifest.json").read_text())["status"] == "aborted"
 
 
+def test_generate_http_finish_reason_not_utf8_exits_2(tmp_path, capsys, monkeypatch,
+                                                      scripted_server):
+    # a finish_reason goes into nodes.jsonl too: one that UTF-8 cannot hold
+    # makes the reply malformed, retried, and a resumable abort
+    server_reply = openai_replies(retry_dim=16)
+
+    def lone_surrogate(path, payload):
+        status, body = server_reply(path, payload)
+        if path.endswith("/completions"):
+            reply = json.loads(body)
+            for choice in reply["choices"]:
+                choice["finish_reason"] = "stop\ud800"
+            body = json.dumps(reply).encode()  # ASCII: the surrogate as an escape
+        return status, body
+
+    server = scripted_server(lone_surrogate)
+    monkeypatch.setattr(backends.time, "sleep", lambda seconds: None)
+    config_path = write_config(tmp_path, sft_config([2, 2]))
+    out_dir = tmp_path / "o"
+    code, out, err = http_generate(capsys, monkeypatch, server, config_path, out_dir)
+    assert (code, out) == (2, "")
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and "'finish_reason' cannot be written as UTF-8" in errors[0]
+    assert "Traceback" not in err
+    assert json.loads((out_dir / "manifest.json").read_text())["status"] == "aborted"
+    assert (out_dir / "nodes.jsonl").read_bytes() == b""
+    assert not list(out_dir.glob("*.tmp"))
+
+
 def test_generate_http_body_nested_too_deeply_exits_2(tmp_path, capsys, monkeypatch,
                                                      scripted_server):
     # json.loads raises RecursionError, not ValueError, on 100,000 nested
@@ -1088,6 +1117,20 @@ def test_bad_config_value_exits_1(tmp_path, capsys, command, case):
     assert code == 1 and out == ""
     last = err.splitlines()[-1]
     assert last.startswith("error: ") and names in last
+
+
+def test_generate_config_text_utf8_cannot_hold_exits_1_leaving_no_file(tmp_path, capsys):
+    raw = config_to_dict(sft_config([2, 2]))
+    raw["system_prompt"] = "bad \ud800"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(raw))  # ASCII: the surrogate as an escape
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(capsys, "generate", "--config", str(config_path),
+                             "--out", str(out_dir))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: 'system_prompt' must be a string UTF-8 can hold "
+                                "(got 'bad \\ud800')"]
+    assert not out_dir.exists() and not list(tmp_path.rglob("*.tmp"))
 
 
 @pytest.mark.parametrize("content", [b"[" * 100_000, b'{"mode": "sft\xff"}'],

@@ -18,11 +18,14 @@ import re
 import pytest
 
 from treegen import corpus
-from treegen.corpus import ConversationRecord, export_jsonl, export_pt, export_sharegpt
+from treegen.backends import MockEmbedder, MockTextBackend
+from treegen.corpus import (ConversationRecord, TurnPolicy, build_corpus, export_jsonl,
+                            export_pt, export_sharegpt)
 from treegen.errors import ConfigError
+from treegen.scheduler import CheckpointStore, TreeRunner
 from treegen.tree import Tree, TreeNode, child_id, json_escape
 
-from conftest import pt_config
+from conftest import pt_config, sft_config
 
 TEXTS = [
     "plain ascii text",
@@ -168,3 +171,120 @@ def test_text_utf8_cannot_hold_is_a_config_error_leaving_no_file(tmp_path, expor
     with pytest.raises(ConfigError, match=f"cannot write {re.escape(str(out))}: .*surrogates"):
         export(records, out)
     assert not out.exists()
+
+
+# --- texts a backslash-free nodes.jsonl line proves need no escape -------------------
+
+def hand_made_line(parent_id: str, layer: int, role: str, texts: list[str],
+                   backend_id: str = '"mock"') -> str:
+    """A nodes.jsonl line as another JSON writer could spell it: ``texts``
+    and ``backend_id`` are JSON string literals, written into the line as
+    they are."""
+    records = ",".join(
+        '{"id":"%s","parent_id":"%s","layer":%d,"role":"%s","text":%s,"gen_meta":'
+        '{"backend_id":%s,"finish_reason":"stop","sample_index":%d}}'
+        % (child_id(parent_id, rank), parent_id, layer, role, text, backend_id, rank)
+        for rank, text in enumerate(texts))
+    return '{"parent_id":"%s","children":[%s]}\n' % (parent_id, records)
+
+
+# (line, whether it holds no backslash); the raw literals hold JSON escapes
+SFT_LINES = [
+    (hand_made_line("root", 1, "question", ['"caf\u00e9 \x7f?"', '"plain question"',
+                                            '"\u6f22\u5b57?"', '"q3"', '"q4 \U0001f600"']), True),
+    (hand_made_line("0", 2, "answer", [r'"a \"quoted\" answer"', r'"two\nlines"']), False),
+    (hand_made_line("1", 2, "answer", [r'"a\ttab"', r'"either\/or"']), False),
+    (hand_made_line("2", 2, "answer", [r'"caf\u00e9"', r'"\ud83d\ude00 grin"']), False),
+    (hand_made_line("3", 2, "answer", ['"clean answer"', '"clean too"'], r'"mock\\x"'), False),
+    (hand_made_line("4", 2, "answer", ['"caf\u00e9 \x7f answer"', '"a\u2028separator"']), True),
+]
+PT_LINES = [
+    (hand_made_line("root", 1, "continuation", ['"caf\u00e9 \x7f"', '"plain root"']), True),
+    (hand_made_line("0", 2, "continuation", ['"clean \u6f22"', '"\x7f"']), True),
+    (hand_made_line("1", 2, "continuation", [r'"a \"quote\""', r'"caf\u00e9"']), False),
+]
+
+
+def hand_made_checkpoint(directory, config, lines) -> Tree:
+    """A format-5 checkpoint of ``config`` whose nodes.jsonl holds ``lines``, loaded."""
+    assert [b"\\" not in line.encode() for line, _ in lines] == [clean for _, clean in lines]
+    store = CheckpointStore(directory)
+    store.initialize(config)
+    store.close()
+    (directory / "nodes.jsonl").write_text("".join(line for line, _ in lines), encoding="utf-8")
+    return CheckpointStore(directory).load()
+
+
+@pytest.mark.parametrize("inline_system", [False, True])
+def test_exports_of_a_loaded_checkpoint_match_the_json_module(tmp_path, inline_system):
+    """Only the paths whose every line holds no backslash skip the escapes,
+    and a record rebuilt by hand, here with an id that needs one, does not."""
+    tree = hand_made_checkpoint(tmp_path / "tree", sft_config([5, 2], system_prompt='S "q"\n'),
+                                SFT_LINES)
+    assert [tree.escape_free(path) for path in tree.leaf_paths()] == [False] * 8 + [True] * 2
+    records = build_corpus(tree)
+    renamed = [dataclasses.replace(r, id=f'{r.id}"\\') for r in records]
+    for name, chosen in (("built", records), ("renamed", renamed)):
+        array, lines = tmp_path / f"{name}.json", tmp_path / f"{name}.jsonl"
+        export_sharegpt(chosen, array, inline_system=inline_system)
+        export_jsonl(chosen, lines, inline_system=inline_system)
+        assert array.read_bytes() == reference_sharegpt(chosen, inline_system)
+        assert lines.read_bytes() == reference_jsonl(chosen, inline_system)
+
+    pt = hand_made_checkpoint(tmp_path / "pt", pt_config([2, 2]), PT_LINES)
+    assert [pt.escape_free(path) for path in pt.leaf_paths()] == [True, True, False, False]
+    assert export_pt(pt, tmp_path / "pt.jsonl").read_bytes() == reference_pt(pt, " ")
+
+
+class QuotingBackend(MockTextBackend):
+    """The mock, but the completions of a last-layer request (16 tokens in
+    ``sft_config``'s four layers) with an odd seed end in a quote."""
+
+    def generate(self, request):
+        result = super().generate(request)
+        if request.max_tokens == 16 and request.request_seed % 2:
+            result = dataclasses.replace(result, completions=tuple(
+                dataclasses.replace(c, text=c.text + ' "q"') for c in result.completions))
+        return result
+
+
+def test_a_grown_tree_knows_what_its_reload_knows(tmp_path):
+    store = CheckpointStore(tmp_path / "tree")
+    grown = TreeRunner(sft_config([3, 2, 2, 2]), QuotingBackend(), MockEmbedder(), store,
+                       workers=2).run()
+    loaded = CheckpointStore(store.directory).load()
+    facts = [grown.escape_free(path) for path in grown.leaf_paths()]
+    assert facts == [loaded.escape_free(path) for path in loaded.leaf_paths()]
+    assert True in facts and False in facts
+    for name, tree in (("grown", grown), ("loaded", loaded)):
+        records = build_corpus(tree)
+        out = export_jsonl(records, tmp_path / f"{name}.jsonl", inline_system=True)
+        assert out.read_bytes() == reference_jsonl(records, True)
+
+
+@pytest.mark.parametrize("source", ["loaded", "grown"])
+def test_a_backslash_free_tree_exports_without_escaping_a_turn_or_an_id(tmp_path, monkeypatch,
+                                                                      source):
+    """From a loaded checkpoint whose lines hold no backslash, or the tree
+    that wrote them, the exports escape only the inlined system prompt, once
+    per export."""
+    store = CheckpointStore(tmp_path / "tree")
+    tree = TreeRunner(sft_config([3, 2, 2, 2]), MockTextBackend(), MockEmbedder(), store,
+                      workers=2).run()
+    assert b"\\" not in store.nodes_path.read_bytes()
+    if source == "loaded":
+        tree = CheckpointStore(store.directory).load()
+    escaped = []
+    monkeypatch.setattr(corpus, "json_escape", lambda s: escaped.append(s) or json_escape(s))
+    for inline_system in (False, True):
+        full, turn1 = build_corpus(tree), build_corpus(tree, TurnPolicy.fixed(1))
+        export_sharegpt(full, tmp_path / "corpus.json", inline_system=inline_system)
+        export_jsonl(turn1, tmp_path / "turn1.jsonl", inline_system=inline_system)
+        assert (tmp_path / "corpus.json").read_bytes() == reference_sharegpt(full, inline_system)
+        assert (tmp_path / "turn1.jsonl").read_bytes() == reference_jsonl(turn1, inline_system)
+    assert escaped == [tree.config.system_prompt] * 2
+    escaped.clear()
+    export_jsonl([ConversationRecord(r.id, r.system, r.turns) for r in turn1],
+                 tmp_path / "rebuilt.jsonl")
+    # a record rebuilt by hand carries no mark: its id and turns are escaped
+    assert set(escaped) == {text for r in turn1 for text in (r.id, *r.turns)}

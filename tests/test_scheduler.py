@@ -681,6 +681,13 @@ def test_manifest_written_at_start_and_finish_only(tmp_path, monkeypatch):
     assert statuses == ["running", "complete"]
 
 
+def test_a_json_write_that_fails_leaves_no_temporary_file(tmp_path):
+    path = tmp_path / MANIFEST_FILE
+    with pytest.raises(UnicodeEncodeError):  # UTF-8 cannot hold a lone surrogate
+        scheduler._write_json(path, {"backend_id": "bad \ud800"})
+    assert list(tmp_path.iterdir()) == []
+
+
 def shortfall_lines_from_log(nodes_jsonl: str, config) -> list[str]:
     """The INFO line of each layer whose blocks in ``nodes_jsonl`` hold a
     shortfall, from a count of those blocks, layer order."""
