@@ -188,9 +188,12 @@ class MockEmbedder(EmbeddingBackend):
 
 def _require(value: str | None, env_name: str, what: str) -> str:
     value = value or os.environ.get(env_name)
-    if value:
-        return value
-    raise ConfigError(f"{what} is not configured: set {env_name} or pass it explicitly")
+    if not value:
+        raise ConfigError(f"{what} is not configured: set {env_name} or pass it explicitly")
+    if not utf8_can_hold(value):  # environment bytes that are not UTF-8 decode to lone surrogates
+        raise ConfigError(f"{what} is not text UTF-8 can hold: check {env_name} or the "
+                          "value given")
+    return value
 
 
 def _split_base_url(base_url: str) -> SplitResult:

@@ -1,8 +1,9 @@
 """Command-line entry point for reproducible tree runs and exports.
 
 Exit codes are fixed for scripting: 0 success, 1 hard error, 2 resumable
-abort, 64 usage error. stdout carries only machine-readable JSON; human
-diagnostics go to stderr.
+abort (a backend failure, or SIGINT or SIGTERM during ``generate``), 64
+usage error. stdout carries only machine-readable JSON; human diagnostics go
+to stderr.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import signal
 import sys
 from pathlib import Path
 from typing import Callable
@@ -20,7 +22,7 @@ from .corpus import (TurnPolicy, build_corpus, compute_stats, export_jsonl, expo
                      validate_sharegpt_file)
 from .errors import ConfigError, ResumableRunError, TreeGenError
 from .scheduler import CheckpointStore, TreeRunner
-from .tree import Tree, load_config, validate_config
+from .tree import Tree, load_config, utf8_can_hold, validate_config
 
 log = logging.getLogger(__name__)
 
@@ -57,10 +59,14 @@ def cmd_generate(args) -> int:
     if args.workers < 1:
         raise _UsageError(f"--workers must be >= 1 (got {args.workers})")
     # the flags only the HTTP backend reads; each defaults to None
-    given = [f"--{dest.replace('_', '-')}" for dest in ("model", "embedding_model", "base_url")
-             if getattr(args, dest) is not None]
+    given = {f"--{dest.replace('_', '-')}": getattr(args, dest)
+             for dest in ("model", "embedding_model", "base_url")
+             if getattr(args, dest) is not None}
     if args.backend == "mock" and given:
         raise _UsageError(f"{', '.join(given)}: for --backend http only, not for --backend mock")
+    for flag, value in given.items():
+        if not utf8_can_hold(value):  # argv bytes that are not UTF-8 decode to lone surrogates
+            raise _UsageError(f"{flag} {value!r} is not text UTF-8 can hold")
     config = load_config(args.config)
     generator, embedder = _build_backends(args)
     try:
@@ -71,11 +77,15 @@ def cmd_generate(args) -> int:
             raise ConfigError(
                 f"{args.out} already holds a checkpoint; pass --resume to continue it")
         runner = TreeRunner(config, generator, embedder, store, workers=args.workers)
+        # SIGTERM, what a supervisor sends, stops the run as Ctrl-C does
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
         try:
             runner.run()
         except KeyboardInterrupt:
             log.error("interrupted; checkpoint in %s is resumable", args.out)
             return EXIT_RESUMABLE
+        finally:
+            signal.signal(signal.SIGTERM, previous)
     finally:  # whether or not the run succeeded
         for backend in {generator, embedder}:  # the HTTP backend is both
             backend.close()

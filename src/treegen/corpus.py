@@ -21,15 +21,16 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigError
 from .templates import get_template
-from .tree import Mode, Tree, TreeNode, json_escape
+from .tree import Mode, Tree, json_escape
 
 HUMAN = "human"
 GPT = "gpt"
 
 
 class _EscapeFree(tuple):
-    """Path texts that ``Tree.escape_free`` vouches for: the exporters write
-    them, and the id of the record that holds them, as they are."""
+    """The path texts of a tree whose ``escape_free`` vouches for them: the
+    exporters write them, and the id of the record that holds them, as they
+    are."""
 
     __slots__ = ()
 
@@ -95,9 +96,11 @@ def gaussian_turn_policy(sample_seed: int = 0,
 # --- building records --------------------------------------------------------
 
 
-def _draw(rng: random.Random, n: int, k: int) -> list[int]:
-    """``k`` of ``range(n)`` without replacement, in increasing order."""
-    return sorted(rng.sample(range(n), k))
+def _draw(rng: random.Random, n: int, k: int, alone: bool = True) -> Sequence[int]:
+    """``k`` of ``range(n)`` without replacement, in increasing order. The
+    only draw of ``rng`` (``alone``) takes all ``n`` without touching it: no
+    later draw would see where it left ``rng``."""
+    return range(n) if alone and k == n else sorted(rng.sample(range(n), k))
 
 
 def build_corpus(tree: Tree, policy: TurnPolicy | None = None,
@@ -121,22 +124,17 @@ def build_corpus(tree: Tree, policy: TurnPolicy | None = None,
     quotas = _mixture_quotas(weights, {t: len(paths) for t, paths in strata.items()})
     rng = random.Random(policy.sample_seed)
     system = tree.config.system_prompt
+    row = _EscapeFree if tree.escape_free else tuple
     records: list[ConversationRecord] = []
     for t in sorted(weights):
         paths = strata[t]  # in structural order, so sorted indices keep it
-        for i in _draw(rng, len(paths), quotas.get(t, 0)):
+        for i in _draw(rng, len(paths), quotas.get(t, 0), alone=len(weights) == 1):
             # a path holds complete pairs: no __init__ to check them and drop the mark
             record = object.__new__(ConversationRecord)
             record.__dict__.update(id=f"{paths[i][-1].id}:{t}", system=system,
-                                   turns=_path_texts(tree, paths[i]))
+                                   turns=row([node.text for node in paths[i]]))
             records.append(record)
     return records
-
-
-def _path_texts(tree: Tree, path: Sequence[TreeNode]) -> tuple[str, ...]:
-    """The texts of ``path``, ``_EscapeFree`` when ``tree`` vouches for them."""
-    texts = [node.text for node in path]
-    return _EscapeFree(texts) if tree.escape_free(path) else tuple(texts)
 
 
 def _mixture_quotas(weights: dict[int, float], available: dict[int, int]) -> dict[int, int]:
@@ -263,8 +261,9 @@ def export_pt(tree: Tree, path: str | Path, permissive: bool = False) -> Path:
         raise ConfigError("export_pt needs a PT tree; use --format sharegpt|jsonl for SFT trees")
     separator = json_escape(get_template(tree.config.template_id).turn_separator)
     paths = tree.leaf_paths(permissive=permissive)  # before the file is opened
-    return _write(path, ('{"text": "%s"}\n' % separator.join(texts)
-                         for texts in _escape_rows(_path_texts(tree, p) for p in paths)))
+    row = _EscapeFree if tree.escape_free else tuple
+    return _write(path, ('{"text": "%s"}\n' % separator.join(texts) for texts in
+                         _escape_rows(row([node.text for node in p]) for p in paths)))
 
 
 def validate_sharegpt_file(path: str | Path) -> list[ConversationRecord]:

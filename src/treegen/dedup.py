@@ -52,7 +52,10 @@ same value, when the selection's ``selected`` or ``pool_score`` is read, and
 as the pick order of the undrawn picks is not known, the filter lists its
 drops in index order. It returns a ``FilteredSelection``: the kept
 candidates, the drops and the selection's ``similarity``, nothing more; a
-kept candidate's score is the selection's ``pool_score`` of it.
+kept candidate's score is the selection's ``pool_score`` of it. A threshold
+above 1 drops nothing, because no cosine reaches it (rounding lifts a cosine
+past 1 by under 1e-14 at d=1024): the scan keeps the ``k`` picks, never
+backfills, and computes no pair that drawing the picks did not.
 
 The filter's backfill walks the candidates outside the selection in
 ``pool_score`` order, but scores only those it could keep. Kept candidates only
@@ -355,17 +358,15 @@ def near_duplicate_filter(candidates: Sequence[EmbeddingVector],
     scanned, once each of those is known to near-duplicate a kept one (see
     the module docstring). Returns the kept candidates, the drops in index
     order and the selection's similarities; ``selection`` is left as it was,
-    but for the picks drawn. Thresholds above 1 disable the filter: it keeps
-    the ``k`` picks and drops none. The similarities are the selection's
-    own, so ``selection`` must have been made over ``candidates``; a
-    ``ValueError`` otherwise.
+    but for the picks drawn. A threshold above 1 drops nothing, because no
+    cosine reaches it (rounding lifts one past 1 by under 1e-14 at d=1024):
+    the scan keeps the ``k`` picks and reads only pairs that drawing them
+    computed. The similarities are the selection's own, so ``selection``
+    must have been made over ``candidates``; a ``ValueError`` otherwise.
     """
     if not 0.0 < threshold <= 1.01:
         raise ConfigError(f"threshold must be in (0, 1.01] (got {threshold})")
     similarity = selection.similarity
-    if threshold > 1.0:
-        return FilteredSelection(selection.selected, (), similarity)
-
     if (len(candidates) != len(similarity.relevance)
             or any(c.values is not v for c, v in zip(candidates, similarity._vectors))):
         raise ValueError("the selection was made over another pool")

@@ -243,9 +243,8 @@ class CheckpointStore:
         that ``add_block`` refuses, as not continuing the tree, is a
         ConfigError naming the file, the line and what ``add_block`` found.
 
-        A line is parsed as ``json.loads`` parses it, in one scanner call when
-        its value ends just before its newline, as every line that
-        ``append_block`` writes does; any other line goes to ``json.loads``.
+        A line is parsed as ``json.loads`` parses it: with the JSON whitespace
+        around it stripped, one scanner call must consume all that is left.
         """
         if not self.nodes_path.exists():
             return 0
@@ -255,13 +254,10 @@ class CheckpointStore:
                 try:
                     if not line.endswith(b"\n"):
                         raise ValueError("partial line")
-                    text = line.decode()
-                    try:
-                        block, end = _scan(text)
-                        if end != len(text) - 1:
-                            raise ValueError("more than a newline after the value")
-                    except ValueError:  # no value at the start, or more after it
-                        block = json.loads(text)
+                    text = line.decode().strip(" \t\n\r")  # what json.loads skips
+                    block, end = _scan(text)
+                    if end != len(text):
+                        raise ValueError("more than JSON whitespace after the value")
                 except (ValueError, RecursionError):  # UnicodeDecodeError too
                     log.warning("replay stops at nodes.jsonl line %d, which is partial or "
                                 "does not parse: the next append cuts lines %d to %d (%d "

@@ -475,11 +475,9 @@ class Tree:
                         text=config.system_prompt)
         self.nodes: dict[str, TreeNode] = {ROOT_ID: root}
         self._expanded: set[str] = set()
-        self._escape_free: set[str] = set()  # parents committed escape_free
-
-    @property
-    def root(self) -> TreeNode:
-        return self.nodes[ROOT_ID]
+        # whether every block was committed escape_free, so that every id and
+        # text below the root is its own JSON string body
+        self.escape_free = True
 
     @property
     def depth(self) -> int:
@@ -492,21 +490,15 @@ class Tree:
         Used for fresh commits and, through ``add_block``, for checkpoint
         replay; an empty ``children`` records a zero-child expansion.
         ``escape_free`` says that the block's line holds no backslash, which
-        strict JSON needs to write a quote, backslash or control character.
+        strict JSON needs to write a quote, backslash or control character;
+        one block without it clears the tree's ``escape_free``.
         """
         parent = self.nodes[parent_id]
         for node in children:
             self.nodes[node.id] = node
             parent.children.append(node.id)
         self._expanded.add(parent_id)
-        if escape_free:
-            self._escape_free.add(parent_id)
-
-    def escape_free(self, path: Sequence[TreeNode]) -> bool:
-        """Whether every node of ``path`` was committed ``escape_free``, so its
-        id and text are their own JSON escapes; at once when every block was."""
-        known = self._escape_free
-        return len(known) == len(self._expanded) or all(n.parent_id in known for n in path)
+        self.escape_free = self.escape_free and escape_free
 
     def add_block(self, block, *, escape_free: bool = False) -> None:
         """Commit ``block``, a parsed nodes.jsonl line: ``{"parent_id": P,

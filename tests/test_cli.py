@@ -9,8 +9,10 @@ import itertools
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -104,6 +106,37 @@ def test_generate_http_base_url_without_scheme_exits_1_writing_nothing(tmp_path,
     assert code == 1
     assert "'localhost:8000/v1' is not http(s)://host[:port][/path]" in err
     assert out == ""
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flag", ["--model", "--embedding-model", "--base-url"])
+def test_generate_flag_utf8_cannot_hold_is_a_usage_error_writing_nothing(tmp_path, capsys,
+                                                                         flag):
+    # argv bytes that are not UTF-8, as in --model $'m\xff', arrive as lone surrogates
+    values = {"--model": "m", "--embedding-model": "e", "--base-url": "http://127.0.0.1:1/v1",
+              flag: "m\udcff"}
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(capsys, "generate", "--config", str(CONFIGS / "balance_8x4x2x2.json"),
+                             "--out", str(out_dir), "--backend", "http",
+                             *itertools.chain(*values.items()))
+    assert (code, out) == (64, "")
+    assert err.splitlines() == [f"usage error: {flag} 'm\\udcff' is not text UTF-8 can hold"]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("env", ["TG_MODEL", "TG_API_BASE"])
+def test_generate_environment_utf8_cannot_hold_exits_1_writing_nothing(tmp_path, capsys,
+                                                                       monkeypatch, env):
+    what = {"TG_MODEL": "model name", "TG_API_BASE": "API base URL"}[env]
+    for name, value in {"TG_API_KEY": "k", "TG_MODEL": "m", "TG_API_BASE": "http://127.0.0.1:1",
+                        env: "http://m\udcff"}.items():
+        monkeypatch.setenv(name, value)  # a surrogate is held as the byte it escapes
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(capsys, "generate", "--config", str(CONFIGS / "balance_8x4x2x2.json"),
+                             "--out", str(out_dir), "--backend", "http")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: {what} is not text UTF-8 can hold: check {env} or the "
+                                "value given"]
     assert not out_dir.exists()
 
 
@@ -1249,6 +1282,79 @@ def test_export_of_an_unfinished_tree_names_the_flag(tmp_path, capsys, fmt):
     assert err == ("error: tree expansion is not finished; pass --permissive "
                    "(permissive=True) to export down to the deepest completed layer\n")
     assert not out_file.exists()
+
+
+# about half a second of mock work at --workers 2, most of it after the first line
+SIGNALLED_CONFIG = sft_config([4, 4, 4, 4, 4, 2])
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(tmp_path_factory):
+    """The config file of ``SIGNALLED_CONFIG`` and its uninterrupted nodes.jsonl."""
+    directory = tmp_path_factory.mktemp("uninterrupted")
+    store = CheckpointStore(directory / "tree")
+    TreeRunner(SIGNALLED_CONFIG, backends.MockTextBackend(), backends.MockEmbedder(), store,
+               workers=2).run()
+    return write_config(directory, SIGNALLED_CONFIG), store.nodes_path.read_bytes()
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+def test_a_signal_aborts_generate_resumably(uninterrupted, tmp_path, capsys, signum):
+    config_path, whole = uninterrupted
+    out_dir = tmp_path / "tree"
+    nodes = out_dir / "nodes.jsonl"
+    proc = subprocess.Popen([sys.executable, "-m", "treegen.cli", "generate", "--config",
+                             str(config_path), "--out", str(out_dir), "--workers", "2"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=dict(os.environ, PYTHONPATH=str(SRC)))
+    try:
+        deadline = time.monotonic() + 60
+        while not (nodes.exists() and nodes.stat().st_size):  # a line is one write
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.001)
+        proc.send_signal(signum)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, out) == (2, ""), err
+    assert f": interrupted; checkpoint in {out_dir} is resumable" in err
+    assert "Traceback" not in err
+    assert json.loads((out_dir / "manifest.json").read_text())["status"] == "aborted"
+    cut = nodes.read_bytes()
+    assert len(cut) < len(whole) and whole.startswith(cut)
+    assert main(["generate", "--config", str(config_path), "--out", str(out_dir),
+                 "--resume"]) == 0
+    capsys.readouterr()
+    assert nodes.read_bytes() == whole
+
+
+def test_a_checkpoint_without_nodes_jsonl_holds_the_root_alone(tmp_path, capsys):
+    """A run that died between writing config.json and creating the empty
+    nodes.jsonl: load gives the root, export refuses it as unfinished, and
+    resume grows the whole tree."""
+    config = sft_config([4, 2, 2, 2])
+    config_path = write_config(tmp_path, config)
+    assert main(["generate", "--config", str(config_path), "--out", str(tmp_path / "whole")]) == 0
+    capsys.readouterr()
+    out_dir = tmp_path / "tree"
+    store = CheckpointStore(out_dir)
+    store.initialize(config)
+    store.close()
+    (out_dir / "nodes.jsonl").unlink()
+
+    assert list(CheckpointStore(out_dir).load().nodes) == ["root"]
+    out_file = tmp_path / "corpus.json"
+    code, out, err = run_cli(capsys, "export", "--tree", str(out_dir), "--format", "sharegpt",
+                             "--out", str(out_file))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: tree expansion is not finished; pass --permissive "
+                                "(permissive=True) to export down to the deepest completed layer"]
+    assert not out_file.exists() and not (out_dir / "nodes.jsonl").exists()
+    assert main(["generate", "--config", str(config_path), "--out", str(out_dir),
+                 "--resume"]) == 0
+    capsys.readouterr()
+    whole = (tmp_path / "whole" / "nodes.jsonl").read_bytes()
+    assert (out_dir / "nodes.jsonl").read_bytes() == whole
 
 
 def test_export_leaves_a_torn_checkpoint_unchanged(completed_run, tmp_path, capsys, caplog):

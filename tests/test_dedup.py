@@ -18,7 +18,7 @@ from treegen.backends import (EmbeddingVector, GenerationRequest, MockEmbedder,
 from treegen.dedup import PoolSimilarity, mmr_select, near_duplicate_filter
 from treegen.errors import ConfigError
 from treegen.scheduler import CheckpointStore, TreeRunner, expand_parent
-from treegen.tree import Tree
+from treegen.tree import ROOT_ID, Tree
 
 from conftest import OptionMock, reference_cosine, sft_config
 
@@ -521,7 +521,7 @@ def test_each_pair_computed_at_most_once(monkeypatch, n, k):
     # pool reuses every pair of the first attempt
     pairs.clear()
     config = sft_config([4, 2], dedup_threshold=0.95)
-    result = expand_parent(Tree(config).root, [], config,
+    result = expand_parent(Tree(config).nodes[ROOT_ID], [], config,
                            OptionMock(fixed_text="always the same words"),
                            MockEmbedder())
     assert result.retried and result.dedup_drops > 0

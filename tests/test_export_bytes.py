@@ -217,11 +217,11 @@ def hand_made_checkpoint(directory, config, lines) -> Tree:
 
 @pytest.mark.parametrize("inline_system", [False, True])
 def test_exports_of_a_loaded_checkpoint_match_the_json_module(tmp_path, inline_system):
-    """Only the paths whose every line holds no backslash skip the escapes,
-    and a record rebuilt by hand, here with an id that needs one, does not."""
+    """One line holding a backslash sends every path of its tree through the
+    escapes, the paths of its clean lines too, and so does a record rebuilt
+    by hand, here with an id that needs one."""
     tree = hand_made_checkpoint(tmp_path / "tree", sft_config([5, 2], system_prompt='S "q"\n'),
                                 SFT_LINES)
-    assert [tree.escape_free(path) for path in tree.leaf_paths()] == [False] * 8 + [True] * 2
     records = build_corpus(tree)
     renamed = [dataclasses.replace(r, id=f'{r.id}"\\') for r in records]
     for name, chosen in (("built", records), ("renamed", renamed)):
@@ -232,8 +232,8 @@ def test_exports_of_a_loaded_checkpoint_match_the_json_module(tmp_path, inline_s
         assert lines.read_bytes() == reference_jsonl(chosen, inline_system)
 
     pt = hand_made_checkpoint(tmp_path / "pt", pt_config([2, 2]), PT_LINES)
-    assert [pt.escape_free(path) for path in pt.leaf_paths()] == [True, True, False, False]
     assert export_pt(pt, tmp_path / "pt.jsonl").read_bytes() == reference_pt(pt, " ")
+    assert tree.escape_free is pt.escape_free is False
 
 
 class QuotingBackend(MockTextBackend):
@@ -253,9 +253,7 @@ def test_a_grown_tree_knows_what_its_reload_knows(tmp_path):
     grown = TreeRunner(sft_config([3, 2, 2, 2]), QuotingBackend(), MockEmbedder(), store,
                        workers=2).run()
     loaded = CheckpointStore(store.directory).load()
-    facts = [grown.escape_free(path) for path in grown.leaf_paths()]
-    assert facts == [loaded.escape_free(path) for path in loaded.leaf_paths()]
-    assert True in facts and False in facts
+    assert grown.escape_free is loaded.escape_free is False
     for name, tree in (("grown", grown), ("loaded", loaded)):
         records = build_corpus(tree)
         out = export_jsonl(records, tmp_path / f"{name}.jsonl", inline_system=True)

@@ -65,7 +65,7 @@ def test_expand_requests_oversampled_pool(mock_embedder):
     config = sft_config([2, 2], dedup_threshold=1.01)
     backend = CountingBackend()
     tree = Tree(config)
-    result = expand_parent(tree.root, [], config,
+    result = expand_parent(tree.nodes[ROOT_ID], [], config,
                            backend, mock_embedder)
     assert backend.calls[0]["n_samples"] == 4  # ceil(2.0 * 2)
     assert len(result.children) == 2
@@ -76,7 +76,7 @@ def test_expand_requests_oversampled_pool(mock_embedder):
 def test_expand_is_deterministic(mock_embedder):
     config = sft_config([2, 2])
     tree = Tree(config)
-    args = (tree.root, [], config)
+    args = (tree.nodes[ROOT_ID], [], config)
     a = expand_parent(*args, MockTextBackend(), mock_embedder)
     b = expand_parent(*args, MockTextBackend(), mock_embedder)
     assert [c.text for c in a.children] == [c.text for c in b.children]
@@ -86,7 +86,7 @@ def test_expand_is_deterministic(mock_embedder):
 def test_expand_child_ids_are_structural(mock_embedder):
     config = sft_config([3, 2], dedup_threshold=1.01)
     tree = Tree(config)
-    result = expand_parent(tree.root, [], config,
+    result = expand_parent(tree.nodes[ROOT_ID], [], config,
                            MockTextBackend(), mock_embedder)
     assert [c.id for c in result.children] == ["0", "1", "2"]
     assert all(c.parent_id == ROOT_ID and c.layer == 1 for c in result.children)
@@ -96,7 +96,7 @@ def test_expand_duplicate_pool_shortfalls(mock_embedder):
     config = sft_config([4, 2], dedup_threshold=0.95)
     backend = OptionMock(fixed_text="always the same words")
     tree = Tree(config)
-    result = expand_parent(tree.root, [], config,
+    result = expand_parent(tree.nodes[ROOT_ID], [], config,
                            backend, mock_embedder)
     assert len(result.children) == 1  # every candidate is an exact duplicate
     assert result.shortfall == 3
@@ -117,7 +117,7 @@ def test_retried_expansion_counts_the_drops_of_both_attempts(mock_embedder, monk
         return result
 
     monkeypatch.setattr(scheduler, "near_duplicate_filter", counting_filter)
-    result = expand_parent(Tree(config).root, [], config,
+    result = expand_parent(Tree(config).nodes[ROOT_ID], [], config,
                            OptionMock(fixed_text="always the same words"),
                            mock_embedder)
     assert result.retried and len(result.children) == 1
@@ -131,7 +131,7 @@ def test_expand_applies_layer_stop_markers(mock_embedder):
     config = sft_config([3, 2], dedup_threshold=0.95, stop_markers=["STOP"])
     backend = OptionMock(fixed_text="alpha beta STOP trailing junk")
     tree = Tree(config)
-    result = expand_parent(tree.root, [], config,
+    result = expand_parent(tree.nodes[ROOT_ID], [], config,
                            backend, mock_embedder)
     assert [c.text for c in result.children] == ["alpha beta"]
     assert result.shortfall == 2
@@ -141,7 +141,7 @@ def test_expand_uses_spec_request_seed(mock_embedder):
     config = sft_config([2, 2], dedup_threshold=1.01)
     backend = CountingBackend()
     tree = Tree(config)
-    expand_parent(tree.root, [], config,
+    expand_parent(tree.nodes[ROOT_ID], [], config,
                   backend, mock_embedder)
     assert backend.calls[0]["request_seed"] == combine(config.seed, ROOT_ID, 1)
 
@@ -150,7 +150,7 @@ def test_expand_chunks_when_pool_exceeds_cap(mock_embedder):
     config = sft_config([40, 2], dedup_threshold=1.01)  # wants 80 > cap 64
     backend = CountingBackend()
     tree = Tree(config)
-    result = expand_parent(tree.root, [], config,
+    result = expand_parent(tree.nodes[ROOT_ID], [], config,
                            backend, mock_embedder)
     assert [c["n_samples"] for c in backend.calls] == [64, 16]
     assert len(result.children) == 40
@@ -521,6 +521,7 @@ REWRITTEN_NODE_LINES = {
     "extra-key": (lambda line: line[:-1] + b',"note":[1,{"a":null}]}', "same"),
     "two-values": (lambda line: line + line, "tear"),
     "value-then-garbage": (lambda line: line + b" x", "tear"),
+    "byte-order-mark": (lambda line: b"\xef\xbb\xbf" + line, "tear"),
     "empty": (lambda line: b"", "tear"),
     "bare-nan": (lambda line: b"NaN", "error"),
     "array": (lambda line: b"[" + line + b"]", "error"),
@@ -529,8 +530,8 @@ REWRITTEN_NODE_LINES = {
 
 @pytest.mark.parametrize("case", list(REWRITTEN_NODE_LINES))
 def test_replay_parses_each_line_as_json_loads_does(tmp_path, monkeypatch, case):
-    # the fast path's one scanner call must accept and reject what json.loads
-    # does: a reference replay sends every line to json.loads
+    # replay's one scanner call must accept and reject what json.loads does:
+    # a reference replay parses every line with json.loads
     config = sft_config([2, 2, 2, 2], dedup_threshold=1.01)
     run_to_completion(config, tmp_path / "t")
     nodes_path = tmp_path / "t" / NODES_FILE
@@ -543,10 +544,7 @@ def test_replay_parses_each_line_as_json_loads_does(tmp_path, monkeypatch, case)
 
     outcome = _replay_outcome(tmp_path / "t", config)
 
-    def no_scan(text):
-        raise ValueError("parsed by json.loads")
-
-    monkeypatch.setattr(scheduler, "_scan", no_scan)
+    monkeypatch.setattr(scheduler, "_scan", lambda text: (json.loads(text), len(text)))
     assert _replay_outcome(tmp_path / "t", config) == outcome
     if kind == "same":
         assert outcome[:2] == untouched[:2]
@@ -1047,7 +1045,7 @@ def test_overflowing_embedding_is_a_backend_error(position):
     # the parent's text is embedded first, ahead of its pool
     config = sft_config([4, 2])
     with pytest.raises(BackendError, match="squared norm is not finite"):
-        expand_parent(Tree(config).root, [], config,
+        expand_parent(Tree(config).nodes[ROOT_ID], [], config,
                       MockTextBackend(), OverflowingEmbedder(position))
 
 
