@@ -64,9 +64,6 @@ def cmd_generate(args) -> int:
              if getattr(args, dest) is not None}
     if args.backend == "mock" and given:
         raise _UsageError(f"{', '.join(given)}: for --backend http only, not for --backend mock")
-    for flag, value in given.items():
-        if not utf8_can_hold(value):  # argv bytes that are not UTF-8 decode to lone surrogates
-            raise _UsageError(f"{flag} {value!r} is not text UTF-8 can hold")
     config = load_config(args.config)
     generator, embedder = _build_backends(args)
     try:
@@ -226,6 +223,14 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         args = build_parser().parse_args(argv)
+        for dest, value in vars(args).items():
+            if not isinstance(value, str):
+                continue
+            flag = f"--{dest.replace('_', '-')}"
+            if not utf8_can_hold(value):  # argv bytes that are not UTF-8 decode to lone surrogates
+                raise _UsageError(f"{flag} {value!r} is not text UTF-8 can hold")
+            if "\0" in value:  # no file name holds one
+                raise _UsageError(f"{flag} {value!r} holds a NUL character")
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -44,24 +44,28 @@ near-duplicate a kept one: after each kept candidate it removes those whose
 similarity to it is computed already and reaches the cutoff, computing no
 pair for this but the first kept pick's row, the one the second pick's heap
 is built from, and that only when there is a second pick. Once the set is
-empty, every candidate left would be dropped by the scan or set aside by the
-backfill below, so the filter drops them all and draws no more picks: in a
-pool where every pair reaches the cutoff, as long answers embedded at d=16
-do, it stops after its first pick. A pick not drawn is drawn, with the
-same value, when the selection's ``selected`` or ``pool_score`` is read, and
-as the pick order of the undrawn picks is not known, the filter lists its
-drops in index order. It returns a ``FilteredSelection``: the kept
-candidates, the drops and the selection's ``similarity``, nothing more; a
-kept candidate's score is the selection's ``pool_score`` of it. A threshold
-above 1 drops nothing, because no cosine reaches it (rounding lifts a cosine
-past 1 by under 1e-14 at d=1024): the scan keeps the ``k`` picks, never
-backfills, and computes no pair that drawing the picks did not.
+empty, the scan stops and draws no more picks: in a pool where every pair
+reaches the cutoff, as long answers embedded at d=16 do, it stops after its
+first pick. A pick not drawn is drawn, with the same value, when the
+selection's ``selected`` or ``pool_score`` is read, and as the pick order of
+the undrawn picks is not known, the filter lists its drops in index order.
+It returns a ``FilteredSelection``: the kept candidates, the drops and the
+selection's ``similarity``, nothing more; a kept candidate's score is the
+selection's ``pool_score`` of it. Rounding can lift the cosine of two
+near-identical vectors, an exact duplicate's included, past 1 (by under
+1e-14 over seeded pairs at d=16 and d=1024), so a threshold of 1, or one
+just above it, may drop or keep such a pair by rounding. A threshold of 1.01
+drops nothing: the scan keeps the ``k`` picks, never backfills, and computes
+no pair that drawing the picks did not.
 
 The filter's backfill walks the candidates outside the selection in
 ``pool_score`` order, but scores only those it could keep. Kept candidates only
 accumulate, so one that near-duplicates a candidate the pick-order scan kept
 is dropped wherever the walk meets it; it is set aside unscored, and the
-others are walked alone, which keeps what the walk over all keeps. A set-aside
+others are walked alone, which keeps what the walk over all keeps. The
+candidates the scan removed from its set are set aside without a look, as
+their pair with a kept pick is computed and reaches the cutoff; after an
+early stop that is every candidate left, so the walk is empty. A set-aside
 candidate is listed as a drop if the walk over all would have met it: all of
 them if the walk falls short, else those ranked before the candidate that
 completed the selection, the one case in which they are scored.
@@ -358,11 +362,12 @@ def near_duplicate_filter(candidates: Sequence[EmbeddingVector],
     scanned, once each of those is known to near-duplicate a kept one (see
     the module docstring). Returns the kept candidates, the drops in index
     order and the selection's similarities; ``selection`` is left as it was,
-    but for the picks drawn. A threshold above 1 drops nothing, because no
-    cosine reaches it (rounding lifts one past 1 by under 1e-14 at d=1024):
-    the scan keeps the ``k`` picks and reads only pairs that drawing them
-    computed. The similarities are the selection's own, so ``selection``
-    must have been made over ``candidates``; a ``ValueError`` otherwise.
+    but for the picks drawn. Rounding can lift a cosine past 1 by under
+    1e-14, so a threshold of 1, or just above it, may drop an exact
+    duplicate; 1.01 drops nothing: the scan keeps the ``k`` picks and reads
+    only pairs that drawing them computed. The similarities are the
+    selection's own, so ``selection`` must have been made over
+    ``candidates``; a ``ValueError`` otherwise.
     """
     if not 0.0 < threshold <= 1.01:
         raise ConfigError(f"threshold must be in (0, 1.01] (got {threshold})")
@@ -389,12 +394,10 @@ def near_duplicate_filter(candidates: Sequence[EmbeddingVector],
                 similarity.row(idx, [i for i in range(len(candidates)) if i != idx])
             kept.append(idx)
             unblocked -= similarity.known_to_reach(idx, unblocked, threshold)
-        if not unblocked and len(scanned) < k:
-            # neither the scan nor the backfill can keep another candidate
-            drops += (i for i in range(len(candidates)) if i not in scanned)
+        if not unblocked:  # neither the scan nor the backfill can keep another
             break
 
-    if len(scanned) == k and len(kept) < k:
+    if len(kept) < k:
         # as the module docstring says: a candidate that near-duplicates one
         # the scan kept is blocked, never kept, and walks unscored
         scan_kept = tuple(kept)
@@ -403,7 +406,7 @@ def near_duplicate_filter(candidates: Sequence[EmbeddingVector],
         for i in range(len(candidates)):
             if i in scanned:
                 continue
-            if similarity.reaches(i, scan_kept, threshold):
+            if i not in unblocked or similarity.reaches(i, scan_kept, threshold):
                 blocked.append(i)
             else:
                 walk.append((-selection.pool_score(i), i))

@@ -11,12 +11,14 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 import pytest
 
-from treegen.backends import (MOCK_VOCAB, Completion, EmbeddingVector, GenerationResult,
-                              MockEmbedder, MockTextBackend, _prompt_state)
+from treegen.backends import (MOCK_VOCAB, Completion, EmbeddingVector, GenerationRequest,
+                              GenerationResult, MockEmbedder, MockTextBackend, _prompt_state)
 from treegen.errors import BackendError
 from treegen.tree import (ANSWER_TEMPERATURE, QUESTION_TEMPERATURE, LayerSpec, Mode,
                           Role, Tree, TreeConfig, TreeNode, child_id, config_to_dict,
                           role_for_layer)
+
+import reference
 
 
 def sft_config(branching: Sequence[int], q_tokens: int = 8, a_tokens: int = 12,
@@ -96,18 +98,8 @@ def bad_config_dict(case: str) -> tuple[dict, str]:
 
 
 def reference_cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    """Selection's cosine, bit for bit, computed independently: three sequential
-    accumulators in one loop, roots with ``** 0.5``, 0 for a zero vector."""
-    if len(a.values) != len(b.values):
-        raise ValueError(f"dimension mismatch: {len(a.values)} vs {len(b.values)}")
-    dot = norm_a = norm_b = 0.0
-    for x, y in zip(a.values, b.values):
-        dot += x * y
-        norm_a += x * x
-        norm_b += y * y
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    return dot / (norm_a**0.5 * norm_b**0.5)
+    """Selection's cosine of two embedding vectors, bit for bit: ``reference.cosine``."""
+    return reference.cosine(a.values, b.values)
 
 
 class OptionMock(MockTextBackend):
@@ -212,6 +204,22 @@ def build_full_tree(config) -> Tree:
 
 
 # --- a scripted OpenAI-compatible server ----------------------------------------
+
+def mock_reply(path: str, payload) -> tuple[int, bytes]:
+    """The reply of a server that answers as the shipped mocks do."""
+    if path.endswith("/embeddings"):
+        vectors = MockEmbedder().embed(payload["input"])
+        body = {"data": [{"index": i, "embedding": list(v.values)}
+                         for i, v in enumerate(vectors)]}
+    else:
+        result = MockTextBackend().generate(GenerationRequest(
+            prompt=payload["prompt"], max_tokens=payload["max_tokens"],
+            temperature=payload["temperature"], n_samples=payload["n"], stop=(),
+            request_seed=payload["seed"] % 2**64))
+        body = {"choices": [{"index": i, "text": c.text}
+                            for i, c in enumerate(result.completions)]}
+    return 200, json.dumps(body).encode()
+
 
 class SeenRequest(NamedTuple):
     method: str

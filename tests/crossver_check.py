@@ -2,14 +2,14 @@
 
     python tests/crossver_check.py
 
-Needs nothing but the standard library and this checkout's ``src/``, so any
-Python >= 3.10 runs it. It checks, bit for bit (``float.hex``), that
-``dedup._dots``, ``dedup._finite_roots``, a pool's relevance, every
-``pool_score`` and the near-duplicate filter's kept picks equal an inline
-reference that sums each dot product sequentially, in index order, on seeded
-pools at d = 1, 3, 16 and 1024. ``sum()`` of floats is compensated from
-Python 3.12 on, so a kernel built on it passes under 3.10 and 3.11 and fails
-here under 3.12 and later.
+Needs nothing but the standard library, this checkout's ``src/`` and
+``tests/reference.py``, so any Python >= 3.10 runs it. It checks, bit for bit
+(``float.hex``), that ``dedup._dots``, ``dedup._finite_roots``, a pool's
+relevance, every ``pool_score`` and the near-duplicate filter's kept picks
+equal ``reference.py``'s, which sums each dot product sequentially, in index
+order, on seeded pools at d = 1, 3, 16 and 1024. ``sum()`` of floats is
+compensated from Python 3.12 on, so a kernel built on it passes under 3.10
+and 3.11 and fails here under 3.12 and later.
 
 It checks that ``tree.json_escape`` and ``tree.block_line`` write what the
 json module writes on strings that take each of their branches: the json
@@ -43,55 +43,11 @@ from treegen.scheduler import NODES_FILE, CheckpointStore, TreeRunner  # noqa: E
 from treegen.tree import (GenMeta, Role, TreeNode, block_line, config_from_dict,  # noqa: E402
                           json_escape, node_to_record)
 
+from reference import cosine, dedup_filter, dot, mmr  # noqa: E402
+
 DIMENSIONS = (1, 3, 16, 1024)
 POOL_SIZES = (1, 2, 3, 4, 5, 6, 7, 9)  # every remainder of _dots' four-row passes
 LAMBDA = 0.5
-
-
-def ref_dot(a, b) -> float:
-    total = 0.0
-    for x, y in zip(a, b):
-        total += x * y
-    return total
-
-
-def ref_cos(a, b) -> float:
-    root_a, root_b = ref_dot(a, a) ** 0.5, ref_dot(b, b) ** 0.5
-    return 0.0 if root_a == 0.0 or root_b == 0.0 else ref_dot(a, b) / (root_a * root_b)
-
-
-def ref_mmr(query, pool, k: int) -> tuple[list[int], list[float]]:
-    """The eager greedy: every pick rescores every candidate. Returns the
-    picks and each candidate's score against all the picks (a pick's score
-    is the one it was picked with)."""
-    relevance = [ref_cos(query, v) for v in pool]
-    picks = [max(range(len(pool)), key=relevance.__getitem__)]
-    scores = {picks[0]: relevance[picks[0]]}
-
-    def score(i: int) -> float:
-        most = max(ref_cos(pool[i], pool[p]) for p in picks)
-        return LAMBDA * relevance[i] - (1.0 - LAMBDA) * most
-
-    while len(picks) < k:
-        best = max((i for i in range(len(pool)) if i not in scores),
-                   key=lambda i: (score(i), -i))
-        scores[best] = score(best)
-        picks.append(best)
-    return picks, [scores[i] if i in scores else score(i) for i in range(len(pool))]
-
-
-def ref_filter(pool, picks: list[int], scores: list[float], threshold: float) -> list[int]:
-    """The picks in pick order, then the other candidates in score order
-    (lowest index on ties) until ``len(picks)`` are kept, each kept unless its
-    cosine to a kept one reaches ``threshold``."""
-    rest = sorted((i for i in range(len(pool)) if i not in picks), key=lambda i: (-scores[i], i))
-    kept: list[int] = []
-    for n, i in enumerate([*picks, *rest]):
-        if n >= len(picks) and len(kept) == len(picks):
-            break
-        if not any(ref_cos(pool[i], pool[j]) >= threshold for j in kept):
-            kept.append(i)
-    return kept
 
 
 # strings that take each branch of json_escape: clean and dirty, ASCII and
@@ -125,15 +81,15 @@ def check_arithmetic(check: Checker) -> None:
             # every other pool leans on one direction, so cosines crowd a cutoff
             lean = [rng.gauss(0.0, 1.0) for _ in range(dim)] if size % 2 else [0.0] * dim
             pool = [[rng.gauss(0.0, 1.0) + 3.0 * x for x in lean] for _ in range(size)]
-            check.same(f"{where} _dots", _dots(query, pool), [ref_dot(query, v) for v in pool])
+            check.same(f"{where} _dots", _dots(query, pool), [dot(query, v) for v in pool])
             check.same(f"{where} _finite_roots", _finite_roots(pool),
-                       [ref_dot(v, v) ** 0.5 for v in pool])
+                       [dot(v, v) ** 0.5 for v in pool])
             vectors = [EmbeddingVector(tuple(v)) for v in pool]
             k = max(1, size // 2)
             selection = mmr_select(vectors, EmbeddingVector(tuple(query)), k, LAMBDA)
             check.same(f"{where} relevance", selection.similarity.relevance,
-                       [ref_cos(query, v) for v in pool])
-            picks, scores = ref_mmr(query, pool, k)
+                       [cosine(query, v) for v in pool])
+            picks, _, scores = mmr(pool, query, k, LAMBDA)
             check.same(f"{where} picks", selection.selected, picks)
             check.same(f"{where} pool_score",
                        [selection.pool_score(i) for i in range(size)], scores)
@@ -141,7 +97,7 @@ def check_arithmetic(check: Checker) -> None:
                 fresh = mmr_select(vectors, EmbeddingVector(tuple(query)), k, LAMBDA)
                 kept = near_duplicate_filter(vectors, fresh, threshold).selected
                 check.same(f"{where} kept at {threshold}", kept,
-                           ref_filter(pool, picks, scores, threshold))
+                           dedup_filter(pool, picks, scores, threshold)[0])
 
 
 def check_json_text(check: Checker) -> None:

@@ -23,8 +23,8 @@ from treegen.cli import build_parser, main
 from treegen.scheduler import CHECKPOINT_FORMAT, CheckpointStore, TreeRunner
 from treegen.tree import config_to_dict
 
-from conftest import (BAD_CONFIG_VALUES, CountingBackend, bad_config_dict, node_records,
-                      pt_config, record_connections, sft_config)
+from conftest import (BAD_CONFIG_VALUES, CountingBackend, bad_config_dict, mock_reply,
+                      node_records, pt_config, record_connections, sft_config)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = CONFIGS.parent / "src"
@@ -145,22 +145,6 @@ def http_generate(capsys, monkeypatch, server, config_path, out_dir, *flags):
     return run_cli(capsys, "generate", "--config", str(config_path),
                    "--out", str(out_dir), "--backend", "http",
                    "--base-url", server.url + "/v1", "--model", "m", *flags)
-
-
-def mock_reply(path, payload):
-    """The reply of a server that answers as the shipped mocks do."""
-    if path.endswith("/embeddings"):
-        vectors = backends.MockEmbedder().embed(payload["input"])
-        body = {"data": [{"index": i, "embedding": list(v.values)}
-                         for i, v in enumerate(vectors)]}
-    else:
-        result = backends.MockTextBackend().generate(backends.GenerationRequest(
-            prompt=payload["prompt"], max_tokens=payload["max_tokens"],
-            temperature=payload["temperature"], n_samples=payload["n"], stop=(),
-            request_seed=payload["seed"] % 2**64))
-        body = {"choices": [{"index": i, "text": c.text}
-                            for i, c in enumerate(result.completions)]}
-    return 200, json.dumps(body).encode()
 
 
 def test_generate_http_non_json_body_exits_2(tmp_path, capsys, monkeypatch, scripted_server):

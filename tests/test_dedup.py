@@ -1,5 +1,6 @@
 """MMR selection against an independent brute-force oracle and, bit for bit,
-against the exact per-pair reference algorithm."""
+with the near-duplicate filter, against ``reference.py``'s eager greedy and
+walk over all candidates: picks, scores, kept candidates, drops, similarities."""
 
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from treegen.errors import ConfigError
 from treegen.scheduler import CheckpointStore, TreeRunner, expand_parent
 from treegen.tree import ROOT_ID, Tree
 
+import reference
 from conftest import OptionMock, reference_cosine, sft_config
 
 REPO = Path(__file__).resolve().parent.parent
@@ -198,6 +200,25 @@ def test_threshold_above_one_disables_filter():
     assert filtered.dropped_as_duplicates == ()
 
 
+def test_rounding_lifts_a_cosine_past_one_by_under_1e_14():
+    # the bound the docs give for dedup_threshold: a near-identical pair's
+    # cosine may read above 1, so a threshold just above 1 can drop an exact
+    # duplicate, but 1.01 drops nothing
+    for dim in (16, 1024):
+        rng = random.Random(f"above-one-{dim}")
+        pairs = []
+        for t in range(300):  # every other pair an exact duplicate
+            v = [rng.gauss(0, 1) for _ in range(dim)]
+            pairs.append((v, v if t % 2 else [x * (1 + rng.uniform(-1e-9, 1e-9)) for x in v]))
+        sims = [pair_similarity(vec(*w), vec(*v)) for v, w in pairs]
+        assert 1.0 < max(sims) < 1.0 + 1e-14 and sum(s > 1.0 for s in sims) >= 50, dim
+        duplicate = next(vec(*v) for (v, w), s in zip(pairs, sims) if w is v and s > 1.0)
+        for threshold, dropped in ((math.nextafter(1.0, 2.0), (1,)), (1.01, ())):
+            selection = mmr_select([duplicate] * 2, duplicate, 2, 0.5)
+            filtered = near_duplicate_filter([duplicate] * 2, selection, threshold)
+            assert filtered.dropped_as_duplicates == dropped, (dim, threshold)
+
+
 def test_identical_pool_keeps_one():
     cands = [vec(1, 1), vec(1, 1), vec(1, 1)]
     sel = mmr_select(cands, vec(1, 0), 3, 0.5)
@@ -238,70 +259,7 @@ def test_filter_backfill_respects_score_order():
     assert filtered.selected[1] == 2  # higher pool score than index 3
 
 
-# --- exact reference: the per-pair algorithm, one cosine call per pair use ----------------
-
-def reference_mmr_select(candidates, query, k, lam):
-    """Returns (selected, scores, pool_scores), recomputing every cosine it uses."""
-    relevance = [reference_cosine(c, query) for c in candidates]
-    n = len(candidates)
-    selected: list[int] = []
-    scores: list[float] = []
-    max_sim = [float("-inf")] * n
-    for step in range(k):
-        best_idx, best_score = -1, 0.0
-        for i in range(n):
-            if i in selected:
-                continue
-            if step == 0:
-                score = relevance[i]
-            else:
-                score = lam * relevance[i] - (1.0 - lam) * max_sim[i]
-            if best_idx == -1 or score > best_score:
-                best_idx, best_score = i, score
-        selected.append(best_idx)
-        scores.append(best_score)
-        for i in range(n):
-            if i not in selected:
-                sim = reference_cosine(candidates[i], candidates[best_idx])
-                if sim > max_sim[i]:
-                    max_sim[i] = sim
-    pool_scores = [scores[selected.index(i)] if i in selected
-                   else lam * relevance[i] - (1.0 - lam) * max_sim[i] for i in range(n)]
-    return tuple(selected), tuple(scores), tuple(pool_scores)
-
-
-def reference_near_duplicate_filter(candidates, selected, scores, pool_scores, threshold):
-    """Returns (kept, kept_scores, dropped) of the pick-order scan plus backfill;
-    ``dropped`` lists the scan's drops in pick order, then the backfill's in
-    index order."""
-    kept: list[int] = []
-    kept_scores: list[float] = []
-    dropped: list[int] = []
-    backfill_dropped: list[int] = []
-
-    def is_duplicate(idx):
-        return any(reference_cosine(candidates[idx], candidates[j]) >= threshold
-                   for j in kept)
-
-    for idx, score in zip(selected, scores):
-        if is_duplicate(idx):
-            dropped.append(idx)
-        else:
-            kept.append(idx)
-            kept_scores.append(score)
-    if len(kept) < len(selected):
-        backfill = sorted((i for i in range(len(candidates)) if i not in selected),
-                          key=lambda i: (-pool_scores[i], i))
-        for idx in backfill:
-            if len(kept) >= len(selected):
-                break
-            if is_duplicate(idx):
-                backfill_dropped.append(idx)
-            else:
-                kept.append(idx)
-                kept_scores.append(pool_scores[idx])
-    return tuple(kept), tuple(kept_scores), tuple(dropped + sorted(backfill_dropped))
-
+# --- bitwise: the lazy selection and the filter against reference.py --------------------
 
 def bits(values):
     """Floats as hex strings: equal only if bitwise equal (0.0 vs -0.0 too)."""
@@ -367,10 +325,10 @@ def test_selection_equals_per_pair_reference_bitwise(kind):
         else:
             threshold = rng.choice((0.3, 0.9, 0.95, 0.99, 1.0, 1.01))
 
-        want = reference_mmr_select(pool, query, k, lam)
+        want = reference.mmr(raw[:n], raw[n], k, lam)
         if threshold <= 1.0:
-            kept, kept_scores, dropped = reference_near_duplicate_filter(
-                pool, *want, threshold)
+            kept, dropped = reference.dedup_filter(raw[:n], want[0], want[2], threshold)
+            kept_scores = [want[2][i] for i in kept]
             # filter first: the filter draws only the picks it reads, and
             # the rest are drawn when asked for
             fresh = mmr_select(pool, query, k, lam)
@@ -379,7 +337,7 @@ def test_selection_equals_per_pair_reference_bitwise(kind):
             assert filtered.selected == kept, f"trial {trial}"
             assert bits(map(fresh.pool_score, filtered.selected)) == bits(kept_scores), \
                 f"trial {trial}"
-            assert filtered.dropped_as_duplicates == tuple(sorted(dropped)), f"trial {trial}"
+            assert filtered.dropped_as_duplicates == dropped, f"trial {trial}"
             assert fresh.selected == want[0], f"trial {trial}"
             assert bits(map(fresh.pool_score, fresh.selected)) == bits(want[1]), f"trial {trial}"
             assert bits(map(fresh.pool_score, range(n))) == bits(want[2]), f"trial {trial}"
@@ -396,7 +354,7 @@ def test_selection_equals_per_pair_reference_bitwise(kind):
             assert filtered.selected == kept, f"trial {trial}"
             assert bits(map(got.pool_score, filtered.selected)) == bits(kept_scores), \
                 f"trial {trial}"
-            assert filtered.dropped_as_duplicates == tuple(sorted(dropped)), f"trial {trial}"
+            assert filtered.dropped_as_duplicates == dropped, f"trial {trial}"
             assert bits(map(got.pool_score, range(n))) == bits(want[2]), f"trial {trial}"
             drops += bool(dropped)
             backfills += bool(set(kept) - set(want[0]))
@@ -422,12 +380,13 @@ def test_scheduler_filter_equals_reference_on_a_shortfall_tree(monkeypatch, tmp_
     def checked_filter(candidates, selection, threshold):
         nonlocal calls, backfills, drops
         filtered = real_filter(candidates, selection, threshold)
-        kept, kept_scores, dropped = reference_near_duplicate_filter(
-            candidates, selection.selected, tuple(map(selection.pool_score, selection.selected)),
-            tuple(map(selection.pool_score, range(len(candidates)))), threshold)
+        pool_scores = tuple(map(selection.pool_score, range(len(candidates))))
+        kept, dropped = reference.dedup_filter([c.values for c in candidates],
+                                               selection.selected, pool_scores, threshold)
         assert filtered.selected == kept
+        kept_scores = [pool_scores[i] for i in kept]
         assert bits(map(selection.pool_score, filtered.selected)) == bits(kept_scores)
-        assert filtered.dropped_as_duplicates == tuple(sorted(dropped))
+        assert filtered.dropped_as_duplicates == dropped
         calls += 1
         backfills += bool(set(kept) - set(selection.selected))
         drops += len(dropped)
@@ -473,24 +432,16 @@ def test_filter_rejects_a_selection_over_another_pool():
     assert near_duplicate_filter(list(orthogonal), selection, 0.95).selected == (0, 1)
 
 
-def sequential_dot(a, b) -> float:
-    """A dot product as one sequential sum, independently of ``dedup``."""
-    dot = 0.0
-    for x, y in zip(a, b):
-        dot += x * y
-    return dot
-
-
 def count_pairs(monkeypatch) -> list[frozenset]:
     """Record the pair of value tuples behind every dot product, each of
-    which is checked bit for bit against ``sequential_dot``."""
+    which is checked bit for bit against ``reference.dot``."""
     pairs: list[frozenset] = []
     real_dots = dedup._dots
 
     def counting_dots(a, rows):
         pairs.extend(frozenset((id(a), id(b))) for b in rows)
         dots = real_dots(a, rows)
-        assert bits(dots) == bits(sequential_dot(a, b) for b in rows)
+        assert bits(dots) == bits(reference.dot(a, b) for b in rows)
         return dots
 
     monkeypatch.setattr(dedup, "_dots", counting_dots)
@@ -574,7 +525,7 @@ def test_dots_equals_dot_bitwise(dim):
         rows = [[0.0] * dim if rng.random() < 0.25 else
                 [rng.gauss(0, 1) * 10 ** rng.uniform(-3, 3) for _ in range(dim)]
                 for _ in range(count)]
-        want = [sequential_dot(a, b) for b in rows]
+        want = [reference.dot(a, b) for b in rows]
         assert bits(dedup._dots(a, rows)) == bits(want)
         assert bits(dedup._dots([0.0] * dim, rows)) == bits([0.0] * count)
 
